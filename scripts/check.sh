@@ -77,6 +77,20 @@ echo "== match-kernel perf gate (deterministic join counters vs baseline)"
 #   python -m benchmarks.match_microbench --write
 python -m benchmarks.match_microbench --check
 
+echo "== end-to-end smoke (same-input dump twins, leaked segments)"
+# Small versions of the six BENCHMARK.json workloads through the real CLI:
+# fails when tc-rete/tc-process or bulk-process-dict/-columnar stop
+# dumping byte-identical working memories, when a run's own checks fail,
+# or when a process run strands a shared-memory segment — so every change
+# to the matchers or the pool is held to them. Under 30 s; timings are
+# not gated here (BENCHMARK.json's driver does that).
+python -m benchmarks.e2e --smoke >"$OBS_TMP/e2e-smoke.json" || {
+    echo "end-to-end smoke failed:"
+    python -c 'import json, sys; print("\n".join(json.load(open(sys.argv[1]))["error_rate"]["failures"]))' \
+        "$OBS_TMP/e2e-smoke.json"
+    exit 1
+}
+
 echo "== working-memory store gate (columnar vs dict: bytes + identity)"
 # Gates on the columnar store's IPC byte advantage, the vectorized
 # column-scan probe kernel (>=5x fewer WME materializations per cycle, a

@@ -486,12 +486,13 @@ class ColumnMemory:
     materialize through the cache's per-row memo.
     """
 
-    __slots__ = ("cache", "table", "alpha_conds", "rows", "_indexes")
+    __slots__ = ("cache", "table", "key", "alpha_conds", "rows", "_indexes")
 
-    def __init__(self, cache: "ColumnVectorCache", table, alpha_conds) -> None:
+    def __init__(self, cache: "ColumnVectorCache", table, key: AlphaKey) -> None:
         self.cache = cache
         self.table = table
-        self.alpha_conds = alpha_conds
+        self.key = key
+        alpha_conds = self.alpha_conds = key[1]
         self.rows: Dict[int, None] = {}
         self._indexes: Dict[IndexAttrs, ColumnProbeIndex] = {}
         live = table.live_col
@@ -533,13 +534,15 @@ class ColumnMemory:
 
     # -- maintenance (journal replay) ---------------------------------------
 
-    def on_add(self, row: int) -> None:
+    def on_add(self, row: int) -> bool:
+        """Returns whether the row passed the alpha conditions."""
         self.cache.scanned_rows += 1
         if self.alpha_conds and not self._alpha_ok(row):
-            return
+            return False
         self.rows[row] = None
         for index in self._indexes.values():
             index.insert(row)
+        return True
 
     def on_remove(self, row: int) -> None:
         if row not in self.rows:
@@ -629,6 +632,12 @@ class ColumnVectorCache:
         self.reader = reader
         self._mems: Dict[AlphaKey, ColumnMemory] = {}
         self._mems_by_cid: Dict[int, List[ColumnMemory]] = {}
+        #: Delta sink set by :meth:`watch` (a TREAT matcher): told of every
+        #: alpha-passing add and remove instead of re-enumerating.
+        self._sink = None
+        #: Watched CEs whose class has no table yet; adopted by the
+        #: :meth:`refresh` that brings the class's structural spec.
+        self._unmounted: List[CompiledCE] = []
         #: Work counters, cumulative per process; the pool ships per-cycle
         #: deltas back through the observability payload.
         self.scanned_rows = 0
@@ -644,31 +653,73 @@ class ColumnVectorCache:
             cid = self.reader.cid_of(ce.class_name)
             if cid is None:
                 return _EMPTY_COLUMN_MEMORY
-            mem = ColumnMemory(self, self.reader.table(cid), ce.alpha_conds)
+            mem = ColumnMemory(self, self.reader.table(cid), ce.alpha_key)
             self._mems[ce.alpha_key] = mem
             self._mems_by_cid.setdefault(cid, []).append(mem)
         return mem
 
     # -- maintenance ---------------------------------------------------------
 
+    def watch(self, ces: Sequence[CompiledCE], sink) -> None:
+        """Prime a memory for every CE now — or, for a class with no table
+        yet, in the refresh that first mentions it — and from then on
+        report deltas instead of waiting to be re-enumerated:
+        ``sink.alpha_added(alpha key, wme)`` for each row entering a
+        memory, ``sink.alpha_removed(alpha keys, wme)`` for each row
+        leaving some. Only those rows are materialized."""
+        self._sink = sink
+        for ce in ces:
+            if self.memory(ce) is _EMPTY_COLUMN_MEMORY:
+                self._unmounted.append(ce)
+
     def refresh(self, info: Tuple) -> int:
         """Apply a cycle's journal records to every primed memory; returns
-        the number of records applied. No WME is built here."""
-        return self.reader.refresh_raw(info, self._on_record)
+        the number of records applied. Without a :meth:`watch` sink no WME
+        is built here."""
+        applied = self.reader.refresh_raw(info, self._on_record)
+        if self._unmounted:
+            self._adopt_new_classes()
+        return applied
+
+    def _adopt_new_classes(self) -> None:
+        """Prime watched memories whose class just appeared. The records
+        that built the class were skipped (no memory to apply them to), so
+        every member row is new to the sink."""
+        still: List[CompiledCE] = []
+        for ce in self._unmounted:
+            known = ce.alpha_key in self._mems
+            mem = self.memory(ce)
+            if mem is _EMPTY_COLUMN_MEMORY:
+                still.append(ce)
+            elif not known:
+                for wme in mem:
+                    self._sink.alpha_added(mem.key, wme)
+        self._unmounted = still
 
     def _on_record(self, added: bool, cid: int, row: int) -> None:
         mems = self._mems_by_cid.get(cid)
+        sink = self._sink
         if added:
             if mems:
                 for mem in mems:
-                    mem.on_add(row)
+                    if mem.on_add(row) and sink is not None:
+                        sink.alpha_added(mem.key, self.wme_at(mem.table, row))
             return
         table = self.reader.table(cid)
+        left = None
+        if sink is not None and mems:
+            left = [mem.key for mem in mems if row in mem.rows]
+            if left:
+                # Rows keep their cells after the liveness flip, so the
+                # retracted WME can still be built for the sink.
+                wme = self.wme_at(table, row)
         if table is not None:
             table.wme_by_row.pop(row, None)  # rows never recycle; drop memo
         if mems:
             for mem in mems:
                 mem.on_remove(row)
+        if left:
+            sink.alpha_removed(left, wme)
 
     # -- lazy materialization ------------------------------------------------
 

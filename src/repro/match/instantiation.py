@@ -24,6 +24,11 @@ __all__ = ["Instantiation", "ConflictSet", "InstKey"]
 #: CE is negated and thus matched by absence).
 InstKey = Tuple[str, Tuple[int, ...]]
 
+#: Variable names an environment index is keyed on, in key order.
+EnvVars = Tuple[str, ...]
+
+_NO_INDEXES: Dict = {}
+
 
 class Instantiation:
     """One complete match of a rule against working memory."""
@@ -114,44 +119,92 @@ class ConflictSet:
     returned instantiations rather than the retained set — the hot paths
     of TREAT's churn handling. Both preserve conflict-set insertion order
     (index buckets are insertion-ordered dicts).
+
+    Two opt-in extras serve the set-oriented TREAT matcher:
+
+    - :meth:`index_env` keeps one rule's entries bucketed by the values of
+      chosen variables, so "which retained instantiations could this new
+      negated-CE WME block" is a :meth:`probe_env` lookup, not a scan;
+    - :meth:`start_journal` records the net adds/removes between
+      :meth:`drain_journal` calls — what a process worker ships instead
+      of its whole conflict set.
     """
 
     def __init__(self) -> None:
         self._by_key: Dict[InstKey, Instantiation] = {}
         self._by_rule: Dict[str, Dict[InstKey, Instantiation]] = {}
         self._by_wme: Dict[WME, Dict[InstKey, Instantiation]] = {}
+        #: rule name -> variables -> values -> ordered bucket, one inner
+        #: entry per :meth:`index_env` registration.
+        self._env_indexes: Dict[
+            str, Dict[EnvVars, Dict[Tuple, Dict[InstKey, Instantiation]]]
+        ] = {}
+        #: Net change since the last drain (``None``: not journalling).
+        self._added: Optional[Dict[InstKey, Instantiation]] = None
+        self._removed: Dict[InstKey, None] = {}
 
     def add(self, inst: Instantiation) -> bool:
         """Insert; returns False if an equal instantiation is present."""
-        if inst.key in self._by_key:
+        key = inst.key
+        if key in self._by_key:
             return False
-        self._by_key[inst.key] = inst
+        self._by_key[key] = inst
         rule_bucket = self._by_rule.get(inst.rule.name)
         if rule_bucket is None:
             rule_bucket = self._by_rule[inst.rule.name] = {}
-        rule_bucket[inst.key] = inst
+        rule_bucket[key] = inst
         for wme in inst.wmes:
             if wme is not None:
                 wme_bucket = self._by_wme.get(wme)
                 if wme_bucket is None:
                     wme_bucket = self._by_wme[wme] = {}
-                wme_bucket[inst.key] = inst
+                wme_bucket[key] = inst
+        if self._env_indexes:
+            indexes = self._env_indexes.get(inst.rule.name, _NO_INDEXES)
+            for variables, index in indexes.items():
+                values = tuple(inst.env[var] for var in variables)
+                env_bucket = index.get(values)
+                if env_bucket is None:
+                    env_bucket = index[values] = {}
+                env_bucket[key] = inst
+        if self._added is not None:
+            # Re-adding a key removed inside the window is a net no-op:
+            # same key means same rule and WMEs, hence the same match.
+            if key in self._removed:
+                del self._removed[key]
+            else:
+                self._added[key] = inst
         return True
 
     def _unlink(self, inst: Instantiation) -> None:
-        """Drop ``inst`` from the secondary indexes."""
+        """Drop ``inst`` from the secondary indexes (and journal it)."""
+        key = inst.key
         rule_bucket = self._by_rule.get(inst.rule.name)
         if rule_bucket is not None:
-            rule_bucket.pop(inst.key, None)
+            rule_bucket.pop(key, None)
             if not rule_bucket:
                 del self._by_rule[inst.rule.name]
         for wme in inst.wmes:
             if wme is not None:
                 wme_bucket = self._by_wme.get(wme)
                 if wme_bucket is not None:
-                    wme_bucket.pop(inst.key, None)
+                    wme_bucket.pop(key, None)
                     if not wme_bucket:
                         del self._by_wme[wme]
+        if self._env_indexes:
+            indexes = self._env_indexes.get(inst.rule.name, _NO_INDEXES)
+            for variables, index in indexes.items():
+                values = tuple(inst.env[var] for var in variables)
+                env_bucket = index.get(values)
+                if env_bucket is not None:
+                    env_bucket.pop(key, None)
+                    if not env_bucket:
+                        del index[values]
+        if self._added is not None:
+            if key in self._added:
+                del self._added[key]  # added and removed inside the window
+            else:
+                self._removed[key] = None
 
     def remove(self, inst: Instantiation) -> None:
         del self._by_key[inst.key]
@@ -176,9 +229,16 @@ class ConflictSet:
         return iter(self._by_key.values())
 
     def clear(self) -> None:
+        if self._added is not None:
+            for key in self._by_key:
+                if self._added.pop(key, None) is None:
+                    self._removed[key] = None
         self._by_key.clear()
         self._by_rule.clear()
         self._by_wme.clear()
+        for indexes in self._env_indexes.values():
+            for index in indexes.values():
+                index.clear()
 
     def instantiations(self) -> List[Instantiation]:
         """Stable snapshot, in insertion order."""
@@ -200,3 +260,43 @@ class ConflictSet:
         """Retained instantiations of one rule, in insertion order."""
         bucket = self._by_rule.get(rule_name)
         return list(bucket.values()) if bucket else []
+
+    # -- environment index ----------------------------------------------------
+
+    def index_env(self, rule_name: str, variables: EnvVars) -> None:
+        """Keep ``rule_name``'s entries bucketed by the values they bind to
+        ``variables`` (idempotent; covers entries already retained)."""
+        indexes = self._env_indexes.setdefault(rule_name, {})
+        if variables in indexes:
+            return
+        index = indexes[variables] = {}
+        for inst in self.of_rule(rule_name):
+            values = tuple(inst.env[var] for var in variables)
+            index.setdefault(values, {})[inst.key] = inst
+
+    def probe_env(
+        self, rule_name: str, variables: EnvVars, values: Tuple
+    ) -> List[Instantiation]:
+        """``rule_name``'s entries whose ``variables`` hash-equal ``values``
+        (insertion order). Dict lookup is identity-or-``==``, so the bucket
+        is a superset of the ``==`` matches (one NaN object finds itself):
+        callers decide with the real predicate."""
+        bucket = self._env_indexes[rule_name][variables].get(values)
+        return list(bucket.values()) if bucket else []
+
+    # -- journal ---------------------------------------------------------------
+
+    def start_journal(self) -> None:
+        """Begin recording net adds/removes (entries already retained count
+        as added, so the first drain describes the whole set)."""
+        self._added = dict(self._by_key)
+        self._removed = {}
+
+    def drain_journal(self) -> Tuple[List[Instantiation], List[InstKey]]:
+        """Net ``(added, removed keys)`` since the last drain (journalling
+        must have been started). An add and a remove of one key inside the
+        window cancel in either order."""
+        added, removed = list(self._added.values()), list(self._removed)
+        self._added = {}
+        self._removed = {}
+        return added, removed

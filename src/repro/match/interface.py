@@ -46,10 +46,7 @@ class Matcher(abc.ABC):
         self.conflict_set = ConflictSet()
         self._attached = False
         self._build()
-        # Feed pre-existing WMEs through the incremental path so attaching
-        # to a populated memory behaves like replaying its history.
-        for wme in sorted(wm, key=lambda w: w.timestamp):
-            self._on_add(wme)
+        self._replay()
         wm.add_listener(self._listener)
         self._attached = True
 
@@ -71,6 +68,12 @@ class Matcher(abc.ABC):
 
     def _build(self) -> None:
         """Hook: construct engine-internal structures before replay."""
+
+    def _replay(self) -> None:
+        """Feed pre-existing WMEs through the incremental path so attaching
+        to a populated memory behaves like replaying its history."""
+        for wme in sorted(self.wm, key=lambda w: w.timestamp):
+            self._on_add(wme)
 
     @abc.abstractmethod
     def _on_add(self, wme: WME) -> None:

@@ -8,8 +8,8 @@ environments, checking negated CEs by absence.
 Two seeding mechanisms make it reusable:
 
 ``fixed``
-    pin condition element *i* to exactly one WME — TREAT's
-    "the new WME must participate here" seed;
+    pin condition element *i* to a batch of WMEs — TREAT's "one of the
+    cycle's new WMEs must participate here" seed, taken as a set;
 ``seed_env``
     pre-bind variables — used when a WME matching a *negated* CE is
     retracted and we must discover the instantiations it was blocking.
@@ -35,7 +35,16 @@ tests enforce this.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.lang.ast import Value
 from repro.match.alphaindex import AlphaCache
@@ -126,16 +135,18 @@ def enumerate_matches(
     compiled: CompiledRule,
     wm: WorkingMemory,
     stats: Optional[MatchStats] = None,
-    fixed: Optional[Tuple[int, WME]] = None,
+    fixed: Optional[Tuple[int, Sequence[WME]]] = None,
     seed_env: Optional[Env] = None,
     alpha_source: Optional[AlphaSource] = None,
     indexed: bool = True,
 ) -> Iterator[Instantiation]:
     """Yield every instantiation of ``compiled`` consistent with the seeds.
 
-    ``fixed=(i, wme)`` pins 0-based CE index ``i`` (which must be positive)
-    to ``wme``; the WME is still alpha- and join-tested, so passing a WME
-    that does not actually match yields nothing rather than nonsense.
+    ``fixed=(i, wmes)`` pins 0-based CE index ``i`` (which must be positive)
+    to the given WMEs (in timestamp order, like every alpha memory): only
+    instantiations using one of them there are yielded. Each is still
+    alpha- and join-tested, so passing a WME that does not actually match
+    yields nothing rather than nonsense.
 
     With ``indexed`` (the default) and no legacy-callable ``alpha_source``,
     enumeration follows the rule's join plan and probes hash buckets;
@@ -263,18 +274,16 @@ def enumerate_matches(
                         next_partials.append((env, wmes + (None,)))
         else:
             if fixed is not None and fixed[0] == ce.index:
-                pinned = fixed[1]
-                if (
-                    pinned.class_name == ce.class_name
+                pinned_candidates = tuple(
+                    pinned
+                    for pinned in fixed[1]
+                    if pinned.class_name == ce.class_name
                     and alpha_test_passes(ce.alpha_conds, pinned)
                     and (
                         not ce.local_conds
                         or alpha_test_passes(ce.local_conds, pinned)
                     )
-                ):
-                    pinned_candidates: Tuple[WME, ...] = (pinned,)
-                else:
-                    pinned_candidates = ()
+                )
                 for env, wmes in partials:
                     for wme in pinned_candidates:
                         if stats is not None:

@@ -1,124 +1,304 @@
 """TREAT match engine (Miranker 1987, from the DADO lineage PARULEL grew
-out of).
+out of), set-oriented.
 
 TREAT retains only **alpha memories** and the **conflict set** — no beta
-memories. Each WME delta seeds a join:
+memories. PARULEL fires a whole set of instantiations per cycle, so the
+working-memory change arrives as a set too, and this matcher treats it as
+one: alpha memories are updated as each WME arrives, but the joins a
+cycle's additions call for are deferred and run once per *batch*.
 
-- *Add to a positive CE's memory*: enumerate the rule's join with that CE
-  pinned to the new WME (every new instantiation must use it there).
-- *Add to a negated CE's memory*: scan the rule's conflict-set entries and
-  retract those the new WME now blocks.
+- *Adds* are buffered per alpha pattern. :meth:`TreatMatcher.flush` — run
+  by :meth:`~TreatMatcher.instantiations` and before any retraction is
+  processed — then does, per rule in compiled order:
+
+  - for each negated CE fed by a batch: retract the retained
+    instantiations a new WME blocks. The candidates come from the conflict
+    set's environment index keyed by the CE's equality join tests
+    (:meth:`~repro.match.instantiation.ConflictSet.probe_env`), not from a
+    scan of the rule's retained entries; ``join_tests_pass`` stays the
+    deciding check. ``indexed=False`` (and a CE with no equality test)
+    scans ``of_rule`` — the oracle the differential tests compare against;
+  - for each positive CE fed by a batch: one join enumeration with that CE
+    pinned to the batch (every new instantiation must use a new WME
+    somewhere), in chunks of :data:`BATCH_CHUNK` so the enumerator's
+    transient partial matches stay bounded.
+
+  Both read the *current* memories, so a batch that feeds a positive and a
+  negated CE of one rule needs no ordering care; instantiations reachable
+  from two new WMEs are found twice and deduplicated by the conflict set.
+- The very first flush has nothing retained and every memory unjoined, so
+  it is one full enumeration per rule.
 - *Remove from a positive CE's memory*: drop conflict-set entries that used
   the WME.
 - *Remove from a negated CE's memory*: instantiations it was blocking may
-  now exist. When the negated CE's join tests are all equalities we seed the
-  join with the variable values the removed WME pinned; otherwise we fall
-  back to a full re-enumeration of that rule (deduplicated against the
-  retained set).
+  now exist. When the negated CE's join tests include equalities we seed
+  the join with the variable values the removed WME pinned; otherwise we
+  fall back to a full re-enumeration of that rule (deduplicated against
+  the retained set).
+- A WME added and removed between two flushes (a meta-level reification)
+  was never joined, so it just leaves the batch.
 
 The trade: TREAT redoes join work RETE would have cached, but pays nothing
 to maintain beta state when WMEs churn — the regime Ablation A2 measures.
+
+The alpha layer is pluggable: in-process the matcher owns
+:class:`~repro.match.alphaindex.IndexedMemory` instances fed from the
+working memory's listener; a process worker in vector mode hands it a
+:class:`~repro.match.alphaindex.ColumnVectorCache` instead, which keeps
+row-id memories over the shared columns and reports alpha-passing deltas
+through :meth:`TreatMatcher.alpha_added` / :meth:`TreatMatcher.alpha_removed`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.lang.ast import Value
+from repro.lang.ast import Rule, Value
 from repro.match.alphaindex import IndexedMemory, MemoryTable
 from repro.match.compile import AlphaKey, CompiledCE, CompiledRule, alpha_test_passes
+from repro.match.instantiation import Instantiation
 from repro.match.interface import Matcher
 from repro.match.join import enumerate_matches, join_tests_pass
+from repro.wm.memory import WorkingMemory
 from repro.wm.wme import WME
 
-__all__ = ["TreatMatcher"]
+__all__ = ["TreatMatcher", "BATCH_CHUNK"]
+
+#: Most WMEs pinned in one enumeration. The enumerator materializes every
+#: partial match of a visit position before moving on, so an unbounded
+#: batch (a 12,000-fact load) would hold them all at once.
+BATCH_CHUNK = 1024
+
+#: One rule's share of a flush: (CE, the new WMEs in its alpha memory).
+_Job = Tuple[CompiledCE, Tuple[WME, ...]]
 
 
 class TreatMatcher(Matcher):
     """Conflict-set-retaining matcher with alpha memories only.
 
-    The retained memories are :class:`~repro.match.alphaindex.IndexedMemory`
-    instances, so the seeded joins probe hash buckets keyed by the delta
-    WME's join values instead of scanning whole memories (``indexed=False``
-    keeps the memories but enumerates with the nested-loop path).
+    ``alpha`` substitutes an external alpha layer for the matcher's own
+    memories: any enumerator alpha source with a ``watch(ces, sink)``
+    method that primes a memory per CE and thereafter calls
+    ``sink.alpha_added`` / ``sink.alpha_removed``. The working memory is
+    then never read.
+
+    :attr:`observer`, when set, brackets each rule's share of the match
+    work: ``observer.begin(rule name)`` before, ``observer.end(rule name,
+    instantiations added)`` after (the process workers' per-rule timing
+    and flight-recorder records).
     """
 
     name = "treat"
 
+    def __init__(
+        self,
+        rules: Sequence[Rule],
+        wm: WorkingMemory,
+        indexed: bool = True,
+        alpha=None,
+    ) -> None:
+        self._external = alpha
+        self.observer = None
+        super().__init__(rules, wm, indexed=indexed)
+
     def _build(self) -> None:
+        #: alpha pattern -> (rule position, rule, ce) triples fed by it.
+        self._subscribers: Dict[
+            AlphaKey, List[Tuple[int, CompiledRule, CompiledCE]]
+        ] = {}
+        #: alpha pattern -> the WMEs that entered its memory since the last
+        #: flush, in arrival (= timestamp) order.
+        self._pending: Dict[AlphaKey, Dict[WME, None]] = {}
+        #: Nothing flushed yet: the conflict set is empty and no memory's
+        #: content has been joined, so adds need no buffering.
+        self._fresh = True
+        for pos, compiled in enumerate(self.compiled):
+            for ce in compiled.ces:
+                self._subscribers.setdefault(ce.alpha_key, []).append(
+                    (pos, compiled, ce)
+                )
+                if self.indexed and ce.negated and ce.eq_join_tests:
+                    self.conflict_set.index_env(
+                        compiled.name, tuple(var for _attr, var in ce.eq_join_tests)
+                    )
+        if self._external is not None:
+            self._alpha = self._external
+            self._external.watch(
+                [ce for compiled in self.compiled for ce in compiled.ces], self
+            )
+            return
         #: alpha pattern -> indexed, insertion-ordered memory.
-        self._mems: Dict[AlphaKey, IndexedMemory] = {}
+        self._mems: Dict[AlphaKey, IndexedMemory] = {
+            key: IndexedMemory() for key in self._subscribers
+        }
         #: class name -> alpha keys to test on each add/remove.
         self._keys_by_class: Dict[str, List[AlphaKey]] = {}
-        #: alpha pattern -> (rule, ce) pairs fed by it.
-        self._subscribers: Dict[AlphaKey, List[Tuple[CompiledRule, CompiledCE]]] = {}
-        for compiled in self.compiled:
-            for ce in compiled.ces:
-                key = ce.alpha_key
-                if key not in self._mems:
-                    self._mems[key] = IndexedMemory()
-                    self._keys_by_class.setdefault(ce.class_name, []).append(key)
-                    self._subscribers[key] = []
-                self._subscribers[key].append((compiled, ce))
+        for key in self._mems:
+            self._keys_by_class.setdefault(key[0], []).append(key)
         self._alpha = MemoryTable(self._mems)
+
+    def _replay(self) -> None:
+        """Attach to a populated memory class bucket by class bucket: the
+        first flush enumerates in full, so nothing needs buffering."""
+        if self._external is not None:
+            return
+        for key, mem in self._mems.items():
+            bucket = self.wm.by_class(key[0])
+            # Global only — alpha memories are shared across rules, so
+            # there is no single rule to attribute the tests to.
+            self._bump("alpha_tests", n=len(bucket))
+            if key[1]:
+                bucket = [w for w in bucket if alpha_test_passes(key[1], w)]
+            mem.bulk_add(bucket)
+
+    def _bump(self, counter: str, rule: str = "", n: int = 1) -> None:
+        # ``stats`` may be cleared by an owner that ships no counters (the
+        # process workers), which also lets the enumerator skip its own.
+        if self.stats is not None:
+            self.stats.bump(counter, rule, n)
 
     # -- add -----------------------------------------------------------------
 
     def _on_add(self, wme: WME) -> None:
-        # Phase 1: update every alpha memory before any join runs, so a WME
-        # matching several CEs is visible to all of them at once.
-        hits: List[AlphaKey] = []
+        # Every alpha memory is updated at once, so a WME matching several
+        # CEs is visible to all of them whenever the joins run.
         for key in self._keys_by_class.get(wme.class_name, ()):
-            # Global only — alpha memories are shared across rules, so
-            # there is no single rule to attribute the test to.
-            self.stats.bump("alpha_tests")
+            self._bump("alpha_tests")
             if alpha_test_passes(key[1], wme):
                 self._mems[key].add(wme)
-                hits.append(key)
-        # Phase 2: seeded joins / negation invalidation.
-        for key in hits:
-            for compiled, ce in self._subscribers[key]:
+                self.alpha_added(key, wme)
+
+    def alpha_added(self, key: AlphaKey, wme: WME) -> None:
+        """``wme`` entered the alpha memory ``key`` (already updated)."""
+        if self._fresh:
+            return
+        batch = self._pending.get(key)
+        if batch is None:
+            batch = self._pending[key] = {}
+        batch[wme] = None
+
+    # -- flush ---------------------------------------------------------------
+
+    def instantiations(self) -> List[Instantiation]:
+        self.flush()
+        return self.conflict_set.instantiations()
+
+    def flush(self) -> None:
+        """Run the joins and invalidations the buffered adds call for."""
+        if self._fresh:
+            self._fresh = False
+            for compiled in self.compiled:
+                self._match_rule(compiled, None)
+            return
+        if not self._pending:
+            return
+        pending, self._pending = self._pending, {}
+        work: Dict[int, List[_Job]] = {}
+        for key, batch in pending.items():
+            if batch:
+                wmes = tuple(batch)
+                for pos, _compiled, ce in self._subscribers[key]:
+                    work.setdefault(pos, []).append((ce, wmes))
+        for pos in sorted(work):
+            self._match_rule(self.compiled[pos], work[pos])
+
+    def _match_rule(
+        self,
+        compiled: CompiledRule,
+        jobs: Optional[List[_Job]],
+        seed_env: Optional[Dict[str, Value]] = None,
+    ) -> None:
+        """One rule's share of the match work, bracketed for the observer:
+        the given batches, or with ``jobs=None`` an enumeration of the whole
+        rule (restricted to ``seed_env`` when given)."""
+        observer = self.observer
+        if observer is not None:
+            observer.begin(compiled.name)
+        added = 0
+        add = self.conflict_set.add
+        if jobs is None:
+            for inst in self._enumerate(compiled, seed_env=seed_env):
+                added += add(inst)
+        else:
+            for ce, wmes in jobs:
                 if ce.negated:
-                    self._invalidate_blocked(compiled, ce, wme)
-                else:
-                    for inst in enumerate_matches(
-                        compiled,
-                        self.wm,
-                        self.stats,
-                        fixed=(ce.index, wme),
-                        alpha_source=self._alpha,
-                        indexed=self.indexed,
-                    ):
-                        self.conflict_set.add(inst)
+                    self._invalidate_blocked(compiled, ce, wmes)
+            for ce, wmes in jobs:
+                if not ce.negated:
+                    for start in range(0, len(wmes), BATCH_CHUNK):
+                        chunk = wmes[start : start + BATCH_CHUNK]
+                        for inst in self._enumerate(
+                            compiled, fixed=(ce.index, chunk)
+                        ):
+                            added += add(inst)
+        if observer is not None:
+            observer.end(compiled.name, added)
 
-    def _invalidate_blocked(self, compiled: CompiledRule, ce: CompiledCE, wme: WME) -> None:
-        """A WME newly matching a negated CE retracts the instantiations it
-        blocks (those whose environment satisfies the CE's join tests).
+    def _enumerate(self, compiled: CompiledRule, **seeds):
+        return enumerate_matches(
+            compiled,
+            self.wm,
+            self.stats,
+            alpha_source=self._alpha,
+            indexed=self.indexed,
+            **seeds,
+        )
 
-        ``of_rule`` is index-backed, so this scans only the rule's own
-        retained entries, not the whole conflict set."""
-        for inst in self.conflict_set.of_rule(compiled.name):
-            self.stats.bump("join_checks", compiled.name)
-            if join_tests_pass(ce, wme, inst.env):
-                self.conflict_set.remove(inst)
-                self.stats.bump("retractions", compiled.name)
+    def _invalidate_blocked(
+        self, compiled: CompiledRule, ce: CompiledCE, wmes: Sequence[WME]
+    ) -> None:
+        """WMEs newly matching a negated CE retract the instantiations
+        they block (those whose environment satisfies the CE's join
+        tests)."""
+        cs = self.conflict_set
+        eq = ce.eq_join_tests if self.indexed else ()
+        variables = tuple(var for _attr, var in eq)
+        for wme in wmes:
+            if eq:
+                candidates = cs.probe_env(
+                    compiled.name,
+                    variables,
+                    tuple(wme.get(attr) for attr, _var in eq),
+                )
+            else:
+                candidates = cs.of_rule(compiled.name)
+            for inst in candidates:
+                self._bump("join_checks", compiled.name)
+                if join_tests_pass(ce, wme, inst.env):
+                    cs.remove(inst)
+                    self._bump("retractions", compiled.name)
 
     # -- remove ---------------------------------------------------------------
 
     def _on_remove(self, wme: WME) -> None:
-        hits: List[AlphaKey] = []
-        for key in self._keys_by_class.get(wme.class_name, ()):
-            if self._mems[key].remove(wme):
-                hits.append(key)
-        if not hits:
+        hits = [
+            key
+            for key in self._keys_by_class.get(wme.class_name, ())
+            if self._mems[key].remove(wme)
+        ]
+        if hits:
+            self.alpha_removed(hits, wme)
+
+    def alpha_removed(self, keys: Sequence[AlphaKey], wme: WME) -> None:
+        """``wme`` left the alpha memories ``keys`` (already updated)."""
+        if self._fresh:
             return
+        batch = self._pending.get(keys[0])
+        if batch is not None and wme in batch:
+            # Added since the last flush (so pending under every key it
+            # passes) and never joined: nothing retained uses it, nothing
+            # was retracted on its account.
+            for key in keys:
+                del self._pending[key][wme]
+            return
+        self.flush()
         # Positive participation: drop conflict-set entries that used it.
         removed = self.conflict_set.remove_with_wme(wme)
         if removed:
-            self.stats.bump("retractions", n=len(removed))
+            self._bump("retractions", n=len(removed))
         # Negative participation: unblocked instantiations may now exist.
-        for key in hits:
-            for compiled, ce in self._subscribers[key]:
+        for key in keys:
+            for _pos, compiled, ce in self._subscribers[key]:
                 if ce.negated:
                     self._discover_unblocked(compiled, ce, wme)
 
@@ -131,15 +311,7 @@ class TreatMatcher(Matcher):
             # CE against the *current* memories, so no false positives.
             seed = {var: wme.get(attr) for attr, var in eq}
         else:
-            if not ce.join_tests and self._mems[ce.alpha_key]:
+            if not ce.join_tests and len(self._alpha.memory(ce)):
                 return  # purely alpha-level negation, still blocked for all
             seed = None  # only non-equality tests: re-enumerate the rule
-        for inst in enumerate_matches(
-            compiled,
-            self.wm,
-            self.stats,
-            seed_env=seed,
-            alpha_source=self._alpha,
-            indexed=self.indexed,
-        ):
-            self.conflict_set.add(inst)
+        self._match_rule(compiled, None, seed)

@@ -15,17 +15,26 @@ What keeps it fast and correct:
   broadcasts only the net adds/removes since the previous cycle — never
   the whole memory. Timestamps identify WMEs across replicas, so removes
   are a timestamp list and adds are ``(class, attrs, timestamp)`` records.
-- **Deterministic merge.** Workers return compact match summaries
-  ``(rule name, per-CE timestamps, environment)``; the parent rebuilds
-  :class:`~repro.match.instantiation.Instantiation` objects against its own
-  WME store and concatenates per-site results in site order, rules in
-  compiled order within a site — byte-identical to the sequential matchers
-  (the differential suite asserts this).
+- **Incremental match, incremental replies.** Each worker runs the
+  set-oriented :class:`~repro.match.treat.TreatMatcher` over its replica
+  (or, in vector mode, over the shared columns): a cycle's delta seeds
+  batched joins instead of a re-enumeration of every rule, and the reply
+  is the conflict set's *journal* — compact summaries ``(rule name,
+  per-CE timestamps, environment)`` of the instantiations that appeared
+  plus the keys of those that went away.
+- **Deterministic merge.** The parent keeps each site's retained set,
+  rebuilds :class:`~repro.match.instantiation.Instantiation` objects
+  against its own WME store for the additions only, and lists sites in
+  order, rules in compiled order within a site, instantiations by
+  ascending per-CE timestamp tuple within a rule — the order a full
+  enumeration yields, byte-identical to the sequential matchers (the
+  differential suite asserts this).
 - **Robustness.** Every cycle applies a per-worker timeout; a crashed,
-  wedged, or killed worker is respawned and caught up by replaying the
-  cumulative delta log, then re-asked for its site's matches. A run
-  survives ``kill -9`` of any worker mid-cycle (tests inject exactly
-  that).
+  wedged, or killed worker is respawned and caught up from a snapshot of
+  the live parent memory (which *is* the replica's contents), then
+  re-asked for its site's matches; its first reply resets the site's
+  retained set. A run survives ``kill -9`` of any worker mid-cycle (tests
+  inject exactly that).
 - **Supervised degradation.** Each site has a respawn budget
   (``respawn_limit``; ``None`` = unlimited) and a
   :class:`~repro.resilience.supervisor.SupervisorPolicy` deciding when to
@@ -70,6 +79,7 @@ import pickle
 import signal
 import threading
 import time
+from bisect import bisect_left
 from multiprocessing.connection import Connection
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -78,9 +88,10 @@ from repro.faults import FaultEvent, FaultInjector, FaultPlan
 from repro.lang.ast import Rule, Value
 from repro.match.alphaindex import AlphaCache, ColumnVectorCache
 from repro.match.compile import CompiledRule, compile_rules
-from repro.match.instantiation import ConflictSet, Instantiation
+from repro.match.instantiation import InstKey, Instantiation
 from repro.match.interface import Matcher
 from repro.match.join import enumerate_matches
+from repro.match.treat import TreatMatcher
 from repro.obs.flightrec import (
     EV_MATCH_REPLY,
     EV_MATCH_REQ,
@@ -110,6 +121,12 @@ __all__ = ["ProcessMatchPool", "ProcessMatcher", "default_worker_count"]
 #: negated CE), variable environment). Small, picklable, and enough for the
 #: parent to rebuild the Instantiation against its own WME objects.
 MatchSummary = Tuple[str, Tuple[int, ...], Dict[str, Value]]
+
+#: One site's answer to a match request: ``(reset, added, removed)``. The
+#: site's retained set loses the ``removed`` keys and gains the ``added``
+#: summaries; with ``reset`` it is emptied first (a freshly started worker's
+#: first reply, and every reply of a site matched in-parent).
+SiteReply = Tuple[bool, List[MatchSummary], List[InstKey]]
 
 #: Per-reply observability payload: the worker's raw span buffer (shipped
 #: back alongside match results, ingested onto a ``worker-<site>`` lane),
@@ -142,6 +159,43 @@ def default_worker_count() -> int:
 # ---------------------------------------------------------------------------
 
 
+def _summary(inst: Instantiation) -> MatchSummary:
+    return (inst.rule.name, inst.key[1], inst.env)
+
+
+class _RuleObserver:
+    """A worker matcher's per-rule brackets: begin/end records in the
+    flight ring — a SIGKILL between the two leaves an unmatched BEGIN,
+    exactly what the post-mortem "last in-flight rule" query reads — and,
+    with observability on, the seconds in between."""
+
+    def __init__(
+        self, ring: Optional[FlightRing], rule_ids: Dict[str, int], timed: bool
+    ) -> None:
+        self.ring = ring
+        self.rule_ids = rule_ids
+        self.timed = timed
+        self.cycle = 0
+        self.times: List[Tuple[str, float]] = []
+        self._t0 = 0.0
+
+    def begin(self, rule: str) -> None:
+        if self.ring is not None:
+            self.ring.append(
+                EV_RULE_BEGIN, self.cycle, code=self.rule_ids.get(rule, 0)
+            )
+        if self.timed:
+            self._t0 = time.perf_counter()
+
+    def end(self, rule: str, added: int) -> None:
+        if self.timed:
+            self.times.append((rule, time.perf_counter() - self._t0))
+        if self.ring is not None:
+            self.ring.append(
+                EV_RULE_END, self.cycle, code=self.rule_ids.get(rule, 0), a=added
+            )
+
+
 def _worker_main(
     conn: Connection,
     rules: Tuple[Rule, ...],
@@ -150,14 +204,19 @@ def _worker_main(
     vector: bool = True,
     flight: Optional[Tuple[str, Dict[str, int]]] = None,
 ) -> None:
-    """Worker loop: maintain a WM replica, answer match requests.
+    """Worker loop: maintain a WM replica and its conflict set, answer
+    match requests with what changed.
 
     Protocol (parent → worker):
 
     - ``("match", [wire_delta, ...])`` — apply the pickled deltas in
-      order, then reply ``("ok", ([MatchSummary, ...], obs_payload))``
-      for this site's rules, where ``obs_payload`` is the worker's span
-      buffer and per-rule match times when ``obs`` is on, else ``None``;
+      order, bring the conflict set current, then reply
+      ``("ok", (site_reply, obs_payload))`` where ``site_reply`` is the
+      :data:`SiteReply` journal of this site's conflict set since the
+      previous reply (``reset`` set on the first reply after a start or
+      attach, whose additions are therefore the whole set) and
+      ``obs_payload`` is the worker's span buffer and per-rule match
+      times when ``obs`` is on, else ``None``;
     - ``("attach", spec)`` — columnar mode: attach the parent's
       shared-memory columns (:class:`~repro.wm.columnar.ColumnarReader`)
       and build the replica from the liveness snapshot; no reply;
@@ -171,14 +230,20 @@ def _worker_main(
     Any exception is reported as ``("err", message)``; the parent treats it
     as fatal (a deterministic error would recur on respawn).
 
+    The conflict set is retained by a
+    :class:`~repro.match.treat.TreatMatcher`, built after the first
+    delta/refresh has landed (so a large bootstrap is bulk-loaded rather
+    than replayed through its listener) and fed every later change as it
+    is applied; the match step is its batched flush.
+
     With ``vector`` (and ``indexed``) on, a columnar attach switches the
     worker onto the vectorized probe kernel: no replica WM is populated at
     all — alpha memories are row-id sets over the shared columns
     (:class:`~repro.match.alphaindex.ColumnVectorCache`), refresh advances
-    the journal without materializing, and WMEs are decoded lazily for
-    probe survivors only. Delta mode and ``vector=False`` keep the replica
-    path, with the bootstrap batched class-by-class through
-    ``wm.bulk_load`` / ``AlphaCache.bulk_add``.
+    the journal and hands the matcher only the alpha-passing rows, and
+    other WMEs are decoded lazily for probe survivors only. Delta mode and
+    ``vector=False`` keep the replica path, with the bootstrap batched
+    class-by-class through ``wm.bulk_load``.
 
     With ``obs`` on the worker runs its own :class:`~repro.obs.Tracer`
     (spans on a local lane, rewritten to ``worker-<site>`` by the parent
@@ -203,30 +268,21 @@ def _worker_main(
             ring = None
     if ring is not None:
         ring.append(EV_WORKER_START, 0, a=os.getpid())
-    compiled = compile_rules(rules)
+    observer = (
+        _RuleObserver(ring, rule_ids, obs) if ring is not None or obs else None
+    )
     wm = WorkingMemory()
     by_ts: Dict[int, WME] = {}
-    # Worker-side indexed alpha memories, rebuilt incrementally from the
-    # shipped deltas (or the shared journal): both paths go through
-    # wm.add/remove, which notify the attached cache's listener. Created
-    # lazily so a columnar bootstrap can bulk-load the replica first —
-    # the cache then primes per class via bulk_add instead of replaying
-    # one listener callback per WME.
-    alpha: Optional[AlphaCache] = None
+    matcher: Optional[TreatMatcher] = None
+    #: The next reply describes the whole conflict set, not a change to it.
+    reset = True
     tracer = Tracer() if obs else NULL_TRACER
     reader: Optional[ColumnarReader] = None
     #: Column-native alpha source; set on attach in vector mode, in which
-    #: case ``wm``/``by_ts``/``alpha`` stay empty and unused.
+    #: case ``wm``/``by_ts`` stay empty and unused.
     vcache: Optional[ColumnVectorCache] = None
     vec_prev = {"scanned": 0, "materialized": 0, "fallback": 0, "probes": 0}
     cycle = 0
-
-    def ensure_alpha() -> Optional[AlphaCache]:
-        nonlocal alpha
-        if alpha is None and indexed:
-            alpha = AlphaCache(wm)
-            alpha.attach()
-        return alpha
 
     def replica_add(wme: WME) -> None:
         wm.add(wme)
@@ -264,11 +320,12 @@ def _worker_main(
                 if reader is not None:
                     reader.close()
                 reader = ColumnarReader(msg[1])
+                matcher = None
                 with tracer.span("attach", lane="worker"):
                     if vector and indexed:
                         # Vector mode: nothing is materialized up front —
                         # memories prime themselves from the liveness
-                        # columns on first use.
+                        # columns when the matcher is built.
                         vcache = ColumnVectorCache(reader)
                     else:
                         reader.attach_bulk(bootstrap_class)
@@ -283,7 +340,9 @@ def _worker_main(
                     cycle,
                     a=len(msg[1]) if tag == "match" else -1,
                 )
-            rule_times: List[Tuple[str, float]] = []
+            if observer is not None:
+                observer.cycle = cycle
+                observer.times = []
             if tag == "match-shm":
                 with tracer.span("refresh-journal", lane="worker", cycle=cycle):
                     if vcache is not None:
@@ -298,41 +357,19 @@ def _worker_main(
                     ):
                         for wire in deltas:
                             WMDelta.apply_wire(wm, by_ts, wire)
-            out: List[MatchSummary] = []
-            alpha_source = vcache if vcache is not None else ensure_alpha()
-            with tracer.span("match", lane="worker", cycle=cycle, rules=len(compiled)):
-                for cr in compiled:
-                    t0 = time.perf_counter() if obs else 0.0
-                    # Begin/end bracket per rule: a SIGKILL between the two
-                    # leaves an unmatched BEGIN in the shared ring — exactly
-                    # what the post-mortem "last in-flight rule" query reads.
-                    if ring is not None:
-                        n0 = len(out)
-                        ring.append(
-                            EV_RULE_BEGIN, cycle, code=rule_ids.get(cr.name, 0)
-                        )
-                    for inst in enumerate_matches(
-                        cr, wm, alpha_source=alpha_source, indexed=indexed
-                    ):
-                        out.append(
-                            (
-                                cr.name,
-                                tuple(
-                                    w.timestamp if w is not None else 0
-                                    for w in inst.wmes
-                                ),
-                                inst.env,
-                            )
-                        )
-                    if ring is not None:
-                        ring.append(
-                            EV_RULE_END,
-                            cycle,
-                            code=rule_ids.get(cr.name, 0),
-                            a=len(out) - n0,
-                        )
-                    if obs:
-                        rule_times.append((cr.name, time.perf_counter() - t0))
+            if matcher is None:
+                matcher = TreatMatcher(rules, wm, indexed=indexed, alpha=vcache)
+                # No counters are shipped back, so none are kept: the
+                # enumerator then skips its per-candidate accounting.
+                matcher.stats = None
+                matcher.observer = observer
+                matcher.conflict_set.start_journal()
+                reset = True
+            with tracer.span(
+                "match", lane="worker", cycle=cycle, rules=len(matcher.compiled)
+            ):
+                matcher.flush()
+            added, removed = matcher.conflict_set.drain_journal()
             vec_stats: Optional[Dict[str, int]] = None
             if vcache is not None:
                 cur = vcache.counters()
@@ -347,11 +384,13 @@ def _worker_main(
                         code=min(vec_stats["fallback"], 0x7FFF),
                     )
             payload: ObsPayload = (
-                (tracer.drain_events(), rule_times, vec_stats) if obs else None
+                (tracer.drain_events(), observer.times, vec_stats) if obs else None
             )
-            conn.send(("ok", (out, payload)))
+            reply: SiteReply = (reset, [_summary(i) for i in added], removed)
+            conn.send(("ok", (reply, payload)))
+            reset = False
             if ring is not None:
-                ring.append(EV_MATCH_REPLY, cycle, a=len(out))
+                ring.append(EV_MATCH_REPLY, cycle, a=len(added))
         except Exception as exc:  # noqa: BLE001 - forwarded to the parent
             try:
                 conn.send(("err", f"{type(exc).__name__}: {exc}"))
@@ -451,9 +490,13 @@ class ProcessMatchPool:
         #: Sites whose worker has attached the shared columns (columnar
         #: mode only; reset on respawn).
         self._attached: Set[int] = set()
-        #: Cumulative wire-delta log since pool creation — the catch-up
-        #: script replayed into a respawned worker (delta mode only).
-        self._log: List[tuple] = []
+        #: Per site, the instantiations its matcher currently retains:
+        #: rule name -> ``(per-CE timestamps, Instantiation)`` entries in
+        #: ascending order — the order a full enumeration of the rule
+        #: yields. Edited by each :data:`SiteReply`.
+        self._retained: Dict[
+            int, Dict[str, List[Tuple[Tuple[int, ...], Instantiation]]]
+        ] = {}
         self._conns: Dict[int, Connection] = {}
         self._procs: Dict[int, multiprocessing.process.BaseProcess] = {}
         #: Workers respawned after a crash/timeout (tests assert on this).
@@ -469,7 +512,7 @@ class ProcessMatchPool:
         self.policy = supervisor if supervisor is not None else SupervisorPolicy()
         self._sup = SiteSupervisor(self.policy, self.active_sites)
         #: Delta-mode sites just promoted back to a worker: their next
-        #: dispatch must replay the whole delta log, not this cycle's
+        #: dispatch must carry the whole memory, not this cycle's
         #: increment (columnar promotions re-attach via ``_attached``).
         self._needs_catchup: Set[int] = set()
         self._site_compiled: Dict[int, Tuple[CompiledRule, ...]] = {}
@@ -574,9 +617,9 @@ class ProcessMatchPool:
         except (BrokenPipeError, OSError):
             return False
 
-    def _recv(self, site: int) -> Optional[List[MatchSummary]]:
-        """One reply's match summaries (observability payload ingested as
-        a side effect), or ``None`` when the worker is dead or wedged.
+    def _recv(self, site: int) -> Optional[SiteReply]:
+        """One worker reply (observability payload ingested as a side
+        effect), or ``None`` when the worker is dead or wedged.
 
         Waits under a bounded deadline no matter how the pool was
         configured, polling in short slices so a worker that died *after*
@@ -595,16 +638,20 @@ class ProcessMatchPool:
                 proc = self._procs.get(site)
                 if proc is not None and not proc.is_alive() and not conn.poll(0):
                     return None  # died before replying, nothing buffered
-            tag, payload = conn.recv()
+            # recv() is recv_bytes() + unpickle; split so the reply's exact
+            # size is known (only this pool's own workers write to the pipe).
+            blob = conn.recv_bytes()
         except (EOFError, OSError):
             return None
+        tag, payload = pickle.loads(blob)
         if tag == "err":
             raise MatchError(f"match worker for site {site} failed: {payload}")
-        summaries, obs_payload = payload
+        reply, obs_payload = payload
         self._ingest_obs(site, obs_payload)
         if self.metrics.enabled:
             self.metrics.inc("parulel_ipc_messages_total", direction="reply")
-        return summaries
+            self.metrics.inc("parulel_ipc_reply_bytes_total", len(blob), site=site)
+        return reply
 
     def _ingest_obs(self, site: int, obs_payload: ObsPayload) -> None:
         """Fold a worker's shipped spans and per-rule match times into the
@@ -654,7 +701,7 @@ class ProcessMatchPool:
             return False
         return tag == "pong" and payload == token
 
-    def _recv_checked(self, site: int) -> Optional[List[MatchSummary]]:
+    def _recv_checked(self, site: int) -> Optional[SiteReply]:
         """:meth:`_recv` plus the supervision bookkeeping: a healthy reply
         resets the site's failure streak (and closes its circuit breaker,
         emitting ``breaker-close``); a worker-reported error either raises
@@ -663,19 +710,19 @@ class ProcessMatchPool:
         ladder can absorb deterministic worker-side faults (e.g. a chaos
         run unlinking the shared segment a re-attach needs)."""
         try:
-            results = self._recv(site)
+            reply = self._recv(site)
         except MatchError as exc:
             if not self.policy.degrade_on_worker_error:
                 raise
             self._record("worker-error", site, detail=str(exc))
             return None
-        if results is not None and self._sup.on_success(site):
+        if reply is not None and self._sup.on_success(site):
             self._record(
                 "breaker-close", site, detail="healthy reply at full isolation"
             )
             if self.metrics.enabled:
                 self.metrics.set_gauge("parulel_site_mode", 0, site=site)
-        return results
+        return reply
 
     def _budget_left(self, site: int) -> bool:
         if self.respawn_limit is None:
@@ -684,11 +731,11 @@ class ProcessMatchPool:
 
     def _degrade(
         self, site: int, reason: str, breaker: bool = False
-    ) -> List[MatchSummary]:
+    ) -> SiteReply:
         """Move a site one rung down the policy's ladder (in-parent).
 
         The parent working memory holds exactly what the worker's replica
-        held (the replica was built from the parent's delta log), and both
+        held (the replica was built from the parent's deltas), and both
         iterate class buckets in timestamp order, so the in-parent matches
         are byte-identical to what the worker would have returned. With
         ``cooldown_cycles`` set the demotion is temporary — the supervisor
@@ -717,17 +764,17 @@ class ProcessMatchPool:
             )
         return self._degraded_match(site)
 
-    def _degraded_match(self, site: int) -> List[MatchSummary]:
+    def _degraded_match(self, site: int) -> SiteReply:
         """Match a degraded site at its current rung: ``threaded`` runs
         the in-parent match on a joined helper thread, ``serial`` inline.
-        Both compute the identical summaries — the rungs differ only in
+        Both compute the identical reply — the rungs differ only in
         where the work runs."""
         if self._sup.mode(site) == "threaded":
             return self._threaded_match(site)
         return self._parent_match(site)
 
-    def _threaded_match(self, site: int) -> List[MatchSummary]:
-        box: List[List[MatchSummary]] = []
+    def _threaded_match(self, site: int) -> SiteReply:
+        box: List[SiteReply] = []
         err: List[BaseException] = []
 
         def run() -> None:
@@ -772,8 +819,10 @@ class ProcessMatchPool:
                 "parulel_site_mode", self._sup.rung(site), site=site
             )
 
-    def _parent_match(self, site: int) -> List[MatchSummary]:
-        """Serial in-parent match of one (degraded) site's rules.
+    def _parent_match(self, site: int) -> SiteReply:
+        """Serial in-parent match of one (degraded) site's rules: a full
+        enumeration every cycle, so always a ``reset`` reply — whatever the
+        site's worker last reported is replaced, never patched.
 
         Spans stay on the site's ``worker-<site>`` lane — the lane shows
         where the site's match work went, which after degradation is the
@@ -792,22 +841,15 @@ class ProcessMatchPool:
         ):
             for cr in compiled:
                 t0 = time.perf_counter() if obs else 0.0
-                for inst in enumerate_matches(
-                    cr,
-                    self.wm,
-                    alpha_source=self._parent_alpha,
-                    indexed=self.indexed,
-                ):
-                    out.append(
-                        (
-                            cr.name,
-                            tuple(
-                                w.timestamp if w is not None else 0
-                                for w in inst.wmes
-                            ),
-                            inst.env,
-                        )
+                out.extend(
+                    _summary(inst)
+                    for inst in enumerate_matches(
+                        cr,
+                        self.wm,
+                        alpha_source=self._parent_alpha,
+                        indexed=self.indexed,
                     )
+                )
                 if obs:
                     self.metrics.observe(
                         RULE_MATCH_SECONDS,
@@ -815,10 +857,10 @@ class ProcessMatchPool:
                         rule=cr.name,
                         site=site,
                     )
-        return out
+        return True, out, []
 
-    def _respawn_and_match(self, site: int) -> List[MatchSummary]:
-        """Replace a dead/wedged worker, replay the delta log, re-match.
+    def _respawn_and_match(self, site: int) -> SiteReply:
+        """Replace a dead/wedged worker, catch it up, re-match.
 
         Every decision — respawn now, respawn after a (seeded, jittered)
         backoff, or stop trying and demote the site down the ladder — comes
@@ -865,17 +907,20 @@ class ProcessMatchPool:
             )
             if not self._catch_up_and_request(site):
                 continue
-            results = self._recv_checked(site)
-            if results is not None:
-                return results
+            reply = self._recv_checked(site)
+            if reply is not None:
+                return reply
 
     def _catch_up_and_request(self, site: int) -> bool:
         """Bring a freshly (re)spawned worker current and ask it to match.
 
         Columnar mode: ship the attach spec (the worker scans the shared
         liveness snapshot) plus a cursor-only match request. Delta mode:
-        replay the cumulative wire-delta log. Either way the messages are
-        pickled exactly once and their sizes feed the IPC byte metrics.
+        ship the live memory as one delta — this cycle's increment is
+        already drained into it, and it is what the replica must hold,
+        at a cost of the live size rather than the run's history. Either
+        way the messages are pickled exactly once and their sizes feed
+        the IPC byte metrics.
         """
         if self._shared:
             wm: ColumnarWorkingMemory = self.wm  # type: ignore[assignment]
@@ -892,8 +937,9 @@ class ProcessMatchPool:
             ok = self._try_send_bytes(site, match_blob)
             sent_bytes = len(spec_blob) + (len(match_blob) if ok else 0)
         else:
+            snapshot = WMDelta(self.wm.snapshot(), ()).wire()
             blob = pickle.dumps(
-                ("match", list(self._log)), protocol=pickle.HIGHEST_PROTOCOL
+                ("match", [snapshot]), protocol=pickle.HIGHEST_PROTOCOL
             )
             ok = self._try_send_bytes(site, blob)
             sent_bytes = len(blob) if ok else 0
@@ -925,10 +971,10 @@ class ProcessMatchPool:
 
         Delta mode ships the WM delta since the last call to every live
         worker; columnar mode ships only journal cursors (workers read the
-        shared columns directly). Per-site results merge in site order.
-        Crashed or unresponsive workers are respawned and caught up
-        transparently; sites past their respawn budget are matched
-        in-parent.
+        shared columns directly). Each site replies with the change to its
+        retained set; the sets merge in site order. Crashed or
+        unresponsive workers are respawned and caught up transparently;
+        sites past their respawn budget are matched in-parent.
         """
         if self._closed:
             raise MatchError("ProcessMatchPool is closed")
@@ -1007,11 +1053,7 @@ class ProcessMatchPool:
                 self._wme_by_ts[wme.timestamp] = wme
             for ts in delta.removes:
                 self._wme_by_ts.pop(ts, None)
-            payload: List[tuple] = []
-            if not delta.empty:
-                wire = delta.wire()
-                self._log.append(wire)
-                payload.append(wire)
+            payload = [] if delta.empty else [delta.wire()]
             blob = pickle.dumps(
                 ("match", payload), protocol=pickle.HIGHEST_PROTOCOL
             )
@@ -1020,8 +1062,8 @@ class ProcessMatchPool:
                     sent[site] = False
                     continue
                 if site in self._needs_catchup:
-                    # Freshly promoted worker: replay the whole log (this
-                    # cycle's delta is already appended to it).
+                    # Freshly promoted worker: ship the whole memory (this
+                    # cycle's delta is already applied to it).
                     self._needs_catchup.discard(site)
                     sent[site] = self._catch_up_and_request(site)
                     continue
@@ -1033,22 +1075,44 @@ class ProcessMatchPool:
         merged: List[Instantiation] = []
         for site in self.active_sites:
             if site in self.degraded_sites:
-                results = self._degraded_match(site)
+                reply = self._degraded_match(site)
             else:
-                results = self._recv_checked(site) if sent[site] else None
-                if results is None:
-                    results = self._respawn_and_match(site)
-            for summary in results:
-                merged.append(self._rebuild(summary))
+                reply = self._recv_checked(site) if sent[site] else None
+                if reply is None:
+                    reply = self._respawn_and_match(site)
+            retained = self._apply_reply(site, reply)
+            for rule in self._site_rules[site]:
+                entries = retained.get(rule.name)
+                if entries:
+                    merged.extend([inst for _timestamps, inst in entries])
         return merged
 
-    def _rebuild(self, summary: MatchSummary) -> Instantiation:
-        rule_name, timestamps, env = summary
-        rule = self._rules_by_name[rule_name]
-        wmes = tuple(
-            self._wme_by_ts[ts] if ts else None for ts in timestamps
-        )
-        return Instantiation(rule, wmes, env)
+    def _apply_reply(
+        self, site: int, reply: SiteReply
+    ) -> Dict[str, List[Tuple[Tuple[int, ...], Instantiation]]]:
+        """Edit the site's retained set as its reply says; return it.
+
+        Instantiations are rebuilt (against the parent's own WME objects)
+        for the additions only. Entries sort on the timestamp tuple alone:
+        a matcher retains each key once, so no two tie."""
+        reset, added, removed = reply
+        if reset:
+            self._retained[site] = {}
+        retained = self._retained[site]
+        for rule_name, timestamps in removed:
+            entries = retained[rule_name]
+            # (timestamps,) sorts immediately before (timestamps, inst).
+            del entries[bisect_left(entries, (timestamps,))]
+        grown = set()
+        wme_by_ts = self._wme_by_ts
+        for rule_name, timestamps, env in added:
+            wmes = tuple(wme_by_ts[ts] if ts else None for ts in timestamps)
+            inst = Instantiation(self._rules_by_name[rule_name], wmes, env)
+            retained.setdefault(rule_name, []).append((timestamps, inst))
+            grown.add(rule_name)
+        for rule_name in grown:
+            retained[rule_name].sort()
+        return retained
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -1100,12 +1164,15 @@ class ProcessMatcher(Matcher):
     """The process pool behind the standard :class:`Matcher` interface.
 
     WM changes only mark the conflict set dirty; the pool ships the
-    accumulated delta and recomputes lazily on :meth:`instantiations` —
-    once per engine cycle, exactly when the collect phase reads it.
+    accumulated delta and collects the sites' changes lazily on
+    :meth:`instantiations` — once per engine cycle, exactly when the
+    collect phase reads it.
     """
 
     name = "process"
     _dirty = True
+    #: The pool's merged list as of the last collect.
+    _current: List[Instantiation] = []
 
     def __init__(
         self,
@@ -1153,12 +1220,9 @@ class ProcessMatcher(Matcher):
 
     def instantiations(self) -> List[Instantiation]:
         if self._dirty:
-            fresh = ConflictSet()
-            for inst in self.pool.conflict_set():
-                fresh.add(inst)
-            self.conflict_set = fresh
+            self._current = self.pool.conflict_set()
             self._dirty = False
-        return self.conflict_set.instantiations()
+        return list(self._current)
 
     def drain_fault_events(self) -> List[FaultEvent]:
         """Respawn/degrade/injection events since the last drain — the

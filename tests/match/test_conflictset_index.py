@@ -123,3 +123,143 @@ class TestConflictSetIndexes:
         cs = ConflictSet()
         cs.add(Instantiation(rule, (a, None), {"x": 1}))
         assert len(cs.remove_with_wme(a)) == 1
+
+
+class TestJournal:
+    """The drainable add/remove journal a process worker replies with."""
+
+    def _parts(self):
+        rule = _rules(1)[0]
+        a = [WME("a", {"k": 1}, i + 1) for i in range(3)]
+        b = WME("b", {"k": 1}, 9)
+        return rule, a, b
+
+    def test_first_drain_covers_entries_already_retained(self):
+        rule, a, b = self._parts()
+        cs = ConflictSet()
+        first = _inst(rule, a[0], b)
+        cs.add(first)
+        cs.start_journal()
+        cs.add(_inst(rule, a[1], b))
+        added, removed = cs.drain_journal()
+        assert [i.key for i in added] == [first.key, ("r0", (2, 9))]
+        assert removed == []
+        assert cs.drain_journal() == ([], [])
+
+    def test_add_then_remove_inside_a_window_cancels(self):
+        rule, a, b = self._parts()
+        cs = ConflictSet()
+        cs.start_journal()
+        inst = _inst(rule, a[0], b)
+        cs.add(inst)
+        cs.remove(inst)
+        assert cs.drain_journal() == ([], [])
+
+    def test_remove_then_re_add_inside_a_window_cancels(self):
+        rule, a, b = self._parts()
+        cs = ConflictSet()
+        cs.start_journal()
+        cs.add(_inst(rule, a[0], b))
+        cs.drain_journal()
+        cs.discard_key(("r0", (1, 9)))
+        cs.add(_inst(rule, a[0], b))  # an equal, rebuilt instantiation
+        assert cs.drain_journal() == ([], [])
+        assert len(cs) == 1
+
+    def test_every_removal_path_is_journalled(self):
+        rule, a, b = self._parts()
+        cs = ConflictSet()
+        cs.start_journal()
+        insts = [_inst(rule, w, b) for w in a]
+        for inst in insts:
+            cs.add(inst)
+        cs.drain_journal()
+        cs.remove(insts[0])
+        cs.discard_key(insts[1].key)
+        cs.remove_with_wme(a[2])
+        added, removed = cs.drain_journal()
+        assert added == []
+        assert removed == [i.key for i in insts]
+
+    def test_clear_journals_what_it_drops(self):
+        rule, a, b = self._parts()
+        cs = ConflictSet()
+        cs.start_journal()
+        old = _inst(rule, a[0], b)
+        cs.add(old)
+        cs.drain_journal()
+        cs.add(_inst(rule, a[1], b))  # added in this window: cancels
+        cs.clear()
+        assert cs.drain_journal() == ([], [old.key])
+
+    def test_random_windows_replay_to_the_live_set(self):
+        """A mirror fed only the drained journals tracks the live set."""
+        rng = random.Random(41)
+        rules = _rules(2)
+        wa = [WME("a", {"k": i % 2}, i + 1) for i in range(5)]
+        wb = [WME("b", {"k": i % 2}, i + 6) for i in range(5)]
+        cs = ConflictSet()
+        cs.start_journal()
+        mirror = set()
+        for step in range(300):
+            op = rng.random()
+            if op < 0.55:
+                cs.add(_inst(rng.choice(rules), rng.choice(wa), rng.choice(wb)))
+            elif op < 0.8 and len(cs):
+                cs.remove(rng.choice(cs.instantiations()))
+            else:
+                cs.remove_with_wme(rng.choice(wa + wb))
+            if step % 7 == 0:
+                added, removed = cs.drain_journal()
+                assert not {i.key for i in added} & set(removed)
+                for key in removed:
+                    mirror.remove(key)  # KeyError = a removal never added
+                for inst in added:
+                    assert inst.key not in mirror
+                    mirror.add(inst.key)
+                assert mirror == {i.key for i in cs.instantiations()}
+
+
+class TestEnvIndex:
+    """probe_env buckets stay equivalent to filtering of_rule()."""
+
+    def test_probe_matches_scan_under_churn(self):
+        rng = random.Random(5)
+        rules = _rules(2)
+        wa = [WME("a", {"k": i % 3}, i + 1) for i in range(6)]
+        wb = [WME("b", {"k": i % 3}, i + 7) for i in range(6)]
+        cs = ConflictSet()
+        cs.add(_inst(rules[0], wa[0], wb[0]))  # indexed retroactively
+        cs.index_env("r0", ("x",))
+        cs.index_env("r0", ("x",))  # idempotent
+        for _ in range(200):
+            if rng.random() < 0.6 or not len(cs):
+                cs.add(_inst(rng.choice(rules), rng.choice(wa), rng.choice(wb)))
+            elif rng.random() < 0.5:
+                cs.remove(rng.choice(cs.instantiations()))
+            else:
+                cs.remove_with_wme(rng.choice(wa + wb))
+            for value in range(3):
+                assert [i.key for i in cs.probe_env("r0", ("x",), (value,))] == [
+                    i.key for i in cs.of_rule("r0") if i.env["x"] == value
+                ]
+        cs.clear()
+        assert cs.probe_env("r0", ("x",), (0,)) == []
+
+    def test_equal_numbers_share_a_bucket_and_nan_is_left_to_the_caller(self):
+        rule = _rules(1)[0]
+        nan = float("nan")
+        cs = ConflictSet()
+        cs.index_env("r0", ("x",))
+        for ts, value in enumerate([1, 1.0, True, nan, "1"], start=1):
+            cs.add(
+                Instantiation(
+                    rule, (WME("a", {"k": value}, ts), WME("b", {}, 20)), {"x": value}
+                )
+            )
+        assert len(cs.probe_env("r0", ("x",), (1.0,))) == 3
+        assert len(cs.probe_env("r0", ("x",), ("1",))) == 1
+        # The bucket is a superset of the == matches: the same NaN object
+        # finds itself (identity), a different one finds nothing.
+        assert len(cs.probe_env("r0", ("x",), (nan,))) == 1
+        assert cs.probe_env("r0", ("x",), (float("nan"),)) == []

@@ -117,6 +117,93 @@ class TestIndexedVersusNestedLoop:
                 )
 
 
+#: Value pool for the batched-TREAT axis: 1, 1.0 and True are one hash
+#: key and one ``==`` class, "1" is neither, and every NaN drawn is a fresh
+#: object equal to nothing (itself included).
+MIXED_VALUES = [1, 1.0, True, 0, 2, "1", "s", "nan"]
+
+#: Negated-CE shapes over the dedicated class ``n`` (so no WME can both
+#: bind a variable and block on it): equality keys on one or two
+#: variables, an equality key with a residual test, and two with no
+#: equality at all — the scan fallback.
+NEGATION_SHAPES = [
+    lambda x, y: {"k": v(x)},
+    lambda x, y: {"k": v(x), "m": v(y)},
+    lambda x, y: {"k": v(x), "m": ne(v(y))},
+    lambda x, y: {"k": ne(v(x))},
+    lambda x, y: {"m": gt(v(y))},
+]
+
+
+def _mixed(rng):
+    value = rng.choice(MIXED_VALUES)
+    return float("nan") if value == "nan" else value
+
+
+def _negation_program(rng):
+    """1-3 rules: one or two positive CEs over distinct classes binding
+    <x>/<y>, then one or two negated CEs drawn from NEGATION_SHAPES."""
+    pb = ProgramBuilder()
+    for r in range(rng.randint(1, 3)):
+        rb = pb.rule(f"r{r}")
+        if rng.random() < 0.5:
+            rb.ce(rng.choice(["a", "b"]), k=v("x"), m=v("y"))
+        else:
+            first, second = rng.sample(["a", "b"], 2)
+            rb.ce(first, k=v("x"))
+            rb.ce(second, k=v("x"), m=v("y"))
+        for shape in rng.sample(NEGATION_SHAPES, rng.randint(1, 2)):
+            rb.neg("n", **shape("x", "y"))
+        rb.halt()
+    return pb.build(analyze=False)
+
+
+class TestBatchedTreatVersusNaive:
+    """Set-oriented TREAT against the recompute-everything oracle.
+
+    Each step is a *cycle*: several adds, removes and modifies (remove +
+    add of the same class) land before the conflict set is read, so
+    TREAT's joins run batched and its negated-CE invalidation goes
+    through the environment index. After every cycle the indexed matcher
+    must list the same instantiations in the same order as the
+    ``indexed=False`` one (which scans instead of probing), and the same
+    set as the nested-loop naive matcher."""
+
+    @pytest.mark.parametrize("seed", range(N_PROGRAMS))
+    def test_batched_cycles_agree(self, seed):
+        rng = random.Random(4000 + seed)
+        program = _negation_program(rng)
+        wm = WorkingMemory()
+        for _ in range(rng.randint(0, 6)):  # attach to a populated memory
+            wm.make(rng.choice(["a", "b", "n"]), k=_mixed(rng), m=_mixed(rng))
+        treat = create_matcher("treat", program.rules, wm, indexed=True)
+        scan = create_matcher("treat", program.rules, wm, indexed=False)
+        naive = create_matcher("naive", program.rules, wm, indexed=False)
+        live = list(wm)
+        for cycle in range(12):
+            for _ in range(rng.randint(1, 6)):
+                op = rng.random()
+                if op < 0.5 or not live:
+                    cls = rng.choice(["a", "b", "n", "n"])
+                    live.append(wm.make(cls, k=_mixed(rng), m=_mixed(rng)))
+                elif op < 0.75:
+                    wm.remove(live.pop(rng.randrange(len(live))))
+                else:
+                    old = live.pop(rng.randrange(len(live)))
+                    wm.remove(old)
+                    attrs = dict(old.attributes)
+                    attrs[rng.choice(["k", "m"])] = _mixed(rng)
+                    live.append(wm.make(old.class_name, attrs))
+            got = _ordered_keys(treat)
+            assert got == _ordered_keys(scan), (
+                f"seed {seed}, cycle {cycle}: indexed invalidation diverges "
+                f"from the of_rule() scan"
+            )
+            assert sorted(got) == sorted(_ordered_keys(naive)), (
+                f"seed {seed}, cycle {cycle}: batched TREAT diverges from naive"
+            )
+
+
 #: Value pool for the vectorized axis: symbols, bigints, negative ints,
 #: floats (integral and not), bools and nil — spanning the packed-key
 #: kinds and both fallback triggers (see ``alphaindex.py``'s keying note).

@@ -54,17 +54,17 @@ class TestFullEnumeration:
 class TestFixedSeeding:
     def test_pinned_positive_ce(self, wm):
         target = wm.find("a", k=2)[0]
-        insts = list(enumerate_matches(RULE, wm, fixed=(0, target)))
+        insts = list(enumerate_matches(RULE, wm, fixed=(0, (target,))))
         assert len(insts) == 2
         assert all(i.wmes[0] == target for i in insts)
 
     def test_pinned_wme_must_pass_alpha(self, wm):
         wrong_class = wm.find("b", k=1)[0]
-        assert list(enumerate_matches(RULE, wm, fixed=(0, wrong_class))) == []
+        assert list(enumerate_matches(RULE, wm, fixed=(0, (wrong_class,)))) == []
 
     def test_pinned_second_ce(self, wm):
         target = wm.find("b", v="y")[0]
-        insts = list(enumerate_matches(RULE, wm, fixed=(1, target)))
+        insts = list(enumerate_matches(RULE, wm, fixed=(1, (target,))))
         assert len(insts) == 1
         assert insts[0].env == {"k": 2, "v": "y"}
 

@@ -172,10 +172,10 @@ class TestPlanEquivalence:
         pin = next(iter(wm.by_class("b")))
         indexed = [
             i.key
-            for i in enumerate_matches(cr, wm, fixed=(1, pin), indexed=True)
+            for i in enumerate_matches(cr, wm, fixed=(1, (pin,)), indexed=True)
         ]
         legacy = [
             i.key
-            for i in enumerate_matches(cr, wm, fixed=(1, pin), indexed=False)
+            for i in enumerate_matches(cr, wm, fixed=(1, (pin,)), indexed=False)
         ]
         assert indexed == legacy and indexed

@@ -7,13 +7,17 @@ import pytest
 
 from repro.core import EngineConfig, ParulelEngine
 from repro.errors import MatchError
+from repro.faults import FaultPlan, WorkerKill
 from repro.lang.parser import parse_program
 from repro.match.interface import MATCHER_NAMES, create_matcher
+from repro.obs.metrics import MetricsRegistry
 from repro.parallel.process import (
     ProcessMatchPool,
     ProcessMatcher,
     default_worker_count,
 )
+from repro.resilience.supervisor import FULL_LADDER, SupervisorPolicy
+from repro.wm.columnar import ColumnarWorkingMemory
 from repro.wm.memory import WorkingMemory
 
 SRC = """
@@ -138,7 +142,7 @@ class TestWorkerRobustness:
             before = keys(pool.conflict_set())
             assert before == keys(rete.instantiations())
             # SIGKILL a worker between cycles; the pool must respawn it and
-            # replay the cumulative delta log.
+            # catch it up from the live memory.
             victim = pool.active_sites[0]
             pool._procs[victim].kill()
             pool._procs[victim].join()
@@ -183,6 +187,157 @@ class TestWorkerRobustness:
             wm.make("b0", k=2)
             assert keys(pool.conflict_set()) == keys(rete.instantiations())
             assert pool.respawns >= 1
+
+
+#: The stores a pool can sit on and the worker match path each selects:
+#: pickled deltas into a replica, the shared columns through the vectorized
+#: probe kernel, and the shared columns into a replica.
+STORES = [
+    pytest.param(("dict", True), id="dict"),
+    pytest.param(("columnar", True), id="columnar"),
+    pytest.param(("columnar", False), id="columnar-no-vector-probe"),
+]
+
+
+@pytest.fixture(params=STORES)
+def store(request):
+    """``(working memory, ProcessMatchPool keyword arguments)``."""
+    backend, vector = request.param
+    if backend == "dict":
+        yield WorkingMemory(), {}
+        return
+    wm = ColumnarWorkingMemory()
+    try:
+        yield wm, {"vector_probe": vector}
+    finally:
+        wm.close()
+
+
+def image(insts):
+    """Order-preserving, byte-comparable view of a conflict set."""
+    return [(i.key, sorted(i.env.items())) for i in insts]
+
+
+def retained_count(pool):
+    return sum(
+        len(entries)
+        for rules in pool._retained.values()
+        for entries in rules.values()
+    )
+
+
+BULK_SRC = "(p probe-hit (probe ^key <k>) (item ^key <k>) --> (halt))"
+
+
+class TestIncrementalReplies:
+    """Workers keep their conflict set and reply with its journal; the
+    parent keeps the per-site retained sets the journals edit."""
+
+    def test_reply_bytes_track_new_instantiations_not_retained(self, store):
+        wm, kwargs = store
+        prog = parse_program(BULK_SRC)
+        per_key, ticks = 8, 12
+        for key in range(ticks):
+            for _ in range(per_key):
+                wm.make("item", key=key)
+        metrics = MetricsRegistry()
+        sizes = []
+        with ProcessMatchPool(prog.rules, wm, 2, metrics=metrics, **kwargs) as pool:
+            assert pool.conflict_set() == []
+            seen = metrics.counter_value("parulel_ipc_reply_bytes_total", site=0)
+            assert seen > 0
+            for tick in range(ticks):
+                wm.make("probe", key=tick)
+                insts = pool.conflict_set()
+                assert len(insts) == per_key * (tick + 1)  # retained grows...
+                total = metrics.counter_value(
+                    "parulel_ipc_reply_bytes_total", site=0
+                )
+                sizes.append(total - seen)
+                seen = total
+        # ...while each reply carries only that tick's per_key additions.
+        assert max(sizes) < 1.25 * min(sizes)
+        assert metrics.counter_value(
+            "parulel_ipc_messages_total", direction="reply"
+        ) == ticks + 1
+
+    def test_kill_after_retractions_leaves_no_stale_entry(self, store):
+        wm, kwargs = store
+        prog = parse_program(SRC)
+        rete = create_matcher("rete", prog.rules, wm)
+        load(wm)
+        with ProcessMatchPool(prog.rules, wm, 2, **kwargs) as pool:
+            assert keys(pool.conflict_set()) == keys(rete.instantiations())
+            # Retract while the worker is alive: it reports the removals.
+            wm.remove(wm.by_class("a0")[0])
+            assert keys(pool.conflict_set()) == keys(rete.instantiations())
+            for site in pool.active_sites:
+                pool._procs[site].kill()
+                pool._procs[site].join()
+            # Retract while it is dead: the replacement never held these
+            # instantiations, so only its reset can drop them.
+            wm.remove(wm.by_class("b0")[0])
+            wm.remove(wm.by_class("b1")[0])  # unblocks 'neg' matches
+            wm.make("a1", k=1)
+            merged = pool.conflict_set()
+            assert pool.respawns == len(pool.active_sites)
+            assert keys(merged) == keys(rete.instantiations())
+            assert retained_count(pool) == len(merged)
+
+    @pytest.mark.slow
+    @pytest.mark.timeout(60)
+    def test_degraded_and_repromoted_site_stay_byte_identical(self, store):
+        wm, kwargs = store
+        prog = parse_program(SRC)
+        load(wm)
+        plan = FaultPlan(kills=(WorkerKill(cycle=2, site=0),))
+        policy = SupervisorPolicy(
+            ladder=FULL_LADDER, breaker_failures=1, cooldown_cycles=2
+        )
+        with ProcessMatchPool(prog.rules, wm, 2, **kwargs) as healthy:
+            with ProcessMatchPool(
+                prog.rules, wm, 2, fault_plan=plan, supervisor=policy, **kwargs
+            ) as pool:
+                degraded_cycles = 0
+                for cycle in range(1, 7):
+                    # Churn every cycle: adds, a retraction, negation flips.
+                    wm.make("a0", k=cycle % 3)
+                    wm.make("b1", k=cycle % 3)
+                    wm.remove(wm.by_class("b0")[0])
+                    want = image(healthy.conflict_set())
+                    assert image(pool.conflict_set()) == want, f"cycle {cycle}"
+                    degraded_cycles += bool(pool.degraded_sites)
+                kinds = [e.kind for e in pool.drain_fault_events()]
+        assert "degrade" in kinds and "promote" in kinds
+        assert degraded_cycles >= 2 and pool.degraded_sites == set()
+
+    def test_respawn_catch_up_costs_live_size_not_history(self):
+        """Delta mode: a respawned worker is sent the live memory, so churn
+        that left nothing behind adds nothing to its catch-up."""
+        prog = parse_program(SRC)
+        wm = WorkingMemory()
+        load(wm)
+
+        def catch_up_bytes(churn):
+            metrics = MetricsRegistry()
+            with ProcessMatchPool(prog.rules, wm, 1, metrics=metrics) as pool:
+                pool.conflict_set()
+                for _ in range(churn):
+                    wme = wm.make("a0", k=0)
+                    pool.conflict_set()
+                    wm.remove(wme)
+                    pool.conflict_set()
+                before = metrics.counter_value("parulel_ipc_bytes_total", site=0)
+                pool._procs[0].kill()
+                pool._procs[0].join()
+                pool.conflict_set()
+                assert pool.respawns == 1
+                return metrics.counter_value(
+                    "parulel_ipc_bytes_total", site=0
+                ) - before
+
+        # Only the unanswered (empty) request separates the two.
+        assert abs(catch_up_bytes(churn=40) - catch_up_bytes(churn=0)) < 64
 
 
 class TestProcessMatcher:
