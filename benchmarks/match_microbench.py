@@ -3,9 +3,10 @@
 Runs the registry workloads that exercise heavy joins (tc, manners, waltz)
 through full engine runs with the hash-indexed join kernel on and off, and
 records the *deterministic* match-work counters (``join_probes`` +
-``join_checks``). Because the engines are deterministic, these counters are
-byte-stable across machines — unlike wall-clock, which is printed for
-context but never gates.
+``join_checks``; for the ``manners/meta`` row the meta level's own
+``join_probes`` + ``instantiations``). Because the engines are
+deterministic, these counters are byte-stable across machines — unlike
+wall-clock, which is printed for context but never gates.
 
 Usage (from the repo root, ``PYTHONPATH=src``)::
 
@@ -40,11 +41,15 @@ BASELINE_PATH = os.path.join(
 
 #: (workload, matcher) pairs measured; treat is the paper's engine, naive
 #: shows the indexed alpha cache also rescues the recompute-everything path.
+#: ``meta`` is not a matcher: that row counts the meta level's phase-local
+#: join (``MetaLevel.stats``: ``join_probes`` + ``instantiations``) under
+#: the default object-level matcher.
 SCENARIOS = (
     ("tc", "treat"),
     ("tc", "naive"),
     ("manners", "treat"),
     ("manners", "naive"),
+    ("manners", "meta"),
     ("waltz", "treat"),
 )
 
@@ -54,8 +59,10 @@ MANNERS_FLOOR = 5.0
 
 def run_workload(workload: str, matcher: str, indexed: bool) -> Dict:
     wl = REGISTRY[workload]()
+    meta = matcher == "meta"
     engine = ParulelEngine(
-        wl.program, EngineConfig(matcher=matcher, indexed_match=indexed)
+        wl.program,
+        EngineConfig(matcher="rete" if meta else matcher, indexed_match=indexed),
     )
     wl.setup(engine)
     start = time.perf_counter()
@@ -66,9 +73,14 @@ def run_workload(workload: str, matcher: str, indexed: bool) -> Dict:
             f"{workload}/{matcher} (indexed={indexed}) failed verification: "
             f"{wl.failed_checks(engine.wm)}"
         )
-    totals = engine.matcher.stats.totals
+    if meta:
+        totals = engine.meta.stats.totals
+        ops = totals["join_probes"] + totals["instantiations"]
+    else:
+        totals = engine.matcher.stats.totals
+        ops = totals["join_probes"] + totals["join_checks"]
     return {
-        "ops": int(totals["join_probes"] + totals["join_checks"]),
+        "ops": int(ops),
         "cycles": result.cycles,
         "firings": result.firings,
         "wall_ms": round(wall * 1000, 2),

@@ -472,7 +472,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     ):
         print(f"  {name:<10} {secs * 1000:8.1f} ms  {secs / total:6.1%}")
     print()
-    print(hot_rule_table(metrics, top=args.top))
+    print(hot_rule_table(metrics, top=args.top, meta_stats=engine.meta.stats))
     _write_obs(args, tracer, metrics if args.metrics_out else None)
     return 0
 

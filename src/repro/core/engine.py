@@ -70,14 +70,14 @@ CHECKPOINT_VERSION = 1
 class EngineConfig:
     """Knobs of the PARULEL engine.
 
-    ``matcher`` / ``meta_matcher`` name the match engines (``rete``,
-    ``treat``, ``naive``). ``interference`` picks the
+    ``matcher`` names the object-level match engine (``rete``, ``treat``,
+    ``naive``, ``process``); the meta level has no retained matcher to
+    choose. ``interference`` picks the
     :class:`~repro.core.delta.InterferencePolicy`. ``dedupe_makes``
     collapses identical makes within one cycle (set-insertion reading).
     """
 
     matcher: str = "rete"
-    meta_matcher: str = "rete"
     #: Hash-indexed join kernel (indexed alpha memories + join planning)
     #: for the enumerator-based matchers; ``False`` is the ``--no-index``
     #: nested-loop escape hatch. Semantics are identical either way.
@@ -293,7 +293,6 @@ class ParulelEngine:
             program.meta_rules,
             self.wm,
             self.evaluator,
-            matcher_name=self.config.meta_matcher,
             max_meta_cycles=self.config.max_meta_cycles,
             indexed=self.config.indexed_match,
         )

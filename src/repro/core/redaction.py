@@ -5,8 +5,8 @@ PARULEL replaces OPS5's built-in conflict-resolution strategies with
 reified image of the conflict set and delete ("redact") instantiations that
 must not fire. This module implements that level:
 
-1. :func:`reify_instantiation` turns each candidate instantiation into a WME
-   of the reserved class ``instantiation`` carrying
+1. :func:`reify_instantiation` turns each candidate instantiation into the
+   attributes of a WME of the reserved class ``instantiation`` carrying
 
    - ``rule`` — the rule name,
    - ``id`` — a small integer naming the instantiation within this cycle
@@ -17,17 +17,34 @@ must not fire. This module implements that level:
    - one attribute per LHS variable of the object rule, holding its bound
      value — so meta-rules can compare *what* two instantiations are about.
 
-2. :class:`MetaLevel` asserts those WMEs into the engine's working memory
-   (meta-rules may therefore also consult ordinary WMEs), runs the
-   meta-program set-oriented to fixpoint, removes redacted reifications as
-   it goes (so later meta-cycles see the shrunken conflict set), and returns
-   the surviving instantiations. All reifications are retracted before the
-   object-level firing phase, whatever happens.
+2. :class:`MetaLevel` runs the meta-program over those WMEs set-oriented
+   to fixpoint and returns the surviving instantiations. The reified
+   conflict set exists for one redaction phase only, so nothing about it
+   is retained: the reifications are plain :class:`~repro.wm.wme.WME`
+   objects held in phase-local alpha memories — they never enter the
+   working memory, and no listener (object-level matcher, process-pool
+   delta recorder, columnar store, checkpoint log) ever sees one — and
+   each meta-cycle is one join enumeration per meta-rule over the current
+   memories. Redacting a candidate removes its WME from them, so later
+   meta-cycles see the shrunken conflict set. Meta-rules may also consult
+   ordinary WMEs; those come from one :class:`~repro.match.alphaindex.AlphaCache`
+   attached to the working memory for the engine's lifetime.
+
+   Every candidate still takes one working-memory timestamp, exactly as
+   if it had been asserted, so ``recency`` values and every later
+   timestamp are what they always were.
 
 Fixpoint subtleties:
 
 - meta-rule firings use per-phase refraction, so a meta-instantiation fires
   once per redaction phase even if its matched WMEs survive;
+- within a meta-cycle the ready meta-instantiations fire in compiled
+  meta-rule order, then ascending per-CE timestamp tuple (the join
+  enumerator's order) — the order ``write`` lines and ``call``s appear in;
+- only removals from the reified set happen between meta-cycles, so after
+  the first one a meta-rule without a negated ``instantiation`` CE has
+  nothing new to offer (all its instantiations fired, and a removal
+  enables none) and is not enumerated again;
 - redacting id *i* twice (or redacting an id already gone) is idempotent;
 - a symmetric meta-rule that redacts both members of a tie (e.g. matching
   ⟨i, j⟩ and ⟨j, i⟩) empties the pair — exactly as in PARULEL, the
@@ -36,14 +53,23 @@ Fixpoint subtleties:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.errors import ExecutionError
 from repro.core.actions import ActionEvaluator
 from repro.lang.analysis import INSTANTIATION_CLASS
 from repro.lang.ast import MetaRule, Value
+from repro.match.alphaindex import AlphaCache, IndexedMemory
+from repro.match.compile import (
+    AlphaKey,
+    CompiledCE,
+    CompiledRule,
+    alpha_test_passes,
+    compile_rules,
+)
 from repro.match.instantiation import InstKey, Instantiation
-from repro.match.interface import Matcher, create_matcher
+from repro.match.join import enumerate_matches
+from repro.match.stats import MatchStats
 from repro.wm.memory import WorkingMemory
 from repro.wm.wme import WME
 
@@ -105,12 +131,32 @@ class RedactionReport:
         )
 
 
+class _PhaseSource:
+    """The join enumerator's alpha source for one redaction phase:
+    ``instantiation`` CEs read the phase's reifications, every other class
+    the cache attached to the working memory."""
+
+    __slots__ = ("reified", "ordinary")
+
+    def __init__(
+        self, reified: Dict[AlphaKey, IndexedMemory], ordinary: AlphaCache
+    ) -> None:
+        self.reified = reified
+        self.ordinary = ordinary
+
+    def memory(self, ce: CompiledCE) -> IndexedMemory:
+        if ce.class_name == INSTANTIATION_CLASS:
+            return self.reified[ce.alpha_key]
+        return self.ordinary.memory(ce)
+
+
 class MetaLevel:
     """Runs the meta-program over reified conflict sets.
 
-    One instance lives inside each :class:`~repro.core.engine.ParulelEngine`;
-    its matcher attaches to the *same* working memory as the object level, so
-    meta-rules can read ordinary WMEs alongside ``instantiation`` ones.
+    One instance lives inside each :class:`~repro.core.engine.ParulelEngine`.
+    It reads the engine's working memory (meta-rules can join ordinary WMEs
+    with ``instantiation`` ones) and takes timestamps from it, but never
+    writes to it.
     """
 
     def __init__(
@@ -118,7 +164,6 @@ class MetaLevel:
         meta_rules: Sequence[MetaRule],
         wm: WorkingMemory,
         evaluator: ActionEvaluator,
-        matcher_name: str = "rete",
         max_meta_cycles: int = 1000,
         indexed: bool = True,
     ) -> None:
@@ -126,17 +171,39 @@ class MetaLevel:
         self.wm = wm
         self.evaluator = evaluator
         self.max_meta_cycles = max_meta_cycles
+        self.indexed = indexed
         self.halt_requested = False
         self.writes: List[str] = []
-        self.matcher: Optional[Matcher] = (
-            create_matcher(matcher_name, self.meta_rules, wm, indexed=indexed)
-            if self.meta_rules
-            else None
+        #: The meta level's join work, overall and per meta-rule — the same
+        #: counters a matcher keeps (the simulators charge redaction from
+        #: them, ``parulel profile`` lists them).
+        self.stats = MatchStats()
+        self.compiled: Tuple[CompiledRule, ...] = compile_rules(self.meta_rules)
+        ces = [ce for compiled in self.compiled for ce in compiled.ces]
+        #: One phase-local memory per distinct ``instantiation`` pattern.
+        self._reified_keys: Tuple[AlphaKey, ...] = tuple(
+            dict.fromkeys(
+                ce.alpha_key for ce in ces if ce.class_name == INSTANTIATION_CLASS
+            )
         )
+        #: Meta-rules a redaction can enable: those that test for the
+        #: *absence* of an instantiation. The ordinary classes cannot change
+        #: during a phase, so every other rule is spent after one meta-cycle.
+        self._recheck: Tuple[CompiledRule, ...] = tuple(
+            compiled
+            for compiled in self.compiled
+            if any(
+                ce.negated and ce.class_name == INSTANTIATION_CLASS
+                for ce in compiled.ces
+            )
+        )
+        self._ordinary = AlphaCache(wm, self.stats)
+        if any(ce.class_name != INSTANTIATION_CLASS for ce in ces):
+            self._ordinary.attach()
 
     @property
     def enabled(self) -> bool:
-        return self.matcher is not None
+        return bool(self.compiled)
 
     def redact(
         self,
@@ -150,7 +217,8 @@ class MetaLevel:
         meta-rule's ``instantiation`` CEs and they commute with every other
         candidate, so the meta-level outcome cannot depend on their
         presence. They keep their ids (a computed-id ``(redact i)`` still
-        removes them) but cost no WM churn or meta rematching.
+        removes them) and their timestamps, but cost no WME and no join
+        work.
         """
         self.halt_requested = False
         self.writes = []
@@ -159,89 +227,98 @@ class MetaLevel:
                 len(candidates), 0, 0, 0, skipped=len(skip_reify)
             )
 
-        by_id: Dict[int, Instantiation] = {}
+        stats = self.stats
         wme_by_id: Dict[int, WME] = {}
+        reified = {key: IndexedMemory() for key in self._reified_keys}
         for i, inst in enumerate(candidates, start=1):
-            by_id[i] = inst
             if i in skip_reify:
-                # Burn the timestamp the reification would have taken so
+                # Every candidate takes a timestamp, reified or not, so
                 # every later allocation — and therefore the whole run —
-                # stays byte-identical to the unskipped engine.
+                # is the same whatever is skipped.
                 self.wm.allocate_timestamp()
                 continue
             attrs = reify_instantiation(inst, i)
-            wme = self.wm.make(INSTANTIATION_CLASS, attrs)
+            wme = WME(INSTANTIATION_CLASS, attrs, self.wm.allocate_timestamp())
             wme_by_id[i] = wme
+            for key, mem in reified.items():
+                if alpha_test_passes(key[1], wme):
+                    mem.add(wme)
+        stats.bump("alpha_tests", n=len(wme_by_id) * len(reified))
 
+        source = _PhaseSource(reified, self._ordinary)
         redacted: Set[int] = set()
         fired: Set[InstKey] = set()
         meta_cycles = 0
         meta_firings = 0
-        try:
-            assert self.matcher is not None
-            while meta_cycles < self.max_meta_cycles:
-                ready = [
-                    mi
-                    for mi in self.matcher.instantiations()
-                    if mi.key not in fired
-                ]
-                if not ready:
-                    break
-                meta_cycles += 1
-                # Set-oriented firing at the meta level too: evaluate all
-                # against the current reified state, then apply redactions.
-                ids_this_cycle: List[Value] = []
-                for mi in ready:
-                    fired.add(mi.key)
-                    meta_firings += 1
-                    delta = self.evaluator.evaluate(mi)
-                    self.writes.extend(delta.writes)
-                    if delta.halt:
-                        self.halt_requested = True
-                    self.evaluator.run_calls(delta)
-                    ids_this_cycle.extend(delta.redacts)
-                progressed = False
-                for raw_id in ids_this_cycle:
-                    if not isinstance(raw_id, int):
-                        raise ExecutionError(
-                            f"(redact {raw_id!r}): redact needs the integer "
-                            f"^id of an instantiation"
-                        )
-                    if raw_id in redacted:
-                        continue
-                    wme = wme_by_id.get(raw_id)
-                    if wme is None:
-                        if raw_id in by_id:
-                            # A computed-id redact of an unreified (skipped)
-                            # candidate: honor it — no WME to retract.
-                            redacted.add(raw_id)
-                            progressed = True
-                            continue
-                        raise ExecutionError(
-                            f"(redact {raw_id}): no instantiation with that id "
-                            f"in the current conflict set"
-                        )
-                    redacted.add(raw_id)
-                    self.wm.remove(wme)
-                    progressed = True
-                if not progressed and not ids_this_cycle:
-                    # Meta rules fired but redacted nothing new; refraction
-                    # alone cannot spin forever, yet nothing will change the
-                    # match state either — fixpoint reached.
-                    if all(mi.key in fired for mi in self.matcher.instantiations()):
-                        break
-            else:
-                raise ExecutionError(
-                    f"meta-program exceeded {self.max_meta_cycles} redaction "
-                    f"cycles — likely a non-terminating meta-rule set"
+        rules: Sequence[CompiledRule] = self.compiled
+        while meta_cycles < self.max_meta_cycles:
+            ready = [
+                mi
+                for compiled in rules
+                for mi in enumerate_matches(
+                    compiled,
+                    self.wm,
+                    stats,
+                    alpha_source=source,
+                    indexed=self.indexed,
                 )
-        finally:
-            # Retract surviving reifications before the firing phase.
-            for i, wme in wme_by_id.items():
-                if i not in redacted:
-                    self.wm.discard(wme)
+                if mi.key not in fired
+            ]
+            if not ready:
+                break
+            meta_cycles += 1
+            # Set-oriented firing at the meta level too: evaluate all
+            # against the current reified state, then apply redactions.
+            ids_this_cycle: List[Value] = []
+            for mi in ready:
+                fired.add(mi.key)
+                meta_firings += 1
+                delta = self.evaluator.evaluate(mi)
+                self.writes.extend(delta.writes)
+                if delta.halt:
+                    self.halt_requested = True
+                self.evaluator.run_calls(delta)
+                ids_this_cycle.extend(delta.redacts)
+            if not ids_this_cycle:
+                # Everything matched has fired and nothing was removed:
+                # fixpoint.
+                break
+            shrunk = False
+            for raw_id in ids_this_cycle:
+                if not isinstance(raw_id, int):
+                    raise ExecutionError(
+                        f"(redact {raw_id!r}): redact needs the integer "
+                        f"^id of an instantiation"
+                    )
+                if raw_id in redacted:
+                    continue
+                if not 1 <= raw_id <= len(candidates):
+                    raise ExecutionError(
+                        f"(redact {raw_id}): no instantiation with that id "
+                        f"in the current conflict set"
+                    )
+                redacted.add(raw_id)
+                # A computed-id redact may name an unreified (skipped)
+                # candidate: honored, with no WME to drop.
+                wme = wme_by_id.get(raw_id)
+                if wme is not None:
+                    for mem in reified.values():
+                        mem.remove(wme)
+                    shrunk = True
+            # All that can change between meta-cycles is the reified set
+            # getting smaller, which enables only absence tests over it.
+            rules = self._recheck if shrunk else ()
+        else:
+            raise ExecutionError(
+                f"meta-program exceeded {self.max_meta_cycles} redaction "
+                f"cycles — likely a non-terminating meta-rule set"
+            )
 
-        survivors = [inst for i, inst in by_id.items() if i not in redacted]
+        survivors = [
+            inst
+            for i, inst in enumerate(candidates, start=1)
+            if i not in redacted
+        ]
         return survivors, RedactionReport(
             len(candidates),
             len(redacted),

@@ -35,8 +35,8 @@ cycle's additions call for are deferred and run once per *batch*.
   the join with the variable values the removed WME pinned; otherwise we
   fall back to a full re-enumeration of that rule (deduplicated against
   the retained set).
-- A WME added and removed between two flushes (a meta-level reification)
-  was never joined, so it just leaves the batch.
+- A WME added and removed between two flushes was never joined, so it
+  just leaves the batch.
 
 The trade: TREAT redoes join work RETE would have cached, but pays nothing
 to maintain beta state when WMEs churn — the regime Ablation A2 measures.

@@ -7,7 +7,9 @@ rule — match time where the backend can attribute it (process workers,
 degraded in-parent matching, the threaded pool), RHS evaluation time,
 candidate counts, firings, and redactions — sorted hottest first. This
 is the artifact ``parulel profile`` prints, and the answer to "which rule
-should the next optimization PR attack".
+should the next optimization PR attack". Meta-rules follow the object
+rules, each with the join work :attr:`MetaLevel.stats
+<repro.core.redaction.MetaLevel.stats>` counted for it.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.match.stats import MatchStats
 from repro.metrics.report import Table
 from repro.obs.metrics import MetricsRegistry
 
@@ -116,17 +119,34 @@ def rule_profiles(metrics: MetricsRegistry) -> List[RuleProfile]:
     )
 
 
-def hot_rule_table(metrics: MetricsRegistry, top: Optional[int] = None) -> Table:
+#: The meta-level join counters the hot-rule table lists per meta-rule.
+META_JOIN_COUNTERS = ("join_probes", "tokens", "instantiations")
+
+
+def hot_rule_table(
+    metrics: MetricsRegistry,
+    top: Optional[int] = None,
+    meta_stats: Optional[MatchStats] = None,
+) -> Table:
     """The hot-rule table (times in ms; ``-`` where a backend could not
-    attribute match time per rule)."""
+    attribute match time per rule).
+
+    With ``meta_stats`` (a meta level's join counters) that list any
+    meta-rule, three count columns are added and one row per meta-rule
+    follows the object rules, most join probes first; ``top`` limits the
+    object rules only.
+    """
+    meta = meta_stats.per_rule if meta_stats is not None else {}
+    headers = ("rule", "match_ms", "eval_ms", "candidates", "fired", "redacted")
     table = Table(
         "hot rules (most attributed time first)",
-        ("rule", "match_ms", "eval_ms", "candidates", "fired", "redacted"),
+        headers + META_JOIN_COUNTERS if meta else headers,
         precision=3,
     )
     rows = rule_profiles(metrics)
     if top is not None:
         rows = rows[:top]
+    blank = (None,) * len(META_JOIN_COUNTERS) if meta else ()
     for p in rows:
         table.add(
             p.rule,
@@ -135,5 +155,12 @@ def hot_rule_table(metrics: MetricsRegistry, top: Optional[int] = None) -> Table
             p.candidates,
             p.fired,
             p.redacted,
+            *blank,
+        )
+    for rule in sorted(meta, key=lambda r: (-meta[r]["join_probes"], r)):
+        table.add(
+            rule,
+            *(None,) * (len(headers) - 1),
+            *(meta[rule][c] for c in META_JOIN_COUNTERS),
         )
     return table

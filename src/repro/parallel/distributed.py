@@ -214,8 +214,7 @@ class DistributedMachine:
         self._site_op_marks = [Counter() for _ in range(n_sites)]
         for site in range(n_sites):
             self._build_site_matcher(site)
-        # The master replica hosts the meta level (reifications are local
-        # to the master; they are retracted before any delta ships).
+        # The master replica hosts the meta level.
         self.meta = MetaLevel(program.meta_rules, self.replicas[0], self.evaluator)
         self.fired: Set[InstKey] = set()
         self.output: List[str] = []
@@ -289,9 +288,9 @@ class DistributedMachine:
         receive no deltas until they rejoin and replay the log) and are
         excluded.
         """
-        reference = {w for w in self.replicas[0] if w.class_name != "instantiation"}
+        reference = set(self.replicas[0])
         return all(
-            {w for w in replica if w.class_name != "instantiation"} == reference
+            set(replica) == reference
             for site, replica in enumerate(self.replicas)
             if site != 0 and site not in self._dead
         )

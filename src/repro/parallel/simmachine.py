@@ -171,9 +171,7 @@ class SimMachine:
         return delta
 
     def _meta_ops_delta(self) -> Counter:
-        if self.meta.matcher is None:
-            return Counter()
-        now = self.meta.matcher.stats.snapshot()
+        now = self.meta.stats.snapshot()
         delta = now - self._meta_op_mark
         self._meta_op_mark = now
         return delta
@@ -230,10 +228,6 @@ class SimMachine:
             serial += self.cost.redaction_cost(
                 self._meta_ops_delta(), red_report.meta_firings
             )
-            # Redaction reifications touched the shared WM; that match work
-            # is the meta level's, but each site's matcher also saw the
-            # (irrelevant) class — charge it to the sites as broadcast-ish
-            # match work in the normal site delta below.
 
             if not survivors:
                 reason = "redaction-quiescence"

@@ -527,15 +527,6 @@ class ColumnarWorkingMemory(WorkingMemory):
         for wme in wmes:
             self.add(wme)
 
-    def clear_class(self, class_name: str) -> int:
-        bucket = self._by_class.get(class_name)
-        if bucket:
-            table = self._tables[class_name]
-            for wme in bucket:
-                row = table.retract(wme.timestamp)
-                self._journal_append(_OP_REMOVE, table.cid, row)
-        return super().clear_class(class_name)
-
     # -- shared-attach protocol ----------------------------------------------
 
     def attach_spec(self) -> Tuple:

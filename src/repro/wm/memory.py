@@ -153,22 +153,6 @@ class WorkingMemory:
             listener(wme, False)
         return True
 
-    def clear_class(self, class_name: str) -> int:
-        """Retract every WME of one class (used to clear meta-level state).
-
-        Returns the number retracted. Listeners see each retraction.
-        """
-        bucket = self._by_class.get(class_name)
-        if not bucket:
-            return 0
-        victims = list(bucket)
-        for wme in victims:
-            del bucket[wme]
-            self._count -= 1
-            for listener in self._listeners:
-                listener(wme, False)
-        return len(victims)
-
     # -- queries ----------------------------------------------------------------
 
     def __len__(self) -> int:
@@ -268,8 +252,8 @@ class WMDelta(NamedTuple):
     ``removes`` are the timestamps of pre-window WMEs retracted in the
     window. Timestamps are unique for the lifetime of a store, so they
     identify WMEs across replicas. Add/remove pairs that cancel inside the
-    window (e.g. meta-level reifications) are compacted away, which makes
-    the application order "removes, then adds" always safe.
+    window are compacted away, which makes the application order "removes,
+    then adds" always safe.
     """
 
     adds: Tuple[WME, ...]

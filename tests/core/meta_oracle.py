@@ -1,0 +1,160 @@
+"""Test-only oracle for the meta level: reify into the WM, retained matcher.
+
+This is the redaction loop the engine used before the phase-local join:
+every candidate is asserted into the working memory as an ``instantiation``
+WME, a matcher retained across phases (``naive`` or ``rete``) lists the
+meta-instantiations, redaction retracts the WME, and whatever survives is
+discarded again before the firing phase. It is slower and churns every WM
+listener, but it is the plain reading of "meta-rules match over the reified
+conflict set", which is what makes it a reference.
+
+:class:`~repro.core.redaction.MetaLevel` must agree with it on survivors,
+every report field, timestamps and — against the ``naive`` variant, whose
+listing order is the join enumerator's — the order of meta ``write`` lines.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, List, Sequence, Set, Tuple
+
+from repro.core.actions import ActionEvaluator
+from repro.core.redaction import RedactionReport, reify_instantiation
+from repro.errors import ExecutionError
+from repro.lang.analysis import INSTANTIATION_CLASS
+from repro.lang.ast import MetaRule, Value
+from repro.match.instantiation import InstKey, Instantiation
+from repro.match.interface import create_matcher
+from repro.wm.memory import WorkingMemory
+from repro.wm.wme import WME
+
+__all__ = ["OracleMetaLevel", "use_oracle"]
+
+
+class OracleMetaLevel:
+    """Drop-in for ``ParulelEngine.meta`` (see :func:`use_oracle`)."""
+
+    def __init__(
+        self,
+        meta_rules: Sequence[MetaRule],
+        wm: WorkingMemory,
+        evaluator: ActionEvaluator,
+        matcher_name: str = "naive",
+        max_meta_cycles: int = 1000,
+    ) -> None:
+        self.meta_rules = tuple(meta_rules)
+        self.wm = wm
+        self.evaluator = evaluator
+        self.max_meta_cycles = max_meta_cycles
+        self.halt_requested = False
+        self.writes: List[str] = []
+        self.matcher = (
+            create_matcher(matcher_name, self.meta_rules, wm)
+            if self.meta_rules
+            else None
+        )
+
+    @property
+    def enabled(self) -> bool:
+        return self.matcher is not None
+
+    def redact(
+        self,
+        candidates: Sequence[Instantiation],
+        skip_reify: frozenset = frozenset(),
+    ) -> Tuple[List[Instantiation], RedactionReport]:
+        self.halt_requested = False
+        self.writes = []
+        if not self.enabled or not candidates:
+            return list(candidates), RedactionReport(
+                len(candidates), 0, 0, 0, skipped=len(skip_reify)
+            )
+
+        by_id: Dict[int, Instantiation] = {}
+        wme_by_id: Dict[int, WME] = {}
+        for i, inst in enumerate(candidates, start=1):
+            by_id[i] = inst
+            if i in skip_reify:
+                self.wm.allocate_timestamp()
+                continue
+            attrs = reify_instantiation(inst, i)
+            wme_by_id[i] = self.wm.make(INSTANTIATION_CLASS, attrs)
+
+        redacted: Set[int] = set()
+        fired: Set[InstKey] = set()
+        meta_cycles = 0
+        meta_firings = 0
+        try:
+            while meta_cycles < self.max_meta_cycles:
+                ready = [
+                    mi
+                    for mi in self.matcher.instantiations()
+                    if mi.key not in fired
+                ]
+                if not ready:
+                    break
+                meta_cycles += 1
+                ids_this_cycle: List[Value] = []
+                for mi in ready:
+                    fired.add(mi.key)
+                    meta_firings += 1
+                    delta = self.evaluator.evaluate(mi)
+                    self.writes.extend(delta.writes)
+                    if delta.halt:
+                        self.halt_requested = True
+                    self.evaluator.run_calls(delta)
+                    ids_this_cycle.extend(delta.redacts)
+                progressed = False
+                for raw_id in ids_this_cycle:
+                    if not isinstance(raw_id, int):
+                        raise ExecutionError(
+                            f"(redact {raw_id!r}): redact needs the integer "
+                            f"^id of an instantiation"
+                        )
+                    if raw_id in redacted:
+                        continue
+                    wme = wme_by_id.get(raw_id)
+                    if wme is None:
+                        if raw_id in by_id:
+                            redacted.add(raw_id)
+                            progressed = True
+                            continue
+                        raise ExecutionError(
+                            f"(redact {raw_id}): no instantiation with that id "
+                            f"in the current conflict set"
+                        )
+                    redacted.add(raw_id)
+                    self.wm.remove(wme)
+                    progressed = True
+                if not progressed and not ids_this_cycle:
+                    if all(mi.key in fired for mi in self.matcher.instantiations()):
+                        break
+            else:
+                raise ExecutionError(
+                    f"meta-program exceeded {self.max_meta_cycles} redaction "
+                    f"cycles — likely a non-terminating meta-rule set"
+                )
+        finally:
+            for i, wme in wme_by_id.items():
+                if i not in redacted:
+                    self.wm.discard(wme)
+
+        survivors = [inst for i, inst in by_id.items() if i not in redacted]
+        return survivors, RedactionReport(
+            len(candidates),
+            len(redacted),
+            meta_cycles,
+            meta_firings,
+            skipped=len(skip_reify),
+        )
+
+
+def use_oracle(engine, matcher_name: str = "naive") -> OracleMetaLevel:
+    """Swap ``engine``'s meta level for the oracle (before anything runs)."""
+    engine.meta = OracleMetaLevel(
+        engine.program.meta_rules,
+        engine.wm,
+        engine.evaluator,
+        matcher_name=matcher_name,
+        max_meta_cycles=engine.config.max_meta_cycles,
+    )
+    return engine.meta

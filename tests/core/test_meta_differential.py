@@ -1,0 +1,280 @@
+"""Phase-local meta join ≡ the reify-into-WM oracle, over generated programs.
+
+Each seed draws a meta-program from a pool of meta-rule shapes — negated
+``instantiation`` CEs that a redaction can enable (chains of three and more
+meta-cycles), joins and negations over ordinary classes the object rules
+rewrite between cycles, a redact id computed with ``bind``, mixed
+``1`` / ``1.0`` / ``True`` / symbol join keys, ``write`` actions — plus a
+fact set, and optionally leaves one rule's candidates unreified. Two
+engines run it in lockstep, one on :class:`~repro.core.redaction.MetaLevel`
+and one on :class:`tests.core.meta_oracle.OracleMetaLevel`; after every
+cycle the survivors (via the applied delta), every ``RedactionReport``
+field, the meta ``write`` lines, the next timestamp and the WM records
+must agree.
+"""
+
+import random
+
+import pytest
+
+from repro.core import EngineConfig, ParulelEngine
+from repro.errors import ExecutionError
+from repro.lang.parser import parse_program
+from repro.programs import REGISTRY, build_manners
+from tests.core.meta_oracle import use_oracle
+
+N_PROGRAMS = 72
+
+OBJECT_LEVEL = """
+(literalize item x p tag)
+(literalize blocked x)
+(literalize quota n)
+(literalize log x)
+(p pick (item ^x <v> ^p <p>) --> (remove 1) (make log ^x <v>))
+(p bystander (item ^x <v> ^tag <t>) --> (make log ^x <t>))
+(p unblock (blocked ^x <v>) (log ^x <v>) --> (remove 1))
+(p tighten (quota ^n {<n> > 0}) --> (modify 1 ^n (compute <n> - 1)))
+"""
+
+#: name -> meta-rule source. ``peel`` and ``heir`` test for the absence of
+#: an instantiation, so each redaction can ready the next one.
+META_POOL = {
+    "peel": """
+        (mp peel
+            (instantiation ^rule pick ^id <i> ^p <p> ^v <x>)
+            -(instantiation ^rule pick ^p > <p>)
+            (blocked ^x <x>)
+            --> (write peel <i> <x>) (redact <i>))""",
+    "heir": """
+        (mp heir
+            (instantiation ^rule pick ^id <i> ^v <x>)
+            -(instantiation ^rule pick ^v <x> ^id < <i>)
+            (blocked ^x <x>)
+            --> (write heir <i>) (redact <i>))""",
+    "tie": """
+        (mp tie
+            (instantiation ^rule pick ^id <i> ^v <x>)
+            (instantiation ^rule pick ^id {<j> > <i>} ^v <x>)
+            --> (redact <j>))""",
+    "over-quota": """
+        (mp over-quota
+            (instantiation ^rule pick ^id <i> ^p <p>)
+            (quota ^n < <p>)
+            --> (write over <i> <p>) (redact <i>))""",
+    "evict-prev": """
+        (mp evict-prev
+            (instantiation ^rule pick ^id {<i> > 1} ^v <x>)
+            (blocked ^x <x>)
+            --> (bind <k> (compute <i> - 1)) (write evict <k>) (redact <k>))""",
+    "narrate": """
+        (mp narrate
+            (instantiation ^rule pick ^id <i> ^v <x>)
+            -(blocked ^x <x>)
+            --> (write free <i> <x>))""",
+    "roll-call": """
+        (mp roll-call
+            (instantiation ^id <i> ^rule <r> ^recency <t>)
+            --> (write saw <r> <i> <t>))""",
+    "stop": """
+        (mp stop
+            (instantiation ^rule pick ^id <i> ^p 5)
+            (quota ^n 0)
+            --> (halt))""",
+}
+
+#: ``1``, ``1.0`` and ``True`` are one join key; so are ``2`` and ``2.0``.
+X_VALUES = [1, 1.0, True, 2, 2.0, "a", "b", 3]
+
+
+class _Skipping:
+    """``engine.meta`` wrapper that leaves the named rules' candidates
+    unreified, standing in for the certified fast path."""
+
+    def __init__(self, meta, rules):
+        self._meta = meta
+        self._rules = rules
+        self.skipped_then_redacted = 0
+
+    def redact(self, candidates, skip_reify=frozenset()):
+        skip = frozenset(
+            i
+            for i, inst in enumerate(candidates, start=1)
+            if inst.rule.name in self._rules
+        )
+        survivors, report = self._meta.redact(candidates, skip_reify=skip)
+        alive = {inst.key for inst in survivors}
+        self.skipped_then_redacted += sum(
+            1 for i in skip if candidates[i - 1].key not in alive
+        )
+        return survivors, report
+
+    def __getattr__(self, name):
+        return getattr(self._meta, name)
+
+
+def _draw(seed):
+    """(program source, facts, rules to skip) for one seed."""
+    rng = random.Random(4100 + seed)
+    names = rng.sample(sorted(META_POOL), rng.randint(1, 4))
+    source = OBJECT_LEVEL + "".join(META_POOL[name] for name in names)
+    facts = []
+    for n in range(rng.randint(4, 9)):
+        facts.append(
+            ("item", {"x": rng.choice(X_VALUES), "p": rng.randint(0, 5), "tag": f"t{n}"})
+        )
+    for x in rng.sample(X_VALUES, rng.randint(1, 5)):
+        # Biased towards blocking: chains need several blocked in a row.
+        facts.append(("blocked", {"x": x}))
+    facts.append(("quota", {"n": rng.randint(1, 5)}))
+    rng.shuffle(facts)
+    skip_rules = frozenset({"bystander"}) if rng.random() < 0.5 else frozenset()
+    return source, facts, skip_rules
+
+
+def _engine(source, facts, skip_rules, oracle=None):
+    engine = ParulelEngine(
+        parse_program(source), EngineConfig(interference="merge")
+    )
+    if oracle is not None:
+        use_oracle(engine, oracle)
+    engine.meta = _Skipping(engine.meta, skip_rules)
+    for class_name, attrs in facts:
+        engine.make(class_name, attrs)
+    return engine
+
+
+def _report_fields(report):
+    red = report.redaction
+    return (
+        report.candidates,
+        report.fired,
+        red.candidates,
+        red.redacted,
+        red.meta_cycles,
+        red.meta_firings,
+        red.skipped,
+        report.delta_removes,
+        report.delta_makes,
+        report.halted,
+    )
+
+
+def _lockstep(seed, oracle):
+    """Run one seed on both meta levels; returns coverage facts."""
+    source, facts, skip_rules = _draw(seed)
+    new = _engine(source, facts, skip_rules)
+    old = _engine(source, facts, skip_rules, oracle=oracle)
+    deepest = 0
+    wrote = 0
+    consulted_changed = 0
+    consulted = None
+    for _cycle in range(40):
+        now = (new.wm.by_class("blocked"), new.wm.by_class("quota"))
+        if consulted is not None and now != consulted:
+            consulted_changed += 1
+        consulted = now
+        got, want = new.step(), old.step()
+        assert (got is None) == (want is None), seed
+        assert new.wm.latest_timestamp == old.wm.latest_timestamp, seed
+        assert new.wm.dump_records() == old.wm.dump_records(), seed
+        if got is None:
+            break
+        assert _report_fields(got) == _report_fields(want), seed
+        if oracle == "naive":
+            assert got.writes == want.writes, seed
+        else:
+            # RETE lists its conflict set in token-arrival order.
+            assert sorted(got.writes) == sorted(want.writes), seed
+        deepest = max(deepest, got.redaction.meta_cycles)
+        wrote += len(new.meta.writes)
+    assert new.meta.skipped_then_redacted == old.meta.skipped_then_redacted
+    return {
+        "deepest": deepest,
+        "wrote": wrote,
+        "consulted_changed": consulted_changed,
+        "skipped": bool(skip_rules),
+        "skipped_then_redacted": new.meta.skipped_then_redacted,
+    }
+
+
+class TestPhaseLocalAgreesWithOracle:
+    @pytest.mark.parametrize("oracle", ["naive", "rete"])
+    def test_generated_meta_programs(self, oracle):
+        seen = [_lockstep(seed, oracle) for seed in range(N_PROGRAMS)]
+        # The sweep must actually reach what it claims to cover.
+        assert sum(1 for s in seen if s["deepest"] >= 3) >= 5
+        assert sum(1 for s in seen if s["consulted_changed"]) >= 20
+        assert sum(1 for s in seen if s["skipped"]) >= 20
+        assert sum(s["skipped_then_redacted"] for s in seen) >= 5
+        assert sum(1 for s in seen if s["wrote"]) >= 30
+
+    @pytest.mark.parametrize("oracle", ["naive", "rete"])
+    def test_numeric_keys_unify_across_types(self, oracle):
+        # 1, 1.0 and True are one ``^v`` group for ``tie``; the symbol is
+        # its own.
+        source = OBJECT_LEVEL + META_POOL["tie"]
+        facts = [
+            ("item", {"x": x, "p": 0, "tag": "t"}) for x in (1, 1.0, True, "a")
+        ]
+        for engine in (
+            _engine(source, facts, frozenset()),
+            _engine(source, facts, frozenset(), oracle=oracle),
+        ):
+            report = engine.step()
+            picks = report.redaction.candidates - 4  # minus the bystanders
+            assert (picks, report.redaction.redacted) == (4, 2)
+
+    @pytest.mark.parametrize("oracle", ["naive", "rete"])
+    @pytest.mark.parametrize("name", ["manners", "routing", "sort-meta"])
+    def test_bundled_meta_workloads(self, name, oracle):
+        wl = REGISTRY[name]()
+        new, old = ParulelEngine(wl.program), ParulelEngine(wl.program)
+        use_oracle(old, oracle)
+        for engine in (new, old):
+            wl.setup(engine)
+            engine.run(max_cycles=2000)
+        assert [_report_fields(r) for r in new.reports] == [
+            _report_fields(r) for r in old.reports
+        ]
+        assert new.wm.dump_records() == old.wm.dump_records()
+
+
+class TestNothingReachesTheWorkingMemory:
+    def test_no_listener_sees_an_instantiation(self):
+        wl = build_manners(n_guests=8)
+        engine = ParulelEngine(wl.program)
+        seen = []
+        engine.wm.add_listener(lambda wme, added: seen.append(wme.class_name))
+        wl.setup(engine)
+        result = engine.run(max_cycles=2000)
+        assert sum(r.redaction.redacted for r in result.reports) > 0
+        assert seen and "instantiation" not in seen
+
+    def test_failed_phase_leaves_wm_as_it_was(self):
+        # The second meta-cycle redacts an id nobody has: by then the first
+        # has already redacted a real candidate.
+        source = """
+        (literalize req name)
+        (p grant (req ^name <n>) --> (remove 1))
+        (mp first (instantiation ^rule grant ^id 1) --> (redact 1))
+        (mp then-bad
+            (instantiation ^rule grant ^id 2)
+            -(instantiation ^rule grant ^id 1)
+            --> (redact 999))
+        """
+        engines = [ParulelEngine(parse_program(source)) for _ in range(2)]
+        use_oracle(engines[1])
+        outcomes = []
+        for engine in engines:
+            engine.make("req", name="a")
+            engine.make("req", name="b")
+            before = engine.wm.dump_records()[0]
+            events = []
+            engine.wm.add_listener(lambda wme, added: events.append(wme))
+            with pytest.raises(ExecutionError, match="no instantiation") as err:
+                engine.step()
+            assert engine.wm.dump_records()[0] == before
+            outcomes.append((str(err.value), engine.wm.latest_timestamp))
+            if engine is engines[0]:
+                assert events == []
+        assert outcomes[0] == outcomes[1]

@@ -90,27 +90,6 @@ class TestMinSelectionProperty:
         for report in result.reports:
             assert report.fired + report.redaction.redacted == report.candidates
 
-    @settings(max_examples=50, deadline=None)
-    @given(ranks=rank_lists, matcher=st.sampled_from(["rete", "treat", "naive"]))
-    def test_meta_level_matcher_independent(self, ranks, matcher):
-        from repro.core import EngineConfig
-
-        def granted_with(meta_matcher):
-            engine = ParulelEngine(
-                PROGRAM, EngineConfig(meta_matcher=meta_matcher)
-            )
-            for i, rank in enumerate(ranks):
-                engine.make("req", name=f"q{i:02d}", rank=rank)
-            engine.run(max_cycles=len(ranks) * 4 + 4)
-            return [
-                w.get("name")
-                for w in sorted(
-                    engine.wm.by_class("grant"), key=lambda w: w.timestamp
-                )
-            ]
-
-        assert granted_with(matcher) == granted_with("rete")
-
 
 class TestChainedRedactionProperty:
     """kill-above-threshold: meta-rules reading ordinary WM facts."""

@@ -111,10 +111,7 @@ class TestEngineIntegration:
 
         for name in ("manners", "routing", "tc"):
             wl = REGISTRY[name]()
-            engine = ParulelEngine(
-                wl.program,
-                EngineConfig(matcher="rete-shared", meta_matcher="rete-shared"),
-            )
+            engine = ParulelEngine(wl.program, EngineConfig(matcher="rete-shared"))
             wl.setup(engine)
             engine.run(max_cycles=5000)
             assert wl.failed_checks(engine.wm) == [], name

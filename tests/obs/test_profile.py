@@ -1,5 +1,6 @@
 """Per-rule profiler: folding registry series into the hot-rule table."""
 
+from repro.match.stats import MatchStats
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import (
     RULE_CANDIDATES,
@@ -64,3 +65,23 @@ class TestHotRuleTable:
         text = str(hot_rule_table(_registry(), top=1))
         assert "hot" in text
         assert "cold" not in text
+
+    def test_meta_rules_follow_with_their_join_counters(self):
+        stats = MatchStats()
+        stats.bump("join_probes", "tie-break", n=4)
+        stats.bump("join_probes", "prefer-min", n=9)
+        stats.bump("tokens", "prefer-min", n=5)
+        stats.bump("instantiations", "prefer-min", n=3)
+        stats.bump("alpha_tests", n=7)  # never per rule: adds no row
+        lines = str(hot_rule_table(_registry(), top=1, meta_stats=stats)).splitlines()
+        assert lines[1].split()[-3:] == ["join_probes", "tokens", "instantiations"]
+        rows = [line.split() for line in lines[3:]]
+        # ``top`` limits the object rules; every meta-rule is listed.
+        assert [r[0] for r in rows] == ["hot", "prefer-min", "tie-break"]
+        assert rows[0][-3:] == ["-", "-", "-"]
+        assert rows[1][1:] == ["-"] * 5 + ["9", "5", "3"]
+        assert rows[2][-3:] == ["4", "0", "0"]
+
+    def test_no_meta_rules_no_extra_columns(self):
+        plain = str(hot_rule_table(_registry()))
+        assert str(hot_rule_table(_registry(), meta_stats=MatchStats())) == plain

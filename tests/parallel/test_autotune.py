@@ -58,7 +58,10 @@ class TestAutotunePlans:
 
     def test_assignment_covers_all_rules(self):
         wl = build_waltz(n_drawings=4, chain_length=6)
-        plan = autotune(wl.program, wl.setup, n_sites=3, domains=wl.domains)
+        # Splitting waltz's ``propagate`` yields copies that can disable
+        # each other's negated CE; the planner says so and goes on.
+        with pytest.warns(UserWarning, match="'propagate@cc0' and 'propagate@cc1' race"):
+            plan = autotune(wl.program, wl.setup, n_sites=3, domains=wl.domains)
         plan.assignment.validate(plan.program.rules)
 
 

@@ -30,9 +30,7 @@ class TestParulelCorrectness:
     @pytest.mark.parametrize("matcher", ["rete", "treat", "naive"])
     def test_workload_verifies(self, built, name, matcher):
         wl = built[name]
-        engine = ParulelEngine(
-            wl.program, EngineConfig(matcher=matcher, meta_matcher=matcher)
-        )
+        engine = ParulelEngine(wl.program, EngineConfig(matcher=matcher))
         wl.setup(engine)
         engine.run(max_cycles=5000)
         assert wl.failed_checks(engine.wm) == []
@@ -55,9 +53,7 @@ class TestCrossMatcherAgreement:
         results = {}
         for matcher in ("rete", "treat", "naive"):
             wl = REGISTRY[name]()
-            engine = ParulelEngine(
-                wl.program, EngineConfig(matcher=matcher, meta_matcher=matcher)
-            )
+            engine = ParulelEngine(wl.program, EngineConfig(matcher=matcher))
             wl.setup(engine)
             res = engine.run(max_cycles=5000)
             results[matcher] = (res.cycles, res.firings, res.reason)

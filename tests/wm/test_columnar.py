@@ -36,7 +36,6 @@ step_strategy = st.one_of(
     ),
     st.tuples(st.just("remove"), st.integers(0, 10_000)),
     st.tuples(st.just("discard"), st.integers(0, 10_000)),
-    st.tuples(st.just("clear"), st.sampled_from(CLASSES)),
 )
 
 
@@ -83,10 +82,6 @@ class TestEquivalence:
                     assert col.discard(live_col.pop(idx)) == ref.discard(
                         live_ref.pop(idx)
                     )
-                elif step[0] == "clear":
-                    assert col.clear_class(step[1]) == ref.clear_class(step[1])
-                    live_col = [w for w in live_col if w.class_name != step[1]]
-                    live_ref = [w for w in live_ref if w.class_name != step[1]]
                 assert observables(col) == observables(ref)
                 assert col_events == ref_events
         finally:

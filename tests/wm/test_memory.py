@@ -129,21 +129,6 @@ class TestListeners:
         wm.make("c", x=1)
         assert order == ["first", "second"]
 
-    def test_clear_class_notifies(self, wm):
-        events = []
-        wm.make("c", x=1)
-        wm.make("c", x=2)
-        wm.make("d", x=3)
-        wm.add_listener(lambda w, added: events.append((w.class_name, added)))
-        n = wm.clear_class("c")
-        assert n == 2
-        assert events == [("c", False), ("c", False)]
-        assert wm.count_class("c") == 0
-        assert wm.count_class("d") == 1
-
-    def test_clear_absent_class_is_zero(self, wm):
-        assert wm.clear_class("ghost") == 0
-
 
 class TestTemplates:
     def test_strict_registry_rejects_undeclared_class(self):
