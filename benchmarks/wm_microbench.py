@@ -20,21 +20,20 @@ Per tier and store backend it records:
   per-cycle match.
 - **threaded**: in-process pool cycle time over both stores (the columnar
   store must not tax the non-IPC backend).
-- **vector**: the vectorized column-scan probe kernel vs the object-replica
-  path over the *same* columnar store, in process — WME materializations
-  per cycle for both paths (gated: the vector path must materialize at
-  least ``MAT_RATIO_FLOOR`` (5x) fewer) and per-cycle refresh+match
-  latency (gated: the recorded vector path must win — the object path
-  pays eager materialization on every refresh), with per-cycle ordered
+- **vector**: the two alpha layers that ship, in process, over the same
+  facts — the column-scan probe kernel on the columnar store (``vector``)
+  vs ``AlphaCache`` on the dict store (``object``): WME materializations
+  per cycle (gated: the column side must build at least
+  ``MAT_RATIO_FLOOR`` (5x) fewer) and median per-cycle refresh+match
+  latency (gated: the column side must not lose), with per-cycle ordered
   match summaries asserted byte-identical.
-- **engine**: an end-to-end ``matcher="process:2"`` run across three
-  configurations (dict store, columnar store, columnar with
-  ``--no-vector-probe``); cycles, firings and the final working-memory
-  digest must be byte-identical across all three.
+- **engine**: an end-to-end ``matcher="process:2"`` run on both stores;
+  cycles, firings and the final working-memory digest must be
+  byte-identical.
 
 ``--full`` additionally runs every registry workload (tc, waltz, manners,
-sort, sort-meta, sieve, circuit, routing, monkey) through the same three
-engine configurations, asserts identity, and records the digests under
+sort, sort-meta, sieve, circuit, routing, monkey) through both engine
+configurations, asserts identity, and records the digests under
 ``workloads`` — ``--check`` re-validates the recorded section.
 
 Usage (from the repo root, ``PYTHONPATH=src``)::
@@ -50,9 +49,9 @@ Usage (from the repo root, ``PYTHONPATH=src``)::
 - the columnar store's bytes-per-cycle advantage drops below the
   ``RATIO_FLOOR`` (10x) on the gate tier, or the recorded million-tier
   numbers in the baseline fall below the floor / lost their identity bits;
-- the vector kernel's materialization advantage drops below
+- the column kernel's materialization advantage drops below
   ``MAT_RATIO_FLOOR`` (5x) — on the run tiers or in the recorded
-  million-tier numbers — or its summaries diverged from the object path;
+  million-tier numbers — or its summaries diverged from the dict side;
 - the recorded ``workloads`` section is missing, incomplete, or lost an
   identity bit;
 - columnar bytes-per-cycle regress > 5% against the baseline, or the
@@ -70,6 +69,7 @@ import json
 import os
 import sys
 import time
+from statistics import median
 from typing import Dict, List
 
 from repro.core import EngineConfig, ParulelEngine
@@ -93,18 +93,13 @@ RATIO_FLOOR = 10.0
 #: intentional protocol tweaks smaller than a real regression).
 BYTES_SLACK = 1.05
 
-#: The vectorized probe kernel must materialize at least this many times
-#: fewer WME objects per cycle than the object-replica path (ISSUE 10's
+#: The column-scan probe kernel must materialize at least this many times
+#: fewer WME objects per cycle than the dict store holds (ISSUE 10's
 #: acceptance bar for the 1M tier; enforced on every tier run or recorded).
 MAT_RATIO_FLOOR = 5.0
 
-#: Engine configurations the identity sweeps run: store backend plus the
-#: vectorized-probe escape hatch.
-ENGINE_CONFIGS = (
-    ("dict", True),
-    ("columnar", True),
-    ("columnar_novector", False),
-)
+#: Engine configurations the identity sweeps run: the store backends.
+ENGINE_CONFIGS = ("dict", "columnar")
 
 TIERS = {
     "gate": dict(n_facts=20_000, n_keys=100, churn_block=50, churn_steps=5),
@@ -201,53 +196,44 @@ def _run_threaded(wl, tier_cfg: Dict, backend: str) -> Dict:
 
 
 def _run_vector(wl, tier_cfg: Dict) -> Dict:
-    """Vector kernel vs object replica over one columnar store, in process.
+    """The two alpha layers that ship, in process, over the same facts:
+    :class:`AlphaCache` on the dict store against :class:`ColumnVectorCache`
+    on the columnar store's shared columns.
 
-    Both paths attach their own :class:`ColumnarReader` to the same parent
-    store and answer the same per-cycle match enumeration; the object path
-    materializes every live row up front (and every journal add after),
-    the vector path only the rows probes actually surface. Ordered match
-    summaries are asserted identical every cycle — this is the
-    materialization-count half of the tentpole's acceptance bar (the IPC
-    half is :func:`_run_pool`).
+    The dict side holds every fact as a WME object (counted as asserted —
+    what a delta-fed worker builds from its wire records), the column side
+    materializes only the rows probes actually surface. Both answer the
+    same per-cycle match enumeration and the ordered match summaries are
+    asserted identical every cycle — this is the materialization-count half
+    of the columnar store's acceptance bar (the IPC half is
+    :func:`_run_pool`).
     """
     from repro.match.alphaindex import AlphaCache, ColumnVectorCache
     from repro.match.compile import compile_rules
     from repro.match.join import enumerate_matches
     from repro.wm.columnar import ColumnarReader
 
-    wm = ColumnarWorkingMemory(wl.fresh_wm().templates)
-    obj_reader = vec_reader = None
+    obj_wm = wl.fresh_wm()
+    wm = ColumnarWorkingMemory(obj_wm.templates)
+    vec_reader = None
     try:
-        block = wl.load(wm)
-        compiled = compile_rules(wl.program.rules)
-        spec = wm.attach_spec()
-        obj_reader = ColumnarReader(spec)
-        vec_reader = ColumnarReader(spec)
-
-        replica = WorkingMemory()
         obj_mat = 0
 
-        def bootstrap(_name: str, batch) -> None:
+        def count(_wme, added: bool) -> None:
             nonlocal obj_mat
-            replica.bulk_load(batch)
-            obj_mat += len(batch)
+            obj_mat += added
 
-        def on_add(wme) -> None:
-            nonlocal obj_mat
-            replica.add(wme)
-            obj_mat += 1
-
-        def on_remove(wme) -> None:
-            replica.remove(wme)
-
+        obj_wm.add_listener(count)
         t0 = time.perf_counter()
-        obj_reader.attach_bulk(bootstrap)
-        obj_attach_s = time.perf_counter() - t0
-        alpha = AlphaCache(replica)
+        obj_block = wl.load(obj_wm)
+        alpha = AlphaCache(obj_wm)
         alpha.attach()
+        obj_attach_s = time.perf_counter() - t0
 
+        block = wl.load(wm)
+        compiled = compile_rules(wl.program.rules)
         t0 = time.perf_counter()
+        vec_reader = ColumnarReader(wm.attach_spec())
         vcache = ColumnVectorCache(vec_reader)
         vec_attach_s = time.perf_counter() - t0
         unused = WorkingMemory()
@@ -268,36 +254,35 @@ def _run_vector(wl, tier_cfg: Dict) -> Dict:
                     )
             return out
 
-        # Step 0 is the prime: both paths lazily build their alpha state
-        # inside the first enumeration (bulk_add over prebuilt WMEs vs the
-        # 1M-row column scan), reported separately. Every later step times
-        # what a worker actually does per ("match-shm", info) message —
-        # refresh (where the object path eagerly materializes every
-        # journal add) plus the full match enumeration.
-        obj_s = vec_s = obj_prime_s = vec_prime_s = 0.0
+        # Step 0 is the prime: both sides lazily build their alpha state
+        # inside the first enumeration (bulk_add over the class bucket vs
+        # the column scan), reported separately. Every later step times
+        # what absorbing a cycle's delta costs — asserting the churn into
+        # the dict store and its cache vs advancing over the shared journal
+        # (the columnar parent's own appends are not worker work) — plus
+        # the full match enumeration.
+        obj_steps: List[float] = []
+        vec_steps: List[float] = []
         cycles = 1 + tier_cfg["churn_steps"]
         for step in range(cycles):
             obj_dt = vec_dt = 0.0
             if step:
+                t0 = time.perf_counter()
+                obj_block = wl.churn(obj_wm, obj_block, step)
+                obj_dt += time.perf_counter() - t0
                 block = wl.churn(wm, block, step)
                 info = wm.cycle_info()
-                t0 = time.perf_counter()
-                obj_reader.refresh(info, on_add, on_remove)
-                obj_dt += time.perf_counter() - t0
                 t0 = time.perf_counter()
                 vcache.refresh(info)
                 vec_dt += time.perf_counter() - t0
             t0 = time.perf_counter()
-            obj_out = summaries(alpha, replica)
+            obj_out = summaries(alpha, obj_wm)
             obj_dt += time.perf_counter() - t0
             t0 = time.perf_counter()
             vec_out = summaries(vcache, unused)
             vec_dt += time.perf_counter() - t0
-            if step:
-                obj_s += obj_dt
-                vec_s += vec_dt
-            else:
-                obj_prime_s, vec_prime_s = obj_dt, vec_dt
+            obj_steps.append(obj_dt)
+            vec_steps.append(vec_dt)
             if obj_out != vec_out:
                 raise AssertionError(
                     f"vector kernel diverged from object path at cycle "
@@ -305,21 +290,20 @@ def _run_vector(wl, tier_cfg: Dict) -> Dict:
                 )
         vec_mat = vcache.materialized
         ratio = obj_mat / max(vec_mat, 1)
-        steady = max(tier_cfg["churn_steps"], 1)
         return {
             "object": {
                 "materialized_total": obj_mat,
                 "materialized_per_cycle": round(obj_mat / cycles, 1),
                 "attach_s": round(obj_attach_s, 3),
-                "prime_match_s": round(obj_prime_s, 4),
-                "cycle_s": round(obj_s / steady, 4),
+                "prime_match_s": round(obj_steps[0], 4),
+                "cycle_s": round(median(obj_steps[1:]), 4),
             },
             "vector": {
                 "materialized_total": vec_mat,
                 "materialized_per_cycle": round(vec_mat / cycles, 1),
                 "attach_s": round(vec_attach_s, 3),
-                "prime_match_s": round(vec_prime_s, 4),
-                "cycle_s": round(vec_s / steady, 4),
+                "prime_match_s": round(vec_steps[0], 4),
+                "cycle_s": round(median(vec_steps[1:]), 4),
                 "scanned_rows": vcache.scanned_rows,
                 "fallback_probes": vcache.fallback_probes,
                 "probes": vcache.probes,
@@ -328,22 +312,17 @@ def _run_vector(wl, tier_cfg: Dict) -> Dict:
             "summaries_identical": True,
         }
     finally:
-        if obj_reader is not None:
-            obj_reader.close()
         if vec_reader is not None:
             vec_reader.close()
         wm.close()
 
 
-def _run_engine(wl, backend: str, vector: bool = True) -> Dict:
+def _run_engine(wl, backend: str) -> Dict:
     """End-to-end process-backend run: fire every hit, to quiescence."""
     engine = ParulelEngine(
         wl.program,
         EngineConfig(
-            matcher="process:2",
-            wm_backend=backend,
-            matcher_timeout=300.0,
-            vector_probe=vector,
+            matcher="process:2", wm_backend=backend, matcher_timeout=300.0
         ),
     )
     try:
@@ -394,11 +373,7 @@ def measure_tier(tier: str) -> Dict:
 
     out["vector"] = _run_vector(wl, tier_cfg)
 
-    engine = {
-        name: _run_engine(wl, "columnar" if name.startswith("columnar") else name,
-                          vector=vector)
-        for name, vector in ENGINE_CONFIGS
-    }
+    engine = {backend: _run_engine(wl, backend) for backend in ENGINE_CONFIGS}
     identity = {
         name: (row["cycles"], row["firings"], row["wm_digest"])
         for name, row in engine.items()
@@ -416,29 +391,27 @@ def measure_tier(tier: str) -> Dict:
 
 
 def measure_workloads() -> Dict[str, Dict]:
-    """Every registry workload through the three engine configurations;
-    cycles/firings/final-WM digests must agree across all of them."""
+    """Every registry workload through both engine configurations;
+    cycles/firings/final-WM digests must agree."""
     from repro.programs import REGISTRY
 
     out: Dict[str, Dict] = {}
     for name in sorted(REGISTRY):
         wl = REGISTRY[name]()
         rows = {}
-        for cfg_name, vector in ENGINE_CONFIGS:
-            backend = "columnar" if cfg_name.startswith("columnar") else cfg_name
+        for backend in ENGINE_CONFIGS:
             engine = ParulelEngine(
                 wl.program,
                 EngineConfig(
                     matcher="process:2",
                     wm_backend=backend,
                     matcher_timeout=300.0,
-                    vector_probe=vector,
                 ),
             )
             try:
                 wl.setup(engine.wm)
                 result = engine.run()
-                rows[cfg_name] = (
+                rows[backend] = (
                     result.cycles,
                     result.firings,
                     _wm_digest(engine.wm),
@@ -456,7 +429,7 @@ def measure_workloads() -> Dict[str, Dict]:
         }
         print(
             f"workload {name:<10} {cycles:>4} cycles {firings:>6} firings "
-            f"(3 configs byte-identical)"
+            f"(both stores byte-identical)"
         )
     return out
 

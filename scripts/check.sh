@@ -92,12 +92,12 @@ python -m benchmarks.e2e --smoke >"$OBS_TMP/e2e-smoke.json" || {
 }
 
 echo "== working-memory store gate (columnar vs dict: bytes + identity)"
-# Gates on the columnar store's IPC byte advantage, the vectorized
-# column-scan probe kernel (>=5x fewer WME materializations per cycle, a
-# recorded refresh+match latency win over the object path, per-cycle
-# match summaries byte-identical), and engine identity across dict /
-# columnar / --no-vector-probe plus the full 9-workload sweep — all
-# recorded in benchmarks/results/BENCH_wm.json; wall-clock is advisory.
+# Gates on the columnar store's IPC byte advantage, the column-scan probe
+# kernel against the dict store's alpha cache (>=5x fewer WME
+# materializations per cycle, refresh+match latency no worse, per-cycle
+# match summaries byte-identical), and engine identity across the dict and
+# columnar stores plus the full 9-workload sweep — all recorded in
+# benchmarks/results/BENCH_wm.json; wall-clock is advisory.
 # After an intentional WM/IPC/probe-kernel change, refresh with:
 #   python -m benchmarks.wm_microbench --write           (gate tier)
 #   python -m benchmarks.wm_microbench --write --full    (+ million tier
@@ -107,8 +107,8 @@ python -m benchmarks.wm_microbench --check
 # a pid-guarded finalizer, and the stdlib resource tracker — but a
 # SIGKILLed *parent* can still strand named segments. The janitor sweeps
 # any left by this gate's own runs so repeated CI runs cannot fill
-# /dev/shm; it is safe by construction (segments whose embedded owner pid
-# is alive, or that any live process has mapped, are kept).
+# /dev/shm; it is safe by construction (only a segment whose name embeds
+# the pid of a process that is gone is unlinked).
 python -m repro.cli janitor
 
 if [[ "${1:-}" == "--faults" ]]; then

@@ -58,7 +58,6 @@ class OPS5Engine:
         host_functions: Optional[Mapping[str, HostFunction]] = None,
         wm: Optional[WorkingMemory] = None,
         max_cycles: int = 1_000_000,
-        indexed: bool = True,
     ) -> None:
         analyze_program(program)
         from repro.baseline.strategy import create_strategy  # local: no cycle
@@ -69,9 +68,7 @@ class OPS5Engine:
             TemplateRegistry.from_program(program)
         )
         self.evaluator = ActionEvaluator(host_functions)
-        self.matcher: Matcher = create_matcher(
-            matcher, program.rules, self.wm, indexed=indexed
-        )
+        self.matcher: Matcher = create_matcher(matcher, program.rules, self.wm)
         self.max_cycles = max_cycles
         self.fired: Set[InstKey] = set()
         self.fired_rules: List[str] = []

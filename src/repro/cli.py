@@ -31,7 +31,7 @@ Installed as ``parulel`` (see pyproject). Subcommands:
     run a program (or a bundled workload name like ``tc``) with the
     observability layer on and print the per-phase breakdown plus the
     hot-rule table (time, candidates, firings, redactions per rule);
-``parulel janitor [--dry-run] [--min-age S]``
+``parulel janitor [--dry-run]``
     reclaim orphaned ``/dev/shm`` segments left behind by killed
     ``--wm-backend columnar`` runs and killed flight-recorder rings
     (safe: only segments whose owner process is gone are removed);
@@ -91,6 +91,11 @@ def parse_facts(source: str) -> List[Tuple[str, Dict[str, Value]]]:
     return parse_facts_text(source)
 
 
+def _read_text(path: str) -> str:
+    with open(path) as fh:
+        return fh.read()
+
+
 def _make_obs(args: argparse.Namespace):
     """(tracer, metrics) for the run — real recorders when the matching
     ``--*-out`` flag was given, else ``None`` (the engine's no-op default)."""
@@ -126,10 +131,10 @@ def _write_obs(args: argparse.Namespace, tracer, metrics) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    source = open(args.program).read()
+    source = _read_text(args.program)
     program = parse_program(source)
     analyze_program(program)
-    facts = parse_facts(open(args.facts).read()) if args.facts else []
+    facts = parse_facts(_read_text(args.facts)) if args.facts else []
 
     matcher = args.matcher
     if matcher == "process" and args.workers is not None:
@@ -222,7 +227,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             program,
             strategy=args.strategy,
             matcher=matcher,
-            indexed=not args.no_index,
         )
         for cls, attrs in facts:
             ops5.make(cls, attrs)
@@ -265,8 +269,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     config = EngineConfig(
         matcher=matcher,
-        indexed_match=not args.no_index,
-        vector_probe=not args.no_vector_probe,
         interference=args.interference,
         matcher_timeout=args.matcher_timeout,
         respawn_limit=args.respawn_limit,
@@ -436,15 +438,13 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         workload = builder()
         program = workload.program
     else:
-        program = parse_program(open(args.target).read())
+        program = parse_program(_read_text(args.target))
         analyze_program(program)
 
     engine = ParulelEngine(
         program,
         EngineConfig(
             matcher=matcher,
-            indexed_match=not args.no_index,
-            vector_probe=not args.no_vector_probe,
             wm_backend=args.wm_backend,
         ),
         tracer=tracer,
@@ -453,7 +453,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     if workload is not None:
         workload.setup(engine)
     elif args.facts:
-        for cls, attrs in parse_facts(open(args.facts).read()):
+        for cls, attrs in parse_facts(_read_text(args.facts)):
             engine.make(cls, attrs)
     try:
         result = engine.run(max_cycles=args.max_cycles)
@@ -478,7 +478,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    source = open(args.program).read()
+    source = _read_text(args.program)
     program = parse_program(source)
     info = analyze_program(program)
     print(
@@ -494,7 +494,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_fmt(args: argparse.Namespace) -> int:
-    source = open(args.program).read()
+    source = _read_text(args.program)
     print(format_program(parse_program(source)), end="")
     return 0
 
@@ -505,12 +505,12 @@ def _cmd_dot(args: argparse.Namespace) -> int:
     from repro.wm.memory import WorkingMemory
     from repro.wm.template import TemplateRegistry
 
-    program = parse_program(open(args.program).read())
+    program = parse_program(_read_text(args.program))
     analyze_program(program)
     wm = WorkingMemory(TemplateRegistry.from_program(program))
     matcher = ReteMatcher(program.rules, wm)
     if args.facts:
-        for cls, attrs in parse_facts(open(args.facts).read()):
+        for cls, attrs in parse_facts(_read_text(args.facts)):
             wm.make(cls, attrs)
     print(rete_to_dot(matcher))
     return 0
@@ -519,7 +519,7 @@ def _cmd_dot(args: argparse.Namespace) -> int:
 def _cmd_explain(args: argparse.Namespace) -> int:
     from repro.core import EngineConfig
 
-    program = parse_program(open(args.program).read())
+    program = parse_program(_read_text(args.program))
     analyze_program(program)
     wanted = parse_facts(args.wme)
     if len(wanted) != 1:
@@ -530,7 +530,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     engine = ParulelEngine(program, EngineConfig(track_provenance=True))
     try:
         if args.facts:
-            for fcls, fattrs in parse_facts(open(args.facts).read()):
+            for fcls, fattrs in parse_facts(_read_text(args.facts)):
                 engine.make(fcls, fattrs)
         engine.run(max_cycles=args.max_cycles)
 
@@ -681,8 +681,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_repl(args: argparse.Namespace) -> int:
     from repro.repl import run_repl
 
-    program = parse_program(open(args.program).read())
-    initial = [open(args.facts).read()] if args.facts else []
+    program = parse_program(_read_text(args.program))
+    initial = [_read_text(args.facts)] if args.facts else []
 
     def feed():
         # Facts first, then hand over to the interactive prompt.
@@ -699,9 +699,7 @@ def _cmd_repl(args: argparse.Namespace) -> int:
 def _cmd_janitor(args: argparse.Namespace) -> int:
     from repro.resilience import sweep_orphans
 
-    report = sweep_orphans(
-        shm_dir=args.shm_dir, min_age=args.min_age, dry_run=args.dry_run
-    )
+    report = sweep_orphans(shm_dir=args.shm_dir, dry_run=args.dry_run)
     verb = "would remove" if args.dry_run else "removed"
     for name in report.removed:
         print(f"{verb} {name}")
@@ -940,18 +938,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--checkpoint-every (--facts is ignored); a store falls back to "
         "the newest checkpoint that verifies",
     )
-    p_run.add_argument(
-        "--no-index",
-        action="store_true",
-        help="disable the hash-indexed join kernel (nested-loop matching; "
-        "identical results, ablation escape hatch)",
-    )
-    p_run.add_argument(
-        "--no-vector-probe",
-        action="store_true",
-        help="disable the vectorized column-scan probe kernel in columnar "
-        "process workers (object-replica matching; identical results)",
-    )
     p_run.add_argument("--strategy", choices=("lex", "mea"), default="lex")
     p_run.add_argument(
         "--interference", choices=("error", "first", "merge"), default="error"
@@ -1120,17 +1106,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_prof.add_argument("--max-cycles", type=int, default=100_000)
     p_prof.add_argument(
-        "--no-index",
-        action="store_true",
-        help="disable the hash-indexed join kernel (nested-loop matching)",
-    )
-    p_prof.add_argument(
-        "--no-vector-probe",
-        action="store_true",
-        help="disable the vectorized column-scan probe kernel (columnar "
-        "process workers only)",
-    )
-    p_prof.add_argument(
         "--top", type=int, default=10, help="rows in the hot-rule table"
     )
     p_prof.add_argument("--trace-out", metavar="PATH")
@@ -1189,13 +1164,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="shared-memory mount to sweep (default: /dev/shm)",
     )
     p_jan.add_argument(
-        "--min-age",
-        type=float,
-        default=1.0,
-        metavar="SECONDS",
-        help="never sweep legacy (pid-less) segments younger than this",
-    )
-    p_jan.add_argument(
         "--dry-run",
         action="store_true",
         help="report what would be removed without unlinking anything",
@@ -1217,7 +1185,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

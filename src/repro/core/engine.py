@@ -78,16 +78,12 @@ class EngineConfig:
     """
 
     matcher: str = "rete"
-    #: Hash-indexed join kernel (indexed alpha memories + join planning)
-    #: for the enumerator-based matchers; ``False`` is the ``--no-index``
-    #: nested-loop escape hatch. Semantics are identical either way.
+    #: Hash-indexed join kernel (bucket probes + join planning) for the
+    #: serial enumerator-based matchers and the meta level; ``False`` is
+    #: the nested-loop reference the differential tests, Figure 3 and
+    #: Ablation A7 compare against (an error with ``matcher="process"``).
+    #: Semantics are identical either way.
     indexed_match: bool = True
-    #: Vectorized column-scan probe kernel for ``process`` workers over a
-    #: columnar store (probes evaluated on packed shared-memory columns,
-    #: WMEs materialized lazily); ``False`` is the ``--no-vector-probe``
-    #: escape hatch back to the object-replica path. Semantics are
-    #: identical either way; ignored outside process+columnar.
-    vector_probe: bool = True
     interference: InterferencePolicy = InterferencePolicy.ERROR
     dedupe_makes: bool = True
     max_cycles: int = 100_000
@@ -286,7 +282,6 @@ class ParulelEngine:
             program.rules,
             self.wm,
             indexed=self.config.indexed_match,
-            vector_probe=self.config.vector_probe,
             **matcher_options,
         )
         self.meta = MetaLevel(
@@ -972,8 +967,8 @@ class ParulelEngine:
         byte-identically: same timestamps, same refraction set, same cycle
         numbering.
 
-        ``state`` may be a checkpoint dict, a file path (envelope or
-        legacy raw JSON), or a :class:`~repro.resilience.checkpoint`
+        ``state`` may be a checkpoint dict, the path of a framed
+        checkpoint file, or a :class:`~repro.resilience.checkpoint`
         store directory — directories fall back to the newest checkpoint
         that verifies. Truncated or malformed inputs raise a typed
         :class:`~repro.errors.ExecutionError` (or its subclass

@@ -1,29 +1,34 @@
-"""Hash-indexed alpha memories shared by the enumerating matchers.
+"""The alpha layer: where a CE's candidate WMEs come from and how they are
+probed.
 
-An :class:`IndexedMemory` is an insertion-ordered set of WMEs that lazily
-builds hash indexes keyed by attribute tuples — the attributes that appear
-in downstream equality join tests. ``probe(attrs, values)`` then returns
-the bucket of WMEs whose attributes equal ``values`` instead of the whole
-memory, and the enumerator only filters that bucket with the remaining
-(non-equality) tests.
+One protocol, two implementations, chosen by the kind of store:
 
-Order is the load-bearing invariant: memories are fed in timestamp order
-(working-memory replay and listener order), buckets preserve insertion
-order, so probing yields exactly the subsequence a full scan would. That is
-what keeps the indexed enumeration byte-identical to the nested-loop path —
-the differential tests enforce it.
-
-Two front-ends feed the enumerator:
+*read side* — ``source.memory(ce)`` returns the alpha memory for the CE's
+    alpha key: ``probe(attrs, values)`` (the WMEs whose attributes equal
+    ``values``), ``probe_exists(attrs, values)`` (bucket non-emptiness,
+    nothing materialized), ``__iter__`` and ``__len__``. This is all the
+    join enumerator (:mod:`repro.match.join`) uses.
+*write side* — ``source.watch(ces, sink)`` primes a memory per CE and from
+    then on reports each alpha-passing change, memory already updated:
+    ``sink.alpha_added(alpha key, wme)`` and ``sink.alpha_removed(alpha
+    keys, wme)``. This is what feeds TREAT's batched joins.
 
 :class:`AlphaCache`
-    shared, lazily-primed memories over a :class:`~repro.wm.memory.WorkingMemory`
-    — used by :class:`~repro.match.naive.NaiveMatcher` (replacing the
-    re-filter-per-request ``default_alpha_source``) and, held persistently,
-    by the threaded/process match pools (worker side rebuilt from shipped
-    deltas via the replica WM's listener);
-:class:`MemoryTable`
-    a thin adapter over an existing ``AlphaKey -> IndexedMemory`` dict —
-    TREAT's retained alpha memories.
+    over a :class:`~repro.wm.memory.WorkingMemory` (either store, read as
+    WME objects): :class:`IndexedMemory` per alpha key, kept current from a
+    WM listener. Every in-process matcher and pool, and process workers fed
+    pickled deltas.
+:class:`ColumnVectorCache`
+    over a :class:`~repro.wm.columnar.ColumnarReader`: row-id memories
+    evaluated on the shared columns, advanced from the shared journal.
+    Process workers attached to a columnar store.
+
+Order is the load-bearing invariant: memories are fed in timestamp order
+(working-memory replay and listener order, ascending rows), buckets
+preserve insertion order, so probing yields exactly the subsequence a full
+scan would. That is what keeps the indexed enumeration byte-identical to
+the nested-loop reference and the two implementations to each other — the
+differential and conformance tests enforce it.
 """
 
 from __future__ import annotations
@@ -39,7 +44,6 @@ from repro.wm.wme import NIL, WME
 __all__ = [
     "IndexedMemory",
     "AlphaCache",
-    "MemoryTable",
     "ColumnProbeIndex",
     "ColumnMemory",
     "ColumnVectorCache",
@@ -146,19 +150,6 @@ class IndexedMemory:
         return iter(self.wmes)
 
 
-class MemoryTable:
-    """Adapter exposing an ``AlphaKey -> IndexedMemory`` dict (TREAT's
-    retained memories) as an enumerator alpha source."""
-
-    __slots__ = ("_mems",)
-
-    def __init__(self, mems: Dict[AlphaKey, IndexedMemory]) -> None:
-        self._mems = mems
-
-    def memory(self, ce: CompiledCE) -> IndexedMemory:
-        return self._mems[ce.alpha_key]
-
-
 class AlphaCache:
     """Shared alpha memories over a working memory, lazily primed.
 
@@ -166,7 +157,7 @@ class AlphaCache:
     key, building it from the current WM contents on first request (in
     timestamp order). Afterwards the cache must be kept current — either
     by calling :meth:`apply` from the owner's own WM listener (the naive
-    matcher does this so replay and live updates share one path) or by
+    and TREAT matchers do, so a matcher costs one listener) or by
     :meth:`attach`-ing the cache's own listener (the match pools do).
 
     ``alpha_tests`` are bumped once per WME per alpha pattern at prime time
@@ -181,6 +172,8 @@ class AlphaCache:
         self._mems: Dict[AlphaKey, IndexedMemory] = {}
         self._keys_by_class: Dict[str, List[AlphaKey]] = {}
         self._attached = False
+        #: Delta sink set by :meth:`watch`.
+        self._sink = None
 
     # -- enumerator protocol -------------------------------------------------
 
@@ -190,39 +183,49 @@ class AlphaCache:
         if mem is None:
             mem = IndexedMemory()
             bucket = self.wm.by_class(ce.class_name)
-            if not ce.alpha_conds:
-                # Unconditional alpha pattern (the common case for scale
-                # workloads): the memory is the class bucket verbatim, so
-                # prime it in bulk instead of testing WMEs one at a time.
-                if self.stats is not None:
-                    self.stats.bump("alpha_tests", n=len(bucket))
-                mem.bulk_add(bucket)
-            else:
-                for wme in bucket:
-                    if self.stats is not None:
-                        self.stats.bump("alpha_tests")
-                    if alpha_test_passes(ce.alpha_conds, wme):
-                        mem.add(wme)
+            if self.stats is not None:
+                self.stats.bump("alpha_tests", n=len(bucket))
+            if ce.alpha_conds:
+                bucket = [w for w in bucket if alpha_test_passes(ce.alpha_conds, w)]
+            # One bulk add: for an unconditional pattern (the common case
+            # for scale workloads) the memory is the class bucket verbatim.
+            mem.bulk_add(bucket)
             self._mems[key] = mem
             self._keys_by_class.setdefault(ce.class_name, []).append(key)
         return mem
 
     # -- maintenance ---------------------------------------------------------
 
+    def watch(self, ces: Sequence[CompiledCE], sink) -> None:
+        """Prime a memory for every CE now and from then on report each
+        WM event that changes one: ``sink.alpha_added(alpha key, wme)``
+        per memory entered, ``sink.alpha_removed(alpha keys, wme)`` once
+        per WME for the memories it left."""
+        self._sink = sink
+        for ce in ces:
+            self.memory(ce)
+
     def apply(self, wme: WME, added: bool) -> None:
         """Incorporate one WM event into every already-primed memory.
 
         Memories not yet primed pick the WME up at prime time instead.
         """
-        for key in self._keys_by_class.get(wme.class_name, ()):
-            mem = self._mems[key]
-            if added:
+        keys = self._keys_by_class.get(wme.class_name)
+        if not keys:
+            return
+        sink = self._sink
+        if added:
+            for key in keys:
                 if self.stats is not None:
                     self.stats.bump("alpha_tests")
                 if alpha_test_passes(key[1], wme):
-                    mem.add(wme)
-            else:
-                mem.remove(wme)
+                    self._mems[key].add(wme)
+                    if sink is not None:
+                        sink.alpha_added(key, wme)
+            return
+        left = [key for key in keys if self._mems[key].remove(wme)]
+        if left and sink is not None:
+            sink.alpha_removed(left, wme)
 
     def _listener(self, wme: WME, added: bool) -> None:
         self.apply(wme, added)
@@ -243,7 +246,7 @@ class AlphaCache:
 # Column-native alpha source (the vectorized probe kernel)
 # ---------------------------------------------------------------------------
 #
-# The classes below are the third enumerator front-end: alpha memories held
+# The classes below are the second implementation: alpha memories held
 # as *row ids* over a :class:`~repro.wm.columnar.ColumnarReader`'s shared
 # ``(tag, payload)`` int64 columns, with WME objects built lazily — only for
 # rows a probe or full scan actually surfaces. The columnar module is
@@ -612,19 +615,17 @@ _EMPTY_COLUMN_MEMORY = _EmptyColumnMemory()
 class ColumnVectorCache:
     """Worker-side alpha source evaluated directly over shared columns.
 
-    The vectorized-probe replacement for replica-WM + :class:`AlphaCache`
-    in columnar workers: :meth:`refresh` advances the journal cursor
-    without materializing (``refresh_raw``), memories scan the liveness and
-    value columns, probes hash packed ``(tag, payload)`` keys, and WME
-    objects are built lazily — memoized per row in the table's
-    ``wme_by_row`` — only for rows a probe or full scan surfaces.
+    What a columnar worker attaches through: :meth:`refresh` advances the
+    journal cursor without materializing (``refresh_raw``), memories scan
+    the liveness and value columns, probes hash packed ``(tag, payload)``
+    keys, and WME objects are built lazily — memoized per row in the
+    table's ``wme_by_row`` — only for rows a probe or full scan surfaces.
 
     Byte-identical conflict sets by construction: per-class row order is
     timestamp order, packed keys collapse exactly the values Python ``==``
     unifies (see the keying note above), and everything else falls back to
     decoded comparison. Reads assume the parent is quiescent up to the row
-    high-water marks carried by the specs/journal — the same contract the
-    eager ``attach``/``refresh`` path relies on.
+    high-water marks carried by the specs/journal.
     """
 
     def __init__(self, reader) -> None:

@@ -36,9 +36,10 @@ class Matcher(abc.ABC):
     def __init__(
         self, rules: Sequence[Rule], wm: WorkingMemory, indexed: bool = True
     ) -> None:
-        #: Hash-indexed alpha memories + join planning on (default) or the
-        #: historical nested-loop path (``--no-index``). Same conflict sets
-        #: either way; RETE — always hash-joined — ignores it.
+        #: Hash-bucket probes + join planning (default) or the nested-loop
+        #: reference kernel the differential tests and the Figure 3 /
+        #: Ablation A7 tables compare against. Same conflict sets either
+        #: way; RETE — always hash-joined — ignores it.
         self.indexed = indexed
         self.compiled: tuple[CompiledRule, ...] = compile_rules(rules)
         self.wm = wm
@@ -112,7 +113,6 @@ def create_matcher(
     metrics=None,
     flightrec=None,
     indexed: bool = True,
-    vector_probe: bool = True,
 ) -> Matcher:
     """Instantiate a match engine by name (``rete``, ``treat``, ``naive`` or
     ``process``/``process:N`` for the multiprocessing fan-out).
@@ -128,16 +128,11 @@ def create_matcher(
     apply only to the ``process`` backend; passing them for a serial
     engine is an error rather than a silent no-op.
 
-    ``indexed`` is likewise cross-cutting: it selects the hash-indexed
-    join kernel (default) or the nested-loop escape hatch (``--no-index``)
-    for the enumerator-based engines, and is accepted — and ignored — by
-    RETE, whose beta network is always hash-joined.
-
-    ``vector_probe`` follows the same convention: it enables the
-    vectorized column-scan probe kernel (``--no-vector-probe`` to
-    disable), which only takes effect in ``process`` workers attached to
-    a columnar store — every other engine matches over WME objects and
-    accepts the flag as a no-op so callers need not special-case it.
+    ``indexed=False`` selects the nested-loop reference kernel for the
+    serial enumerator-based engines (the comparand of the differential
+    tests and the indexing tables); RETE, whose beta network is always
+    hash-joined, accepts and ignores it. The ``process`` backend is always
+    indexed, so there it is an error too.
 
     ``tracer`` / ``metrics`` / ``flightrec`` (:mod:`repro.obs`) are
     cross-cutting and accepted for every backend: the process pool uses
@@ -153,6 +148,11 @@ def create_matcher(
     from repro.match.treat import TreatMatcher
 
     if engine == "process" or engine.startswith("process:"):
+        if not indexed:
+            raise ValueError(
+                f"indexed=False (the nested-loop reference kernel) only "
+                f"applies to the serial engines, not {engine!r}"
+            )
         from repro.parallel.process import DEFAULT_TIMEOUT, ProcessMatcher
 
         n_workers = None
@@ -176,8 +176,6 @@ def create_matcher(
             tracer=tracer,
             metrics=metrics,
             flightrec=flightrec,
-            indexed=indexed,
-            vector_probe=vector_probe,
         )
 
     if (

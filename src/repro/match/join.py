@@ -14,16 +14,15 @@ Two seeding mechanisms make it reusable:
     pre-bind variables — used when a WME matching a *negated* CE is
     retracted and we must discover the instantiations it was blocking.
 
-``alpha_source`` abstracts where candidate WMEs come from. An *indexed*
-source (anything with a ``memory(ce)`` method returning an
-:class:`~repro.match.alphaindex.IndexedMemory` — TREAT's retained memories
-via :class:`~repro.match.alphaindex.MemoryTable`, or a shared
-:class:`~repro.match.alphaindex.AlphaCache`) unlocks the hash-join path:
-equality join tests whose variables are already bound become bucket probes
-instead of memory scans, and the CE visit order follows the rule's
-:class:`~repro.match.compile.JoinPlan`. A plain callable source (legacy
-protocol) or ``indexed=False`` runs the historical nested-loop enumeration,
-byte for byte.
+``alpha_source`` is where candidate WMEs come from: anything with a
+``memory(ce)`` method returning an alpha memory (``probe`` /
+``probe_exists`` / ``__iter__`` / ``__len__`` — see
+:mod:`repro.match.alphaindex`). Equality join tests whose variables are
+already bound become bucket probes instead of memory scans, and the CE
+visit order follows the rule's :class:`~repro.match.compile.JoinPlan`.
+``indexed=False`` is the nested-loop reference the differential tests and
+the Figure 3 / Ablation A7 tables compare against: the same memories,
+scanned in rule order.
 
 Determinism: indexed memories preserve timestamp (insertion) order in every
 bucket, and planned enumerations are sorted back into the order the
@@ -35,16 +34,7 @@ tests enforce this.
 
 from __future__ import annotations
 
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.lang.ast import Value
 from repro.match.alphaindex import AlphaCache
@@ -59,28 +49,9 @@ from repro.match.stats import MatchStats
 from repro.wm.memory import WorkingMemory
 from repro.wm.wme import WME
 
-__all__ = ["enumerate_matches", "default_alpha_source", "join_tests_pass"]
+__all__ = ["enumerate_matches", "join_tests_pass"]
 
 Env = Dict[str, Value]
-AlphaSource = Callable[[CompiledCE], Iterable[WME]]
-
-
-def default_alpha_source(wm: WorkingMemory, stats: Optional[MatchStats] = None, rule: str = "") -> AlphaSource:
-    """Alpha source that filters the working memory on every request.
-
-    ``alpha_tests`` are bumped globally, never per rule — consistent with
-    every other alpha layer (shared memories have no single rule to charge).
-    The ``rule`` parameter is retained for signature compatibility.
-    """
-
-    def source(ce: CompiledCE) -> Iterator[WME]:
-        for wme in wm.by_class(ce.class_name):
-            if stats is not None:
-                stats.bump("alpha_tests")
-            if alpha_test_passes(ce.alpha_conds, wme):
-                yield wme
-
-    return source
 
 
 def join_tests_pass(ce: CompiledCE, wme: WME, env: Env) -> bool:
@@ -137,7 +108,7 @@ def enumerate_matches(
     stats: Optional[MatchStats] = None,
     fixed: Optional[Tuple[int, Sequence[WME]]] = None,
     seed_env: Optional[Env] = None,
-    alpha_source: Optional[AlphaSource] = None,
+    alpha_source=None,
     indexed: bool = True,
 ) -> Iterator[Instantiation]:
     """Yield every instantiation of ``compiled`` consistent with the seeds.
@@ -148,27 +119,15 @@ def enumerate_matches(
     alpha- and join-tested, so passing a WME that does not actually match
     yields nothing rather than nonsense.
 
-    With ``indexed`` (the default) and no legacy-callable ``alpha_source``,
-    enumeration follows the rule's join plan and probes hash buckets;
-    ``indexed=False`` reproduces the nested-loop scan exactly (the
-    ``--no-index`` ablation path).
+    With ``indexed`` (the default) enumeration follows the rule's join plan
+    and probes hash buckets; ``indexed=False`` scans the same memories in
+    rule order (the nested-loop reference). ``alpha_source=None`` reads
+    ``wm`` through a transient :class:`~repro.match.alphaindex.AlphaCache`.
     """
     rule_name = compiled.name
-    src = None  # indexed source: has .memory(ce) -> IndexedMemory
-    legacy: Optional[AlphaSource] = None
-    if alpha_source is None:
-        if indexed:
-            src = AlphaCache(wm, stats)  # transient, lazily primed
-        else:
-            legacy = default_alpha_source(wm, stats, rule_name)
-    elif hasattr(alpha_source, "memory"):
-        src = alpha_source
-    else:
-        legacy = alpha_source
-
-    use_index = indexed and src is not None
+    src = alpha_source if alpha_source is not None else AlphaCache(wm, stats)
     plan = None
-    if use_index:
+    if indexed:
         if fixed is not None:
             plan = compiled.seeded_plan(fixed[0])
         if plan is None:
@@ -184,12 +143,12 @@ def enumerate_matches(
     for ce in ces:
         if not partials:
             return
-        mem = src.memory(ce) if src is not None else None
+        mem = src.memory(ce)
         # All partials at one visit position share the same bound-variable
         # set, so the probe key shape is computed once from the first.
         env0 = partials[0][0]
         probe_pairs: Tuple[Tuple[str, str], ...] = ()
-        if use_index:
+        if indexed:
             probe_pairs = tuple(
                 (attr, var)
                 for attr, op, var in ce.join_tests
@@ -218,12 +177,7 @@ def enumerate_matches(
                 # memories, without decoding a single row). Only taken when
                 # no stats are collected: the per-WME counter stream must
                 # stay byte-identical for the benchmark gates.
-                if (
-                    stats is None
-                    and not residual
-                    and not ce.local_conds
-                    and hasattr(mem, "probe_exists")
-                ):
+                if stats is None and not residual and not ce.local_conds:
                     for env, wmes in partials:
                         if not mem.probe_exists(
                             probe_attrs, tuple(env[v] for v in probe_vars)
@@ -255,9 +209,7 @@ def enumerate_matches(
                 candidates: Optional[Tuple[WME, ...]] = None
                 for env, wmes in partials:
                     if candidates is None:
-                        candidates = (
-                            tuple(mem) if mem is not None else tuple(legacy(ce))
-                        )
+                        candidates = tuple(mem)
                     blocked = False
                     for wme in candidates:
                         if stats is not None:
@@ -317,7 +269,7 @@ def enumerate_matches(
                             stats.bump("tokens", rule_name)
                         next_partials.append((new_env, wmes + (wme,)))
             else:
-                scan = tuple(mem) if mem is not None else tuple(legacy(ce))
+                scan = tuple(mem)
                 for env, wmes in partials:
                     for wme in scan:
                         if stats is not None:

@@ -5,12 +5,11 @@ requested after a working-memory change. O(product of class-bucket sizes)
 per rule — unusable for big programs, invaluable as the semantic oracle:
 property-based tests assert RETE and TREAT always agree with it.
 
-By default recomputation runs over a persistent shared
+Recomputation runs over a persistent
 :class:`~repro.match.alphaindex.AlphaCache` — alpha memories are filtered
-once and maintained incrementally (``alpha_tests`` drop from
-per-recompute-scan to per-delta), and joins probe hash buckets following
-each rule's join plan. ``indexed=False`` restores the historical
-filter-per-request nested-loop path exactly.
+once and maintained incrementally — and joins probe hash buckets following
+each rule's join plan; ``indexed=False`` scans the same memories with the
+nested-loop reference kernel.
 """
 
 from __future__ import annotations
@@ -35,17 +34,15 @@ class NaiveMatcher(Matcher):
         self._dirty = True
         # Maintained from our own _on_add/_on_remove (the base class replays
         # pre-existing WMEs through the same path), not a second listener.
-        self._alpha = AlphaCache(self.wm, self.stats) if self.indexed else None
+        self._alpha = AlphaCache(self.wm, self.stats)
 
     def _on_add(self, wme: WME) -> None:
         self._dirty = True
-        if self._alpha is not None:
-            self._alpha.apply(wme, True)
+        self._alpha.apply(wme, True)
 
     def _on_remove(self, wme: WME) -> None:
         self._dirty = True
-        if self._alpha is not None:
-            self._alpha.apply(wme, False)
+        self._alpha.apply(wme, False)
 
     def _recompute(self) -> None:
         self.conflict_set.clear()

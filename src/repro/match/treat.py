@@ -41,12 +41,14 @@ cycle's additions call for are deferred and run once per *batch*.
 The trade: TREAT redoes join work RETE would have cached, but pays nothing
 to maintain beta state when WMEs churn — the regime Ablation A2 measures.
 
-The alpha layer is pluggable: in-process the matcher owns
-:class:`~repro.match.alphaindex.IndexedMemory` instances fed from the
-working memory's listener; a process worker in vector mode hands it a
-:class:`~repro.match.alphaindex.ColumnVectorCache` instead, which keeps
-row-id memories over the shared columns and reports alpha-passing deltas
-through :meth:`TreatMatcher.alpha_added` / :meth:`TreatMatcher.alpha_removed`.
+The matcher keeps no memories of its own: it watches an alpha layer
+(:mod:`repro.match.alphaindex`), which holds them and reports alpha-passing
+deltas through :meth:`TreatMatcher.alpha_added` /
+:meth:`TreatMatcher.alpha_removed` — an
+:class:`~repro.match.alphaindex.AlphaCache` over the working memory, fed
+from the matcher's WM listener, or the
+:class:`~repro.match.alphaindex.ColumnVectorCache` a process worker hands
+in, which its owner advances over the shared columns.
 """
 
 from __future__ import annotations
@@ -54,8 +56,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.lang.ast import Rule, Value
-from repro.match.alphaindex import IndexedMemory, MemoryTable
-from repro.match.compile import AlphaKey, CompiledCE, CompiledRule, alpha_test_passes
+from repro.match.alphaindex import AlphaCache
+from repro.match.compile import AlphaKey, CompiledCE, CompiledRule
 from repro.match.instantiation import Instantiation
 from repro.match.interface import Matcher
 from repro.match.join import enumerate_matches, join_tests_pass
@@ -76,11 +78,11 @@ _Job = Tuple[CompiledCE, Tuple[WME, ...]]
 class TreatMatcher(Matcher):
     """Conflict-set-retaining matcher with alpha memories only.
 
-    ``alpha`` substitutes an external alpha layer for the matcher's own
-    memories: any enumerator alpha source with a ``watch(ces, sink)``
-    method that primes a memory per CE and thereafter calls
-    ``sink.alpha_added`` / ``sink.alpha_removed``. The working memory is
-    then never read.
+    ``alpha`` is the alpha layer to watch; by default an
+    :class:`~repro.match.alphaindex.AlphaCache` over ``wm``. The matcher's
+    WM listener forwards every event to the layer's ``apply``; a layer
+    over another store (a worker's shared columns) is advanced by its
+    owner instead, and ``wm`` must then stay untouched.
 
     :attr:`observer`, when set, brackets each rule's share of the match
     work: ``observer.begin(rule name)`` before, ``observer.end(rule name,
@@ -97,7 +99,7 @@ class TreatMatcher(Matcher):
         indexed: bool = True,
         alpha=None,
     ) -> None:
-        self._external = alpha
+        self._alpha = alpha
         self.observer = None
         super().__init__(rules, wm, indexed=indexed)
 
@@ -121,35 +123,15 @@ class TreatMatcher(Matcher):
                     self.conflict_set.index_env(
                         compiled.name, tuple(var for _attr, var in ce.eq_join_tests)
                     )
-        if self._external is not None:
-            self._alpha = self._external
-            self._external.watch(
-                [ce for compiled in self.compiled for ce in compiled.ces], self
-            )
-            return
-        #: alpha pattern -> indexed, insertion-ordered memory.
-        self._mems: Dict[AlphaKey, IndexedMemory] = {
-            key: IndexedMemory() for key in self._subscribers
-        }
-        #: class name -> alpha keys to test on each add/remove.
-        self._keys_by_class: Dict[str, List[AlphaKey]] = {}
-        for key in self._mems:
-            self._keys_by_class.setdefault(key[0], []).append(key)
-        self._alpha = MemoryTable(self._mems)
+        if self._alpha is None:
+            self._alpha = AlphaCache(self.wm, self.stats)
+        self._alpha.watch(
+            [ce for compiled in self.compiled for ce in compiled.ces], self
+        )
 
     def _replay(self) -> None:
-        """Attach to a populated memory class bucket by class bucket: the
-        first flush enumerates in full, so nothing needs buffering."""
-        if self._external is not None:
-            return
-        for key, mem in self._mems.items():
-            bucket = self.wm.by_class(key[0])
-            # Global only — alpha memories are shared across rules, so
-            # there is no single rule to attribute the tests to.
-            self._bump("alpha_tests", n=len(bucket))
-            if key[1]:
-                bucket = [w for w in bucket if alpha_test_passes(key[1], w)]
-            mem.bulk_add(bucket)
+        """Nothing to feed: :meth:`_build` primed every memory from the
+        store, and the first flush enumerates in full."""
 
     def _bump(self, counter: str, rule: str = "", n: int = 1) -> None:
         # ``stats`` may be cleared by an owner that ships no counters (the
@@ -160,13 +142,7 @@ class TreatMatcher(Matcher):
     # -- add -----------------------------------------------------------------
 
     def _on_add(self, wme: WME) -> None:
-        # Every alpha memory is updated at once, so a WME matching several
-        # CEs is visible to all of them whenever the joins run.
-        for key in self._keys_by_class.get(wme.class_name, ()):
-            self._bump("alpha_tests")
-            if alpha_test_passes(key[1], wme):
-                self._mems[key].add(wme)
-                self.alpha_added(key, wme)
+        self._alpha.apply(wme, True)
 
     def alpha_added(self, key: AlphaKey, wme: WME) -> None:
         """``wme`` entered the alpha memory ``key`` (already updated)."""
@@ -271,13 +247,7 @@ class TreatMatcher(Matcher):
     # -- remove ---------------------------------------------------------------
 
     def _on_remove(self, wme: WME) -> None:
-        hits = [
-            key
-            for key in self._keys_by_class.get(wme.class_name, ())
-            if self._mems[key].remove(wme)
-        ]
-        if hits:
-            self.alpha_removed(hits, wme)
+        self._alpha.apply(wme, False)
 
     def alpha_removed(self, keys: Sequence[AlphaKey], wme: WME) -> None:
         """``wme`` left the alpha memories ``keys`` (already updated)."""

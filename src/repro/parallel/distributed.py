@@ -156,7 +156,6 @@ class DistributedMachine:
         fault_plan: Optional[FaultPlan] = None,
         tracer=None,
         metrics=None,
-        indexed: bool = True,
     ) -> None:
         if n_sites < 1:
             raise ValueError("need at least one site")
@@ -183,7 +182,6 @@ class DistributedMachine:
         self.dedupe_makes = dedupe_makes
         self.multicast = multicast
         self.matcher_name = matcher
-        self.indexed = indexed
         if fault_plan is not None:
             fault_plan.validate_sites(n_sites)
         self._injector: Optional[FaultInjector] = (
@@ -237,7 +235,7 @@ class DistributedMachine:
             old.detach()
         rules = self.hosting.rules_of_site(site, self.program.rules)
         self.site_matchers[site] = create_matcher(
-            self.matcher_name, rules, self.replicas[site], indexed=self.indexed
+            self.matcher_name, rules, self.replicas[site]
         )
         self._site_op_marks[site] = Counter()
         self._hosted_names[site] = frozenset(r.name for r in rules)

@@ -17,7 +17,7 @@ What keeps it fast and correct:
   are a timestamp list and adds are ``(class, attrs, timestamp)`` records.
 - **Incremental match, incremental replies.** Each worker runs the
   set-oriented :class:`~repro.match.treat.TreatMatcher` over its replica
-  (or, in vector mode, over the shared columns): a cycle's delta seeds
+  (or, with a columnar store, over the shared columns): a cycle's delta seeds
   batched joins instead of a re-enumeration of every rule, and the reply
   is the conflict set's *journal* — compact summaries ``(rule name,
   per-CE timestamps, environment)`` of the instantiations that appeared
@@ -130,8 +130,8 @@ SiteReply = Tuple[bool, List[MatchSummary], List[InstKey]]
 
 #: Per-reply observability payload: the worker's raw span buffer (shipped
 #: back alongside match results, ingested onto a ``worker-<site>`` lane),
-#: per-rule match seconds, and the vectorized probe kernel's per-cycle
-#: work deltas (``None`` outside vector mode). ``None`` when observability
+#: per-rule match seconds, and the column-scan kernel's per-cycle work
+#: deltas (``None`` for a delta-fed replica). ``None`` when observability
 #: is off.
 ObsPayload = Optional[
     Tuple[List[TraceEvent], List[Tuple[str, float]], Optional[Dict[str, int]]]
@@ -200,8 +200,6 @@ def _worker_main(
     conn: Connection,
     rules: Tuple[Rule, ...],
     obs: bool = False,
-    indexed: bool = True,
-    vector: bool = True,
     flight: Optional[Tuple[str, Dict[str, int]]] = None,
 ) -> None:
     """Worker loop: maintain a WM replica and its conflict set, answer
@@ -218,11 +216,11 @@ def _worker_main(
       ``obs_payload`` is the worker's span buffer and per-rule match
       times when ``obs`` is on, else ``None``;
     - ``("attach", spec)`` — columnar mode: attach the parent's
-      shared-memory columns (:class:`~repro.wm.columnar.ColumnarReader`)
-      and build the replica from the liveness snapshot; no reply;
-    - ``("match-shm", info)`` — columnar mode: refresh the replica from
-      the shared delta journal up to the message's cursors, then match
-      and reply exactly as ``"match"`` does;
+      shared-memory columns (:class:`~repro.wm.columnar.ColumnarReader`);
+      no reply;
+    - ``("match-shm", info)`` — columnar mode: advance over the shared
+      delta journal up to the message's cursors, then match and reply
+      exactly as ``"match"`` does;
     - ``("ping", token)`` — liveness probe: reply ``("pong", token)``
       immediately (a wedged or dead worker cannot);
     - ``("stop",)`` — exit.
@@ -236,14 +234,14 @@ def _worker_main(
     than replayed through its listener) and fed every later change as it
     is applied; the match step is its batched flush.
 
-    With ``vector`` (and ``indexed``) on, a columnar attach switches the
-    worker onto the vectorized probe kernel: no replica WM is populated at
-    all — alpha memories are row-id sets over the shared columns
-    (:class:`~repro.match.alphaindex.ColumnVectorCache`), refresh advances
-    the journal and hands the matcher only the alpha-passing rows, and
-    other WMEs are decoded lazily for probe survivors only. Delta mode and
-    ``vector=False`` keep the replica path, with the bootstrap batched
-    class-by-class through ``wm.bulk_load``.
+    The alpha layer follows the store. Delta mode builds a replica WM and
+    the matcher reads it through an
+    :class:`~repro.match.alphaindex.AlphaCache`. A columnar attach
+    populates no replica at all: alpha memories are row-id sets over the
+    shared columns (:class:`~repro.match.alphaindex.ColumnVectorCache`),
+    refresh advances the journal and hands the matcher only the
+    alpha-passing rows, and other WMEs are decoded lazily for probe
+    survivors only.
 
     With ``obs`` on the worker runs its own :class:`~repro.obs.Tracer`
     (spans on a local lane, rewritten to ``worker-<site>`` by the parent
@@ -278,24 +276,11 @@ def _worker_main(
     reset = True
     tracer = Tracer() if obs else NULL_TRACER
     reader: Optional[ColumnarReader] = None
-    #: Column-native alpha source; set on attach in vector mode, in which
+    #: Column-native alpha source; set on attach (columnar mode), in which
     #: case ``wm``/``by_ts`` stay empty and unused.
     vcache: Optional[ColumnVectorCache] = None
     vec_prev = {"scanned": 0, "materialized": 0, "fallback": 0, "probes": 0}
     cycle = 0
-
-    def replica_add(wme: WME) -> None:
-        wm.add(wme)
-        by_ts[wme.timestamp] = wme
-
-    def replica_remove(wme: WME) -> None:
-        del by_ts[wme.timestamp]
-        wm.remove(wme)
-
-    def bootstrap_class(_name: str, batch: List[WME]) -> None:
-        wm.bulk_load(batch)
-        for wme in batch:
-            by_ts[wme.timestamp] = wme
 
     while True:
         try:
@@ -322,13 +307,10 @@ def _worker_main(
                 reader = ColumnarReader(msg[1])
                 matcher = None
                 with tracer.span("attach", lane="worker"):
-                    if vector and indexed:
-                        # Vector mode: nothing is materialized up front —
-                        # memories prime themselves from the liveness
-                        # columns when the matcher is built.
-                        vcache = ColumnVectorCache(reader)
-                    else:
-                        reader.attach_bulk(bootstrap_class)
+                    # Nothing is materialized up front — memories prime
+                    # themselves from the liveness columns when the
+                    # matcher is built.
+                    vcache = ColumnVectorCache(reader)
                 continue
             if tag == "ping":
                 conn.send(("pong", msg[1]))
@@ -345,10 +327,7 @@ def _worker_main(
                 observer.times = []
             if tag == "match-shm":
                 with tracer.span("refresh-journal", lane="worker", cycle=cycle):
-                    if vcache is not None:
-                        vcache.refresh(msg[1])
-                    else:
-                        reader.refresh(msg[1], replica_add, replica_remove)
+                    vcache.refresh(msg[1])
             else:
                 deltas = msg[1]
                 if deltas:
@@ -358,7 +337,10 @@ def _worker_main(
                         for wire in deltas:
                             WMDelta.apply_wire(wm, by_ts, wire)
             if matcher is None:
-                matcher = TreatMatcher(rules, wm, indexed=indexed, alpha=vcache)
+                # The alpha layer follows the store: the shared columns,
+                # or the replica the deltas build.
+                alpha = vcache if vcache is not None else AlphaCache(wm)
+                matcher = TreatMatcher(rules, wm, alpha=alpha)
                 # No counters are shipped back, so none are kept: the
                 # enumerator then skips its per-candidate accounting.
                 matcher.stats = None
@@ -427,8 +409,6 @@ class ProcessMatchPool:
         tracer=None,
         metrics=None,
         flightrec=None,
-        indexed: bool = True,
-        vector_probe: bool = True,
     ) -> None:
         if n_workers < 1:
             raise ValueError("need at least one worker")
@@ -446,11 +426,6 @@ class ProcessMatchPool:
         #: them; the flag rides along on every (re)spawn.
         self._obs = self.tracer.enabled or self.metrics.enabled
         self.wm = wm
-        self.indexed = indexed
-        #: Vectorized probe kernel in columnar workers. Requires the
-        #: indexed join path (the kernel *is* a set of hash indexes);
-        #: ``--no-index`` ablations therefore imply ``--no-vector-probe``.
-        self.vector = bool(vector_probe) and indexed
         #: Parent-side alpha cache for degraded sites, created on first
         #: degradation (no listener overhead while every worker is healthy).
         self._parent_alpha: Optional[AlphaCache] = None
@@ -546,8 +521,6 @@ class ProcessMatchPool:
                 child_conn,
                 tuple(self._site_rules[site]),
                 self._obs,
-                self.indexed,
-                self.vector,
                 self._flight_specs.get(site),
             ),
             name=f"parulel-match-site{site}",
@@ -831,7 +804,7 @@ class ProcessMatchPool:
         if compiled is None:
             compiled = compile_rules(tuple(self._site_rules[site]))
             self._site_compiled[site] = compiled
-        if self.indexed and self._parent_alpha is None:
+        if self._parent_alpha is None:
             self._parent_alpha = AlphaCache(self.wm)
             self._parent_alpha.attach()
         out: List[MatchSummary] = []
@@ -844,10 +817,7 @@ class ProcessMatchPool:
                 out.extend(
                     _summary(inst)
                     for inst in enumerate_matches(
-                        cr,
-                        self.wm,
-                        alpha_source=self._parent_alpha,
-                        indexed=self.indexed,
+                        cr, self.wm, alpha_source=self._parent_alpha
                     )
                 )
                 if obs:
@@ -1187,8 +1157,6 @@ class ProcessMatcher(Matcher):
         tracer=None,
         metrics=None,
         flightrec=None,
-        indexed: bool = True,
-        vector_probe: bool = True,
     ) -> None:
         # The pool's recorder primes itself with the pre-existing WMEs, so
         # it must attach before Matcher.__init__ replays them through
@@ -1207,10 +1175,8 @@ class ProcessMatcher(Matcher):
             tracer=tracer,
             metrics=metrics,
             flightrec=flightrec,
-            indexed=indexed,
-            vector_probe=vector_probe,
         )
-        super().__init__(rules, wm, indexed=indexed)
+        super().__init__(rules, wm)
 
     def _on_add(self, wme: WME) -> None:
         self._dirty = True

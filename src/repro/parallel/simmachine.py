@@ -112,7 +112,6 @@ class SimMachine:
         dedupe_makes: bool = True,
         host_functions: Optional[Mapping[str, Callable]] = None,
         multicast: bool = False,
-        indexed: bool = True,
     ) -> None:
         if n_sites < 1:
             raise ValueError("need at least one site")
@@ -136,9 +135,7 @@ class SimMachine:
         self.site_matchers: List[Matcher] = []
         for site in range(n_sites):
             rules = self.assignment.rules_of_site(site, program.rules)
-            self.site_matchers.append(
-                create_matcher(matcher, rules, self.wm, indexed=indexed)
-            )
+            self.site_matchers.append(create_matcher(matcher, rules, self.wm))
         self.meta = MetaLevel(program.meta_rules, self.wm, self.evaluator)
         # Per-site read interests (class names) for multicast accounting.
         self._site_interests: List[frozenset] = []

@@ -62,7 +62,6 @@ class ThreadedMatchPool:
         tracer=None,
         metrics=None,
         flightrec=None,
-        indexed: bool = True,
     ) -> None:
         if n_threads < 1:
             raise ValueError("need at least one thread")
@@ -71,14 +70,11 @@ class ThreadedMatchPool:
         self._flightrec = flightrec
         self._cycle = 0
         self.wm = wm
-        self.indexed = indexed
         # One shared alpha cache across all sites, kept current via WM
         # listener. Read-mostly: concurrent lazy priming from worker
         # threads is benign (identical contents, GIL-atomic installs).
-        self._alpha: Optional[AlphaCache] = None
-        if indexed:
-            self._alpha = AlphaCache(wm)
-            self._alpha.attach()
+        self._alpha = AlphaCache(wm)
+        self._alpha.attach()
         self.n_threads = n_threads
         self.assignment = assignment or round_robin_assignment(rules, n_threads)
         compiled = compile_rules(rules)
@@ -107,10 +103,7 @@ class ThreadedMatchPool:
                 t0 = time.perf_counter() if obs else 0.0
                 out.extend(
                     enumerate_matches(
-                        compiled,
-                        self.wm,
-                        alpha_source=self._alpha,
-                        indexed=self.indexed,
+                        compiled, self.wm, alpha_source=self._alpha
                     )
                 )
                 if obs:
@@ -137,8 +130,7 @@ class ThreadedMatchPool:
         return merged
 
     def close(self) -> None:
-        if self._alpha is not None:
-            self._alpha.detach()
+        self._alpha.detach()
         self._pool.shutdown(wait=True)
 
     def __enter__(self) -> "ThreadedMatchPool":

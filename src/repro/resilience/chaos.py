@@ -357,7 +357,7 @@ def kill_columnar_child() -> Tuple[Tuple[str, ...], List[str]]:
     os.kill(proc.pid, signal.SIGKILL)
     proc.join()
     parent_conn.close()
-    report = sweep_orphans(min_age=0.0)
+    report = sweep_orphans()
     return names, list(report.removed)
 
 
@@ -402,10 +402,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
         # Nothing of ours may be left behind: a second sweep must be a no-op
         # for dead-owner segments.
-        left = [
-            n
-            for n in sweep_orphans(min_age=0.0, dry_run=True).removed
-        ]
+        left = list(sweep_orphans(dry_run=True).removed)
         if left:
             print(f"[chaos] segments still leaked after sweep: {left}")
             code = 1

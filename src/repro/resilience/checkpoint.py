@@ -113,7 +113,7 @@ def _fsync_dir(dirname: str) -> None:
 
 
 def is_envelope(path: str) -> bool:
-    """Whether the file starts with the checkpoint magic (vs legacy JSON)."""
+    """Whether the file starts with the checkpoint magic."""
     try:
         with open(path, "rb") as fh:
             return fh.read(len(MAGIC)) == MAGIC
@@ -167,31 +167,22 @@ def read_envelope(path: str) -> Tuple[str, Dict[str, Any]]:
 
 def load_checkpoint_file(path: str) -> Dict[str, Any]:
     """Load a restorable full state from ``path``: a framed checkpoint
-    file, a legacy raw-JSON checkpoint, or a :class:`CheckpointStore`
-    directory (last-good fallback applies). Raises
+    file or a :class:`CheckpointStore` directory (last-good fallback
+    applies). Every state restored is digest-verified: a file without the
+    envelope is refused like any other corruption. Raises
     :class:`~repro.errors.CheckpointCorruptError` (an
     :class:`~repro.errors.ExecutionError`) naming the path on any failure
     other than the file simply not existing."""
     if os.path.isdir(path):
         return CheckpointStore(path).load().state
-    if is_envelope(path):
-        kind, payload = read_envelope(path)
-        if kind != "full":
-            raise CheckpointCorruptError(
-                path,
-                "a bare delta checkpoint cannot be restored without its "
-                "base snapshot (resume from the store directory instead)",
-            )
-        return payload
-    # Legacy unframed JSON checkpoint (pre-envelope writers).
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            state = json.load(fh)
-    except ValueError as exc:
-        raise CheckpointCorruptError(path, f"not valid JSON: {exc}") from exc
-    if not isinstance(state, dict):
-        raise CheckpointCorruptError(path, "checkpoint is not a JSON object")
-    return state
+    kind, payload = read_envelope(path)
+    if kind != "full":
+        raise CheckpointCorruptError(
+            path,
+            "a bare delta checkpoint cannot be restored without its "
+            "base snapshot (resume from the store directory instead)",
+        )
+    return payload
 
 
 # -- delta application ---------------------------------------------------------

@@ -11,17 +11,14 @@ dies by ``SIGKILL`` executes none of them, stranding named segments in
 
 This module reclaims such orphans *safely*:
 
-- New-format segment names embed the creating pid
-  (``pwm<pid:08x>p<token>...``, see
+- Segment names embed the creating pid (``pwm<pid:08x>p<token>...``, see
   :func:`repro.wm.columnar.parse_owner_pid`): a segment is an orphan
   exactly when its owner pid is gone. Pid recycling can only err on the
   side of *keeping* a segment (some unrelated live process wears the pid),
   never of deleting a live one. Unlinking only removes the name — any
   reader that still has the segment mapped keeps its mapping.
-- Legacy names (no embedded pid) fall back to a ``/proc/*/maps`` scan
-  (the ``fuser`` equivalent, without the binary): the segment is an
-  orphan only if no live process has it mapped *and* it is older than
-  ``min_age`` seconds (so a store mid-construction is never swept).
+- A name under a swept prefix that carries no readable owner pid was not
+  written by this program: it is foreign, and always kept.
 
 ``parulel janitor`` runs a sweep from the command line;
 ``scripts/check.sh`` calls it instead of the old fuser loop, and the chaos
@@ -31,7 +28,6 @@ harness (:mod:`repro.resilience.chaos`) runs it after every killed run.
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -51,10 +47,6 @@ DEFAULT_SHM_DIR = "/dev/shm"
 #: (``pwm``) and flight-recorder event rings (``pfr``). Both name formats
 #: embed the owner pid identically, so one pid-liveness rule covers both.
 DEFAULT_PREFIXES: Tuple[str, ...] = (SEGMENT_PREFIX, FLIGHT_PREFIX)
-
-#: Legacy (pid-less) segments younger than this are never swept: the
-#: owner may not have mapped them into any scanned process yet.
-DEFAULT_MIN_AGE = 1.0
 
 
 @dataclass
@@ -85,37 +77,19 @@ def _pid_alive(pid: int) -> bool:
     return True
 
 
-def _mapped_anywhere(path: str) -> bool:
-    """Whether any live process has ``path`` mapped (scan /proc/*/maps)."""
-    try:
-        pids = [p for p in os.listdir("/proc") if p.isdigit()]
-    except OSError:  # pragma: no cover - no procfs
-        return True  # cannot tell: assume in use
-    needle = path.encode()
-    for pid in pids:
-        try:
-            with open(f"/proc/{pid}/maps", "rb") as fh:
-                if needle in fh.read():
-                    return True
-        except OSError:
-            continue  # process vanished or not ours to inspect
-    return False
-
-
 def sweep_orphans(
     shm_dir: str = DEFAULT_SHM_DIR,
     prefix: Union[str, Sequence[str]] = DEFAULT_PREFIXES,
-    min_age: float = DEFAULT_MIN_AGE,
     dry_run: bool = False,
 ) -> JanitorReport:
     """Reclaim orphaned ``<prefix>*`` segments under ``shm_dir``.
 
     ``prefix`` is one segment-family prefix or a sequence of them; the
     default sweeps both the columnar store's ``pwm`` and the flight
-    recorder's ``pfr`` families. Safe by construction: segments whose
-    embedded owner pid is alive are kept; pid-less (legacy) segments are
-    kept while mapped by any process or younger than ``min_age`` seconds.
-    Everything else is unlinked (reported only, with ``dry_run``).
+    recorder's ``pfr`` families. Safe by construction: a segment is
+    unlinked (reported only, with ``dry_run``) only when its name embeds an
+    owner pid and that process is gone; a live owner's segments and names
+    with no readable pid are kept.
     """
     prefixes = (prefix,) if isinstance(prefix, str) else tuple(prefix)
     report = JanitorReport(dry_run=dry_run)
@@ -123,28 +97,18 @@ def sweep_orphans(
         names = sorted(os.listdir(shm_dir))
     except OSError:
         return report  # no shm dir on this platform: nothing to do
-    now = time.time()
     for name in names:
         matched = next((p for p in prefixes if name.startswith(p)), None)
         if matched is None:
             continue
         path = os.path.join(shm_dir, name)
         pid = parse_owner_pid(name, prefix=matched)
-        if pid is not None:
-            if _pid_alive(pid):
-                report.kept.append((name, f"owner pid {pid} is alive"))
-                continue
-        else:
-            try:
-                age = now - os.stat(path).st_mtime
-            except OSError:
-                continue  # vanished under us
-            if age < min_age:
-                report.kept.append((name, f"only {age:.2f}s old"))
-                continue
-            if _mapped_anywhere(path):
-                report.kept.append((name, "mapped by a live process"))
-                continue
+        if pid is None:
+            report.kept.append((name, "no owner pid in name"))
+            continue
+        if _pid_alive(pid):
+            report.kept.append((name, f"owner pid {pid} is alive"))
+            continue
         if not dry_run:
             # Plain unlink, no resource_tracker.unregister: the sweeping
             # process never registered these names (the dead owner's

@@ -12,7 +12,7 @@ Why: the process-parallel match backend used to ship pickled WM deltas to
 every worker every cycle — at million-WME scale the priming delta alone is
 tens of megabytes *per worker*. With the columnar store a worker
 **attaches** the segments once (a name lookup + mmap), scans the liveness
-column to build its replica, and thereafter refreshes from the shared
+column to prime its alpha memories, and thereafter refreshes from the shared
 journal; the per-cycle pipe message shrinks to a few dozen bytes of
 cursors (see ``benchmarks/wm_microbench.py`` for the measured ratio).
 
@@ -93,10 +93,11 @@ SEGMENT_PREFIX = "pwm"
 
 
 def parse_owner_pid(name: str, prefix: str = SEGMENT_PREFIX) -> Optional[int]:
-    """The owner pid embedded in a segment name, or ``None`` for legacy /
-    foreign names. New-format tokens are ``<prefix><pid:08x>p<random hex>``;
-    the literal ``p`` separator cannot collide with legacy names, whose
-    9th body character is a segment-kind letter (``j``/``h``/``c``)."""
+    """The owner pid embedded in a segment name, or ``None`` for a foreign
+    name (one this format did not produce — the janitor never touches
+    those). Tokens are ``<prefix><pid:08x>p<random hex>``; the literal
+    ``p`` separator cannot collide with the pid-less names of old stores,
+    whose 9th body character is a segment-kind letter (``j``/``h``/``c``)."""
     if not name.startswith(prefix):
         return None
     body = name[len(prefix):]
@@ -700,12 +701,14 @@ class _ReaderTable:
 class ColumnarReader:
     """A worker's attachment to a :class:`ColumnarWorkingMemory`.
 
-    ``attach()`` scans the liveness columns and materializes every live WME
-    (per class, in row = timestamp order — exactly the bucket order a
-    delta-built replica would have). ``refresh()`` advances over the shared
-    journal to the cursors in the parent's cycle message. Both invoke the
-    supplied callbacks so the caller can feed its replica store/alpha
-    caches; the reader keeps the row→WME maps needed to resolve retracts.
+    Construction mounts the columns as of the attach spec: per class, rows
+    below :attr:`_ReaderTable.rows_known` are readable, row order is
+    timestamp order (exactly the bucket order a delta-built replica would
+    have) and the liveness column says which still exist.
+    :meth:`refresh_raw` advances over the shared journal to the cursors in
+    the parent's cycle message. Nothing is materialized by either; callers
+    (:class:`~repro.match.alphaindex.ColumnVectorCache`) decode rows on
+    demand through :meth:`_ReaderTable.materialize` / ``cell``.
     """
 
     def __init__(self, spec: Tuple) -> None:
@@ -713,7 +716,6 @@ class ColumnarReader:
         self.token = token
         self._journal_gen, self._cursor = journal
         self._heap_gen, self._heap_used = heap
-        self._class_specs = class_specs
         self._strings: Dict[int, str] = {}
         #: Reverse intern map (text -> heap offset), filled by the
         #: incremental heap walk. Heap offsets are stable across heap
@@ -800,9 +802,8 @@ class ColumnarReader:
         return self._cid_by_name.get(class_name)
 
     def _refresh_structure(self, info: Tuple) -> Tuple[int, int]:
-        """Shared refresh prologue: re-mount the heap/journal/tables the
-        cursors and dirty specs call for. Returns ``(journal stop, start)``
-        for the caller's record loop."""
+        """Re-mount the heap/journal/tables the cursors and dirty specs
+        call for. Returns ``(journal stop, start)`` for the record loop."""
         (jgen, jlen), (hgen, hused), dirty = info
         if hgen != self._heap_gen:
             self._heap_seg.close()
@@ -829,85 +830,16 @@ class ColumnarReader:
 
     # -- protocol ------------------------------------------------------------
 
-    def attach(self, on_add: Callable[[WME], None]) -> int:
-        """Build the replica from the liveness snapshot; returns the number
-        of WMEs materialized. Skips dead rows entirely — cheaper than a
-        journal replay over a churned history."""
-        n = 0
-        resolve = self._resolve
-        for cspec in self._class_specs:
-            table = self._tables[cspec[0]]
-            rows = cspec[5]
-            live = table.live_col
-            for row in range(rows):
-                if live[row]:
-                    wme = table.materialize(resolve, row)
-                    table.wme_by_row[row] = wme
-                    on_add(wme)
-                    n += 1
-        return n
-
-    def attach_bulk(
-        self, on_class: Callable[[str, List[WME]], None]
-    ) -> int:
-        """Like :meth:`attach`, but delivers each class's live WMEs as one
-        batch (row = timestamp order) — one callback per class instead of
-        one per WME, so the caller can route the batch through bulk loads
-        (:meth:`~repro.wm.memory.WorkingMemory.bulk_load`,
-        :meth:`~repro.match.alphaindex.IndexedMemory.bulk_add`)."""
-        n = 0
-        resolve = self._resolve
-        for cspec in self._class_specs:
-            table = self._tables[cspec[0]]
-            rows = cspec[5]
-            live = table.live_col
-            batch: List[WME] = []
-            wme_by_row = table.wme_by_row
-            for row in range(rows):
-                if live[row]:
-                    wme = table.materialize(resolve, row)
-                    wme_by_row[row] = wme
-                    batch.append(wme)
-            if batch:
-                on_class(table.name, batch)
-                n += len(batch)
-        return n
-
-    def refresh(
-        self,
-        info: Tuple,
-        on_add: Callable[[WME], None],
-        on_remove: Callable[[WME], None],
-    ) -> int:
-        """Apply journal records up to the message's cursors; returns the
-        number of records applied."""
-        jlen, start = self._refresh_structure(info)
-        applied = 0
-        buf = self._journal_seg.buf
-        resolve = self._resolve
-        for i in range(start, jlen):
-            op, cid, row = _JREC.unpack_from(buf, i * JOURNAL_RECORD_SIZE)
-            table = self._tables[cid]
-            if op == _OP_ADD:
-                wme = table.materialize(resolve, row)
-                table.wme_by_row[row] = wme
-                on_add(wme)
-            else:
-                wme = table.wme_by_row.pop(row)
-                on_remove(wme)
-            applied += 1
-        return applied
-
     def refresh_raw(
         self,
         info: Tuple,
         on_record: Callable[[bool, int, int], None],
     ) -> int:
-        """Advance over the journal *without materializing anything*:
-        ``on_record(added, cid, row)`` per record, row high-water marks
-        updated. The vectorized probe path refreshes through this — WME
-        construction is deferred until a probe actually needs the row
-        (:class:`~repro.match.alphaindex.ColumnVectorCache`)."""
+        """Apply journal records up to the message's cursors *without
+        materializing anything*: ``on_record(added, cid, row)`` per record,
+        row high-water marks updated; returns the number of records
+        applied. WME construction is deferred until a probe actually needs
+        the row (:class:`~repro.match.alphaindex.ColumnVectorCache`)."""
         jlen, start = self._refresh_structure(info)
         applied = 0
         buf = self._journal_seg.buf

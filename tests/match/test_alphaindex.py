@@ -3,7 +3,7 @@
 import pytest
 
 from repro.lang.builder import ProgramBuilder, v
-from repro.match.alphaindex import AlphaCache, IndexedMemory, MemoryTable
+from repro.match.alphaindex import AlphaCache, IndexedMemory
 from repro.match.compile import compile_rule
 from repro.match.stats import MatchStats
 from repro.wm.memory import WorkingMemory
@@ -120,22 +120,3 @@ class TestAlphaCache:
             bucket.get("alpha_tests", 0) == 0
             for bucket in stats.per_rule.values()
         )
-
-
-class TestMemoryTable:
-    def test_resolves_by_alpha_key(self):
-        ce = _one_ce_rule().ces[0]
-        mem = IndexedMemory()
-        table = MemoryTable({ce.alpha_key: mem})
-        assert table.memory(ce) is mem
-        with pytest.raises(KeyError):
-            table.memory(
-                type(ce)(
-                    class_name="missing",
-                    negated=False,
-                    alpha_conds=(),
-                    bindings=(),
-                    join_tests=(),
-                    index=0,
-                )
-            )

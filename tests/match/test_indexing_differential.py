@@ -204,68 +204,6 @@ class TestBatchedTreatVersusNaive:
             )
 
 
-#: Value pool for the vectorized axis: symbols, bigints, negative ints,
-#: floats (integral and not), bools and nil — spanning the packed-key
-#: kinds and both fallback triggers (see ``alphaindex.py``'s keying note).
-VEC_VALUES = [0, 1, -7, 2**70, 2.0, 1.5, "sym", "oth-er", "nil", True]
-
-
-class TestVectorizedVersusObjectPath:
-    """The column-native probe kernel against the object path, same seed
-    discipline as above: after every step of a churn-heavy script over a
-    columnar store, every rule's ordered conflict set under
-    ``ColumnVectorCache`` (lazy, packed-key probes over shared columns)
-    must equal the set under ``AlphaCache`` (eager WME objects)."""
-
-    @pytest.mark.parametrize("seed", range(N_PROGRAMS))
-    def test_identical_ordered_conflict_sets(self, seed):
-        from repro.match.alphaindex import AlphaCache, ColumnVectorCache
-        from repro.match.compile import compile_rules
-        from repro.match.join import enumerate_matches
-        from repro.wm.columnar import ColumnarReader, ColumnarWorkingMemory
-
-        rng = random.Random(7000 + seed)
-        program = _random_program(rng, VEC_VALUES)
-        script = _random_script(rng, 24, VEC_VALUES)
-        compiled = compile_rules(program.rules)
-        col = ColumnarWorkingMemory()
-        reader = None
-        try:
-            reader = ColumnarReader(col.attach_spec())
-            vcache = ColumnVectorCache(reader)
-            cache = AlphaCache(col)
-            cache.attach()
-            live = []
-            for step in script:
-                if step[0] == "add":
-                    _tag, cls, k, mval = step
-                    live.append(col.make(cls, k=k, m=mval))
-                else:
-                    if not live:
-                        continue
-                    col.remove(live.pop(step[1] % len(live)))
-                vcache.refresh(col.cycle_info())
-                for cr in compiled:
-                    obj = [
-                        (i.key, sorted(i.env.items()))
-                        for i in enumerate_matches(cr, col, alpha_source=cache)
-                    ]
-                    vec = [
-                        (i.key, sorted(i.env.items()))
-                        for i in enumerate_matches(
-                            cr, col, alpha_source=vcache
-                        )
-                    ]
-                    assert vec == obj, (
-                        f"seed {seed}, rule {cr.name}: vector kernel "
-                        f"diverges from object path after {step}"
-                    )
-        finally:
-            if reader is not None:
-                reader.close()
-            col.close()
-
-
 class TestWholeRunEquivalence:
     """Full engine runs: indexing must not change a single fired rule or
     final WME — ``dump_records`` output is compared byte-for-byte."""

@@ -5,7 +5,7 @@ import pytest
 
 from repro.lang.parser import parse_program
 from repro.match.compile import compile_rule
-from repro.match.join import default_alpha_source, enumerate_matches, join_tests_pass
+from repro.match.join import enumerate_matches, join_tests_pass
 from repro.match.stats import MatchStats
 from repro.wm.memory import WorkingMemory
 
@@ -83,18 +83,7 @@ class TestSeedEnv:
         assert seed == {"k": 1}
 
 
-class TestAlphaSource:
-    def test_custom_source_used(self, wm):
-        # Supply a source that hides all 'b' WMEs: no matches possible.
-        base = default_alpha_source(wm)
-
-        def hiding_source(ce):
-            if ce.class_name == "b":
-                return iter(())
-            return base(ce)
-
-        assert list(enumerate_matches(RULE, wm, alpha_source=hiding_source)) == []
-
+class TestJoinTests:
     def test_join_tests_pass_helper(self, wm):
         ce = RULE.ces[1]  # (b ^k <k> ^v <v>) — join test on k
         b1 = wm.find("b", k=1)[0]

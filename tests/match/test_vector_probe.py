@@ -1,13 +1,13 @@
 """Unit tests for the column-native vectorized probe kernel.
 
 :class:`~repro.match.alphaindex.ColumnVectorCache` must be observationally
-identical to the object path (replica WM + ``AlphaCache``) while building
-WME objects only for rows a probe or full scan actually surfaces. The
-classes below pin the packed-key canonicalization (the keying note in
+identical to ``AlphaCache`` over WME objects while building WME objects
+only for rows a probe or full scan actually surfaces. The classes below
+pin the packed-key canonicalization (the keying note in
 ``alphaindex.py``), the fallback protocol for values with no faithful key,
 the lazy-materialization accounting, and journal-driven maintenance.
-The randomized vectorized-vs-object differential lives in
-``tests/match/test_indexing_differential.py``; the process-pool and
+The protocol conformance and the randomized column-vs-dict differential
+live in ``tests/match/test_alpha_source.py``; the process-pool and
 engine-level identity checks in ``tests/parallel/test_process_columnar.py``.
 """
 

@@ -189,26 +189,17 @@ class TestWorkerRobustness:
             assert pool.respawns >= 1
 
 
-#: The stores a pool can sit on and the worker match path each selects:
-#: pickled deltas into a replica, the shared columns through the vectorized
-#: probe kernel, and the shared columns into a replica.
-STORES = [
-    pytest.param(("dict", True), id="dict"),
-    pytest.param(("columnar", True), id="columnar"),
-    pytest.param(("columnar", False), id="columnar-no-vector-probe"),
-]
-
-
-@pytest.fixture(params=STORES)
+#: The stores a pool can sit on and the worker alpha layer each selects:
+#: pickled deltas into a replica read through ``AlphaCache``, and the
+#: shared columns read through ``ColumnVectorCache``.
+@pytest.fixture(params=["dict", "columnar"])
 def store(request):
-    """``(working memory, ProcessMatchPool keyword arguments)``."""
-    backend, vector = request.param
-    if backend == "dict":
-        yield WorkingMemory(), {}
+    if request.param == "dict":
+        yield WorkingMemory()
         return
     wm = ColumnarWorkingMemory()
     try:
-        yield wm, {"vector_probe": vector}
+        yield wm
     finally:
         wm.close()
 
@@ -234,7 +225,7 @@ class TestIncrementalReplies:
     parent keeps the per-site retained sets the journals edit."""
 
     def test_reply_bytes_track_new_instantiations_not_retained(self, store):
-        wm, kwargs = store
+        wm = store
         prog = parse_program(BULK_SRC)
         per_key, ticks = 8, 12
         for key in range(ticks):
@@ -242,7 +233,7 @@ class TestIncrementalReplies:
                 wm.make("item", key=key)
         metrics = MetricsRegistry()
         sizes = []
-        with ProcessMatchPool(prog.rules, wm, 2, metrics=metrics, **kwargs) as pool:
+        with ProcessMatchPool(prog.rules, wm, 2, metrics=metrics) as pool:
             assert pool.conflict_set() == []
             seen = metrics.counter_value("parulel_ipc_reply_bytes_total", site=0)
             assert seen > 0
@@ -262,11 +253,11 @@ class TestIncrementalReplies:
         ) == ticks + 1
 
     def test_kill_after_retractions_leaves_no_stale_entry(self, store):
-        wm, kwargs = store
+        wm = store
         prog = parse_program(SRC)
         rete = create_matcher("rete", prog.rules, wm)
         load(wm)
-        with ProcessMatchPool(prog.rules, wm, 2, **kwargs) as pool:
+        with ProcessMatchPool(prog.rules, wm, 2) as pool:
             assert keys(pool.conflict_set()) == keys(rete.instantiations())
             # Retract while the worker is alive: it reports the removals.
             wm.remove(wm.by_class("a0")[0])
@@ -287,16 +278,17 @@ class TestIncrementalReplies:
     @pytest.mark.slow
     @pytest.mark.timeout(60)
     def test_degraded_and_repromoted_site_stay_byte_identical(self, store):
-        wm, kwargs = store
+        wm = store
         prog = parse_program(SRC)
+        oracles = [create_matcher(name, prog.rules, wm) for name in ("rete", "naive")]
         load(wm)
         plan = FaultPlan(kills=(WorkerKill(cycle=2, site=0),))
         policy = SupervisorPolicy(
             ladder=FULL_LADDER, breaker_failures=1, cooldown_cycles=2
         )
-        with ProcessMatchPool(prog.rules, wm, 2, **kwargs) as healthy:
+        with ProcessMatchPool(prog.rules, wm, 2) as healthy:
             with ProcessMatchPool(
-                prog.rules, wm, 2, fault_plan=plan, supervisor=policy, **kwargs
+                prog.rules, wm, 2, fault_plan=plan, supervisor=policy
             ) as pool:
                 degraded_cycles = 0
                 for cycle in range(1, 7):
@@ -304,8 +296,10 @@ class TestIncrementalReplies:
                     wm.make("a0", k=cycle % 3)
                     wm.make("b1", k=cycle % 3)
                     wm.remove(wm.by_class("b0")[0])
-                    want = image(healthy.conflict_set())
-                    assert image(pool.conflict_set()) == want, f"cycle {cycle}"
+                    want = healthy.conflict_set()
+                    assert image(pool.conflict_set()) == image(want), f"cycle {cycle}"
+                    for oracle in oracles:
+                        assert keys(want) == keys(oracle.instantiations())
                     degraded_cycles += bool(pool.degraded_sites)
                 kinds = [e.kind for e in pool.drain_fault_events()]
         assert "degrade" in kinds and "promote" in kinds
@@ -361,6 +355,16 @@ class TestProcessMatcher:
         prog = parse_program(SRC)
         with pytest.raises(ValueError, match="worker"):
             create_matcher("process:0", prog.rules, WorkingMemory())
+
+    def test_nested_loop_reference_kernel_rejected(self):
+        """Workers are always indexed: asking for the serial reference
+        kernel fails before any process is spawned, through
+        ``create_matcher`` and through the engine config alike."""
+        prog = parse_program(SRC)
+        with pytest.raises(ValueError, match="indexed=False"):
+            create_matcher("process:2", prog.rules, WorkingMemory(), indexed=False)
+        with pytest.raises(ValueError, match="indexed=False"):
+            ParulelEngine(prog, EngineConfig(matcher="process:2", indexed_match=False))
 
     def test_default_worker_count_bounds(self):
         assert 1 <= default_worker_count() <= 4

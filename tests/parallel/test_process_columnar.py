@@ -129,52 +129,38 @@ class TestColumnarPool:
 
 
 class TestVectorProbe:
-    """The vectorized column-scan probe kernel through the pool: workers
-    build alpha state from shared-column scans (``ColumnVectorCache``)
-    instead of a replica WM, with ``vector_probe=False`` as the escape
-    hatch back to the object path. Both must be byte-identical."""
+    """The column-scan probe kernel through the pool: columnar workers
+    build alpha state from shared-column scans (``ColumnVectorCache``),
+    never a replica WM, and must stay byte-identical to RETE."""
 
-    def test_pool_agrees_with_escape_hatch_and_rete(self):
+    def test_pool_agrees_with_rete(self):
         prog = parse_program(SRC)
-        results = {}
-        for vector in (True, False):
-            wm = ColumnarWorkingMemory()
-            try:
-                rete = create_matcher("rete", prog.rules, wm)
-                load(wm)
-                with ProcessMatchPool(
-                    prog.rules, wm, 2, vector_probe=vector
-                ) as pool:
-                    sets = [keys(pool.conflict_set())]
-                    assert sets[0] == keys(rete.instantiations())
-                    # churn incl. a value only the fallback path can key
-                    wm.remove(list(wm.by_class("a0"))[0])
-                    wm.make("a0", k=2)
-                    wm.make("a0", k=2**70)
-                    wm.make("b0", k=2**70)
-                    sets.append(keys(pool.conflict_set()))
-                    assert sets[1] == keys(rete.instantiations())
-                    results[vector] = sets
-            finally:
-                wm.close()
-        assert results[True] == results[False]
+        wm = ColumnarWorkingMemory()
+        try:
+            rete = create_matcher("rete", prog.rules, wm)
+            load(wm)
+            with ProcessMatchPool(prog.rules, wm, 2) as pool:
+                assert keys(pool.conflict_set()) == keys(rete.instantiations())
+                # churn incl. a value only the fallback path can key
+                wm.remove(list(wm.by_class("a0"))[0])
+                wm.make("a0", k=2)
+                wm.make("a0", k=2**70)
+                wm.make("b0", k=2**70)
+                assert keys(pool.conflict_set()) == keys(rete.instantiations())
+        finally:
+            wm.close()
 
-    def test_engine_run_vector_off_byte_identical(self):
+    def test_engine_run_byte_identical_to_rete(self):
         results = {}
-        for vector in (True, False):
+        for matcher, backend in (("process:2", "columnar"), ("rete", "dict")):
             wl = REGISTRY["tc"]()
             engine = ParulelEngine(
-                wl.program,
-                EngineConfig(
-                    matcher="process:2",
-                    wm_backend="columnar",
-                    vector_probe=vector,
-                ),
+                wl.program, EngineConfig(matcher=matcher, wm_backend=backend)
             )
             try:
                 wl.setup(engine)
                 run = engine.run()
-                results[vector] = (
+                results[matcher] = (
                     run.cycles,
                     run.firings,
                     run.output,
@@ -183,30 +169,23 @@ class TestVectorProbe:
                 assert wl.verify(engine.wm)
             finally:
                 engine.close()
-        assert results[True] == results[False]
+        assert results["process:2"] == results["rete"]
 
-    def test_vector_metrics_follow_the_flag(self):
+    def test_columnar_workers_report_column_scans(self):
         from repro.obs.profile import VECTOR_SCAN_ROWS
 
         prog = parse_program(SRC)
-        for vector in (True, False):
-            wm = ColumnarWorkingMemory()
-            try:
-                load(wm)
-                metrics = MetricsRegistry()
-                with ProcessMatchPool(
-                    prog.rules, wm, 2, metrics=metrics, vector_probe=vector
-                ) as pool:
-                    pool.conflict_set()
-                    wm.make("a0", k=1)
-                    pool.conflict_set()
-                scanned = sum(metrics.series(VECTOR_SCAN_ROWS).values())
-                if vector:
-                    assert scanned > 0
-                else:
-                    assert scanned == 0
-            finally:
-                wm.close()
+        wm = ColumnarWorkingMemory()
+        try:
+            load(wm)
+            metrics = MetricsRegistry()
+            with ProcessMatchPool(prog.rules, wm, 2, metrics=metrics) as pool:
+                pool.conflict_set()
+                wm.make("a0", k=1)
+                pool.conflict_set()
+            assert sum(metrics.series(VECTOR_SCAN_ROWS).values()) > 0
+        finally:
+            wm.close()
 
 
 class TestByteAccounting:

@@ -121,18 +121,15 @@ class TestCorruptionDetection:
 
 
 class TestLoadCheckpointFile:
-    def test_legacy_raw_json_still_loads(self, tmp_path):
-        path = str(tmp_path / "legacy.ckpt")
+    def test_unframed_valid_json_is_refused(self, tmp_path):
+        """Every restored state is digest-verified: a valid JSON state
+        with no envelope around it is corruption, not a legacy format."""
+        path = str(tmp_path / "unframed.ckpt")
         with open(path, "w") as fh:
             json.dump(STATE, fh)
-        assert load_checkpoint_file(path) == STATE
-
-    def test_legacy_truncated_json_raises_typed(self, tmp_path):
-        path = str(tmp_path / "legacy.ckpt")
-        with open(path, "w") as fh:
-            fh.write(json.dumps(STATE)[:25])
-        with pytest.raises(CheckpointCorruptError):
+        with pytest.raises(CheckpointCorruptError) as exc:
             load_checkpoint_file(path)
+        assert path in str(exc.value)
 
     def test_envelope_loads(self, tmp_path):
         path = str(tmp_path / "ck.full")

@@ -6,6 +6,7 @@ tests are fast and hermetic. The one live-process fact used is our own
 pid (alive) versus a freshly reaped child pid (dead).
 """
 
+import mmap
 import os
 import subprocess
 import time
@@ -69,20 +70,26 @@ class TestSweep:
         assert os.path.exists(tmp_path / live)
         assert (live, f"owner pid {os.getpid()} is alive") in report.kept
 
+    # A name ``parse_owner_pid`` cannot read (the pid-less format of old
+    # stores included) is foreign: no sweep unlinks it, at any age, mapped
+    # or not.
+
     def test_legacy_young_segment_kept(self, tmp_path):
         name = "pwm0011aabbj0000"
-        touch(tmp_path, name)  # just created
-        report = sweep_orphans(shm_dir=str(tmp_path), min_age=60.0)
+        path = touch(tmp_path, name)  # just created
+        with open(path, "r+b") as fh, mmap.mmap(fh.fileno(), 0):
+            report = sweep_orphans(shm_dir=str(tmp_path))
         assert report.removed == []
-        assert os.path.exists(tmp_path / name)
-        assert any(n == name and "old" in r for n, r in report.kept)
+        assert os.path.exists(path)
+        assert (name, "no owner pid in name") in report.kept
 
-    def test_legacy_old_unmapped_segment_removed(self, tmp_path):
+    def test_legacy_old_unmapped_segment_kept(self, tmp_path):
         name = "pwm0011aabbj0000"
-        touch(tmp_path, name, age=120.0)
-        report = sweep_orphans(shm_dir=str(tmp_path), min_age=1.0)
-        assert report.removed == [name]
-        assert not os.path.exists(tmp_path / name)
+        path = touch(tmp_path, name, age=120.0)
+        report = sweep_orphans(shm_dir=str(tmp_path))
+        assert report.removed == []
+        assert os.path.exists(path)
+        assert (name, "no owner pid in name") in report.kept
 
     def test_foreign_names_untouched(self, tmp_path):
         touch(tmp_path, "psm_someone_elses")

@@ -1,6 +1,8 @@
 """Tests for the command-line interface."""
 
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -386,3 +388,39 @@ class TestExplainJSON:
         assert rc == 1
         err = capsys.readouterr().err
         assert "no live WMEs of class 'ghost' at all" in err
+
+
+class TestFileHandling:
+    """Input files are closed as soon as they are read, and a path that
+    cannot be read is a one-line error, never a traceback."""
+
+    @pytest.mark.parametrize("command", ["run", "check", "profile"])
+    def test_no_file_left_open(self, command, program_file, facts_file):
+        argv = [command, program_file]
+        if command != "check":
+            argv += ["--facts", facts_file]
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::ResourceWarning", "-m", "repro.cli", *argv],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "ResourceWarning" not in proc.stderr
+
+    def test_directory_and_unreadable_paths_are_one_line_errors(
+        self, tmp_path, program_file, capsys
+    ):
+        unreadable = tmp_path / "secret.facts"
+        unreadable.write_text("(edge ^src a ^dst b)")
+        unreadable.chmod(0)
+        cases = [["run", str(tmp_path)], ["check", str(tmp_path)]]
+        if not os.access(unreadable, os.R_OK):  # root reads anything
+            cases.append(["run", program_file, "--facts", str(unreadable)])
+        for argv in cases:
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "Traceback" not in err

@@ -1,0 +1,95 @@
+"""Surface ratchet: the exact user-settable surface, as literal lists.
+
+Every independent option multiplies the configurations tests and
+benchmarks must cover (ROADMAP aim 2), so adding or removing a CLI
+argument, an ``EngineConfig`` field or a ``create_matcher`` keyword must
+show up as an edit to this file in the same diff.
+"""
+
+import argparse
+import dataclasses
+import inspect
+
+from repro.cli import build_parser
+from repro.core import EngineConfig
+from repro.match.interface import create_matcher
+
+CLI = {
+    "run": [
+        "program", "--facts", "--engine", "--matcher", "--workers",
+        "--assignment", "--matcher-timeout", "--respawn-limit", "--wm-backend",
+        "--checkpoint-every", "--checkpoint", "--checkpoint-keep",
+        "--checkpoint-full-every", "--resume", "--strategy", "--interference",
+        "--certified-commute", "--sanitize-races", "--max-cycles", "--trace",
+        "--stats", "--dump-wm", "--trace-out", "--metrics-out",
+        "--metrics-port", "--metrics-linger", "--no-flight-recorder",
+        "--blackbox",
+    ],
+    "check": ["program"],
+    "fmt": ["program"],
+    "demo": ["name"],
+    "dot": ["program", "--facts"],
+    "explain": ["program", "--facts", "--wme", "--max-cycles", "--json"],
+    "lint": ["program"],
+    "analyze": ["programs", "--facts", "--json", "--sarif", "--no-hints"],
+    "repl": ["program", "--facts"],
+    "profile": [
+        "target", "--facts", "--matcher", "--workers", "--wm-backend",
+        "--max-cycles", "--top", "--trace-out", "--metrics-out",
+    ],
+    "blackbox": [],
+    "blackbox dump": ["file", "--limit"],
+    "blackbox report": ["file", "--metrics-out"],
+    "blackbox diff": ["left", "right"],
+    "janitor": ["--shm-dir", "--dry-run", "--verbose"],
+}
+
+ENGINE_CONFIG = [
+    "matcher", "indexed_match", "interference", "dedupe_makes", "max_cycles",
+    "max_meta_cycles", "track_provenance", "matcher_timeout", "respawn_limit",
+    "fault_plan", "supervisor", "assignment", "wm_backend",
+    "certified_commute", "sanitize_races", "flight_recorder", "blackbox_path",
+    "flight_capacity",
+]
+
+CREATE_MATCHER = [
+    "timeout", "respawn_limit", "fault_plan", "assignment", "supervisor",
+    "tracer", "metrics", "flightrec", "indexed",
+]
+
+
+def _walk(parser, prefix=""):
+    """``{subcommand path: [option string or positional dest, ...]}``."""
+    out = {}
+    mine = []
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                out.update(_walk(sub, f"{prefix} {name}".strip()))
+        elif not isinstance(action, argparse._HelpAction):
+            mine.append("/".join(action.option_strings) or action.dest)
+    if prefix:
+        out[prefix] = mine
+    else:
+        assert mine == []  # no top-level options
+    return out
+
+
+def test_cli_arguments_are_exactly_the_listed_ones():
+    assert _walk(build_parser()) == CLI
+    assert sum(len(args) for args in CLI.values()) == 64
+
+
+def test_engine_config_fields_are_exactly_the_listed_ones():
+    assert [f.name for f in dataclasses.fields(EngineConfig)] == ENGINE_CONFIG
+    assert len(ENGINE_CONFIG) == 18
+
+
+def test_create_matcher_keywords_are_exactly_the_listed_ones():
+    keywords = [
+        p.name
+        for p in inspect.signature(create_matcher).parameters.values()
+        if p.kind is p.KEYWORD_ONLY
+    ]
+    assert keywords == CREATE_MATCHER
+    assert len(CREATE_MATCHER) == 9

@@ -138,21 +138,35 @@ class TestEquivalence:
 
 
 class TestReader:
-    """In-process reader attach/refresh against a live store."""
+    """In-process reader against a live store: a replica built from the
+    liveness snapshot and kept current from the journal, through the
+    reader's only surface — mounted columns, ``refresh_raw`` and
+    ``materialize``."""
 
-    def replica(self, reader):
+    def replica(self, reader, classes=CLASSES):
+        """Dict-store replica of what ``reader`` can see, plus the
+        ``refresh_raw`` callback that keeps it current."""
         wm = WorkingMemory()
-        by_ts = {}
+        resolve = reader._resolve
+        by_row = {}
+        for name in classes:
+            cid = reader.cid_of(name)
+            if cid is None:
+                continue
+            table = reader.table(cid)
+            for row in range(table.rows_known):
+                if table.live_col[row]:  # dead rows are never decoded
+                    by_row[cid, row] = wme = table.materialize(resolve, row)
+                    wm.add(wme)
 
-        def on_add(w):
-            wm.add(w)
-            by_ts[w.timestamp] = w
+        def on_record(added, cid, row):
+            if added:
+                by_row[cid, row] = wme = reader.table(cid).materialize(resolve, row)
+                wm.add(wme)
+            else:
+                wm.remove(by_row.pop((cid, row)))
 
-        def on_remove(w):
-            del by_ts[w.timestamp]
-            wm.remove(w)
-
-        return wm, on_add, on_remove
+        return wm, on_record
 
     def test_attach_builds_identical_replica(self):
         col = ColumnarWorkingMemory(initial_capacity=2)
@@ -161,9 +175,8 @@ class TestReader:
                 col.make("alpha", k=i, m=f"s{i % 3}")
             col.remove(col.by_class("alpha")[3])
             reader = ColumnarReader(col.attach_spec())
-            rep, on_add, on_remove = self.replica(reader)
-            n = reader.attach(on_add)
-            assert n == len(col)
+            rep, _on_record = self.replica(reader)
+            assert len(rep) == len(col) == 19
             assert observables(rep) == observables(col)
             reader.close()
         finally:
@@ -174,8 +187,7 @@ class TestReader:
         try:
             col.make("alpha", k=1)
             reader = ColumnarReader(col.attach_spec())
-            rep, on_add, on_remove = self.replica(reader)
-            reader.attach(on_add)
+            rep, on_record = self.replica(reader)
             for cycle in range(6):
                 # Each cycle: churn, force growth, add a brand-new class
                 # and a brand-new attribute mid-run.
@@ -185,7 +197,7 @@ class TestReader:
                 for w in victims:
                     col.remove(w)
                 col.make(f"late{cycle}", tag=cycle)
-                reader.refresh(col.cycle_info(), on_add, on_remove)
+                reader.refresh_raw(col.cycle_info(), on_record)
                 assert rep.dump_records()[0] == col.dump_records()[0]
             reader.close()
         finally:
@@ -196,12 +208,11 @@ class TestReader:
         try:
             col.make("alpha", k=1)
             reader = ColumnarReader(col.attach_spec())
-            rep, on_add, on_remove = self.replica(reader)
-            reader.attach(on_add)
+            rep, on_record = self.replica(reader)
             info = col.cycle_info()
             # Mutations after the cursor snapshot must not be applied.
             col.make("alpha", k=2)
-            applied = reader.refresh(info, on_add, on_remove)
+            applied = reader.refresh_raw(info, on_record)
             assert applied == 0
             assert len(rep) == 1
             reader.close()
@@ -210,8 +221,8 @@ class TestReader:
 
 
 class TestRawReader:
-    """The non-materializing reader surface the vectorized probe kernel is
-    built on: ``refresh_raw``, ``attach_bulk`` and the intern-map queries
+    """The non-materializing reader surface the column-scan probe kernel
+    is built on: ``refresh_raw`` and the intern-map queries
     (``offset_of``/``nil_offset``) that back packed probe keys."""
 
     def test_refresh_raw_advances_without_materializing(self):
@@ -250,34 +261,6 @@ class TestRawReader:
             applied = reader.refresh_raw(info, lambda *_: None)
             assert applied == 0
             reader.close()
-        finally:
-            col.close()
-
-    def test_attach_bulk_delivers_attach_in_class_batches(self):
-        col = ColumnarWorkingMemory(initial_capacity=2)
-        try:
-            for i in range(12):
-                col.make("alpha" if i % 2 else "beta", k=i)
-            col.remove(col.by_class("alpha")[1])
-            r1 = ColumnarReader(col.attach_spec())
-            per_wme = []
-            n1 = r1.attach(lambda w: per_wme.append(w))
-            r2 = ColumnarReader(col.attach_spec())
-            batches = []
-            n2 = r2.attach_bulk(lambda name, batch: batches.append((name, batch)))
-            assert n1 == n2 == len(col)
-            # One batch per non-empty class, rows in timestamp order, and
-            # the concatenation replays exactly the per-WME attach.
-            assert {name for name, _b in batches} == {"alpha", "beta"}
-            assert len(batches) == 2
-            flat = [repr(w) for _n, b in batches for w in b]
-            assert sorted(flat) == sorted(repr(w) for w in per_wme)
-            for _name, batch in batches:
-                assert [w.timestamp for w in batch] == sorted(
-                    w.timestamp for w in batch
-                )
-            r1.close()
-            r2.close()
         finally:
             col.close()
 
