@@ -4,7 +4,7 @@
 Run:  python examples/quickstart.py
 """
 
-from repro import EngineConfig, OPS5Engine, ParulelEngine, parse_program
+from repro import OPS5Engine, ParulelEngine, parse_program
 
 # A PARULEL program is OPS5-flavoured: `literalize` declares WME classes,
 # `p` rules match working memory on the left of `-->` and act on the right.
@@ -31,7 +31,7 @@ SOURCE = """
 def main() -> None:
     program = parse_program(SOURCE)
 
-    engine = ParulelEngine(program, EngineConfig(matcher="rete"))
+    engine = ParulelEngine(program)
     engine.make("employee", name="ada", salary=900, dept="eng", raised="no")
     engine.make("employee", name="grace", salary=950, dept="eng", raised="no")
     engine.make("employee", name="edsger", salary=980, dept="eng", raised="no")

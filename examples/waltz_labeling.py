@@ -9,7 +9,7 @@ frontier.
 Run:  python examples/waltz_labeling.py
 """
 
-from repro import EngineConfig, ParulelEngine
+from repro import ParulelEngine
 from repro.programs import build_waltz
 
 
@@ -23,9 +23,7 @@ def main() -> None:
                 f"labeled simultaneously"
             )
 
-        engine = ParulelEngine(
-            workload.program, EngineConfig(matcher="rete"), trace=trace
-        )
+        engine = ParulelEngine(workload.program, trace=trace)
         workload.setup(engine)
         print(f"== {n_drawings} drawing(s), chain length 8")
         result = engine.run()

@@ -4,7 +4,11 @@ Installed as ``parulel`` (see pyproject). Subcommands:
 
 ``parulel run PROGRAM [--facts FILE] [--engine parulel|ops5] ...``
     execute a program to quiescence/halt and report cycles, firings and
-    the ``(write ...)`` output;
+    the ``(write ...)`` output. The matcher is set-oriented TREAT unless
+    ``--matcher naive|process`` says otherwise; every matcher gives the
+    same firings and the same ``--dump-wm`` bytes (RETE remains in the
+    library as an experiment comparand — ``EngineConfig(matcher="rete")``
+    — and is what ``parulel dot`` draws);
 ``parulel check PROGRAM``
     parse + semantic analysis, then a one-line-per-rule inventory;
 ``parulel fmt PROGRAM``
@@ -859,9 +863,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument(
         "--matcher",
-        choices=("rete", "rete-shared", "treat", "naive", "process"),
-        default="rete",
-        help="match backend; 'process' fans matching out to worker processes",
+        choices=("treat", "naive", "process"),
+        default="treat",
+        help="match backend: set-oriented TREAT (default), the naive "
+        "re-enumerating oracle, or 'process', which fans TREAT matching "
+        "out to worker processes",
     )
     p_run.add_argument(
         "--workers",
@@ -1094,8 +1100,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof.add_argument("--facts", help="initial-WME facts file (program files only)")
     p_prof.add_argument(
         "--matcher",
-        choices=("rete", "rete-shared", "treat", "naive", "process"),
-        default="rete",
+        choices=("treat", "naive", "process"),
+        default="treat",
     )
     p_prof.add_argument("--workers", type=int, default=None, metavar="N")
     p_prof.add_argument(

@@ -13,6 +13,7 @@ immediately.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -72,30 +73,39 @@ def _arith(op: str, a: Value, b: Value) -> Value:
         raise ExecutionError(
             f"compute: arithmetic on non-numbers ({a!r} {op} {b!r})"
         )
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        if b == 0:
-            raise ExecutionError("compute: division by zero")
-        result = a / b
-        # OPS5 arithmetic stays integral when both operands are integers and
-        # the division is exact.
-        if isinstance(a, int) and isinstance(b, int) and a % b == 0:
-            return a // b
-        return result
-    if op == "//":
-        if b == 0:
-            raise ExecutionError("compute: division by zero")
-        return a // b
-    if op == "mod":
-        if b == 0:
-            raise ExecutionError("compute: modulo by zero")
-        return a % b
-    raise ExecutionError(f"compute: unknown operator {op!r}")
+    if op in ("/", "//", "mod") and b == 0:
+        what = "modulo" if op == "mod" else "division"
+        raise ExecutionError(f"compute: {what} by zero")
+    try:
+        if op == "+":
+            result = a + b
+        elif op == "-":
+            result = a - b
+        elif op == "*":
+            result = a * b
+        elif op == "/":
+            # OPS5 arithmetic stays integral when both operands are
+            # integers and the division is exact.
+            if isinstance(a, int) and isinstance(b, int) and a % b == 0:
+                result = a // b
+            else:
+                result = a / b
+        elif op == "//":
+            result = a // b
+        elif op == "mod":
+            result = a % b
+        else:
+            raise ExecutionError(f"compute: unknown operator {op!r}")
+    except OverflowError:
+        result = math.inf
+    # A NaN or an infinity is not a value of the language (no literal
+    # spells one either): 1e308 * 10, or an int quotient too large for a
+    # float, is an error, not a WME attribute that equals nothing.
+    if isinstance(result, float) and not math.isfinite(result):
+        raise ExecutionError(
+            f"compute: {a!r} {op} {b!r} is not a finite number"
+        )
+    return result
 
 
 #: Signature of the fresh-symbol source ``(genatom prefix)`` evaluates via.

@@ -70,14 +70,17 @@ CHECKPOINT_VERSION = 1
 class EngineConfig:
     """Knobs of the PARULEL engine.
 
-    ``matcher`` names the object-level match engine (``rete``, ``treat``,
-    ``naive``, ``process``); the meta level has no retained matcher to
+    ``matcher`` names the object-level match engine: ``treat`` (the
+    default — set-oriented TREAT, what every measured workload runs
+    fastest or tied on), ``naive``, ``process``, or the experiment
+    comparands ``rete`` / ``rete-shared``. Results do not depend on the
+    choice. The meta level has no retained matcher to
     choose. ``interference`` picks the
     :class:`~repro.core.delta.InterferencePolicy`. ``dedupe_makes``
     collapses identical makes within one cycle (set-insertion reading).
     """
 
-    matcher: str = "rete"
+    matcher: str = "treat"
     #: Hash-indexed join kernel (bucket probes + join planning) for the
     #: serial enumerator-based matchers and the meta level; ``False`` is
     #: the nested-loop reference the differential tests, Figure 3 and
@@ -316,6 +319,11 @@ class ParulelEngine:
             )
         #: Last-seen matcher op totals, for per-cycle MATCH_OPS deltas.
         self._last_match_ops: Counter = Counter()
+        #: Rule name -> position in the program: the major key of the
+        #: firing order (:meth:`_unfired`).
+        self._rule_pos: Dict[str, int] = {
+            r.name: pos for pos, r in enumerate(program.rules)
+        }
         self.fired: Set[InstKey] = set()
         #: Append-only mirror of :attr:`fired` in firing order, so
         #: incremental checkpoints (:meth:`checkpoint_delta`) can slice
@@ -385,7 +393,7 @@ class ParulelEngine:
 
         with self._phase("match", "collect", cycle=cycle_no):
             all_insts = self.matcher.instantiations()
-            candidates = [i for i in all_insts if i.key not in self.fired]
+            candidates = self._unfired(all_insts)
         # The match phase is where backend faults surface (worker kills,
         # respawns, degradations); drain them now so the report for this
         # cycle carries them even if nothing fires. The backends record
@@ -1042,9 +1050,18 @@ class ParulelEngine:
     def cycle(self) -> int:
         return self._cycle
 
+    def _unfired(self, insts: Sequence[Instantiation]) -> List[Instantiation]:
+        """The unrefracted ones, in firing order: rule position in the
+        program, then per-CE timestamps. The order belongs to the language
+        (LANGUAGE.md §6), not to how a matcher happened to discover them."""
+        fired, rule_pos = self.fired, self._rule_pos
+        out = [i for i in insts if i.key not in fired]
+        out.sort(key=lambda i: (rule_pos[i.key[0]], i.key[1]))
+        return out
+
     def conflict_set(self) -> List[Instantiation]:
-        """Unrefracted instantiations currently eligible."""
-        return [i for i in self.matcher.instantiations() if i.key not in self.fired]
+        """Unrefracted instantiations currently eligible, in firing order."""
+        return self._unfired(self.matcher.instantiations())
 
     def explain(self, wme: WME, max_depth: int = 10) -> str:
         """Derivation tree for ``wme`` (requires

@@ -36,8 +36,12 @@ which lets match-network compilation and the engines share it freely across
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Tuple, Union
+
+from repro.lang.lexer import is_number_literal
 
 __all__ = [
     "Value",
@@ -175,9 +179,9 @@ class ConditionElement:
         return tuple(seen)
 
     def __str__(self) -> str:
-        parts = [self.class_name]
+        parts = [_format_symbol(self.class_name)]
         for attr, test in self.tests:
-            parts.append(f"^{attr} {test}")
+            parts.append(f"^{_format_symbol(attr)} {test}")
         body = f"({' '.join(parts)})"
         return f"-{body}" if self.negated else body
 
@@ -270,9 +274,9 @@ class MakeAction:
     assignments: Tuple[Tuple[str, Expr], ...]
 
     def __str__(self) -> str:
-        parts = [f"make {self.class_name}"]
+        parts = [f"make {_format_symbol(self.class_name)}"]
         for attr, expr in self.assignments:
-            parts.append(f"^{attr} {expr}")
+            parts.append(f"^{_format_symbol(attr)} {expr}")
         return f"({' '.join(parts)})"
 
 
@@ -287,7 +291,7 @@ class ModifyAction:
     def __str__(self) -> str:
         parts = [f"modify {self.ce_index}"]
         for attr, expr in self.assignments:
-            parts.append(f"^{attr} {expr}")
+            parts.append(f"^{_format_symbol(attr)} {expr}")
         return f"({' '.join(parts)})"
 
 
@@ -382,7 +386,8 @@ class Literalize:
     attributes: Tuple[str, ...]
 
     def __str__(self) -> str:
-        return f"(literalize {self.class_name} {' '.join(self.attributes)})"
+        names = (self.class_name, *self.attributes)
+        return f"(literalize {' '.join(map(_format_symbol, names))})"
 
 
 @dataclass(frozen=True)
@@ -466,25 +471,33 @@ class Program:
         raise KeyError(class_name)
 
 
-def _format_value(value: Value) -> str:
-    """Render a runtime value in surface syntax (bar-quote when needed).
+@functools.lru_cache(maxsize=4096)
+def _format_symbol(text: str) -> str:
+    """A symbol — a string value, or a class, attribute, rule or function
+    name — in surface syntax: bare when the lexer reads it back as that one
+    SYMBOL token, bar-quoted otherwise (empty, containing a delimiter,
+    spelling a number literal, ``=``, or ``-``-leading). Cached: a dump
+    prints the same few names and symbols over and over."""
+    if (
+        text == ""
+        or any(c in text for c in " \t\r\n(){}^;|<>")
+        or is_number_literal(text)
+        or text == "="
+        or text.startswith("-")
+    ):
+        return f"|{text}|"
+    return text
 
-    Strings are bar-quoted when they contain delimiter characters, when they
-    would lex as something other than a plain symbol (numbers, predicates,
-    ``-``-leading atoms), or when empty — this is what makes the
-    pretty-printer → parser round trip exact.
-    """
+
+def _format_value(value: Value) -> str:
+    """Render a runtime value in surface syntax (bar-quote when needed) —
+    what makes the pretty-printer → parser and dump → load round trips
+    exact. A NaN or an infinity has no surface form: the lexer's number
+    grammar cannot spell one and ``compute`` refuses to produce one, so one
+    can only have come in through the Python API, and printing it as the
+    symbol it would reload as would change its type silently."""
     if isinstance(value, str):
-        if value == "" or any(c in value for c in " \t\r\n(){}^;|<>"):
-            return f"|{value}|"
-        try:
-            float(value)
-            return f"|{value}|"  # would re-lex as a number
-        except ValueError:
-            pass
-        if value in ("=", "-", "-->") or value.startswith("-"):
-            return f"|{value}|"
-        return value
-    if isinstance(value, float) and value != value:  # NaN: no surface form
-        return "|nan|"
+        return _format_symbol(value)
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{value!r} has no surface form (non-finite float)")
     return repr(value)

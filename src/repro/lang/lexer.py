@@ -19,9 +19,12 @@ Token classes:
 ``VARIABLE``
     ``<name>`` match variables,
 ``NUMBER``
-    integers and floats (including negative literals),
+    integers and floats: optional sign, ASCII digits, optional fraction
+    and exponent (``-3``, ``2.5``, ``.5``, ``1e-3``) — nothing else,
 ``SYMBOL``
-    bare atoms (rule names, class names, constants like ``nil``),
+    every other bare atom (rule names, class names, constants like
+    ``nil`` — and ``inf``, ``nan``, ``1_0``, which Python's ``float`` /
+    ``int`` would accept but the language does not),
 ``STRING``
     ``|bar-quoted strings|`` which may contain whitespace,
 ``LBRACE``/``RBRACE``
@@ -40,12 +43,14 @@ with no backtracking; positions are tracked for error messages.
 from __future__ import annotations
 
 import enum
+import math
+import re
 from dataclasses import dataclass
 from typing import Iterator, List, Union
 
 from repro.errors import LexError
 
-__all__ = ["Token", "TokenKind", "tokenize"]
+__all__ = ["Token", "TokenKind", "tokenize", "is_number_literal"]
 
 
 class TokenKind(enum.Enum):
@@ -87,17 +92,29 @@ _DELIMITERS = set("(){}^;| \t\r\n")
 PREDICATE_SYMBOLS = frozenset({"=", "<>", "<", "<=", ">", ">=", "<=>"})
 
 
+#: The one definition of a number literal: optional sign, ASCII digits,
+#: optional fraction and exponent. Everything else a bare atom can spell —
+#: ``inf``, ``nan``, ``Infinity``, ``1_0``, non-ASCII digits — is a symbol.
+_NUMBER = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+
+
+def is_number_literal(text: str) -> bool:
+    """Whether a bare atom spelled ``text`` lexes as a NUMBER (so a symbol
+    spelled that way needs bar-quoting to survive a round trip)."""
+    return _NUMBER.fullmatch(text) is not None
+
+
 def _classify_atom(text: str, line: int, column: int) -> Token:
     """Turn a bare atom into a NUMBER or SYMBOL token."""
-    try:
+    if not is_number_literal(text):
+        return Token(TokenKind.SYMBOL, text, line, column)
+    if text.lstrip("+-").isdigit():
         return Token(TokenKind.NUMBER, int(text), line, column)
-    except ValueError:
-        pass
-    try:
-        return Token(TokenKind.NUMBER, float(text), line, column)
-    except ValueError:
-        pass
-    return Token(TokenKind.SYMBOL, text, line, column)
+    value = float(text)
+    if math.isinf(value):
+        # ``1e999``: infinities are not constructible from source.
+        raise LexError(f"number literal {text!r} is out of range", line, column)
+    return Token(TokenKind.NUMBER, value, line, column)
 
 
 def _iter_tokens(source: str) -> Iterator[Token]:

@@ -98,6 +98,13 @@ class Parser:
             )
         return self._advance()
 
+    def _expect_name(self, what: str) -> Token:
+        """A class, attribute or rule name: a symbol, bare or bar-quoted
+        (the printer quotes names by the same rule as values)."""
+        if self._current.kind is TokenKind.STRING:
+            return self._advance()
+        return self._expect(TokenKind.SYMBOL, what)
+
     def _error(self, message: str) -> ParseError:
         tok = self._current
         return ParseError(message, tok.line, tok.column)
@@ -132,15 +139,15 @@ class Parser:
     # -- declarations --------------------------------------------------------
 
     def _parse_literalize_body(self) -> Literalize:
-        name = self._expect(TokenKind.SYMBOL, "class name")
+        name = self._expect_name("class name")
         attrs: List[str] = []
-        while self._current.kind is TokenKind.SYMBOL:
+        while self._current.kind in (TokenKind.SYMBOL, TokenKind.STRING):
             attrs.append(str(self._advance().value))
         self._expect(TokenKind.RPAREN)
         return Literalize(class_name=str(name.value), attributes=tuple(attrs))
 
     def _parse_rule_body(self, meta: bool) -> Rule:
-        name = self._expect(TokenKind.SYMBOL, "rule name")
+        name = self._expect_name("rule name")
         salience = 0
         # Optional (salience N) immediately after the name.
         if (
@@ -181,11 +188,11 @@ class Parser:
             self._advance()
             negated = True
         self._expect(TokenKind.LPAREN)
-        cls = self._expect(TokenKind.SYMBOL, "class name")
+        cls = self._expect_name("class name")
         tests: List[Tuple[str, Test]] = []
         while self._current.kind is TokenKind.CARET:
             self._advance()
-            attr = self._expect(TokenKind.SYMBOL, "attribute name")
+            attr = self._expect_name("attribute name")
             tests.append((str(attr.value), self._parse_test()))
         self._expect(TokenKind.RPAREN)
         return ConditionElement(
@@ -255,7 +262,7 @@ class Parser:
         head = self._expect(TokenKind.SYMBOL, "action name")
         name = str(head.value)
         if name == "make":
-            cls = self._expect(TokenKind.SYMBOL, "class name")
+            cls = self._expect_name("class name")
             assignments = self._parse_assignments()
             self._expect(TokenKind.RPAREN)
             return MakeAction(class_name=str(cls.value), assignments=assignments)
@@ -312,7 +319,7 @@ class Parser:
         out: List[Tuple[str, Expr]] = []
         while self._current.kind is TokenKind.CARET:
             self._advance()
-            attr = self._expect(TokenKind.SYMBOL, "attribute name")
+            attr = self._expect_name("attribute name")
             out.append((str(attr.value), self._parse_expr()))
         return tuple(out)
 

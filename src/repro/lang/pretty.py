@@ -30,6 +30,7 @@ from repro.lang.ast import (
     Rule,
     VariableExpr,
     WriteAction,
+    _format_symbol,
     _format_value,
 )
 
@@ -56,12 +57,16 @@ def format_expr(expr: Expr) -> str:
 def format_action(action: Action) -> str:
     """Render one RHS action."""
     if isinstance(action, MakeAction):
-        parts = [f"make {action.class_name}"]
-        parts += [f"^{a} {format_expr(e)}" for a, e in action.assignments]
+        parts = [f"make {_format_symbol(action.class_name)}"]
+        parts += [
+            f"^{_format_symbol(a)} {format_expr(e)}" for a, e in action.assignments
+        ]
         return f"({' '.join(parts)})"
     if isinstance(action, ModifyAction):
         parts = [f"modify {action.ce_index}"]
-        parts += [f"^{a} {format_expr(e)}" for a, e in action.assignments]
+        parts += [
+            f"^{_format_symbol(a)} {format_expr(e)}" for a, e in action.assignments
+        ]
         return f"({' '.join(parts)})"
     if isinstance(action, RemoveAction):
         return f"(remove {' '.join(str(i) for i in action.ce_indices)})"
@@ -89,7 +94,7 @@ def format_condition(ce: ConditionElement) -> str:
 def format_rule(rule: Rule) -> str:
     """Render a rule or meta-rule as an indented ``(p ...)`` / ``(mp ...)``."""
     head = "mp" if isinstance(rule, MetaRule) else "p"
-    lines = [f"({head} {rule.name}"]
+    lines = [f"({head} {_format_symbol(rule.name)}"]
     if rule.salience:
         lines.append(f"    (salience {rule.salience})")
     for ce in rule.conditions:
@@ -101,8 +106,7 @@ def format_rule(rule: Rule) -> str:
 
 
 def format_literalize(lit: Literalize) -> str:
-    parts = ["literalize", lit.class_name, *lit.attributes]
-    return f"({' '.join(parts)})"
+    return str(lit)
 
 
 def format_program(program: Program) -> str:

@@ -11,10 +11,11 @@ interface:
 - :class:`~repro.match.rete.ReteMatcher` — a RETE network with shared,
   hash-indexed alpha memories, hash-equijoin beta nodes, and negative nodes;
   fully incremental under WME addition and removal.
-- :class:`~repro.match.treat.TreatMatcher` — TREAT (Miranker): alpha
-  memories plus a retained conflict set, join work seeded by each WME delta.
-  No beta memories, so cheaper under high WM churn — the trade-off
-  Ablation A2 measures.
+- :class:`~repro.match.treat.TreatMatcher` — TREAT (Miranker), taken
+  set-at-a-time: alpha memories plus a retained conflict set, join work
+  seeded by each cycle's batch of WME deltas. No beta memories. The
+  engine's default — nothing measured runs faster under RETE
+  (EXPERIMENTS.md, "Matcher choice").
 
 All engines consume the *compiled* rule form produced by
 :mod:`repro.match.compile`, so they agree exactly on test semantics.

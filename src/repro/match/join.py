@@ -37,7 +37,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.lang.ast import Value
-from repro.match.alphaindex import AlphaCache
+from repro.match.alphaindex import AlphaCache, IndexedMemory
 from repro.match.compile import (
     CompiledCE,
     CompiledRule,
@@ -117,7 +117,12 @@ def enumerate_matches(
     to the given WMEs (in timestamp order, like every alpha memory): only
     instantiations using one of them there are yielded. Each is still
     alpha- and join-tested, so passing a WME that does not actually match
-    yields nothing rather than nonsense.
+    yields nothing rather than nonsense. The batch stands in for that CE's
+    alpha memory, so when the plan reaches it after other CEs it is probed
+    on its bound equalities, not joined partial by WME.
+
+    The generator must be exhausted: counters are bumped per visit
+    position, ``instantiations`` before the first yield.
 
     With ``indexed`` (the default) enumeration follows the rule's join plan
     and probes hash buckets; ``indexed=False`` scans the same memories in
@@ -143,7 +148,27 @@ def enumerate_matches(
     for ce in ces:
         if not partials:
             return
-        mem = src.memory(ce)
+        if fixed is not None and fixed[0] == ce.index:
+            # The pinned CE's memory is the batch itself, alpha-filtered: a
+            # transient memory in batch (= timestamp) order, dropped with
+            # the enumeration. Reached after other CEs (a predicate needs a
+            # variable they bind) it is probed on its bound equalities like
+            # any other memory, not joined as |partials| x |batch|.
+            mem = IndexedMemory()
+            mem.bulk_add(
+                [
+                    pinned
+                    for pinned in fixed[1]
+                    if pinned.class_name == ce.class_name
+                    and alpha_test_passes(ce.alpha_conds, pinned)
+                    and (
+                        not ce.local_conds
+                        or alpha_test_passes(ce.local_conds, pinned)
+                    )
+                ]
+            )
+        else:
+            mem = src.memory(ce)
         # All partials at one visit position share the same bound-variable
         # set, so the probe key shape is computed once from the first.
         env0 = partials[0][0]
@@ -154,7 +179,7 @@ def enumerate_matches(
                 for attr, op, var in ce.join_tests
                 if op == "=" and var in env0
             )
-            if not ce.negated and not (fixed is not None and fixed[0] == ce.index):
+            if not ce.negated:
                 # Pre-seeded bindings act as equality constraints too.
                 probe_pairs += tuple(
                     (attr, var) for attr, var in ce.bindings if var in env0
@@ -168,6 +193,11 @@ def enumerate_matches(
                 if not (t[1] == "=" and (t[0], t[2]) in probed)
             )
 
+        # Counted per visit position and bumped once each, not per
+        # candidate: bucket lookups, the candidates they returned, and
+        # candidates visited (``join_probes``, or ``join_checks`` at a
+        # negated CE).
+        hash_probes = bucket_hits = visits = 0
         next_partials: List[Tuple[Env, Tuple[Optional[WME], ...]]] = []
         if ce.negated:
             if probe_pairs:
@@ -185,113 +215,76 @@ def enumerate_matches(
                             next_partials.append((env, wmes + (None,)))
                     partials = next_partials
                     continue
+                hash_probes = len(partials)
                 for env, wmes in partials:
-                    if stats is not None:
-                        stats.bump("hash_probes", rule_name)
                     bucket = mem.probe(
                         probe_attrs, tuple(env[v] for v in probe_vars)
                     )
-                    if stats is not None and bucket:
-                        stats.bump("bucket_hits", rule_name, n=len(bucket))
-                    blocked = False
+                    bucket_hits += len(bucket)
                     for wme in bucket:
-                        if stats is not None:
-                            stats.bump("join_checks", rule_name)
+                        visits += 1
                         if _residual_pass(ce, wme, env, residual):
-                            blocked = True
                             break
-                    if not blocked:
+                    else:
                         next_partials.append((env, wmes + (None,)))
             else:
-                # Candidates materialized lazily: if every partial died
-                # upstream (or none survive to need them) the listing is
-                # skipped entirely.
-                candidates: Optional[Tuple[WME, ...]] = None
+                candidates = tuple(mem)
                 for env, wmes in partials:
-                    if candidates is None:
-                        candidates = tuple(mem)
-                    blocked = False
                     for wme in candidates:
-                        if stats is not None:
-                            stats.bump("join_checks", rule_name)
-                        if not join_tests_pass(ce, wme, env):
-                            continue
-                        if ce.local_conds and not alpha_test_passes(
-                            ce.local_conds, wme
+                        visits += 1
+                        if join_tests_pass(ce, wme, env) and (
+                            not ce.local_conds
+                            or alpha_test_passes(ce.local_conds, wme)
                         ):
-                            continue
-                        blocked = True
-                        break
-                    if not blocked:
+                            break
+                    else:
                         next_partials.append((env, wmes + (None,)))
-        else:
-            if fixed is not None and fixed[0] == ce.index:
-                pinned_candidates = tuple(
-                    pinned
-                    for pinned in fixed[1]
-                    if pinned.class_name == ce.class_name
-                    and alpha_test_passes(ce.alpha_conds, pinned)
-                    and (
-                        not ce.local_conds
-                        or alpha_test_passes(ce.local_conds, pinned)
-                    )
+        elif probe_pairs:
+            hash_probes = len(partials)
+            for env, wmes in partials:
+                bucket = mem.probe(
+                    probe_attrs, tuple(env[v] for v in probe_vars)
                 )
-                for env, wmes in partials:
-                    for wme in pinned_candidates:
-                        if stats is not None:
-                            stats.bump("join_probes", rule_name)
-                        if not join_tests_pass(ce, wme, env):
-                            continue
-                        new_env = _extend_env(ce, wme, env)
-                        if new_env is None:
-                            continue
-                        if stats is not None:
-                            stats.bump("tokens", rule_name)
-                        next_partials.append((new_env, wmes + (wme,)))
-            elif probe_pairs:
-                for env, wmes in partials:
-                    if stats is not None:
-                        stats.bump("hash_probes", rule_name)
-                    bucket = mem.probe(
-                        probe_attrs, tuple(env[v] for v in probe_vars)
-                    )
-                    if stats is not None and bucket:
-                        stats.bump("bucket_hits", rule_name, n=len(bucket))
-                    for wme in bucket:
-                        if stats is not None:
-                            stats.bump("join_probes", rule_name)
-                        if not _residual_pass(ce, wme, env, residual):
-                            continue
-                        new_env = _extend_env(ce, wme, env)
-                        if new_env is None:
-                            continue
-                        if stats is not None:
-                            stats.bump("tokens", rule_name)
-                        next_partials.append((new_env, wmes + (wme,)))
-            else:
-                scan = tuple(mem)
-                for env, wmes in partials:
-                    for wme in scan:
-                        if stats is not None:
-                            stats.bump("join_probes", rule_name)
-                        if not join_tests_pass(ce, wme, env):
-                            continue
-                        if ce.local_conds and not alpha_test_passes(
-                            ce.local_conds, wme
-                        ):
-                            continue
-                        new_env = _extend_env(ce, wme, env)
-                        if new_env is None:
-                            continue
-                        if stats is not None:
-                            stats.bump("tokens", rule_name)
-                        next_partials.append((new_env, wmes + (wme,)))
+                bucket_hits += len(bucket)
+                for wme in bucket:
+                    if not _residual_pass(ce, wme, env, residual):
+                        continue
+                    new_env = _extend_env(ce, wme, env)
+                    if new_env is None:
+                        continue
+                    next_partials.append((new_env, wmes + (wme,)))
+            visits = bucket_hits
+        else:
+            scan = tuple(mem)
+            visits = len(partials) * len(scan)
+            for env, wmes in partials:
+                for wme in scan:
+                    if not join_tests_pass(ce, wme, env):
+                        continue
+                    if ce.local_conds and not alpha_test_passes(
+                        ce.local_conds, wme
+                    ):
+                        continue
+                    new_env = _extend_env(ce, wme, env)
+                    if new_env is None:
+                        continue
+                    next_partials.append((new_env, wmes + (wme,)))
+        if stats is not None:
+            # Zeros are skipped: a counter never incremented stays absent.
+            for counter, n in (
+                ("hash_probes", hash_probes),
+                ("bucket_hits", bucket_hits),
+                ("join_checks" if ce.negated else "join_probes", visits),
+                ("tokens", 0 if ce.negated else len(next_partials)),
+            ):
+                if n:
+                    stats.bump(counter, rule_name, n)
         partials = next_partials
 
+    if stats is not None and partials:
+        stats.bump("instantiations", rule_name, len(partials))
     if plan is None:
         for env, wmes in partials:
-            if stats is not None:
-                stats.bump("instantiations", rule_name)
             yield Instantiation(compiled.rule, wmes, env)
         return
 
@@ -306,6 +299,4 @@ def enumerate_matches(
         restored.append((env, tuple(slots)))
     restored.sort(key=lambda item: tuple(_ts(w) for w in item[1]))
     for env, wmes in restored:
-        if stats is not None:
-            stats.bump("instantiations", rule_name)
         yield Instantiation(compiled.rule, wmes, env)

@@ -229,6 +229,7 @@ class TreatMatcher(Matcher):
         cs = self.conflict_set
         eq = ce.eq_join_tests if self.indexed else ()
         variables = tuple(var for _attr, var in eq)
+        checks = retractions = 0
         for wme in wmes:
             if eq:
                 candidates = cs.probe_env(
@@ -238,11 +239,15 @@ class TreatMatcher(Matcher):
                 )
             else:
                 candidates = cs.of_rule(compiled.name)
+            checks += len(candidates)
             for inst in candidates:
-                self._bump("join_checks", compiled.name)
                 if join_tests_pass(ce, wme, inst.env):
                     cs.remove(inst)
-                    self._bump("retractions", compiled.name)
+                    retractions += 1
+        if checks:
+            self._bump("join_checks", compiled.name, checks)
+        if retractions:
+            self._bump("retractions", compiled.name, retractions)
 
     # -- remove ---------------------------------------------------------------
 

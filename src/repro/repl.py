@@ -54,7 +54,7 @@ HELP = """commands:
 class ReplSession:
     """One interactive engine session; every command returns output text."""
 
-    def __init__(self, program: Program, matcher: str = "rete") -> None:
+    def __init__(self, program: Program, matcher: str = "treat") -> None:
         analyze_program(program)
         self.program = program
         self.engine = ParulelEngine(
@@ -179,7 +179,7 @@ def run_repl(
     program: Program,
     input_lines: Optional[Iterable[str]] = None,
     write: Callable[[str], None] = lambda s: print(s),
-    matcher: str = "rete",
+    matcher: str = "treat",
 ) -> int:
     """Drive a :class:`ReplSession` from an iterable of lines (stdin when
     None). Returns a process exit code."""

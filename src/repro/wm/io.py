@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, TextIO, Tuple
 
 from repro.errors import ParseError
-from repro.lang.ast import Value, _format_value
+from repro.lang.ast import Value, _format_symbol, _format_value
 from repro.lang.lexer import Token, TokenKind, tokenize
 from repro.wm.memory import WorkingMemory
 from repro.wm.wme import WME
@@ -25,9 +25,9 @@ __all__ = ["dumps", "dump", "parse_facts_text", "load_facts"]
 
 
 def _format_wme(wme: WME) -> str:
-    parts = [wme.class_name]
+    parts = [_format_symbol(wme.class_name)]
     for attr, value in wme.items():
-        parts.append(f"^{attr} {_format_value(value)}")
+        parts.append(f"^{_format_symbol(attr)} {_format_value(value)}")
     return f"({' '.join(parts)})"
 
 
@@ -69,14 +69,20 @@ def parse_facts_text(source: str) -> List[Tuple[str, Dict[str, Value]]]:
             )
         return advance()
 
+    def expect_name(what: str) -> Token:
+        # Bare or bar-quoted, like any symbol :func:`dumps` prints.
+        if current().kind is TokenKind.STRING:
+            return advance()
+        return expect(TokenKind.SYMBOL, what)
+
     facts: List[Tuple[str, Dict[str, Value]]] = []
     while current().kind is not TokenKind.EOF:
         expect(TokenKind.LPAREN, "'('")
-        cls = expect(TokenKind.SYMBOL, "class name")
+        cls = expect_name("class name")
         attrs: Dict[str, Value] = {}
         while current().kind is TokenKind.CARET:
             advance()
-            attr = expect(TokenKind.SYMBOL, "attribute name")
+            attr = expect_name("attribute name")
             val = current()
             if val.kind not in (TokenKind.SYMBOL, TokenKind.NUMBER, TokenKind.STRING):
                 raise ParseError(

@@ -9,8 +9,7 @@ listener, but it is the plain reading of "meta-rules match over the reified
 conflict set", which is what makes it a reference.
 
 :class:`~repro.core.redaction.MetaLevel` must agree with it on survivors,
-every report field, timestamps and — against the ``naive`` variant, whose
-listing order is the join enumerator's — the order of meta ``write`` lines.
+every report field, timestamps and the order of meta ``write`` lines.
 """
 
 from __future__ import annotations
@@ -79,17 +78,24 @@ class OracleMetaLevel:
             attrs = reify_instantiation(inst, i)
             wme_by_id[i] = self.wm.make(INSTANTIATION_CLASS, attrs)
 
+        rule_pos = {r.name: pos for pos, r in enumerate(self.meta_rules)}
         redacted: Set[int] = set()
         fired: Set[InstKey] = set()
         meta_cycles = 0
         meta_firings = 0
         try:
             while meta_cycles < self.max_meta_cycles:
-                ready = [
-                    mi
-                    for mi in self.matcher.instantiations()
-                    if mi.key not in fired
-                ]
+                # Meta firing order is the language's (LANGUAGE.md §6):
+                # meta-rule position, then per-CE timestamps — not the order
+                # the retained matcher lists its conflict set in.
+                ready = sorted(
+                    (
+                        mi
+                        for mi in self.matcher.instantiations()
+                        if mi.key not in fired
+                    ),
+                    key=lambda mi: (rule_pos[mi.key[0]], mi.key[1]),
+                )
                 if not ready:
                     break
                 meta_cycles += 1

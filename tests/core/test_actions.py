@@ -61,6 +61,20 @@ class TestEvaluateExpr:
         with pytest.raises(ExecutionError, match="zero"):
             evaluate_expr(expr, {})
 
+    @pytest.mark.parametrize(
+        "a,op,b",
+        [
+            (1e308, "*", 10.0),  # overflows to inf
+            (1e308, "+", 1e308),
+            (10**400, "/", 3),  # int quotient too large for a float
+            (10**400, "*", 1.5),
+        ],
+    )
+    def test_a_non_finite_result_raises(self, a, op, b):
+        expr = ComputeExpr((ConstantExpr(a), op, ConstantExpr(b)))
+        with pytest.raises(ExecutionError, match="not a finite number"):
+            evaluate_expr(expr, {})
+
     def test_arith_on_symbols_raises(self):
         expr = ComputeExpr((ConstantExpr("a"), "+", ConstantExpr(1)))
         with pytest.raises(ExecutionError, match="non-numbers"):

@@ -25,13 +25,15 @@ from tests.core.meta_oracle import use_oracle
 
 N_PROGRAMS = 72
 
+#: ``bystander`` precedes ``pick``: candidate ids follow rule position, so
+#: ``evict-prev``'s ``<i> - 1`` can name an unreified bystander candidate.
 OBJECT_LEVEL = """
 (literalize item x p tag)
 (literalize blocked x)
 (literalize quota n)
 (literalize log x)
-(p pick (item ^x <v> ^p <p>) --> (remove 1) (make log ^x <v>))
 (p bystander (item ^x <v> ^tag <t>) --> (make log ^x <t>))
+(p pick (item ^x <v> ^p <p>) --> (remove 1) (make log ^x <v>))
 (p unblock (blocked ^x <v>) (log ^x <v>) --> (remove 1))
 (p tighten (quota ^n {<n> > 0}) --> (modify 1 ^n (compute <n> - 1)))
 """
@@ -114,7 +116,7 @@ class _Skipping:
 
 def _draw(seed):
     """(program source, facts, rules to skip) for one seed."""
-    rng = random.Random(4100 + seed)
+    rng = random.Random(4200 + seed)
     names = rng.sample(sorted(META_POOL), rng.randint(1, 4))
     source = OBJECT_LEVEL + "".join(META_POOL[name] for name in names)
     facts = []
@@ -133,7 +135,8 @@ def _draw(seed):
 
 def _engine(source, facts, skip_rules, oracle=None):
     engine = ParulelEngine(
-        parse_program(source), EngineConfig(interference="merge")
+        parse_program(source),
+        EngineConfig(matcher="treat", interference="merge"),
     )
     if oracle is not None:
         use_oracle(engine, oracle)
@@ -180,11 +183,7 @@ def _lockstep(seed, oracle):
         if got is None:
             break
         assert _report_fields(got) == _report_fields(want), seed
-        if oracle == "naive":
-            assert got.writes == want.writes, seed
-        else:
-            # RETE lists its conflict set in token-arrival order.
-            assert sorted(got.writes) == sorted(want.writes), seed
+        assert got.writes == want.writes, seed
         deepest = max(deepest, got.redaction.meta_cycles)
         wrote += len(new.meta.writes)
     assert new.meta.skipped_then_redacted == old.meta.skipped_then_redacted

@@ -82,6 +82,30 @@ class TestAtoms:
         assert toks[0].kind is TokenKind.SYMBOL
         assert toks[0].value == "2x"
 
+    @pytest.mark.parametrize(
+        "atom", ["inf", "nan", "Infinity", "NaN", "1_0", "1e", "1.2.3", "\u0661\u0662"]
+    )
+    def test_only_the_number_grammar_lexes_as_a_number(self, atom):
+        # Python's int()/float() accept all of these; the language does not.
+        assert [(t.kind, t.value) for t in tokenize(atom)][:-1] == [
+            (TokenKind.SYMBOL, atom)
+        ]
+
+    @pytest.mark.parametrize(
+        "atom,value",
+        [("+5", 5), (".5", 0.5), ("5.", 5.0), ("-.5", -0.5), ("1E-3", 0.001)],
+    )
+    def test_number_grammar_corners(self, atom, value):
+        tok = tokenize(atom)[0]
+        assert (tok.kind, tok.value, type(tok.value)) == (
+            TokenKind.NUMBER, value, type(value)
+        )
+
+    @pytest.mark.parametrize("atom", ["1e999", "-1e999"])
+    def test_an_infinity_cannot_be_spelled(self, atom):
+        with pytest.raises(LexError, match="out of range"):
+            tokenize(atom)
+
 
 class TestVariables:
     def test_simple_variable(self):

@@ -6,7 +6,7 @@ Every bundled workload must produce the *correct answer* under:
 - OPS5 × {lex, mea},
 - SimMachine with several site counts,
 
-and the engines must agree on cycle/firings counts across matchers.
+and every matcher must give the same cycles, firings and final WM bytes.
 These are the tests that make Table 1/2 trustworthy.
 """
 
@@ -16,6 +16,7 @@ from repro.baseline import OPS5Engine
 from repro.core import EngineConfig, ParulelEngine
 from repro.parallel import SimMachine
 from repro.programs import REGISTRY
+from repro.wm.io import dumps
 
 WORKLOADS = sorted(REGISTRY)
 
@@ -48,16 +49,27 @@ class TestOPS5Correctness:
 
 
 class TestCrossMatcherAgreement:
+    MATCHERS = ("rete", "rete-shared", "treat", "naive", "process:2")
+
     @pytest.mark.parametrize("name", WORKLOADS)
-    def test_cycles_and_firings_identical(self, name):
+    def test_cycles_firings_and_dump_identical(self, name):
+        # The dump is compared as bytes: same WMEs in the same timestamp
+        # order, i.e. the matchers agree on the firing order too.
         results = {}
-        for matcher in ("rete", "treat", "naive"):
+        for matcher in self.MATCHERS:
             wl = REGISTRY[name]()
             engine = ParulelEngine(wl.program, EngineConfig(matcher=matcher))
-            wl.setup(engine)
-            res = engine.run(max_cycles=5000)
-            results[matcher] = (res.cycles, res.firings, res.reason)
-        assert results["rete"] == results["treat"] == results["naive"]
+            try:
+                wl.setup(engine)
+                res = engine.run(max_cycles=5000)
+                results[matcher] = (
+                    res.cycles, res.firings, res.reason, dumps(engine.wm)
+                )
+            finally:
+                engine.close()
+        assert len(set(results.values())) == 1, {
+            m: r[:3] for m, r in results.items()
+        }
 
 
 class TestSetOrientedAdvantage:

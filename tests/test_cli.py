@@ -77,7 +77,7 @@ class TestRunCommand:
         assert "match:" in err
 
     def test_matcher_option(self, program_file, facts_file):
-        for matcher in ("rete", "treat", "naive"):
+        for matcher in ("treat", "naive"):
             assert (
                 main(["run", program_file, "--facts", facts_file, "--matcher", matcher])
                 == 0

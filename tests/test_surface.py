@@ -12,7 +12,8 @@ import inspect
 
 from repro.cli import build_parser
 from repro.core import EngineConfig
-from repro.match.interface import create_matcher
+from repro.match.interface import MATCHER_NAMES, create_matcher
+from repro.repl import ReplSession, run_repl
 
 CLI = {
     "run": [
@@ -58,6 +59,13 @@ CREATE_MATCHER = [
 ]
 
 
+#: What ``run --matcher`` and ``profile --matcher`` offer. RETE is a
+#: library comparand (``MATCHER_NAMES``), not something a user is asked
+#: to choose: no workload has it ahead of the default (EXPERIMENTS.md).
+MATCHER_CHOICES = ("treat", "naive", "process")
+DEFAULT_MATCHER = "treat"
+
+
 def _walk(parser, prefix=""):
     """``{subcommand path: [option string or positional dest, ...]}``."""
     out = {}
@@ -78,6 +86,23 @@ def _walk(parser, prefix=""):
 def test_cli_arguments_are_exactly_the_listed_ones():
     assert _walk(build_parser()) == CLI
     assert sum(len(args) for args in CLI.values()) == 64
+
+
+def test_the_default_matcher_is_treat_wherever_one_is_defaulted():
+    assert EngineConfig().matcher == DEFAULT_MATCHER
+    assert inspect.signature(ReplSession).parameters["matcher"].default == DEFAULT_MATCHER
+    assert inspect.signature(run_repl).parameters["matcher"].default == DEFAULT_MATCHER
+    subcommands = next(
+        a for a in build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    for name in ("run", "profile"):
+        (action,) = [
+            a for a in subcommands[name]._actions if a.dest == "matcher"
+        ]
+        assert action.default == DEFAULT_MATCHER
+        assert tuple(action.choices) == MATCHER_CHOICES
+    assert set(MATCHER_CHOICES) | {"rete", "rete-shared"} == set(MATCHER_NAMES)
 
 
 def test_engine_config_fields_are_exactly_the_listed_ones():

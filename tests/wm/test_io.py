@@ -2,7 +2,7 @@
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro.errors import ParseError
 from repro.wm.io import dumps, load_facts, parse_facts_text
@@ -88,6 +88,53 @@ class TestRoundTrip:
         assert sorted((w.content_key() for w in wm), key=repr) == sorted(
             (w.content_key() for w in reloaded), key=repr
         )
+
+    #: Any string may be a class name, an attribute name or a value.
+    any_text = st.text(
+        alphabet=st.characters(max_codepoint=127, blacklist_characters="|"),
+        max_size=6,
+    )
+    tricky = st.sampled_from(
+        ["inf", "nan", "Infinity", "NaN", "1_0", "10", "-1", "1e5", "=", "", "a b"]
+    )
+    any_values = st.one_of(
+        tricky,
+        any_text,
+        st.integers(-10_000, 10_000),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+
+    @example(facts=[("a", {"k": "nan", "j": "inf", "m": "1_0"})])
+    @example(facts=[("inf", {"NaN": "Infinity", "10": 10, "1_0": 1e22})])
+    @settings(max_examples=200, deadline=None)
+    @given(
+        facts=st.lists(
+            st.tuples(
+                st.one_of(tricky, any_text),
+                st.dictionaries(st.one_of(tricky, any_text), any_values, max_size=4),
+            ),
+            max_size=6,
+        )
+    )
+    def test_dump_load_dump_is_a_fixpoint(self, facts):
+        wm = WorkingMemory()
+        for cls, attrs in facts:
+            wm.make(cls, attrs)
+        text = dumps(wm)
+        reloaded = load_facts(text)
+        assert dumps(reloaded) == text
+        # ... and nothing changed type on the way (a string "10" is not 10).
+        typed = lambda w: (w.class_name, [(a, type(v), v) for a, v in w.items()])
+        assert [typed(w) for w in reloaded.snapshot()] == [
+            typed(w) for w in wm.snapshot()
+        ]
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_a_non_finite_float_has_no_surface_form(self, value):
+        wm = WorkingMemory()
+        wm.make("a", k=value)
+        with pytest.raises(ValueError, match="no surface form"):
+            dumps(wm)
 
 
 class TestParseErrors:
