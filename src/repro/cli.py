@@ -77,27 +77,60 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 from repro.baseline import OPS5Engine
 from repro.core import EngineConfig, ParulelEngine
 from repro.errors import CycleLimitExceeded, ReproError
 from repro.lang import analyze_program, format_program, parse_program
-from repro.lang.ast import Value
+from repro.wm.io import Fact, fact_line, parse_facts_text
 from repro.wm.io import dumps as dump_wm_text
-from repro.wm.io import parse_facts_text
 
 __all__ = ["main", "parse_facts"]
 
 
-def parse_facts(source: str) -> List[Tuple[str, Dict[str, Value]]]:
+def parse_facts(source: str) -> List[Fact]:
     """Parse a facts file into ``(class, attrs)`` pairs (see repro.wm.io)."""
     return parse_facts_text(source)
 
 
 def _read_text(path: str) -> str:
-    with open(path) as fh:
-        return fh.read()
+    """The file at ``path``. Programs, facts and dumps are UTF-8 whatever
+    the locale says, so a dump reloads on any box."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ReproError(f"{path}: not valid UTF-8 (byte {exc.start})") from None
+
+
+def _write_text(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def _read_facts(path: str) -> List[Fact]:
+    """The facts of the facts file at ``path``; a syntax error names the
+    file (program errors and facts errors look alike otherwise)."""
+    source = _read_text(path)
+    try:
+        return parse_facts(source)
+    except ReproError as exc:
+        raise ReproError(f"{path}: {exc}") from exc
+
+
+def _assert_facts(make, path: str, facts: List[Fact]) -> None:
+    """``make(cls, attrs)`` for each fact :func:`_read_facts` found at
+    ``path``; a rejected fact is reported with the file, its number and
+    its line (found by reading the file again: nothing keeps positions, or
+    the text, for the run)."""
+    index = 0
+    try:
+        for index, (cls, attrs) in enumerate(facts, 1):
+            make(cls, attrs)
+    except ReproError as exc:
+        line = fact_line(_read_text(path), index)
+        raise ReproError(f"{path}: fact {index} (line {line}): {exc}") from exc
 
 
 def _make_obs(args: argparse.Namespace):
@@ -138,7 +171,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     source = _read_text(args.program)
     program = parse_program(source)
     analyze_program(program)
-    facts = parse_facts(_read_text(args.facts)) if args.facts else []
+    facts = _read_facts(args.facts) if args.facts else []
 
     matcher = args.matcher
     if matcher == "process" and args.workers is not None:
@@ -232,8 +265,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             strategy=args.strategy,
             matcher=matcher,
         )
-        for cls, attrs in facts:
-            ops5.make(cls, attrs)
+        _assert_facts(ops5.make, args.facts, facts)
         result = ops5.run(max_cycles=args.max_cycles)
         for line in result.output:
             print(line)
@@ -246,8 +278,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             for rule in result.fired_rules:
                 print(f"  fired {rule}", file=sys.stderr)
         if args.dump_wm:
-            with open(args.dump_wm, "w") as fh:
-                fh.write(dump_wm_text(ops5.wm))
+            _write_text(args.dump_wm, dump_wm_text(ops5.wm))
         return 0
 
     user_trace = None
@@ -318,8 +349,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         engine = ParulelEngine(
             program, config, trace=trace, tracer=obs_tracer, metrics=obs_metrics
         )
-        for cls, attrs in facts:
-            engine.make(cls, attrs)
+        _assert_facts(engine.make, args.facts, facts)
     if args.checkpoint_keep is not None:
         from repro.resilience import CheckpointStore, EngineCheckpointer
 
@@ -383,8 +413,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         for name, secs in sorted(engine.phase_times.items()):
             print(f"  phase {name}: {secs * 1000:.1f} ms", file=sys.stderr)
     if args.dump_wm:
-        with open(args.dump_wm, "w") as fh:
-            fh.write(dump_wm_text(engine.wm))
+        _write_text(args.dump_wm, dump_wm_text(engine.wm))
     _write_obs(args, obs_tracer, obs_metrics)
     if args.metrics_port is not None:
         from repro.obs import MetricsHTTPServer
@@ -457,8 +486,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     if workload is not None:
         workload.setup(engine)
     elif args.facts:
-        for cls, attrs in parse_facts(_read_text(args.facts)):
-            engine.make(cls, attrs)
+        _assert_facts(engine.make, args.facts, _read_facts(args.facts))
     try:
         result = engine.run(max_cycles=args.max_cycles)
     finally:
@@ -514,8 +542,7 @@ def _cmd_dot(args: argparse.Namespace) -> int:
     wm = WorkingMemory(TemplateRegistry.from_program(program))
     matcher = ReteMatcher(program.rules, wm)
     if args.facts:
-        for cls, attrs in parse_facts(_read_text(args.facts)):
-            wm.make(cls, attrs)
+        _assert_facts(wm.make, args.facts, _read_facts(args.facts))
     print(rete_to_dot(matcher))
     return 0
 
@@ -534,8 +561,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     engine = ParulelEngine(program, EngineConfig(track_provenance=True))
     try:
         if args.facts:
-            for fcls, fattrs in parse_facts(_read_text(args.facts)):
-                engine.make(fcls, fattrs)
+            _assert_facts(engine.make, args.facts, _read_facts(args.facts))
         engine.run(max_cycles=args.max_cycles)
 
         matches = engine.wm.find(cls, attrs)
@@ -606,7 +632,6 @@ def _registry_seed_classes(workload) -> List[str]:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     import json
-    from pathlib import Path
 
     from repro.analysis import analyze, render_sarif
     from repro.errors import ReproError
@@ -616,16 +641,14 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if args.programs:
         for path in args.programs:
             try:
-                program = parse_program(Path(path).read_text(encoding="utf-8"))
+                program = parse_program(_read_text(path))
                 analyze_program(program)
             except (OSError, ReproError) as exc:
                 print(f"error: {path}: {exc}", file=sys.stderr)
                 return 2
             seeds = None
             if args.facts:
-                facts = parse_facts(
-                    Path(args.facts).read_text(encoding="utf-8")
-                )
+                facts = _read_facts(args.facts)
                 seeds = sorted({cls for cls, _attrs in facts})
             units.append((path, program, seeds))
     else:

@@ -50,7 +50,17 @@ from typing import Iterator, List, Union
 
 from repro.errors import LexError
 
-__all__ = ["Token", "TokenKind", "tokenize", "is_number_literal"]
+__all__ = [
+    "Token",
+    "TokenKind",
+    "tokenize",
+    "is_number_literal",
+    "atom_value",
+    "WHITESPACE",
+    "DELIMITERS",
+    "NUMBER_PATTERN",
+    "BAR_STRING_PATTERN",
+]
 
 
 class TokenKind(enum.Enum):
@@ -85,8 +95,21 @@ class Token:
         return f"Token({self.kind.name}, {self.value!r}, {self.line}:{self.column})"
 
 
-# Characters that terminate a bare symbol / number / variable.
-_DELIMITERS = set("(){}^;| \t\r\n")
+# The atom grammar's pieces are public: the facts reader
+# (:mod:`repro.wm.io`) composes its per-form pattern from them, so there is
+# one definition of what ends an atom, what a bar string is and what a
+# number is.
+
+#: The characters skipped between tokens. Nothing else is whitespace —
+#: ``\f``, ``\v`` and Unicode spaces are ordinary atom characters.
+WHITESPACE = " \t\r\n"
+
+#: Characters that terminate a bare symbol / number / variable.
+DELIMITERS = frozenset("(){}^;|" + WHITESPACE)
+
+#: A ``|bar-quoted string|``: anything but a bar, newlines included.
+BAR_STRING_PATTERN = r"\|[^|]*\|"
+_BAR_STRING = re.compile(BAR_STRING_PATTERN)
 
 # Predicate symbols are ordinary SYMBOL tokens; the parser gives them meaning.
 PREDICATE_SYMBOLS = frozenset({"=", "<>", "<", "<=", ">", ">=", "<=>"})
@@ -95,7 +118,10 @@ PREDICATE_SYMBOLS = frozenset({"=", "<>", "<", "<=", ">", ">=", "<=>"})
 #: The one definition of a number literal: optional sign, ASCII digits,
 #: optional fraction and exponent. Everything else a bare atom can spell —
 #: ``inf``, ``nan``, ``Infinity``, ``1_0``, non-ASCII digits — is a symbol.
-_NUMBER = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+#: The fraction hangs off its dot so that a long digit run followed by
+#: junk fails in linear time.
+NUMBER_PATTERN = r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+_NUMBER = re.compile(NUMBER_PATTERN)
 
 
 def is_number_literal(text: str) -> bool:
@@ -104,17 +130,34 @@ def is_number_literal(text: str) -> bool:
     return _NUMBER.fullmatch(text) is not None
 
 
+def atom_value(text: str) -> Union[int, float, str]:
+    """The constant a bare atom denotes: an ``int`` or a ``float`` when it
+    spells a number literal, else the symbol itself.
+
+    Raises :class:`OverflowError` for a literal with no finite value
+    (``1e999`` — infinities are not constructible from source — or an
+    integer past the interpreter's digit limit); callers that know where
+    the atom stood turn that into a :class:`LexError`.
+    """
+    if _NUMBER.fullmatch(text) is None:
+        return text
+    try:
+        value = int(text) if text.lstrip("+-").isdigit() else float(text)
+    except ValueError:  # int(): more digits than sys.get_int_max_str_digits()
+        value = math.inf
+    if value in (math.inf, -math.inf):
+        raise OverflowError(f"number literal {text!r} is out of range")
+    return value
+
+
 def _classify_atom(text: str, line: int, column: int) -> Token:
     """Turn a bare atom into a NUMBER or SYMBOL token."""
-    if not is_number_literal(text):
-        return Token(TokenKind.SYMBOL, text, line, column)
-    if text.lstrip("+-").isdigit():
-        return Token(TokenKind.NUMBER, int(text), line, column)
-    value = float(text)
-    if math.isinf(value):
-        # ``1e999``: infinities are not constructible from source.
-        raise LexError(f"number literal {text!r} is out of range", line, column)
-    return Token(TokenKind.NUMBER, value, line, column)
+    try:
+        value = atom_value(text)
+    except OverflowError as exc:
+        raise LexError(str(exc), line, column) from None
+    kind = TokenKind.SYMBOL if isinstance(value, str) else TokenKind.NUMBER
+    return Token(kind, value, line, column)
 
 
 def _iter_tokens(source: str) -> Iterator[Token]:
@@ -135,7 +178,7 @@ def _iter_tokens(source: str) -> Iterator[Token]:
 
     while i < n:
         ch = source[i]
-        if ch in " \t\r\n":
+        if ch in WHITESPACE:
             advance()
             continue
         if ch == ";":  # comment to end of line
@@ -164,15 +207,11 @@ def _iter_tokens(source: str) -> Iterator[Token]:
             yield Token(TokenKind.CARET, "^", start_line, start_col)
             continue
         if ch == "|":
-            advance()
-            chars: List[str] = []
-            while i < n and source[i] != "|":
-                chars.append(source[i])
-                advance()
-            if i >= n:
+            string = _BAR_STRING.match(source, i)
+            if string is None:
                 raise LexError("unterminated |string|", start_line, start_col)
-            advance()  # closing bar
-            yield Token(TokenKind.STRING, "".join(chars), start_line, start_col)
+            advance(string.end() - i)
+            yield Token(TokenKind.STRING, string.group()[1:-1], start_line, start_col)
             continue
         if ch == "<":
             # Could be: "<<", "<var>", or predicate symbols "<", "<=", "<>", "<=>".
@@ -186,7 +225,7 @@ def _iter_tokens(source: str) -> Iterator[Token]:
                 continue
             # <var>: "<" then an identifier then ">".
             j = i + 1
-            while j < n and source[j] not in _DELIMITERS and source[j] not in "<>":
+            while j < n and source[j] not in DELIMITERS and source[j] not in "<>":
                 j += 1
             if j < n and source[j] == ">" and j > i + 1:
                 name = source[i + 1 : j]
@@ -225,7 +264,7 @@ def _iter_tokens(source: str) -> Iterator[Token]:
                 continue
             if i + 1 < n and (source[i + 1].isdigit() or source[i + 1] == "."):
                 j = i + 1
-                while j < n and source[j] not in _DELIMITERS:
+                while j < n and source[j] not in DELIMITERS:
                     j += 1
                 text = source[i:j]
                 tok = _classify_atom(text, start_line, start_col)
@@ -238,7 +277,7 @@ def _iter_tokens(source: str) -> Iterator[Token]:
             continue
         # Bare atom: symbol or number.
         j = i
-        while j < n and source[j] not in _DELIMITERS and not source.startswith("<<", j) and not source.startswith(">>", j) and source[j] != "<" and source[j] != ">":
+        while j < n and source[j] not in DELIMITERS and not source.startswith("<<", j) and not source.startswith(">>", j) and source[j] != "<" and source[j] != ">":
             j += 1
         if j == i:
             raise LexError(f"unexpected character {ch!r}", start_line, start_col)

@@ -233,7 +233,7 @@ class _ColumnTable:
 
     __slots__ = (
         "store", "cid", "name", "gen", "cap", "rows",
-        "attr_order", "seg_t", "seg_l", "seg_cols",
+        "attr_order", "col_of", "seg_t", "seg_l", "seg_cols",
         "ts_col", "live_col", "payload_cols", "tag_cols", "row_by_ts",
     )
 
@@ -246,6 +246,8 @@ class _ColumnTable:
         self.rows = 0
         #: Attribute names in column order (column i ↔ attr_order[i]).
         self.attr_order: List[str] = []
+        #: Attribute name -> column index (the inverse of ``attr_order``).
+        self.col_of: Dict[str, int] = {}
         self.seg_cols: List[_Seg] = []
         self.payload_cols: List[memoryview] = []
         self.tag_cols: List[memoryview] = []
@@ -278,6 +280,7 @@ class _ColumnTable:
     def add_column(self, attr: str) -> int:
         idx = len(self.attr_order)
         self.attr_order.append(attr)
+        self.col_of[attr] = idx
         seg, payload, tags = self._new_attr_seg(self.gen, self.cap, idx)
         self.seg_cols.append(seg)
         self.payload_cols.append(payload)
@@ -324,7 +327,7 @@ class _ColumnTable:
         self.rows = row + 1
         self.ts_col[row] = wme.timestamp
         self.live_col[row] = 1
-        col_of = {a: i for i, a in enumerate(self.attr_order)}
+        col_of = self.col_of
         intern = self.store._intern
         for attr, val in wme.items():
             idx = col_of.get(attr)

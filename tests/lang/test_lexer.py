@@ -1,9 +1,22 @@
 """Unit tests for the PARULEL lexer."""
 
+import sys
+import time
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
 from repro.errors import LexError
-from repro.lang.lexer import Token, TokenKind, tokenize
+from repro.lang.lexer import (
+    Token,
+    TokenKind,
+    _classify_atom,
+    atom_value,
+    is_number_literal,
+    tokenize,
+)
+from repro.wm.io import parse_facts_text
 
 
 def kinds(source):
@@ -105,6 +118,66 @@ class TestAtoms:
     def test_an_infinity_cannot_be_spelled(self, atom):
         with pytest.raises(LexError, match="out of range"):
             tokenize(atom)
+
+
+class TestAtomValue:
+    """One atom -> int | float | symbol rule, for the lexer and the facts
+    reader alike."""
+
+    #: Bare atoms as a facts file can spell them in value position.
+    atoms = st.one_of(
+        st.sampled_from(
+            ["nil", "nan", "inf", "Infinity", "1_0", "1e", "1.2.3", "+", "+-5", "=",
+             "+7", ".5", "5.", "-.5", "-5", "1e3", "1E-3", "007", "-0", "1e999",
+             "-1e999", "\u0661\u0662", "x\x0cy", "\x0b", "caf\xe9", "on-top-of"]
+        ),
+        st.integers(-10**30, 10**30).map(str),
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        st.from_regex(r"[+]?[0-9]{0,3}\.?[0-9]{0,3}([eE][+-]?[0-9]{0,2})?[a-z]?",
+                      fullmatch=True).filter(bool),
+        st.text(st.characters(blacklist_characters="(){}^;| \t\r\n<>-"), min_size=1,
+                max_size=5),
+    )
+
+    @example(atoms=["1e999"])
+    @example(atoms=["7", "7.0", "+7", "nan", "1_0"])
+    @settings(max_examples=200, deadline=None)
+    @given(atoms=st.lists(atoms, min_size=1, max_size=6))
+    def test_lexer_and_facts_reader_agree_on_every_atom(self, atoms):
+        text = "(a " + " ".join(f"^k{i} {atom}" for i, atom in enumerate(atoms)) + ")"
+        try:
+            expected = [_classify_atom(atom, 1, 1).value for atom in atoms]
+        except LexError:
+            with pytest.raises(LexError, match="out of range"):
+                parse_facts_text(text)
+            return
+        [(_, attrs)] = parse_facts_text(text)
+        got = list(attrs.values())
+        assert [(type(v), v) for v in got] == [(type(v), v) for v in expected]
+        assert got == [atom_value(atom) for atom in atoms]
+
+    def test_a_symbol_comes_back_as_itself(self):
+        atom = "on-top-of"
+        assert atom_value(atom) is atom
+
+    def test_out_of_range_is_an_overflow_without_a_position(self):
+        with pytest.raises(OverflowError, match="'1e999' is out of range"):
+            atom_value("1e999")
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit"
+    )
+    def test_an_integer_past_the_digit_limit_is_a_lex_error(self):
+        # int() refuses it with a bare ValueError; the lexer must not.
+        with pytest.raises(LexError, match="out of range"):
+            tokenize("9" * 5000)
+        # ... while one too big for a float, but not for int(), is fine.
+        assert atom_value("9" * 400) == int("9" * 400)
+
+    def test_number_pattern_is_linear(self):
+        started = time.perf_counter()
+        assert not is_number_literal("1" * 200_000 + "x")
+        assert time.perf_counter() - started < 1.0
 
 
 class TestVariables:

@@ -207,6 +207,120 @@ class TestExplainCommand:
         assert rc == 2
 
 
+class TestInputFiles:
+    """A bad program or facts file ends in one typed line that names the
+    file and the place — never a traceback."""
+
+    PROGRAM = "(literalize a k)\n(p r (a ^k stop) --> (halt))\n"
+
+    @pytest.fixture
+    def program(self, tmp_path):
+        path = tmp_path / "p.pl"
+        path.write_text(self.PROGRAM)
+        return str(path)
+
+    def run(self, capsys, program, facts_path, *more):
+        rc = main(["run", program, "--facts", str(facts_path), *more])
+        return rc, capsys.readouterr().err.strip()
+
+    @pytest.mark.parametrize(
+        "data,offset",
+        [
+            (b"(a ^k \xff\xfe)\n", 6),
+            # Past the text layer's read chunk: the offset is the file's.
+            (b"(a ^k 1)\n" * 3000 + b"(a ^k \xe9)\n", 27006),
+        ],
+    )
+    def test_facts_not_utf8(self, program, tmp_path, capsys, data, offset):
+        facts = tmp_path / "f.facts"
+        facts.write_bytes(data)
+        rc, err = self.run(capsys, program, facts)
+        assert rc == 1
+        assert err == f"error: {facts}: not valid UTF-8 (byte {offset})"
+
+    def test_program_not_utf8(self, tmp_path, capsys):
+        prog = tmp_path / "latin1.pl"
+        prog.write_bytes(self.PROGRAM.encode() + b"; caf\xe9\n")
+        rc = main(["run", str(prog)])
+        assert rc == 1
+        assert capsys.readouterr().err.strip() == (
+            f"error: {prog}: not valid UTF-8 (byte {len(self.PROGRAM) + 5})"
+        )
+
+    def test_files_are_utf8_whatever_the_locale(self, tmp_path):
+        # Under the C locale open() would pick ASCII: reading "café" and
+        # dumping it both used to die with a UnicodeError traceback.
+        prog = tmp_path / "p.pl"
+        prog.write_text(
+            "(literalize a k)\n"
+            "(p r (a ^k café) --> (make a ^k |déjà vu|) (halt))\n",
+            encoding="utf-8",
+        )
+        facts = tmp_path / "f.facts"
+        facts.write_text("(a ^k café) ; ☕\n", encoding="utf-8")
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join(sys.path),
+            LC_ALL="C",
+            PYTHONUTF8="0",
+            PYTHONCOERCECLOCALE="0",
+        )
+
+        def run(program, facts_path, dump):
+            done = subprocess.run(
+                [sys.executable, "-m", "repro.cli", "run", str(program), "--facts",
+                 str(facts_path), "--dump-wm", str(dump), "--max-cycles", "1"],
+                env=env, capture_output=True, timeout=60,
+            )
+            assert done.returncode == 0, done.stderr.decode("utf-8", "replace")
+            return dump.read_bytes()
+
+        first = run(prog, facts, tmp_path / "one.wm")
+        assert first == "(a ^k café)\n(a ^k |déjà vu|)\n".encode("utf-8")
+        # The dump is a facts file: it reloads, and dumps the same bytes.
+        idle = tmp_path / "idle.pl"
+        idle.write_text("(literalize a k)\n(p r (a ^k never) --> (halt))\n")
+        assert run(idle, tmp_path / "one.wm", tmp_path / "two.wm") == first
+
+    def test_syntax_error_names_the_facts_file(self, program, tmp_path, capsys):
+        facts = tmp_path / "f.facts"
+        facts.write_text("(a ^k 1)\n(a ^k 2\n")
+        rc, err = self.run(capsys, program, facts)
+        assert rc == 1
+        assert err == (
+            f"error: {facts}: facts: expected ')', found '' (line 3, column 1)"
+        )
+
+    @pytest.mark.parametrize(
+        "more", [(), ("--engine", "ops5"), ("--wm-backend", "columnar")],
+        ids=["parulel", "ops5", "columnar"],
+    )
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            ("(b ^k 2)", "class 'b' was never declared with literalize"),
+            ("(a ^z 2)", "class 'a' has no attribute 'z' (declared: ['k'])"),
+        ],
+    )
+    def test_rejected_fact_is_located(
+        self, program, tmp_path, capsys, more, bad, message
+    ):
+        facts = tmp_path / "f.facts"
+        facts.write_text(f"; header\n(a ^k 1) (a\n ^k 2)\n\n{bad}\n(a ^k 3)\n")
+        rc, err = self.run(capsys, program, facts, *more)
+        assert rc == 1
+        assert err == f"error: {facts}: fact 3 (line 5): {message}"
+
+    def test_other_subcommands_locate_too(self, program, tmp_path, capsys):
+        facts = tmp_path / "f.facts"
+        facts.write_text("(a ^k 1)\n(a ^z 2)\n")
+        assert main(["dot", program, "--facts", str(facts)]) == 1
+        assert f"{facts}: fact 2 (line 2): class 'a'" in capsys.readouterr().err
+        facts.write_text("(a ^k 1")
+        assert main(["profile", program, "--facts", str(facts)]) == 1
+        assert f"error: {facts}: facts: expected ')'" in capsys.readouterr().err
+
+
 class TestLintCommand:
     def test_clean_program(self, program_file, capsys):
         rc = main(["lint", program_file])  # tc only makes -> clean
