@@ -3,10 +3,13 @@
 Runs the registry workloads that exercise heavy joins (tc, manners, waltz,
 sort) through full engine runs with the hash-indexed join kernel on and off, and
 records the *deterministic* match-work counters (``join_probes`` +
-``join_checks``; for the ``manners/meta`` row the meta level's own
-``join_probes`` + ``instantiations``). Because the engines are
-deterministic, these counters are byte-stable across machines — unlike
-wall-clock, which is printed for context but never gates.
+``join_checks``). The ``manners/meta`` row is the meta level's own join:
+``join_probes`` + witnesses, indexed and not — manners' meta-rules are all
+redact-only, so they run in the join kernel's existence mode, which counts
+the candidates it tested as ``join_probes`` and each distinct instantiation
+it found redactable (its witnesses) under ``instantiations``. Because the
+engines are deterministic, these counters are byte-stable across machines
+— unlike wall-clock, which is printed for context but never gates.
 
 Usage (from the repo root, ``PYTHONPATH=src``)::
 
@@ -42,8 +45,8 @@ BASELINE_PATH = os.path.join(
 #: (workload, matcher) pairs measured; treat is the paper's engine, naive
 #: shows the indexed alpha cache also rescues the recompute-everything path.
 #: ``meta`` is not a matcher: that row counts the meta level's phase-local
-#: join (``MetaLevel.stats``: ``join_probes`` + ``instantiations``) under
-#: the default object-level matcher.
+#: join (``MetaLevel.stats``: ``join_probes`` + ``instantiations``, i.e.
+#: candidates tested + witnesses) under the default object-level matcher.
 SCENARIOS = (
     ("tc", "treat"),
     ("tc", "naive"),

@@ -503,6 +503,21 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         engine.phase_times.items(), key=lambda kv: -kv[1]
     ):
         print(f"  {name:<10} {secs * 1000:8.1f} ms  {secs / total:6.1%}")
+    if program.meta_rules:
+        # What the meta level was offered (reified candidates x
+        # meta-cycles) against what it fired and removed.
+        print(
+            "meta level: "
+            + ", ".join(
+                f"{int(metrics.counter_value(f'parulel_{key}_total'))} {label}"
+                for key, label in (
+                    ("meta_rule_tries", "rule tries"),
+                    ("meta_cycles", "meta-cycles"),
+                    ("meta_firings", "meta firings"),
+                    ("redacted", "redacted"),
+                )
+            )
+        )
     print()
     print(hot_rule_table(metrics, top=args.top, meta_stats=engine.meta.stats))
     _write_obs(args, tracer, metrics if args.metrics_out else None)

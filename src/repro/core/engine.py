@@ -586,6 +586,7 @@ class ParulelEngine:
         metrics.inc("parulel_redacted_total", red_report.redacted)
         metrics.inc("parulel_meta_cycles_total", red_report.meta_cycles)
         metrics.inc("parulel_meta_firings_total", red_report.meta_firings)
+        metrics.inc("parulel_meta_rule_tries_total", red_report.rule_tries)
         if red_report.skipped:
             metrics.inc(REDACTION_SKIPPED, red_report.skipped)
         cand_by_rule = Counter(i.rule.name for i in candidates)

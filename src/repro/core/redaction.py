@@ -24,11 +24,15 @@ must not fire. This module implements that level:
    objects held in phase-local alpha memories — they never enter the
    working memory, and no listener (object-level matcher, process-pool
    delta recorder, columnar store, checkpoint log) ever sees one — and
-   each meta-cycle is one join enumeration per meta-rule over the current
-   memories. Redacting a candidate removes its WME from them, so later
-   meta-cycles see the shrunken conflict set. Meta-rules may also consult
-   ordinary WMEs; those come from one :class:`~repro.match.alphaindex.AlphaCache`
-   attached to the working memory for the engine's lifetime.
+   each meta-cycle is one join-kernel call per meta-rule over the current
+   memories: the full enumeration, or — for a meta-rule that only redacts
+   ids bound by ``^id`` of one ``instantiation`` CE, which needs the set of
+   that CE's matched WMEs and not the ⟨i, j⟩ pairs — the kernel's existence
+   mode (:func:`~repro.match.join.project_matches`). Redacting a candidate
+   removes its WME from them, so later meta-cycles see the shrunken
+   conflict set. Meta-rules may also consult ordinary WMEs; those come from
+   one :class:`~repro.match.alphaindex.AlphaCache` attached to the working
+   memory for the engine's lifetime.
 
    Every candidate still takes one working-memory timestamp, exactly as
    if it had been asserted, so ``recency`` values and every later
@@ -37,7 +41,10 @@ must not fire. This module implements that level:
 Fixpoint subtleties:
 
 - meta-rule firings use per-phase refraction, so a meta-instantiation fires
-  once per redaction phase even if its matched WMEs survive;
+  once per redaction phase even if its matched WMEs survive; a redact-only
+  meta-rule fires once per instantiation it is the first to redact in a
+  meta-cycle and keeps no refraction key — what it matched is gone before
+  the next one;
 - within a meta-cycle the ready meta-instantiations fire in compiled
   meta-rule order, then ascending per-CE timestamp tuple (the join
   enumerator's order) — the order ``write`` lines and ``call``s appear in;
@@ -53,12 +60,12 @@ Fixpoint subtleties:
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ExecutionError
 from repro.core.actions import ActionEvaluator
 from repro.lang.analysis import INSTANTIATION_CLASS
-from repro.lang.ast import MetaRule, Value
+from repro.lang.ast import MetaRule, RedactAction, Rule, Value, VariableExpr
 from repro.match.alphaindex import AlphaCache, IndexedMemory
 from repro.match.compile import (
     AlphaKey,
@@ -68,7 +75,7 @@ from repro.match.compile import (
     compile_rules,
 )
 from repro.match.instantiation import InstKey, Instantiation
-from repro.match.join import enumerate_matches
+from repro.match.join import enumerate_matches, project_matches
 from repro.match.stats import MatchStats
 from repro.wm.memory import WorkingMemory
 from repro.wm.wme import WME
@@ -80,27 +87,68 @@ __all__ = ["MetaLevel", "reify_instantiation", "RedactionReport"]
 _BUILTINS = ("rule", "id", "salience", "specificity", "recency")
 
 
+def _reify_template(rule: Rule, variables: Iterable[str]) -> Dict[str, Value]:
+    """What every reification of ``rule`` shares: the built-in attributes
+    (``id`` and ``recency`` as placeholders), once ``variables`` — the names
+    its instantiations bind — are known not to collide with them."""
+    for var in variables:
+        if var in _BUILTINS:
+            raise ExecutionError(
+                f"rule {rule.name!r}: variable <{var}> collides with the "
+                f"built-in instantiation attribute {var!r}; rename it"
+            )
+    return {
+        "rule": rule.name,
+        "id": 0,
+        "salience": rule.salience,
+        "specificity": rule.specificity,
+        "recency": 0,
+    }
+
+
 def reify_instantiation(inst: Instantiation, inst_id: int) -> Dict[str, Value]:
     """Attribute dict for the ``instantiation`` WME describing ``inst``.
 
     Raises :class:`~repro.errors.ExecutionError` if a rule variable collides
     with a built-in attribute name (rename the variable).
     """
-    attrs: Dict[str, Value] = {
-        "rule": inst.rule.name,
-        "id": inst_id,
-        "salience": inst.rule.salience,
-        "specificity": inst.rule.specificity,
-        "recency": inst.recency,
-    }
-    for var, value in inst.env.items():
-        if var in _BUILTINS:
-            raise ExecutionError(
-                f"rule {inst.rule.name!r}: variable <{var}> collides with the "
-                f"built-in instantiation attribute {var!r}; rename it"
-            )
-        attrs[var] = value
+    return _reify(_reify_template(inst.rule, inst.env), inst, inst_id)
+
+
+def _reify(
+    template: Dict[str, Value], inst: Instantiation, inst_id: int
+) -> Dict[str, Value]:
+    attrs = dict(template)
+    attrs["id"] = inst_id
+    attrs["recency"] = inst.recency
+    attrs.update(inst.env)
     return attrs
+
+
+def _projected_ce(compiled: CompiledRule) -> Optional[int]:
+    """Index of the CE a redact-only meta-rule is projected on, else ``None``.
+
+    Redact-only: at least one action, every one ``(redact <v>)`` with
+    ``<v>`` a plain variable, all bound by ``^id`` of one and the same
+    positive ``instantiation`` CE. Such a rule needs the set of that CE's
+    matched WMEs, not its instantiations.
+    """
+    binders = compiled.binder_map()
+    projected: Set[int] = set()
+    for action in compiled.rule.actions:
+        if not (
+            isinstance(action, RedactAction)
+            and isinstance(action.expr, VariableExpr)
+        ):
+            return None
+        index, attr = binders.get(action.expr.name, (-1, ""))
+        if (
+            attr != "id"
+            or compiled.ces[index].class_name != INSTANTIATION_CLASS
+        ):
+            return None
+        projected.add(index)
+    return projected.pop() if len(projected) == 1 else None
 
 
 class RedactionReport:
@@ -122,6 +170,12 @@ class RedactionReport:
         self.meta_firings = meta_firings
         #: Candidates whose reification the certified fast path skipped.
         self.skipped = skipped
+
+    @property
+    def rule_tries(self) -> int:
+        """Rule tries per step (Frühwirth & Gall): every reified candidate
+        is offered to the meta-rules once per meta-cycle."""
+        return (self.candidates - self.skipped) * self.meta_cycles
 
     def __repr__(self) -> str:
         return (
@@ -197,6 +251,16 @@ class MetaLevel:
                 for ce in compiled.ces
             )
         )
+        #: Redact-only meta-rules -> the CE whose matched WMEs they redact;
+        #: these go through the join kernel's existence mode.
+        self._projected: Dict[str, int] = {}
+        for compiled in self.compiled:
+            index = _projected_ce(compiled)
+            if index is not None:
+                self._projected[compiled.name] = index
+        #: Object rule name -> (rule, reification template), filled as
+        #: rules turn up among the candidates.
+        self._templates: Dict[str, Tuple[Rule, Dict[str, Value]]] = {}
         self._ordinary = AlphaCache(wm, self.stats)
         if any(ce.class_name != INSTANTIATION_CLASS for ce in ces):
             self._ordinary.attach()
@@ -228,6 +292,7 @@ class MetaLevel:
             )
 
         stats = self.stats
+        templates = self._templates
         wme_by_id: Dict[int, WME] = {}
         reified = {key: IndexedMemory() for key in self._reified_keys}
         for i, inst in enumerate(candidates, start=1):
@@ -237,8 +302,18 @@ class MetaLevel:
                 # is the same whatever is skipped.
                 self.wm.allocate_timestamp()
                 continue
-            attrs = reify_instantiation(inst, i)
-            wme = WME(INSTANTIATION_CLASS, attrs, self.wm.allocate_timestamp())
+            rule = inst.rule
+            known = templates.get(rule.name)
+            if known is None or known[0] is not rule:
+                known = templates[rule.name] = (
+                    rule,
+                    _reify_template(rule, inst.env),
+                )
+            wme = WME(
+                INSTANTIATION_CLASS,
+                _reify(known[1], inst, i),
+                self.wm.allocate_timestamp(),
+            )
             wme_by_id[i] = wme
             for key, mem in reified.items():
                 if alpha_test_passes(key[1], wme):
@@ -252,27 +327,47 @@ class MetaLevel:
         meta_firings = 0
         rules: Sequence[CompiledRule] = self.compiled
         while meta_cycles < self.max_meta_cycles:
-            ready = [
-                mi
-                for compiled in rules
-                for mi in enumerate_matches(
-                    compiled,
-                    self.wm,
-                    stats,
-                    alpha_source=source,
-                    indexed=self.indexed,
+            # Set-oriented firing at the meta level too: match all against
+            # the current reified state, evaluate, then apply redactions.
+            ready: List[Instantiation] = []
+            ids_this_cycle: List[Value] = []
+            witnessed: Set[int] = set()
+            for compiled in rules:
+                project = self._projected.get(compiled.name)
+                if project is None:
+                    ready.extend(
+                        mi
+                        for mi in enumerate_matches(
+                            compiled,
+                            self.wm,
+                            stats,
+                            alpha_source=source,
+                            indexed=self.indexed,
+                        )
+                        if mi.key not in fired
+                    )
+                    continue
+                # A redact-only rule fires once per WME it is the first to
+                # redact, and needs no refraction: each of them is gone
+                # after this meta-cycle, with every match it was part of.
+                ids_this_cycle.extend(
+                    wme.get("id")
+                    for wme in project_matches(
+                        compiled,
+                        self.wm,
+                        project,
+                        stats,
+                        alpha_source=source,
+                        indexed=self.indexed,
+                        witnessed=witnessed,
+                    )
                 )
-                if mi.key not in fired
-            ]
-            if not ready:
+            if not ready and not ids_this_cycle:
                 break
             meta_cycles += 1
-            # Set-oriented firing at the meta level too: evaluate all
-            # against the current reified state, then apply redactions.
-            ids_this_cycle: List[Value] = []
+            meta_firings += len(ids_this_cycle) + len(ready)
             for mi in ready:
                 fired.add(mi.key)
-                meta_firings += 1
                 delta = self.evaluator.evaluate(mi)
                 self.writes.extend(delta.writes)
                 if delta.halt:

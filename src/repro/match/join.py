@@ -34,13 +34,14 @@ tests enforce this.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.lang.ast import Value
 from repro.match.alphaindex import AlphaCache, IndexedMemory
 from repro.match.compile import (
     CompiledCE,
     CompiledRule,
+    JoinPlan,
     alpha_test_passes,
     value_predicate,
 )
@@ -49,7 +50,7 @@ from repro.match.stats import MatchStats
 from repro.wm.memory import WorkingMemory
 from repro.wm.wme import WME
 
-__all__ = ["enumerate_matches", "join_tests_pass"]
+__all__ = ["enumerate_matches", "project_matches", "join_tests_pass"]
 
 Env = Dict[str, Value]
 
@@ -102,6 +103,51 @@ def _ts(wme: Optional[WME]) -> int:
     return (wme.timestamp or 0) if wme is not None else 0
 
 
+def _visit_order(
+    compiled: CompiledRule, indexed: bool, pinned: Optional[int] = None
+) -> Tuple[Optional[JoinPlan], Tuple[CompiledCE, ...]]:
+    """The join plan (``None``: rule order) and the CEs in visit order."""
+    plan = None
+    if indexed:
+        if pinned is not None:
+            plan = compiled.seeded_plan(pinned)
+        if plan is None:
+            plan = compiled.plan
+    return plan, plan.ces if plan is not None else compiled.ces
+
+
+def _probe_shape(
+    ce: CompiledCE, env0: Env, indexed: bool
+) -> Tuple[Tuple[str, ...], Tuple[str, ...], Tuple[Tuple[str, str, str], ...]]:
+    """``(probe attrs, probe vars, residual join tests)`` for one visit
+    position. All partials there share one bound-variable set, so the shape
+    is computed once, from the first (``env0``). No probe attrs — nothing
+    bound to probe on, or ``indexed=False`` — means the memory is scanned
+    and every join test is residual."""
+    if not indexed:
+        return (), (), ce.join_tests
+    probe_pairs = tuple(
+        (attr, var) for attr, op, var in ce.join_tests if op == "=" and var in env0
+    )
+    if not ce.negated:
+        # Pre-seeded bindings act as equality constraints too.
+        probe_pairs += tuple(
+            (attr, var) for attr, var in ce.bindings if var in env0
+        )
+    if not probe_pairs:
+        return (), (), ce.join_tests
+    probed = set(probe_pairs)
+    residual = tuple(
+        t for t in ce.join_tests
+        if not (t[1] == "=" and (t[0], t[2]) in probed)
+    )
+    return (
+        tuple(attr for attr, _var in probe_pairs),
+        tuple(var for _attr, var in probe_pairs),
+        residual,
+    )
+
+
 def enumerate_matches(
     compiled: CompiledRule,
     wm: WorkingMemory,
@@ -131,13 +177,9 @@ def enumerate_matches(
     """
     rule_name = compiled.name
     src = alpha_source if alpha_source is not None else AlphaCache(wm, stats)
-    plan = None
-    if indexed:
-        if fixed is not None:
-            plan = compiled.seeded_plan(fixed[0])
-        if plan is None:
-            plan = compiled.plan
-    ces = plan.ces if plan is not None else compiled.ces
+    plan, ces = _visit_order(
+        compiled, indexed, fixed[0] if fixed is not None else None
+    )
 
     # Each partial: (env, wmes) where wmes has one entry per CE visited so
     # far (in visit order; restored to rule order at the end under a plan).
@@ -169,29 +211,9 @@ def enumerate_matches(
             )
         else:
             mem = src.memory(ce)
-        # All partials at one visit position share the same bound-variable
-        # set, so the probe key shape is computed once from the first.
-        env0 = partials[0][0]
-        probe_pairs: Tuple[Tuple[str, str], ...] = ()
-        if indexed:
-            probe_pairs = tuple(
-                (attr, var)
-                for attr, op, var in ce.join_tests
-                if op == "=" and var in env0
-            )
-            if not ce.negated:
-                # Pre-seeded bindings act as equality constraints too.
-                probe_pairs += tuple(
-                    (attr, var) for attr, var in ce.bindings if var in env0
-                )
-        if probe_pairs:
-            probe_attrs = tuple(attr for attr, _var in probe_pairs)
-            probe_vars = tuple(var for _attr, var in probe_pairs)
-            probed = set(probe_pairs)
-            residual = tuple(
-                t for t in ce.join_tests
-                if not (t[1] == "=" and (t[0], t[2]) in probed)
-            )
+        probe_attrs, probe_vars, residual = _probe_shape(
+            ce, partials[0][0], indexed
+        )
 
         # Counted per visit position and bumped once each, not per
         # candidate: bucket lookups, the candidates they returned, and
@@ -200,7 +222,7 @@ def enumerate_matches(
         hash_probes = bucket_hits = visits = 0
         next_partials: List[Tuple[Env, Tuple[Optional[WME], ...]]] = []
         if ce.negated:
-            if probe_pairs:
+            if probe_attrs:
                 # With no residual tests left, "does any WME block this
                 # partial" is exactly bucket non-emptiness — answerable
                 # without materializing the bucket (for the column-native
@@ -232,14 +254,11 @@ def enumerate_matches(
                 for env, wmes in partials:
                     for wme in candidates:
                         visits += 1
-                        if join_tests_pass(ce, wme, env) and (
-                            not ce.local_conds
-                            or alpha_test_passes(ce.local_conds, wme)
-                        ):
+                        if _residual_pass(ce, wme, env, residual):
                             break
                     else:
                         next_partials.append((env, wmes + (None,)))
-        elif probe_pairs:
+        elif probe_attrs:
             hash_probes = len(partials)
             for env, wmes in partials:
                 bucket = mem.probe(
@@ -259,11 +278,7 @@ def enumerate_matches(
             visits = len(partials) * len(scan)
             for env, wmes in partials:
                 for wme in scan:
-                    if not join_tests_pass(ce, wme, env):
-                        continue
-                    if ce.local_conds and not alpha_test_passes(
-                        ce.local_conds, wme
-                    ):
+                    if not _residual_pass(ce, wme, env, residual):
                         continue
                     new_env = _extend_env(ce, wme, env)
                     if new_env is None:
@@ -300,3 +315,119 @@ def enumerate_matches(
     restored.sort(key=lambda item: tuple(_ts(w) for w in item[1]))
     for env, wmes in restored:
         yield Instantiation(compiled.rule, wmes, env)
+
+
+def project_matches(
+    compiled: CompiledRule,
+    wm: WorkingMemory,
+    project: int,
+    stats: Optional[MatchStats] = None,
+    alpha_source=None,
+    indexed: bool = True,
+    witnessed: Optional[Set[int]] = None,
+) -> List[WME]:
+    """Existence (semi-join) mode: the WMEs of positive CE ``project``
+    (0-based) that take part in at least one complete match, in timestamp
+    order — ``{inst.wmes[project] for inst in enumerate_matches(...)}``
+    without the instantiations.
+
+    Same visit order, probe shapes and memories as :func:`enumerate_matches`,
+    but a partial carries only its environment and its *root* (the
+    projected CE's WME, once visited), and the last visit position builds
+    nothing: a surviving candidate makes its root a witness. A candidate of
+    the projected CE that is already a witness is skipped before any test
+    runs, and at the last position a partial whose root is one is dropped
+    before its probe. Counters as the enumerator's, per visit position,
+    with witnesses under ``instantiations``; skipped candidates are not
+    visits.
+
+    ``witnessed`` holds the timestamps of WMEs the caller already knows to
+    be witnesses (of another rule over the same memories, say): they are
+    neither tested nor returned, and the ones found here are added to it.
+    """
+    if compiled.ces[project].negated:
+        raise ValueError(f"rule {compiled.name!r}: CE {project + 1} is negated")
+    rule_name = compiled.name
+    src = alpha_source if alpha_source is not None else AlphaCache(wm, stats)
+    _plan, ces = _visit_order(compiled, indexed)
+    last = len(ces) - 1
+    if witnessed is None:
+        witnessed = set()
+    out: List[WME] = []
+    # Nothing is pre-bound here, so a CE's bindings are always new and
+    # ``_extend_env`` cannot refuse a candidate.
+    partials: List[Tuple[Env, Optional[WME]]] = [({}, None)]
+
+    for pos, ce in enumerate(ces):
+        if not partials:
+            break
+        mem = src.memory(ce)
+        probe_attrs, probe_vars, residual = _probe_shape(
+            ce, partials[0][0], indexed
+        )
+        scan = () if probe_attrs else tuple(mem)
+        final = pos == last
+        projecting = ce.index == project
+        hash_probes = bucket_hits = visits = 0
+        found = len(out)
+        next_partials: List[Tuple[Env, Optional[WME]]] = []
+        for env, root in partials:
+            if final and not projecting and root.timestamp in witnessed:
+                continue
+            if probe_attrs:
+                bucket = mem.probe(
+                    probe_attrs, tuple(env[v] for v in probe_vars)
+                )
+                hash_probes += 1
+                bucket_hits += len(bucket)
+            else:
+                bucket = scan
+            if ce.negated:
+                for wme in bucket:
+                    visits += 1
+                    if _residual_pass(ce, wme, env, residual):
+                        break
+                else:
+                    if final:
+                        witnessed.add(root.timestamp)
+                        out.append(root)
+                    else:
+                        next_partials.append((env, root))
+            elif projecting:
+                for wme in bucket:
+                    if wme.timestamp in witnessed:
+                        continue
+                    visits += 1
+                    if not _residual_pass(ce, wme, env, residual):
+                        continue
+                    if final:
+                        witnessed.add(wme.timestamp)
+                        out.append(wme)
+                    else:
+                        next_partials.append((_extend_env(ce, wme, env), wme))
+            elif final:
+                for wme in bucket:
+                    visits += 1
+                    if _residual_pass(ce, wme, env, residual):
+                        witnessed.add(root.timestamp)
+                        out.append(root)
+                        break
+            else:
+                for wme in bucket:
+                    visits += 1
+                    if _residual_pass(ce, wme, env, residual):
+                        next_partials.append((_extend_env(ce, wme, env), root))
+        if stats is not None:
+            for counter, n in (
+                ("hash_probes", hash_probes),
+                ("bucket_hits", bucket_hits),
+                ("join_checks" if ce.negated else "join_probes", visits),
+                ("tokens", 0 if ce.negated else len(next_partials)),
+                ("instantiations", len(out) - found),
+            ):
+                if n:
+                    stats.bump(counter, rule_name, n)
+        partials = next_partials
+
+    out.sort(key=_ts)
+    return out

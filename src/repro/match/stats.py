@@ -26,7 +26,8 @@ Counter semantics (shared vocabulary across engines):
 ``tokens``
     partial matches created (RETE beta insertions / TREAT seed extensions),
 ``instantiations``
-    complete matches added to the conflict set,
+    complete matches added to the conflict set (the join kernel's
+    existence mode: distinct WMEs found to take part in one),
 ``retractions``
     tokens or instantiations removed due to WME retraction.
 

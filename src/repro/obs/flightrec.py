@@ -36,6 +36,7 @@ timelines, skew analytics and recording diffs.
 from __future__ import annotations
 
 import json
+import mmap
 import os
 import secrets
 import struct
@@ -193,9 +194,10 @@ def _flight_token() -> str:
 
 
 class FlightRing:
-    """One bounded event ring over a shared-memory segment (or a local
-    ``bytearray`` when shared memory is unavailable — same layout, no
-    crash-survivability).
+    """One bounded event ring over a shared-memory segment, or — not
+    ``shared``, or shared memory unavailable — over an anonymous mapping:
+    same layout, pages untouched until written, no name another process
+    could attach by.
 
     Writers append under a lock (the threaded match pool writes from many
     threads); the published header sequence makes reads from *other*
@@ -220,7 +222,7 @@ class FlightRing:
                 self._seg = _Seg(_flight_token(), size=size, create=True)
             except Exception:  # pragma: no cover - /dev/shm unavailable
                 self._seg = None
-        self._buf = self._seg.buf if self._seg is not None else bytearray(size)
+        self._buf = self._seg.buf if self._seg is not None else mmap.mmap(-1, size)
         self._cap = capacity
         self._seq = 0
         self._lock = threading.Lock()
@@ -408,13 +410,18 @@ class FlightRecorder:
     them if the whole parent is SIGKILLed) and keeps them mapped; workers
     attach by name and write. A killed worker therefore loses nothing —
     the parent snapshots its ring straight out of shared memory.
+
+    The main ring is written and read by this process only, so it is not
+    a segment: creating one starts the stdlib resource tracker — a second
+    interpreter that boots while the engine runs its first cycles, on the
+    same CPU as often as not. An engine with in-process matching therefore
+    starts no helper process.
     """
 
     def __init__(
         self,
         rule_names: Sequence[str] = (),
         capacity: int = DEFAULT_CAPACITY,
-        shared: bool = True,
     ) -> None:
         self.origin_ns = time.perf_counter_ns()
         self.created_unix = time.time()
@@ -425,13 +432,12 @@ class FlightRecorder:
         self._strings: List[str] = ["?"]
         self._string_ids: Dict[str, int] = {"?": 0}
         self._capacity = max(int(capacity), MIN_CAPACITY)
-        self.ring = FlightRing(self._capacity, site=-1, shared=shared)
+        self.ring = FlightRing(self._capacity, site=-1, shared=False)
         self._worker_rings: Dict[int, FlightRing] = {}
-        # Janitor-of-last-resort: unlink owned segments when the recorder
-        # is dropped without close(), but never from a forked child.
+        # Janitor-of-last-resort: unlink the worker rings' segments when
+        # the recorder is dropped without close(), but never from a forked
+        # child.
         self._segs: Dict[str, _Seg] = {}
-        if self.ring._seg is not None:
-            self._segs[self.ring.name] = self.ring._seg  # type: ignore[index]
         self._finalizer = weakref.finalize(
             self, _cleanup_segments, os.getpid(), self._segs
         )

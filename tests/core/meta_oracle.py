@@ -10,6 +10,12 @@ conflict set", which is what makes it a reference.
 
 :class:`~repro.core.redaction.MetaLevel` must agree with it on survivors,
 every report field, timestamps and the order of meta ``write`` lines.
+
+It stays a full pair enumeration. For redact-only meta-rules
+``meta_firings`` counts the distinct instantiations they redact per
+meta-cycle — so the oracle projects its own pairs onto the redacted id
+there (a pair counts if it is the first of the meta-cycle to redact that
+id), and counts every pair of every other rule.
 """
 
 from __future__ import annotations
@@ -20,13 +26,49 @@ from repro.core.actions import ActionEvaluator
 from repro.core.redaction import RedactionReport, reify_instantiation
 from repro.errors import ExecutionError
 from repro.lang.analysis import INSTANTIATION_CLASS
-from repro.lang.ast import MetaRule, Value
+from repro.lang.ast import (
+    ConjunctiveTest,
+    MetaRule,
+    RedactAction,
+    Value,
+    VariableExpr,
+    VariableTest,
+)
 from repro.match.instantiation import InstKey, Instantiation
 from repro.match.interface import create_matcher
 from repro.wm.memory import WorkingMemory
 from repro.wm.wme import WME
 
-__all__ = ["OracleMetaLevel", "use_oracle"]
+__all__ = ["OracleMetaLevel", "redact_only", "use_oracle"]
+
+
+def _id_binder(rule: MetaRule, var: str):
+    """Index of the positive ``instantiation`` CE whose ``^id`` is the first
+    plain occurrence of ``<var>`` (its binder), else ``None``."""
+    for index, ce in enumerate(rule.conditions):
+        if ce.negated:
+            continue
+        for attr, test in ce.tests:
+            atoms = test.tests if isinstance(test, ConjunctiveTest) else (test,)
+            for atom in atoms:
+                if isinstance(atom, VariableTest) and atom.name == var:
+                    on_id = ce.class_name == INSTANTIATION_CLASS and attr == "id"
+                    return index if on_id else None
+    return None
+
+
+def redact_only(rule: MetaRule) -> bool:
+    """Every action is ``(redact <v>)``, each ``<v>`` a plain variable bound
+    by ``^id`` of one and the same positive ``instantiation`` CE."""
+    binders = set()
+    for action in rule.actions:
+        if not (
+            isinstance(action, RedactAction)
+            and isinstance(action.expr, VariableExpr)
+        ):
+            return False
+        binders.add(_id_binder(rule, action.expr.name))
+    return len(binders) == 1 and None not in binders
 
 
 class OracleMetaLevel:
@@ -79,6 +121,7 @@ class OracleMetaLevel:
             wme_by_id[i] = self.wm.make(INSTANTIATION_CLASS, attrs)
 
         rule_pos = {r.name: pos for pos, r in enumerate(self.meta_rules)}
+        projected = {r.name for r in self.meta_rules if redact_only(r)}
         redacted: Set[int] = set()
         fired: Set[InstKey] = set()
         meta_cycles = 0
@@ -100,10 +143,15 @@ class OracleMetaLevel:
                     break
                 meta_cycles += 1
                 ids_this_cycle: List[Value] = []
+                counted = set()
                 for mi in ready:
                     fired.add(mi.key)
-                    meta_firings += 1
                     delta = self.evaluator.evaluate(mi)
+                    if mi.key[0] not in projected:
+                        meta_firings += 1
+                    elif not counted.issuperset(delta.redacts):
+                        counted.update(delta.redacts)
+                        meta_firings += 1
                     self.writes.extend(delta.writes)
                     if delta.halt:
                         self.halt_requested = True

@@ -2,8 +2,9 @@
 
 Each seed draws a meta-program from a pool of meta-rule shapes — negated
 ``instantiation`` CEs that a redaction can enable (chains of three and more
-meta-cycles), joins and negations over ordinary classes the object rules
-rewrite between cycles, a redact id computed with ``bind``, mixed
+meta-cycles), redact-only rules (with and without such a CE) next to rules
+that also ``write``, joins and negations over ordinary classes the object
+rules rewrite between cycles, a redact id computed with ``bind``, mixed
 ``1`` / ``1.0`` / ``True`` / symbol join keys, ``write`` actions — plus a
 fact set, and optionally leaves one rule's candidates unreified. Two
 engines run it in lockstep, one on :class:`~repro.core.redaction.MetaLevel`
@@ -21,7 +22,7 @@ from repro.core import EngineConfig, ParulelEngine
 from repro.errors import ExecutionError
 from repro.lang.parser import parse_program
 from repro.programs import REGISTRY, build_manners
-from tests.core.meta_oracle import use_oracle
+from tests.core.meta_oracle import redact_only, use_oracle
 
 N_PROGRAMS = 72
 
@@ -38,8 +39,10 @@ OBJECT_LEVEL = """
 (p tighten (quota ^n {<n> > 0}) --> (modify 1 ^n (compute <n> - 1)))
 """
 
-#: name -> meta-rule source. ``peel`` and ``heir`` test for the absence of
-#: an instantiation, so each redaction can ready the next one.
+#: name -> meta-rule source. ``peel``, ``peel-quiet`` and ``heir`` test for
+#: the absence of an instantiation, so each redaction can ready the next
+#: one. ``peel-quiet`` and ``tie`` only redact: they run in the join
+#: kernel's existence mode, every other rule is enumerated in full.
 META_POOL = {
     "peel": """
         (mp peel
@@ -53,6 +56,12 @@ META_POOL = {
             -(instantiation ^rule pick ^v <x> ^id < <i>)
             (blocked ^x <x>)
             --> (write heir <i>) (redact <i>))""",
+    "peel-quiet": """
+        (mp peel-quiet
+            (instantiation ^rule pick ^id <i> ^p <p> ^v <x>)
+            -(instantiation ^rule pick ^p > <p>)
+            (blocked ^x <x>)
+            --> (redact <i>))""",
     "tie": """
         (mp tie
             (instantiation ^rule pick ^id <i> ^v <x>)
@@ -187,7 +196,10 @@ def _lockstep(seed, oracle):
         deepest = max(deepest, got.redaction.meta_cycles)
         wrote += len(new.meta.writes)
     assert new.meta.skipped_then_redacted == old.meta.skipped_then_redacted
+    kinds = {redact_only(rule) for rule in new.program.meta_rules}
     return {
+        "redact_only": True in kinds,
+        "both_paths": kinds == {True, False},
         "deepest": deepest,
         "wrote": wrote,
         "consulted_changed": consulted_changed,
@@ -206,6 +218,8 @@ class TestPhaseLocalAgreesWithOracle:
         assert sum(1 for s in seen if s["skipped"]) >= 20
         assert sum(s["skipped_then_redacted"] for s in seen) >= 5
         assert sum(1 for s in seen if s["wrote"]) >= 30
+        assert sum(1 for s in seen if s["redact_only"]) >= 25
+        assert sum(1 for s in seen if s["both_paths"]) >= 20
 
     @pytest.mark.parametrize("oracle", ["naive", "rete"])
     def test_numeric_keys_unify_across_types(self, oracle):

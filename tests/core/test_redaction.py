@@ -7,7 +7,9 @@ from repro.core import EngineConfig, ParulelEngine
 from repro.core.redaction import reify_instantiation
 from repro.lang.parser import parse_program
 from repro.match.instantiation import Instantiation
+from repro.programs import build_manners
 from repro.wm.wme import WME
+from tests.core.meta_oracle import redact_only, use_oracle
 
 
 class TestReification:
@@ -192,3 +194,143 @@ class TestNoMetaRules:
         )
         assert result.cycles == 1
         assert result.reports[0].fired == 5
+
+
+class TestRedactOnlyMetaRules:
+    """A meta-rule whose RHS only redacts ids bound by ``^id`` of one
+    ``instantiation`` CE asks the join kernel for that CE's matched WMEs
+    (existence mode) and fires once per instantiation redacted; every other
+    RHS shape is enumerated in full and fires once per meta-instantiation."""
+
+    OBJECT = """
+    (literalize req name)
+    (literalize slot id)
+    (p grant (req ^name <n>) --> (remove 1))
+    """
+    #: Four candidates: six ⟨i, j⟩ pairs, three distinct <j>, three <i>.
+    PAIRS = """
+        (instantiation ^rule grant ^id <i> ^n <a>)
+        (instantiation ^rule grant ^id {<j> <> <i>} ^n > <a>)
+    """
+    #: Two slots: eight ⟨i, j⟩ pairs, two distinct <j>.
+    ORDINARY = """
+        (instantiation ^rule grant ^id <i>)
+        (slot ^id <j>)
+    """
+    #: (LHS, RHS, meta firings in the first phase, redact-only?)
+    SHAPES = [
+        (PAIRS, "(redact <j>)", 3, True),
+        (PAIRS, "(redact <j>) (redact <j>)", 3, True),
+        (PAIRS, "(redact <i>)", 3, True),
+        (PAIRS, "(write saw <i> <j>) (redact <j>)", 6, False),
+        (PAIRS, "(call note <j>) (redact <j>)", 6, False),
+        (PAIRS, "(halt) (redact <j>)", 6, False),
+        (PAIRS, "(bind <k> <j>) (redact <k>)", 6, False),
+        (PAIRS, "(redact (compute <j> + 0))", 6, False),
+        (PAIRS, "(redact <i>) (redact <j>)", 6, False),
+        (ORDINARY, "(redact <j>)", 8, False),
+    ]
+
+    def _program(self, lhs, rhs):
+        return parse_program(f"{self.OBJECT}(mp arbitrate {lhs} --> {rhs})")
+
+    def _step(self, lhs, rhs, oracle=None, **config):
+        engine = ParulelEngine(self._program(lhs, rhs), EngineConfig(**config))
+        if oracle is not None:
+            use_oracle(engine, oracle)
+        noted = []
+        engine.register_function("note", noted.append)
+        for n in range(4):
+            engine.make("req", name=f"r{n}")
+        for n in (1, 2):
+            engine.make("slot", id=n)
+        report = engine.step()
+        red = report.redaction
+        return (
+            (red.candidates, red.redacted, red.meta_cycles, red.meta_firings),
+            report.fired,
+            report.writes,
+            noted,
+            engine.wm.dump_records(),
+        )
+
+    @pytest.mark.parametrize("lhs,rhs,firings,redact_only_rule", SHAPES)
+    def test_rhs_shape_selects_the_path(self, lhs, rhs, firings, redact_only_rule):
+        got = self._step(lhs, rhs)
+        assert got[0][3] == firings
+        assert got == self._step(lhs, rhs, oracle="naive")
+        assert got == self._step(lhs, rhs, indexed_match=False)
+        rule = self._program(lhs, rhs).meta_rules[0]
+        assert redact_only(rule) is redact_only_rule
+
+    def test_full_path_keeps_write_order(self):
+        _report, _fired, writes, _noted, _wm = self._step(
+            self.PAIRS, "(write saw <i> <j>) (redact <j>)"
+        )
+        assert writes == [
+            "saw 1 2", "saw 1 3", "saw 1 4", "saw 2 3", "saw 2 4", "saw 3 4"
+        ]
+
+    @pytest.mark.parametrize("indexed", [True, False])
+    def test_chained_redaction_through_a_negated_instantiation_ce(self, indexed):
+        # Each meta-cycle only the top-ranked candidate has nobody above it
+        # and somebody below: redacting it readies the next one. Redact-only
+        # *and* rechecked after every removal.
+        src = """
+        (literalize req rank)
+        (p grant (req ^rank <r>) --> (remove 1))
+        (mp peel
+            (instantiation ^rule grant ^id <i> ^r <a>)
+            -(instantiation ^rule grant ^r > <a>)
+            (instantiation ^rule grant ^r < <a>)
+            --> (redact <i>))
+        """
+        outcomes = []
+        for oracle in (None, "naive", "rete"):
+            engine = ParulelEngine(
+                parse_program(src), EngineConfig(indexed_match=indexed)
+            )
+            if oracle is not None:
+                use_oracle(engine, oracle)
+            for rank in (3, 1, 5, 2, 4):
+                engine.make("req", rank=rank)
+            report = engine.step()
+            red = report.redaction
+            outcomes.append(
+                (red.redacted, red.meta_cycles, red.meta_firings, report.fired,
+                 engine.wm.dump_records())
+            )
+            assert [w.get("rank") for w in engine.wm.by_class("req")] == [3, 5, 2, 4]
+        assert outcomes[0][:4] == (4, 4, 4, 1)
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+
+    def test_manners_meta_firings_stay_below_the_candidates(self):
+        # Ratchet: every manners meta-rule is redact-only, so the meta level
+        # fires at most once per candidate (28,848 meta-instantiations for
+        # 1,849 candidates when it built every pair).
+        wl = build_manners(n_guests=64)
+        engine = ParulelEngine(wl.program)
+        wl.setup(engine)
+        result = engine.run(max_cycles=10_000)
+        reports = [r.redaction for r in result.reports]
+        assert sum(r.candidates for r in reports) == 1849
+        assert sum(r.redacted for r in reports) == 1613
+        assert sum(r.meta_firings for r in reports) <= 1849
+        assert sum(r.rule_tries for r in reports) >= sum(
+            r.meta_firings for r in reports
+        )
+
+    def test_collision_is_checked_once_per_rule_and_still_raised(self):
+        src = """
+        (literalize req name)
+        (p grant (req ^name <id>) --> (remove 1))
+        (mp any (instantiation ^rule grant ^id <i>) --> (write saw <i>))
+        """
+        engine = ParulelEngine(parse_program(src))
+        engine.make("req", name="a")
+        with pytest.raises(
+            ExecutionError,
+            match=r"rule 'grant': variable <id> collides with the built-in "
+            r"instantiation attribute 'id'; rename it",
+        ):
+            engine.step()

@@ -7,7 +7,8 @@ add/remove scripts, the indexed path must produce the *identical ordered*
 conflict set as the ``indexed=False`` nested-loop path for the incremental
 matchers, and the identical set as RETE. A second class checks whole-run
 equivalence at the engine level: final working memory is byte-identical
-with and without indexing.
+with and without indexing. A third holds the kernel's existence mode to the
+projection of the full enumeration, over the same generated programs.
 """
 
 import random
@@ -16,7 +17,11 @@ import pytest
 
 from repro.core import EngineConfig, ParulelEngine
 from repro.lang.builder import ProgramBuilder, conj, gt, lt, ne, v
+from repro.match.alphaindex import AlphaCache
+from repro.match.compile import compile_rule
 from repro.match.interface import create_matcher
+from repro.match.join import enumerate_matches, project_matches
+from repro.match.stats import MatchStats
 from repro.programs import REGISTRY
 from repro.wm.memory import WorkingMemory
 
@@ -202,6 +207,72 @@ class TestBatchedTreatVersusNaive:
             assert sorted(got) == sorted(_ordered_keys(naive)), (
                 f"seed {seed}, cycle {cycle}: batched TREAT diverges from naive"
             )
+
+
+class TestExistenceMode:
+    """``project_matches`` on CE ``c`` ≡ the distinct ``inst.wmes[c]`` of
+    ``enumerate_matches``, in timestamp order — for every rule and every
+    positive CE of both generators' programs, probing and scanning."""
+
+    def test_projection_of_the_full_enumeration(self):
+        multi_ce = negated = nonempty = proper_subset = 0
+        for seed in range(N_PROGRAMS):
+            rng = random.Random(7000 + seed)
+            for program, classes, draw in (
+                (_random_program(rng), CLASSES, lambda: rng.choice(VALUES)),
+                (_negation_program(rng), ["a", "b", "n"], lambda: _mixed(rng)),
+            ):
+                wm = WorkingMemory()
+                for _ in range(rng.randint(4, 14)):
+                    wm.make(rng.choice(classes), k=draw(), m=draw())
+                cache = AlphaCache(wm)
+                for rule in program.rules:
+                    compiled = compile_rule(rule)
+                    for indexed in (True, False):
+                        full = list(
+                            enumerate_matches(
+                                compiled, wm, alpha_source=cache, indexed=indexed
+                            )
+                        )
+                        for ce in compiled.positive_ces:
+                            want = sorted(
+                                {inst.wmes[ce.index] for inst in full},
+                                key=lambda w: w.timestamp,
+                            )
+                            stats = MatchStats()
+                            got = project_matches(
+                                compiled, wm, ce.index, stats,
+                                alpha_source=cache, indexed=indexed,
+                            )
+                            assert got == want, (seed, rule.name, ce.index, indexed)
+                            assert stats.totals["instantiations"] == len(want)
+                            assert stats.per_rule == (
+                                {rule.name: stats.totals} if stats.totals else {}
+                            )
+                            # Witnesses known beforehand are neither
+                            # returned nor forgotten.
+                            known = {w.timestamp for w in want[::2]}
+                            rest = project_matches(
+                                compiled, wm, ce.index,
+                                alpha_source=cache, indexed=indexed,
+                                witnessed=known,
+                            )
+                            assert rest == want[1::2]
+                            assert known == {w.timestamp for w in want}
+                            nonempty += bool(want)
+                            proper_subset += 0 < len(want) < len(cache.memory(ce))
+                    multi_ce += len(compiled.positive_ces) > 1
+                    negated += bool(compiled.negative_ces)
+        # The sweep must reach what it claims to cover.
+        assert multi_ce >= 60 and negated >= 60
+        assert nonempty >= 200 and proper_subset >= 60
+
+    def test_a_negated_ce_cannot_be_projected(self):
+        pb = ProgramBuilder()
+        pb.rule("r").ce("a", k=v("x")).neg("b", k=v("x")).halt()
+        compiled = compile_rule(pb.build(analyze=False).rules[0])
+        with pytest.raises(ValueError, match="negated"):
+            project_matches(compiled, WorkingMemory(), 1)
 
 
 class TestWholeRunEquivalence:

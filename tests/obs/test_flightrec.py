@@ -14,6 +14,8 @@ import multiprocessing
 import os
 import signal
 import struct
+import subprocess
+import sys
 
 import pytest
 
@@ -157,7 +159,7 @@ class TestRecorderDump:
                 load_blackbox(clipped)
 
     def test_rule_id_interns_dynamically(self):
-        rec = FlightRecorder(rule_names=["a"], capacity=64, shared=False)
+        rec = FlightRecorder(rule_names=["a"], capacity=64)
         try:
             known = rec.rule_id("a")
             fresh = rec.rule_id("later")
@@ -166,6 +168,32 @@ class TestRecorderDump:
             assert rec.manifest()["rules"][fresh] == "later"
         finally:
             rec.close()
+
+    def test_in_process_engine_starts_no_helper_process(self):
+        """The engine's own ring is not a segment, so a default run never
+        starts the stdlib resource tracker — a second interpreter that
+        would boot beside the first cycles and share their CPU. A fresh
+        interpreter, because any earlier test may have started one here."""
+        code = (
+            "from multiprocessing import resource_tracker\n"
+            "from repro.core import ParulelEngine\n"
+            "from repro.lang.parser import parse_program\n"
+            "with ParulelEngine(parse_program(\n"
+            "    '(literalize a k) (p r (a ^k 1) --> (make a ^k 2))'\n"
+            ")) as engine:\n"
+            "    engine.wm.make('a', k=1)\n"
+            "    engine.run()\n"
+            "    assert engine.flightrec.ring.seq > 0\n"
+            "    assert engine.flightrec.ring.name is None\n"
+            "    assert resource_tracker._resource_tracker._pid is None\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": "src"},
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 def _ring_writer_child(name: str) -> None:  # pragma: no cover - child proc
