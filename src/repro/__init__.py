@@ -38,42 +38,46 @@ Package map:
 - :mod:`repro.metrics` — reporting helpers for the experiment suite
 """
 
-from repro.baseline import OPS5Engine, OPS5Result
-from repro.core import (
-    CycleReport,
-    EngineConfig,
-    InterferencePolicy,
-    ParulelEngine,
-    RunResult,
+from repro._lazy import lazy_exports
+
+#: Every public name resolves on first use (PEP 562): ``import repro`` —
+#: which ``import repro.cli`` implies — loads none of the subsystems.
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        "OPS5Engine": "repro.baseline",
+        "OPS5Result": "repro.baseline",
+        "CycleReport": "repro.core",
+        "EngineConfig": "repro.core",
+        "InterferencePolicy": "repro.core",
+        "ParulelEngine": "repro.core",
+        "RunResult": "repro.core",
+        "CycleLimitExceeded": "repro.errors",
+        "ExecutionError": "repro.errors",
+        "InterferenceError": "repro.errors",
+        "LexError": "repro.errors",
+        "MatchError": "repro.errors",
+        "ParseError": "repro.errors",
+        "ReproError": "repro.errors",
+        "SemanticError": "repro.errors",
+        "WorkingMemoryError": "repro.errors",
+        "FaultEvent": "repro.faults",
+        "FaultPlan": "repro.faults",
+        "Program": "repro.lang",
+        "ProgramBuilder": "repro.lang",
+        "RuleBuilder": "repro.lang",
+        "analyze_program": "repro.lang",
+        "format_program": "repro.lang",
+        "parse_program": "repro.lang",
+        "Instantiation": "repro.match",
+        "NaiveMatcher": "repro.match",
+        "ReteMatcher": "repro.match",
+        "TreatMatcher": "repro.match",
+        "create_matcher": "repro.match",
+        "WME": "repro.wm",
+        "WorkingMemory": "repro.wm",
+    },
 )
-from repro.errors import (
-    CycleLimitExceeded,
-    ExecutionError,
-    InterferenceError,
-    LexError,
-    MatchError,
-    ParseError,
-    ReproError,
-    SemanticError,
-    WorkingMemoryError,
-)
-from repro.faults import FaultEvent, FaultPlan
-from repro.lang import (
-    Program,
-    ProgramBuilder,
-    RuleBuilder,
-    analyze_program,
-    format_program,
-    parse_program,
-)
-from repro.match import (
-    Instantiation,
-    NaiveMatcher,
-    ReteMatcher,
-    TreatMatcher,
-    create_matcher,
-)
-from repro.wm import WME, WorkingMemory
 
 __version__ = "1.0.0"
 

@@ -79,7 +79,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.baseline import OPS5Engine
+from repro.collector import CollectorSchedule
 from repro.core import EngineConfig, ParulelEngine
 from repro.errors import CycleLimitExceeded, ReproError
 from repro.lang import analyze_program, format_program, parse_program
@@ -194,9 +194,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.assignment is not None and args.matcher != "process":
-        print("error: --assignment requires --matcher process", file=sys.stderr)
-        return 2
     if args.checkpoint_every is not None and args.checkpoint_every < 1:
         print("error: --checkpoint-every must be >= 1", file=sys.stderr)
         return 2
@@ -218,7 +215,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         or args.respawn_limit is not None
         or args.checkpoint_every is not None
         or args.resume is not None
-        or args.assignment is not None
         or args.wm_backend != "dict"
     ):
         print(
@@ -260,6 +256,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return 2
 
     if args.engine == "ops5":
+        from repro.baseline import OPS5Engine
+
         ops5 = OPS5Engine(
             program,
             strategy=args.strategy,
@@ -307,7 +305,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         interference=args.interference,
         matcher_timeout=args.matcher_timeout,
         respawn_limit=args.respawn_limit,
-        assignment=args.assignment,
         wm_backend=args.wm_backend,
         certified_commute=args.certified_commute,
         sanitize_races=args.sanitize_races,
@@ -364,6 +361,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         def ckpt_save() -> None:
             engine.checkpoint(ckpt_path)
 
+    # Loaded and primed: from here on the collector need not look at it.
+    args.collector.freeze()
     try:
         result = engine.run(max_cycles=args.max_cycles)
     except CycleLimitExceeded as exc:
@@ -439,6 +438,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     import os
 
     from repro.obs import MetricsRegistry, Tracer, hot_rule_table
+    from repro.obs.profile import CollectorLog, site_busy_line
 
     matcher = args.matcher
     if matcher == "process" and args.workers is not None:
@@ -487,9 +487,13 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         workload.setup(engine)
     elif args.facts:
         _assert_facts(engine.make, args.facts, _read_facts(args.facts))
+    args.collector.freeze()
+    collector_log = CollectorLog()
+    collector_log.install()
     try:
         result = engine.run(max_cycles=args.max_cycles)
     finally:
+        collector_log.remove()
         engine.close()
 
     print(
@@ -503,6 +507,11 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         engine.phase_times.items(), key=lambda kv: -kv[1]
     ):
         print(f"  {name:<10} {secs * 1000:8.1f} ms  {secs / total:6.1%}")
+    # Inside the phases above, owned by none of them.
+    print(collector_log.line())
+    sites = site_busy_line(metrics)
+    if sites is not None:
+        print(sites)
     if program.meta_rules:
         # What the meta level was offered (reified candidates x
         # meta-cycles) against what it fired and removed.
@@ -862,6 +871,8 @@ def _cmd_demo(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    from repro.baseline import OPS5Engine
+
     workload = builder()
     print(f"== {workload.name}: {workload.description}")
 
@@ -912,15 +923,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="worker processes for --matcher process (default: usable cores, max 4)",
-    )
-    p_run.add_argument(
-        "--assignment",
-        choices=("round-robin", "analysis"),
-        default=None,
-        help="rule-to-worker partition policy for --matcher process; "
-        "'analysis' uses the static analyzer's connectivity-minimizing "
-        "partition",
+        help="worker processes for --matcher process (default: usable "
+        "cores, max 4); each matches its share of every rule, so more "
+        "workers than rules is still more parallelism",
     )
     p_run.add_argument(
         "--matcher-timeout",
@@ -935,7 +940,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="per-site worker respawn budget for --matcher process; once "
-        "exhausted the site's rules are matched serially in-parent",
+        "exhausted the site's share of the rules is matched serially in-parent",
     )
     p_run.add_argument(
         "--wm-backend",
@@ -1225,6 +1230,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.command in ("run", "profile"):
+            # This process is ours for the length of the command: give the
+            # cyclic collector a schedule sized to a run's heap (and put
+            # the interpreter's back afterwards — callers run us in-process).
+            with CollectorSchedule() as args.collector:
+                return args.fn(args)
         return args.fn(args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)

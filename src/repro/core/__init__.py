@@ -16,11 +16,28 @@ paper's central contribution:
 Repeat until the firing set is empty, ``(halt)``, or the cycle limit.
 """
 
-from repro.core.actions import ActionEvaluator, InstantiationDelta
-from repro.core.delta import CycleDelta, InterferencePolicy, merge_deltas
-from repro.core.engine import CycleReport, EngineConfig, ParulelEngine, RunResult
-from repro.core.provenance import Derivation, ProvenanceTracker
-from repro.core.redaction import MetaLevel, reify_instantiation
+from repro._lazy import lazy_exports
+
+#: Resolved on first use (PEP 562): provenance tracking loads when a run
+#: asks for it.
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        "ActionEvaluator": "repro.core.actions",
+        "InstantiationDelta": "repro.core.actions",
+        "CycleDelta": "repro.core.delta",
+        "InterferencePolicy": "repro.core.delta",
+        "merge_deltas": "repro.core.delta",
+        "CycleReport": "repro.core.engine",
+        "EngineConfig": "repro.core.engine",
+        "ParulelEngine": "repro.core.engine",
+        "RunResult": "repro.core.engine",
+        "Derivation": "repro.core.provenance",
+        "ProvenanceTracker": "repro.core.provenance",
+        "MetaLevel": "repro.core.redaction",
+        "reify_instantiation": "repro.core.redaction",
+    },
+)
 
 __all__ = [
     "ActionEvaluator",

@@ -32,14 +32,23 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.errors import CommuteViolationError, CycleLimitExceeded, ExecutionError
 from repro.core.actions import ActionEvaluator, HostFunction, InstantiationDelta
 from repro.core.delta import CycleDelta, InterferencePolicy, merge_deltas
-from repro.core.provenance import ProvenanceTracker
 from repro.core.redaction import MetaLevel, RedactionReport
-from repro.faults import FaultEvent, FaultPlan
 from repro.lang.analysis import analyze_program
 from repro.lang.ast import Program, Value
 from repro.match.instantiation import InstKey, Instantiation
@@ -59,6 +68,10 @@ from repro.obs.trace import NULL_TRACER, PhaseSpan
 from repro.wm.memory import WorkingMemory
 from repro.wm.template import TemplateRegistry
 from repro.wm.wme import WME
+
+if TYPE_CHECKING:  # named in annotations only: a plain run loads neither
+    from repro.core.provenance import ProvenanceTracker
+    from repro.faults import FaultEvent, FaultPlan
 
 __all__ = ["ParulelEngine", "EngineConfig", "CycleReport", "RunResult"]
 
@@ -107,11 +120,6 @@ class EngineConfig:
     #: ``None`` keeps the legacy behaviour (immediate respawns, permanent
     #: degradation straight to in-parent serial).
     supervisor: Optional[object] = None
-    #: Rule-to-worker assignment policy for the process backend:
-    #: ``"round-robin"`` (default), ``"analysis"`` (the static analyzer's
-    #: connectivity-minimizing partition), or a concrete
-    #: :class:`~repro.parallel.partition.Assignment`.
-    assignment: Optional[object] = None
     #: Working-memory store: ``"dict"`` (the default in-process store) or
     #: ``"columnar"`` (:class:`~repro.wm.columnar.ColumnarWorkingMemory`,
     #: shared-memory columns the process backend attaches instead of
@@ -260,8 +268,6 @@ class ParulelEngine:
             matcher_options["fault_plan"] = self.config.fault_plan
         if self.config.supervisor is not None:
             matcher_options["supervisor"] = self.config.supervisor
-        if self.config.assignment is not None:
-            matcher_options["assignment"] = self.config.assignment
         if self.tracer.enabled or self.metrics.enabled:
             matcher_options["tracer"] = self.tracer
             matcher_options["metrics"] = self.metrics
@@ -295,9 +301,11 @@ class ParulelEngine:
             indexed=self.config.indexed_match,
         )
         self.trace = trace
-        self.provenance: Optional[ProvenanceTracker] = (
-            ProvenanceTracker() if self.config.track_provenance else None
-        )
+        self.provenance: Optional[ProvenanceTracker] = None
+        if self.config.track_provenance:
+            from repro.core.provenance import ProvenanceTracker
+
+            self.provenance = ProvenanceTracker()
         #: Commute-analysis runtime state (built only when a flag asks for
         #: it — the analysis package is never imported otherwise).
         self._commute_index = None

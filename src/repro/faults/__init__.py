@@ -18,14 +18,22 @@ site's rules across survivors; the process pool respawns crashed workers
 within a budget and then degrades the site to an in-parent serial matcher.
 """
 
-from repro.faults.events import FaultEvent, summarize_faults
-from repro.faults.plan import (
-    FaultInjector,
-    FaultPlan,
-    SiteCrash,
-    Straggler,
-    WorkerKill,
-    WorkerWedge,
+from repro._lazy import lazy_exports
+
+#: Resolved on first use (PEP 562): recording a fault event does not load
+#: the seeded plan machinery (and ``random``).
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        "FaultEvent": "repro.faults.events",
+        "summarize_faults": "repro.faults.events",
+        "FaultInjector": "repro.faults.plan",
+        "FaultPlan": "repro.faults.plan",
+        "SiteCrash": "repro.faults.plan",
+        "Straggler": "repro.faults.plan",
+        "WorkerKill": "repro.faults.plan",
+        "WorkerWedge": "repro.faults.plan",
+    },
 )
 
 __all__ = [

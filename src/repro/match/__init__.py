@@ -21,13 +21,27 @@ All engines consume the *compiled* rule form produced by
 :mod:`repro.match.compile`, so they agree exactly on test semantics.
 """
 
-from repro.match.compile import CompiledCE, CompiledRule, compile_rule, compile_rules
-from repro.match.instantiation import ConflictSet, Instantiation
-from repro.match.interface import Matcher, create_matcher
-from repro.match.naive import NaiveMatcher
-from repro.match.rete import ReteMatcher
-from repro.match.stats import MatchStats
-from repro.match.treat import TreatMatcher
+from repro._lazy import lazy_exports
+
+#: Resolved on first use (PEP 562): a run loads the matcher it runs, not
+#: all of them.
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        "CompiledCE": "repro.match.compile",
+        "CompiledRule": "repro.match.compile",
+        "compile_rule": "repro.match.compile",
+        "compile_rules": "repro.match.compile",
+        "ConflictSet": "repro.match.instantiation",
+        "Instantiation": "repro.match.instantiation",
+        "Matcher": "repro.match.interface",
+        "create_matcher": "repro.match.interface",
+        "NaiveMatcher": "repro.match.naive",
+        "ReteMatcher": "repro.match.rete",
+        "MatchStats": "repro.match.stats",
+        "TreatMatcher": "repro.match.treat",
+    },
+)
 
 __all__ = [
     "CompiledCE",

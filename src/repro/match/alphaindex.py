@@ -36,7 +36,13 @@ from __future__ import annotations
 import struct
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.match.compile import AlphaKey, CompiledCE, alpha_test_passes, value_predicate
+from repro.match.compile import (
+    AlphaKey,
+    CompiledCE,
+    alpha_test_passes,
+    site_residue,
+    value_predicate,
+)
 from repro.match.stats import MatchStats
 from repro.wm.memory import WorkingMemory
 from repro.wm.wme import NIL, WME
@@ -525,6 +531,10 @@ class ColumnMemory:
                 _k, attr, alternatives = cond
                 if table.cell(resolve, row, attr) not in alternatives:
                     return False
+            elif kind == "site":
+                _k, k, s = cond
+                if site_residue(table.ts_col[row], k) != s:
+                    return False
             else:  # 'intra'
                 _k, attr, op, other = cond
                 if not value_predicate(
@@ -636,9 +646,10 @@ class ColumnVectorCache:
         #: Delta sink set by :meth:`watch` (a TREAT matcher): told of every
         #: alpha-passing add and remove instead of re-enumerating.
         self._sink = None
-        #: Watched CEs whose class has no table yet; adopted by the
-        #: :meth:`refresh` that brings the class's structural spec.
-        self._unmounted: List[CompiledCE] = []
+        #: Watched patterns whose class has no table yet (alpha key -> a
+        #: CE with it); adopted at the end of the :meth:`refresh` that
+        #: brings the class's structural spec.
+        self._unmounted: Dict[AlphaKey, CompiledCE] = {}
         #: Work counters, cumulative per process; the pool ships per-cycle
         #: deltas back through the observability payload.
         self.scanned_rows = 0
@@ -651,12 +662,24 @@ class ColumnVectorCache:
     def memory(self, ce: CompiledCE):
         mem = self._mems.get(ce.alpha_key)
         if mem is None:
-            cid = self.reader.cid_of(ce.class_name)
-            if cid is None:
+            if ce.alpha_key in self._unmounted:
+                # A watched class whose table arrived with the refresh now
+                # replaying: its rows' journal records are being skipped,
+                # so it stays empty — to a join a retraction forces
+                # mid-journal too — until the refresh adopts it and tells
+                # the sink of every member. A memory built here would read
+                # the columns' *final* state and never be reported.
                 return _EMPTY_COLUMN_MEMORY
-            mem = ColumnMemory(self, self.reader.table(cid), ce.alpha_key)
-            self._mems[ce.alpha_key] = mem
-            self._mems_by_cid.setdefault(cid, []).append(mem)
+            mem = self._mount(ce)
+        return mem
+
+    def _mount(self, ce: CompiledCE):
+        cid = self.reader.cid_of(ce.class_name)
+        if cid is None:
+            return _EMPTY_COLUMN_MEMORY
+        mem = ColumnMemory(self, self.reader.table(cid), ce.alpha_key)
+        self._mems[ce.alpha_key] = mem
+        self._mems_by_cid.setdefault(cid, []).append(mem)
         return mem
 
     # -- maintenance ---------------------------------------------------------
@@ -670,8 +693,10 @@ class ColumnVectorCache:
         leaving some. Only those rows are materialized."""
         self._sink = sink
         for ce in ces:
-            if self.memory(ce) is _EMPTY_COLUMN_MEMORY:
-                self._unmounted.append(ce)
+            if ce.alpha_key not in self._mems and (
+                self._mount(ce) is _EMPTY_COLUMN_MEMORY
+            ):
+                self._unmounted[ce.alpha_key] = ce
 
     def refresh(self, info: Tuple) -> int:
         """Apply a cycle's journal records to every primed memory; returns
@@ -686,16 +711,14 @@ class ColumnVectorCache:
         """Prime watched memories whose class just appeared. The records
         that built the class were skipped (no memory to apply them to), so
         every member row is new to the sink."""
-        still: List[CompiledCE] = []
-        for ce in self._unmounted:
-            known = ce.alpha_key in self._mems
-            mem = self.memory(ce)
+        waiting, self._unmounted = self._unmounted, {}
+        for key, ce in waiting.items():
+            mem = self._mount(ce)
             if mem is _EMPTY_COLUMN_MEMORY:
-                still.append(ce)
-            elif not known:
+                self._unmounted[key] = ce
+            else:
                 for wme in mem:
                     self._sink.alpha_added(mem.key, wme)
-        self._unmounted = still
 
     def _on_record(self, added: bool, cid: int, row: int) -> None:
         mems = self._mems_by_cid.get(cid)

@@ -8,7 +8,11 @@ decided statically:
   *intra-CE* variable consistency (the same variable used twice in one CE
   compiles to an attribute-vs-attribute comparison). Alpha tests form a
   hashable :class:`AlphaKey`, so identical patterns share one alpha memory
-  across condition elements and rules in RETE/TREAT.
+  across condition elements and rules in RETE/TREAT. A fourth kind comes
+  from no source text: the *site* condition ``compile_rules(rules,
+  site=(k, s))`` puts on one positive CE per rule — copy-and-constrain at
+  the alpha layer, for the process pool's workers (see
+  :func:`site_residue`).
 
 **Bindings**
   the first plain occurrence of each variable in a positive CE records
@@ -28,7 +32,7 @@ by an earlier (or textually earlier within the same) positive CE, otherwise
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import MatchError
@@ -51,7 +55,9 @@ __all__ = [
     "JoinPlan",
     "compile_rule",
     "compile_rules",
+    "split_ce",
     "alpha_test_passes",
+    "site_residue",
     "value_predicate",
 ]
 
@@ -100,7 +106,9 @@ def value_predicate(op: str, a: Value, b: Value) -> bool:
 # ---------------------------------------------------------------------------
 
 #: One WME-local test: ``('const', attr, op, value)``,
-#: ``('in', attr, alternatives)`` or ``('intra', attr, op, other_attr)``.
+#: ``('in', attr, alternatives)``, ``('intra', attr, op, other_attr)`` or
+#: ``('site', k, s)`` — the WME's timestamp has :func:`site_residue` ``s``
+#: of ``k``.
 AlphaCond = Tuple
 
 #: Hashable identity of an alpha pattern: class name + sorted alpha conds.
@@ -144,6 +152,27 @@ class CompiledCE:
         return tuple(t for t in self.join_tests if t[1] != "=")
 
 
+def site_residue(timestamp: int, k: int) -> int:
+    """Which of ``k`` sites owns the WME with this timestamp: a fixed 32-bit
+    mix of it (MurmurHash3's finalizer), mod ``k``.
+
+    The timestamp, because every store has it, it means the same in every
+    process (``hash()`` of a value does not: workers share no hash seed) and
+    no value domain need be known. A mix rather than ``timestamp % k``,
+    because timestamps arrive in arithmetic progressions — a cycle that does
+    one ``modify`` and one ``make`` gives every new WME of a class the same
+    parity, and a bare residue would hand them all to one site; a single
+    multiply has its own bad strides (the Fibonacci numbers, for the golden
+    ratio), an avalanching mix has none worth naming.
+    """
+    h = timestamp & 0xFFFFFFFF
+    h ^= h >> 16
+    h = h * 0x85EBCA6B & 0xFFFFFFFF
+    h ^= h >> 13
+    h = h * 0xC2B2AE35 & 0xFFFFFFFF
+    return (h ^ h >> 16) % k
+
+
 def alpha_test_passes(conds: Sequence[AlphaCond], wme: WME) -> bool:
     """Evaluate a CE's WME-local conditions against one WME."""
     for cond in conds:
@@ -155,6 +184,10 @@ def alpha_test_passes(conds: Sequence[AlphaCond], wme: WME) -> bool:
         elif kind == "in":
             _k, attr, alternatives = cond
             if wme.get(attr) not in alternatives:
+                return False
+        elif kind == "site":
+            _k, k, s = cond
+            if site_residue(wme.timestamp, k) != s:
                 return False
         else:  # 'intra'
             _k, attr, op, other = cond
@@ -438,13 +471,37 @@ def _plan_rule(
     return JoinPlan(order=tuple(order), ces=tuple(ces))
 
 
-def compile_rule(rule: Rule, plan: bool = True) -> CompiledRule:
+def split_ce(ces: Sequence[CompiledCE]) -> int:
+    """Index of the CE a site condition goes on: the positive CE with the
+    fewest alpha conditions (the widest memory, so the most to divide),
+    leftmost on ties. A pure function of the rule, so every process that
+    compiles it picks the same one. Never a negated CE — absence has to be
+    judged against the whole memory at every site."""
+    return min(
+        (ce for ce in ces if not ce.negated),
+        key=lambda ce: (len(ce.alpha_conds), ce.index),
+    ).index
+
+
+def compile_rule(
+    rule: Rule, plan: bool = True, site: Optional[Tuple[int, int]] = None
+) -> CompiledRule:
     """Compile one rule's LHS; raises :class:`~repro.errors.MatchError` on
     binding-order violations (forward references, binding inside negation).
 
     With ``plan`` (the default), also derives the join plans the indexed
     enumerator uses; ``plan=False`` skips them (identity classification
     only, byte-identical to the historical compiler output).
+
+    ``site=(k, s)`` with ``k > 1`` compiles site ``s``'s share of the rule:
+    the CE :func:`split_ce` names also requires ``('site', k, s)``, in
+    :attr:`~CompiledRule.ces` and in every plan alike (plans pin their alpha
+    conditions to the identity classification's). The condition is part of
+    that CE's alpha key, so it gets a memory of its own — the site's residue
+    of the pattern — while every other CE, the negated ones included, keeps
+    the complete, shared one. The ``k`` shares of a rule are pairwise
+    disjoint and their union is the unconstrained rule's matches: each match
+    has exactly one WME at the split CE, and it has exactly one residue.
     """
     bound: Dict[str, Tuple[int, str]] = {}  # var -> (ce index, attr) of binder
     compiled: List[CompiledCE] = []
@@ -453,6 +510,15 @@ def compile_rule(rule: Rule, plan: bool = True) -> CompiledRule:
 
     if compiled and compiled[0].negated:
         raise MatchError(f"rule {rule.name!r}: first condition element is negated")
+    if site is not None and site[0] > 1 and compiled:
+        k, s = site
+        if not 0 <= s < k:
+            raise ValueError(f"site {s} is not one of {k}")
+        idx = split_ce(compiled)
+        compiled[idx] = replace(
+            compiled[idx],
+            alpha_conds=compiled[idx].alpha_conds + (("site", k, s),),
+        )
     ces = tuple(compiled)
     join_plan: Optional[JoinPlan] = None
     seeded: Tuple[Optional[JoinPlan], ...] = ()
@@ -465,6 +531,9 @@ def compile_rule(rule: Rule, plan: bool = True) -> CompiledRule:
     return CompiledRule(rule=rule, ces=ces, plan=join_plan, seeded_plans=seeded)
 
 
-def compile_rules(rules: Sequence[Rule]) -> Tuple[CompiledRule, ...]:
-    """Compile a sequence of rules, preserving order."""
-    return tuple(compile_rule(r) for r in rules)
+def compile_rules(
+    rules: Sequence[Rule], site: Optional[Tuple[int, int]] = None
+) -> Tuple[CompiledRule, ...]:
+    """Compile a sequence of rules, preserving order; with ``site=(k, s)``
+    each rule's share for site ``s`` of ``k`` (see :func:`compile_rule`)."""
+    return tuple(compile_rule(r, site=site) for r in rules)

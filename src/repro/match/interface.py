@@ -10,7 +10,7 @@ plug-in choice.
 from __future__ import annotations
 
 import abc
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.lang.ast import Rule
 from repro.match.compile import CompiledRule, compile_rules
@@ -34,14 +34,21 @@ class Matcher(abc.ABC):
     name: str = "abstract"
 
     def __init__(
-        self, rules: Sequence[Rule], wm: WorkingMemory, indexed: bool = True
+        self,
+        rules: Sequence[Rule],
+        wm: WorkingMemory,
+        indexed: bool = True,
+        site: Optional[Tuple[int, int]] = None,
     ) -> None:
         #: Hash-bucket probes + join planning (default) or the nested-loop
         #: reference kernel the differential tests and the Figure 3 /
         #: Ablation A7 tables compare against. Same conflict sets either
         #: way; RETE — always hash-joined — ignores it.
         self.indexed = indexed
-        self.compiled: tuple[CompiledRule, ...] = compile_rules(rules)
+        #: ``site=(k, s)``: this matcher retains site ``s``'s share of
+        #: every rule (:func:`~repro.match.compile.compile_rule`) — what a
+        #: process worker asks of its TREAT matcher. ``None``: all of it.
+        self.compiled: tuple[CompiledRule, ...] = compile_rules(rules, site=site)
         self.wm = wm
         self.stats = MatchStats()
         self.conflict_set = ConflictSet()
@@ -107,7 +114,6 @@ def create_matcher(
     timeout: Optional[float] = None,
     respawn_limit: Optional[int] = None,
     fault_plan=None,
-    assignment=None,
     supervisor=None,
     tracer=None,
     metrics=None,
@@ -119,14 +125,13 @@ def create_matcher(
 
     ``timeout`` (per-worker reply deadline, seconds), ``respawn_limit``
     (per-site crash budget before graceful degradation), ``fault_plan``
-    (a :class:`~repro.faults.FaultPlan` of injected worker faults),
-    ``assignment`` (a rule-to-site policy name — ``"round-robin"`` or
-    ``"analysis"`` — or a concrete
-    :class:`~repro.parallel.partition.Assignment`) and ``supervisor``
-    (a :class:`~repro.resilience.supervisor.SupervisorPolicy` governing
+    (a :class:`~repro.faults.FaultPlan` of injected worker faults) and
+    ``supervisor`` (a
+    :class:`~repro.resilience.supervisor.SupervisorPolicy` governing
     heartbeats, backoff, circuit breaking and the degradation ladder)
     apply only to the ``process`` backend; passing them for a serial
-    engine is an error rather than a silent no-op.
+    engine is an error rather than a silent no-op. Nothing places rules
+    on workers: every worker matches its share of every rule.
 
     ``indexed=False`` selects the nested-loop reference kernel for the
     serial enumerator-based engines (the comparand of the differential
@@ -142,11 +147,6 @@ def create_matcher(
     them. They never change match behaviour, so unlike the process-only
     knobs they are not an error elsewhere.
     """
-    # Imported here to avoid a cycle (engines import this interface).
-    from repro.match.naive import NaiveMatcher
-    from repro.match.rete import ReteMatcher, SharedReteMatcher
-    from repro.match.treat import TreatMatcher
-
     if engine == "process" or engine.startswith("process:"):
         if not indexed:
             raise ValueError(
@@ -168,7 +168,6 @@ def create_matcher(
             rules,
             wm,
             n_workers=n_workers,
-            assignment=assignment,
             timeout=timeout if timeout is not None else DEFAULT_TIMEOUT,
             respawn_limit=respawn_limit,
             fault_plan=fault_plan,
@@ -182,24 +181,25 @@ def create_matcher(
         timeout is not None
         or respawn_limit is not None
         or fault_plan is not None
-        or assignment is not None
         or supervisor is not None
     ):
         raise ValueError(
-            f"timeout/respawn_limit/fault_plan/assignment/supervisor only "
+            f"timeout/respawn_limit/fault_plan/supervisor only "
             f"apply to the 'process' backend, not {engine!r}"
         )
 
-    table = {
-        "rete": ReteMatcher,
-        "rete-shared": SharedReteMatcher,
-        "treat": TreatMatcher,
-        "naive": NaiveMatcher,
-    }
-    try:
-        cls = table[engine]
-    except KeyError:
+    # Imported here to avoid a cycle (engines import this interface), and
+    # one engine at a time: a run loads the matcher it runs.
+    if engine == "treat":
+        from repro.match.treat import TreatMatcher as cls
+    elif engine == "naive":
+        from repro.match.naive import NaiveMatcher as cls
+    elif engine == "rete":
+        from repro.match.rete import ReteMatcher as cls
+    elif engine == "rete-shared":
+        from repro.match.rete import SharedReteMatcher as cls
+    else:
         raise ValueError(
             f"unknown match engine {engine!r} (choose from {MATCHER_NAMES})"
-        ) from None
+        )
     return cls(rules, wm, indexed=indexed)

@@ -82,7 +82,9 @@ class TreatMatcher(Matcher):
     :class:`~repro.match.alphaindex.AlphaCache` over ``wm``. The matcher's
     WM listener forwards every event to the layer's ``apply``; a layer
     over another store (a worker's shared columns) is advanced by its
-    owner instead, and ``wm`` must then stay untouched.
+    owner instead, and ``wm`` must then stay untouched. ``site=(k, s)``
+    retains site ``s``'s share of every rule instead of the whole
+    (:func:`~repro.match.compile.compile_rule`).
 
     :attr:`observer`, when set, brackets each rule's share of the match
     work: ``observer.begin(rule name)`` before, ``observer.end(rule name,
@@ -98,10 +100,11 @@ class TreatMatcher(Matcher):
         wm: WorkingMemory,
         indexed: bool = True,
         alpha=None,
+        site: Optional[Tuple[int, int]] = None,
     ) -> None:
         self._alpha = alpha
         self.observer = None
-        super().__init__(rules, wm, indexed=indexed)
+        super().__init__(rules, wm, indexed=indexed, site=site)
 
     def _build(self) -> None:
         #: alpha pattern -> (rule position, rule, ce) triples fed by it.

@@ -28,6 +28,7 @@ load and a branch — the overhead benchmark holds the enabled path under
 5% on the ``tc`` and ``manners`` workloads.
 """
 
+from repro._lazy import lazy_exports
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry, NullMetrics
 from repro.obs.profile import RuleProfile, hot_rule_table, rule_profiles
 from repro.obs.trace import (
@@ -60,21 +61,15 @@ __all__ = [
 #: Flight-recorder names resolve lazily (PEP 562) so importing
 #: ``repro.obs`` never drags in ``multiprocessing.shared_memory`` — the
 #: engine's default dict-WM path stays import-light.
-_LAZY = {
-    "FlightRecorder": "repro.obs.flightrec",
-    "FlightRing": "repro.obs.flightrec",
-    "Blackbox": "repro.obs.blackbox",
-    "load_blackbox": "repro.obs.blackbox",
-    "skew_report": "repro.obs.blackbox",
-    "diff_blackbox": "repro.obs.blackbox",
-    "MetricsHTTPServer": "repro.obs.metrics_http",
-}
-
-
-def __getattr__(name):
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module 'repro.obs' has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module), name)
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        "FlightRecorder": "repro.obs.flightrec",
+        "FlightRing": "repro.obs.flightrec",
+        "Blackbox": "repro.obs.blackbox",
+        "load_blackbox": "repro.obs.blackbox",
+        "skew_report": "repro.obs.blackbox",
+        "diff_blackbox": "repro.obs.blackbox",
+        "MetricsHTTPServer": "repro.obs.metrics_http",
+    },
+)

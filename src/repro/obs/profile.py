@@ -10,18 +10,33 @@ is the artifact ``parulel profile`` prints, and the answer to "which rule
 should the next optimization PR attack". Meta-rules follow the object
 rules, each with the join work :attr:`MetaLevel.stats
 <repro.core.redaction.MetaLevel.stats>` counted for it.
+
+Two more lines of ``parulel profile`` come from here: the process pool's
+per-site busy seconds (:func:`site_busy_line` — how evenly the sites'
+shares of the rules came out) and the cyclic collector's passes and
+seconds per generation (:class:`CollectorLog`), time no phase owns.
 """
 
 from __future__ import annotations
 
+import gc
+import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.match.stats import MatchStats
-from repro.metrics.report import Table
 from repro.obs.metrics import MetricsRegistry
 
-__all__ = ["RuleProfile", "hot_rule_table", "rule_profiles"]
+if TYPE_CHECKING:
+    from repro.metrics.report import Table
+
+__all__ = [
+    "CollectorLog",
+    "RuleProfile",
+    "hot_rule_table",
+    "rule_profiles",
+    "site_busy_line",
+]
 
 #: Metric names the profiler consumes (kept in one place so the engine,
 #: backends, docs, and tests agree).
@@ -51,6 +66,10 @@ VECTOR_PROBE_FALLBACK = "parulel_vector_probe_fallback_total"
 #: time — the skew signal the adaptive-scheduling roadmap item consumes.
 SITE_SKEW_RATIO = "parulel_site_skew_ratio"
 RULE_TIME_SHARE = "parulel_rule_time_share"
+#: Seconds each process-pool site spent on match requests (``site``
+#: label): in a worker from taking the request off the pipe to handing
+#: the reply over, for a degraded site the in-parent match.
+SITE_BUSY_SECONDS = "parulel_site_busy_seconds_total"
 
 
 @dataclass
@@ -136,6 +155,8 @@ def hot_rule_table(
     follows the object rules, most join probes first; ``top`` limits the
     object rules only.
     """
+    from repro.metrics.report import Table
+
     meta = meta_stats.per_rule if meta_stats is not None else {}
     headers = ("rule", "match_ms", "eval_ms", "candidates", "fired", "redacted")
     table = Table(
@@ -164,3 +185,61 @@ def hot_rule_table(
             *(meta[rule][c] for c in META_JOIN_COUNTERS),
         )
     return table
+
+
+def site_busy_line(metrics: MetricsRegistry) -> Optional[str]:
+    """One line on how the process pool's match work fell across its
+    sites — each site's busy seconds and share of their sum, and the
+    largest over the sum (1/k when k sites are level, 1.0 when one did
+    everything) — or ``None`` for a run that had no pool."""
+    busy = {
+        int(dict(labels)["site"]): seconds
+        for labels, seconds in metrics.series(SITE_BUSY_SECONDS).items()
+    }
+    total = sum(busy.values())
+    if not total:
+        return None
+    sites = ", ".join(
+        f"site {site} {busy[site]:.3f} s ({busy[site] / total:.1%})"
+        for site in sorted(busy)
+    )
+    return (
+        f"sites: busy-max {max(busy.values()):.3f} s of busy-sum {total:.3f} s "
+        f"({max(busy.values()) / total:.2f}); {sites}"
+    )
+
+
+class CollectorLog:
+    """A ``gc.callbacks`` hook counting the cyclic collector's passes and
+    seconds per generation between :meth:`install` and :meth:`remove` —
+    in this process only, and installed by ``parulel profile`` only (a
+    callback costs every pass two Python calls)."""
+
+    def __init__(self) -> None:
+        self.passes = [0, 0, 0]
+        self.seconds = [0.0, 0.0, 0.0]
+        self._t0 = 0.0
+
+    def __call__(self, phase: str, info: Dict[str, int]) -> None:
+        if phase == "start":
+            self._t0 = time.perf_counter()
+        else:
+            generation = info["generation"]
+            self.passes[generation] += 1
+            self.seconds[generation] += time.perf_counter() - self._t0
+
+    def install(self) -> None:
+        gc.callbacks.append(self)
+
+    def remove(self) -> None:
+        gc.callbacks.remove(self)
+
+    def line(self) -> str:
+        per_generation = ", ".join(
+            f"gen{g} {n} / {secs * 1000:.1f} ms"
+            for g, (n, secs) in enumerate(zip(self.passes, self.seconds))
+        )
+        return (
+            f"collector: {sum(self.passes)} passes, "
+            f"{sum(self.seconds) * 1000:.1f} ms ({per_generation})"
+        )

@@ -3,13 +3,20 @@
 :mod:`repro.parallel.threaded` measures the GIL ceiling — pure-Python match
 work fanned out to threads does not scale, which Table 4 documents. This
 module is the escape hatch: :class:`ProcessMatchPool` keeps one persistent
-``multiprocessing`` worker per site, partitions the rules across sites with
-the same :class:`~repro.parallel.partition.Assignment` machinery the
-simulated machines use, and computes the conflict set with genuinely
-concurrent interpreters (one GIL each).
+``multiprocessing`` worker per site and computes the conflict set with
+genuinely concurrent interpreters (one GIL each).
 
 What keeps it fast and correct:
 
+- **Every site carries every rule; the data is what is split.** This is
+  the paper's copy-and-constrain at the alpha layer: site ``s`` of ``k``
+  compiles each rule with one positive CE also requiring that the WME's
+  timestamp mix to residue ``s``
+  (:func:`~repro.match.compile.compile_rule`, ``site=(k, s)``). The
+  sites' shares of a rule are disjoint and cover it, so a program with one
+  hot rule — or one rule — still spreads over every worker, and no source
+  is rewritten and no value domain enumerated. Workers, the in-parent
+  fallback and a respawn all derive the share from the same ``(k, s)``.
 - **Delta shipping.** Each worker owns a private working-memory replica.
   Per cycle the pool drains a :class:`~repro.wm.memory.DeltaRecorder` and
   broadcasts only the net adds/removes since the previous cycle — never
@@ -22,13 +29,14 @@ What keeps it fast and correct:
   is the conflict set's *journal* — compact summaries ``(rule name,
   per-CE timestamps, environment)`` of the instantiations that appeared
   plus the keys of those that went away.
-- **Deterministic merge.** The parent keeps each site's retained set,
-  rebuilds :class:`~repro.match.instantiation.Instantiation` objects
-  against its own WME store for the additions only, and lists sites in
-  order, rules in compiled order within a site, instantiations by
-  ascending per-CE timestamp tuple within a rule — the order a full
-  enumeration yields, byte-identical to the sequential matchers (the
-  differential suite asserts this).
+- **A merge that keeps no order.** The parent keeps each site's retained
+  set as one dict keyed by instantiation identity, rebuilds
+  :class:`~repro.match.instantiation.Instantiation` objects against its
+  own WME store for the additions only, and hands back the sites' values
+  end to end. The order instantiations fire in belongs to the language
+  (LANGUAGE.md §6) and the engine sorts its candidates into it, so the
+  same *set* is all it takes to run byte-identically to the sequential
+  matchers (the differential suite asserts this).
 - **Robustness.** Every cycle applies a per-worker timeout; a crashed,
   wedged, or killed worker is respawned and caught up from a snapshot of
   the live parent memory (which *is* the replica's contents), then
@@ -79,10 +87,10 @@ import pickle
 import signal
 import threading
 import time
-from bisect import bisect_left
 from multiprocessing.connection import Connection
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.collector import CollectorSchedule
 from repro.errors import MatchError
 from repro.faults import FaultEvent, FaultInjector, FaultPlan
 from repro.lang.ast import Rule, Value
@@ -105,11 +113,11 @@ from repro.obs.flightrec import (
 from repro.obs.metrics import NULL_METRICS
 from repro.obs.profile import (
     RULE_MATCH_SECONDS,
+    SITE_BUSY_SECONDS,
     VECTOR_PROBE_FALLBACK,
     VECTOR_SCAN_ROWS,
 )
 from repro.obs.trace import NULL_TRACER, TraceEvent, Tracer
-from repro.parallel.partition import Assignment, resolve_assignment
 from repro.resilience.supervisor import SiteSupervisor, SupervisorPolicy
 from repro.wm.columnar import ColumnarReader, ColumnarWorkingMemory
 from repro.wm.memory import DeltaRecorder, WMDelta, WorkingMemory
@@ -130,11 +138,17 @@ SiteReply = Tuple[bool, List[MatchSummary], List[InstKey]]
 
 #: Per-reply observability payload: the worker's raw span buffer (shipped
 #: back alongside match results, ingested onto a ``worker-<site>`` lane),
-#: per-rule match seconds, and the column-scan kernel's per-cycle work
-#: deltas (``None`` for a delta-fed replica). ``None`` when observability
-#: is off.
+#: per-rule match seconds, the column-scan kernel's per-cycle work deltas
+#: (``None`` for a delta-fed replica), and the seconds from taking the
+#: request off the pipe to handing this reply over. ``None`` when
+#: observability is off.
 ObsPayload = Optional[
-    Tuple[List[TraceEvent], List[Tuple[str, float]], Optional[Dict[str, int]]]
+    Tuple[
+        List[TraceEvent],
+        List[Tuple[str, float]],
+        Optional[Dict[str, int]],
+        float,
+    ]
 ]
 
 #: Per-worker, per-cycle reply deadline (seconds). Generous: it exists to
@@ -199,11 +213,13 @@ class _RuleObserver:
 def _worker_main(
     conn: Connection,
     rules: Tuple[Rule, ...],
+    site: Tuple[int, int],
     obs: bool = False,
     flight: Optional[Tuple[str, Dict[str, int]]] = None,
 ) -> None:
-    """Worker loop: maintain a WM replica and its conflict set, answer
-    match requests with what changed.
+    """Worker loop: maintain a WM replica and site ``site[1]`` of
+    ``site[0]``'s share of the conflict set, answer match requests with
+    what changed.
 
     Protocol (parent → worker):
 
@@ -282,102 +298,118 @@ def _worker_main(
     vec_prev = {"scanned": 0, "materialized": 0, "fallback": 0, "probes": 0}
     cycle = 0
 
-    while True:
-        try:
-            msg = conn.recv()
-        except (EOFError, OSError):
-            if reader is not None:
-                reader.close()
-            if ring is not None:
-                ring.append(EV_WORKER_EXIT, cycle, code=1)  # pipe lost
-                ring.close()
-            return
-        if msg[0] == "stop":
-            if reader is not None:
-                reader.close()
-            if ring is not None:
-                ring.append(EV_WORKER_EXIT, cycle, code=0)  # clean stop
-                ring.close()
-            return
-        try:
-            tag = msg[0]
-            if tag == "attach":
+    # The worker's heap is replica WMEs and retained instantiations, all
+    # acyclic: size the cyclic collector's schedule to it.
+    with CollectorSchedule() as collector:
+        while True:
+            try:
+                msg = conn.recv()
+            except (EOFError, OSError):
                 if reader is not None:
                     reader.close()
-                reader = ColumnarReader(msg[1])
-                matcher = None
-                with tracer.span("attach", lane="worker"):
-                    # Nothing is materialized up front — memories prime
-                    # themselves from the liveness columns when the
-                    # matcher is built.
-                    vcache = ColumnVectorCache(reader)
-                continue
-            if tag == "ping":
-                conn.send(("pong", msg[1]))
-                continue
-            cycle += 1
-            if ring is not None:
-                ring.append(
-                    EV_MATCH_REQ,
-                    cycle,
-                    a=len(msg[1]) if tag == "match" else -1,
-                )
-            if observer is not None:
-                observer.cycle = cycle
-                observer.times = []
-            if tag == "match-shm":
-                with tracer.span("refresh-journal", lane="worker", cycle=cycle):
-                    vcache.refresh(msg[1])
-            else:
-                deltas = msg[1]
-                if deltas:
-                    with tracer.span(
-                        "apply-delta", lane="worker", cycle=cycle, deltas=len(deltas)
-                    ):
-                        for wire in deltas:
-                            WMDelta.apply_wire(wm, by_ts, wire)
-            if matcher is None:
-                # The alpha layer follows the store: the shared columns,
-                # or the replica the deltas build.
-                alpha = vcache if vcache is not None else AlphaCache(wm)
-                matcher = TreatMatcher(rules, wm, alpha=alpha)
-                # No counters are shipped back, so none are kept: the
-                # enumerator then skips its per-candidate accounting.
-                matcher.stats = None
-                matcher.observer = observer
-                matcher.conflict_set.start_journal()
-                reset = True
-            with tracer.span(
-                "match", lane="worker", cycle=cycle, rules=len(matcher.compiled)
-            ):
-                matcher.flush()
-            added, removed = matcher.conflict_set.drain_journal()
-            vec_stats: Optional[Dict[str, int]] = None
-            if vcache is not None:
-                cur = vcache.counters()
-                vec_stats = {k: cur[k] - vec_prev[k] for k in cur}
-                vec_prev = cur
+                if ring is not None:
+                    ring.append(EV_WORKER_EXIT, cycle, code=1)  # pipe lost
+                    ring.close()
+                return
+            if msg[0] == "stop":
+                if reader is not None:
+                    reader.close()
+                if ring is not None:
+                    ring.append(EV_WORKER_EXIT, cycle, code=0)  # clean stop
+                    ring.close()
+                return
+            try:
+                tag = msg[0]
+                if tag == "attach":
+                    if reader is not None:
+                        reader.close()
+                    reader = ColumnarReader(msg[1])
+                    matcher = None
+                    with tracer.span("attach", lane="worker"):
+                        # Nothing is materialized up front — memories prime
+                        # themselves from the liveness columns when the
+                        # matcher is built.
+                        vcache = ColumnVectorCache(reader)
+                    continue
+                if tag == "ping":
+                    conn.send(("pong", msg[1]))
+                    continue
+                cycle += 1
+                taken = time.perf_counter() if obs else 0.0
                 if ring is not None:
                     ring.append(
-                        EV_VECTOR_SCAN,
+                        EV_MATCH_REQ,
                         cycle,
-                        a=vec_stats["scanned"],
-                        b=vec_stats["materialized"],
-                        code=min(vec_stats["fallback"], 0x7FFF),
+                        a=len(msg[1]) if tag == "match" else -1,
                     )
-            payload: ObsPayload = (
-                (tracer.drain_events(), observer.times, vec_stats) if obs else None
-            )
-            reply: SiteReply = (reset, [_summary(i) for i in added], removed)
-            conn.send(("ok", (reply, payload)))
-            reset = False
-            if ring is not None:
-                ring.append(EV_MATCH_REPLY, cycle, a=len(added))
-        except Exception as exc:  # noqa: BLE001 - forwarded to the parent
-            try:
-                conn.send(("err", f"{type(exc).__name__}: {exc}"))
-            except (BrokenPipeError, OSError):
-                return
+                if observer is not None:
+                    observer.cycle = cycle
+                    observer.times = []
+                if tag == "match-shm":
+                    with tracer.span("refresh-journal", lane="worker", cycle=cycle):
+                        vcache.refresh(msg[1])
+                else:
+                    deltas = msg[1]
+                    if deltas:
+                        with tracer.span(
+                            "apply-delta",
+                            lane="worker",
+                            cycle=cycle,
+                            deltas=len(deltas),
+                        ):
+                            for wire in deltas:
+                                WMDelta.apply_wire(wm, by_ts, wire)
+                if matcher is None:
+                    # The alpha layer follows the store: the shared columns,
+                    # or the replica the deltas build.
+                    alpha = vcache if vcache is not None else AlphaCache(wm)
+                    matcher = TreatMatcher(rules, wm, alpha=alpha, site=site)
+                    # No counters are shipped back, so none are kept: the
+                    # enumerator then skips its per-candidate accounting.
+                    matcher.stats = None
+                    matcher.observer = observer
+                    matcher.conflict_set.start_journal()
+                    reset = True
+                with tracer.span(
+                    "match", lane="worker", cycle=cycle, rules=len(matcher.compiled)
+                ):
+                    matcher.flush()
+                added, removed = matcher.conflict_set.drain_journal()
+                vec_stats: Optional[Dict[str, int]] = None
+                if vcache is not None:
+                    cur = vcache.counters()
+                    vec_stats = {k: cur[k] - vec_prev[k] for k in cur}
+                    vec_prev = cur
+                    if ring is not None:
+                        ring.append(
+                            EV_VECTOR_SCAN,
+                            cycle,
+                            a=vec_stats["scanned"],
+                            b=vec_stats["materialized"],
+                            code=min(vec_stats["fallback"], 0x7FFF),
+                        )
+                payload: ObsPayload = None
+                if obs:
+                    payload = (
+                        tracer.drain_events(),
+                        observer.times,
+                        vec_stats,
+                        time.perf_counter() - taken,
+                    )
+                reply: SiteReply = (reset, [_summary(i) for i in added], removed)
+                conn.send(("ok", (reply, payload)))
+                if ring is not None:
+                    ring.append(EV_MATCH_REPLY, cycle, a=len(added))
+                if reset:
+                    # Caught up and primed: what is live now is the
+                    # long-lived bulk of this worker's heap.
+                    collector.freeze()
+                    reset = False
+            except Exception as exc:  # noqa: BLE001 - forwarded to the parent
+                try:
+                    conn.send(("err", f"{type(exc).__name__}: {exc}"))
+                except (BrokenPipeError, OSError):
+                    return
 
 
 # ---------------------------------------------------------------------------
@@ -388,11 +420,12 @@ def _worker_main(
 class ProcessMatchPool:
     """Conflict-set computation fanned out to persistent worker processes.
 
-    Rules are partitioned across ``n_workers`` sites (round-robin unless an
-    :class:`~repro.parallel.partition.Assignment` is given); sites with no
-    rules get no process. Working memory must not be mutated while
-    :meth:`conflict_set` runs — the engines never do (match and apply are
-    separate phases of the cycle).
+    Each of the ``n_workers`` sites matches its share of *every* rule (see
+    the module docstring), so ``n_workers`` above the rule count is more
+    ways to split the data, not idle sites; only a pool over no rules has
+    no sites and no processes. :meth:`conflict_set` promises the set, not
+    an order. Working memory must not be mutated while it runs — the
+    engines never do (match and apply are separate phases of the cycle).
     """
 
     def __init__(
@@ -400,7 +433,6 @@ class ProcessMatchPool:
         rules: Sequence[Rule],
         wm: WorkingMemory,
         n_workers: int,
-        assignment: "Optional[Assignment | str]" = None,
         timeout: Optional[float] = DEFAULT_TIMEOUT,
         start_method: Optional[str] = None,
         respawn_limit: Optional[int] = None,
@@ -432,14 +464,12 @@ class ProcessMatchPool:
         self.n_workers = n_workers
         self.timeout = timeout
         self.respawn_limit = respawn_limit
-        self.assignment = resolve_assignment(assignment, rules, n_workers)
+        self._rules: Tuple[Rule, ...] = tuple(rules)
         self._rules_by_name: Dict[str, Rule] = {r.name: r for r in rules}
-        self._site_rules: List[List[Rule]] = [[] for _ in range(n_workers)]
-        for rule in rules:
-            self._site_rules[self.assignment.site_of[rule.name]].append(rule)
-        #: Sites that actually carry rules — the only ones given a process.
-        self.active_sites: Tuple[int, ...] = tuple(
-            s for s in range(n_workers) if self._site_rules[s]
+        #: The sites given a process: all of them, each with its share of
+        #: every rule — or none, when there is no rule to share out.
+        self.active_sites: Tuple[int, ...] = (
+            tuple(range(n_workers)) if rules else ()
         )
         if start_method is None:
             start_method = (
@@ -465,13 +495,9 @@ class ProcessMatchPool:
         #: Sites whose worker has attached the shared columns (columnar
         #: mode only; reset on respawn).
         self._attached: Set[int] = set()
-        #: Per site, the instantiations its matcher currently retains:
-        #: rule name -> ``(per-CE timestamps, Instantiation)`` entries in
-        #: ascending order — the order a full enumeration of the rule
-        #: yields. Edited by each :data:`SiteReply`.
-        self._retained: Dict[
-            int, Dict[str, List[Tuple[Tuple[int, ...], Instantiation]]]
-        ] = {}
+        #: Per site, the instantiations its matcher currently retains,
+        #: by identity. Edited by each :data:`SiteReply`.
+        self._retained: Dict[int, Dict[InstKey, Instantiation]] = {}
         self._conns: Dict[int, Connection] = {}
         self._procs: Dict[int, multiprocessing.process.BaseProcess] = {}
         #: Workers respawned after a crash/timeout (tests assert on this).
@@ -504,10 +530,9 @@ class ProcessMatchPool:
         self._flightrec = flightrec
         self._flight_specs: Dict[int, Optional[Tuple[str, Dict[str, int]]]] = {}
         if flightrec is not None:
+            names = [r.name for r in rules]
             for site in self.active_sites:
-                self._flight_specs[site] = flightrec.worker_spec(
-                    site, [r.name for r in self._site_rules[site]]
-                )
+                self._flight_specs[site] = flightrec.worker_spec(site, names)
         for site in self.active_sites:
             self._spawn(site)
 
@@ -519,7 +544,8 @@ class ProcessMatchPool:
             target=_worker_main,
             args=(
                 child_conn,
-                tuple(self._site_rules[site]),
+                self._rules,
+                (self.n_workers, site),
                 self._obs,
                 self._flight_specs.get(site),
             ),
@@ -631,10 +657,11 @@ class ProcessMatchPool:
         parent tracer/registry, on the worker's own lane."""
         if obs_payload is None:
             return
-        events, rule_times, vec_stats = obs_payload
+        events, rule_times, vec_stats, busy_s = obs_payload
         if self.tracer.enabled and events:
             self.tracer.ingest(events, lane=f"worker-{site}")
         if self.metrics.enabled:
+            self.metrics.inc(SITE_BUSY_SECONDS, busy_s, site=site)
             for rule, seconds in rule_times:
                 self.metrics.observe(
                     RULE_MATCH_SECONDS, seconds, rule=rule, site=site
@@ -727,7 +754,7 @@ class ProcessMatchPool:
             "degrade",
             site,
             detail=(
-                f"{reason}; {len(self._site_rules[site])} rule(s) now "
+                f"{reason}; its share of {len(self._rules)} rule(s) now "
                 f"matched {where}"
             ),
         )
@@ -793,16 +820,18 @@ class ProcessMatchPool:
             )
 
     def _parent_match(self, site: int) -> SiteReply:
-        """Serial in-parent match of one (degraded) site's rules: a full
-        enumeration every cycle, so always a ``reset`` reply — whatever the
-        site's worker last reported is replaced, never patched.
+        """Serial in-parent match of one (degraded) site's share of the
+        rules — compiled from the same ``(k, s)`` its worker compiled
+        from: a full enumeration every cycle, so always a ``reset`` reply
+        — whatever the site's worker last reported is replaced, never
+        patched.
 
         Spans stay on the site's ``worker-<site>`` lane — the lane shows
         where the site's match work went, which after degradation is the
         parent's clock."""
         compiled = self._site_compiled.get(site)
         if compiled is None:
-            compiled = compile_rules(tuple(self._site_rules[site]))
+            compiled = compile_rules(self._rules, site=(self.n_workers, site))
             self._site_compiled[site] = compiled
         if self._parent_alpha is None:
             self._parent_alpha = AlphaCache(self.wm)
@@ -821,12 +850,11 @@ class ProcessMatchPool:
                     )
                 )
                 if obs:
+                    seconds = time.perf_counter() - t0
                     self.metrics.observe(
-                        RULE_MATCH_SECONDS,
-                        time.perf_counter() - t0,
-                        rule=cr.name,
-                        site=site,
+                        RULE_MATCH_SECONDS, seconds, rule=cr.name, site=site
                     )
+                    self.metrics.inc(SITE_BUSY_SECONDS, seconds, site=site)
         return True, out, []
 
     def _respawn_and_match(self, site: int) -> SiteReply:
@@ -937,14 +965,16 @@ class ProcessMatchPool:
     # -- the conflict set ---------------------------------------------------
 
     def conflict_set(self) -> List[Instantiation]:
-        """Full conflict set, deterministic order (site 0's rules first).
+        """The full conflict set, as a list in no promised order (the
+        engine sorts what it fires; compare two of these as sets).
 
         Delta mode ships the WM delta since the last call to every live
         worker; columnar mode ships only journal cursors (workers read the
         shared columns directly). Each site replies with the change to its
-        retained set; the sets merge in site order. Crashed or
-        unresponsive workers are respawned and caught up transparently;
-        sites past their respawn budget are matched in-parent.
+        retained set, and the sets — disjoint by construction — are laid
+        end to end. Crashed or unresponsive workers are respawned and
+        caught up transparently; sites past their respawn budget are
+        matched in-parent.
         """
         if self._closed:
             raise MatchError("ProcessMatchPool is closed")
@@ -1050,38 +1080,28 @@ class ProcessMatchPool:
                 reply = self._recv_checked(site) if sent[site] else None
                 if reply is None:
                     reply = self._respawn_and_match(site)
-            retained = self._apply_reply(site, reply)
-            for rule in self._site_rules[site]:
-                entries = retained.get(rule.name)
-                if entries:
-                    merged.extend([inst for _timestamps, inst in entries])
+            merged.extend(self._apply_reply(site, reply).values())
         return merged
 
     def _apply_reply(
         self, site: int, reply: SiteReply
-    ) -> Dict[str, List[Tuple[Tuple[int, ...], Instantiation]]]:
+    ) -> Dict[InstKey, Instantiation]:
         """Edit the site's retained set as its reply says; return it.
 
         Instantiations are rebuilt (against the parent's own WME objects)
-        for the additions only. Entries sort on the timestamp tuple alone:
-        a matcher retains each key once, so no two tie."""
+        for the additions only."""
         reset, added, removed = reply
         if reset:
             self._retained[site] = {}
         retained = self._retained[site]
-        for rule_name, timestamps in removed:
-            entries = retained[rule_name]
-            # (timestamps,) sorts immediately before (timestamps, inst).
-            del entries[bisect_left(entries, (timestamps,))]
-        grown = set()
+        for key in removed:
+            del retained[key]
         wme_by_ts = self._wme_by_ts
+        rules_by_name = self._rules_by_name
         for rule_name, timestamps, env in added:
             wmes = tuple(wme_by_ts[ts] if ts else None for ts in timestamps)
-            inst = Instantiation(self._rules_by_name[rule_name], wmes, env)
-            retained.setdefault(rule_name, []).append((timestamps, inst))
-            grown.add(rule_name)
-        for rule_name in grown:
-            retained[rule_name].sort()
+            inst = Instantiation(rules_by_name[rule_name], wmes, env)
+            retained[inst.key] = inst
         return retained
 
     # -- lifecycle ----------------------------------------------------------
@@ -1149,7 +1169,6 @@ class ProcessMatcher(Matcher):
         rules: Sequence[Rule],
         wm: WorkingMemory,
         n_workers: Optional[int] = None,
-        assignment: "Optional[Assignment | str]" = None,
         timeout: float = DEFAULT_TIMEOUT,
         respawn_limit: Optional[int] = None,
         fault_plan: Optional[FaultPlan] = None,
@@ -1167,7 +1186,6 @@ class ProcessMatcher(Matcher):
             rules,
             wm,
             n_workers,
-            assignment=assignment,
             timeout=timeout,
             respawn_limit=respawn_limit,
             fault_plan=fault_plan,

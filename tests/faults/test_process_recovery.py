@@ -15,8 +15,11 @@ import pytest
 from repro.core import EngineConfig, ParulelEngine
 from repro.faults import FaultPlan, WorkerKill, WorkerWedge
 from repro.lang.parser import parse_program
+from repro.match.compile import compile_rules
 from repro.match.interface import create_matcher
 from repro.parallel.process import ProcessMatchPool
+from repro.resilience.supervisor import FULL_LADDER, SupervisorPolicy
+from repro.wm.io import dumps
 from repro.wm.memory import WorkingMemory
 
 pytestmark = pytest.mark.faults
@@ -193,3 +196,64 @@ class TestEngineIntegration:
         assert "degrade" in kinds
         per_cycle = [e.kind for r in engine.reports for e in r.fault_events]
         assert per_cycle == kinds
+
+    @pytest.mark.slow
+    @pytest.mark.timeout(120)
+    @pytest.mark.parametrize("wm_backend", ["dict", "columnar"])
+    def test_kill_degrade_and_repromote_under_the_split_dump_identically(
+        self, wm_backend
+    ):
+        """Three sites share two rules' extensions (more workers than
+        rules). One site is killed and respawned, another is killed past
+        its budget, matched in-parent from the same ``(k, s)`` for three
+        cycles and promoted back — and the final dump is the serial
+        run's, byte for byte."""
+        from repro.programs import REGISTRY
+
+        workload = REGISTRY["tc"]()
+        ref = ParulelEngine(workload.program)
+        workload.setup(ref)
+        ref_result = ref.run()
+        assert ref_result.cycles >= 8
+
+        plan = FaultPlan(
+            kills=(
+                WorkerKill(cycle=2, site=2),
+                WorkerKill(cycle=3, site=0),
+                WorkerKill(cycle=4, site=0),
+            )
+        )
+        policy = SupervisorPolicy(
+            ladder=FULL_LADDER, breaker_failures=2, cooldown_cycles=3
+        )
+        engine = ParulelEngine(
+            workload.program,
+            EngineConfig(
+                matcher="process:3",
+                fault_plan=plan,
+                supervisor=policy,
+                wm_backend=wm_backend,
+            ),
+        )
+        try:
+            workload.setup(engine)
+            result = engine.run()
+            pool = engine.matcher.pool
+            # The in-parent fallback matched site 0's share, compiled from
+            # the (k, s) its worker compiles from.
+            parent = pool._site_compiled[0]
+            worker = compile_rules(workload.program.rules, site=(3, 0))
+            assert [(cr, cr.plan, cr.seeded_plans) for cr in parent] == [
+                (cr, cr.plan, cr.seeded_plans) for cr in worker
+            ]
+            assert pool.degraded_sites == set()
+            assert (result.cycles, result.firings) == (
+                ref_result.cycles, ref_result.firings,
+            )
+            assert dumps(engine.wm) == dumps(ref.wm)
+        finally:
+            engine.close()
+        kinds = [(e.kind, e.site) for e in engine.fault_events]
+        assert ("respawn", 2) in kinds
+        assert ("degrade", 0) in kinds and ("promote", 0) in kinds
+        assert kinds.index(("degrade", 0)) < kinds.index(("promote", 0))

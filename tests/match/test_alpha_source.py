@@ -331,3 +331,33 @@ def test_enumeration_identical_over_dict_and_column_sources(seed):
     finally:
         for h in harnesses:
             h.close()
+
+
+def test_a_class_first_seen_in_a_refresh_that_also_retracts():
+    """A retraction makes TREAT flush mid-journal. A watched class whose
+    first rows arrive in that same refresh must stay empty to that flush
+    (its records are being skipped) and be reported whole afterwards —
+    a memory built mid-journal would show the new rows to the pending
+    batches only, and the older WMEs would never be joined with them."""
+    from repro.match.treat import TreatMatcher
+
+    rules = parse_program("(p r (b ^k <x>) (a ^k <x>) --> (halt))").rules
+    wm = ColumnarWorkingMemory(initial_capacity=2)
+    reader = ColumnarReader(wm.attach_spec())
+    try:
+        cache = ColumnVectorCache(reader)
+        matcher = TreatMatcher(rules, WorkingMemory(), alpha=cache)
+        old, doomed = wm.make("b", k=1), wm.make("b", k=1)
+        cache.refresh(wm.cycle_info())
+        assert matcher.instantiations() == []
+        new = wm.make("b", k=1)
+        first_a = wm.make("a", k=1)
+        wm.remove(doomed)
+        cache.refresh(wm.cycle_info())
+        assert sorted(i.key[1] for i in matcher.instantiations()) == [
+            (old.timestamp, first_a.timestamp),
+            (new.timestamp, first_a.timestamp),
+        ]
+    finally:
+        reader.close()
+        wm.close()

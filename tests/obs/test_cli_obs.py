@@ -115,6 +115,59 @@ class TestProfileCommand:
         validate_chrome_trace(json.loads(trace_path.read_text()))
         assert "parulel_rule_eval_seconds" in metrics_path.read_text()
 
+    def test_profile_names_the_collector_and_serial_runs_have_no_sites(
+        self, program_files, capsys
+    ):
+        import re
+
+        program, facts = program_files
+        assert main(["profile", program, "--facts", facts]) == 0
+        out = capsys.readouterr().out
+        assert re.search(
+            r"^collector: \d+ passes, \d+\.\d ms \(gen0 \d+ / \d+\.\d ms, "
+            r"gen1 \d+ / \d+\.\d ms, gen2 \d+ / \d+\.\d ms\)$",
+            out,
+            re.M,
+        )
+        assert "sites:" not in out
+
+    def test_profile_process_prints_each_sites_share_of_busy(
+        self, program_files, capsys
+    ):
+        import re
+
+        program, facts = program_files
+        code = main(
+            ["profile", program, "--facts", facts, "--matcher", "process",
+             "--workers", "3"]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        (line,) = [ln for ln in out.splitlines() if ln.startswith("sites:")]
+        shares = [float(x) for x in re.findall(r"site \d+ [\d.]+ s \(([\d.]+)%\)", line)]
+        assert len(shares) == 3 and abs(sum(shares) - 100.0) < 0.3
+        ratio = float(re.search(r"busy-sum [\d.]+ s \(([\d.]+)\)", line).group(1))
+        assert 1 / 3 - 0.01 <= ratio <= 1.0
+        assert abs(ratio - max(shares) / 100) < 0.01
+
+    def test_collector_log_counts_passes_per_generation(self):
+        import gc
+
+        from repro.obs.profile import CollectorLog
+
+        log = CollectorLog()
+        log.install()
+        try:
+            gc.collect(0)
+            gc.collect(2)
+        finally:
+            log.remove()
+        gc.collect(1)  # after remove: not counted
+        assert log.passes == [1, 0, 1]
+        assert log.seconds[0] > 0 and log.seconds[2] > 0 and log.seconds[1] == 0
+        assert log not in gc.callbacks
+        assert log.line().startswith("collector: 2 passes, ")
+
     def test_profile_unknown_target(self, capsys):
         code = main(["profile", "no-such-workload"])
         assert code == 2

@@ -49,18 +49,27 @@ class TestProcessMatchPool:
         with ProcessMatchPool(prog.rules, wm, n_workers) as pool:
             assert keys(pool.conflict_set()) == keys(rete.instantiations())
 
-    def test_deterministic_order_and_site_merge(self):
+    def test_sites_hold_disjoint_shares_of_every_rule(self):
+        """Alpha-level copy-and-constrain: each site retains part of the
+        conflict set, no instantiation twice, and a rule's instantiations
+        are not all on one site."""
         prog = parse_program(SRC)
         wm = WorkingMemory()
-        load(wm)
+        rete = create_matcher("rete", prog.rules, wm)
+        load(wm, n=12)
         with ProcessMatchPool(prog.rules, wm, 3) as pool:
-            first = [i.key for i in pool.conflict_set()]
-            second = [i.key for i in pool.conflict_set()]
-        assert first == second
-        # Same merge order as the threaded pool: site order, and within a
-        # site the compiled-rule order.
-        with ProcessMatchPool(prog.rules, wm, 3) as again:
-            assert [i.key for i in again.conflict_set()] == first
+            merged = pool.conflict_set()
+            assert keys(merged) == keys(rete.instantiations())
+            assert len({i.key for i in merged}) == len(merged)
+            shares = [
+                {key[0] for key in pool._retained[site]}
+                for site in pool.active_sites
+            ]
+            assert sum(len(pool._retained[s]) for s in pool.active_sites) == len(
+                merged
+            )
+        for rule in {i.rule.name for i in merged}:
+            assert sum(rule in share for share in shares) >= 2, rule
 
     def test_incremental_deltas_between_calls(self):
         prog = parse_program(SRC)
@@ -90,15 +99,16 @@ class TestProcessMatchPool:
         assert insts[0].wmes[0] is a
         assert insts[0].wmes[1] is b
 
-    def test_empty_sites_get_no_process(self):
+    def test_workers_above_the_rule_count_all_match(self):
         prog = parse_program(SRC)  # 4 rules
         wm = WorkingMemory()
         rete = create_matcher("rete", prog.rules, wm)
-        load(wm)
-        with ProcessMatchPool(prog.rules, wm, 16) as pool:
-            assert pool.active_sites == tuple(range(4))
-            assert len(pool._procs) == 4
+        load(wm, n=12)
+        with ProcessMatchPool(prog.rules, wm, 6) as pool:
+            assert pool.active_sites == tuple(range(6))
+            assert len(pool._procs) == 6
             assert keys(pool.conflict_set()) == keys(rete.instantiations())
+            assert all(pool._retained[site] for site in pool.active_sites)
 
     def test_pool_with_no_rules(self):
         pool = ProcessMatchPool([], WorkingMemory(), 4)
@@ -205,16 +215,13 @@ def store(request):
 
 
 def image(insts):
-    """Order-preserving, byte-comparable view of a conflict set."""
-    return [(i.key, sorted(i.env.items())) for i in insts]
+    """Byte-comparable view of a conflict set (a pool promises the set,
+    not an order: the engine sorts what it fires)."""
+    return sorted((i.key, sorted(i.env.items())) for i in insts)
 
 
 def retained_count(pool):
-    return sum(
-        len(entries)
-        for rules in pool._retained.values()
-        for entries in rules.values()
-    )
+    return sum(len(retained) for retained in pool._retained.values())
 
 
 BULK_SRC = "(p probe-hit (probe ^key <k>) (item ^key <k>) --> (halt))"
@@ -232,25 +239,51 @@ class TestIncrementalReplies:
             for _ in range(per_key):
                 wm.make("item", key=key)
         metrics = MetricsRegistry()
+
+        def reply_bytes():
+            return sum(
+                metrics.counter_value("parulel_ipc_reply_bytes_total", site=site)
+                for site in (0, 1)
+            )
+
         sizes = []
         with ProcessMatchPool(prog.rules, wm, 2, metrics=metrics) as pool:
             assert pool.conflict_set() == []
-            seen = metrics.counter_value("parulel_ipc_reply_bytes_total", site=0)
+            seen = reply_bytes()
             assert seen > 0
             for tick in range(ticks):
                 wm.make("probe", key=tick)
                 insts = pool.conflict_set()
                 assert len(insts) == per_key * (tick + 1)  # retained grows...
-                total = metrics.counter_value(
-                    "parulel_ipc_reply_bytes_total", site=0
-                )
+                total = reply_bytes()
                 sizes.append(total - seen)
                 seen = total
-        # ...while each reply carries only that tick's per_key additions.
+        # ...while the sites' replies carry only that tick's per_key
+        # additions between them (the probe's owner has them all).
         assert max(sizes) < 1.25 * min(sizes)
         assert metrics.counter_value(
             "parulel_ipc_messages_total", direction="reply"
-        ) == ticks + 1
+        ) == 2 * (ticks + 1)
+
+    def test_bulk_tick_gives_both_sites_new_probes(self, store):
+        """One ``modify`` and one ``make`` per cycle gives every new probe
+        the same timestamp parity; the site condition mixes the timestamp,
+        so both sites still get probes to join."""
+        wm = store
+        prog = parse_program(BULK_SRC)
+        for key in range(20):
+            wm.make("item", key=key)
+        tick = wm.make("tick", n=0)
+        with ProcessMatchPool(prog.rules, wm, 2) as pool:
+            for n in range(1, 21):
+                wm.remove(tick)  # a modify: remove ...
+                tick = wm.make("tick", n=n)  # ... and re-make,
+                wm.make("probe", key=n - 1)  # then the cycle's one make
+                assert len(pool.conflict_set()) == n
+            probes = {w.timestamp % 2 for w in wm.by_class("probe")}
+            shares = [len(pool._retained[site]) for site in (0, 1)]
+        assert len(probes) == 1  # the parity trap is real on this shape
+        assert min(shares) >= 5 and sum(shares) == 20
 
     def test_kill_after_retractions_leaves_no_stale_entry(self, store):
         wm = store

@@ -124,6 +124,43 @@ class TestScriptedLadder:
             ]
 
 
+    @pytest.mark.slow
+    @pytest.mark.timeout(60)
+    def test_every_rung_matches_the_same_share_of_every_rule(self):
+        """Under the alpha-level split a site is a share of *every* rule,
+        at every rung: while site 0 is demoted (threaded, then — with no
+        cool-down left — promoted) its retained set is exactly what a
+        healthy pool's site 0 retains, and the other site's never moves."""
+        prog = parse_program(SRC)
+        wm = WorkingMemory()
+        load(wm, n=12)
+        plan = FaultPlan(kills=(WorkerKill(cycle=2, site=0),))
+        policy = SupervisorPolicy(
+            ladder=FULL_LADDER, breaker_failures=1, cooldown_cycles=2
+        )
+        with ProcessMatchPool(prog.rules, wm, 2) as healthy:
+            with ProcessMatchPool(
+                prog.rules, wm, 2, fault_plan=plan, supervisor=policy
+            ) as pool:
+                rungs = []
+                for cycle in range(1, 7):
+                    wm.make("a0", k=cycle % 3)
+                    wm.make("b1", k=cycle % 3)
+                    wm.remove(wm.by_class("b0")[0])
+                    assert keys(pool.conflict_set()) == keys(
+                        healthy.conflict_set()
+                    )
+                    for site in (0, 1):
+                        assert sorted(pool._retained[site]) == sorted(
+                            healthy._retained[site]
+                        ), (cycle, site)
+                    rungs.append(pool._sup.mode(0))
+                assert len({key[0] for key in pool._retained[0]}) > 1
+        assert rungs == [
+            "process", "threaded", "threaded", "process", "process", "process",
+        ]
+
+
 class TestHeartbeat:
     @pytest.mark.slow
     @pytest.mark.timeout(90)

@@ -47,6 +47,24 @@ class TestTopLevelExports:
             exc = getattr(repro, name)
             assert issubclass(exc, repro.ReproError), name
 
+    def test_lazily_exported_names_resolve_to_their_definitions(self):
+        """The packages that name their API without importing it (PEP 562)
+        export what they did when the imports were eager."""
+        from repro import core, faults, match, metrics, obs
+
+        for package in (repro, core, faults, match, metrics, obs):
+            for name in package.__all__:
+                value = getattr(package, name)
+                home = getattr(value, "__module__", None)
+                if name != "__version__" and home is not None:
+                    assert home.startswith("repro."), (package.__name__, name)
+                # Resolved once, then a plain attribute.
+                assert package.__dict__[name] is value
+        with pytest.raises(AttributeError, match="no attribute 'nope'"):
+            core.nope
+        with pytest.raises(ImportError):
+            from repro.match import nope  # noqa: F401
+
     def test_subpackage_apis(self):
         from repro import parallel, programs, tools, wm
 

@@ -3,12 +3,15 @@
 Every independent option multiplies the configurations tests and
 benchmarks must cover (ROADMAP aim 2), so adding or removing a CLI
 argument, an ``EngineConfig`` field or a ``create_matcher`` keyword must
-show up as an edit to this file in the same diff.
+show up as an edit to this file in the same diff. So must a module that
+``import repro.cli`` newly loads: every run pays for it before ``main``.
 """
 
 import argparse
 import dataclasses
 import inspect
+import subprocess
+import sys
 
 from repro.cli import build_parser
 from repro.core import EngineConfig
@@ -18,7 +21,7 @@ from repro.repl import ReplSession, run_repl
 CLI = {
     "run": [
         "program", "--facts", "--engine", "--matcher", "--workers",
-        "--assignment", "--matcher-timeout", "--respawn-limit", "--wm-backend",
+        "--matcher-timeout", "--respawn-limit", "--wm-backend",
         "--checkpoint-every", "--checkpoint", "--checkpoint-keep",
         "--checkpoint-full-every", "--resume", "--strategy", "--interference",
         "--certified-commute", "--sanitize-races", "--max-cycles", "--trace",
@@ -48,14 +51,31 @@ CLI = {
 ENGINE_CONFIG = [
     "matcher", "indexed_match", "interference", "dedupe_makes", "max_cycles",
     "max_meta_cycles", "track_provenance", "matcher_timeout", "respawn_limit",
-    "fault_plan", "supervisor", "assignment", "wm_backend",
+    "fault_plan", "supervisor", "wm_backend",
     "certified_commute", "sanitize_races", "flight_recorder", "blackbox_path",
     "flight_capacity",
 ]
 
 CREATE_MATCHER = [
-    "timeout", "respawn_limit", "fault_plan", "assignment", "supervisor",
+    "timeout", "respawn_limit", "fault_plan", "supervisor",
     "tracer", "metrics", "flightrec", "indexed",
+]
+
+#: The ``repro`` modules ``import repro.cli`` loads: what a default ``run``
+#: executes. The packages' other public names resolve on first use
+#: (PEP 562), so the baseline engine, the fault plans, RETE, the naive
+#: matcher, the table helpers and provenance load when something asks.
+CLI_IMPORTS = [
+    "repro", "repro._lazy", "repro.cli", "repro.collector", "repro.core",
+    "repro.core.actions", "repro.core.delta", "repro.core.engine",
+    "repro.core.redaction", "repro.errors", "repro.lang",
+    "repro.lang.analysis", "repro.lang.ast", "repro.lang.builder",
+    "repro.lang.lexer", "repro.lang.parser", "repro.lang.pretty",
+    "repro.match", "repro.match.alphaindex", "repro.match.compile",
+    "repro.match.instantiation", "repro.match.interface", "repro.match.join",
+    "repro.match.stats", "repro.metrics", "repro.metrics.timers", "repro.obs",
+    "repro.obs.metrics", "repro.obs.profile", "repro.obs.trace", "repro.wm",
+    "repro.wm.io", "repro.wm.memory", "repro.wm.template", "repro.wm.wme",
 ]
 
 
@@ -85,7 +105,7 @@ def _walk(parser, prefix=""):
 
 def test_cli_arguments_are_exactly_the_listed_ones():
     assert _walk(build_parser()) == CLI
-    assert sum(len(args) for args in CLI.values()) == 64
+    assert sum(len(args) for args in CLI.values()) == 63
 
 
 def test_the_default_matcher_is_treat_wherever_one_is_defaulted():
@@ -107,7 +127,7 @@ def test_the_default_matcher_is_treat_wherever_one_is_defaulted():
 
 def test_engine_config_fields_are_exactly_the_listed_ones():
     assert [f.name for f in dataclasses.fields(EngineConfig)] == ENGINE_CONFIG
-    assert len(ENGINE_CONFIG) == 18
+    assert len(ENGINE_CONFIG) == 17
 
 
 def test_create_matcher_keywords_are_exactly_the_listed_ones():
@@ -117,4 +137,46 @@ def test_create_matcher_keywords_are_exactly_the_listed_ones():
         if p.kind is p.KEYWORD_ONLY
     ]
     assert keywords == CREATE_MATCHER
-    assert len(CREATE_MATCHER) == 9
+    assert len(CREATE_MATCHER) == 8
+
+
+def test_importing_the_cli_loads_exactly_the_listed_modules():
+    """In a fresh interpreter (this one has imported everything)."""
+    out = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, repro.cli\n"
+            "print(*sorted(m for m in sys.modules"
+            " if m == 'repro' or m.startswith('repro.')))",
+        ],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.split() == CLI_IMPORTS
+
+
+def test_a_default_run_loads_only_the_default_matcher_on_top(tmp_path):
+    """The lazy names must not all resolve the moment ``main`` runs."""
+    program = tmp_path / "p.pl"
+    program.write_text("(literalize a k)\n(p r (a ^k 1) --> (halt))\n")
+    out = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, repro.cli\n"
+            "before = set(sys.modules)\n"
+            f"assert repro.cli.main(['run', {str(program)!r}]) == 0\n"
+            "print(*sorted(m for m in set(sys.modules) - before"
+            " if m.startswith('repro.')))",
+        ],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    # The flight recorder keeps its rings with the columnar store's
+    # segment machinery, hence ``repro.wm.columnar``.
+    assert out.stdout.split() == [
+        "repro.match.treat", "repro.obs.flightrec", "repro.wm.columnar",
+    ]
