@@ -31,7 +31,7 @@ def run_workload(name, policy):
     )
     workload.setup(machine)
     result = machine.run()
-    return result, dumps(machine.replicas[0])
+    return result, dumps(machine.wm)
 
 
 @pytest.fixture(scope="module")

@@ -13,8 +13,8 @@ sweeps latency at P = 4 on the circuit workload:
   DADO/PARULEL line preferred tightly coupled hardware, reproduced as a
   curve.
 
-Results are deterministic ticks; correctness (replica consistency and
-ground-truth verification on *every* replica) is asserted at each point.
+Results are deterministic ticks; correctness (ground-truth verification
+of the final working memory) is asserted at each point.
 """
 
 import pytest
@@ -36,9 +36,7 @@ def run_at_latency(latency, n_sites=N_SITES):
     )
     wl.setup(machine)
     result = machine.run(max_cycles=5000)
-    assert machine.replicas_consistent()
-    for replica in machine.replicas:
-        assert wl.failed_checks(replica) == []
+    assert wl.failed_checks(machine.wm) == []
     return result
 
 

@@ -32,8 +32,8 @@ of :func:`repro.parallel.partition.profile_rule_weights` to balance by
 measured match work instead. The result plugs into the same
 :class:`~repro.parallel.partition.Assignment` slot the round-robin and
 LPT policies fill — ``assignment="analysis"`` on
-:class:`~repro.parallel.distributed.DistributedMachine` and
-:class:`~repro.parallel.process.ProcessMatchPool` resolves to this.
+:class:`~repro.parallel.simmachine.SimMachine` and
+:class:`~repro.parallel.distributed.DistributedMachine` resolves to this.
 """
 
 from __future__ import annotations

@@ -248,6 +248,7 @@ class ParulelEngine:
         trace: Optional[Callable[[CycleReport], None]] = None,
         tracer=None,
         metrics=None,
+        matcher: Optional[Matcher] = None,
     ) -> None:
         analyze_program(program)
         self.program = program
@@ -286,7 +287,10 @@ class ParulelEngine:
                 capacity=self.config.flight_capacity,
             )
             matcher_options["flightrec"] = self.flightrec
-        self.matcher: Matcher = create_matcher(
+        #: A prebuilt ``matcher`` (over ``wm``) replaces the one the config
+        #: names — how the simulators put one matcher per site under the
+        #: engine's cycle.
+        self.matcher: Matcher = matcher if matcher is not None else create_matcher(
             self.config.matcher,
             program.rules,
             self.wm,
@@ -335,8 +339,9 @@ class ParulelEngine:
         self.fired: Set[InstKey] = set()
         #: Append-only mirror of :attr:`fired` in firing order, so
         #: incremental checkpoints (:meth:`checkpoint_delta`) can slice
-        #: "keys fired since the cursor" without diffing sets.
-        self._fired_log: List[InstKey] = []
+        #: "keys fired since the cursor" without diffing sets, and a trace
+        #: callback can read a cycle's firings as the last ``report.fired``.
+        self.fired_log: List[InstKey] = []
         self.output: List[str] = []
         self.reports: List[CycleReport] = []
         #: Thread-safe per-phase wall-clock accumulator; the engine's named
@@ -350,7 +355,7 @@ class ParulelEngine:
         self.fault_events: List[FaultEvent] = []
         #: Per-cycle applied deltas in wire form
         #: ``(removed timestamps, ((class, attrs, timestamp), ...))`` —
-        #: the audit trail checkpoints carry and replicas replay.
+        #: the audit trail checkpoints carry.
         self.delta_log: List[Tuple[Tuple[int, ...], Tuple[Tuple[str, Dict[str, Value], int], ...]]] = []
         self.halted = False
         self._cycle = 0
@@ -471,7 +476,7 @@ class ParulelEngine:
                 fire_kind = self._fr.EV_FIRE if flightrec is not None else 0
                 for inst in survivors:
                     self.fired.add(inst.key)
-                    self._fired_log.append(inst.key)
+                    self.fired_log.append(inst.key)
                     t0 = time.perf_counter_ns()
                     deltas.append(self.evaluator.evaluate(inst))
                     dt_ns = time.perf_counter_ns() - t0
@@ -489,7 +494,7 @@ class ParulelEngine:
             else:
                 for inst in survivors:
                     self.fired.add(inst.key)
-                    self._fired_log.append(inst.key)
+                    self.fired_log.append(inst.key)
                     deltas.append(self.evaluator.evaluate(inst))
 
         if self.config.sanitize_races and len(deltas) > 1:
@@ -929,7 +934,7 @@ class ParulelEngine:
             self._cycle,
             len(self.delta_log),
             len(self.output),
-            len(self._fired_log),
+            len(self.fired_log),
         )
 
     def checkpoint_delta(
@@ -954,7 +959,7 @@ class ParulelEngine:
             "next_timestamp": self.wm.latest_timestamp + 1,
             "fired": [
                 [rule, list(timestamps)]
-                for rule, timestamps in self._fired_log[f0:]
+                for rule, timestamps in self.fired_log[f0:]
             ],
             "output": list(self.output[o0:]),
             "delta_log": [
@@ -1048,7 +1053,7 @@ class ParulelEngine:
         engine.fired = fired
         # Firing order within past cycles is not serialized; a stable
         # sorted order keeps delta checkpoints deterministic post-restore.
-        engine._fired_log = sorted(fired)
+        engine.fired_log = sorted(fired)
         engine.output = output
         engine.delta_log = delta_log
         return engine

@@ -12,10 +12,11 @@ deterministic fault layer the execution substrates inject from:
   :class:`~repro.parallel.distributed.DistResult` and
   :class:`~repro.core.engine.CycleReport`.
 
-Recovery itself lives with each substrate: the distributed master replays
-its cumulative delta log to rejoining replicas and redistributes a dead
-site's rules across survivors; the process pool respawns crashed workers
-within a budget and then degrades the site to an in-parent serial matcher.
+Recovery itself lives with each substrate: the distributed machine
+re-hosts a dead site's rules on survivors and charges a rejoining site the
+replay of the cumulative delta log; the process pool respawns crashed
+workers within a budget and then degrades the site to an in-parent serial
+matcher.
 """
 
 from repro._lazy import lazy_exports

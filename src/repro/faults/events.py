@@ -26,7 +26,8 @@ __all__ = ["FaultEvent", "KNOWN_KINDS", "summarize_faults"]
 #: SIGSTOP), ``drop``/``duplicate``/``delay`` (message faults),
 #: ``straggler`` (slow site). Recovery actions: ``detect`` (missed
 #: gather), ``redistribute`` (rules re-hosted on survivors), ``rejoin``
-#: (replica rebuilt from the delta log), ``respawn`` (worker replaced),
+#: (site back, charged as replaying the delta log), ``respawn`` (worker
+#: replaced),
 #: ``degrade`` (site demoted one rung down the degradation ladder).
 #: Supervision events (:mod:`repro.resilience.supervisor`): ``backoff``
 #: (seeded exponential delay before a respawn), ``heartbeat-miss`` (a

@@ -46,7 +46,7 @@ class SiteCrash:
 
     ``rejoin_cycle=None`` means the crash is permanent (its rules are
     redistributed across survivors); otherwise the site rejoins at the
-    start of that cycle and is caught up by replaying the delta log.
+    start of that cycle, charged as replaying the cumulative delta log.
     """
 
     cycle: int

@@ -24,6 +24,8 @@ the owner pid (``pfr<pid:08x>p<hex>``) in the same token format
 janitor`` reclaims orphaned recorder segments exactly like orphaned WM
 segments, and a pid-guarded :func:`weakref.finalize` unlinks them when the
 owning recorder is garbage collected without an explicit ``close()``.
+That machinery is imported where a worker ring is created or attached, so
+an engine with in-process matching never loads the columnar store.
 
 On any abnormal exit the engine calls :meth:`FlightRecorder.dump`, which
 writes a self-contained ``*.blackbox`` file: a JSON header (reason,
@@ -45,9 +47,10 @@ import tempfile
 import threading
 import time
 import weakref
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.wm.columnar import _cleanup_segments, _Seg, parse_owner_pid
+if TYPE_CHECKING:
+    from repro.wm.columnar import _Seg
 
 __all__ = [
     "BLACKBOX_MAGIC",
@@ -174,6 +177,8 @@ def _clamp_i64(value: int) -> int:
 
 def flight_owner_pid(name: str) -> Optional[int]:
     """Owner pid embedded in a flight-recorder segment name, or ``None``."""
+    from repro.wm.columnar import parse_owner_pid
+
     return parse_owner_pid(name, prefix=FLIGHT_PREFIX)
 
 
@@ -219,6 +224,8 @@ class FlightRing:
         self._seg: Optional[_Seg] = None
         if shared:
             try:
+                from repro.wm.columnar import _Seg
+
                 self._seg = _Seg(_flight_token(), size=size, create=True)
             except Exception:  # pragma: no cover - /dev/shm unavailable
                 self._seg = None
@@ -239,6 +246,8 @@ class FlightRing:
         """Map an existing ring by segment name (worker side). The attached
         ring continues the creator's sequence, so a respawned worker keeps
         appending where its predecessor stopped."""
+        from repro.wm.columnar import _Seg
+
         ring = cls.__new__(cls)
         ring._seg = _Seg(name)
         ring._buf = ring._seg.buf
@@ -434,13 +443,9 @@ class FlightRecorder:
         self._capacity = max(int(capacity), MIN_CAPACITY)
         self.ring = FlightRing(self._capacity, site=-1, shared=False)
         self._worker_rings: Dict[int, FlightRing] = {}
-        # Janitor-of-last-resort: unlink the worker rings' segments when
-        # the recorder is dropped without close(), but never from a forked
-        # child.
         self._segs: Dict[str, _Seg] = {}
-        self._finalizer = weakref.finalize(
-            self, _cleanup_segments, os.getpid(), self._segs
-        )
+        #: Set with the first worker ring (:meth:`create_worker_ring`).
+        self._finalizer: Optional[weakref.finalize] = None
         self.enabled = True
 
     # -- manifest ---------------------------------------------------------
@@ -503,6 +508,15 @@ class FlightRecorder:
             ring = FlightRing(self._capacity, site=site, shared=True)
             if not ring.shared:
                 return None
+            if self._finalizer is None:
+                from repro.wm.columnar import _cleanup_segments
+
+                # Janitor-of-last-resort: unlink the worker rings' segments
+                # when the recorder is dropped without close(), but never
+                # from a forked child.
+                self._finalizer = weakref.finalize(
+                    self, _cleanup_segments, os.getpid(), self._segs
+                )
             self._worker_rings[site] = ring
             self._segs[ring.name] = ring._seg  # type: ignore[index]
         return ring.name
@@ -570,7 +584,8 @@ class FlightRecorder:
 
     def close(self) -> None:
         """Release and unlink every owned segment (idempotent)."""
-        self._finalizer()
+        if self._finalizer is not None:
+            self._finalizer()
         self._worker_rings.clear()
         self.ring._seg = None
         self.ring._buf = b""

@@ -11,9 +11,13 @@ a deterministic simulation (see DESIGN.md §2):
   data-parallel transformation that splits one hot rule into k copies
   constrained to disjoint data partitions;
 - :mod:`repro.parallel.simmachine` — :class:`SimMachine`, a barrier-
-  synchronized P-site execution of the PARULEL cycle with one match engine
-  per site; per-cycle time is the slowest site (makespan) plus serial
-  redaction and barrier costs. Speedup(P) = T(1)/T(P) — Figure 1/2;
+  synchronized P-site machine: one engine run whose matcher is split into
+  one match engine per site, charged per cycle from the run's records;
+  per-cycle time is the slowest site (makespan) plus serial redaction and
+  barrier costs. Speedup(P) = T(1)/T(P) — Figure 1/2;
+- :mod:`repro.parallel.distributed` — :class:`DistributedMachine`, the
+  same run charged to PARADISER-style replicated sites over a
+  :class:`NetworkModel`, with seeded site and message faults — Figure 5/6;
 - :mod:`repro.parallel.threaded` — a real ``ThreadPoolExecutor`` match
   fan-out, included to exercise genuine concurrency and to document the
   GIL ceiling (Table 4);

@@ -1,10 +1,9 @@
-"""SimMachine: a deterministic P-site simulation of PARULEL's cycle.
+"""SimMachine: PARULEL's cycle charged to P simulated sites.
 
 Execution model (mirrors the shared-memory multiprocessor the paper used):
 
-- every site holds the **full working memory replica** (changes are
-  broadcast at end of cycle) and the match state for **its assigned rules
-  only**;
+- every site holds the **full working memory** (changes are broadcast at
+  end of cycle) and the match state for **its assigned rules only**;
 - each cycle, sites match and fire *in parallel*; the cycle's parallel time
   is the **makespan** — the slowest site's (match + fire + broadcast
   application) work;
@@ -13,49 +12,37 @@ Execution model (mirrors the shared-memory multiprocessor the paper used):
   which is what bounds speedup à la Amdahl;
 - a **barrier** charge per cycle models synchronization.
 
-Implementation: the sites share one real :class:`~repro.wm.memory.WorkingMemory`
-(that *is* the replica abstraction — WM listeners deliver every change to
-every site's matcher, and the cost model charges each site for the
-deliveries), and each site has its own matcher over its own rules. The
-functional result of a SimMachine run is therefore **bit-identical to a
-1-engine ParulelEngine run** of the same program — asserted by tests — while
-the timing model yields Figure 1/2's speedup curves deterministically.
+Implementation: the machine has no cycle of its own. It runs one
+:class:`~repro.core.engine.ParulelEngine` whose matcher is a
+:class:`SiteMatcher` — one match engine per site over the site's rules, all
+on the engine's one working memory — and charges each cycle from what the
+engine's trace callback can read once the cycle is done: each site's
+match-operation delta, the firings of each site's rules (the engine's fired
+log), the meta level's operation delta (``engine.meta.stats``), and the size
+and classes of the merged delta. So a SimMachine run *is* an engine run —
+same cycles, firings and final working memory — and the
+:class:`~repro.parallel.costmodel.CostModel` turns its records into
+Figure 1/2's speedup curves deterministically.
 """
 
 from __future__ import annotations
 
-import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, List, Mapping, Optional, Sequence
 
-from repro.errors import CycleLimitExceeded
-from repro.core.actions import ActionEvaluator, InstantiationDelta
-from repro.core.delta import InterferencePolicy, merge_deltas
-from repro.core.redaction import MetaLevel
-from repro.lang.ast import Program, Value
-from repro.match.instantiation import InstKey, Instantiation
+from repro.core.delta import InterferencePolicy
+from repro.core.engine import CycleReport, EngineConfig, ParulelEngine
+from repro.lang.ast import Program, Rule, Value
+from repro.match.instantiation import Instantiation
 from repro.match.interface import Matcher, create_matcher
-from repro.match.compile import compile_rules
 from repro.parallel.costmodel import CostModel
-from repro.parallel.partition import Assignment, round_robin_assignment
+from repro.parallel.partition import Assignment, resolve_assignment
 from repro.wm.memory import WorkingMemory
 from repro.wm.template import TemplateRegistry
+from repro.wm.wme import WME
 
-__all__ = ["SimMachine", "SimResult", "SiteCycle"]
-
-
-@dataclass
-class SiteCycle:
-    """One site's charged work within one cycle (ticks)."""
-
-    match: float = 0.0
-    fire: float = 0.0
-    broadcast: float = 0.0
-
-    @property
-    def total(self) -> float:
-        return self.match + self.fire + self.broadcast
+__all__ = ["SimMachine", "SimResult", "SiteMatcher"]
 
 
 @dataclass
@@ -84,18 +71,95 @@ class SimResult:
         return self.parallel_ticks + self.serial_ticks
 
     @property
-    def total_work(self) -> float:
-        """Sum of all sites' work — what one site would have done (modulo
-        partitioning overheads)."""
-        return sum(self.site_totals)
-
-    @property
     def load_imbalance(self) -> float:
         """max site load / mean site load (1.0 = perfectly balanced)."""
         if not self.site_totals or not any(self.site_totals):
             return 1.0
         mean = sum(self.site_totals) / len(self.site_totals)
         return max(self.site_totals) / mean if mean else 1.0
+
+
+class SiteMatcher:
+    """The engine's matcher on a simulated machine: one
+    :func:`~repro.match.interface.create_matcher` per site over the rules
+    the site hosts, all listening to one working memory.
+
+    Its conflict set is the union of the sites'. Beside it, it keeps what
+    the cost models read after each cycle: every site's match-operation
+    delta (:meth:`ops`), the classes of the working-memory changes since
+    ``changes`` was last cleared, and the instantiations last collected.
+    """
+
+    def __init__(
+        self, spec: str, rules: Sequence[Rule], wm: WorkingMemory, hosting: Assignment
+    ) -> None:
+        self.spec = spec
+        self.rules = rules
+        self.wm = wm
+        #: ``None`` for a site that hosts no rule (or is down).
+        self.matchers: List[Optional[Matcher]] = [None] * hosting.n_sites
+        self._marks = [Counter() for _ in range(hosting.n_sites)]
+        #: Class -> working-memory changes since the last ``clear()``.
+        self.changes: Counter = Counter()
+        self.collected: List[Instantiation] = []
+        wm.add_listener(self._note)
+        self.rehost(hosting)
+
+    def _note(self, wme: WME, added: bool) -> None:
+        self.changes[wme.class_name] += 1
+
+    def host(self, site: int, rules: Sequence[Rule]) -> None:
+        """(Re)build one site's matcher over ``rules``. A fresh matcher
+        replays the whole working memory, so its priming work lands in the
+        site's next :meth:`ops`."""
+        old = self.matchers[site]
+        if old is not None:
+            old.detach()
+        self.matchers[site] = create_matcher(self.spec, rules, self.wm) if rules else None
+        self._marks[site] = Counter()
+
+    def hosted(self, site: int) -> frozenset:
+        matcher = self.matchers[site]
+        return frozenset(matcher.rule_names()) if matcher is not None else frozenset()
+
+    def rehost(self, hosting: Assignment) -> int:
+        """Adopt ``hosting``, rebuilding every site whose rule set changes;
+        returns the rule slots that moved."""
+        self.hosting = hosting
+        moved = 0
+        for site in range(hosting.n_sites):
+            rules = hosting.rules_of_site(site, self.rules)
+            names, old = frozenset(r.name for r in rules), self.hosted(site)
+            if names != old:
+                moved += len(names ^ old)
+                self.host(site, rules)
+        return moved
+
+    def ops(self, site: int) -> Counter:
+        """Match operations the site performed since the last call."""
+        matcher = self.matchers[site]
+        if matcher is None:
+            return Counter()
+        now = matcher.stats.snapshot()
+        delta = now - self._marks[site]
+        self._marks[site] = now
+        return delta
+
+    def relevant(self, site: int) -> int:
+        """Changes since ``changes`` was cleared of classes the site reads."""
+        matcher = self.matchers[site]
+        if matcher is None:
+            return 0
+        reads = {ce.class_name for compiled in matcher.compiled for ce in compiled.ces}
+        return sum(n for cls, n in self.changes.items() if cls in reads)
+
+    def instantiations(self) -> List[Instantiation]:
+        out: List[Instantiation] = []
+        for matcher in self.matchers:
+            if matcher is not None:
+                out.extend(matcher.instantiations())
+        self.collected = out
+        return out
 
 
 class SimMachine:
@@ -105,7 +169,7 @@ class SimMachine:
         self,
         program: Program,
         n_sites: int,
-        assignment: Optional[Assignment] = None,
+        assignment: "Optional[Assignment | str]" = None,
         cost_model: Optional[CostModel] = None,
         matcher: str = "rete",
         interference: InterferencePolicy = InterferencePolicy.ERROR,
@@ -117,178 +181,95 @@ class SimMachine:
             raise ValueError("need at least one site")
         self.program = program
         self.n_sites = n_sites
-        self.assignment = assignment or round_robin_assignment(program.rules, n_sites)
+        self.assignment = resolve_assignment(assignment, program.rules, n_sites)
         self.assignment.validate(program.rules)
         self.cost = cost_model or CostModel()
-        self.interference = InterferencePolicy.of(interference)
-        self.dedupe_makes = dedupe_makes
         #: PARADISER-style interest-based update delivery: a WM change is
-        #: sent only to sites whose rules *read* the changed class, instead
-        #: of broadcast to every replica. Functionally identical (the real
-        #: shared WorkingMemory still notifies every matcher — matchers
-        #: ignore classes outside their alpha index anyway); only the
-        #: communication charges differ. Ablation A4 measures the gap.
+        #: charged only to sites whose rules *read* the changed class,
+        #: instead of broadcast to every site. Only the communication
+        #: charges differ. Ablation A4 measures the gap.
         self.multicast = multicast
-
         self.wm = WorkingMemory(TemplateRegistry.from_program(program))
-        self.evaluator = ActionEvaluator(host_functions)
-        self.site_matchers: List[Matcher] = []
-        for site in range(n_sites):
-            rules = self.assignment.rules_of_site(site, program.rules)
-            self.site_matchers.append(create_matcher(matcher, rules, self.wm))
-        self.meta = MetaLevel(program.meta_rules, self.wm, self.evaluator)
-        # Per-site read interests (class names) for multicast accounting.
-        self._site_interests: List[frozenset] = []
-        for site in range(n_sites):
-            rules = self.assignment.rules_of_site(site, program.rules)
-            classes = set()
-            for compiled in compile_rules(rules):
-                for ce in compiled.ces:
-                    classes.add(ce.class_name)
-            self._site_interests.append(frozenset(classes))
-        self.fired: Set[InstKey] = set()
-        self.output: List[str] = []
-        self._site_op_marks = [Counter() for _ in range(n_sites)]
-        self._meta_op_mark: Counter = Counter()
-        self._halted = False
+        self.sites = SiteMatcher(matcher, program.rules, self.wm, self.assignment)
+        self.engine = ParulelEngine(
+            program,
+            EngineConfig(
+                interference=interference,
+                dedupe_makes=dedupe_makes,
+                flight_recorder=False,
+            ),
+            host_functions=host_functions,
+            wm=self.wm,
+            trace=self._charge_cycle,
+            matcher=self.sites,
+        )
 
-    # -- workload ---------------------------------------------------------------
-
-    def make(self, class_name: str, attrs: Optional[Mapping[str, Value]] = None, **kw: Value):
+    def make(self, class_name: str, attrs: Optional[Mapping[str, Value]] = None, **kw: Value) -> WME:
         """Assert an initial WME (charged as load-phase match work)."""
-        return self.wm.make(class_name, attrs, **kw)
+        return self.engine.make(class_name, attrs, **kw)
 
-    # -- accounting ---------------------------------------------------------------
+    # -- records -> ticks ------------------------------------------------------
 
-    def _site_ops_delta(self, site: int) -> Counter:
-        """Match-op counters accrued at a site since last checkpoint."""
-        now = self.site_matchers[site].stats.snapshot()
-        delta = now - self._site_op_marks[site]
-        self._site_op_marks[site] = now
-        return delta
+    def _load(self) -> List[float]:
+        """Per site: the match work the initial WMEs cost (the load phase)."""
+        self.sites.changes.clear()
+        return [self.cost.match_cost(self.sites.ops(s)) for s in range(self.n_sites)]
 
-    def _meta_ops_delta(self) -> Counter:
-        now = self.meta.stats.snapshot()
-        delta = now - self._meta_op_mark
-        self._meta_op_mark = now
-        return delta
-
-    # -- execution -----------------------------------------------------------------
+    def _fire_ticks(self, report: CycleReport) -> List[float]:
+        """Per site: one ``fire`` charge per firing of a rule it hosts."""
+        ticks = [0.0] * self.n_sites
+        site_of = self.sites.hosting.site_of
+        log = self.engine.fired_log
+        for rule, _timestamps in log[len(log) - report.fired :]:
+            ticks[site_of[rule]] += self.cost.fire
+        return ticks
 
     def run(self, max_cycles: int = 100_000) -> SimResult:
         """Run to quiescence/halt, charging time per the cost model."""
-        makespans: List[float] = []
-        site_totals = [0.0] * self.n_sites
-        serial = 0.0
-        cycles = 0
-        firings = 0
-        messages = 0
-        reason = "quiescence"
-
-        # Load phase: initial WMEs were matched at construction/make time.
-        # Charge each site its accrued ops as a cycle-0 parallel phase.
-        load = [
-            self.cost.match_cost(self._site_ops_delta(s)) for s in range(self.n_sites)
-        ]
-        self._meta_ops_delta()  # baseline the meta counters too
+        self.makespans: List[float] = []
+        self.site_totals = [0.0] * self.n_sites
+        self.serial = 0.0
+        self.messages = 0
+        load = self._load()
         if any(load):
-            makespans.append(max(load))
-            for s, t in enumerate(load):
-                site_totals[s] += t
-
-        while True:
-            if cycles >= max_cycles:
-                raise CycleLimitExceeded(
-                    f"simulated run exceeded {max_cycles} cycles"
-                )
-            # ---- parallel match: collect per-site candidates --------------
-            site_candidates: List[List[Instantiation]] = []
-            for matcher in self.site_matchers:
-                cands = [
-                    i for i in matcher.instantiations() if i.key not in self.fired
-                ]
-                site_candidates.append(cands)
-            candidates: List[Instantiation] = []
-            inst_site: Dict[InstKey, int] = {}
-            for site, cands in enumerate(site_candidates):
-                for inst in cands:
-                    candidates.append(inst)
-                    inst_site[inst.key] = site
-            if not candidates:
-                reason = "quiescence"
-                break
-            cycles += 1
-
-            # ---- serial redaction (master) --------------------------------
-            survivors, red_report = self.meta.redact(candidates)
-            self.output.extend(self.meta.writes)
-            serial += self.cost.redaction_cost(
-                self._meta_ops_delta(), red_report.meta_firings
-            )
-
-            if not survivors:
-                reason = "redaction-quiescence"
-                break
-
-            # ---- parallel fire ---------------------------------------------
-            deltas: List[InstantiationDelta] = []
-            fire_ticks = [0.0] * self.n_sites
-            for inst in survivors:
-                self.fired.add(inst.key)
-                deltas.append(self.evaluator.evaluate(inst))
-                fire_ticks[inst_site[inst.key]] += self.cost.fire
-            firings += len(survivors)
-
-            merged = merge_deltas(
-                deltas, policy=self.interference, dedupe_makes=self.dedupe_makes
-            )
-            # Merge is serial master work; charge per update merged.
-            serial += self.cost.wm_broadcast * 0.5 * merged.size
-
-            # ---- apply + broadcast ------------------------------------------
-            for wme in merged.removes:
-                self.wm.remove(wme)
-            for class_name, attrs in merged.makes:
-                self.wm.make(class_name, attrs)
-            for delta in deltas:
-                self.evaluator.run_calls(delta)
-            self.output.extend(merged.writes)
-
-            # ---- per-site cycle time -----------------------------------------
-            if self.multicast:
-                changed = [w.class_name for w in merged.removes] + [
-                    cls for cls, _attrs in merged.makes
-                ]
-            cycle_site_ticks = []
-            for s in range(self.n_sites):
-                if self.multicast:
-                    relevant = sum(
-                        1 for cls in changed if cls in self._site_interests[s]
-                    )
-                else:
-                    relevant = merged.size
-                messages += relevant
-                bcast = self.cost.broadcast_cost(relevant)
-                match_ticks = self.cost.match_cost(self._site_ops_delta(s))
-                t = match_ticks + fire_ticks[s] + bcast
-                cycle_site_ticks.append(t)
-                site_totals[s] += t
-            makespans.append(max(cycle_site_ticks))
-            serial += self.cost.barrier
-
-            if merged.halt or self.meta.halt_requested:
-                reason = "halt"
-                break
-
+            self.makespans.append(max(load))
+            self.site_totals = load
+        self._meta_mark = self.engine.meta.stats.snapshot()
+        run = self.engine.run(max_cycles)
         return SimResult(
             n_sites=self.n_sites,
-            cycles=cycles,
-            firings=firings,
-            reason=reason,
-            messages=messages,
-            parallel_ticks=sum(makespans),
-            serial_ticks=serial,
-            makespans=makespans,
-            site_totals=site_totals,
-            output=list(self.output),
+            cycles=run.cycles,
+            firings=run.firings,
+            reason=run.reason,
+            messages=self.messages,
+            parallel_ticks=sum(self.makespans),
+            serial_ticks=self.serial,
+            makespans=self.makespans,
+            site_totals=self.site_totals,
+            output=list(self.engine.output),
         )
+
+    def _charge_cycle(self, report: CycleReport) -> None:
+        """The engine's trace callback: charge one finished cycle."""
+        cost = self.cost
+        meta = self.engine.meta.stats.snapshot()
+        self.serial += cost.redaction_cost(
+            meta - self._meta_mark, report.redaction.meta_firings
+        )
+        self._meta_mark = meta
+        if not report.fired:
+            return
+        fire = self._fire_ticks(report)
+        size = report.delta_removes + report.delta_makes
+        # Merge is serial master work; charge per update merged.
+        self.serial += cost.wm_broadcast * 0.5 * size
+        ticks = []
+        for s in range(self.n_sites):
+            relevant = self.sites.relevant(s) if self.multicast else size
+            self.messages += relevant
+            t = cost.match_cost(self.sites.ops(s)) + fire[s] + cost.broadcast_cost(relevant)
+            ticks.append(t)
+            self.site_totals[s] += t
+        self.makespans.append(max(ticks))
+        self.serial += cost.barrier
+        self.sites.changes.clear()

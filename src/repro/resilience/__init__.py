@@ -24,7 +24,6 @@ from repro.resilience.checkpoint import (
     CheckpointStore,
     EngineCheckpointer,
     apply_delta_state,
-    is_envelope,
     load_checkpoint_file,
     read_envelope,
     write_envelope,
@@ -43,7 +42,6 @@ __all__ = [
     "CheckpointStore",
     "EngineCheckpointer",
     "apply_delta_state",
-    "is_envelope",
     "load_checkpoint_file",
     "read_envelope",
     "write_envelope",

@@ -53,7 +53,6 @@ __all__ = [
     "ENVELOPE_VERSION",
     "write_envelope",
     "read_envelope",
-    "is_envelope",
     "load_checkpoint_file",
     "apply_delta_state",
     "CheckpointStore",
@@ -110,15 +109,6 @@ def _fsync_dir(dirname: str) -> None:
         pass
     finally:
         os.close(fd)
-
-
-def is_envelope(path: str) -> bool:
-    """Whether the file starts with the checkpoint magic."""
-    try:
-        with open(path, "rb") as fh:
-            return fh.read(len(MAGIC)) == MAGIC
-    except OSError:
-        return False
 
 
 def read_envelope(path: str) -> Tuple[str, Dict[str, Any]]:

@@ -13,10 +13,8 @@ from repro.tools.lint import (
     lint_program,
     suggest_meta_rules,
 )
-from repro.tools.trace import RunTracer
 
 __all__ = [
-    "RunTracer",
     "WMDiff",
     "diff_wm",
     "find_interference_candidates",

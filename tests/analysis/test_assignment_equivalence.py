@@ -20,7 +20,7 @@ def _final_wm(workload, policy: str) -> str:
     )
     workload.setup(machine)
     machine.run()
-    return dumps(machine.replicas[0])
+    return dumps(machine.wm)
 
 
 @pytest.mark.parametrize("name", sorted(REGISTRY))

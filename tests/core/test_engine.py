@@ -313,7 +313,7 @@ class TestRepeatedRunOutput:
 class TestMetaWritesInReports:
     def test_meta_writes_appear_in_cycle_report(self):
         # Regression: meta-level (write ...) went straight to engine.output,
-        # bypassing CycleReport.writes, so RunTracer timelines dropped it.
+        # bypassing CycleReport.writes, so trace callbacks never saw it.
         src = """
         (literalize item n)
         (literalize log n)

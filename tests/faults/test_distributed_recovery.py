@@ -61,14 +61,13 @@ class TestRehostAssignment:
 class TestPermanentCrash:
     def test_final_wm_byte_identical_to_fault_free(self):
         _ref_dm, ref = run_machine(3)
-        reference = wm_bytes(_ref_dm.replicas[0])
+        reference = wm_bytes(_ref_dm.wm)
 
         plan = FaultPlan(crashes=(SiteCrash(cycle=3, site=2),))
         dm, res = run_machine(3, fault_plan=plan)
         assert res.cycles == ref.cycles
         assert res.firings == ref.firings
-        assert wm_bytes(dm.replicas[0]) == reference
-        assert dm.replicas_consistent()
+        assert wm_bytes(dm.wm) == reference
 
     def test_recovery_events_recorded(self):
         plan = FaultPlan(crashes=(SiteCrash(cycle=2, site=1),))
@@ -91,27 +90,24 @@ class TestPermanentCrash:
         assert faulty.compute_ticks > clean.compute_ticks
 
     def test_every_surviving_replica_converges(self):
+        clean_dm, _clean = run_machine(4)
         plan = FaultPlan(crashes=(SiteCrash(cycle=2, site=2),))
         dm, _res = run_machine(4, fault_plan=plan)
-        reference = wm_bytes(dm.replicas[0])
-        for site in (1, 3):
-            assert wm_bytes(dm.replicas[site]) == reference
+        assert wm_bytes(dm.wm) == wm_bytes(clean_dm.wm)
 
 
 class TestRejoin:
     def test_rejoined_replica_caught_up_byte_identically(self):
         _ref_dm, ref = run_machine(3)
-        reference = wm_bytes(_ref_dm.replicas[0])
+        reference = wm_bytes(_ref_dm.wm)
 
         plan = FaultPlan(crashes=(SiteCrash(cycle=2, site=1, rejoin_cycle=5),))
         dm, res = run_machine(3, fault_plan=plan)
         assert res.cycles == ref.cycles
         assert res.firings == ref.firings
-        assert 1 not in dm._dead
-        # The rejoined replica itself — rebuilt purely from the delta log —
-        # must equal the master byte for byte.
-        assert wm_bytes(dm.replicas[1]) == reference
-        assert dm.replicas_consistent()
+        assert wm_bytes(dm.wm) == reference
+        # The rejoined site's rules migrated home.
+        assert dm.sites.hosting.site_of == dm.assignment.site_of
         kinds = [e.kind for e in res.fault_events]
         assert "rejoin" in kinds
 
@@ -125,13 +121,12 @@ class TestRejoin:
 class TestMessageFaults:
     def test_drops_retry_never_lose_data(self):
         _ref_dm, ref = run_machine(3)
-        reference = wm_bytes(_ref_dm.replicas[0])
+        reference = wm_bytes(_ref_dm.wm)
 
         plan = FaultPlan(seed=5, drop_rate=0.3, dup_rate=0.1, delay_rate=0.1)
         dm, res = run_machine(3, fault_plan=plan)
         assert res.cycles == ref.cycles
-        assert wm_bytes(dm.replicas[0]) == reference
-        assert dm.replicas_consistent()
+        assert wm_bytes(dm.wm) == reference
         assert res.retries > 0
         assert res.comm_ticks > ref.comm_ticks
         kinds = {e.kind for e in res.fault_events}
@@ -152,10 +147,10 @@ class TestMessageFaults:
 class TestStragglers:
     def test_straggler_slows_compute_not_results(self):
         _ref_dm, ref = run_machine(3)
-        reference = wm_bytes(_ref_dm.replicas[0])
+        reference = wm_bytes(_ref_dm.wm)
         plan = FaultPlan(stragglers=(Straggler(site=1, factor=8.0),))
         dm, res = run_machine(3, fault_plan=plan)
-        assert wm_bytes(dm.replicas[0]) == reference
+        assert wm_bytes(dm.wm) == reference
         assert res.compute_ticks > ref.compute_ticks
         assert any(e.kind == "straggler" and e.site == 1 for e in res.fault_events)
 
@@ -163,7 +158,7 @@ class TestStragglers:
 class TestCombined:
     def test_crash_plus_message_faults_still_byte_identical(self):
         _ref_dm, ref = run_machine(4)
-        reference = wm_bytes(_ref_dm.replicas[0])
+        reference = wm_bytes(_ref_dm.wm)
         plan = FaultPlan(
             seed=13,
             drop_rate=0.2,
@@ -175,6 +170,5 @@ class TestCombined:
         dm, res = run_machine(4, fault_plan=plan)
         assert res.cycles == ref.cycles
         assert res.firings == ref.firings
-        assert wm_bytes(dm.replicas[0]) == reference
-        assert dm.replicas_consistent()
+        assert wm_bytes(dm.wm) == reference
         assert res.recoveries >= 2

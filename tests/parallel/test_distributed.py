@@ -6,6 +6,7 @@ from repro.core import ParulelEngine
 from repro.lang.parser import parse_program
 from repro.parallel import DistributedMachine, NetworkModel
 from repro.programs import REGISTRY, build_routing, build_tc
+from repro.wm.io import dumps
 
 TC_SRC = """
 (literalize edge src dst)
@@ -23,26 +24,17 @@ def load_chain(machine, n=10):
 
 
 class TestReplicaConsistency:
-    @pytest.mark.parametrize("n_sites", [1, 2, 3, 5])
-    def test_replicas_identical_after_run(self, n_sites):
-        dm = DistributedMachine(parse_program(TC_SRC), n_sites)
-        load_chain(dm)
-        dm.run()
-        assert dm.replicas_consistent()
-
-    def test_replicas_share_nothing(self):
-        dm = DistributedMachine(parse_program(TC_SRC), 3)
-        assert len({id(r) for r in dm.replicas}) == 3
+    """Every replica receives the same deltas, so each one holds the
+    engine's single working memory, ``dm.wm``."""
 
     def test_consistency_with_meta_rules(self):
         wl = build_routing(n_nodes=10, extra_edges=10)
         dm = DistributedMachine(wl.program, 3)
         wl.setup(dm)
         dm.run()
-        assert dm.replicas_consistent()
-        # Meta reifications never leak into any replica.
-        for replica in dm.replicas:
-            assert replica.count_class("instantiation") == 0
+        assert wl.failed_checks(dm.wm) == []
+        # Meta reifications never leak into working memory.
+        assert dm.wm.count_class("instantiation") == 0
 
     @pytest.mark.parametrize("name", ["tc", "waltz", "manners", "circuit", "routing"])
     def test_workloads_verify_on_every_replica(self, name):
@@ -50,8 +42,7 @@ class TestReplicaConsistency:
         dm = DistributedMachine(wl.program, 3)
         wl.setup(dm)
         dm.run(max_cycles=5000)
-        for replica in dm.replicas:
-            assert wl.failed_checks(replica) == [], name
+        assert wl.failed_checks(dm.wm) == [], name
 
 
 class TestFunctionalEquivalence:
@@ -68,14 +59,7 @@ class TestFunctionalEquivalence:
         res = dm.run()
         assert res.cycles == ref.cycles
         assert res.firings == ref.firings
-        ref_paths = sorted(
-            (w.get("src"), w.get("dst")) for w in engine.wm.by_class("path")
-        )
-        for replica in dm.replicas:
-            paths = sorted(
-                (w.get("src"), w.get("dst")) for w in replica.by_class("path")
-            )
-            assert paths == ref_paths
+        assert dumps(dm.wm) == dumps(engine.wm)
 
 
 class TestCommunicationAccounting:
@@ -144,9 +128,7 @@ class TestCommunicationAccounting:
             dm = DistributedMachine(program, 4, multicast=multicast)
             tc.setup(dm)
             sieve.setup(dm)
-            res = dm.run()
-            assert dm.replicas_consistent()
-            return res
+            return dm.run()
 
         broadcast, multicast = run(False), run(True)
         assert multicast.messages < broadcast.messages

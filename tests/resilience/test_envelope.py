@@ -15,7 +15,6 @@ import pytest
 from repro.errors import CheckpointCorruptError, ExecutionError, ReproError
 from repro.resilience.checkpoint import (
     MAGIC,
-    is_envelope,
     load_checkpoint_file,
     read_envelope,
     write_envelope,
@@ -48,15 +47,6 @@ class TestRoundtrip:
         kind, payload = read_envelope(path)
         assert kind == "delta"
         assert payload == {"base_cycle": 3}
-
-    def test_is_envelope(self, tmp_path):
-        env = str(tmp_path / "env")
-        raw = str(tmp_path / "raw.json")
-        write_envelope(env, STATE, kind="full")
-        with open(raw, "w") as fh:
-            json.dump(STATE, fh)
-        assert is_envelope(env)
-        assert not is_envelope(raw)
 
     def test_no_tmp_file_left_behind(self, tmp_path):
         path = str(tmp_path / "ck.full")

@@ -175,8 +175,4 @@ def test_a_default_run_loads_only_the_default_matcher_on_top(tmp_path):
         text=True,
         check=True,
     )
-    # The flight recorder keeps its rings with the columnar store's
-    # segment machinery, hence ``repro.wm.columnar``.
-    assert out.stdout.split() == [
-        "repro.match.treat", "repro.obs.flightrec", "repro.wm.columnar",
-    ]
+    assert out.stdout.split() == ["repro.match.treat", "repro.obs.flightrec"]
