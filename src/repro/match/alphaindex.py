@@ -40,7 +40,7 @@ from repro.match.compile import (
     AlphaKey,
     CompiledCE,
     alpha_test_passes,
-    site_residue,
+    value_hash,
     value_predicate,
 )
 from repro.match.stats import MatchStats
@@ -294,6 +294,12 @@ _K_FLOAT = 2 << 64
 _K_SYM = 3 << 64
 _K_BIG = 4 << 64
 
+#: What an absent cell (and the ``nil`` symbol) hashes to in a site condition.
+_NIL_HASH = value_hash(NIL)
+
+#: Most cell hashes a :class:`ColumnVectorCache` remembers.
+_HASH_MEMO = 1 << 16
+
 # Columnar tag constants, loaded on first ColumnVectorCache construction
 # (lazy import — see module note above).
 _TAGS_LOADED = False
@@ -502,19 +508,21 @@ class ColumnMemory:
         self.table = table
         self.key = key
         alpha_conds = self.alpha_conds = key[1]
-        self.rows: Dict[int, None] = {}
         self._indexes: Dict[IndexAttrs, ColumnProbeIndex] = {}
         live = table.live_col
         known = table.rows_known
-        if alpha_conds:
+        rows = [row for row in range(known) if live[row]]
+        others = alpha_conds
+        for cond in alpha_conds:
+            if cond[0] == "site":
+                # The condition a split memory has, usually alone: one
+                # pass over the key column instead of a test per row.
+                rows = cache.site_rows(table, rows, *cond[1:])
+                others = tuple(c for c in alpha_conds if c is not cond)
+        if others:
             ok = self._alpha_ok
-            for row in range(known):
-                if live[row] and ok(row):
-                    self.rows[row] = None
-        else:
-            for row in range(known):
-                if live[row]:
-                    self.rows[row] = None
+            rows = [row for row in rows if ok(row)]
+        self.rows: Dict[int, None] = dict.fromkeys(rows)
         cache.scanned_rows += known
 
     def _alpha_ok(self, row: int) -> bool:
@@ -532,8 +540,8 @@ class ColumnMemory:
                 if table.cell(resolve, row, attr) not in alternatives:
                     return False
             elif kind == "site":
-                _k, k, s = cond
-                if site_residue(table.ts_col[row], k) != s:
+                _k, attr, k, s = cond
+                if not self.cache.site_rows(table, (row,), attr, k, s):
                     return False
             else:  # 'intra'
                 _k, attr, op, other = cond
@@ -656,6 +664,12 @@ class ColumnVectorCache:
         self.materialized = 0
         self.fallback_probes = 0
         self.probes = 0
+        #: :func:`~repro.match.compile.value_hash` of the cells met in site
+        #: conditions, by packed key: an int or bool by its payload, a
+        #: symbol by ``_K_SYM | heap offset``. An offset names one text
+        #: only within this reader's store, so the memo is this cache's
+        #: alone. Cleared when it outgrows :data:`_HASH_MEMO`.
+        self._hashes: Dict[int, int] = {}
 
     # -- enumerator protocol -------------------------------------------------
 
@@ -744,6 +758,67 @@ class ColumnVectorCache:
                 mem.on_remove(row)
         if left:
             sink.alpha_removed(left, wme)
+
+    def site_rows(
+        self, table, rows: Sequence[int], attr: Optional[str], k: int, s: int
+    ) -> List[int]:
+        """The ``rows`` that pass the site condition ``('site', attr, k,
+        s)`` — whose cell at ``attr`` (``None``: whose timestamp) has
+        :func:`~repro.match.compile.value_residue` ``s`` of ``k`` — in one
+        pass over the column, an int or symbol cell's hash looked up by its
+        packed key."""
+        if attr is None:
+            ts = table.ts_col
+            return [row for row in rows if value_hash(ts[row]) % k == s]
+        idx = table.col_of(attr)
+        if idx is None:
+            return list(rows) if _NIL_HASH % k == s else []
+        tags = table.tag_cols[idx]
+        payloads = table.payload_cols[idx]
+        known = self._hashes.get
+        cell_hash = self.cell_hash
+        out = []
+        for row in rows:
+            tag = tags[row]
+            if tag == _T_INT:
+                h = known(payloads[row])
+            elif tag == _T_SYM:
+                h = known(_K_SYM | payloads[row])
+            else:
+                h = None
+            if h is None:
+                h = cell_hash(table, row, attr)
+            if h % k == s:
+                out.append(row)
+        return out
+
+    def cell_hash(self, table, row: int, attr: str) -> int:
+        """:func:`~repro.match.compile.value_hash` of one cell, from its
+        ``(tag, payload)`` pair and memoized by packed key: an int or bool
+        hashes its payload, a symbol its text (decoded once per heap
+        offset), absent is ``nil``. Only floats and big ints are decoded
+        per cell."""
+        idx = table.col_of(attr)
+        if idx is None:
+            return _NIL_HASH
+        tag = table.tag_cols[idx][row]
+        payload = table.payload_cols[idx][row]
+        if tag == _T_INT or tag == _T_BOOL:
+            key = payload
+        elif tag == _T_SYM:
+            key = _K_SYM | payload
+        elif tag == _T_ABSENT:
+            return _NIL_HASH
+        else:
+            return value_hash(table.cell(self.reader._resolve, row, attr))
+        hashes = self._hashes
+        h = hashes.get(key)
+        if h is None:
+            if len(hashes) >= _HASH_MEMO:
+                hashes.clear()
+            value = self.reader._resolve(payload) if tag == _T_SYM else payload
+            h = hashes[key] = value_hash(value)
+        return h
 
     # -- lazy materialization ------------------------------------------------
 

@@ -10,9 +10,9 @@ decided statically:
   hashable :class:`AlphaKey`, so identical patterns share one alpha memory
   across condition elements and rules in RETE/TREAT. A fourth kind comes
   from no source text: the *site* condition ``compile_rules(rules,
-  site=(k, s))`` puts on one positive CE per rule — copy-and-constrain at
-  the alpha layer, for the process pool's workers (see
-  :func:`site_residue`).
+  site=(k, s))`` puts on every CE that shares the rule's split variable —
+  copy-and-constrain at the alpha layer, for the process pool's workers
+  (see :func:`split_keys` and :func:`value_residue`).
 
 **Bindings**
   the first plain occurrence of each variable in a positive CE records
@@ -32,6 +32,7 @@ by an earlier (or textually earlier within the same) positive CE, otherwise
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -55,9 +56,10 @@ __all__ = [
     "JoinPlan",
     "compile_rule",
     "compile_rules",
-    "split_ce",
+    "split_keys",
     "alpha_test_passes",
-    "site_residue",
+    "value_hash",
+    "value_residue",
     "value_predicate",
 ]
 
@@ -107,8 +109,8 @@ def value_predicate(op: str, a: Value, b: Value) -> bool:
 
 #: One WME-local test: ``('const', attr, op, value)``,
 #: ``('in', attr, alternatives)``, ``('intra', attr, op, other_attr)`` or
-#: ``('site', k, s)`` — the WME's timestamp has :func:`site_residue` ``s``
-#: of ``k``.
+#: ``('site', attr, k, s)`` — ``value_residue(wme.get(attr), k) == s``,
+#: with ``attr`` ``None`` meaning the WME's timestamp.
 AlphaCond = Tuple
 
 #: Hashable identity of an alpha pattern: class name + sorted alpha conds.
@@ -152,25 +154,44 @@ class CompiledCE:
         return tuple(t for t in self.join_tests if t[1] != "=")
 
 
-def site_residue(timestamp: int, k: int) -> int:
-    """Which of ``k`` sites owns the WME with this timestamp: a fixed 32-bit
-    mix of it (MurmurHash3's finalizer), mod ``k``.
+def value_hash(value: Value) -> int:
+    """A 32-bit hash of an attribute value that every process agrees on and
+    that is equal for equal values — the key :func:`value_residue` reduces.
 
-    The timestamp, because every store has it, it means the same in every
-    process (``hash()`` of a value does not: workers share no hash seed) and
-    no value domain need be known. A mix rather than ``timestamp % k``,
-    because timestamps arrive in arithmetic progressions — a cycle that does
-    one ``modify`` and one ``make`` gives every new WME of a class the same
-    parity, and a bare residue would hand them all to one site; a single
-    multiply has its own bad strides (the Fibonacci numbers, for the golden
-    ratio), an avalanching mix has none worth naming.
+    The contract is ``a == b`` ⇒ ``value_hash(a) == value_hash(b)``, in any
+    process, whatever ``PYTHONHASHSEED`` or start method. Numbers take
+    ``hash()``, which Python defines by value and seeds for no numeric type,
+    so ``1``, ``1.0`` and ``True`` agree, ``0`` and ``-0.0`` agree, and an
+    integral float agrees with the big int it equals. Symbols (``nil``
+    included, which is also what an absent attribute reads as) take the CRC-32
+    of their UTF-8 bytes: ``hash()`` of a string is seeded per process. NaN
+    equals nothing, and its ``hash()`` is its address, so it gets a fixed
+    hash. The result is finished with MurmurHash3's 32-bit finalizer:
+    keys arrive in arithmetic progressions (consecutive ints, the
+    timestamps a cycle allocates), and a residue of the raw key would deal
+    every other one to the same site, where an avalanching mix has no bad
+    stride worth naming. For an int in ``[0, 2**32)`` — every timestamp —
+    the key is the int itself.
     """
-    h = timestamp & 0xFFFFFFFF
+    if isinstance(value, str):
+        h = zlib.crc32(value.encode("utf-8", "surrogatepass"))
+    elif value == value:
+        h = hash(value)
+        h = (h ^ h >> 32) & 0xFFFFFFFF
+    else:  # NaN
+        h = 0
     h ^= h >> 16
     h = h * 0x85EBCA6B & 0xFFFFFFFF
     h ^= h >> 13
     h = h * 0xC2B2AE35 & 0xFFFFFFFF
-    return (h ^ h >> 16) % k
+    return h ^ h >> 16
+
+
+def value_residue(value: Value, k: int) -> int:
+    """Which of ``k`` sites owns ``value``: :func:`value_hash` mod ``k``.
+    Equal values — and so the values one join variable binds across the
+    CEs that share it — always land on the same site."""
+    return value_hash(value) % k
 
 
 def alpha_test_passes(conds: Sequence[AlphaCond], wme: WME) -> bool:
@@ -186,8 +207,9 @@ def alpha_test_passes(conds: Sequence[AlphaCond], wme: WME) -> bool:
             if wme.get(attr) not in alternatives:
                 return False
         elif kind == "site":
-            _k, k, s = cond
-            if site_residue(wme.timestamp, k) != s:
+            _k, attr, k, s = cond
+            key = wme.timestamp if attr is None else wme.get(attr)
+            if value_residue(key, k) != s:
                 return False
         else:  # 'intra'
             _k, attr, op, other = cond
@@ -471,16 +493,45 @@ def _plan_rule(
     return JoinPlan(order=tuple(order), ces=tuple(ces))
 
 
-def split_ce(ces: Sequence[CompiledCE]) -> int:
-    """Index of the CE a site condition goes on: the positive CE with the
-    fewest alpha conditions (the widest memory, so the most to divide),
-    leftmost on ties. A pure function of the rule, so every process that
-    compiles it picks the same one. Never a negated CE — absence has to be
-    judged against the whole memory at every site."""
-    return min(
+def split_keys(ces: Sequence[CompiledCE]) -> Dict[int, Optional[str]]:
+    """Where a rule's site conditions go: ``{CE index: attribute}``, the
+    attribute ``None`` standing for the WME's timestamp. A pure function of
+    the identity classification, so every process that compiles the rule
+    picks the same split.
+
+    The split variable is the one that occurs with ``=`` (as a binding or
+    an equality join test) in the most negated CEs, then in the most CEs
+    of either kind, the earliest bound on ties: every CE that carries it
+    is keyed on the attribute it occurs at. Negated CEs count first
+    because an unsplit one must be judged against its whole memory at
+    every site, and every site probes every new WME of it. All CEs of one
+    match see one value there, so each match lands on exactly one site,
+    and a WME that could block it is at that site too.
+
+    When no variable occurs in two CEs there is nothing to share a value
+    with, and the rule is split on the timestamp of one positive CE: the
+    one with the fewest alpha conditions (the widest memory, so the most
+    to divide), leftmost on ties. Each match has exactly one WME there.
+    """
+    #: var -> {CE index: attribute}, in binding order (a variable's first
+    #: occurrence is its binding, and CEs are visited left to right).
+    occurs: Dict[str, Dict[int, str]] = {}
+    for ce in ces:
+        for attr, var in ce.bindings + ce.eq_join_tests:
+            occurs.setdefault(var, {}).setdefault(ce.index, attr)
+    best: Optional[Dict[int, str]] = None
+    best_score = (0, 1)
+    for at in occurs.values():
+        score = (sum(ces[i].negated for i in at), len(at))
+        if score > best_score:
+            best, best_score = at, score
+    if best is not None:
+        return dict(best)
+    widest = min(
         (ce for ce in ces if not ce.negated),
         key=lambda ce: (len(ce.alpha_conds), ce.index),
-    ).index
+    )
+    return {widest.index: None}
 
 
 def compile_rule(
@@ -494,14 +545,16 @@ def compile_rule(
     only, byte-identical to the historical compiler output).
 
     ``site=(k, s)`` with ``k > 1`` compiles site ``s``'s share of the rule:
-    the CE :func:`split_ce` names also requires ``('site', k, s)``, in
-    :attr:`~CompiledRule.ces` and in every plan alike (plans pin their alpha
-    conditions to the identity classification's). The condition is part of
-    that CE's alpha key, so it gets a memory of its own — the site's residue
-    of the pattern — while every other CE, the negated ones included, keeps
-    the complete, shared one. The ``k`` shares of a rule are pairwise
-    disjoint and their union is the unconstrained rule's matches: each match
-    has exactly one WME at the split CE, and it has exactly one residue.
+    each CE :func:`split_keys` names also requires ``('site', attr, k,
+    s)``, in :attr:`~CompiledRule.ces` and in every plan alike (plans pin
+    their alpha conditions to the identity classification's). The
+    condition is part of those CEs' alpha keys, so each gets a memory of
+    its own — the site's residue of the pattern — while the other CEs keep
+    the complete, shared ones. The ``k`` shares of a rule are pairwise
+    disjoint and their union is the unconstrained rule's matches: the
+    split variable has one value per match, and that value one residue;
+    a WME that blocks a match at a keyed negated CE equals it there, so it
+    has the same residue and is in that site's memory.
     """
     bound: Dict[str, Tuple[int, str]] = {}  # var -> (ce index, attr) of binder
     compiled: List[CompiledCE] = []
@@ -514,11 +567,11 @@ def compile_rule(
         k, s = site
         if not 0 <= s < k:
             raise ValueError(f"site {s} is not one of {k}")
-        idx = split_ce(compiled)
-        compiled[idx] = replace(
-            compiled[idx],
-            alpha_conds=compiled[idx].alpha_conds + (("site", k, s),),
-        )
+        for idx, attr in split_keys(compiled).items():
+            compiled[idx] = replace(
+                compiled[idx],
+                alpha_conds=compiled[idx].alpha_conds + (("site", attr, k, s),),
+            )
     ces = tuple(compiled)
     join_plan: Optional[JoinPlan] = None
     seeded: Tuple[Optional[JoinPlan], ...] = ()

@@ -261,6 +261,11 @@ class ConflictSet:
         bucket = self._by_rule.get(rule_name)
         return list(bucket.values()) if bucket else []
 
+    def count_of_rule(self, rule_name: str) -> int:
+        """How many instantiations of one rule are retained."""
+        bucket = self._by_rule.get(rule_name)
+        return len(bucket) if bucket else 0
+
     # -- environment index ----------------------------------------------------
 
     def index_env(self, rule_name: str, variables: EnvVars) -> None:

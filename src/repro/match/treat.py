@@ -15,9 +15,12 @@ cycle's additions call for are deferred and run once per *batch*.
     instantiations a new WME blocks. The candidates come from the conflict
     set's environment index keyed by the CE's equality join tests
     (:meth:`~repro.match.instantiation.ConflictSet.probe_env`), not from a
-    scan of the rule's retained entries; ``join_tests_pass`` stays the
-    deciding check. ``indexed=False`` (and a CE with no equality test)
-    scans ``of_rule`` — the oracle the differential tests compare against;
+    scan of the rule's retained entries — or, when the rule retains fewer
+    instantiations than the batch has WMEs, from probing the CE's alpha
+    memory by each instantiation's environment (nothing at all when it
+    retains none); ``join_tests_pass`` stays the deciding check.
+    ``indexed=False`` (and a CE with no equality test) scans ``of_rule``
+    or the batch — the oracle the differential tests compare against;
   - for each positive CE fed by a batch: one join enumeration with that CE
     pinned to the batch (every new instantiation must use a new WME
     somewhere), in chunks of :data:`BATCH_CHUNK` so the enumerator's
@@ -228,25 +231,54 @@ class TreatMatcher(Matcher):
     ) -> None:
         """WMEs newly matching a negated CE retract the instantiations
         they block (those whose environment satisfies the CE's join
-        tests)."""
+        tests).
+
+        The walk starts from the smaller side. Each new WME probes the
+        retained set's environment index — or, when the rule retains fewer
+        instantiations than the batch has WMEs, each instantiation probes
+        the CE's alpha memory and keeps the hits from the batch. Either way
+        an instantiation is checked against the batch WMEs it hash-equals
+        in timestamp order until one blocks it, so both directions count
+        the same (WME, instantiation) pairs."""
         cs = self.conflict_set
+        retained = cs.count_of_rule(compiled.name)
+        if not retained:
+            return
         eq = ce.eq_join_tests if self.indexed else ()
         variables = tuple(var for _attr, var in eq)
         checks = retractions = 0
-        for wme in wmes:
-            if eq:
-                candidates = cs.probe_env(
-                    compiled.name,
-                    variables,
-                    tuple(wme.get(attr) for attr, _var in eq),
-                )
-            else:
-                candidates = cs.of_rule(compiled.name)
-            checks += len(candidates)
-            for inst in candidates:
-                if join_tests_pass(ce, wme, inst.env):
-                    cs.remove(inst)
-                    retractions += 1
+        if retained < len(wmes):
+            batch = set(wmes)
+            mem = self._alpha.memory(ce)
+            attrs = tuple(attr for attr, _var in eq)
+            for inst in cs.of_rule(compiled.name):
+                env = inst.env
+                if eq:
+                    hits = mem.probe(attrs, tuple(env[var] for var in variables))
+                else:
+                    hits = wmes
+                for wme in hits:
+                    if wme in batch:
+                        checks += 1
+                        if join_tests_pass(ce, wme, env):
+                            cs.remove(inst)
+                            retractions += 1
+                            break
+        else:
+            for wme in wmes:
+                if eq:
+                    candidates = cs.probe_env(
+                        compiled.name,
+                        variables,
+                        tuple(wme.get(attr) for attr, _var in eq),
+                    )
+                else:
+                    candidates = cs.of_rule(compiled.name)
+                checks += len(candidates)
+                for inst in candidates:
+                    if join_tests_pass(ce, wme, inst.env):
+                        cs.remove(inst)
+                        retractions += 1
         if checks:
             self._bump("join_checks", compiled.name, checks)
         if retractions:

@@ -22,28 +22,42 @@ a deterministic simulation (see DESIGN.md §2):
   fan-out, included to exercise genuine concurrency and to document the
   GIL ceiling (Table 4);
 - :mod:`repro.parallel.process` — the escape from that ceiling: a
-  persistent ``multiprocessing`` worker pool with per-site WM replicas
-  kept current by delta shipping (Table 4's ``process`` rows);
+  persistent ``multiprocessing`` worker pool, each worker holding the
+  hash class of every rule's split attribute, with per-site WM replicas
+  kept current by routed delta shipping (Table 4's ``process`` rows);
 - :mod:`repro.parallel.stats` — speedup/efficiency series helpers.
 """
 
-from repro.parallel.autotune import TunedPlan, autotune, hottest_rule
-from repro.parallel.costmodel import CostModel
-from repro.parallel.distributed import DistResult, DistributedMachine, NetworkModel
-from repro.parallel.partition import (
-    Assignment,
-    copy_and_constrain,
-    copy_and_constrain_program,
-    hash_partitions,
-    lpt_assignment,
-    profile_rule_weights,
-    rehost_assignment,
-    round_robin_assignment,
+from repro._lazy import lazy_exports
+
+#: Resolved on first use (PEP 562): the process pool a run spawns does not
+#: load the simulators, the thread pool or the autotuner.
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        "TunedPlan": "repro.parallel.autotune",
+        "autotune": "repro.parallel.autotune",
+        "hottest_rule": "repro.parallel.autotune",
+        "CostModel": "repro.parallel.costmodel",
+        "DistResult": "repro.parallel.distributed",
+        "DistributedMachine": "repro.parallel.distributed",
+        "NetworkModel": "repro.parallel.distributed",
+        "Assignment": "repro.parallel.partition",
+        "copy_and_constrain": "repro.parallel.partition",
+        "copy_and_constrain_program": "repro.parallel.partition",
+        "hash_partitions": "repro.parallel.partition",
+        "lpt_assignment": "repro.parallel.partition",
+        "profile_rule_weights": "repro.parallel.partition",
+        "rehost_assignment": "repro.parallel.partition",
+        "round_robin_assignment": "repro.parallel.partition",
+        "ProcessMatchPool": "repro.parallel.process",
+        "ProcessMatcher": "repro.parallel.process",
+        "SimMachine": "repro.parallel.simmachine",
+        "SimResult": "repro.parallel.simmachine",
+        "SpeedupSeries": "repro.parallel.stats",
+        "ThreadedMatchPool": "repro.parallel.threaded",
+    },
 )
-from repro.parallel.process import ProcessMatchPool, ProcessMatcher
-from repro.parallel.simmachine import SimMachine, SimResult
-from repro.parallel.stats import SpeedupSeries
-from repro.parallel.threaded import ThreadedMatchPool
 
 __all__ = [
     "Assignment",

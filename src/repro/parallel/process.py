@@ -9,19 +9,27 @@ genuinely concurrent interpreters (one GIL each).
 What keeps it fast and correct:
 
 - **Every site carries every rule; the data is what is split.** This is
-  the paper's copy-and-constrain at the alpha layer: site ``s`` of ``k``
-  compiles each rule with one positive CE also requiring that the WME's
-  timestamp mix to residue ``s``
-  (:func:`~repro.match.compile.compile_rule`, ``site=(k, s)``). The
-  sites' shares of a rule are disjoint and cover it, so a program with one
-  hot rule — or one rule — still spreads over every worker, and no source
-  is rewritten and no value domain enumerated. Workers, the in-parent
-  fallback and a respawn all derive the share from the same ``(k, s)``.
-- **Delta shipping.** Each worker owns a private working-memory replica.
-  Per cycle the pool drains a :class:`~repro.wm.memory.DeltaRecorder` and
-  broadcasts only the net adds/removes since the previous cycle — never
-  the whole memory. Timestamps identify WMEs across replicas, so removes
-  are a timestamp list and adds are ``(class, attrs, timestamp)`` records.
+  the paper's copy-and-constrain at the alpha layer, each copy holding
+  the hash class of an attribute: site ``s`` of ``k`` compiles each rule
+  with every CE that shares its split variable also requiring that the
+  value there have residue ``s``
+  (:func:`~repro.match.compile.compile_rule`, ``site=(k, s)``;
+  :func:`~repro.match.compile.split_keys` picks the variable, negated CEs
+  included; a rule with no shared variable is split on one positive CE's
+  timestamp). The sites' shares of a rule are disjoint and cover it, so a
+  program with one hot rule — or one rule — still spreads over every
+  worker, and no source is rewritten and no value domain enumerated.
+  Workers, the in-parent fallback and a respawn all derive the share from
+  the same ``(k, s)``.
+- **Delta shipping, routed.** Each worker owns a private working-memory
+  replica. Per cycle the pool drains a
+  :class:`~repro.wm.memory.DeltaRecorder` and sends each worker only the
+  net adds/removes since the previous cycle that its memories can hold
+  (:class:`_Router`): a class every CE of which is keyed on one attribute
+  goes to the one site its value maps to, another class some CE reads
+  goes to every site, and a class no CE reads goes nowhere — never the
+  whole memory. Timestamps identify WMEs across replicas, so removes are
+  a timestamp list and adds are ``(class, attrs, timestamp)`` records.
 - **Incremental match, incremental replies.** Each worker runs the
   set-oriented :class:`~repro.match.treat.TreatMatcher` over its replica
   (or, with a columnar store, over the shared columns): a cycle's delta seeds
@@ -39,7 +47,8 @@ What keeps it fast and correct:
   matchers (the differential suite asserts this).
 - **Robustness.** Every cycle applies a per-worker timeout; a crashed,
   wedged, or killed worker is respawned and caught up from a snapshot of
-  the live parent memory (which *is* the replica's contents), then
+  the live parent memory, routed like any delta (its site's share *is*
+  the replica's contents), then
   re-asked for its site's matches; its first reply resets the site's
   retained set. A run survives ``kill -9`` of any worker mid-cycle (tests
   inject exactly that).
@@ -53,8 +62,9 @@ What keeps it fast and correct:
   thread) → ``serial`` (matched in-parent inline by the serial join
   engine). The run stays alive — slower on that site, never wrong —
   instead of raising :class:`~repro.errors.MatchError`. Because the
-  parent WM holds exactly the replica contents in the same order,
-  degraded results are byte-identical to worker results. Policies can
+  parent WM holds every replica's contents in the same order, and the
+  site conditions keep exactly the site's share of it, degraded results
+  are byte-identical to worker results. Policies can
   add seeded respawn backoff, ping/pong heartbeat probes (catching a
   wedged worker *before* a request burns the reply deadline), and
   cool-down re-promotion back up the ladder. The default policy is the
@@ -95,7 +105,13 @@ from repro.errors import MatchError
 from repro.faults import FaultEvent, FaultInjector, FaultPlan
 from repro.lang.ast import Rule, Value
 from repro.match.alphaindex import AlphaCache, ColumnVectorCache
-from repro.match.compile import CompiledRule, compile_rules
+from repro.match.compile import (
+    CompiledRule,
+    compile_rule,
+    compile_rules,
+    split_keys,
+    value_residue,
+)
 from repro.match.instantiation import InstKey, Instantiation
 from repro.match.interface import Matcher
 from repro.match.join import enumerate_matches
@@ -223,7 +239,8 @@ def _worker_main(
 
     Protocol (parent → worker):
 
-    - ``("match", [wire_delta, ...])`` — apply the pickled deltas in
+    - ``("match", [wire_delta, ...])`` — apply the pickled deltas (the
+      WMEs this site's memories can hold, see :class:`_Router`) in
       order, bring the conflict set current, then reply
       ``("ok", (site_reply, obs_payload))`` where ``site_reply`` is the
       :data:`SiteReply` journal of this site's conflict set since the
@@ -416,16 +433,100 @@ def _worker_main(
 # Parent side
 # ---------------------------------------------------------------------------
 
+#: A CE with no site condition, as a routing key (``None`` is the
+#: timestamp's).
+_UNSPLIT = object()
+
+#: Most distinct key values a router remembers the site of.
+_SITE_MEMO = 1 << 16
+
+
+class _Router:
+    """Which of ``k`` workers' replicas hold a WME, decided from the same
+    :func:`~repro.match.compile.split_keys` every site compiles with.
+
+    A class whose every CE carries the site condition on one key goes to
+    the one site that key's value maps to — the only site whose memories
+    can hold it. Any other class some CE reads goes to every site, and a
+    class no CE reads goes to none. A pure function of the WME, so a
+    remove goes wherever its add went, and a catch-up snapshot routes
+    like the deltas it replaces.
+    """
+
+    def __init__(self, rules: Sequence[Rule], k: int) -> None:
+        self.k = k
+        keys: Dict[str, Set[object]] = {}
+        for rule in rules:
+            ces = compile_rule(rule, plan=False).ces
+            split = split_keys(ces)
+            for ce in ces:
+                keys.setdefault(ce.class_name, set()).add(
+                    split.get(ce.index, _UNSPLIT)
+                )
+        #: class -> the attribute its WMEs are routed on (``None``: the
+        #: timestamp).
+        self.keyed: Dict[str, Optional[str]] = {}
+        #: Classes every site receives.
+        self.everywhere: Set[str] = set()
+        for class_name, seen in keys.items():
+            key = next(iter(seen)) if len(seen) == 1 else _UNSPLIT
+            if key is _UNSPLIT:
+                self.everywhere.add(class_name)
+            else:
+                self.keyed[class_name] = key
+        #: value -> its site, for the values of keyed attributes: routing
+        #: runs on the parent's side of every cycle's barrier, and a lookup
+        #: is a third of a residue's cost. Exact as a dict: values a dict
+        #: key unifies are ``==``, and ``==`` values share a residue.
+        #: Cleared when it outgrows :data:`_SITE_MEMO`.
+        self._site_of: Dict[Value, int] = {}
+
+    def deal(self, wmes: Sequence[WME]) -> List[List[WME]]:
+        """``wmes`` split into one list per site, order kept."""
+        k = self.k
+        out: List[List[WME]] = [[] for _ in range(k)]
+        keyed = self.keyed
+        everywhere = self.everywhere
+        site_of = self._site_of
+        if len(site_of) > _SITE_MEMO:
+            site_of.clear()
+        for wme in wmes:
+            name = wme.class_name
+            if name in keyed:
+                attr = keyed[name]
+                if attr is None:
+                    out[value_residue(wme.timestamp, k)].append(wme)
+                    continue
+                key = wme.get(attr)
+                site = site_of.get(key)
+                if site is None:
+                    site = site_of[key] = value_residue(key, k)
+                out[site].append(wme)
+            elif name in everywhere:
+                for share in out:
+                    share.append(wme)
+        return out
+
+
+def _match_request(adds: Sequence[WME], removes: Sequence[WME]) -> bytes:
+    """A pickled ``("match", ...)`` request carrying one site's share of a
+    delta: its adds as records, its removes as timestamps."""
+    delta = WMDelta(tuple(adds), tuple(w.timestamp for w in removes))
+    payload = [] if delta.empty else [delta.wire()]
+    return pickle.dumps(("match", payload), protocol=pickle.HIGHEST_PROTOCOL)
+
 
 class ProcessMatchPool:
     """Conflict-set computation fanned out to persistent worker processes.
 
     Each of the ``n_workers`` sites matches its share of *every* rule (see
     the module docstring), so ``n_workers`` above the rule count is more
-    ways to split the data, not idle sites; only a pool over no rules has
-    no sites and no processes. :meth:`conflict_set` promises the set, not
-    an order. Working memory must not be mutated while it runs — the
-    engines never do (match and apply are separate phases of the cycle).
+    ways to split the data; a site idles on a rule only when the rule's
+    split variable takes fewer values than there are sites. Only a pool
+    over no rules has no sites and no processes. :meth:`conflict_set`
+    promises the set, not an order. Working memory must not be mutated
+    while it runs — the engines never do (match and apply are separate
+    phases of the cycle).
     """
 
     def __init__(
@@ -486,12 +587,16 @@ class ProcessMatchPool:
         #: the exact WME objects the sequential matchers would use.
         self._wme_by_ts: Dict[int, WME] = {}
         self._recorder: Optional[DeltaRecorder] = None
+        #: Delta mode: which replicas each shipped WME goes to. Columnar
+        #: workers read the shared columns, so nothing is routed there.
+        self._router: Optional[_Router] = None
         if self._shared:
             # No delta recorder: track the ts index with a thin listener.
             self._wme_by_ts = {w.timestamp: w for w in wm}
             wm.add_listener(self._ts_listener)
         else:
             self._recorder = DeltaRecorder(wm)
+            self._router = _Router(self._rules, n_workers)
         #: Sites whose worker has attached the shared columns (columnar
         #: mode only; reset on respawn).
         self._attached: Set[int] = set()
@@ -914,11 +1019,11 @@ class ProcessMatchPool:
 
         Columnar mode: ship the attach spec (the worker scans the shared
         liveness snapshot) plus a cursor-only match request. Delta mode:
-        ship the live memory as one delta — this cycle's increment is
-        already drained into it, and it is what the replica must hold,
-        at a cost of the live size rather than the run's history. Either
-        way the messages are pickled exactly once and their sizes feed
-        the IPC byte metrics.
+        ship the site's share of the live memory as one delta — this
+        cycle's increment is already drained into it, and it is what the
+        replica must hold, at a cost of the live size rather than the
+        run's history. Either way the messages are pickled exactly once
+        and their sizes feed the IPC byte metrics.
         """
         if self._shared:
             wm: ColumnarWorkingMemory = self.wm  # type: ignore[assignment]
@@ -935,10 +1040,8 @@ class ProcessMatchPool:
             ok = self._try_send_bytes(site, match_blob)
             sent_bytes = len(spec_blob) + (len(match_blob) if ok else 0)
         else:
-            snapshot = WMDelta(self.wm.snapshot(), ()).wire()
-            blob = pickle.dumps(
-                ("match", [snapshot]), protocol=pickle.HIGHEST_PROTOCOL
-            )
+            share = self._router.deal(self.wm.snapshot())[site]
+            blob = _match_request(share, ())
             ok = self._try_send_bytes(site, blob)
             sent_bytes = len(blob) if ok else 0
         if self.metrics.enabled and sent_bytes:
@@ -968,13 +1071,13 @@ class ProcessMatchPool:
         """The full conflict set, as a list in no promised order (the
         engine sorts what it fires; compare two of these as sets).
 
-        Delta mode ships the WM delta since the last call to every live
-        worker; columnar mode ships only journal cursors (workers read the
-        shared columns directly). Each site replies with the change to its
-        retained set, and the sets — disjoint by construction — are laid
-        end to end. Crashed or unresponsive workers are respawned and
-        caught up transparently; sites past their respawn budget are
-        matched in-parent.
+        Delta mode ships each live worker its share of the WM delta since
+        the last call; columnar mode ships only journal cursors (workers
+        read the shared columns directly). Each site replies with the
+        change to its retained set, and the sets — disjoint by
+        construction — are laid end to end. Crashed or unresponsive
+        workers are respawned and caught up transparently; sites past
+        their respawn budget are matched in-parent.
         """
         if self._closed:
             raise MatchError("ProcessMatchPool is closed")
@@ -1009,8 +1112,8 @@ class ProcessMatchPool:
         # Fan the request out to every live worker before collecting any
         # reply, so sites match concurrently; then merge in deterministic
         # order (degraded sites are matched serially in-parent). Both modes
-        # pickle each distinct message exactly once and ship the bytes, so
-        # the IPC byte metrics count precisely what crossed the pipes.
+        # pickle each message exactly once and ship the bytes, so the IPC
+        # byte metrics count precisely what crossed the pipes.
         metrics = self.metrics
         sent: Dict[int, bool] = {}
         if self._shared:
@@ -1049,14 +1152,11 @@ class ProcessMatchPool:
                     metrics.inc("parulel_ipc_bytes_total", site_bytes, site=site)
         else:
             delta = self._recorder.drain()
+            removed = [self._wme_by_ts.pop(ts) for ts in delta.removes]
             for wme in delta.adds:
                 self._wme_by_ts[wme.timestamp] = wme
-            for ts in delta.removes:
-                self._wme_by_ts.pop(ts, None)
-            payload = [] if delta.empty else [delta.wire()]
-            blob = pickle.dumps(
-                ("match", payload), protocol=pickle.HIGHEST_PROTOCOL
-            )
+            adds = self._router.deal(delta.adds)
+            removes = self._router.deal(removed)
             for site in self.active_sites:
                 if site in self.degraded_sites or site in unhealthy:
                     sent[site] = False
@@ -1067,6 +1167,7 @@ class ProcessMatchPool:
                     self._needs_catchup.discard(site)
                     sent[site] = self._catch_up_and_request(site)
                     continue
+                blob = _match_request(adds[site], removes[site])
                 ok = self._try_send_bytes(site, blob)
                 sent[site] = ok
                 if ok and metrics.enabled:

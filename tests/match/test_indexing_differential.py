@@ -19,6 +19,7 @@ from repro.core import EngineConfig, ParulelEngine
 from repro.lang.builder import ProgramBuilder, conj, gt, lt, ne, v
 from repro.match.alphaindex import AlphaCache
 from repro.match.compile import compile_rule
+from repro.match.instantiation import ConflictSet
 from repro.match.interface import create_matcher
 from repro.match.join import enumerate_matches, project_matches
 from repro.match.stats import MatchStats
@@ -207,6 +208,69 @@ class TestBatchedTreatVersusNaive:
             assert sorted(got) == sorted(_ordered_keys(naive)), (
                 f"seed {seed}, cycle {cycle}: batched TREAT diverges from naive"
             )
+
+
+#: How TREAT's negated-CE invalidation may be made to walk: from each new
+#: WME (the retained set looks huge) or from each retained instantiation
+#: (it looks like one) — by what ``count_of_rule`` reports. An empty rule
+#: still reads as empty: that is the walk's early exit, not a direction.
+WALKS = {
+    "from-wmes": lambda n: 10**9 if n else 0,
+    "from-instantiations": lambda n: min(n, 1),
+}
+
+
+def _walk_forced(monkeypatch, walk):
+    real = ConflictSet.count_of_rule
+    monkeypatch.setattr(
+        ConflictSet, "count_of_rule", lambda cs, rule: WALKS[walk](real(cs, rule))
+    )
+
+
+class TestInvalidationWalks:
+    """The retracting walk starts from the smaller side, and both sides
+    check the same (WME, instantiation) pairs in the same order: forcing
+    either direction leaves the conflict set, its order and every
+    counter exactly as the size-chosen walk has them."""
+
+    @pytest.mark.parametrize("seed", range(0, N_PROGRAMS, 2))
+    def test_forced_walks_agree_on_generated_cycles(self, seed, monkeypatch):
+        def run():
+            rng = random.Random(4000 + seed)
+            program = _negation_program(rng)
+            wm = WorkingMemory()
+            treat = create_matcher("treat", program.rules, wm)
+            live, images = [], []
+            for _cycle in range(12):
+                for _ in range(rng.randint(1, 8)):
+                    if rng.random() < 0.6 or not live:
+                        cls = rng.choice(["a", "b", "n", "n"])
+                        live.append(wm.make(cls, k=_mixed(rng), m=_mixed(rng)))
+                    else:
+                        wm.remove(live.pop(rng.randrange(len(live))))
+                images.append(_ordered_keys(treat))
+            return images, treat.stats.snapshot()
+
+        chosen = run()
+        for walk in WALKS:
+            with monkeypatch.context() as m:
+                _walk_forced(m, walk)
+                assert run() == chosen, walk
+
+    @pytest.mark.parametrize("name", sorted(REGISTRY))
+    def test_forced_walks_agree_on_the_workloads(self, name, monkeypatch):
+        def run():
+            wl = REGISTRY[name]()
+            engine = ParulelEngine(wl.program, EngineConfig(matcher="treat"))
+            wl.setup(engine)
+            result = engine.run(max_cycles=5000)
+            return result.cycles, result.firings, engine.matcher.stats.snapshot()
+
+        chosen = run()
+        for walk in WALKS:
+            with monkeypatch.context() as m:
+                _walk_forced(m, walk)
+                assert run() == chosen, walk
 
 
 class TestExistenceMode:

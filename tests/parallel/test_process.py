@@ -9,6 +9,7 @@ from repro.core import EngineConfig, ParulelEngine
 from repro.errors import MatchError
 from repro.faults import FaultPlan, WorkerKill
 from repro.lang.parser import parse_program
+from repro.match.compile import value_residue
 from repro.match.interface import MATCHER_NAMES, create_matcher
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel.process import (
@@ -99,14 +100,23 @@ class TestProcessMatchPool:
         assert insts[0].wmes[0] is a
         assert insts[0].wmes[1] is b
 
-    def test_workers_above_the_rule_count_all_match(self):
+    def test_workers_above_the_rule_count_split_by_value(self):
+        """Every rule joins on ``<k>``, so a site holds the matches whose
+        ``k`` maps to it: three key values engage at most three of six
+        sites, sixty engage them all."""
         prog = parse_program(SRC)  # 4 rules
         wm = WorkingMemory()
         rete = create_matcher("rete", prog.rules, wm)
-        load(wm, n=12)
+        load(wm, n=12)  # k in {0, 1, 2}
         with ProcessMatchPool(prog.rules, wm, 6) as pool:
             assert pool.active_sites == tuple(range(6))
             assert len(pool._procs) == 6
+            assert keys(pool.conflict_set()) == keys(rete.instantiations())
+            engaged = {site for site in pool.active_sites if pool._retained[site]}
+            assert engaged == {value_residue(k, 6) for k in range(3)}
+            for i in range(60):
+                wm.make("a0", k=100 + i)
+                wm.make("b0", k=100 + i)
             assert keys(pool.conflict_set()) == keys(rete.instantiations())
             assert all(pool._retained[site] for site in pool.active_sites)
 

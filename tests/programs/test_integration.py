@@ -49,20 +49,34 @@ class TestOPS5Correctness:
 
 
 class TestCrossMatcherAgreement:
-    MATCHERS = ("rete", "rete-shared", "treat", "naive", "process:2")
+    #: ``(matcher, WM store)``: every matcher on the dict store, and the
+    #: pool at two and three sites on both stores — routed replicas and
+    #: shared columns.
+    CONFIGS = (
+        ("rete", "dict"),
+        ("rete-shared", "dict"),
+        ("treat", "dict"),
+        ("naive", "dict"),
+        ("process:2", "dict"),
+        ("process:3", "dict"),
+        ("process:2", "columnar"),
+        ("process:3", "columnar"),
+    )
 
     @pytest.mark.parametrize("name", WORKLOADS)
     def test_cycles_firings_and_dump_identical(self, name):
         # The dump is compared as bytes: same WMEs in the same timestamp
         # order, i.e. the matchers agree on the firing order too.
         results = {}
-        for matcher in self.MATCHERS:
+        for matcher, store in self.CONFIGS:
             wl = REGISTRY[name]()
-            engine = ParulelEngine(wl.program, EngineConfig(matcher=matcher))
+            engine = ParulelEngine(
+                wl.program, EngineConfig(matcher=matcher, wm_backend=store)
+            )
             try:
                 wl.setup(engine)
                 res = engine.run(max_cycles=5000)
-                results[matcher] = (
+                results[matcher, store] = (
                     res.cycles, res.firings, res.reason, dumps(engine.wm)
                 )
             finally:

@@ -79,6 +79,21 @@ CLI_IMPORTS = [
 ]
 
 
+#: What ``import repro.parallel.process`` adds on top of ``CLI_IMPORTS`` —
+#: the pool a ``--matcher process`` run builds: its workers' matcher, the
+#: fault and supervision types, the flight ring and the columnar store.
+#: ``repro.parallel``'s other names (the simulators, the thread pool, the
+#: autotuner) resolve on first use, and with them ``concurrent.futures``
+#: and ``logging``.
+POOL_IMPORTS = [
+    "repro.faults", "repro.faults.events", "repro.faults.plan",
+    "repro.match.treat", "repro.obs.flightrec", "repro.parallel",
+    "repro.parallel.process", "repro.resilience",
+    "repro.resilience.checkpoint", "repro.resilience.janitor",
+    "repro.resilience.supervisor", "repro.wm.columnar",
+]
+
+
 #: What ``run --matcher`` and ``profile --matcher`` offer. RETE is a
 #: library comparand (``MATCHER_NAMES``), not something a user is asked
 #: to choose: no workload has it ahead of the default (EXPERIMENTS.md).
@@ -155,6 +170,28 @@ def test_importing_the_cli_loads_exactly_the_listed_modules():
         check=True,
     )
     assert out.stdout.split() == CLI_IMPORTS
+
+
+def test_importing_the_pool_loads_exactly_the_listed_modules():
+    """In a fresh interpreter: the pool, not the whole parallel package."""
+    out = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, repro.cli\n"
+            "before = set(sys.modules)\n"
+            "import repro.parallel.process\n"
+            "new = set(sys.modules) - before\n"
+            "print(*sorted(m for m in new if m.startswith('repro.')))\n"
+            "print(*sorted(new & {'concurrent.futures', 'logging'}))",
+        ],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    loaded, stdlib = out.stdout.split("\n")[:2]
+    assert loaded.split() == POOL_IMPORTS
+    assert stdlib == ""
 
 
 def test_a_default_run_loads_only_the_default_matcher_on_top(tmp_path):
