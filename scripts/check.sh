@@ -17,13 +17,13 @@
 #                               # WM backends, plus the shm-leak check
 #   scripts/check.sh --obs      # additionally run the full observability
 #                               # suite (flight recorder, blackbox decode,
-#                               # metrics HTTP) and the recorder-overhead
+#                               # metrics export) and the recorder-overhead
 #                               # benchmark gate vs BENCH_obs.json
 #   scripts/check.sh --analysis # additionally gate the commutativity
 #                               # detector: per-pair verdicts over every
 #                               # bundled workload must match the golden
-#                               # file, and the certified fast path +
-#                               # race sanitizer must run clean on tc
+#                               # file, and the race sanitizer must run
+#                               # clean on tc
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -154,10 +154,10 @@ if [[ "${1:-}" == "--analysis" ]]; then
     # (-c import avoids runpy's found-in-sys.modules warning: the package
     # __init__ imports the module eagerly)
     python -c "from repro.analysis.commute import main; raise SystemExit(main(['--check']))"
-    echo "== certified fast path + race sanitizer smoke (tc, waltz demos)"
+    echo "== race sanitizer smoke (tc demo + bundled workloads)"
     python -m repro.cli run examples/tc.pl --facts examples/tc.facts \
-        --certified-commute --sanitize-races >/dev/null
-    python -m pytest tests/core/test_certified_commute.py -q
+        --sanitize-races >/dev/null
+    python -m pytest tests/core/test_sanitizer.py -q
 fi
 
 if [[ "${1:-}" == "--bench" ]]; then

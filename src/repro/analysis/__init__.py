@@ -18,7 +18,7 @@ workflow and the distributed backends need decided before a run:
 - :mod:`repro.analysis.commute` — the critical-pair race detector:
   COMMUTES / RACES (with concrete witness WMs) / UNKNOWN verdicts per
   rule pair, feeding PA007–PA009 diagnostics, ``races`` edges in the
-  dependency graph, and the engine's certified redaction fast path;
+  dependency graph, and the engine's runtime race sanitizer;
 - :mod:`repro.analysis.diagnostics` — the shared ``PAxxx`` diagnostic
   vocabulary with text and SARIF-shaped JSON renderers.
 

@@ -69,8 +69,7 @@ Rules whose RHS uses ``(genatom)`` or ``(call ...)`` are never
 classified COMMUTES or RACES — fresh symbols and host effects are
 outside the WM-only verdict. Verdicts feed three consumers: PA007–PA009
 diagnostics in ``parulel analyze``, ``races`` edges in the dependency
-graph, and the engine's certified redaction fast path / runtime race
-sanitizer via :class:`CommuteIndex`.
+graph, and the engine's runtime race sanitizer via :class:`CommuteIndex`.
 """
 
 from __future__ import annotations
@@ -79,11 +78,9 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.coverage import victim_image
 from repro.analysis.diagnostics import Diagnostic, diag
-from repro.analysis.footprint import ce_constraints, constraints_satisfiable, may_overlap
+from repro.analysis.footprint import constraints_satisfiable
 from repro.core.sanitize import PairReplayer, evaluate_delta_pure
-from repro.lang.analysis import INSTANTIATION_CLASS
 from repro.lang.ast import (
     BindAction,
     CallAction,
@@ -976,7 +973,7 @@ class CommuteSummary:
         return [p for p in self.pairs if p.verdict == verdict]
 
     def commuting_names(self) -> Set[FrozenSet[str]]:
-        """Unordered name pairs proven COMMUTES (the fast path's input)."""
+        """Unordered name pairs proven COMMUTES (the sanitizer's input)."""
         return {
             frozenset((p.rule_a, p.rule_b))
             for p in self.pairs
@@ -1040,36 +1037,15 @@ def commute_matrix(program: Program, name: str = "<program>") -> CommuteSummary:
 
 
 class CommuteIndex:
-    """What the engine needs at runtime, precomputed once per program:
-    which rule pairs are statically COMMUTES, and which rules are
-    *invisible* to the meta level (no instantiation-class CE of any
-    meta-rule can match their reifications — trivially all of them when
-    the program has no meta-rules). Skipping the reification of an
-    invisible rule's candidate cannot change any meta-level match."""
+    """What the race sanitizer needs at runtime, precomputed once per
+    program: which rule pairs are statically COMMUTES."""
 
     def __init__(self, program: Program) -> None:
         self.summary = commute_matrix(program)
         self._commutes = self.summary.commuting_names()
-        self._invisible: Dict[str, bool] = {}
-        meta_ces: List[CompiledCE] = []
-        for meta in program.meta_rules:
-            meta_ces.extend(
-                ce
-                for ce in compile_rule(meta, plan=False).ces
-                if ce.class_name == INSTANTIATION_CLASS
-            )
-        for rule in program.rules:
-            image = victim_image(rule)
-            self._invisible[rule.name] = not any(
-                may_overlap(image, ce_constraints(ce), INSTANTIATION_CLASS)
-                for ce in meta_ces
-            )
 
     def statically_commutes(self, name_a: str, name_b: str) -> bool:
         return frozenset((name_a, name_b)) in self._commutes
-
-    def invisible(self, rule_name: str) -> bool:
-        return self._invisible.get(rule_name, False)
 
 
 # ---------------------------------------------------------------------------

@@ -50,9 +50,7 @@ The flight recorder is **on by default** for ``parulel run``: every run
 journals cycle/firing/fault events into fixed-size shared-memory rings
 and writes a self-contained ``PROGRAM.blackbox`` dump on abnormal exit
 (``--blackbox PATH`` overrides the path, ``--no-flight-recorder`` turns
-the recorder off). ``--metrics-port N`` serves one-shot Prometheus text
-exposition after the run (port 0 picks a free port; the server exits
-after the first scrape or ``--metrics-linger`` seconds).
+the recorder off).
 
 Checkpointing: ``--checkpoint-every N`` writes a resumable checkpoint
 every N cycles (atomic, digest-framed — a crash mid-write never corrupts
@@ -232,25 +230,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.engine == "ops5" and (
         args.no_flight_recorder
         or args.blackbox is not None
-        or args.metrics_port is not None
+        or args.sanitize_races
     ):
         print(
-            "error: --no-flight-recorder/--blackbox/--metrics-port apply "
+            "error: --no-flight-recorder/--blackbox/--sanitize-races apply "
             "to --engine parulel only",
-            file=sys.stderr,
-        )
-        return 2
-    if args.metrics_port is not None and args.metrics_port < 0:
-        print("error: --metrics-port must be >= 0 (0 = pick a free port)",
-              file=sys.stderr)
-        return 2
-    if args.metrics_linger <= 0:
-        print("error: --metrics-linger must be > 0 seconds", file=sys.stderr)
-        return 2
-    if args.engine == "ops5" and (args.certified_commute or args.sanitize_races):
-        print(
-            "error: --certified-commute/--sanitize-races apply to "
-            "--engine parulel only",
             file=sys.stderr,
         )
         return 2
@@ -306,16 +290,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         matcher_timeout=args.matcher_timeout,
         respawn_limit=args.respawn_limit,
         wm_backend=args.wm_backend,
-        certified_commute=args.certified_commute,
         sanitize_races=args.sanitize_races,
         flight_recorder=not args.no_flight_recorder,
         blackbox_path=args.blackbox or (args.program + ".blackbox"),
     )
     obs_tracer, obs_metrics = _make_obs(args)
-    if args.metrics_port is not None and obs_metrics is None:
-        from repro.obs import MetricsRegistry
-
-        obs_metrics = MetricsRegistry()
     if args.resume:
         import os
 
@@ -414,22 +393,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.dump_wm:
         _write_text(args.dump_wm, dump_wm_text(engine.wm))
     _write_obs(args, obs_tracer, obs_metrics)
-    if args.metrics_port is not None:
-        from repro.obs import MetricsHTTPServer
-
-        server = MetricsHTTPServer(obs_metrics, port=args.metrics_port)
-        print(
-            f"[obs] serving metrics at {server.url} — one scrape, or "
-            f"{args.metrics_linger:.0f}s, whichever comes first",
-            file=sys.stderr,
-        )
-        scraped = server.wait_for_scrape(timeout=args.metrics_linger)
-        server.shutdown()
-        print(
-            "[obs] metrics scraped" if scraped
-            else "[obs] no scrape before the linger deadline",
-            file=sys.stderr,
-        )
     engine.close()
     return 0
 
@@ -992,13 +955,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--interference", choices=("error", "first", "merge"), default="error"
     )
     p_run.add_argument(
-        "--certified-commute",
-        action="store_true",
-        help="skip reifying conflict-set candidates the commutativity "
-        "detector proves invisible to the meta level and pairwise "
-        "commuting (byte-identical results, fewer redaction checks)",
-    )
-    p_run.add_argument(
         "--sanitize-races",
         action="store_true",
         help="dynamic race sanitizer: replay each pair of firings in both "
@@ -1022,22 +978,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="write the metrics registry: JSON snapshot, or Prometheus "
         "text when PATH ends in .prom/.txt",
-    )
-    p_run.add_argument(
-        "--metrics-port",
-        type=int,
-        default=None,
-        metavar="PORT",
-        help="after the run, serve one-shot Prometheus text exposition on "
-        "127.0.0.1:PORT (0 = pick a free port); exits after the first "
-        "scrape or --metrics-linger seconds",
-    )
-    p_run.add_argument(
-        "--metrics-linger",
-        type=float,
-        default=30.0,
-        metavar="SECONDS",
-        help="how long --metrics-port waits for a scrape (default: 30)",
     )
     p_run.add_argument(
         "--no-flight-recorder",

@@ -57,7 +57,6 @@ from repro.metrics.timers import PhaseTimer
 from repro.obs.metrics import NULL_METRICS
 from repro.obs.profile import (
     MATCH_OPS,
-    REDACTION_SKIPPED,
     RULE_CANDIDATES,
     RULE_EVAL_SECONDS,
     RULE_FIRINGS,
@@ -125,12 +124,6 @@ class EngineConfig:
     #: shared-memory columns the process backend attaches instead of
     #: receiving pickled deltas). Semantics are identical either way.
     wm_backend: str = "dict"
-    #: Certified redaction fast path: skip reifying conflict-set candidates
-    #: whose rules the commute analysis proved invisible to every meta-rule
-    #: and commuting (statically or by concrete pair replay) with every
-    #: other candidate. Results are byte-identical; the skipped work is
-    #: reported via ``parulel_redaction_skipped_total``.
-    certified_commute: bool = False
     #: Runtime race sanitizer: after evaluating each cycle's firing set,
     #: replay every fired pair in both orders on a shadow of the deltas and
     #: raise :class:`~repro.errors.CommuteViolationError` if a pair the
@@ -162,11 +155,6 @@ class EngineConfig:
             raise ValueError(
                 f"unknown wm_backend {self.wm_backend!r} "
                 f"(expected 'dict' or 'columnar')"
-            )
-        if self.certified_commute and not self.dedupe_makes:
-            raise ValueError(
-                "certified_commute requires dedupe_makes=True (the pair "
-                "replays mirror the set-insertion merge)"
             )
         if self.flight_capacity < 16:
             raise ValueError("flight_capacity must be >= 16 records")
@@ -310,15 +298,11 @@ class ParulelEngine:
             from repro.core.provenance import ProvenanceTracker
 
             self.provenance = ProvenanceTracker()
-        #: Commute-analysis runtime state (built only when a flag asks for
-        #: it — the analysis package is never imported otherwise).
+        #: Race-sanitizer state (built only under ``sanitize_races`` — the
+        #: analysis package is never imported otherwise).
         self._commute_index = None
         self._pair_replayer = None
-        #: Survivor-key pairs concretely certified during the current
-        #: cycle's redact phase (the sanitizer treats them like static
-        #: COMMUTES verdicts).
-        self._certified_pairs: Set[frozenset] = set()
-        if self.config.certified_commute or self.config.sanitize_races:
+        if self.config.sanitize_races:
             from repro.analysis.commute import CommuteIndex
             from repro.core.sanitize import PairReplayer
 
@@ -428,13 +412,7 @@ class ParulelEngine:
             return None
 
         with self._phase("redact", "redact", cycle=cycle_no, candidates=len(candidates)):
-            self._certified_pairs = set()
-            skip = (
-                self._certified_skip(candidates)
-                if self.config.certified_commute
-                else frozenset()
-            )
-            survivors, red_report = self.meta.redact(candidates, skip_reify=skip)
+            survivors, red_report = self.meta.redact(candidates)
         if flightrec is not None:
             flightrec.record(
                 self._fr.EV_REDACT,
@@ -600,8 +578,6 @@ class ParulelEngine:
         metrics.inc("parulel_meta_cycles_total", red_report.meta_cycles)
         metrics.inc("parulel_meta_firings_total", red_report.meta_firings)
         metrics.inc("parulel_meta_rule_tries_total", red_report.rule_tries)
-        if red_report.skipped:
-            metrics.inc(REDACTION_SKIPPED, red_report.skipped)
         cand_by_rule = Counter(i.rule.name for i in candidates)
         surv_by_rule = Counter(i.rule.name for i in survivors)
         for rule, n in cand_by_rule.items():
@@ -620,62 +596,6 @@ class ParulelEngine:
                     metrics.inc(MATCH_OPS, delta, op=op)
             self._last_match_ops = snap
 
-    def _certified_skip(self, candidates: Sequence[Instantiation]) -> frozenset:
-        """1-based ids of candidates whose reification is provably skippable.
-
-        A candidate may skip the meta level iff (1) its rule is *invisible*
-        — no ``instantiation`` CE of any meta-rule can match its
-        reification, so skipping cannot change any meta match — and (2) it
-        commutes with every other candidate, statically (the commute
-        analysis proved the rule pair COMMUTES) or concretely (replaying
-        the two purely-evaluated deltas in both orders nets the same WM
-        effect), so no arbitration between them can matter.
-        """
-        from repro.core.sanitize import evaluate_delta_pure
-
-        index, replayer = self._commute_index, self._pair_replayer
-        assert index is not None and replayer is not None
-        n = len(candidates)
-        eligible = [
-            i for i in range(n) if index.invisible(candidates[i].rule.name)
-        ]
-        if not eligible:
-            return frozenset()
-
-        deltas: Dict[int, Optional[InstantiationDelta]] = {}
-
-        def delta(i: int) -> Optional[InstantiationDelta]:
-            if i not in deltas:
-                deltas[i] = evaluate_delta_pure(candidates[i])
-            return deltas[i]
-
-        pair_cache: Dict[Tuple[int, int], bool] = {}
-
-        def commutes(i: int, j: int) -> bool:
-            key = (i, j) if i < j else (j, i)
-            got = pair_cache.get(key)
-            if got is None:
-                a, b = candidates[key[0]], candidates[key[1]]
-                if index.statically_commutes(a.rule.name, b.rule.name):
-                    got = True
-                else:
-                    da, db = delta(key[0]), delta(key[1])
-                    got = (
-                        da is not None
-                        and db is not None
-                        and replayer.pair_commutes(da, db)
-                    )
-                    if got:
-                        self._certified_pairs.add(frozenset((a.key, b.key)))
-                pair_cache[key] = got
-            return got
-
-        return frozenset(
-            i + 1
-            for i in eligible
-            if all(commutes(i, j) for j in range(n) if j != i)
-        )
-
     def _sanitize_races(self, deltas: Sequence[InstantiationDelta]) -> None:
         """Replay every fired pair in both orders and hard-fail when a pair
         the analysis certified as commuting diverges — a dynamic
@@ -690,10 +610,7 @@ class ParulelEngine:
                 if replayer.replay((da, db)) == replayer.replay((db, da)):
                     continue
                 a, b = da.inst, db.inst
-                certified = index.statically_commutes(
-                    a.rule.name, b.rule.name
-                ) or frozenset((a.key, b.key)) in self._certified_pairs
-                if certified:
+                if index.statically_commutes(a.rule.name, b.rule.name):
                     if self.flightrec is not None:
                         self.flightrec.record(
                             self._fr.EV_RACE,

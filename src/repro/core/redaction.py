@@ -154,7 +154,7 @@ def _projected_ce(compiled: CompiledRule) -> Optional[int]:
 class RedactionReport:
     """What one redaction phase did (feeds Table 3)."""
 
-    __slots__ = ("candidates", "redacted", "meta_cycles", "meta_firings", "skipped")
+    __slots__ = ("candidates", "redacted", "meta_cycles", "meta_firings")
 
     def __init__(
         self,
@@ -162,26 +162,23 @@ class RedactionReport:
         redacted: int,
         meta_cycles: int,
         meta_firings: int,
-        skipped: int = 0,
     ) -> None:
         self.candidates = candidates
         self.redacted = redacted
         self.meta_cycles = meta_cycles
         self.meta_firings = meta_firings
-        #: Candidates whose reification the certified fast path skipped.
-        self.skipped = skipped
 
     @property
     def rule_tries(self) -> int:
-        """Rule tries per step (Frühwirth & Gall): every reified candidate
-        is offered to the meta-rules once per meta-cycle."""
-        return (self.candidates - self.skipped) * self.meta_cycles
+        """Rule tries per step (Frühwirth & Gall): every candidate is
+        offered to the meta-rules once per meta-cycle."""
+        return self.candidates * self.meta_cycles
 
     def __repr__(self) -> str:
         return (
             f"RedactionReport(candidates={self.candidates}, "
             f"redacted={self.redacted}, meta_cycles={self.meta_cycles}, "
-            f"meta_firings={self.meta_firings}, skipped={self.skipped})"
+            f"meta_firings={self.meta_firings})"
         )
 
 
@@ -270,38 +267,20 @@ class MetaLevel:
         return bool(self.compiled)
 
     def redact(
-        self,
-        candidates: Sequence[Instantiation],
-        skip_reify: frozenset = frozenset(),
+        self, candidates: Sequence[Instantiation]
     ) -> Tuple[List[Instantiation], RedactionReport]:
-        """Run the meta-program; return survivors (original order) + report.
-
-        ``skip_reify`` holds 1-based candidate ids the certified fast path
-        proved safe to leave unreified: their rules are invisible to every
-        meta-rule's ``instantiation`` CEs and they commute with every other
-        candidate, so the meta-level outcome cannot depend on their
-        presence. They keep their ids (a computed-id ``(redact i)`` still
-        removes them) and their timestamps, but cost no WME and no join
-        work.
-        """
+        """Run the meta-program; return survivors (original order) + report."""
         self.halt_requested = False
         self.writes = []
         if not self.enabled or not candidates:
-            return list(candidates), RedactionReport(
-                len(candidates), 0, 0, 0, skipped=len(skip_reify)
-            )
+            return list(candidates), RedactionReport(len(candidates), 0, 0, 0)
 
         stats = self.stats
         templates = self._templates
-        wme_by_id: Dict[int, WME] = {}
+        # Candidate id ``i`` reifies as ``wmes[i - 1]``.
+        wmes: List[WME] = []
         reified = {key: IndexedMemory() for key in self._reified_keys}
         for i, inst in enumerate(candidates, start=1):
-            if i in skip_reify:
-                # Every candidate takes a timestamp, reified or not, so
-                # every later allocation — and therefore the whole run —
-                # is the same whatever is skipped.
-                self.wm.allocate_timestamp()
-                continue
             rule = inst.rule
             known = templates.get(rule.name)
             if known is None or known[0] is not rule:
@@ -314,11 +293,11 @@ class MetaLevel:
                 _reify(known[1], inst, i),
                 self.wm.allocate_timestamp(),
             )
-            wme_by_id[i] = wme
+            wmes.append(wme)
             for key, mem in reified.items():
                 if alpha_test_passes(key[1], wme):
                     mem.add(wme)
-        stats.bump("alpha_tests", n=len(wme_by_id) * len(reified))
+        stats.bump("alpha_tests", n=len(wmes) * len(reified))
 
         source = _PhaseSource(reified, self._ordinary)
         redacted: Set[int] = set()
@@ -393,13 +372,9 @@ class MetaLevel:
                         f"in the current conflict set"
                     )
                 redacted.add(raw_id)
-                # A computed-id redact may name an unreified (skipped)
-                # candidate: honored, with no WME to drop.
-                wme = wme_by_id.get(raw_id)
-                if wme is not None:
-                    for mem in reified.values():
-                        mem.remove(wme)
-                    shrunk = True
+                for mem in reified.values():
+                    mem.remove(wmes[raw_id - 1])
+                shrunk = True
             # All that can change between meta-cycles is the reified set
             # getting smaller, which enables only absence tests over it.
             rules = self._recheck if shrunk else ()
@@ -419,5 +394,4 @@ class MetaLevel:
             len(redacted),
             meta_cycles,
             meta_firings,
-            skipped=len(skip_reify),
         )

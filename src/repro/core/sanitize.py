@@ -1,5 +1,5 @@
 """Sequential pair replay — the semantic core shared by the commute
-analysis, the certified redaction fast path, and the runtime race sanitizer.
+analysis and the runtime race sanitizer.
 
 PARULEL evaluates every surviving instantiation against the *pre-firing*
 snapshot and merges the deltas atomically, so "do these two firings
@@ -189,25 +189,3 @@ class PairReplayer:
                 added_contents.append((cls, dict(attrs)))
         net_added = tuple(sorted((k, n) for k, n in added.items() if n))
         return (frozenset(removed), net_added)
-
-    def pair_commutes(
-        self, a: InstantiationDelta, b: InstantiationDelta
-    ) -> bool:
-        """Do the two firings produce identical net WM effects both ways?"""
-        return self.replay((a, b)) == self.replay((b, a))
-
-    def certify_pair(self, a: Instantiation, b: Instantiation) -> bool:
-        """Concretely certify one candidate pair *before* the act phase.
-
-        Evaluates both RHSs from their environments alone (no engine
-        state) and replays both orders; ``False`` whenever either RHS is
-        not purely evaluable or the orders diverge. Used by the certified
-        redaction fast path for pairs the static analysis left open.
-        """
-        da = evaluate_delta_pure(a)
-        if da is None:
-            return False
-        db = evaluate_delta_pure(b)
-        if db is None:
-            return False
-        return self.pair_commutes(da, db)

@@ -118,9 +118,8 @@ class CommuteViolationError(ExecutionError):
     produces divergent working-memory deltas under the two firing orders.
 
     This never fires for honest programs: it means the static certificate
-    (or the concrete per-cycle certification used by the certified
-    redaction fast path) is unsound, which is exactly the bug class the
-    sanitizer exists to catch before it can corrupt results silently.
+    is unsound, which is exactly the bug class the sanitizer exists to
+    catch before it can corrupt results silently.
     Carries the two ``rules`` and the ``cycle`` the divergence occurred on.
     """
 

@@ -18,9 +18,7 @@ every execution substrate show its work:
   black-box flight recorder: bounded shared-memory event rings that
   survive worker SIGKILLs, ``*.blackbox`` crash dumps, merged causal
   timelines, per-site/per-rule skew analytics, and recording diffs
-  (``parulel blackbox dump/report/diff``);
-- :mod:`repro.obs.metrics_http` — one-shot HTTP ``/metrics`` exposition
-  for ``parulel run --metrics-port``.
+  (``parulel blackbox dump/report/diff``).
 
 Everything defaults to the no-op :data:`NULL_TRACER` /
 :data:`NULL_METRICS` singletons, so the disabled path costs an attribute
@@ -42,7 +40,6 @@ __all__ = [
     "Blackbox",
     "FlightRecorder",
     "FlightRing",
-    "MetricsHTTPServer",
     "MetricsRegistry",
     "NULL_METRICS",
     "NULL_TRACER",
@@ -70,6 +67,5 @@ __getattr__ = lazy_exports(
         "load_blackbox": "repro.obs.blackbox",
         "skew_report": "repro.obs.blackbox",
         "diff_blackbox": "repro.obs.blackbox",
-        "MetricsHTTPServer": "repro.obs.metrics_http",
     },
 )

@@ -93,7 +93,7 @@ class TestDischargePureRemove:
     (p sweep (done ^n <n>) --> (remove 1))
     """
 
-    def test_pure_remove_self_pair_commutes(self):
+    def test_pure_remove_self_pair_is_commuting(self):
         assert _pair(self.SRC).verdict == Verdict.COMMUTES
 
     def test_remove_hitting_another_ce_not_discharged(self):
@@ -182,20 +182,6 @@ class TestCommuteIndex:
         assert index.statically_commutes(a, b)
         assert index.statically_commutes(b, a)
         assert index.statically_commutes(a, a)
-
-    def test_all_rules_invisible_without_meta_level(self):
-        program = REGISTRY["tc"]().program
-        index = CommuteIndex(program)
-        assert all(index.invisible(r.name) for r in program.rules)
-
-    def test_meta_matched_rules_are_visible(self):
-        program = REGISTRY["manners"]().program
-        assert program.meta_rules
-        index = CommuteIndex(program)
-        # The meta level arbitrates the seating rules by name: those rules
-        # must not be invisible.
-        visible = {r.name for r in program.rules if not index.invisible(r.name)}
-        assert visible, "a program with matching meta-rules has visible rules"
 
 
 class TestGoldenFile:

@@ -8,9 +8,8 @@ write-heavy actions,
 1. the race sanitizer replays every fired pair in both orders — a
    statically-COMMUTES pair whose firings diverge raises
    ``CommuteViolationError``, so a clean run *is* the proof audit; and
-2. the certified fast path must leave the run byte-identical — same
-   cycles, firings and final working memory records — to the plain
-   engine.
+2. the sanitized run must be byte-identical — same cycles, firings and
+   final working memory records — to the plain engine.
 """
 
 import random
@@ -90,7 +89,7 @@ def _run(program, rng_seed, **config):
         result = engine.run(max_cycles=40)
     except CycleLimitExceeded as exc:
         # Non-terminating seeds are fine: a truncated run still detects
-        # any divergence between the plain and certified engines.
+        # any divergence between the plain and sanitized engines.
         result = exc.partial
     return (
         result.cycles,
@@ -112,14 +111,9 @@ class TestCommutesVerdictsSurviveSanitizer:
         # A clean sanitized run audits every COMMUTES claim dynamically:
         # a diverging certified pair would raise CommuteViolationError.
         base = _run(program, rng_seed=seed)
-        sanitized = _run(
-            program,
-            rng_seed=seed,
-            certified_commute=True,
-            sanitize_races=True,
-        )
+        sanitized = _run(program, rng_seed=seed, sanitize_races=True)
         assert sanitized == base, (
-            f"seed {seed}: certified fast path diverged "
+            f"seed {seed}: sanitized run diverged "
             f"(verdicts: {summary.counts})"
         )
 

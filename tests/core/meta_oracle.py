@@ -99,24 +99,15 @@ class OracleMetaLevel:
         return self.matcher is not None
 
     def redact(
-        self,
-        candidates: Sequence[Instantiation],
-        skip_reify: frozenset = frozenset(),
+        self, candidates: Sequence[Instantiation]
     ) -> Tuple[List[Instantiation], RedactionReport]:
         self.halt_requested = False
         self.writes = []
         if not self.enabled or not candidates:
-            return list(candidates), RedactionReport(
-                len(candidates), 0, 0, 0, skipped=len(skip_reify)
-            )
+            return list(candidates), RedactionReport(len(candidates), 0, 0, 0)
 
-        by_id: Dict[int, Instantiation] = {}
         wme_by_id: Dict[int, WME] = {}
         for i, inst in enumerate(candidates, start=1):
-            by_id[i] = inst
-            if i in skip_reify:
-                self.wm.allocate_timestamp()
-                continue
             attrs = reify_instantiation(inst, i)
             wme_by_id[i] = self.wm.make(INSTANTIATION_CLASS, attrs)
 
@@ -168,10 +159,6 @@ class OracleMetaLevel:
                         continue
                     wme = wme_by_id.get(raw_id)
                     if wme is None:
-                        if raw_id in by_id:
-                            redacted.add(raw_id)
-                            progressed = True
-                            continue
                         raise ExecutionError(
                             f"(redact {raw_id}): no instantiation with that id "
                             f"in the current conflict set"
@@ -192,13 +179,13 @@ class OracleMetaLevel:
                 if i not in redacted:
                     self.wm.discard(wme)
 
-        survivors = [inst for i, inst in by_id.items() if i not in redacted]
+        survivors = [
+            inst
+            for i, inst in enumerate(candidates, start=1)
+            if i not in redacted
+        ]
         return survivors, RedactionReport(
-            len(candidates),
-            len(redacted),
-            meta_cycles,
-            meta_firings,
-            skipped=len(skip_reify),
+            len(candidates), len(redacted), meta_cycles, meta_firings
         )
 
 

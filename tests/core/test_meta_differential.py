@@ -6,8 +6,7 @@ meta-cycles), redact-only rules (with and without such a CE) next to rules
 that also ``write``, joins and negations over ordinary classes the object
 rules rewrite between cycles, a redact id computed with ``bind``, mixed
 ``1`` / ``1.0`` / ``True`` / symbol join keys, ``write`` actions — plus a
-fact set, and optionally leaves one rule's candidates unreified. Two
-engines run it in lockstep, one on :class:`~repro.core.redaction.MetaLevel`
+fact set. Two engines run it in lockstep, one on :class:`~repro.core.redaction.MetaLevel`
 and one on :class:`tests.core.meta_oracle.OracleMetaLevel`; after every
 cycle the survivors (via the applied delta), every ``RedactionReport``
 field, the meta ``write`` lines, the next timestamp and the WM records
@@ -21,13 +20,16 @@ import pytest
 from repro.core import EngineConfig, ParulelEngine
 from repro.errors import ExecutionError
 from repro.lang.parser import parse_program
+from repro.obs import MetricsRegistry
+from repro.obs.profile import RULE_REDACTIONS
 from repro.programs import REGISTRY, build_manners
 from tests.core.meta_oracle import redact_only, use_oracle
 
 N_PROGRAMS = 72
 
 #: ``bystander`` precedes ``pick``: candidate ids follow rule position, so
-#: ``evict-prev``'s ``<i> - 1`` can name an unreified bystander candidate.
+#: ``evict-prev``'s ``<i> - 1`` can name a bystander candidate — the only
+#: way one is ever redacted.
 OBJECT_LEVEL = """
 (literalize item x p tag)
 (literalize blocked x)
@@ -97,34 +99,8 @@ META_POOL = {
 X_VALUES = [1, 1.0, True, 2, 2.0, "a", "b", 3]
 
 
-class _Skipping:
-    """``engine.meta`` wrapper that leaves the named rules' candidates
-    unreified, standing in for the certified fast path."""
-
-    def __init__(self, meta, rules):
-        self._meta = meta
-        self._rules = rules
-        self.skipped_then_redacted = 0
-
-    def redact(self, candidates, skip_reify=frozenset()):
-        skip = frozenset(
-            i
-            for i, inst in enumerate(candidates, start=1)
-            if inst.rule.name in self._rules
-        )
-        survivors, report = self._meta.redact(candidates, skip_reify=skip)
-        alive = {inst.key for inst in survivors}
-        self.skipped_then_redacted += sum(
-            1 for i in skip if candidates[i - 1].key not in alive
-        )
-        return survivors, report
-
-    def __getattr__(self, name):
-        return getattr(self._meta, name)
-
-
 def _draw(seed):
-    """(program source, facts, rules to skip) for one seed."""
+    """(program source, facts) for one seed."""
     rng = random.Random(4200 + seed)
     names = rng.sample(sorted(META_POOL), rng.randint(1, 4))
     source = OBJECT_LEVEL + "".join(META_POOL[name] for name in names)
@@ -138,18 +114,17 @@ def _draw(seed):
         facts.append(("blocked", {"x": x}))
     facts.append(("quota", {"n": rng.randint(1, 5)}))
     rng.shuffle(facts)
-    skip_rules = frozenset({"bystander"}) if rng.random() < 0.5 else frozenset()
-    return source, facts, skip_rules
+    return source, facts
 
 
-def _engine(source, facts, skip_rules, oracle=None):
+def _engine(source, facts, oracle=None):
     engine = ParulelEngine(
         parse_program(source),
         EngineConfig(matcher="treat", interference="merge"),
+        metrics=MetricsRegistry(),
     )
     if oracle is not None:
         use_oracle(engine, oracle)
-    engine.meta = _Skipping(engine.meta, skip_rules)
     for class_name, attrs in facts:
         engine.make(class_name, attrs)
     return engine
@@ -164,7 +139,6 @@ def _report_fields(report):
         red.redacted,
         red.meta_cycles,
         red.meta_firings,
-        red.skipped,
         report.delta_removes,
         report.delta_makes,
         report.halted,
@@ -173,9 +147,9 @@ def _report_fields(report):
 
 def _lockstep(seed, oracle):
     """Run one seed on both meta levels; returns coverage facts."""
-    source, facts, skip_rules = _draw(seed)
-    new = _engine(source, facts, skip_rules)
-    old = _engine(source, facts, skip_rules, oracle=oracle)
+    source, facts = _draw(seed)
+    new = _engine(source, facts)
+    old = _engine(source, facts, oracle=oracle)
     deepest = 0
     wrote = 0
     consulted_changed = 0
@@ -195,7 +169,12 @@ def _lockstep(seed, oracle):
         assert got.writes == want.writes, seed
         deepest = max(deepest, got.redaction.meta_cycles)
         wrote += len(new.meta.writes)
-    assert new.meta.skipped_then_redacted == old.meta.skipped_then_redacted
+    bystander_redacted = new.metrics.counter_value(
+        RULE_REDACTIONS, rule="bystander"
+    )
+    assert bystander_redacted == old.metrics.counter_value(
+        RULE_REDACTIONS, rule="bystander"
+    )
     kinds = {redact_only(rule) for rule in new.program.meta_rules}
     return {
         "redact_only": True in kinds,
@@ -203,8 +182,7 @@ def _lockstep(seed, oracle):
         "deepest": deepest,
         "wrote": wrote,
         "consulted_changed": consulted_changed,
-        "skipped": bool(skip_rules),
-        "skipped_then_redacted": new.meta.skipped_then_redacted,
+        "bystander_redacted": bystander_redacted,
     }
 
 
@@ -215,8 +193,7 @@ class TestPhaseLocalAgreesWithOracle:
         # The sweep must actually reach what it claims to cover.
         assert sum(1 for s in seen if s["deepest"] >= 3) >= 5
         assert sum(1 for s in seen if s["consulted_changed"]) >= 20
-        assert sum(1 for s in seen if s["skipped"]) >= 20
-        assert sum(s["skipped_then_redacted"] for s in seen) >= 5
+        assert sum(s["bystander_redacted"] for s in seen) >= 5
         assert sum(1 for s in seen if s["wrote"]) >= 30
         assert sum(1 for s in seen if s["redact_only"]) >= 25
         assert sum(1 for s in seen if s["both_paths"]) >= 20
@@ -230,8 +207,8 @@ class TestPhaseLocalAgreesWithOracle:
             ("item", {"x": x, "p": 0, "tag": "t"}) for x in (1, 1.0, True, "a")
         ]
         for engine in (
-            _engine(source, facts, frozenset()),
-            _engine(source, facts, frozenset(), oracle=oracle),
+            _engine(source, facts),
+            _engine(source, facts, oracle=oracle),
         ):
             report = engine.step()
             picks = report.redaction.candidates - 4  # minus the bystanders

@@ -7,7 +7,7 @@ from repro.core import EngineConfig, ParulelEngine
 from repro.core.redaction import reify_instantiation
 from repro.lang.parser import parse_program
 from repro.match.instantiation import Instantiation
-from repro.programs import build_manners
+from repro.programs import REGISTRY, build_manners
 from repro.wm.wme import WME
 from tests.core.meta_oracle import redact_only, use_oracle
 
@@ -128,6 +128,49 @@ class TestRedactionSemantics:
         with pytest.raises(ExecutionError, match="no instantiation"):
             run_engine(src, [("req", {"name": "a"})])
 
+    @pytest.mark.parametrize("raw_id", ["0", "(compute <i> - 2)"])
+    def test_redact_below_the_first_id_raises(self, raw_id):
+        # Ids are 1-based positions among the candidates: an id below 1
+        # names nobody, and must not wrap around to the last candidate.
+        src = f"""
+        (literalize req name)
+        (p grant (req ^name <n>) --> (remove 1))
+        (mp bad (instantiation ^rule grant ^id <i>) --> (redact {raw_id}))
+        """
+        with pytest.raises(ExecutionError, match="no instantiation"):
+            run_engine(src, [("req", {"name": "a"})])
+
+    @pytest.mark.parametrize("oracle", [None, "naive", "rete"])
+    def test_computed_id_redact_drops_the_named_reification(self, oracle):
+        # ``bystander`` precedes ``grant``, so ``<i> - 1`` names the
+        # bystander candidate. Once it is redacted, ``clear`` — rechecked
+        # because of its negated instantiation CE — sees it gone.
+        src = """
+        (literalize req name)
+        (literalize note name)
+        (p bystander (note ^name <n>) --> (remove 1))
+        (p grant (req ^name <n>) --> (remove 1))
+        (mp evict-prev
+            (instantiation ^rule grant ^id <i>)
+            --> (bind <k> (compute <i> - 1)) (redact <k>))
+        (mp clear
+            (instantiation ^rule grant ^id <i>)
+            -(instantiation ^rule bystander)
+            --> (write clear <i>))
+        """
+        engine = ParulelEngine(parse_program(src))
+        if oracle is not None:
+            use_oracle(engine, oracle)
+        engine.make("note", name="n")
+        engine.make("req", name="r")
+        report = engine.step()
+        red = report.redaction
+        assert (red.candidates, red.redacted, red.meta_cycles) == (2, 1, 2)
+        assert report.writes == ["clear 2"]
+        assert report.fired == 1
+        assert [w.get("name") for w in engine.wm.by_class("note")] == ["n"]
+        assert engine.wm.count_class("req") == 0
+
     def test_reifications_cleaned_up_after_cycle(self):
         engine, _result = run_engine(
             self.PICK_ONE, [("req", {"name": "a"}), ("req", {"name": "b"})]
@@ -181,6 +224,29 @@ class TestRedactionSemantics:
         first = result.reports[0]
         assert first.fired == 1  # only rank 1 survives cycle 1
         assert first.redaction.redacted == 2
+
+
+class TestEveryCandidateIsReified:
+    """Every candidate is reified and offered to the meta-rules: the meta
+    level's alpha tests are candidates × reified memories, and its rule
+    tries candidates × meta-cycles, on each bundled meta-program."""
+
+    #: workload -> (candidates, meta-level alpha tests) over a default run.
+    EXPECTED = {"manners": (154, 308), "routing": (56, 112), "sort-meta": (37, 37)}
+
+    @pytest.mark.parametrize("name", sorted(EXPECTED))
+    def test_alpha_tests_and_rule_tries_count_every_candidate(self, name):
+        wl = REGISTRY[name]()
+        engine = ParulelEngine(wl.program)
+        wl.setup(engine)
+        result = engine.run(max_cycles=5000)
+        assert wl.verify(engine.wm)
+        reports = [r.redaction for r in result.reports]
+        candidates = sum(r.candidates for r in reports)
+        alpha_tests = engine.meta.stats.totals["alpha_tests"]
+        assert (candidates, alpha_tests) == self.EXPECTED[name]
+        for r in reports:
+            assert r.rule_tries == r.candidates * r.meta_cycles
 
 
 class TestNoMetaRules:

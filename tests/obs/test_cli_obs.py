@@ -231,19 +231,6 @@ class TestFlightRecorderFlags:
         )
         assert code == 2
 
-    def test_metrics_port_serves_and_lingers(self, program_files, capsys):
-        program, facts = program_files
-        code = main(
-            [
-                "run", program, "--facts", facts,
-                "--metrics-port", "0", "--metrics-linger", "0.2",
-            ]
-        )
-        assert code == 0
-        err = capsys.readouterr().err
-        assert "serving metrics at http://127.0.0.1:" in err
-        assert "no scrape before the linger deadline" in err
-
 
 class TestBlackboxCommand:
     @pytest.fixture()

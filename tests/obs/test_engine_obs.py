@@ -146,15 +146,6 @@ class TestEngineMetrics:
         assert profile.redacted == redacted
         assert profile.fired == result.firings
 
-    def test_certified_commute_counts_skipped_reifications(self):
-        from repro.obs.profile import REDACTION_SKIPPED
-
-        metrics = MetricsRegistry()
-        engine, _result = run_tc(metrics=metrics, certified_commute=True)
-        skipped = metrics.counter_value(REDACTION_SKIPPED)
-        assert skipped == sum(r.redaction.skipped for r in engine.reports)
-        assert skipped > 0  # tc's candidates are all provably commuting
-
     def test_sanitizer_counts_pair_replays(self):
         from repro.obs.profile import SANITIZER_REPLAYS
 
@@ -170,11 +161,10 @@ class TestEngineMetrics:
         assert replays > 0
 
     def test_new_counters_absent_when_features_off(self):
-        from repro.obs.profile import REDACTION_SKIPPED, SANITIZER_REPLAYS
+        from repro.obs.profile import SANITIZER_REPLAYS
 
         metrics = MetricsRegistry()
         run_tc(metrics=metrics)
-        assert metrics.counter_value(REDACTION_SKIPPED) == 0
         assert metrics.counter_value(SANITIZER_REPLAYS) == 0
 
 

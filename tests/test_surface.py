@@ -24,9 +24,8 @@ CLI = {
         "--matcher-timeout", "--respawn-limit", "--wm-backend",
         "--checkpoint-every", "--checkpoint", "--checkpoint-keep",
         "--checkpoint-full-every", "--resume", "--strategy", "--interference",
-        "--certified-commute", "--sanitize-races", "--max-cycles", "--trace",
-        "--stats", "--dump-wm", "--trace-out", "--metrics-out",
-        "--metrics-port", "--metrics-linger", "--no-flight-recorder",
+        "--sanitize-races", "--max-cycles", "--trace", "--stats",
+        "--dump-wm", "--trace-out", "--metrics-out", "--no-flight-recorder",
         "--blackbox",
     ],
     "check": ["program"],
@@ -52,7 +51,7 @@ ENGINE_CONFIG = [
     "matcher", "indexed_match", "interference", "dedupe_makes", "max_cycles",
     "max_meta_cycles", "track_provenance", "matcher_timeout", "respawn_limit",
     "fault_plan", "supervisor", "wm_backend",
-    "certified_commute", "sanitize_races", "flight_recorder", "blackbox_path",
+    "sanitize_races", "flight_recorder", "blackbox_path",
     "flight_capacity",
 ]
 
@@ -120,7 +119,7 @@ def _walk(parser, prefix=""):
 
 def test_cli_arguments_are_exactly_the_listed_ones():
     assert _walk(build_parser()) == CLI
-    assert sum(len(args) for args in CLI.values()) == 63
+    assert sum(len(args) for args in CLI.values()) == 60
 
 
 def test_the_default_matcher_is_treat_wherever_one_is_defaulted():
@@ -142,7 +141,7 @@ def test_the_default_matcher_is_treat_wherever_one_is_defaulted():
 
 def test_engine_config_fields_are_exactly_the_listed_ones():
     assert [f.name for f in dataclasses.fields(EngineConfig)] == ENGINE_CONFIG
-    assert len(ENGINE_CONFIG) == 17
+    assert len(ENGINE_CONFIG) == 16
 
 
 def test_create_matcher_keywords_are_exactly_the_listed_ones():
