@@ -118,7 +118,7 @@ if [[ "${1:-}" == "--faults" ]]; then
 fi
 
 if [[ "${1:-}" == "--resilience" ]]; then
-    echo "== resilience suite (checkpoints, supervision, janitor)"
+    echo "== resilience suite (checkpoints, respawn/degrade, janitor)"
     python -m pytest tests/resilience -q
     echo "== chaos differential (crash + corruption -> byte-identical recovery)"
     for seed in 0 1; do

@@ -165,18 +165,30 @@ def _write_obs(args: argparse.Namespace, tracer, metrics) -> None:
         print(f"[obs] metrics written to {args.metrics_out}", file=sys.stderr)
 
 
+def _matcher_spec(args: argparse.Namespace) -> Optional[str]:
+    """``--matcher`` with ``--workers`` folded in (``process:N``), or
+    ``None`` once the refusal is printed: the worker count belongs to the
+    process pool, so asking for it on a serial matcher is an error."""
+    if args.workers is None:
+        return args.matcher
+    if args.matcher != "process":
+        print("error: --workers requires --matcher process", file=sys.stderr)
+        return None
+    if args.workers < 1:
+        print("error: --workers must be >= 1", file=sys.stderr)
+        return None
+    return f"process:{args.workers}"
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     source = _read_text(args.program)
     program = parse_program(source)
     analyze_program(program)
     facts = _read_facts(args.facts) if args.facts else []
 
-    matcher = args.matcher
-    if matcher == "process" and args.workers is not None:
-        if args.workers < 1:
-            print("error: --workers must be >= 1", file=sys.stderr)
-            return 2
-        matcher = f"process:{args.workers}"
+    matcher = _matcher_spec(args)
+    if matcher is None:
+        return 2
 
     if args.matcher_timeout is not None and args.matcher_timeout <= 0:
         print("error: --matcher-timeout must be > 0 seconds", file=sys.stderr)
@@ -403,12 +415,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.obs import MetricsRegistry, Tracer, hot_rule_table
     from repro.obs.profile import CollectorLog, site_busy_line
 
-    matcher = args.matcher
-    if matcher == "process" and args.workers is not None:
-        if args.workers < 1:
-            print("error: --workers must be >= 1", file=sys.stderr)
-            return 2
-        matcher = f"process:{args.workers}"
+    matcher = _matcher_spec(args)
+    if matcher is None:
+        return 2
 
     metrics = MetricsRegistry()
     tracer = Tracer() if args.trace_out else None

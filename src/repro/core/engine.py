@@ -107,18 +107,13 @@ class EngineConfig:
     #: enabling ``engine.explain(wme)``. Off by default (memory cost).
     track_provenance: bool = False
     #: Process-backend knobs (``matcher="process"`` only): per-worker reply
-    #: deadline in seconds, per-site respawn budget before graceful
-    #: degradation, and an injected :class:`~repro.faults.FaultPlan`.
+    #: deadline in seconds, per-site respawn budget before the site is
+    #: matched in the parent for the rest of the run, and an injected
+    #: :class:`~repro.faults.FaultPlan`. Respawns are immediate; there is
+    #: no other supervision knob.
     matcher_timeout: Optional[float] = None
     respawn_limit: Optional[int] = None
     fault_plan: Optional[FaultPlan] = None
-    #: Supervision policy for the process backend
-    #: (:class:`~repro.resilience.supervisor.SupervisorPolicy`): heartbeat
-    #: probes, seeded respawn backoff, per-site circuit breaker, and the
-    #: process → threaded → serial degradation ladder with re-promotion.
-    #: ``None`` keeps the legacy behaviour (immediate respawns, permanent
-    #: degradation straight to in-parent serial).
-    supervisor: Optional[object] = None
     #: Working-memory store: ``"dict"`` (the default in-process store) or
     #: ``"columnar"`` (:class:`~repro.wm.columnar.ColumnarWorkingMemory`,
     #: shared-memory columns the process backend attaches instead of
@@ -255,8 +250,6 @@ class ParulelEngine:
             matcher_options["respawn_limit"] = self.config.respawn_limit
         if self.config.fault_plan is not None:
             matcher_options["fault_plan"] = self.config.fault_plan
-        if self.config.supervisor is not None:
-            matcher_options["supervisor"] = self.config.supervisor
         if self.tracer.enabled or self.metrics.enabled:
             matcher_options["tracer"] = self.tracer
             matcher_options["metrics"] = self.metrics

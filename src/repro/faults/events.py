@@ -27,14 +27,8 @@ __all__ = ["FaultEvent", "KNOWN_KINDS", "summarize_faults"]
 #: ``straggler`` (slow site). Recovery actions: ``detect`` (missed
 #: gather), ``redistribute`` (rules re-hosted on survivors), ``rejoin``
 #: (site back, charged as replaying the delta log), ``respawn`` (worker
-#: replaced),
-#: ``degrade`` (site demoted one rung down the degradation ladder).
-#: Supervision events (:mod:`repro.resilience.supervisor`): ``backoff``
-#: (seeded exponential delay before a respawn), ``heartbeat-miss`` (a
-#: liveness probe went unanswered), ``worker-error`` (a worker reply was
-#: an error and the policy degrades instead of raising),
-#: ``breaker-open``/``breaker-close`` (per-site circuit breaker), and
-#: ``promote`` (site re-promoted a rung up after cool-down).
+#: replaced), ``degrade`` (site's share matched in the parent for the rest
+#: of the run).
 KNOWN_KINDS = (
     "crash",
     "kill",
@@ -48,12 +42,6 @@ KNOWN_KINDS = (
     "rejoin",
     "respawn",
     "degrade",
-    "backoff",
-    "heartbeat-miss",
-    "worker-error",
-    "breaker-open",
-    "breaker-close",
-    "promote",
 )
 
 

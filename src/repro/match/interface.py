@@ -114,7 +114,6 @@ def create_matcher(
     timeout: Optional[float] = None,
     respawn_limit: Optional[int] = None,
     fault_plan=None,
-    supervisor=None,
     tracer=None,
     metrics=None,
     flightrec=None,
@@ -124,12 +123,9 @@ def create_matcher(
     ``process``/``process:N`` for the multiprocessing fan-out).
 
     ``timeout`` (per-worker reply deadline, seconds), ``respawn_limit``
-    (per-site crash budget before graceful degradation), ``fault_plan``
-    (a :class:`~repro.faults.FaultPlan` of injected worker faults) and
-    ``supervisor`` (a
-    :class:`~repro.resilience.supervisor.SupervisorPolicy` governing
-    heartbeats, backoff, circuit breaking and the degradation ladder)
-    apply only to the ``process`` backend; passing them for a serial
+    (per-site crash budget before the site's share is matched in the
+    parent) and ``fault_plan`` (a :class:`~repro.faults.FaultPlan` of
+    injected worker faults) apply only to the ``process`` backend; passing them for a serial
     engine is an error rather than a silent no-op. Nothing places rules
     on workers: every worker matches its share of every rule.
 
@@ -171,20 +167,14 @@ def create_matcher(
             timeout=timeout if timeout is not None else DEFAULT_TIMEOUT,
             respawn_limit=respawn_limit,
             fault_plan=fault_plan,
-            supervisor=supervisor,
             tracer=tracer,
             metrics=metrics,
             flightrec=flightrec,
         )
 
-    if (
-        timeout is not None
-        or respawn_limit is not None
-        or fault_plan is not None
-        or supervisor is not None
-    ):
+    if timeout is not None or respawn_limit is not None or fault_plan is not None:
         raise ValueError(
-            f"timeout/respawn_limit/fault_plan/supervisor only "
+            f"timeout/respawn_limit/fault_plan only "
             f"apply to the 'process' backend, not {engine!r}"
         )
 

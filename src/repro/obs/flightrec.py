@@ -5,7 +5,7 @@ This module provides one: every :class:`~repro.core.engine.ParulelEngine`
 owns a :class:`FlightRecorder` (default-enabled, ``--no-flight-recorder``
 to opt out) holding one bounded ring per process — the engine writes cycle
 boundaries, phase durations, per-rule firings, redaction verdicts,
-conflict-set churn, checkpoint writes and fault/ladder transitions into
+conflict-set churn, checkpoint writes and fault/recovery events into
 its own ring, while each match worker writes rule-level lifecycle records
 into a ``multiprocessing.shared_memory`` ring the *parent* created and
 keeps mapped, so the records survive a worker SIGKILL.
@@ -114,7 +114,7 @@ EV_FIRE = 3  # one firing evaluated: code=rule id, a=eval ns
 EV_REDACT = 4  # redaction verdict: a=candidates, b=redacted
 EV_CHURN = 5  # conflict-set churn: a=instantiations, b=candidates
 EV_CHECKPOINT = 6  # checkpoint written: code 0=full, 1=delta
-EV_FAULT = 7  # fault / supervisor / ladder event: code=interned kind, a=site
+EV_FAULT = 7  # fault / recovery event: code=interned kind, a=site
 EV_RACE = 8  # commutativity race: code=rule id, a=other rule id
 EV_REPLAY = 9  # sanitizer shadow replay: a=pairs replayed
 EV_HALT = 10  # engine halted
@@ -157,9 +157,7 @@ PHASE_CODES: Dict[str, int] = {name: i for i, name in enumerate(PHASE_NAMES)}
 #: Fault kinds that mean a worker died (or was declared dead) — seeing one
 #: of these in a cycle's drained fault events triggers a crash dump even
 #: though the engine itself keeps running (degraded or respawned).
-DEATH_KINDS = frozenset(
-    {"kill", "wedge", "heartbeat-miss", "respawn", "worker-error"}
-)
+DEATH_KINDS = frozenset({"kill", "wedge", "respawn"})
 
 #: Segment-name prefix for recorder rings; the token body matches the
 #: columnar store's ``<pid:08x>p<hex>`` format so the janitor's owner-pid
@@ -493,7 +491,7 @@ class FlightRecorder:
         self.ring.append(kind, cycle, code, a, b, site=site)
 
     def record_fault(self, kind: str, site: Optional[int], cycle: int) -> None:
-        """Fault-injection / supervisor / ladder transition, by kind name."""
+        """Fault injection or recovery action (respawn, degrade), by kind name."""
         s = site if isinstance(site, int) else -1
         self.record(EV_FAULT, cycle, code=self.intern(kind), a=s, site=s)
 

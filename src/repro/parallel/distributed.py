@@ -290,8 +290,8 @@ class DistributedMachine(SimMachine):
             )
 
     def _site_mode(self, site: int, mode: int) -> None:
-        # Same gauge the process pool's supervisor exports: 0 = site
-        # serving at full isolation, >0 = degraded/down.
+        # Same gauge the process pool exports: 0 = site serving, 1 =
+        # degraded/down.
         if self.metrics.enabled:
             self.metrics.set_gauge("parulel_site_mode", mode, site=site)
 

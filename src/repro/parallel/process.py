@@ -52,27 +52,19 @@ What keeps it fast and correct:
   re-asked for its site's matches; its first reply resets the site's
   retained set. A run survives ``kill -9`` of any worker mid-cycle (tests
   inject exactly that).
-- **Supervised degradation.** Each site has a respawn budget
-  (``respawn_limit``; ``None`` = unlimited) and a
-  :class:`~repro.resilience.supervisor.SupervisorPolicy` deciding when to
-  retry and when to give up. When a site's worker keeps dying past its
-  budget (or trips the policy's circuit breaker), the pool stops
-  respawning and *degrades* the site one rung down the policy's ladder —
-  ``process`` → (optionally) ``threaded`` (matched in-parent on a helper
-  thread) → ``serial`` (matched in-parent inline by the serial join
-  engine). The run stays alive — slower on that site, never wrong —
-  instead of raising :class:`~repro.errors.MatchError`. Because the
-  parent WM holds every replica's contents in the same order, and the
-  site conditions keep exactly the site's share of it, degraded results
-  are byte-identical to worker results. Policies can
-  add seeded respawn backoff, ping/pong heartbeat probes (catching a
-  wedged worker *before* a request burns the reply deadline), and
-  cool-down re-promotion back up the ladder. The default policy is the
-  pool's historical behaviour: immediate respawns, permanent degradation
-  straight to in-parent serial. Every respawn, degradation, backoff,
-  heartbeat miss, breaker transition and promotion is a
-  :class:`~repro.faults.FaultEvent`; engines drain them per cycle via
-  :meth:`ProcessMatcher.drain_fault_events` into the
+- **Degradation.** One policy: a lost worker is respawned at once, and
+  the site is *degraded* — its share matched in the parent, inline, for
+  the rest of the run — when its respawn budget (``respawn_limit``;
+  ``None`` = unlimited) is spent or :data:`MAX_ATTEMPTS_PER_CYCLE`
+  respawns fail within one cycle. The run stays alive — slower on that
+  site, never wrong — instead of raising
+  :class:`~repro.errors.MatchError`. Because the parent WM holds every
+  replica's contents in the same order, and the site conditions keep
+  exactly the site's share of it, degraded results are byte-identical to
+  worker results. A worker that *reports* an error still raises: a
+  deterministic error would recur on respawn. Every respawn and
+  degradation is a :class:`~repro.faults.FaultEvent`; engines drain them
+  per cycle via :meth:`ProcessMatcher.drain_fault_events` into the
   :class:`~repro.core.engine.CycleReport`.
 - **Fault injection.** A :class:`~repro.faults.FaultPlan` can schedule
   real ``SIGKILL`` (``kills``) and ``SIGSTOP`` (``wedges``) against
@@ -95,7 +87,6 @@ import multiprocessing
 import os
 import pickle
 import signal
-import threading
 import time
 from multiprocessing.connection import Connection
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -134,7 +125,6 @@ from repro.obs.profile import (
     VECTOR_SCAN_ROWS,
 )
 from repro.obs.trace import NULL_TRACER, TraceEvent, Tracer
-from repro.resilience.supervisor import SiteSupervisor, SupervisorPolicy
 from repro.wm.columnar import ColumnarReader, ColumnarWorkingMemory
 from repro.wm.memory import DeltaRecorder, WMDelta, WorkingMemory
 from repro.wm.wme import WME
@@ -171,6 +161,11 @@ ObsPayload = Optional[
 #: unwedge a hung worker, not to police slow matches. Override per run with
 #: ``ProcessMatchPool(timeout=...)`` or the CLI's ``--matcher-timeout``.
 DEFAULT_TIMEOUT = 60.0
+
+#: A worker that cannot even come up is a deterministic failure no respawn
+#: will fix: after this many failed respawns within one cycle the site is
+#: degraded rather than spun on.
+MAX_ATTEMPTS_PER_CYCLE = 3
 
 
 def default_worker_count() -> int:
@@ -254,12 +249,12 @@ def _worker_main(
     - ``("match-shm", info)`` — columnar mode: advance over the shared
       delta journal up to the message's cursors, then match and reply
       exactly as ``"match"`` does;
-    - ``("ping", token)`` — liveness probe: reply ``("pong", token)``
-      immediately (a wedged or dead worker cannot);
     - ``("stop",)`` — exit.
 
-    Any exception is reported as ``("err", message)``; the parent treats it
-    as fatal (a deterministic error would recur on respawn).
+    Any exception is reported as ``("err", message)``; the parent raises
+    :class:`~repro.errors.MatchError` for it rather than respawning (a
+    deterministic error would recur on respawn). Liveness needs no probe:
+    the parent polls ``is_alive`` while it waits for a reply.
 
     The conflict set is retained by a
     :class:`~repro.match.treat.TreatMatcher`, built after the first
@@ -347,9 +342,6 @@ def _worker_main(
                         # themselves from the liveness columns when the
                         # matcher is built.
                         vcache = ColumnVectorCache(reader)
-                    continue
-                if tag == "ping":
-                    conn.send(("pong", msg[1]))
                     continue
                 cycle += 1
                 taken = time.perf_counter() if obs else 0.0
@@ -538,7 +530,6 @@ class ProcessMatchPool:
         start_method: Optional[str] = None,
         respawn_limit: Optional[int] = None,
         fault_plan: Optional[FaultPlan] = None,
-        supervisor: Optional[SupervisorPolicy] = None,
         tracer=None,
         metrics=None,
         flightrec=None,
@@ -609,18 +600,9 @@ class ProcessMatchPool:
         self.respawns = 0
         #: Per-site respawn counts, charged against ``respawn_limit``.
         self.site_respawns: Dict[int, int] = {}
-        #: Sites matched in-parent (rungs below ``process``): budget ran
-        #: out, the circuit breaker tripped, or respawns kept failing.
+        #: Sites matched in-parent for the rest of the run: the respawn
+        #: budget ran out, or respawns kept failing within one cycle.
         self.degraded_sites: Set[int] = set()
-        #: When to retry, how long to wait, when to give up, when to try
-        #: again — the policy half of supervision (the pool is the
-        #: mechanics half). Default = the pool's historical behaviour.
-        self.policy = supervisor if supervisor is not None else SupervisorPolicy()
-        self._sup = SiteSupervisor(self.policy, self.active_sites)
-        #: Delta-mode sites just promoted back to a worker: their next
-        #: dispatch must carry the whole memory, not this cycle's
-        #: increment (columnar promotions re-attach via ``_attached``).
-        self._needs_catchup: Set[int] = set()
         self._site_compiled: Dict[int, Tuple[CompiledRule, ...]] = {}
         self._injector: Optional[FaultInjector] = (
             fault_plan.injector() if fault_plan is not None else None
@@ -781,148 +763,30 @@ class ProcessMatchPool:
                         VECTOR_PROBE_FALLBACK, vec_stats["fallback"], site=site
                     )
 
-    def _probe(self, site: int) -> bool:
-        """Ping/pong liveness probe: a healthy worker answers between
-        cycles in microseconds; a dead or SIGSTOP'd one cannot. Bounded by
-        the policy's ``heartbeat_timeout`` (much shorter than the reply
-        deadline — that is the point)."""
-        token = self._cycle
-        if not self._try_send(site, ("ping", token)):
-            return False
-        conn = self._conns[site]
-        deadline = time.monotonic() + self.policy.heartbeat_timeout
-        try:
-            while True:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return False
-                if conn.poll(min(0.05, remaining)):
-                    break
-                proc = self._procs.get(site)
-                if proc is not None and not proc.is_alive() and not conn.poll(0):
-                    return False
-            tag, payload = conn.recv()
-        except (EOFError, OSError):
-            return False
-        return tag == "pong" and payload == token
-
-    def _recv_checked(self, site: int) -> Optional[SiteReply]:
-        """:meth:`_recv` plus the supervision bookkeeping: a healthy reply
-        resets the site's failure streak (and closes its circuit breaker,
-        emitting ``breaker-close``); a worker-reported error either raises
-        :class:`MatchError` (default) or — under a policy with
-        ``degrade_on_worker_error`` — counts as a site failure so the
-        ladder can absorb deterministic worker-side faults (e.g. a chaos
-        run unlinking the shared segment a re-attach needs)."""
-        try:
-            reply = self._recv(site)
-        except MatchError as exc:
-            if not self.policy.degrade_on_worker_error:
-                raise
-            self._record("worker-error", site, detail=str(exc))
-            return None
-        if reply is not None and self._sup.on_success(site):
-            self._record(
-                "breaker-close", site, detail="healthy reply at full isolation"
-            )
-            if self.metrics.enabled:
-                self.metrics.set_gauge("parulel_site_mode", 0, site=site)
-        return reply
-
-    def _budget_left(self, site: int) -> bool:
-        if self.respawn_limit is None:
-            return True
-        return self.site_respawns.get(site, 0) < self.respawn_limit
-
-    def _degrade(
-        self, site: int, reason: str, breaker: bool = False
-    ) -> SiteReply:
-        """Move a site one rung down the policy's ladder (in-parent).
+    def _degrade(self, site: int, reason: str) -> SiteReply:
+        """Stop respawning the site's worker and match its share in the
+        parent for the rest of the run.
 
         The parent working memory holds exactly what the worker's replica
         held (the replica was built from the parent's deltas), and both
         iterate class buckets in timestamp order, so the in-parent matches
-        are byte-identical to what the worker would have returned. With
-        ``cooldown_cycles`` set the demotion is temporary — the supervisor
-        schedules a promotion back up; the default policy makes it
-        permanent (historical behaviour).
+        are byte-identical to what the worker would have returned.
         """
-        if breaker:
-            self._record("breaker-open", site, detail=reason)
-        mode = self._sup.note_demotion(site)
         self._kill(site)
         self._procs.pop(site, None)
         self._conns.pop(site, None)
         self.degraded_sites.add(site)
-        where = "in-parent" if mode == "serial" else "on a parent thread"
         self._record(
             "degrade",
             site,
             detail=(
                 f"{reason}; its share of {len(self._rules)} rule(s) now "
-                f"matched {where}"
+                f"matched in-parent"
             ),
         )
         if self.metrics.enabled:
-            self.metrics.set_gauge(
-                "parulel_site_mode", self._sup.rung(site), site=site
-            )
-        return self._degraded_match(site)
-
-    def _degraded_match(self, site: int) -> SiteReply:
-        """Match a degraded site at its current rung: ``threaded`` runs
-        the in-parent match on a joined helper thread, ``serial`` inline.
-        Both compute the identical reply — the rungs differ only in
-        where the work runs."""
-        if self._sup.mode(site) == "threaded":
-            return self._threaded_match(site)
+            self.metrics.set_gauge("parulel_site_mode", 1, site=site)
         return self._parent_match(site)
-
-    def _threaded_match(self, site: int) -> SiteReply:
-        box: List[SiteReply] = []
-        err: List[BaseException] = []
-
-        def run() -> None:
-            try:
-                box.append(self._parent_match(site))
-            except BaseException as exc:  # noqa: BLE001 - re-raised below
-                err.append(exc)
-
-        t = threading.Thread(
-            target=run, name=f"parulel-match-site{site}-threaded", daemon=True
-        )
-        t.start()
-        t.join()
-        if err:
-            raise err[0]
-        return box[0]
-
-    def _promote(self, site: int) -> None:
-        """Move a demoted site one rung back up after its cool-down.
-
-        A promotion to ``process`` respawns a worker (charged against the
-        respawn budget — no budget, no promotion) and flags the site for a
-        full catch-up on this cycle's dispatch; intermediate promotions
-        (``serial`` → ``threaded``) just change where in-parent matching
-        runs."""
-        target = self.policy.ladder[self._sup.rung(site) - 1]
-        if target == "process":
-            if not self._budget_left(site):
-                self._sup.cancel_promotion(site)
-                return
-            self._spawn(site)
-            self.site_respawns[site] = self.site_respawns.get(site, 0) + 1
-            self.degraded_sites.discard(site)
-            if not self._shared:
-                self._needs_catchup.add(site)
-        mode = self._sup.note_promotion(site)
-        self._record(
-            "promote", site, detail=f"cool-down elapsed; site back to {mode!r}"
-        )
-        if self.metrics.enabled:
-            self.metrics.set_gauge(
-                "parulel_site_mode", self._sup.rung(site), site=site
-            )
 
     def _parent_match(self, site: int) -> SiteReply:
         """Serial in-parent match of one (degraded) site's share of the
@@ -965,54 +829,40 @@ class ProcessMatchPool:
     def _respawn_and_match(self, site: int) -> SiteReply:
         """Replace a dead/wedged worker, catch it up, re-match.
 
-        Every decision — respawn now, respawn after a (seeded, jittered)
-        backoff, or stop trying and demote the site down the ladder — comes
-        from the :class:`~repro.resilience.supervisor.SiteSupervisor`; the
-        default policy reproduces the historical behaviour exactly
-        (immediate respawns; degrade on budget exhaustion or after three
-        consecutive failed respawns within one cycle — a worker that cannot
-        even come up is a deterministic failure no respawn will fix).
+        Respawns are immediate. The site is degraded instead once its
+        respawn budget is spent, or after :data:`MAX_ATTEMPTS_PER_CYCLE`
+        failed respawns within one cycle; the budget is checked first.
         """
         attempts = 0
         while True:
-            decision = self._sup.on_failure(
-                site, attempts, self._budget_left(site), self.respawn_limit
-            )
-            if decision.action == "demote":
+            used = self.site_respawns.get(site, 0)
+            if self.respawn_limit is not None and used >= self.respawn_limit:
                 return self._degrade(
-                    site, decision.reason, breaker=decision.breaker_tripped
+                    site, f"respawn budget ({self.respawn_limit}) exhausted"
                 )
-            if decision.backoff > 0:
-                self._record(
-                    "backoff",
-                    site,
-                    detail=f"sleeping {decision.backoff:.3f}s before respawn",
+            if attempts >= MAX_ATTEMPTS_PER_CYCLE:
+                return self._degrade(
+                    site, f"{attempts} consecutive respawns failed in one cycle"
                 )
-                if self.metrics.enabled:
-                    self.metrics.inc(
-                        "parulel_backoff_seconds_total", decision.backoff, site=site
-                    )
-                time.sleep(decision.backoff)
             attempts += 1
             self._kill(site)
             self._spawn(site)
             self.respawns += 1
-            self.site_respawns[site] = self.site_respawns.get(site, 0) + 1
+            self.site_respawns[site] = used + 1
             self._record(
                 "respawn",
                 site,
-                detail=f"attempt {self.site_respawns[site]}"
+                detail=f"attempt {used + 1}"
                 + (
                     f" of {self.respawn_limit}"
                     if self.respawn_limit is not None
                     else ""
                 ),
             )
-            if not self._catch_up_and_request(site):
-                continue
-            reply = self._recv_checked(site)
-            if reply is not None:
-                return reply
+            if self._catch_up_and_request(site):
+                reply = self._recv(site)
+                if reply is not None:
+                    return reply
 
     def _catch_up_and_request(self, site: int) -> bool:
         """Bring a freshly (re)spawned worker current and ask it to match.
@@ -1082,32 +932,8 @@ class ProcessMatchPool:
         if self._closed:
             raise MatchError("ProcessMatchPool is closed")
         self._cycle += 1
-        # Promotions first: a site whose cool-down elapsed gets its worker
-        # back before this cycle's faults/dispatch, so the very cycle it
-        # re-joins is already served at the higher rung.
-        for site in self._sup.begin_cycle(self._cycle):
-            self._promote(site)
         if self._injector is not None:
             self._inject_faults()
-        # Heartbeat probes (policy-gated): catch dead/wedged workers now,
-        # in heartbeat_timeout, instead of letting the match request burn
-        # the (much longer) reply deadline first.
-        unhealthy: Set[int] = set()
-        if self.policy.heartbeat_every and (
-            self._cycle % self.policy.heartbeat_every == 0
-        ):
-            for site in self.active_sites:
-                if site in self.degraded_sites:
-                    continue
-                if not self._probe(site):
-                    self._record(
-                        "heartbeat-miss",
-                        site,
-                        detail=(
-                            f"no pong within {self.policy.heartbeat_timeout}s"
-                        ),
-                    )
-                    unhealthy.add(site)
 
         # Fan the request out to every live worker before collecting any
         # reply, so sites match concurrently; then merge in deterministic
@@ -1127,7 +953,7 @@ class ProcessMatchPool:
             )
             spec_blob: Optional[bytes] = None
             for site in self.active_sites:
-                if site in self.degraded_sites or site in unhealthy:
+                if site in self.degraded_sites:
                     sent[site] = False
                     continue
                 site_bytes = 0
@@ -1158,14 +984,8 @@ class ProcessMatchPool:
             adds = self._router.deal(delta.adds)
             removes = self._router.deal(removed)
             for site in self.active_sites:
-                if site in self.degraded_sites or site in unhealthy:
+                if site in self.degraded_sites:
                     sent[site] = False
-                    continue
-                if site in self._needs_catchup:
-                    # Freshly promoted worker: ship the whole memory (this
-                    # cycle's delta is already applied to it).
-                    self._needs_catchup.discard(site)
-                    sent[site] = self._catch_up_and_request(site)
                     continue
                 blob = _match_request(adds[site], removes[site])
                 ok = self._try_send_bytes(site, blob)
@@ -1176,9 +996,9 @@ class ProcessMatchPool:
         merged: List[Instantiation] = []
         for site in self.active_sites:
             if site in self.degraded_sites:
-                reply = self._degraded_match(site)
+                reply = self._parent_match(site)
             else:
-                reply = self._recv_checked(site) if sent[site] else None
+                reply = self._recv(site) if sent[site] else None
                 if reply is None:
                     reply = self._respawn_and_match(site)
             merged.extend(self._apply_reply(site, reply).values())
@@ -1273,7 +1093,6 @@ class ProcessMatcher(Matcher):
         timeout: float = DEFAULT_TIMEOUT,
         respawn_limit: Optional[int] = None,
         fault_plan: Optional[FaultPlan] = None,
-        supervisor: Optional[SupervisorPolicy] = None,
         tracer=None,
         metrics=None,
         flightrec=None,
@@ -1290,7 +1109,6 @@ class ProcessMatcher(Matcher):
             timeout=timeout,
             respawn_limit=respawn_limit,
             fault_plan=fault_plan,
-            supervisor=supervisor,
             tracer=tracer,
             metrics=metrics,
             flightrec=flightrec,

@@ -1,15 +1,10 @@
-"""Resilience subsystem: durable checkpoints, supervised degradation, and
-live recovery.
+"""Resilience subsystem: durable checkpoints and live recovery.
 
-Three legs (see ``docs/RESILIENCE.md``):
+Two legs (see ``docs/RESILIENCE.md``):
 
 - :mod:`repro.resilience.checkpoint` — atomic, digest-framed checkpoint
   envelopes; a keep-last-K rotating store with cheap delta checkpoints
   between full snapshots; last-good fallback on corruption.
-- :mod:`repro.resilience.supervisor` — the policy side of worker
-  supervision for the process match backend: heartbeats, seeded backoff,
-  per-site circuit breakers, and the process → threaded → serial
-  degradation ladder with cool-down re-promotion.
 - :mod:`repro.resilience.janitor` — startup sweep reclaiming orphaned
   ``/dev/shm`` segments left by SIGKILLed columnar-store owners.
 
@@ -29,13 +24,6 @@ from repro.resilience.checkpoint import (
     write_envelope,
 )
 from repro.resilience.janitor import DEFAULT_SHM_DIR, JanitorReport, sweep_orphans
-from repro.resilience.supervisor import (
-    FULL_LADDER,
-    LADDER_RUNGS,
-    SiteSupervisor,
-    SupervisorDecision,
-    SupervisorPolicy,
-)
 
 __all__ = [
     "CheckpointLoad",
@@ -48,9 +36,4 @@ __all__ = [
     "DEFAULT_SHM_DIR",
     "JanitorReport",
     "sweep_orphans",
-    "FULL_LADDER",
-    "LADDER_RUNGS",
-    "SiteSupervisor",
-    "SupervisorDecision",
-    "SupervisorPolicy",
 ]

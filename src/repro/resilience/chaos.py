@@ -10,14 +10,17 @@ This module turns that claim into a differential test:
    the byte-level artifact compared at the end).
 2. **Chaos run.** Execute the same workload on the process match backend
    under a seeded :class:`~repro.faults.FaultPlan` of real worker
-   ``SIGKILL``\\ s, a full three-rung
-   :class:`~repro.resilience.supervisor.SupervisorPolicy`, and a rotating
-   :class:`~repro.resilience.checkpoint.CheckpointStore` written every
-   cycle. At a seeded cycle the run "crashes" (it simply stops — a real
-   crash executes no cleanup either). With the columnar backend, a seeded
-   mid-run fault also unlinks one live ``/dev/shm`` segment, so respawned
-   workers cannot re-attach and the degradation ladder must absorb the
-   site (``degrade_on_worker_error``).
+   ``SIGKILL``\\ s — absorbed by the pool's one recovery policy (respawn,
+   then match the site's share in the parent once its budget is spent) —
+   and a rotating :class:`~repro.resilience.checkpoint.CheckpointStore`
+   written every cycle. At a seeded cycle the run "crashes" (it simply
+   stops — a real crash executes no cleanup either). With the columnar
+   backend, a seeded mid-run fault also unlinks one live ``/dev/shm``
+   segment, so a worker respawned after it cannot re-attach: the worker
+   reports the error, the run ends in a typed
+   :class:`~repro.errors.MatchError` naming the site
+   (:attr:`ChaosResult.error`), and the engine's cycle at that moment is
+   the crash point.
 3. **Corruption.** The newest checkpoint file is truncated at a seeded
    offset — the torn write a ``kill -9`` during checkpointing produces.
 4. **Recovery.** A fresh engine restores from the store (which must fall
@@ -59,12 +62,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core import EngineConfig, ParulelEngine
+from repro.errors import MatchError
 from repro.faults import FaultPlan, WorkerKill
 from repro.obs.blackbox import load_blackbox
 from repro.programs import REGISTRY
 from repro.resilience.checkpoint import CheckpointStore, EngineCheckpointer
 from repro.resilience.janitor import sweep_orphans
-from repro.resilience.supervisor import FULL_LADDER, SupervisorPolicy
 from repro.wm.io import dumps as dump_wm_text
 
 __all__ = ["ChaosResult", "run_chaos", "kill_columnar_child", "main"]
@@ -87,6 +90,9 @@ class ChaosResult:
     skipped: List[Tuple[str, str]] = field(default_factory=list)
     fault_kinds: Dict[str, int] = field(default_factory=dict)
     mismatches: List[str] = field(default_factory=list)
+    #: The typed error that ended the chaos run early, if one did (the
+    #: columnar scenario's failed re-attach); recovery is still checked.
+    error: Optional[str] = None
 
     @property
     def ok(self) -> bool:
@@ -103,8 +109,10 @@ class ChaosResult:
             f"  clean run: {self.clean_cycles} cycles; crashed at cycle "
             f"{self.crash_cycle}, restored at cycle {self.restored_cycle}",
             f"  faults injected/absorbed: {faults}",
-            f"  checkpoints skipped on restore: {len(self.skipped)}",
         ]
+        if self.error is not None:
+            lines.append(f"  chaos run ended in: {self.error}")
+        lines.append(f"  checkpoints skipped on restore: {len(self.skipped)}")
         lines += [f"  MISMATCH: {m}" for m in self.mismatches]
         return "\n".join(lines)
 
@@ -168,18 +176,6 @@ def run_chaos(
         WorkerKill(cycle=rng.randint(1, crash_cycle), site=rng.randrange(N_WORKERS))
         for _ in range(2)
     )
-    policy = SupervisorPolicy(
-        ladder=FULL_LADDER,
-        backoff_base=0.001,
-        backoff_jitter=0.5,
-        seed=seed,
-        heartbeat_every=1,
-        heartbeat_timeout=2.0,
-        breaker_failures=4,
-        breaker_window=8,
-        cooldown_cycles=2,
-        degrade_on_worker_error=True,
-    )
     tmp = tempfile.mkdtemp(prefix="parulel-chaos-")
     store_dir = os.path.join(tmp, "ckpt")
     blackbox_path = os.path.join(tmp, "chaos.blackbox")
@@ -191,7 +187,6 @@ def run_chaos(
             wm_backend=backend,
             matcher_timeout=30.0,
             fault_plan=FaultPlan(seed=seed, kills=kills),
-            supervisor=policy,
             blackbox_path=blackbox_path,
         ),
     )
@@ -202,8 +197,10 @@ def run_chaos(
     ckpt.save()  # cycle-0 baseline, so even a cycle-1 crash can restore
 
     unlink_at = rng.randint(2, crash_cycle) if backend == "columnar" else None
+    chaos_seq: List[Tuple[int, int]] = []
 
     def on_cycle(report) -> None:
+        chaos_seq.append((report.cycle, report.fired))
         if unlink_at is not None and report.cycle == unlink_at:
             # Tear one live shared segment out from under the store: the
             # parent's mapping survives (unlink removes only the name) but
@@ -217,7 +214,14 @@ def run_chaos(
         if report.cycle % checkpoint_every == 0:
             ckpt.save()
 
-    chaos_seq = _drive(chaos, on_cycle=on_cycle, stop_at=crash_cycle)
+    error: Optional[str] = None
+    try:
+        _drive(chaos, on_cycle=on_cycle, stop_at=crash_cycle)
+    except MatchError as exc:
+        # A respawned worker could not re-attach the unlinked segment: the
+        # run ends here, and this is where it "crashed".
+        error = str(exc)
+        crash_cycle = chaos.cycle
     fault_kinds: Dict[str, int] = {}
     killed_sites: List[int] = []
     for event in chaos.fault_events:
@@ -257,6 +261,7 @@ def run_chaos(
         restored_cycle=restored_cycle,
         skipped=[(p, r) for p, r in load.skipped],
         fault_kinds=fault_kinds,
+        error=error,
     )
     merged_seq = [
         (c, f) for c, f in chaos_seq if c <= restored_cycle

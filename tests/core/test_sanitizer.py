@@ -143,10 +143,11 @@ class TestCommandLine:
         assert main(
             ["run", program, "--facts", facts, "--dump-wm", str(plain)]
         ) == 0
+        workers = ["--workers", "2"] if matcher == "process" else []
         assert main(
             [
                 "run", program, "--facts", facts, "--matcher", matcher,
-                "--workers", "2", "--sanitize-races",
+                *workers, "--sanitize-races",
                 "--dump-wm", str(sanitized),
             ]
         ) == 0

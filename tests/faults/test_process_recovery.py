@@ -14,11 +14,12 @@ import pytest
 
 from repro.core import EngineConfig, ParulelEngine
 from repro.faults import FaultPlan, WorkerKill, WorkerWedge
+from repro.faults.events import KNOWN_KINDS
 from repro.lang.parser import parse_program
 from repro.match.compile import compile_rules
 from repro.match.interface import create_matcher
+from repro.obs.flightrec import DEATH_KINDS
 from repro.parallel.process import ProcessMatchPool
-from repro.resilience.supervisor import FULL_LADDER, SupervisorPolicy
 from repro.wm.io import dumps
 from repro.wm.memory import WorkingMemory
 
@@ -108,6 +109,31 @@ class TestInjectedKills:
             assert pool.respawns == 0
             assert pool.degraded_sites == {0}
 
+    @pytest.mark.slow
+    @pytest.mark.timeout(60)
+    def test_a_degraded_site_takes_no_further_faults(self):
+        """Kills scheduled for a site already matched in the parent find
+        no worker to kill: no event, no respawn, still correct."""
+        prog = parse_program(SRC)
+        wm = WorkingMemory()
+        load(wm)
+        plan = FaultPlan(
+            kills=tuple(WorkerKill(cycle=c, site=0) for c in (1, 2, 3))
+        )
+        with ProcessMatchPool(
+            prog.rules, wm, 2, fault_plan=plan, respawn_limit=0
+        ) as pool:
+            for n in range(3):
+                wm.make("a0", k=n)
+                assert keys(pool.conflict_set()) == rete_keys(prog, wm)
+            kinds = [e.kind for e in pool.drain_fault_events()]
+            assert kinds == ["kill", "degrade"]
+            assert pool.respawns == 0 and set(pool._procs) == {1}
+
+    def test_the_pools_kinds_are_known_and_deaths_are_among_them(self):
+        assert {"kill", "wedge", "respawn", "degrade"} <= set(KNOWN_KINDS)
+        assert DEATH_KINDS == {"kill", "wedge", "respawn"}
+
 
 class TestInjectedWedges:
     @pytest.mark.slow
@@ -127,6 +153,27 @@ class TestInjectedWedges:
             assert pool.respawns == 1
             kinds = [e.kind for e in pool.drain_fault_events()]
             assert kinds == ["wedge", "respawn"]
+
+    @pytest.mark.slow
+    @pytest.mark.timeout(90)
+    @pytest.mark.skipif(
+        not hasattr(signal, "SIGSTOP"), reason="needs SIGSTOP"
+    )
+    def test_wedged_worker_past_the_budget_degrades_at_the_deadline(self):
+        prog = parse_program(SRC)
+        wm = WorkingMemory()
+        load(wm)
+        plan = FaultPlan(wedges=(WorkerWedge(cycle=1, site=1),))
+        with ProcessMatchPool(
+            prog.rules, wm, 2, timeout=1.0, fault_plan=plan, respawn_limit=0
+        ) as pool:
+            victim = pool._procs[1]
+            assert keys(pool.conflict_set()) == rete_keys(prog, wm)
+            events = pool.drain_fault_events()
+            assert [e.kind for e in events] == ["wedge", "degrade"]
+            assert events[1].detail.startswith("respawn budget (0) exhausted;")
+            assert not victim.is_alive()
+            assert pool.degraded_sites == {1}
 
 
 class TestBoundedClose:
@@ -199,15 +246,16 @@ class TestEngineIntegration:
 
     @pytest.mark.slow
     @pytest.mark.timeout(120)
+    @pytest.mark.parametrize("k", [2, 3])
     @pytest.mark.parametrize("wm_backend", ["dict", "columnar"])
-    def test_kill_degrade_and_repromote_under_the_split_dump_identically(
-        self, wm_backend
+    def test_kill_respawn_and_degrade_under_the_split_dump_identically(
+        self, wm_backend, k
     ):
-        """Three sites share two rules' extensions (more workers than
-        rules). One site is killed and respawned, another is killed past
-        its budget, matched in-parent from the same ``(k, s)`` for three
-        cycles and promoted back — and the final dump is the serial
-        run's, byte for byte."""
+        """``k`` sites share two rules' extensions (at three, more workers
+        than rules). The last site is killed and respawned; site 0 is
+        killed past its budget and matched in-parent, from the same
+        ``(k, s)``, for the rest of the run — and the final dump is the
+        serial run's, byte for byte."""
         from repro.programs import REGISTRY
 
         workload = REGISTRY["tc"]()
@@ -218,20 +266,17 @@ class TestEngineIntegration:
 
         plan = FaultPlan(
             kills=(
-                WorkerKill(cycle=2, site=2),
+                WorkerKill(cycle=2, site=k - 1),
                 WorkerKill(cycle=3, site=0),
                 WorkerKill(cycle=4, site=0),
             )
         )
-        policy = SupervisorPolicy(
-            ladder=FULL_LADDER, breaker_failures=2, cooldown_cycles=3
-        )
         engine = ParulelEngine(
             workload.program,
             EngineConfig(
-                matcher="process:3",
+                matcher=f"process:{k}",
                 fault_plan=plan,
-                supervisor=policy,
+                respawn_limit=1,
                 wm_backend=wm_backend,
             ),
         )
@@ -242,11 +287,11 @@ class TestEngineIntegration:
             # The in-parent fallback matched site 0's share, compiled from
             # the (k, s) its worker compiles from.
             parent = pool._site_compiled[0]
-            worker = compile_rules(workload.program.rules, site=(3, 0))
+            worker = compile_rules(workload.program.rules, site=(k, 0))
             assert [(cr, cr.plan, cr.seeded_plans) for cr in parent] == [
                 (cr, cr.plan, cr.seeded_plans) for cr in worker
             ]
-            assert pool.degraded_sites == set()
+            assert pool.degraded_sites == {0}
             assert (result.cycles, result.firings) == (
                 ref_result.cycles, ref_result.firings,
             )
@@ -254,6 +299,8 @@ class TestEngineIntegration:
         finally:
             engine.close()
         kinds = [(e.kind, e.site) for e in engine.fault_events]
-        assert ("respawn", 2) in kinds
-        assert ("degrade", 0) in kinds and ("promote", 0) in kinds
-        assert kinds.index(("degrade", 0)) < kinds.index(("promote", 0))
+        assert kinds == [
+            ("kill", k - 1), ("respawn", k - 1),
+            ("kill", 0), ("respawn", 0),
+            ("kill", 0), ("degrade", 0),
+        ]

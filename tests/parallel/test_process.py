@@ -17,7 +17,6 @@ from repro.parallel.process import (
     ProcessMatcher,
     default_worker_count,
 )
-from repro.resilience.supervisor import FULL_LADDER, SupervisorPolicy
 from repro.wm.columnar import ColumnarWorkingMemory
 from repro.wm.memory import WorkingMemory
 
@@ -320,18 +319,18 @@ class TestIncrementalReplies:
 
     @pytest.mark.slow
     @pytest.mark.timeout(60)
-    def test_degraded_and_repromoted_site_stay_byte_identical(self, store):
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_degraded_site_stays_byte_identical(self, store, k):
+        """Killed past its budget, a site is matched in the parent for
+        every later cycle, byte-identically to a healthy pool's site."""
         wm = store
         prog = parse_program(SRC)
         oracles = [create_matcher(name, prog.rules, wm) for name in ("rete", "naive")]
         load(wm)
         plan = FaultPlan(kills=(WorkerKill(cycle=2, site=0),))
-        policy = SupervisorPolicy(
-            ladder=FULL_LADDER, breaker_failures=1, cooldown_cycles=2
-        )
-        with ProcessMatchPool(prog.rules, wm, 2) as healthy:
+        with ProcessMatchPool(prog.rules, wm, k) as healthy:
             with ProcessMatchPool(
-                prog.rules, wm, 2, fault_plan=plan, supervisor=policy
+                prog.rules, wm, k, fault_plan=plan, respawn_limit=0
             ) as pool:
                 degraded_cycles = 0
                 for cycle in range(1, 7):
@@ -345,8 +344,8 @@ class TestIncrementalReplies:
                         assert keys(want) == keys(oracle.instantiations())
                     degraded_cycles += bool(pool.degraded_sites)
                 kinds = [e.kind for e in pool.drain_fault_events()]
-        assert "degrade" in kinds and "promote" in kinds
-        assert degraded_cycles >= 2 and pool.degraded_sites == set()
+        assert kinds == ["kill", "degrade"]
+        assert degraded_cycles == 5 and pool.degraded_sites == {0}
 
     def test_respawn_catch_up_costs_live_size_not_history(self):
         """Delta mode: a respawned worker is sent the live memory, so churn
@@ -398,6 +397,22 @@ class TestProcessMatcher:
         prog = parse_program(SRC)
         with pytest.raises(ValueError, match="worker"):
             create_matcher("process:0", prog.rules, WorkingMemory())
+
+    @pytest.mark.parametrize(
+        "knob", [{"timeout": 5.0}, {"respawn_limit": 1}, {"fault_plan": FaultPlan()}]
+    )
+    def test_process_only_knobs_rejected_on_a_serial_engine(self, knob):
+        prog = parse_program(SRC)
+        with pytest.raises(ValueError, match="only apply to the 'process' backend"):
+            create_matcher("treat", prog.rules, WorkingMemory(), **knob)
+
+    @pytest.mark.parametrize(
+        "knob", [{"timeout": 0}, {"timeout": -1.0}, {"respawn_limit": -1}]
+    )
+    def test_bad_pool_knobs_rejected_before_any_spawn(self, knob):
+        prog = parse_program(SRC)
+        with pytest.raises(ValueError, match="must be"):
+            ProcessMatchPool(prog.rules, WorkingMemory(), 2, **knob)
 
     def test_nested_loop_reference_kernel_rejected(self):
         """Workers are always indexed: asking for the serial reference

@@ -102,6 +102,30 @@ class TestRunCommand:
         assert rc == 2
         assert "--workers must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "profile"])
+    @pytest.mark.parametrize("matcher", ["treat", "naive"])
+    @pytest.mark.parametrize("workers", ["3", "0"])
+    def test_workers_without_the_process_matcher_is_refused(
+        self, program_file, facts_file, capsys, command, matcher, workers
+    ):
+        # Regression: a serial matcher used to ignore --workers and exit 0.
+        rc = main(
+            [command, program_file, "--facts", facts_file,
+             "--matcher", matcher, "--workers", workers]
+        )
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert err == "error: --workers requires --matcher process\n"
+        assert out == ""
+
+    @pytest.mark.parametrize("command", ["run", "profile"])
+    def test_workers_with_the_default_matcher_is_refused(
+        self, program_file, facts_file, capsys, command
+    ):
+        rc = main([command, program_file, "--facts", facts_file, "--workers", "3"])
+        assert rc == 2
+        assert "--workers requires --matcher process" in capsys.readouterr().err
+
     def test_missing_file_errors(self, capsys):
         rc = main(["run", "/nonexistent/prog.pl"])
         assert rc == 1

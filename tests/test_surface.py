@@ -50,13 +50,13 @@ CLI = {
 ENGINE_CONFIG = [
     "matcher", "indexed_match", "interference", "dedupe_makes", "max_cycles",
     "max_meta_cycles", "track_provenance", "matcher_timeout", "respawn_limit",
-    "fault_plan", "supervisor", "wm_backend",
+    "fault_plan", "wm_backend",
     "sanitize_races", "flight_recorder", "blackbox_path",
     "flight_capacity",
 ]
 
 CREATE_MATCHER = [
-    "timeout", "respawn_limit", "fault_plan", "supervisor",
+    "timeout", "respawn_limit", "fault_plan",
     "tracer", "metrics", "flightrec", "indexed",
 ]
 
@@ -80,16 +80,14 @@ CLI_IMPORTS = [
 
 #: What ``import repro.parallel.process`` adds on top of ``CLI_IMPORTS`` —
 #: the pool a ``--matcher process`` run builds: its workers' matcher, the
-#: fault and supervision types, the flight ring and the columnar store.
+#: fault types, the flight ring and the columnar store.
 #: ``repro.parallel``'s other names (the simulators, the thread pool, the
 #: autotuner) resolve on first use, and with them ``concurrent.futures``
 #: and ``logging``.
 POOL_IMPORTS = [
     "repro.faults", "repro.faults.events", "repro.faults.plan",
     "repro.match.treat", "repro.obs.flightrec", "repro.parallel",
-    "repro.parallel.process", "repro.resilience",
-    "repro.resilience.checkpoint", "repro.resilience.janitor",
-    "repro.resilience.supervisor", "repro.wm.columnar",
+    "repro.parallel.process", "repro.wm.columnar",
 ]
 
 
@@ -141,7 +139,7 @@ def test_the_default_matcher_is_treat_wherever_one_is_defaulted():
 
 def test_engine_config_fields_are_exactly_the_listed_ones():
     assert [f.name for f in dataclasses.fields(EngineConfig)] == ENGINE_CONFIG
-    assert len(ENGINE_CONFIG) == 16
+    assert len(ENGINE_CONFIG) == 15
 
 
 def test_create_matcher_keywords_are_exactly_the_listed_ones():
@@ -151,7 +149,7 @@ def test_create_matcher_keywords_are_exactly_the_listed_ones():
         if p.kind is p.KEYWORD_ONLY
     ]
     assert keywords == CREATE_MATCHER
-    assert len(CREATE_MATCHER) == 8
+    assert len(CREATE_MATCHER) == 7
 
 
 def test_importing_the_cli_loads_exactly_the_listed_modules():
