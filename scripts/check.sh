@@ -30,7 +30,11 @@ cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 echo "== tier-1 tests (fast gate: slow worker-kill tests excluded)"
-python -m pytest -x -q -m "not slow"
+# A leaked file, pipe or socket fails the test that leaked it. Both flags
+# are needed: pytest re-reports a ResourceWarning raised in a finalizer as
+# PytestUnraisableExceptionWarning, which the first flag does not cover.
+python -m pytest -x -q -m "not slow" \
+    -W error::ResourceWarning -W error::pytest.PytestUnraisableExceptionWarning
 
 echo "== porting lint (bundled workloads)"
 python -m repro.tools.lint

@@ -869,14 +869,11 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="parulel",
-        description="PARULEL parallel rule language (ICPP 1991) reproduction",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# One function per subcommand adds its arguments to the parser
+# ``_SUBCOMMANDS`` creates for it.
 
-    p_run = sub.add_parser("run", help="execute a program")
+
+def _run_arguments(p_run: argparse.ArgumentParser) -> None:
     p_run.add_argument("program", help="path to a .pl rule program")
     p_run.add_argument("--facts", help="path to an initial-WME facts file")
     p_run.add_argument(
@@ -1002,26 +999,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.set_defaults(fn=_cmd_run)
 
-    p_check = sub.add_parser("check", help="parse and analyze a program")
+
+def _check_arguments(p_check: argparse.ArgumentParser) -> None:
     p_check.add_argument("program")
     p_check.set_defaults(fn=_cmd_check)
 
-    p_fmt = sub.add_parser("fmt", help="canonical pretty-print")
+
+def _fmt_arguments(p_fmt: argparse.ArgumentParser) -> None:
     p_fmt.add_argument("program")
     p_fmt.set_defaults(fn=_cmd_fmt)
 
-    p_demo = sub.add_parser("demo", help="run a bundled benchmark workload")
+
+def _demo_arguments(p_demo: argparse.ArgumentParser) -> None:
     p_demo.add_argument("name")
     p_demo.set_defaults(fn=_cmd_demo)
 
-    p_dot = sub.add_parser("dot", help="Graphviz DOT of the RETE network")
+
+def _dot_arguments(p_dot: argparse.ArgumentParser) -> None:
     p_dot.add_argument("program")
     p_dot.add_argument("--facts", help="facts to load before rendering sizes")
     p_dot.set_defaults(fn=_cmd_dot)
 
-    p_explain = sub.add_parser(
-        "explain", help="derivation tree of a final working-memory element"
-    )
+
+def _explain_arguments(p_explain: argparse.ArgumentParser) -> None:
     p_explain.add_argument("program")
     p_explain.add_argument("--facts", help="initial-WME facts file")
     p_explain.add_argument(
@@ -1036,17 +1036,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_explain.set_defaults(fn=_cmd_explain)
 
-    p_lint = sub.add_parser(
-        "lint", help="static interference analysis + meta-rule suggestions"
-    )
+
+def _lint_arguments(p_lint: argparse.ArgumentParser) -> None:
     p_lint.add_argument("program")
     p_lint.set_defaults(fn=_cmd_lint)
 
-    p_analyze = sub.add_parser(
-        "analyze",
-        help="whole-program static analysis: dependency graph, "
-        "stratification, redaction coverage, dead rules",
-    )
+
+def _analyze_arguments(p_analyze: argparse.ArgumentParser) -> None:
     p_analyze.add_argument(
         "programs",
         nargs="*",
@@ -1076,16 +1072,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_analyze.set_defaults(fn=_cmd_analyze)
 
-    p_repl = sub.add_parser("repl", help="interactive session")
+
+def _repl_arguments(p_repl: argparse.ArgumentParser) -> None:
     p_repl.add_argument("program")
     p_repl.add_argument("--facts", help="facts file asserted before the prompt")
     p_repl.set_defaults(fn=_cmd_repl)
 
-    p_prof = sub.add_parser(
-        "profile",
-        help="run with the observability layer on and print the phase "
-        "breakdown and hot-rule table",
-    )
+
+def _profile_arguments(p_prof: argparse.ArgumentParser) -> None:
     p_prof.add_argument(
         "target", help=".pl program path, or a bundled workload name (e.g. tc)"
     )
@@ -1110,11 +1104,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof.add_argument("--metrics-out", metavar="PATH")
     p_prof.set_defaults(fn=_cmd_profile)
 
-    p_bb = sub.add_parser(
-        "blackbox",
-        help="inspect *.blackbox crash dumps: merged timeline, skew "
-        "analytics, first-divergence diff",
-    )
+
+def _blackbox_arguments(p_bb: argparse.ArgumentParser) -> None:
     bb_sub = p_bb.add_subparsers(dest="bb_command", required=True)
     p_bb_dump = bb_sub.add_parser(
         "dump", help="merged causal timeline across engine and worker rings"
@@ -1150,11 +1141,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bb_diff.add_argument("right", help="comparison *.blackbox dump")
     p_bb_diff.set_defaults(fn=_cmd_blackbox)
 
-    p_jan = sub.add_parser(
-        "janitor",
-        help="reclaim orphaned /dev/shm segments left by killed "
-        "--wm-backend columnar runs and flight-recorder rings",
-    )
+
+def _janitor_arguments(p_jan: argparse.ArgumentParser) -> None:
     p_jan.add_argument(
         "--shm-dir",
         default="/dev/shm",
@@ -1173,11 +1161,94 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_jan.set_defaults(fn=_cmd_janitor)
 
+
+#: Every subcommand, in ``--help`` order: its one-line help and the
+#: function that adds its arguments.
+_SUBCOMMANDS = {
+    "run": ("execute a program", _run_arguments),
+    "check": ("parse and analyze a program", _check_arguments),
+    "fmt": ("canonical pretty-print", _fmt_arguments),
+    "demo": ("run a bundled benchmark workload", _demo_arguments),
+    "dot": ("Graphviz DOT of the RETE network", _dot_arguments),
+    "explain": (
+        "derivation tree of a final working-memory element",
+        _explain_arguments,
+    ),
+    "lint": (
+        "static interference analysis + meta-rule suggestions",
+        _lint_arguments,
+    ),
+    "analyze": (
+        "whole-program static analysis: dependency graph, "
+        "stratification, redaction coverage, dead rules",
+        _analyze_arguments,
+    ),
+    "repl": ("interactive session", _repl_arguments),
+    "profile": (
+        "run with the observability layer on and print the phase "
+        "breakdown and hot-rule table",
+        _profile_arguments,
+    ),
+    "blackbox": (
+        "inspect *.blackbox crash dumps: merged timeline, skew "
+        "analytics, first-divergence diff",
+        _blackbox_arguments,
+    ),
+    "janitor": (
+        "reclaim orphaned /dev/shm segments left by killed "
+        "--wm-backend columnar runs and flight-recorder rings",
+        _janitor_arguments,
+    ),
+}
+
+
+class _ParseFailed(Exception):
+    """A one-subcommand parser met an error; the full parser reports it."""
+
+
+class _OneCommandParser(argparse.ArgumentParser):
+    """Raises :class:`_ParseFailed` where a parser would print an error
+    (its usage line would name one subcommand, not all of them)."""
+
+    def error(self, message: str) -> None:  # type: ignore[override]
+        raise _ParseFailed(message)
+
+
+def _parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The ``parulel`` parser: every subcommand, or only ``command``."""
+    cls = argparse.ArgumentParser if command is None else _OneCommandParser
+    parser = cls(
+        prog="parulel",
+        description="PARULEL parallel rule language (ICPP 1991) reproduction",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments) in _SUBCOMMANDS.items():
+        if command is None or name == command:
+            add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
+def build_parser() -> argparse.ArgumentParser:
+    """The whole command line: all 12 subcommands with their arguments."""
+    return _parser()
+
+
+def _parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, building only the parser of the
+    subcommand ``argv`` names: a run pays for its own arguments. ``--help``,
+    an unknown name and any parse error go to the full parser, so what
+    they print is unchanged."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in _SUBCOMMANDS:
+        try:
+            return _parser(argv[0]).parse_args(argv)
+        except _ParseFailed:
+            pass
+    return build_parser().parse_args(argv)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         if args.command in ("run", "profile"):
             # This process is ours for the length of the command: give the

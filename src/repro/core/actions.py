@@ -14,9 +14,9 @@ immediately.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro._record import Record
 from repro.errors import ExecutionError
 from repro.lang.ast import (
     Action,
@@ -45,8 +45,7 @@ __all__ = ["ActionEvaluator", "InstantiationDelta", "HostFunction", "evaluate_ex
 HostFunction = Callable[..., None]
 
 
-@dataclass
-class InstantiationDelta:
+class InstantiationDelta(Record):
     """Everything one firing proposes to do.
 
     ``modifies`` pairs the *old* WME with its attribute updates; the engine
@@ -54,14 +53,29 @@ class InstantiationDelta:
     interference analysis. ``redacts`` only ever comes from meta-rules.
     """
 
-    inst: Instantiation
-    makes: List[Tuple[str, Dict[str, Value]]] = field(default_factory=list)
-    removes: List[WME] = field(default_factory=list)
-    modifies: List[Tuple[WME, Dict[str, Value]]] = field(default_factory=list)
-    writes: List[str] = field(default_factory=list)
-    calls: List[Tuple[str, Tuple[Value, ...]]] = field(default_factory=list)
-    redacts: List[Value] = field(default_factory=list)
-    halt: bool = False
+    __slots__ = (
+        "inst", "makes", "removes", "modifies", "writes", "calls", "redacts", "halt",
+    )
+
+    def __init__(
+        self,
+        inst: Instantiation,
+        makes: Optional[List[Tuple[str, Dict[str, Value]]]] = None,
+        removes: Optional[List[WME]] = None,
+        modifies: Optional[List[Tuple[WME, Dict[str, Value]]]] = None,
+        writes: Optional[List[str]] = None,
+        calls: Optional[List[Tuple[str, Tuple[Value, ...]]]] = None,
+        redacts: Optional[List[Value]] = None,
+        halt: bool = False,
+    ) -> None:
+        self.inst = inst
+        self.makes = [] if makes is None else makes
+        self.removes = [] if removes is None else removes
+        self.modifies = [] if modifies is None else modifies
+        self.writes = [] if writes is None else writes
+        self.calls = [] if calls is None else calls
+        self.redacts = [] if redacts is None else redacts
+        self.halt = halt
 
     @property
     def touches_wm(self) -> bool:

@@ -33,9 +33,9 @@ OPS5.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro._record import Record
 from repro.errors import InterferenceError
 from repro.core.actions import InstantiationDelta
 from repro.lang.ast import Value
@@ -63,24 +63,38 @@ class InterferencePolicy(enum.Enum):
 MakeOrigin = Tuple[object, str, Optional[WME]]
 
 
-@dataclass
-class CycleDelta:
+class CycleDelta(Record):
     """The net, conflict-resolved effect of one firing phase."""
 
-    #: WMEs to retract (modify targets included), in deterministic order.
-    removes: List[WME] = field(default_factory=list)
-    #: New WMEs to assert: (class, attrs). Modify results included.
-    makes: List[Tuple[str, Dict[str, Value]]] = field(default_factory=list)
-    #: Parallel to ``makes``: who asked for each assertion (first firing
-    #: wins attribution for deduped makes). Consumed by provenance tracking.
-    make_origins: List[MakeOrigin] = field(default_factory=list)
-    #: Output lines, in firing order.
-    writes: List[str] = field(default_factory=list)
-    halt: bool = False
-    #: Number of proposed updates dropped by FIRST/MERGE resolution.
-    conflicts_resolved: int = 0
-    #: Number of duplicate makes collapsed by dedupe.
-    makes_deduped: int = 0
+    __slots__ = (
+        "removes", "makes", "make_origins", "writes", "halt",
+        "conflicts_resolved", "makes_deduped",
+    )
+
+    def __init__(
+        self,
+        removes: Optional[List[WME]] = None,
+        makes: Optional[List[Tuple[str, Dict[str, Value]]]] = None,
+        make_origins: Optional[List[MakeOrigin]] = None,
+        writes: Optional[List[str]] = None,
+        halt: bool = False,
+        conflicts_resolved: int = 0,
+        makes_deduped: int = 0,
+    ) -> None:
+        #: WMEs to retract (modify targets included), in deterministic order.
+        self.removes = [] if removes is None else removes
+        #: New WMEs to assert: (class, attrs). Modify results included.
+        self.makes = [] if makes is None else makes
+        #: Parallel to ``makes``: who asked for each assertion (first firing
+        #: wins attribution for deduped makes). Consumed by provenance tracking.
+        self.make_origins = [] if make_origins is None else make_origins
+        #: Output lines, in firing order.
+        self.writes = [] if writes is None else writes
+        self.halt = halt
+        #: Number of proposed updates dropped by FIRST/MERGE resolution.
+        self.conflicts_resolved = conflicts_resolved
+        #: Number of duplicate makes collapsed by dedupe.
+        self.makes_deduped = makes_deduped
 
     @property
     def size(self) -> int:

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -45,6 +44,7 @@ from typing import (
     Tuple,
 )
 
+from repro._record import FrozenRecord, Record
 from repro.errors import CommuteViolationError, CycleLimitExceeded, ExecutionError
 from repro.core.actions import ActionEvaluator, HostFunction, InstantiationDelta
 from repro.core.delta import CycleDelta, InterferencePolicy, merge_deltas
@@ -78,8 +78,7 @@ __all__ = ["ParulelEngine", "EngineConfig", "CycleReport", "RunResult"]
 CHECKPOINT_VERSION = 1
 
 
-@dataclass(frozen=True)
-class EngineConfig:
+class EngineConfig(FrozenRecord):
     """Knobs of the PARULEL engine.
 
     ``matcher`` names the object-level match engine: ``treat`` (the
@@ -92,66 +91,78 @@ class EngineConfig:
     collapses identical makes within one cycle (set-insertion reading).
     """
 
-    matcher: str = "treat"
-    #: Hash-indexed join kernel (bucket probes + join planning) for the
-    #: serial enumerator-based matchers and the meta level; ``False`` is
-    #: the nested-loop reference the differential tests, Figure 3 and
-    #: Ablation A7 compare against (an error with ``matcher="process"``).
-    #: Semantics are identical either way.
-    indexed_match: bool = True
-    interference: InterferencePolicy = InterferencePolicy.ERROR
-    dedupe_makes: bool = True
-    max_cycles: int = 100_000
-    max_meta_cycles: int = 1000
-    #: Record a :class:`~repro.core.provenance.Derivation` for every WME,
-    #: enabling ``engine.explain(wme)``. Off by default (memory cost).
-    track_provenance: bool = False
-    #: Process-backend knobs (``matcher="process"`` only): per-worker reply
-    #: deadline in seconds, per-site respawn budget before the site is
-    #: matched in the parent for the rest of the run, and an injected
-    #: :class:`~repro.faults.FaultPlan`. Respawns are immediate; there is
-    #: no other supervision knob.
-    matcher_timeout: Optional[float] = None
-    respawn_limit: Optional[int] = None
-    fault_plan: Optional[FaultPlan] = None
-    #: Working-memory store: ``"dict"`` (the default in-process store) or
-    #: ``"columnar"`` (:class:`~repro.wm.columnar.ColumnarWorkingMemory`,
-    #: shared-memory columns the process backend attaches instead of
-    #: receiving pickled deltas). Semantics are identical either way.
-    wm_backend: str = "dict"
-    #: Runtime race sanitizer: after evaluating each cycle's firing set,
-    #: replay every fired pair in both orders on a shadow of the deltas and
-    #: raise :class:`~repro.errors.CommuteViolationError` if a pair the
-    #: analysis certified as COMMUTES diverges. A dynamic cross-check of
-    #: the static verdicts; replays are counted via
-    #: ``parulel_sanitizer_replays_total``.
-    sanitize_races: bool = False
-    #: Always-on black-box flight recorder (:mod:`repro.obs.flightrec`):
-    #: bounded shared-memory event rings written by the engine and every
-    #: match worker, dumped to a ``*.blackbox`` post-mortem file on any
-    #: abnormal exit. ``False`` is the ``--no-flight-recorder`` escape
-    #: hatch; the measured overhead budget on tc is 5% (``check.sh --obs``).
-    flight_recorder: bool = True
-    #: Where crash dumps land; ``None`` means a pid-keyed file under the
-    #: temp dir (:func:`repro.obs.flightrec.default_blackbox_path`).
-    blackbox_path: Optional[str] = None
-    #: Ring capacity in records (per ring — the engine's and each worker's).
-    flight_capacity: int = 4096
+    __slots__ = (
+        "matcher", "indexed_match", "interference", "dedupe_makes",
+        "max_cycles", "max_meta_cycles", "track_provenance",
+        "matcher_timeout", "respawn_limit", "fault_plan", "wm_backend",
+        "sanitize_races", "flight_recorder", "blackbox_path",
+        "flight_capacity",
+    )
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "interference", InterferencePolicy.of(self.interference)
+    def __init__(
+        self,
+        matcher: str = "treat",
+        #: Hash-indexed join kernel (bucket probes + join planning) for the
+        #: serial enumerator-based matchers and the meta level; ``False`` is
+        #: the nested-loop reference the differential tests, Figure 3 and
+        #: Ablation A7 compare against (an error with ``matcher="process"``).
+        #: Semantics are identical either way.
+        indexed_match: bool = True,
+        interference: InterferencePolicy = InterferencePolicy.ERROR,
+        dedupe_makes: bool = True,
+        max_cycles: int = 100_000,
+        max_meta_cycles: int = 1000,
+        #: Record a :class:`~repro.core.provenance.Derivation` for every WME,
+        #: enabling ``engine.explain(wme)``. Off by default (memory cost).
+        track_provenance: bool = False,
+        #: Process-backend knobs (``matcher="process"`` only): per-worker reply
+        #: deadline in seconds, per-site respawn budget before the site is
+        #: matched in the parent for the rest of the run, and an injected
+        #: :class:`~repro.faults.FaultPlan`. Respawns are immediate; there is
+        #: no other supervision knob.
+        matcher_timeout: Optional[float] = None,
+        respawn_limit: Optional[int] = None,
+        fault_plan: Optional[FaultPlan] = None,
+        #: Working-memory store: ``"dict"`` (the default in-process store) or
+        #: ``"columnar"`` (:class:`~repro.wm.columnar.ColumnarWorkingMemory`,
+        #: shared-memory columns the process backend attaches instead of
+        #: receiving pickled deltas). Semantics are identical either way.
+        wm_backend: str = "dict",
+        #: Runtime race sanitizer: after evaluating each cycle's firing set,
+        #: replay every fired pair in both orders on a shadow of the deltas and
+        #: raise :class:`~repro.errors.CommuteViolationError` if a pair the
+        #: analysis certified as COMMUTES diverges. A dynamic cross-check of
+        #: the static verdicts; replays are counted via
+        #: ``parulel_sanitizer_replays_total``.
+        sanitize_races: bool = False,
+        #: Always-on black-box flight recorder (:mod:`repro.obs.flightrec`):
+        #: bounded shared-memory event rings written by the engine and every
+        #: match worker, dumped to a ``*.blackbox`` post-mortem file on any
+        #: abnormal exit. ``False`` is the ``--no-flight-recorder`` escape
+        #: hatch; the measured overhead budget on tc is 5% (``check.sh --obs``).
+        flight_recorder: bool = True,
+        #: Where crash dumps land; ``None`` means a pid-keyed file under the
+        #: temp dir (:func:`repro.obs.flightrec.default_blackbox_path`).
+        blackbox_path: Optional[str] = None,
+        #: Ring capacity in records (per ring — the engine's and each worker's).
+        flight_capacity: int = 4096,
+    ) -> None:
+        self._set(
+            matcher, indexed_match, InterferencePolicy.of(interference),
+            dedupe_makes, max_cycles, max_meta_cycles, track_provenance,
+            matcher_timeout, respawn_limit, fault_plan, wm_backend,
+            sanitize_races, flight_recorder, blackbox_path, flight_capacity,
         )
-        if self.matcher_timeout is not None and self.matcher_timeout <= 0:
+        if matcher_timeout is not None and matcher_timeout <= 0:
             raise ValueError("matcher_timeout must be > 0 seconds")
-        if self.respawn_limit is not None and self.respawn_limit < 0:
+        if respawn_limit is not None and respawn_limit < 0:
             raise ValueError("respawn_limit must be >= 0 (None for unlimited)")
-        if self.wm_backend not in ("dict", "columnar"):
+        if wm_backend not in ("dict", "columnar"):
             raise ValueError(
-                f"unknown wm_backend {self.wm_backend!r} "
+                f"unknown wm_backend {wm_backend!r} "
                 f"(expected 'dict' or 'columnar')"
             )
-        if self.flight_capacity < 16:
+        if flight_capacity < 16:
             raise ValueError("flight_capacity must be >= 16 records")
 
 
@@ -166,30 +177,49 @@ def _build_wm(config: "EngineConfig", program: Program) -> WorkingMemory:
     return WorkingMemory(templates)
 
 
-@dataclass
-class CycleReport:
+class CycleReport(Record):
     """Everything one cycle did — the unit of engine instrumentation."""
 
-    cycle: int
-    conflict_set_size: int
-    candidates: int
-    redaction: RedactionReport
-    fired: int
-    delta_removes: int
-    delta_makes: int
-    conflicts_resolved: int
-    makes_deduped: int
-    #: Every ``(write ...)`` line the cycle emitted — meta-level writes
-    #: first (redaction phase), then the merged object-level writes.
-    writes: List[str] = field(default_factory=list)
-    halted: bool = False
-    #: Fault/recovery events the match backend reported this cycle
-    #: (worker respawns, degradations, injected kills/wedges).
-    fault_events: List[FaultEvent] = field(default_factory=list)
+    __slots__ = (
+        "cycle", "conflict_set_size", "candidates", "redaction", "fired",
+        "delta_removes", "delta_makes", "conflicts_resolved", "makes_deduped",
+        "writes", "halted", "fault_events",
+    )
+
+    def __init__(
+        self,
+        cycle: int,
+        conflict_set_size: int,
+        candidates: int,
+        redaction: RedactionReport,
+        fired: int,
+        delta_removes: int,
+        delta_makes: int,
+        conflicts_resolved: int,
+        makes_deduped: int,
+        writes: Optional[List[str]] = None,
+        halted: bool = False,
+        fault_events: Optional[List[FaultEvent]] = None,
+    ) -> None:
+        self.cycle = cycle
+        self.conflict_set_size = conflict_set_size
+        self.candidates = candidates
+        self.redaction = redaction
+        self.fired = fired
+        self.delta_removes = delta_removes
+        self.delta_makes = delta_makes
+        self.conflicts_resolved = conflicts_resolved
+        self.makes_deduped = makes_deduped
+        #: Every ``(write ...)`` line the cycle emitted — meta-level writes
+        #: first (redaction phase), then the merged object-level writes.
+        self.writes = [] if writes is None else writes
+        self.halted = halted
+        #: Fault/recovery events the match backend reported this cycle
+        #: (worker respawns, degradations, injected kills/wedges).
+        self.fault_events = [] if fault_events is None else fault_events
 
 
-@dataclass
-class RunResult:
+class RunResult(Record):
     """Summary of one :meth:`ParulelEngine.run` call.
 
     All fields — including ``output`` — cover only this call: repeated
@@ -197,13 +227,28 @@ class RunResult:
     engine's ``output``/``reports`` attributes stay cumulative.
     """
 
-    cycles: int
-    firings: int
-    reason: str  # 'quiescence' | 'redaction-quiescence' | 'halt' | 'cycle-limit'
-    output: List[str]
-    reports: List[CycleReport]
-    wall_time: float
-    phase_times: Counter
+    __slots__ = (
+        "cycles", "firings", "reason", "output", "reports", "wall_time",
+        "phase_times",
+    )
+
+    def __init__(
+        self,
+        cycles: int,
+        firings: int,
+        reason: str,  # 'quiescence' | 'redaction-quiescence' | 'halt' | 'cycle-limit'
+        output: List[str],
+        reports: List[CycleReport],
+        wall_time: float,
+        phase_times: Counter,
+    ) -> None:
+        self.cycles = cycles
+        self.firings = firings
+        self.reason = reason
+        self.output = output
+        self.reports = reports
+        self.wall_time = wall_time
+        self.phase_times = phase_times
 
     @property
     def halted(self) -> bool:
@@ -747,8 +792,7 @@ class ParulelEngine:
             return None
         path = path or self.config.blackbox_path or self._fr.default_blackbox_path()
         cfg = {
-            f.name: repr(getattr(self.config, f.name))
-            for f in self.config.__dataclass_fields__.values()
+            name: repr(getattr(self.config, name)) for name in EngineConfig._fields
         }
         seed = getattr(self.config.fault_plan, "seed", None)
         self.flightrec.dump(

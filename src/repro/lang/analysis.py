@@ -33,9 +33,9 @@ present — programs may also run untyped):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Set, Tuple
 
+from repro._record import FrozenRecord
 from repro.errors import SemanticError
 from repro.lang.ast import (
     Action,
@@ -79,23 +79,31 @@ INSTANTIATION_BUILTIN_ATTRS = (
 )
 
 
-@dataclass(frozen=True)
-class RuleInfo:
+class RuleInfo(FrozenRecord):
     """Per-rule analysis results."""
 
-    name: str
-    bound_variables: Tuple[str, ...]
-    classes_read: FrozenSet[str]
-    classes_written: FrozenSet[str]
-    is_meta: bool
+    __slots__ = ("name", "bound_variables", "classes_read", "classes_written", "is_meta")
+
+    def __init__(
+        self,
+        name: str,
+        bound_variables: Tuple[str, ...],
+        classes_read: FrozenSet[str],
+        classes_written: FrozenSet[str],
+        is_meta: bool,
+    ) -> None:
+        self._set(name, bound_variables, classes_read, classes_written, is_meta)
 
 
-@dataclass(frozen=True)
-class ProgramInfo:
+class ProgramInfo(FrozenRecord):
     """Whole-program analysis results returned by :func:`analyze_program`."""
 
-    rule_infos: Tuple[RuleInfo, ...]
-    declared_classes: FrozenSet[str]
+    __slots__ = ("rule_infos", "declared_classes")
+
+    def __init__(
+        self, rule_infos: Tuple[RuleInfo, ...], declared_classes: FrozenSet[str]
+    ) -> None:
+        self._set(rule_infos, declared_classes)
 
     def info(self, rule_name: str) -> RuleInfo:
         for ri in self.rule_infos:

@@ -29,18 +29,21 @@ Action argument expressions are constants, variables or ``(compute ...)``
 arithmetic, represented by :class:`ConstantExpr` / :class:`VariableExpr` /
 :class:`ComputeExpr`.
 
-All nodes are frozen dataclasses: the AST is immutable after construction,
-which lets match-network compilation and the engines share it freely across
-(simulated or real) parallel sites without copying.
+All nodes are frozen records (:class:`repro._record.FrozenRecord`): the AST
+is immutable after construction, which lets match-network compilation and
+the engines share it freely across (simulated or real) parallel sites
+without copying. A node equals a node of the same class with equal fields
+(a :class:`MetaRule` never equals a :class:`Rule`), hashes and pickles by
+its fields, and reprs as ``Class(field=value, ...)``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from typing import Optional, Tuple, Union
 
+from repro._record import FrozenRecord
 from repro.lang.lexer import is_number_literal
 
 __all__ = [
@@ -87,61 +90,70 @@ PREDICATES = ("=", "<>", "<", "<=", ">", ">=", "<=>")
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConstantTest:
+class ConstantTest(FrozenRecord):
     """``^attr value`` — the attribute must equal ``value`` exactly."""
 
-    value: Value
+    __slots__ = ("value",)
+
+    def __init__(self, value: Value) -> None:
+        self._set(value)
 
     def __str__(self) -> str:
         return _format_value(self.value)
 
 
-@dataclass(frozen=True)
-class VariableTest:
+class VariableTest(FrozenRecord):
     """``^attr <x>`` — bind ``<x>`` on first occurrence, test equality after."""
 
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self._set(name)
 
     def __str__(self) -> str:
         return f"<{self.name}>"
 
 
-@dataclass(frozen=True)
-class PredicateTest:
+class PredicateTest(FrozenRecord):
     """``^attr > 4`` or ``^attr <> <x>`` — compare via a predicate.
 
     ``operand`` is a :class:`ConstantTest` or :class:`VariableTest` naming
     what to compare the attribute value against.
     """
 
-    predicate: str
-    operand: Union[ConstantTest, VariableTest]
+    __slots__ = ("predicate", "operand")
 
-    def __post_init__(self) -> None:
-        if self.predicate not in PREDICATES:
-            raise ValueError(f"unknown predicate {self.predicate!r}")
+    def __init__(
+        self, predicate: str, operand: Union[ConstantTest, VariableTest]
+    ) -> None:
+        self._set(predicate, operand)
+        if predicate not in PREDICATES:
+            raise ValueError(f"unknown predicate {predicate!r}")
 
     def __str__(self) -> str:
         return f"{self.predicate} {self.operand}"
 
 
-@dataclass(frozen=True)
-class DisjunctionTest:
+class DisjunctionTest(FrozenRecord):
     """``^attr << red green blue >>`` — membership in a constant set."""
 
-    alternatives: Tuple[Value, ...]
+    __slots__ = ("alternatives",)
+
+    def __init__(self, alternatives: Tuple[Value, ...]) -> None:
+        self._set(alternatives)
 
     def __str__(self) -> str:
         inner = " ".join(_format_value(v) for v in self.alternatives)
         return f"<< {inner} >>"
 
 
-@dataclass(frozen=True)
-class ConjunctiveTest:
+class ConjunctiveTest(FrozenRecord):
     """``^attr { <x> > 4 <> <y> }`` — all component tests must hold."""
 
-    tests: Tuple["TestAtom", ...]
+    __slots__ = ("tests",)
+
+    def __init__(self, tests: Tuple["TestAtom", ...]) -> None:
+        self._set(tests)
 
     def __str__(self) -> str:
         inner = " ".join(str(t) for t in self.tests)
@@ -155,8 +167,7 @@ TestAtom = Union[ConstantTest, VariableTest, PredicateTest, DisjunctionTest]
 Test = Union[ConstantTest, VariableTest, PredicateTest, DisjunctionTest, ConjunctiveTest]
 
 
-@dataclass(frozen=True)
-class ConditionElement:
+class ConditionElement(FrozenRecord):
     """One LHS pattern: ``(class ^attr test ...)``, optionally negated.
 
     ``tests`` maps attribute name to its test, in source order (Python dicts
@@ -164,9 +175,12 @@ class ConditionElement:
     and explicit about ordering).
     """
 
-    class_name: str
-    tests: Tuple[Tuple[str, Test], ...]
-    negated: bool = False
+    __slots__ = ("class_name", "tests", "negated")
+
+    def __init__(
+        self, class_name: str, tests: Tuple[Tuple[str, Test], ...], negated: bool = False
+    ) -> None:
+        self._set(class_name, tests, negated)
 
     @property
     def variables(self) -> Tuple[str, ...]:
@@ -204,28 +218,31 @@ def _test_variables(test: Test) -> Tuple[str, ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConstantExpr:
+class ConstantExpr(FrozenRecord):
     """A literal value in an action argument position."""
 
-    value: Value
+    __slots__ = ("value",)
+
+    def __init__(self, value: Value) -> None:
+        self._set(value)
 
     def __str__(self) -> str:
         return _format_value(self.value)
 
 
-@dataclass(frozen=True)
-class VariableExpr:
+class VariableExpr(FrozenRecord):
     """A variable reference in an action argument position."""
 
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self._set(name)
 
     def __str__(self) -> str:
         return f"<{self.name}>"
 
 
-@dataclass(frozen=True)
-class ComputeExpr:
+class ComputeExpr(FrozenRecord):
     """``(compute <x> + 1 ...)`` — left-to-right arithmetic, OPS5 style.
 
     ``items`` alternates operands and operator symbols, e.g.
@@ -233,15 +250,17 @@ class ComputeExpr:
     right with no precedence, matching OPS5's ``compute``.
     """
 
-    items: Tuple[Union["Expr", str], ...]
+    __slots__ = ("items",)
+
+    def __init__(self, items: Tuple[Union["Expr", str], ...]) -> None:
+        self._set(items)
 
     def __str__(self) -> str:
         inner = " ".join(str(i) for i in self.items)
         return f"(compute {inner})"
 
 
-@dataclass(frozen=True)
-class GenatomExpr:
+class GenatomExpr(FrozenRecord):
     """``(genatom)`` / ``(genatom prefix)`` — a fresh unique symbol.
 
     OPS5's ``genatom``: each evaluation yields a symbol no other evaluation
@@ -250,7 +269,10 @@ class GenatomExpr:
     deterministic.
     """
 
-    prefix: str = "g"
+    __slots__ = ("prefix",)
+
+    def __init__(self, prefix: str = "g") -> None:
+        self._set(prefix)
 
     def __str__(self) -> str:
         if self.prefix == "g":
@@ -266,12 +288,13 @@ Expr = Union[ConstantExpr, VariableExpr, ComputeExpr, GenatomExpr]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MakeAction:
+class MakeAction(FrozenRecord):
     """``(make class ^attr expr ...)`` — assert a new WME."""
 
-    class_name: str
-    assignments: Tuple[Tuple[str, Expr], ...]
+    __slots__ = ("class_name", "assignments")
+
+    def __init__(self, class_name: str, assignments: Tuple[Tuple[str, Expr], ...]) -> None:
+        self._set(class_name, assignments)
 
     def __str__(self) -> str:
         parts = [f"make {_format_symbol(self.class_name)}"]
@@ -280,13 +303,14 @@ class MakeAction:
         return f"({' '.join(parts)})"
 
 
-@dataclass(frozen=True)
-class ModifyAction:
+class ModifyAction(FrozenRecord):
     """``(modify k ^attr expr ...)`` — re-assert CE number ``k`` (1-based)
     with the given attributes changed."""
 
-    ce_index: int
-    assignments: Tuple[Tuple[str, Expr], ...]
+    __slots__ = ("ce_index", "assignments")
+
+    def __init__(self, ce_index: int, assignments: Tuple[Tuple[str, Expr], ...]) -> None:
+        self._set(ce_index, assignments)
 
     def __str__(self) -> str:
         parts = [f"modify {self.ce_index}"]
@@ -295,54 +319,61 @@ class ModifyAction:
         return f"({' '.join(parts)})"
 
 
-@dataclass(frozen=True)
-class RemoveAction:
+class RemoveAction(FrozenRecord):
     """``(remove k ...)`` — retract the WMEs matched by the listed CEs."""
 
-    ce_indices: Tuple[int, ...]
+    __slots__ = ("ce_indices",)
+
+    def __init__(self, ce_indices: Tuple[int, ...]) -> None:
+        self._set(ce_indices)
 
     def __str__(self) -> str:
         inner = " ".join(str(i) for i in self.ce_indices)
         return f"(remove {inner})"
 
 
-@dataclass(frozen=True)
-class WriteAction:
+class WriteAction(FrozenRecord):
     """``(write expr ...)`` — append a line to the engine's output stream."""
 
-    arguments: Tuple[Expr, ...]
+    __slots__ = ("arguments",)
+
+    def __init__(self, arguments: Tuple[Expr, ...]) -> None:
+        self._set(arguments)
 
     def __str__(self) -> str:
         inner = " ".join(str(a) for a in self.arguments)
         return f"(write {inner})"
 
 
-@dataclass(frozen=True)
-class BindAction:
+class BindAction(FrozenRecord):
     """``(bind <x> expr)`` — introduce an RHS-local binding."""
 
-    name: str
-    expr: Expr
+    __slots__ = ("name", "expr")
+
+    def __init__(self, name: str, expr: Expr) -> None:
+        self._set(name, expr)
 
     def __str__(self) -> str:
         return f"(bind <{self.name}> {self.expr})"
 
 
-@dataclass(frozen=True)
-class HaltAction:
+class HaltAction(FrozenRecord):
     """``(halt)`` — stop the recognize-act cycle after this firing phase."""
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         return "(halt)"
 
 
-@dataclass(frozen=True)
-class CallAction:
+class CallAction(FrozenRecord):
     """``(call fn expr ...)`` — invoke a host callback registered with the
     engine. The escape hatch the paper's external-routine interface needs."""
 
-    function: str
-    arguments: Tuple[Expr, ...]
+    __slots__ = ("function", "arguments")
+
+    def __init__(self, function: str, arguments: Tuple[Expr, ...]) -> None:
+        self._set(function, arguments)
 
     def __str__(self) -> str:
         inner = " ".join(str(a) for a in self.arguments)
@@ -350,12 +381,14 @@ class CallAction:
         return f"(call {self.function}{sep}{inner})"
 
 
-@dataclass(frozen=True)
-class RedactAction:
+class RedactAction(FrozenRecord):
     """``(redact <i>)`` — meta-rules only: delete the instantiation whose
     ``id`` is the value of the expression from the conflict set."""
 
-    expr: Expr
+    __slots__ = ("expr",)
+
+    def __init__(self, expr: Expr) -> None:
+        self._set(expr)
 
     def __str__(self) -> str:
         return f"(redact {self.expr})"
@@ -378,20 +411,20 @@ Action = Union[
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Literalize:
+class Literalize(FrozenRecord):
     """``(literalize class attr ...)`` — declare a WME class and attributes."""
 
-    class_name: str
-    attributes: Tuple[str, ...]
+    __slots__ = ("class_name", "attributes")
+
+    def __init__(self, class_name: str, attributes: Tuple[str, ...]) -> None:
+        self._set(class_name, attributes)
 
     def __str__(self) -> str:
         names = (self.class_name, *self.attributes)
         return f"(literalize {' '.join(map(_format_symbol, names))})"
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(FrozenRecord):
     """An object-level production ``(p name LHS --> RHS)``.
 
     ``salience`` is an extension over OPS5 (default 0): it is exposed to the
@@ -400,10 +433,16 @@ class Rule:
     baseline engine's strategies.
     """
 
-    name: str
-    conditions: Tuple[ConditionElement, ...]
-    actions: Tuple[Action, ...]
-    salience: int = 0
+    __slots__ = ("name", "conditions", "actions", "salience")
+
+    def __init__(
+        self,
+        name: str,
+        conditions: Tuple[ConditionElement, ...],
+        actions: Tuple[Action, ...],
+        salience: int = 0,
+    ) -> None:
+        self._set(name, conditions, actions, salience)
 
     @property
     def specificity(self) -> int:
@@ -431,7 +470,6 @@ class Rule:
         return tuple(seen)
 
 
-@dataclass(frozen=True)
 class MetaRule(Rule):
     """A meta-level production ``(mp name LHS --> RHS)``.
 
@@ -441,14 +479,21 @@ class MetaRule(Rule):
     ``halt``/``call``.
     """
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class Program:
+
+class Program(FrozenRecord):
     """A complete PARULEL program: declarations, rules and meta-rules."""
 
-    literalizes: Tuple[Literalize, ...] = ()
-    rules: Tuple[Rule, ...] = ()
-    meta_rules: Tuple[MetaRule, ...] = field(default=())
+    __slots__ = ("literalizes", "rules", "meta_rules")
+
+    def __init__(
+        self,
+        literalizes: Tuple[Literalize, ...] = (),
+        rules: Tuple[Rule, ...] = (),
+        meta_rules: Tuple[MetaRule, ...] = (),
+    ) -> None:
+        self._set(literalizes, rules, meta_rules)
 
     def rule(self, name: str) -> Rule:
         """Look up a rule or meta-rule by name (raises ``KeyError``)."""

@@ -45,9 +45,9 @@ from __future__ import annotations
 import enum
 import math
 import re
-from dataclasses import dataclass
 from typing import Iterator, List, Union
 
+from repro._record import FrozenRecord
 from repro.errors import LexError
 
 __all__ = [
@@ -82,14 +82,15 @@ class TokenKind(enum.Enum):
     EOF = "eof"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(FrozenRecord):
     """One lexical token with its source position (1-based line/column)."""
 
-    kind: TokenKind
-    value: Union[str, int, float]
-    line: int
-    column: int
+    __slots__ = ("kind", "value", "line", "column")
+
+    def __init__(
+        self, kind: TokenKind, value: Union[str, int, float], line: int, column: int
+    ) -> None:
+        self._set(kind, value, line, column)
 
     def __repr__(self) -> str:  # pragma: no cover - debug convenience
         return f"Token({self.kind.name}, {self.value!r}, {self.line}:{self.column})"

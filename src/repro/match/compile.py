@@ -33,9 +33,9 @@ by an earlier (or textually earlier within the same) positive CE, otherwise
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro._record import FrozenRecord
 from repro.errors import MatchError
 from repro.lang.ast import (
     ConditionElement,
@@ -117,27 +117,35 @@ AlphaCond = Tuple
 AlphaKey = Tuple[str, Tuple[AlphaCond, ...]]
 
 
-@dataclass(frozen=True)
-class CompiledCE:
+class CompiledCE(FrozenRecord):
     """One compiled condition element."""
 
-    class_name: str
-    negated: bool
-    #: WME-local conditions, sorted — part of the alpha key.
-    alpha_conds: Tuple[AlphaCond, ...]
-    #: ``(attr, var)`` pairs that extract new bindings (positive CEs only).
-    bindings: Tuple[Tuple[str, str], ...]
-    #: ``(attr, op, var)`` comparisons against earlier bindings; the ``=``
-    #: subset drives hash joins.
-    join_tests: Tuple[Tuple[str, str, str], ...]
-    #: Position of this CE in the rule (0-based, counting negated CEs).
-    index: int
-    #: Extra WME-local conditions produced when the CE was re-classified for
-    #: a :class:`JoinPlan` visit order (e.g. a join test that became an
-    #: intra-CE comparison because its binder moved later). They are *not*
-    #: part of :attr:`alpha_key` — the alpha memory is shared with the
-    #: identity classification — and are applied as post-probe filters.
-    local_conds: Tuple[AlphaCond, ...] = ()
+    __slots__ = (
+        "class_name", "negated", "alpha_conds", "bindings", "join_tests",
+        "index", "local_conds",
+    )
+
+    def __init__(
+        self,
+        class_name: str,
+        negated: bool,
+        #: WME-local conditions, sorted — part of the alpha key.
+        alpha_conds: Tuple[AlphaCond, ...],
+        #: ``(attr, var)`` pairs that extract new bindings (positive CEs only).
+        bindings: Tuple[Tuple[str, str], ...],
+        #: ``(attr, op, var)`` comparisons against earlier bindings; the ``=``
+        #: subset drives hash joins.
+        join_tests: Tuple[Tuple[str, str, str], ...],
+        #: Position of this CE in the rule (0-based, counting negated CEs).
+        index: int,
+        #: Extra WME-local conditions produced when the CE was re-classified for
+        #: a :class:`JoinPlan` visit order (e.g. a join test that became an
+        #: intra-CE comparison because its binder moved later). They are *not*
+        #: part of :attr:`alpha_key` — the alpha memory is shared with the
+        #: identity classification — and are applied as post-probe filters.
+        local_conds: Tuple[AlphaCond, ...] = (),
+    ) -> None:
+        self._set(class_name, negated, alpha_conds, bindings, join_tests, index, local_conds)
 
     @property
     def alpha_key(self) -> AlphaKey:
@@ -218,8 +226,7 @@ def alpha_test_passes(conds: Sequence[AlphaCond], wme: WME) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class JoinPlan:
+class JoinPlan(FrozenRecord):
     """A deterministic CE visit order for the join enumerator.
 
     ``order[p]`` is the *original* index of the CE visited at position ``p``;
@@ -234,35 +241,45 @@ class JoinPlan:
     identity (left-to-right) enumeration would have produced.
     """
 
-    #: Original CE indexes in visit order (a permutation of ``range(n)``).
-    order: Tuple[int, ...]
-    #: The re-classified CEs, one per visit position.
-    ces: Tuple[CompiledCE, ...]
+    __slots__ = ("order", "ces")
+
+    def __init__(
+        self,
+        #: Original CE indexes in visit order (a permutation of ``range(n)``).
+        order: Tuple[int, ...],
+        #: The re-classified CEs, one per visit position.
+        ces: Tuple[CompiledCE, ...],
+    ) -> None:
+        self._set(order, ces)
 
 
-@dataclass(frozen=True)
-class CompiledRule:
+class CompiledRule(FrozenRecord):
     """A rule plus its compiled condition elements.
 
     :attr:`ces` is always the identity (left-to-right) classification —
     matchers that key alpha memories or beta networks off it see exactly
     what they always did. :attr:`plan` and :attr:`seeded_plans` are
     optional join-order improvements the enumerator may use; they are
-    derived data and excluded from equality.
+    derived data and excluded from equality, hash and repr.
     """
 
-    rule: Rule
-    ces: Tuple[CompiledCE, ...]
-    #: Most-bound-first visit order for full enumeration (``None`` when the
-    #: identity order is already the planned order).
-    plan: Optional[JoinPlan] = field(default=None, compare=False, repr=False)
-    #: Per-positive-CE plans that visit that CE first (or as early as its
-    #: bindings allow) — used when the enumerator pins a CE to one WME
-    #: (TREAT's delta seeding). Indexed by original CE index; ``None`` for
-    #: negated CEs and where identity is already optimal.
-    seeded_plans: Tuple[Optional[JoinPlan], ...] = field(
-        default=(), compare=False, repr=False
-    )
+    __slots__ = ("rule", "ces", "plan", "seeded_plans")
+    _compared = ("rule", "ces")
+
+    def __init__(
+        self,
+        rule: Rule,
+        ces: Tuple[CompiledCE, ...],
+        #: Most-bound-first visit order for full enumeration (``None`` when the
+        #: identity order is already the planned order).
+        plan: Optional[JoinPlan] = None,
+        #: Per-positive-CE plans that visit that CE first (or as early as its
+        #: bindings allow) — used when the enumerator pins a CE to one WME
+        #: (TREAT's delta seeding). Indexed by original CE index; ``None`` for
+        #: negated CEs and where identity is already optimal.
+        seeded_plans: Tuple[Optional[JoinPlan], ...] = (),
+    ) -> None:
+        self._set(rule, ces, plan, seeded_plans)
 
     @property
     def name(self) -> str:
@@ -568,9 +585,15 @@ def compile_rule(
         if not 0 <= s < k:
             raise ValueError(f"site {s} is not one of {k}")
         for idx, attr in split_keys(compiled).items():
-            compiled[idx] = replace(
-                compiled[idx],
-                alpha_conds=compiled[idx].alpha_conds + (("site", attr, k, s),),
+            ce = compiled[idx]
+            compiled[idx] = CompiledCE(
+                ce.class_name,
+                ce.negated,
+                ce.alpha_conds + (("site", attr, k, s),),
+                ce.bindings,
+                ce.join_tests,
+                ce.index,
+                ce.local_conds,
             )
     ces = tuple(compiled)
     join_plan: Optional[JoinPlan] = None

@@ -42,8 +42,9 @@ bumps it globally only; a stats test asserts this stays consistent.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Iterable, Optional, Tuple
+
+from repro._record import Record
 
 __all__ = ["MatchStats", "COUNTER_NAMES"]
 
@@ -59,12 +60,18 @@ COUNTER_NAMES: Tuple[str, ...] = (
 )
 
 
-@dataclass
-class MatchStats:
+class MatchStats(Record):
     """Mutable operation counters, overall and attributed per rule."""
 
-    totals: Counter = field(default_factory=Counter)
-    per_rule: Dict[str, Counter] = field(default_factory=dict)
+    __slots__ = ("totals", "per_rule")
+
+    def __init__(
+        self,
+        totals: Optional[Counter] = None,
+        per_rule: Optional[Dict[str, Counter]] = None,
+    ) -> None:
+        self.totals = Counter() if totals is None else totals
+        self.per_rule = {} if per_rule is None else per_rule
 
     def bump(self, counter: str, rule: str = "", n: int = 1) -> None:
         """Increment ``counter`` by ``n``, attributing to ``rule`` if given."""

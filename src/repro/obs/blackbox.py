@@ -210,7 +210,8 @@ def load_blackbox(path: str) -> Blackbox:
     :class:`~repro.errors.BlackboxCorruptError` on any framing, header or
     ring-structure damage (torn *records* are tolerated and counted)."""
     try:
-        raw = open(path, "rb").read()
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise BlackboxCorruptError(f"cannot read blackbox {path!r}: {exc}") from exc
     if len(raw) < len(BLACKBOX_MAGIC) + 8 or not raw.startswith(BLACKBOX_MAGIC):

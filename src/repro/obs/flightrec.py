@@ -388,14 +388,16 @@ def _git_state() -> Dict[str, str]:
         git = os.path.join(d, ".git")
         if os.path.isdir(git):
             try:
-                head = open(os.path.join(git, "HEAD")).read().strip()
+                with open(os.path.join(git, "HEAD")) as fh:
+                    head = fh.read().strip()
             except OSError:
                 return {}
             state = {"head": head}
             if head.startswith("ref: "):
                 ref = head[5:]
                 try:
-                    state["sha"] = open(os.path.join(git, ref)).read().strip()
+                    with open(os.path.join(git, ref)) as fh:
+                        state["sha"] = fh.read().strip()
                 except OSError:
                     pass
             else:

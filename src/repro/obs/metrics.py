@@ -25,7 +25,6 @@ per-item work with ``metrics.enabled``.
 
 from __future__ import annotations
 
-import json
 import threading
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
@@ -206,6 +205,8 @@ class MetricsRegistry:
         return {"counters": counters, "gauges": gauges, "histograms": hists}
 
     def write_json(self, path: str) -> None:
+        import json
+
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(self.snapshot(), fh, indent=2, sort_keys=True)
 

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import gc
 import time
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional
 
+from repro._record import Record
 from repro.match.stats import MatchStats
 from repro.obs.metrics import MetricsRegistry
 
@@ -69,20 +69,34 @@ RULE_TIME_SHARE = "parulel_rule_time_share"
 SITE_BUSY_SECONDS = "parulel_site_busy_seconds_total"
 
 
-@dataclass
-class RuleProfile:
+class RuleProfile(Record):
     """Aggregated per-rule observations for one run."""
 
-    rule: str
-    candidates: int = 0
-    fired: int = 0
-    redacted: int = 0
-    eval_seconds: float = 0.0
-    #: ``None`` when no backend attributed match time to this rule (the
-    #: incremental RETE/TREAT engines cannot split their network work per
-    #: rule; the process/threaded/naive paths can).
-    match_seconds: Optional[float] = None
-    sites: List[str] = field(default_factory=list)
+    __slots__ = (
+        "rule", "candidates", "fired", "redacted", "eval_seconds",
+        "match_seconds", "sites",
+    )
+
+    def __init__(
+        self,
+        rule: str,
+        candidates: int = 0,
+        fired: int = 0,
+        redacted: int = 0,
+        eval_seconds: float = 0.0,
+        match_seconds: Optional[float] = None,
+        sites: Optional[List[str]] = None,
+    ) -> None:
+        self.rule = rule
+        self.candidates = candidates
+        self.fired = fired
+        self.redacted = redacted
+        self.eval_seconds = eval_seconds
+        #: ``None`` when no backend attributed match time to this rule (the
+        #: incremental RETE/TREAT engines cannot split their network work per
+        #: rule; the process/threaded/naive paths can).
+        self.match_seconds = match_seconds
+        self.sites = [] if sites is None else sites
 
     @property
     def total_seconds(self) -> float:

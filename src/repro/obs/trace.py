@@ -38,7 +38,6 @@ and a truth test — nothing allocates, nothing locks.
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from typing import Any, Dict, Iterable, List, Optional, Tuple
@@ -251,11 +250,15 @@ class Tracer:
         }
 
     def write_chrome(self, path: str) -> None:
+        import json
+
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(self.to_chrome(), fh)
 
     def write_jsonl(self, path: str) -> None:
         """One event object per line (lane names inline, not tids)."""
+        import json
+
         with self._lock:
             events = list(self._events)
         with open(path, "w", encoding="utf-8") as fh:

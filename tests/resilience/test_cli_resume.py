@@ -76,7 +76,8 @@ class TestResumeFailures:
     ):
         ckpt = str(tmp_path / "flip.ckpt")
         write_checkpoint(counter_file, counter_facts, ckpt, capsys)
-        blob = bytearray(open(ckpt, "rb").read())
+        with open(ckpt, "rb") as fh:
+            blob = bytearray(fh.read())
         blob[-2] ^= 0xFF
         with open(ckpt, "wb") as fh:
             fh.write(blob)

@@ -61,7 +61,8 @@ class TestCorruptionDetection:
         never a raw json/KeyError leak."""
         path = str(tmp_path / "ck.full")
         write_envelope(path, STATE, kind="full")
-        blob = open(path, "rb").read()
+        with open(path, "rb") as fh:
+            blob = fh.read()
         torn = str(tmp_path / "torn")
         for cut in range(len(blob)):
             with open(torn, "wb") as fh:
@@ -74,7 +75,8 @@ class TestCorruptionDetection:
     def test_flipped_payload_byte_fails_digest(self, tmp_path):
         path = str(tmp_path / "ck.full")
         write_envelope(path, STATE, kind="full")
-        blob = bytearray(open(path, "rb").read())
+        with open(path, "rb") as fh:
+            blob = bytearray(fh.read())
         blob[-2] ^= 0xFF  # inside the JSON payload
         with open(path, "wb") as fh:
             fh.write(blob)

@@ -182,14 +182,13 @@ class TestFlightRecorderSegments:
             "print(ring.name, flush=True)\n"
             "os.kill(os.getpid(), signal.SIGKILL)\n"
         )
-        proc = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, "-c", code],
             stdout=subprocess.PIPE,
             env={**os.environ, "PYTHONPATH": "src"},
             text=True,
-        )
-        name = proc.stdout.readline().strip()
-        proc.wait()
+        ) as proc:  # leaving closes stdout and waits
+            name = proc.stdout.readline().strip()
         if proc.returncode == 3:
             pytest.skip("child could not create a shared ring")
         assert name.startswith(FLIGHT_PREFIX)

@@ -196,7 +196,8 @@ class TestKillDuringWrite:
     corrupts the latest *restorable* checkpoint."""
 
     def sweep(self, store, victim, acceptable_cycles):
-        blob = open(victim, "rb").read()
+        with open(victim, "rb") as fh:
+            blob = fh.read()
         for cut in range(len(blob)):
             with open(victim, "wb") as fh:
                 fh.write(blob[:cut])

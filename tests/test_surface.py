@@ -8,12 +8,13 @@ show up as an edit to this file in the same diff. So must a module that
 """
 
 import argparse
-import dataclasses
 import inspect
 import subprocess
 import sys
 
-from repro.cli import build_parser
+import pytest
+
+from repro.cli import _parse_args, build_parser, main
 from repro.core import EngineConfig
 from repro.match.interface import MATCHER_NAMES, create_matcher
 from repro.repl import ReplSession, run_repl
@@ -65,8 +66,8 @@ CREATE_MATCHER = [
 #: (PEP 562), so the baseline engine, the fault plans, RETE, the naive
 #: matcher, the table helpers and provenance load when something asks.
 CLI_IMPORTS = [
-    "repro", "repro._lazy", "repro.cli", "repro.collector", "repro.core",
-    "repro.core.actions", "repro.core.delta", "repro.core.engine",
+    "repro", "repro._lazy", "repro._record", "repro.cli", "repro.collector",
+    "repro.core", "repro.core.actions", "repro.core.delta", "repro.core.engine",
     "repro.core.redaction", "repro.errors", "repro.lang",
     "repro.lang.analysis", "repro.lang.ast", "repro.lang.builder",
     "repro.lang.lexer", "repro.lang.parser", "repro.lang.pretty",
@@ -76,6 +77,12 @@ CLI_IMPORTS = [
     "repro.obs.metrics", "repro.obs.profile", "repro.obs.trace", "repro.wm",
     "repro.wm.io", "repro.wm.memory", "repro.wm.template", "repro.wm.wme",
 ]
+
+#: The other modules ``import repro.cli`` adds to a fresh interpreter. No
+#: class on that path is a dataclass, so ``dataclasses`` and what it
+#: imports (``inspect``, ``ast``, ``dis``, ``tokenize``, ``copy``) stay
+#: out, and so does ``json``: only writing a trace or metrics file loads it.
+CLI_STDLIB_IMPORTS = ["__future__", "argparse", "gc", "gettext"]
 
 
 #: What ``import repro.parallel.process`` adds on top of ``CLI_IMPORTS`` —
@@ -138,7 +145,9 @@ def test_the_default_matcher_is_treat_wherever_one_is_defaulted():
 
 
 def test_engine_config_fields_are_exactly_the_listed_ones():
-    assert [f.name for f in dataclasses.fields(EngineConfig)] == ENGINE_CONFIG
+    parameters = inspect.signature(EngineConfig).parameters
+    assert list(parameters) == ENGINE_CONFIG
+    assert list(EngineConfig._fields) == ENGINE_CONFIG  # the blackbox header's keys
     assert len(ENGINE_CONFIG) == 15
 
 
@@ -167,6 +176,26 @@ def test_importing_the_cli_loads_exactly_the_listed_modules():
         check=True,
     )
     assert out.stdout.split() == CLI_IMPORTS
+
+
+def test_importing_the_cli_loads_exactly_the_listed_stdlib_modules():
+    """What ``import repro.cli`` adds to ``sys.modules`` besides ``repro``
+    itself, in a fresh interpreter (what ``site`` loaded does not count)."""
+    out = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import repro.cli\n"
+            "print(*sorted(m for m in set(sys.modules) - before"
+            " if m != 'repro' and not m.startswith('repro.')))",
+        ],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.split() == CLI_STDLIB_IMPORTS
 
 
 def test_importing_the_pool_loads_exactly_the_listed_modules():
@@ -210,3 +239,52 @@ def test_a_default_run_loads_only_the_default_matcher_on_top(tmp_path):
         check=True,
     )
     assert out.stdout.split() == ["repro.match.treat", "repro.obs.flightrec"]
+
+
+#: Command lines ``main`` parses with only the named subcommand's parser
+#: built, the rejected ones included: ``--workers`` without ``process``
+#: parses (``main`` refuses it, ``tests/test_cli.py``), the others exit 2
+#: from argparse.
+PARSE_CASES = [
+    ["run", "p.pl"],
+    ["run", "p.pl", "--facts", "f.facts", "--matcher", "process", "--workers", "2"],
+    ["run", "p.pl", "--workers", "2"],
+    ["run", "p.pl", "--max-cycles", "5", "--trace", "--stats", "--dump-wm", "o"],
+    ["run", "p.pl", "--no-flight-recorder", "--interference", "merge"],
+    ["run", "p.pl", "--matcher", "rete"],
+    ["run", "p.pl", "--wm-backend", "nope"],
+    ["run", "p.pl", "--max-cycles", "many"],
+    ["run", "p.pl", "--bogus"],
+    ["run"],
+    ["run", "--help"],
+    ["profile", "tc"],
+    ["profile", "tc", "--matcher", "process", "--workers", "3", "--top", "4"],
+    ["profile", "tc", "--workers", "2"],
+    ["profile", "tc", "--matcher", "nope"],
+    ["profile"],
+]
+
+
+def _parsed(parse, argv, capsys):
+    try:
+        outcome = parse(argv)
+    except SystemExit as exc:
+        outcome = ("exit", exc.code)
+    return outcome, capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES, ids=" ".join)
+def test_the_one_subcommand_parser_parses_like_the_full_one(argv, capsys):
+    assert _parsed(_parse_args, argv, capsys) == _parsed(
+        build_parser().parse_args, argv, capsys
+    )
+
+
+def test_help_lists_every_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for name in CLI:
+        if " " not in name:
+            assert f"    {name} " in out, name
