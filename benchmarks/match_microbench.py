@@ -37,6 +37,7 @@ from typing import Dict
 
 from repro.core import EngineConfig, ParulelEngine
 from repro.programs import REGISTRY
+from tests.nested_loop import nested_loop_engine
 
 BASELINE_PATH = os.path.join(
     os.path.dirname(__file__), "results", "BENCH_match.json"
@@ -68,9 +69,8 @@ def run_workload(workload: str, matcher: str, indexed: bool) -> Dict:
     meta = matcher == "meta"
     # The meta row counts the meta level's join under the default matcher.
     chosen = {} if meta else {"matcher": matcher}
-    engine = ParulelEngine(
-        wl.program, EngineConfig(indexed_match=indexed, **chosen)
-    )
+    build = ParulelEngine if indexed else nested_loop_engine
+    engine = build(wl.program, EngineConfig(**chosen))
     wl.setup(engine)
     start = time.perf_counter()
     result = engine.run(max_cycles=5000)

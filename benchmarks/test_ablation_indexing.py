@@ -1,10 +1,11 @@
 """Ablation A7 — hash-indexed joins vs nested-loop enumeration.
 
 Same engine, same plans, same conflict sets — the only thing ablated is
-whether ``enumerate_matches`` probes the indexed alpha memories
-(``indexed_match=True``) or scans them with the historical nested loops
-(``--no-index``). Run end-to-end on tc and manners with both the TREAT
-engine and the naive recompute oracle:
+whether ``enumerate_matches`` probes the indexed alpha memories (what
+every product engine runs) or scans them with the historical nested loops
+(``indexed=False``, built by ``tests/nested_loop.py``). Run
+end-to-end on tc and manners with both the TREAT engine and the naive
+recompute oracle:
 
 - tc stresses wide equijoin frontiers (the transitive-closure delta joins);
 - manners stresses negated-CE blocking checks under meta-rule redaction.

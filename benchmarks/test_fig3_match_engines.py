@@ -24,6 +24,7 @@ from repro.match.interface import create_matcher
 from repro.match.stats import COUNTER_NAMES
 from repro.metrics import Table
 from repro.programs import build_join_workload
+from tests.nested_loop import SERIAL_MATCHERS
 
 from .conftest import emit
 from .match_microbench import run_workload
@@ -36,7 +37,7 @@ INDEX_WORKLOADS = ("tc", "manners", "waltz")
 def measure(engine_name, n_wmes):
     jw = build_join_workload(n_rules=3, n_keys=40, seed=9)
     wm = jw.fresh_wm()
-    matcher = create_matcher(engine_name, jw.program.rules, wm, indexed=False)
+    matcher = SERIAL_MATCHERS[engine_name](jw.program.rules, wm, indexed=False)
     start = time.perf_counter()
     jw.load(wm, n_wmes)
     insts = matcher.instantiations()

@@ -22,8 +22,8 @@
 #   scripts/check.sh --analysis # additionally gate the commutativity
 #                               # detector: per-pair verdicts over every
 #                               # bundled workload must match the golden
-#                               # file, and the race sanitizer must run
-#                               # clean on tc
+#                               # file, and no COMMUTES pair may diverge
+#                               # when real runs' fired pairs are replayed
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -158,10 +158,9 @@ if [[ "${1:-}" == "--analysis" ]]; then
     # (-c import avoids runpy's found-in-sys.modules warning: the package
     # __init__ imports the module eagerly)
     python -c "from repro.analysis.commute import main; raise SystemExit(main(['--check']))"
-    echo "== race sanitizer smoke (tc demo + bundled workloads)"
-    python -m repro.cli run examples/tc.pl --facts examples/tc.facts \
-        --sanitize-races >/dev/null
-    python -m pytest tests/core/test_sanitizer.py -q
+    echo "== COMMUTES verdicts audited on real runs (bundled workloads + random programs)"
+    python -m pytest tests/core/test_commute_audit.py \
+        tests/analysis/test_commute_differential.py -q
 fi
 
 if [[ "${1:-}" == "--bench" ]]; then

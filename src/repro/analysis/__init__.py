@@ -18,7 +18,7 @@ workflow and the distributed backends need decided before a run:
 - :mod:`repro.analysis.commute` — the critical-pair race detector:
   COMMUTES / RACES (with concrete witness WMs) / UNKNOWN verdicts per
   rule pair, feeding PA007–PA009 diagnostics, ``races`` edges in the
-  dependency graph, and the engine's runtime race sanitizer;
+  dependency graph, and the tests' audit of fired pairs;
 - :mod:`repro.analysis.diagnostics` — the shared ``PAxxx`` diagnostic
   vocabulary with text and SARIF-shaped JSON renderers.
 
@@ -37,7 +37,6 @@ from repro.lang.ast import Program
 
 from repro.analysis.advisor import analysis_assignment, connectivity_cost
 from repro.analysis.commute import (
-    CommuteIndex,
     CommuteSummary,
     PairVerdict,
     Verdict,
@@ -66,7 +65,6 @@ __all__ = [
     "analyze",
     "analysis_assignment",
     "connectivity_cost",
-    "CommuteIndex",
     "CommuteSummary",
     "PairVerdict",
     "Verdict",

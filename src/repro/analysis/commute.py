@@ -69,7 +69,8 @@ Rules whose RHS uses ``(genatom)`` or ``(call ...)`` are never
 classified COMMUTES or RACES — fresh symbols and host effects are
 outside the WM-only verdict. Verdicts feed three consumers: PA007–PA009
 diagnostics in ``parulel analyze``, ``races`` edges in the dependency
-graph, and the engine's runtime race sanitizer via :class:`CommuteIndex`.
+graph, and the test-side audit that replays every fired pair of a run
+(``tests/core/commute_audit.py``).
 """
 
 from __future__ import annotations
@@ -109,7 +110,6 @@ __all__ = [
     "CommuteSummary",
     "classify_rule_pair",
     "commute_matrix",
-    "CommuteIndex",
 ]
 
 
@@ -973,7 +973,7 @@ class CommuteSummary:
         return [p for p in self.pairs if p.verdict == verdict]
 
     def commuting_names(self) -> Set[FrozenSet[str]]:
-        """Unordered name pairs proven COMMUTES (the sanitizer's input)."""
+        """Unordered name pairs proven COMMUTES."""
         return {
             frozenset((p.rule_a, p.rule_b))
             for p in self.pairs
@@ -1029,23 +1029,6 @@ def commute_matrix(program: Program, name: str = "<program>") -> CommuteSummary:
         for rule_b in rules[i:]:
             pairs.append(classify_rule_pair(rule_a, rule_b))
     return CommuteSummary(name=name, pairs=pairs)
-
-
-# ---------------------------------------------------------------------------
-# Runtime facade
-# ---------------------------------------------------------------------------
-
-
-class CommuteIndex:
-    """What the race sanitizer needs at runtime, precomputed once per
-    program: which rule pairs are statically COMMUTES."""
-
-    def __init__(self, program: Program) -> None:
-        self.summary = commute_matrix(program)
-        self._commutes = self.summary.commuting_names()
-
-    def statically_commutes(self, name_a: str, name_b: str) -> bool:
-        return frozenset((name_a, name_b)) in self._commutes
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,7 @@ A *facts file* contains bare WME forms, one per s-expression::
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import List, Optional
 
@@ -190,7 +191,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if matcher is None:
         return 2
 
-    if args.matcher_timeout is not None and args.matcher_timeout <= 0:
+    if args.matcher_timeout is not None and not 0 < args.matcher_timeout < math.inf:
         print("error: --matcher-timeout must be > 0 seconds", file=sys.stderr)
         return 2
     if args.respawn_limit is not None and args.respawn_limit < 0:
@@ -239,14 +240,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.engine == "ops5" and (
-        args.no_flight_recorder
-        or args.blackbox is not None
-        or args.sanitize_races
-    ):
+    if args.engine == "ops5" and (args.no_flight_recorder or args.blackbox is not None):
         print(
-            "error: --no-flight-recorder/--blackbox/--sanitize-races apply "
-            "to --engine parulel only",
+            "error: --no-flight-recorder/--blackbox apply to --engine parulel only",
             file=sys.stderr,
         )
         return 2
@@ -302,7 +298,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         matcher_timeout=args.matcher_timeout,
         respawn_limit=args.respawn_limit,
         wm_backend=args.wm_backend,
-        sanitize_races=args.sanitize_races,
         flight_recorder=not args.no_flight_recorder,
         blackbox_path=args.blackbox or (args.program + ".blackbox"),
     )
@@ -772,7 +767,7 @@ def _cmd_blackbox(args: argparse.Namespace) -> int:
                 f"# ... {len(timeline) - args.limit} earlier event(s) "
                 f"omitted (--limit {args.limit})"
             )
-            timeline = timeline[-args.limit:]
+            timeline = timeline[len(timeline) - args.limit:]
         origin = hdr.get("origin_ns", 0)
         for ts, site, rec in timeline:
             who = "engine" if site < 0 else f"site {site}"
@@ -869,6 +864,18 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     return 0
 
 
+def _count(text: str) -> int:
+    """argparse ``type`` of a count flag (``--max-cycles``, ``--top``,
+    ``--limit``): an int >= 0, so a negative one exits 2 naming the flag."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 # One function per subcommand adds its arguments to the parser
 # ``_SUBCOMMANDS`` creates for it.
 
@@ -960,14 +967,7 @@ def _run_arguments(p_run: argparse.ArgumentParser) -> None:
     p_run.add_argument(
         "--interference", choices=("error", "first", "merge"), default="error"
     )
-    p_run.add_argument(
-        "--sanitize-races",
-        action="store_true",
-        help="dynamic race sanitizer: replay each pair of firings in both "
-        "orders on a shadow WM and hard-fail if a pair certified as "
-        "commuting diverges",
-    )
-    p_run.add_argument("--max-cycles", type=int, default=100_000)
+    p_run.add_argument("--max-cycles", type=_count, default=100_000)
     p_run.add_argument("--trace", action="store_true", help="per-cycle trace to stderr")
     p_run.add_argument("--stats", action="store_true", help="match/phase statistics")
     p_run.add_argument(
@@ -1027,7 +1027,7 @@ def _explain_arguments(p_explain: argparse.ArgumentParser) -> None:
     p_explain.add_argument(
         "--wme", required=True, help='pattern like "(path ^src a ^dst d)"'
     )
-    p_explain.add_argument("--max-cycles", type=int, default=100_000)
+    p_explain.add_argument("--max-cycles", type=_count, default=100_000)
     p_explain.add_argument(
         "--json",
         action="store_true",
@@ -1096,9 +1096,9 @@ def _profile_arguments(p_prof: argparse.ArgumentParser) -> None:
         default="dict",
         help="working-memory store (see `run --wm-backend`)",
     )
-    p_prof.add_argument("--max-cycles", type=int, default=100_000)
+    p_prof.add_argument("--max-cycles", type=_count, default=100_000)
     p_prof.add_argument(
-        "--top", type=int, default=10, help="rows in the hot-rule table"
+        "--top", type=_count, default=10, help="rows in the hot-rule table"
     )
     p_prof.add_argument("--trace-out", metavar="PATH")
     p_prof.add_argument("--metrics-out", metavar="PATH")
@@ -1113,7 +1113,7 @@ def _blackbox_arguments(p_bb: argparse.ArgumentParser) -> None:
     p_bb_dump.add_argument("file", help="a *.blackbox dump")
     p_bb_dump.add_argument(
         "--limit",
-        type=int,
+        type=_count,
         default=None,
         metavar="N",
         help="print only the newest N events",

@@ -29,6 +29,7 @@ published description of PARULEL's meta level.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import Counter
 from typing import (
@@ -45,7 +46,7 @@ from typing import (
 )
 
 from repro._record import FrozenRecord, Record
-from repro.errors import CommuteViolationError, CycleLimitExceeded, ExecutionError
+from repro.errors import CycleLimitExceeded, ExecutionError
 from repro.core.actions import ActionEvaluator, HostFunction, InstantiationDelta
 from repro.core.delta import CycleDelta, InterferencePolicy, merge_deltas
 from repro.core.redaction import MetaLevel, RedactionReport
@@ -61,7 +62,6 @@ from repro.obs.profile import (
     RULE_EVAL_SECONDS,
     RULE_FIRINGS,
     RULE_REDACTIONS,
-    SANITIZER_REPLAYS,
 )
 from repro.obs.trace import NULL_TRACER, PhaseSpan
 from repro.wm.memory import WorkingMemory
@@ -92,22 +92,15 @@ class EngineConfig(FrozenRecord):
     """
 
     __slots__ = (
-        "matcher", "indexed_match", "interference", "dedupe_makes",
+        "matcher", "interference", "dedupe_makes",
         "max_cycles", "max_meta_cycles", "track_provenance",
         "matcher_timeout", "respawn_limit", "fault_plan", "wm_backend",
-        "sanitize_races", "flight_recorder", "blackbox_path",
-        "flight_capacity",
+        "flight_recorder", "blackbox_path", "flight_capacity",
     )
 
     def __init__(
         self,
         matcher: str = "treat",
-        #: Hash-indexed join kernel (bucket probes + join planning) for the
-        #: serial enumerator-based matchers and the meta level; ``False`` is
-        #: the nested-loop reference the differential tests, Figure 3 and
-        #: Ablation A7 compare against (an error with ``matcher="process"``).
-        #: Semantics are identical either way.
-        indexed_match: bool = True,
         interference: InterferencePolicy = InterferencePolicy.ERROR,
         dedupe_makes: bool = True,
         max_cycles: int = 100_000,
@@ -128,13 +121,6 @@ class EngineConfig(FrozenRecord):
         #: shared-memory columns the process backend attaches instead of
         #: receiving pickled deltas). Semantics are identical either way.
         wm_backend: str = "dict",
-        #: Runtime race sanitizer: after evaluating each cycle's firing set,
-        #: replay every fired pair in both orders on a shadow of the deltas and
-        #: raise :class:`~repro.errors.CommuteViolationError` if a pair the
-        #: analysis certified as COMMUTES diverges. A dynamic cross-check of
-        #: the static verdicts; replays are counted via
-        #: ``parulel_sanitizer_replays_total``.
-        sanitize_races: bool = False,
         #: Always-on black-box flight recorder (:mod:`repro.obs.flightrec`):
         #: bounded shared-memory event rings written by the engine and every
         #: match worker, dumped to a ``*.blackbox`` post-mortem file on any
@@ -148,13 +134,13 @@ class EngineConfig(FrozenRecord):
         flight_capacity: int = 4096,
     ) -> None:
         self._set(
-            matcher, indexed_match, InterferencePolicy.of(interference),
+            matcher, InterferencePolicy.of(interference),
             dedupe_makes, max_cycles, max_meta_cycles, track_provenance,
             matcher_timeout, respawn_limit, fault_plan, wm_backend,
-            sanitize_races, flight_recorder, blackbox_path, flight_capacity,
+            flight_recorder, blackbox_path, flight_capacity,
         )
-        if matcher_timeout is not None and matcher_timeout <= 0:
-            raise ValueError("matcher_timeout must be > 0 seconds")
+        if matcher_timeout is not None and not 0 < matcher_timeout < math.inf:
+            raise ValueError("matcher_timeout must be a finite number > 0 seconds")
         if respawn_limit is not None and respawn_limit < 0:
             raise ValueError("respawn_limit must be >= 0 (None for unlimited)")
         if wm_backend not in ("dict", "columnar"):
@@ -303,7 +289,6 @@ class ParulelEngine:
         #: default-on feature that touches multiprocessing.shared_memory.
         self.flightrec = None
         self._fr = None  # the flightrec module (event-kind constants)
-        self._replay_count = 0
         if self.config.flight_recorder:
             from repro.obs import flightrec as _fr
 
@@ -320,7 +305,6 @@ class ParulelEngine:
             self.config.matcher,
             program.rules,
             self.wm,
-            indexed=self.config.indexed_match,
             **matcher_options,
         )
         self.meta = MetaLevel(
@@ -328,7 +312,6 @@ class ParulelEngine:
             self.wm,
             self.evaluator,
             max_meta_cycles=self.config.max_meta_cycles,
-            indexed=self.config.indexed_match,
         )
         self.trace = trace
         self.provenance: Optional[ProvenanceTracker] = None
@@ -336,21 +319,6 @@ class ParulelEngine:
             from repro.core.provenance import ProvenanceTracker
 
             self.provenance = ProvenanceTracker()
-        #: Race-sanitizer state (built only under ``sanitize_races`` — the
-        #: analysis package is never imported otherwise).
-        self._commute_index = None
-        self._pair_replayer = None
-        if self.config.sanitize_races:
-            from repro.analysis.commute import CommuteIndex
-            from repro.core.sanitize import PairReplayer
-
-            self._commute_index = CommuteIndex(program)
-            self._pair_replayer = PairReplayer(
-                dedupe_makes=self.config.dedupe_makes,
-                on_replay=(
-                    self._note_replay if self.flightrec is not None else None
-                ),
-            )
         #: Last-seen matcher op totals, for per-cycle MATCH_OPS deltas.
         self._last_match_ops: Counter = Counter()
         #: Rule name -> position in the program: the major key of the
@@ -409,8 +377,8 @@ class ParulelEngine:
         but the meta level vetoes all of them and working memory cannot
         change.
 
-        Any exception escaping the cycle (interference, a commute
-        violation, checkpoint corruption in a trace callback, ...) first
+        Any exception escaping the cycle (interference, an action error,
+        checkpoint corruption in a trace callback, ...) first
         triggers a black-box dump, then propagates unchanged.
         """
         try:
@@ -513,9 +481,6 @@ class ParulelEngine:
                     self.fired_log.append(inst.key)
                     deltas.append(self.evaluator.evaluate(inst))
 
-        if self.config.sanitize_races and len(deltas) > 1:
-            self._sanitize_races(deltas)
-
         with self._phase("merge", "apply", cycle=cycle_no, deltas=len(deltas)):
             merged = merge_deltas(
                 deltas,
@@ -578,11 +543,6 @@ class ParulelEngine:
         exactly once — whatever branch of the cycle produced it."""
         flightrec = self.flightrec
         if flightrec is not None:
-            if self._replay_count:
-                flightrec.record(
-                    self._fr.EV_REPLAY, report.cycle, a=self._replay_count
-                )
-                self._replay_count = 0
             flightrec.record(
                 self._fr.EV_CYCLE,
                 report.cycle,
@@ -633,37 +593,6 @@ class ParulelEngine:
                 if delta:
                     metrics.inc(MATCH_OPS, delta, op=op)
             self._last_match_ops = snap
-
-    def _sanitize_races(self, deltas: Sequence[InstantiationDelta]) -> None:
-        """Replay every fired pair in both orders and hard-fail when a pair
-        the analysis certified as commuting diverges — a dynamic
-        cross-check of the static verdicts (``--sanitize-races``)."""
-        index, replayer = self._commute_index, self._pair_replayer
-        assert index is not None and replayer is not None
-        metrics = self.metrics
-        for i, da in enumerate(deltas):
-            for db in deltas[i + 1 :]:
-                if metrics.enabled:
-                    metrics.inc(SANITIZER_REPLAYS)
-                if replayer.replay((da, db)) == replayer.replay((db, da)):
-                    continue
-                a, b = da.inst, db.inst
-                if index.statically_commutes(a.rule.name, b.rule.name):
-                    if self.flightrec is not None:
-                        self.flightrec.record(
-                            self._fr.EV_RACE,
-                            self._cycle,
-                            code=self.flightrec.rule_id(a.rule.name),
-                            a=self.flightrec.rule_id(b.rule.name),
-                        )
-                    raise CommuteViolationError(
-                        f"race sanitizer: rules {a.rule.name!r} and "
-                        f"{b.rule.name!r} were certified as commuting but "
-                        f"their firings diverge under reordering in cycle "
-                        f"{self._cycle}",
-                        rules=(a.rule.name, b.rule.name),
-                        cycle=self._cycle,
-                    )
 
     def _drain_matcher_faults(self) -> List[FaultEvent]:
         """Collect fault/recovery events the match backend accumulated
@@ -777,11 +706,6 @@ class ParulelEngine:
                 return "redaction-quiescence"
 
     # -- black box -------------------------------------------------------------
-
-    def _note_replay(self) -> None:
-        """PairReplayer hook: counted per cycle, flushed by :meth:`_emit`
-        as one ``EV_REPLAY`` record instead of flooding the ring."""
-        self._replay_count += 1
 
     def dump_blackbox(self, path: Optional[str] = None, reason: str = "manual") -> Optional[str]:
         """Write a ``*.blackbox`` post-mortem dump of every flight ring

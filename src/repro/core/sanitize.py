@@ -1,5 +1,5 @@
-"""Sequential pair replay — the semantic core shared by the commute
-analysis and the runtime race sanitizer.
+"""Sequential pair replay — how the commute analysis builds its PA007/PA008
+witnesses, and how the tests audit its COMMUTES verdicts on real runs.
 
 PARULEL evaluates every surviving instantiation against the *pre-firing*
 snapshot and merges the deltas atomically, so "do these two firings
@@ -100,18 +100,13 @@ def evaluate_delta_pure(inst: Instantiation) -> Optional[InstantiationDelta]:
 class PairReplayer:
     """Replays instantiation-delta sequences under sequential semantics.
 
-    One instance per engine/analysis run; it caches plan-free compiled
-    rules (for negated-CE re-checking) and carries the engine's
+    One instance per analysis run; it caches plan-free compiled rules
+    (for negated-CE re-checking) and carries the engine's
     ``dedupe_makes`` setting so replays mirror the real merge.
-
-    ``on_replay`` (when given) is invoked once per :meth:`replay` call —
-    the engine wires it to its flight recorder so shadow-replay volume
-    shows up in post-mortem timelines.
     """
 
-    def __init__(self, dedupe_makes: bool = True, on_replay=None) -> None:
+    def __init__(self, dedupe_makes: bool = True) -> None:
         self.dedupe_makes = dedupe_makes
-        self.on_replay = on_replay
         self._compiled: Dict[int, CompiledRule] = {}
 
     def _compiled_rule(self, rule: Rule) -> CompiledRule:
@@ -162,8 +157,6 @@ class PairReplayer:
         validity-checked against the accumulated effects and skipped
         whole when invalidated.
         """
-        if self.on_replay is not None:
-            self.on_replay()
         removed: Set[WME] = set()
         added: Counter = Counter()
         added_contents: List[Tuple[str, Dict[str, Value]]] = []

@@ -112,23 +112,6 @@ class InterferenceError(ExecutionError):
         self.rules = tuple(rules)
 
 
-class CommuteViolationError(ExecutionError):
-    """Raised by the runtime race sanitizer (``--sanitize-races``) when a
-    fired pair whose rules the commute analysis certified as COMMUTES
-    produces divergent working-memory deltas under the two firing orders.
-
-    This never fires for honest programs: it means the static certificate
-    is unsound, which is exactly the bug class the sanitizer exists to
-    catch before it can corrupt results silently.
-    Carries the two ``rules`` and the ``cycle`` the divergence occurred on.
-    """
-
-    def __init__(self, message: str, rules=(), cycle: int = 0) -> None:
-        super().__init__(message)
-        self.rules = tuple(rules)
-        self.cycle = cycle
-
-
 class CycleLimitExceeded(ExecutionError):
     """Raised when an engine exceeds its configured maximum cycle count,
     usually indicating a non-terminating rule program.

@@ -117,7 +117,6 @@ def create_matcher(
     tracer=None,
     metrics=None,
     flightrec=None,
-    indexed: bool = True,
 ) -> Matcher:
     """Instantiate a match engine by name (``rete``, ``treat``, ``naive`` or
     ``process``/``process:N`` for the multiprocessing fan-out).
@@ -129,11 +128,10 @@ def create_matcher(
     engine is an error rather than a silent no-op. Nothing places rules
     on workers: every worker matches its share of every rule.
 
-    ``indexed=False`` selects the nested-loop reference kernel for the
-    serial enumerator-based engines (the comparand of the differential
-    tests and the indexing tables); RETE, whose beta network is always
-    hash-joined, accepts and ignores it. The ``process`` backend is always
-    indexed, so there it is an error too.
+    Every engine built here uses the hash-indexed join kernel; the
+    nested-loop reference is built directly, as ``TreatMatcher(rules, wm,
+    indexed=False)`` (or ``NaiveMatcher``), by the tests and figures that
+    compare against it.
 
     ``tracer`` / ``metrics`` / ``flightrec`` (:mod:`repro.obs`) are
     cross-cutting and accepted for every backend: the process pool uses
@@ -144,11 +142,6 @@ def create_matcher(
     knobs they are not an error elsewhere.
     """
     if engine == "process" or engine.startswith("process:"):
-        if not indexed:
-            raise ValueError(
-                f"indexed=False (the nested-loop reference kernel) only "
-                f"applies to the serial engines, not {engine!r}"
-            )
         from repro.parallel.process import DEFAULT_TIMEOUT, ProcessMatcher
 
         n_workers = None
@@ -192,4 +185,4 @@ def create_matcher(
         raise ValueError(
             f"unknown match engine {engine!r} (choose from {MATCHER_NAMES})"
         )
-    return cls(rules, wm, indexed=indexed)
+    return cls(rules, wm)

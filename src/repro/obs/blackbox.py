@@ -39,9 +39,7 @@ from repro.obs.flightrec import (
     EV_MATCH_REPLY,
     EV_MATCH_REQ,
     EV_PHASE,
-    EV_RACE,
     EV_REDACT,
-    EV_REPLAY,
     EV_RULE_BEGIN,
     EV_RULE_END,
     EV_VECTOR_SCAN,
@@ -137,10 +135,6 @@ class Blackbox:
             return f"checkpoint ({'full' if code == 0 else 'delta'})"
         if kind == EV_FAULT:
             return f"fault {self.string(code)} site={a}"
-        if kind == EV_RACE:
-            return f"race {self.rule_name(code)} vs {self.rule_name(a)}"
-        if kind == EV_REPLAY:
-            return f"sanitizer replayed {a} pair(s)"
         if kind == EV_HALT:
             return "halt"
         if kind == EV_DUMP:

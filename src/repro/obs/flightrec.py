@@ -65,9 +65,7 @@ __all__ = [
     "EV_MATCH_REPLY",
     "EV_MATCH_REQ",
     "EV_PHASE",
-    "EV_RACE",
     "EV_REDACT",
-    "EV_REPLAY",
     "EV_RULE_BEGIN",
     "EV_RULE_END",
     "EV_WORKER_EXIT",
@@ -115,8 +113,9 @@ EV_REDACT = 4  # redaction verdict: a=candidates, b=redacted
 EV_CHURN = 5  # conflict-set churn: a=instantiations, b=candidates
 EV_CHECKPOINT = 6  # checkpoint written: code 0=full, 1=delta
 EV_FAULT = 7  # fault / recovery event: code=interned kind, a=site
-EV_RACE = 8  # commutativity race: code=rule id, a=other rule id
-EV_REPLAY = 9  # sanitizer shadow replay: a=pairs replayed
+# Kinds 8 and 9 are retired, not free: dumps written before the runtime
+# race sanitizer was removed hold them, and they decode as ``kind#8`` /
+# ``kind#9``. Never reuse them.
 EV_HALT = 10  # engine halted
 EV_DUMP = 11  # blackbox dump about to be written: code=interned reason
 EV_WORKER_START = 20  # worker process up: a=pid
@@ -136,8 +135,6 @@ KIND_NAMES: Dict[int, str] = {
     EV_CHURN: "churn",
     EV_CHECKPOINT: "checkpoint",
     EV_FAULT: "fault",
-    EV_RACE: "race",
-    EV_REPLAY: "replay",
     EV_HALT: "halt",
     EV_DUMP: "dump",
     EV_WORKER_START: "worker-start",

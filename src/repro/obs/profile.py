@@ -49,9 +49,6 @@ RULE_MATCH_SECONDS = "parulel_rule_match_seconds"
 #: :data:`repro.match.stats.COUNTER_NAMES` entry), exported by the engine
 #: as per-cycle deltas of the matcher's MatchStats totals.
 MATCH_OPS = "parulel_match_ops_total"
-#: Fired pairs the runtime race sanitizer replayed in both orders
-#: (``EngineConfig.sanitize_races``).
-SANITIZER_REPLAYS = "parulel_sanitizer_replays_total"
 #: Rows the vectorized probe kernel scanned column-natively (``site``
 #: label), and probes that left the packed-key path for decoded
 #: comparison — the scan-vs-decode attribution the skew reports read.

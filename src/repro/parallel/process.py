@@ -83,6 +83,7 @@ explicit worker count) like any other backend.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import pickle
@@ -540,8 +541,8 @@ class ProcessMatchPool:
         # that dies between request and reply would hang the parent.
         if timeout is None:
             timeout = DEFAULT_TIMEOUT
-        if timeout <= 0:
-            raise ValueError("timeout must be > 0 seconds")
+        if not 0 < timeout < math.inf:
+            raise ValueError("timeout must be a finite number > 0 seconds")
         if respawn_limit is not None and respawn_limit < 0:
             raise ValueError("respawn_limit must be >= 0 (None for unlimited)")
         self.tracer = tracer if tracer is not None else NULL_TRACER

@@ -5,10 +5,10 @@ Seeded ``random.Random`` program generation (same idiom as
 coverage floor is explicit): across 60 random rule programs with
 write-heavy actions,
 
-1. the race sanitizer replays every fired pair in both orders — a
-   statically-COMMUTES pair whose firings diverge raises
-   ``CommuteViolationError``, so a clean run *is* the proof audit; and
-2. the sanitized run must be byte-identical — same cycles, firings and
+1. the audit (:mod:`tests.core.commute_audit`) replays every fired pair
+   in both orders — a statically-COMMUTES pair whose firings diverge
+   raises ``CommuteViolation``, so a clean run *is* the proof audit; and
+2. the audited run must be byte-identical — same cycles, firings and
    final working memory records — to the plain engine.
 """
 
@@ -20,6 +20,8 @@ from repro.analysis.commute import Verdict, commute_matrix
 from repro.core import EngineConfig, ParulelEngine
 from repro.errors import CycleLimitExceeded
 from repro.lang.builder import ProgramBuilder, v
+
+from tests.core.commute_audit import CommuteAudit
 
 CLASSES = ["a", "b", "c"]
 ATTRS = ["k", "m"]
@@ -80,16 +82,16 @@ def _seed_facts(rng, engine):
         )
 
 
-def _run(program, rng_seed, **config):
-    engine = ParulelEngine(
-        program, EngineConfig(interference="merge", **config)
-    )
+def _run(program, rng_seed, audited=False):
+    engine = ParulelEngine(program, EngineConfig(interference="merge"))
+    if audited:
+        CommuteAudit(engine)
     _seed_facts(random.Random(rng_seed), engine)
     try:
         result = engine.run(max_cycles=40)
     except CycleLimitExceeded as exc:
         # Non-terminating seeds are fine: a truncated run still detects
-        # any divergence between the plain and sanitized engines.
+        # any divergence between the plain and audited engines.
         result = exc.partial
     return (
         result.cycles,
@@ -99,7 +101,7 @@ def _run(program, rng_seed, **config):
     )
 
 
-class TestCommutesVerdictsSurviveSanitizer:
+class TestCommutesVerdictsSurviveTheAudit:
     @pytest.mark.parametrize("seed", range(N_PROGRAMS))
     def test_differential(self, seed):
         rng = random.Random(7000 + seed)
@@ -108,12 +110,12 @@ class TestCommutesVerdictsSurviveSanitizer:
         summary = commute_matrix(program, name=f"seed{seed}")
         assert len(summary.pairs) > 0
 
-        # A clean sanitized run audits every COMMUTES claim dynamically:
-        # a diverging certified pair would raise CommuteViolationError.
+        # A clean audited run checks every COMMUTES claim dynamically:
+        # a diverging certified pair would raise CommuteViolation.
         base = _run(program, rng_seed=seed)
-        sanitized = _run(program, rng_seed=seed, sanitize_races=True)
-        assert sanitized == base, (
-            f"seed {seed}: sanitized run diverged "
+        audited = _run(program, rng_seed=seed, audited=True)
+        assert audited == base, (
+            f"seed {seed}: audited run diverged "
             f"(verdicts: {summary.counts})"
         )
 

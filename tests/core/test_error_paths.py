@@ -94,6 +94,13 @@ class TestEngineEdges:
         with pytest.raises(ValueError):
             EngineConfig(interference="panic")
 
+    @pytest.mark.parametrize("timeout", [0, -1.0, float("nan"), float("inf")])
+    def test_matcher_timeout_must_be_finite_and_positive(self, timeout):
+        # A NaN or infinite reply deadline never expires: a wedged worker
+        # would hang the parent.
+        with pytest.raises(ValueError, match="finite number > 0"):
+            EngineConfig(matcher="process:2", matcher_timeout=timeout)
+
 
 class TestSubstrateLimits:
     LOOP = """

@@ -10,6 +10,7 @@ from repro.match.instantiation import Instantiation
 from repro.programs import REGISTRY, build_manners
 from repro.wm.wme import WME
 from tests.core.meta_oracle import redact_only, use_oracle
+from tests.nested_loop import nested_loop_engine
 
 
 class TestReification:
@@ -300,8 +301,8 @@ class TestRedactOnlyMetaRules:
     def _program(self, lhs, rhs):
         return parse_program(f"{self.OBJECT}(mp arbitrate {lhs} --> {rhs})")
 
-    def _step(self, lhs, rhs, oracle=None, **config):
-        engine = ParulelEngine(self._program(lhs, rhs), EngineConfig(**config))
+    def _step(self, lhs, rhs, oracle=None, build=ParulelEngine):
+        engine = build(self._program(lhs, rhs), EngineConfig())
         if oracle is not None:
             use_oracle(engine, oracle)
         noted = []
@@ -325,7 +326,7 @@ class TestRedactOnlyMetaRules:
         got = self._step(lhs, rhs)
         assert got[0][3] == firings
         assert got == self._step(lhs, rhs, oracle="naive")
-        assert got == self._step(lhs, rhs, indexed_match=False)
+        assert got == self._step(lhs, rhs, build=nested_loop_engine)
         rule = self._program(lhs, rhs).meta_rules[0]
         assert redact_only(rule) is redact_only_rule
 
@@ -353,9 +354,8 @@ class TestRedactOnlyMetaRules:
         """
         outcomes = []
         for oracle in (None, "naive", "rete"):
-            engine = ParulelEngine(
-                parse_program(src), EngineConfig(indexed_match=indexed)
-            )
+            build = ParulelEngine if indexed else nested_loop_engine
+            engine = build(parse_program(src), EngineConfig())
             if oracle is not None:
                 use_oracle(engine, oracle)
             for rank in (3, 1, 5, 2, 4):

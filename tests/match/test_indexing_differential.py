@@ -22,9 +22,13 @@ from repro.match.compile import compile_rule
 from repro.match.instantiation import ConflictSet
 from repro.match.interface import create_matcher
 from repro.match.join import enumerate_matches, project_matches
+from repro.match.naive import NaiveMatcher
 from repro.match.stats import MatchStats
+from repro.match.treat import TreatMatcher
 from repro.programs import REGISTRY
 from repro.wm.memory import WorkingMemory
+
+from tests.nested_loop import SERIAL_MATCHERS, nested_loop_engine
 
 CLASSES = ["a", "b", "c"]
 ATTRS = ["k", "m"]
@@ -95,8 +99,8 @@ class TestIndexedVersusNestedLoop:
         wm = WorkingMemory()
         pairs = {
             name: (
-                create_matcher(name, program.rules, wm, indexed=True),
-                create_matcher(name, program.rules, wm, indexed=False),
+                create_matcher(name, program.rules, wm),
+                SERIAL_MATCHERS[name](program.rules, wm, indexed=False),
             )
             for name in ("treat", "naive")
         }
@@ -182,9 +186,9 @@ class TestBatchedTreatVersusNaive:
         wm = WorkingMemory()
         for _ in range(rng.randint(0, 6)):  # attach to a populated memory
             wm.make(rng.choice(["a", "b", "n"]), k=_mixed(rng), m=_mixed(rng))
-        treat = create_matcher("treat", program.rules, wm, indexed=True)
-        scan = create_matcher("treat", program.rules, wm, indexed=False)
-        naive = create_matcher("naive", program.rules, wm, indexed=False)
+        treat = create_matcher("treat", program.rules, wm)
+        scan = TreatMatcher(program.rules, wm, indexed=False)
+        naive = NaiveMatcher(program.rules, wm, indexed=False)
         live = list(wm)
         for cycle in range(12):
             for _ in range(rng.randint(1, 6)):
@@ -348,10 +352,8 @@ class TestWholeRunEquivalence:
     def test_final_wm_identical(self, workload, matcher):
         def run(indexed):
             wl = REGISTRY[workload]()
-            engine = ParulelEngine(
-                wl.program,
-                EngineConfig(matcher=matcher, indexed_match=indexed),
-            )
+            build = ParulelEngine if indexed else nested_loop_engine
+            engine = build(wl.program, EngineConfig(matcher=matcher))
             wl.setup(engine)
             result = engine.run(max_cycles=5000)
             return result, engine.wm.dump_records(), wl.verify(engine.wm)

@@ -12,7 +12,7 @@ from repro.lang.builder import ProgramBuilder, v
 from repro.match.interface import create_matcher
 from repro.wm.memory import WorkingMemory
 
-SERIAL_MATCHERS = ["rete", "rete-shared", "treat", "naive"]
+from tests.nested_loop import SERIAL_MATCHERS
 
 
 def _program():
@@ -33,12 +33,12 @@ def _churn(wm):
 
 
 class TestAlphaTestAttribution:
-    @pytest.mark.parametrize("name", SERIAL_MATCHERS)
+    @pytest.mark.parametrize("name", list(SERIAL_MATCHERS))
     @pytest.mark.parametrize("indexed", [True, False])
     def test_alpha_tests_never_rule_attributed(self, name, indexed):
         program = _program()
         wm = WorkingMemory()
-        matcher = create_matcher(name, program.rules, wm, indexed=indexed)
+        matcher = SERIAL_MATCHERS[name](program.rules, wm, indexed=indexed)
         _churn(wm)
         matcher.instantiations()  # force lazy matchers to do the work
         stats = matcher.stats
@@ -55,7 +55,7 @@ class TestAlphaTestAttribution:
             f"{offenders}"
         )
 
-    @pytest.mark.parametrize("name", SERIAL_MATCHERS)
+    @pytest.mark.parametrize("name", list(SERIAL_MATCHERS))
     def test_join_work_is_rule_attributed(self, name):
         """The per-rule channel itself still works: join-level counters do
         land in per-rule buckets."""

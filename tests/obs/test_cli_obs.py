@@ -1,11 +1,13 @@
 """CLI observability: --trace-out/--metrics-out and `parulel profile`."""
 
 import json
+import os
 
 import pytest
 
 from repro.cli import main
 from repro.obs import validate_chrome_trace
+from repro.obs.flightrec import EV_CYCLE, FlightRecorder
 
 TC_SRC = """\
 (literalize edge src dst)
@@ -260,6 +262,58 @@ class TestBlackboxCommand:
         assert "earlier event(s) omitted" in out
         body = [l for l in out.splitlines() if not l.startswith("#")]
         assert len(body) == 3
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["blackbox", "dump", "{dump}", "--limit", "0"], None),
+            (["blackbox", "dump", "{dump}", "--limit", "-1"], "--limit"),
+            (["profile", "{program}", "--top", "-1"], "--top"),
+            (["run", "{program}", "--max-cycles", "-1"], "--max-cycles"),
+            (["explain", "{program}", "--max-cycles", "-1"], "--max-cycles"),
+        ],
+        ids=[
+            "limit-0", "limit-negative", "top-negative", "run-max-cycles-negative",
+            "explain-max-cycles-negative",
+        ],
+    )
+    def test_count_flags(self, argv, flag, dump_path, program_files, capsys):
+        """``--limit 0`` prints no event; a negative count exits 2 naming
+        its flag, before the command does anything."""
+        program, _facts = program_files
+        argv = [a.format(dump=dump_path, program=program) for a in argv]
+        capsys.readouterr()
+        if flag is None:
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            assert "earlier event(s) omitted (--limit 0)" in out
+            assert [l for l in out.splitlines() if not l.startswith("#")] == []
+            return
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be >= 0, got -1" in capsys.readouterr().err
+        assert not os.path.exists(program + ".blackbox")
+
+    @pytest.mark.parametrize("command", ["dump", "report"])
+    def test_retired_kinds_still_decode(self, tmp_path, capsys, command):
+        """Kinds 8 (race) and 9 (sanitizer replay) are retired: dumps that
+        hold them still render, through the generic ``kind#N`` line."""
+        recorder = FlightRecorder(["r0", "r1"], capacity=16)
+        try:
+            recorder.record(8, 1, code=0, a=1)
+            recorder.record(9, 1, a=3)
+            recorder.record(EV_CYCLE, 1, a=2, b=2)
+            path = recorder.dump(str(tmp_path / "old.blackbox"), reason="old")
+        finally:
+            recorder.close()
+        capsys.readouterr()
+        assert main(["blackbox", command, path]) == 0
+        out = capsys.readouterr().out
+        if command == "dump":
+            assert "kind#8 code=0 a=1 b=0" in out
+            assert "kind#9 code=0 a=3 b=0" in out
+            assert "cycle 1 done: fired=2 conflict_set=2" in out
 
     def test_report_phases_and_rules(self, dump_path, tmp_path, capsys):
         capsys.readouterr()

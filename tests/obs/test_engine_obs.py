@@ -146,27 +146,6 @@ class TestEngineMetrics:
         assert profile.redacted == redacted
         assert profile.fired == result.firings
 
-    def test_sanitizer_counts_pair_replays(self):
-        from repro.obs.profile import SANITIZER_REPLAYS
-
-        metrics = MetricsRegistry()
-        engine, _result = run_tc(metrics=metrics, sanitize_races=True)
-        replays = metrics.counter_value(SANITIZER_REPLAYS)
-        # tc fires multi-instantiation sets: every unordered pair of a
-        # cycle's firings is replayed exactly once.
-        expected = sum(
-            r.fired * (r.fired - 1) // 2 for r in engine.reports
-        )
-        assert replays == expected
-        assert replays > 0
-
-    def test_new_counters_absent_when_features_off(self):
-        from repro.obs.profile import SANITIZER_REPLAYS
-
-        metrics = MetricsRegistry()
-        run_tc(metrics=metrics)
-        assert metrics.counter_value(SANITIZER_REPLAYS) == 0
-
 
 #: REDACT_SRC plus a rule the meta level vetoes *every* cycle, so the run
 #: ends in redaction quiescence (candidates exist, all redacted, WM

@@ -407,22 +407,16 @@ class TestProcessMatcher:
             create_matcher("treat", prog.rules, WorkingMemory(), **knob)
 
     @pytest.mark.parametrize(
-        "knob", [{"timeout": 0}, {"timeout": -1.0}, {"respawn_limit": -1}]
+        "knob",
+        [
+            {"timeout": 0}, {"timeout": -1.0}, {"timeout": float("nan")},
+            {"timeout": float("inf")}, {"respawn_limit": -1},
+        ],
     )
     def test_bad_pool_knobs_rejected_before_any_spawn(self, knob):
         prog = parse_program(SRC)
         with pytest.raises(ValueError, match="must be"):
             ProcessMatchPool(prog.rules, WorkingMemory(), 2, **knob)
-
-    def test_nested_loop_reference_kernel_rejected(self):
-        """Workers are always indexed: asking for the serial reference
-        kernel fails before any process is spawned, through
-        ``create_matcher`` and through the engine config alike."""
-        prog = parse_program(SRC)
-        with pytest.raises(ValueError, match="indexed=False"):
-            create_matcher("process:2", prog.rules, WorkingMemory(), indexed=False)
-        with pytest.raises(ValueError, match="indexed=False"):
-            ParulelEngine(prog, EngineConfig(matcher="process:2", indexed_match=False))
 
     def test_default_worker_count_bounds(self):
         assert 1 <= default_worker_count() <= 4

@@ -392,6 +392,13 @@ class TestRobustnessOptions:
         assert rc == 2
         assert "--matcher-timeout must be > 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("timeout", ["nan", "inf"])
+    def test_matcher_timeout_rejects_non_finite(self, counter_file, capsys, timeout):
+        rc = main(["run", counter_file, "--matcher", "process",
+                   "--matcher-timeout", timeout])
+        assert rc == 2
+        assert "--matcher-timeout must be > 0" in capsys.readouterr().err
+
     def test_respawn_limit_rejects_negative(self, counter_file, capsys):
         rc = main(["run", counter_file, "--matcher", "process",
                    "--respawn-limit", "-1"])

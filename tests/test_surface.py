@@ -25,7 +25,7 @@ CLI = {
         "--matcher-timeout", "--respawn-limit", "--wm-backend",
         "--checkpoint-every", "--checkpoint", "--checkpoint-keep",
         "--checkpoint-full-every", "--resume", "--strategy", "--interference",
-        "--sanitize-races", "--max-cycles", "--trace", "--stats",
+        "--max-cycles", "--trace", "--stats",
         "--dump-wm", "--trace-out", "--metrics-out", "--no-flight-recorder",
         "--blackbox",
     ],
@@ -49,16 +49,15 @@ CLI = {
 }
 
 ENGINE_CONFIG = [
-    "matcher", "indexed_match", "interference", "dedupe_makes", "max_cycles",
+    "matcher", "interference", "dedupe_makes", "max_cycles",
     "max_meta_cycles", "track_provenance", "matcher_timeout", "respawn_limit",
-    "fault_plan", "wm_backend",
-    "sanitize_races", "flight_recorder", "blackbox_path",
+    "fault_plan", "wm_backend", "flight_recorder", "blackbox_path",
     "flight_capacity",
 ]
 
 CREATE_MATCHER = [
     "timeout", "respawn_limit", "fault_plan",
-    "tracer", "metrics", "flightrec", "indexed",
+    "tracer", "metrics", "flightrec",
 ]
 
 #: The ``repro`` modules ``import repro.cli`` loads: what a default ``run``
@@ -124,7 +123,7 @@ def _walk(parser, prefix=""):
 
 def test_cli_arguments_are_exactly_the_listed_ones():
     assert _walk(build_parser()) == CLI
-    assert sum(len(args) for args in CLI.values()) == 60
+    assert sum(len(args) for args in CLI.values()) == 59
 
 
 def test_the_default_matcher_is_treat_wherever_one_is_defaulted():
@@ -148,7 +147,7 @@ def test_engine_config_fields_are_exactly_the_listed_ones():
     parameters = inspect.signature(EngineConfig).parameters
     assert list(parameters) == ENGINE_CONFIG
     assert list(EngineConfig._fields) == ENGINE_CONFIG  # the blackbox header's keys
-    assert len(ENGINE_CONFIG) == 15
+    assert len(ENGINE_CONFIG) == 13
 
 
 def test_create_matcher_keywords_are_exactly_the_listed_ones():
@@ -158,7 +157,7 @@ def test_create_matcher_keywords_are_exactly_the_listed_ones():
         if p.kind is p.KEYWORD_ONLY
     ]
     assert keywords == CREATE_MATCHER
-    assert len(CREATE_MATCHER) == 7
+    assert len(CREATE_MATCHER) == 6
 
 
 def test_importing_the_cli_loads_exactly_the_listed_modules():
