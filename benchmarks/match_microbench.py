@@ -3,11 +3,15 @@
 Runs the registry workloads that exercise heavy joins (tc, manners, waltz,
 sort) through full engine runs with the hash-indexed join kernel on and off, and
 records the *deterministic* match-work counters (``join_probes`` +
-``join_checks``). The ``manners/meta`` row is the meta level's own join:
-``join_probes`` + witnesses, indexed and not — manners' meta-rules are all
-redact-only, so they run in the join kernel's existence mode, which counts
-the candidates it tested as ``join_probes`` and each distinct instantiation
-it found redactable (its witnesses) under ``instantiations``. Because the
+``join_checks``). The ``*/meta`` rows are the meta level's own join:
+``join_probes`` + witnesses, indexed and not. Manners' and routing's
+meta-rules all redact the greater of two instantiations on one ordered
+attribute, so indexed they are answered from a per-group extremum, which
+counts every reification it reads as a ``join_probes`` and each distinct
+instantiation it found redactable (its witnesses) under
+``instantiations``; the nested-loop reference walks the join kernel's
+existence mode, with the same meaning for both counters. Manners orders
+symbols and ints, routing numeric costs. Because the
 engines are deterministic, these counters are byte-stable across machines
 — unlike wall-clock, which is printed for context but never gates.
 
@@ -54,6 +58,7 @@ SCENARIOS = (
     ("manners", "treat"),
     ("manners", "naive"),
     ("manners", "meta"),
+    ("routing", "meta"),
     ("waltz", "treat"),
     # sort's ``swap`` pins a CE the plan cannot visit first: the row that
     # catches a |partials| x |batch| join of a late-pinned batch.

@@ -28,10 +28,18 @@ must not fire. This module implements that level:
    memories: the full enumeration, or — for a meta-rule that only redacts
    ids bound by ``^id`` of one ``instantiation`` CE, which needs the set of
    that CE's matched WMEs and not the ⟨i, j⟩ pairs — the kernel's existence
-   mode (:func:`~repro.match.join.project_matches`). Redacting a candidate
-   removes its WME from them, so later meta-cycles see the shrunken
-   conflict set. Meta-rules may also consult ordinary WMEs; those come from
-   one :class:`~repro.match.alphaindex.AlphaCache` attached to the working
+   mode (:func:`~repro.match.join.project_matches`). A redact-only rule
+   that drops the greater (or lesser) of two instantiations agreeing on
+   some attributes — ``=`` pairs, one strict ``<`` or ``>``, at most an
+   ``^id <>`` — skips the kernel: one scan of the partner memory keeps the
+   least (or greatest) ordered value per equality group, then each
+   candidate costs one lookup and one comparison (:class:`_Extremum`).
+   Redacting a candidate removes its WME from the memories when a rule
+   that tests for an absent instantiation is left to re-read them in a
+   later meta-cycle, so it sees the shrunken conflict set; without one,
+   the memories are never read again and keep it. Meta-rules may also
+   consult ordinary WMEs; those come from one
+   :class:`~repro.match.alphaindex.AlphaCache` attached to the working
    memory for the engine's lifetime.
 
    Every candidate still takes one working-memory timestamp, exactly as
@@ -60,7 +68,8 @@ Fixpoint subtleties:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+import operator
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ExecutionError
 from repro.core.actions import ActionEvaluator
@@ -149,6 +158,160 @@ def _projected_ce(compiled: CompiledRule) -> Optional[int]:
             return None
         projected.add(index)
     return projected.pop() if len(projected) == 1 else None
+
+
+class _Extremum:
+    """A redact-only meta-rule answered from one per-group extremum.
+
+    The shape: two positive ``instantiation`` CEs; the second one, the
+    *candidate*, is the one redacted, and its join tests against the first,
+    the *partner*, are ``=`` pairs, exactly one strict ``<`` or ``>``, and
+    at most one ``^id <> <i>`` on the partner's ``^id``. A candidate is then
+    a witness iff some partner in its equality group is ordered below
+    (``>``) or above (``<``) it — iff the group's least (``>``) or greatest
+    (``<``) partner value is. So one scan of the partner memory keeps that
+    extremum per equality-key tuple, and each candidate costs one lookup
+    and one comparison.
+
+    The id test needs no check when both sides of the order read the same
+    attribute: a strict order already makes the two WMEs distinct, and
+    reified ids are unique. Ordered on two different attributes, a WME can
+    be its own partner, which the ``<>`` forbids: that shape qualifies only
+    without it.
+    """
+
+    __slots__ = (
+        "name",
+        "partner_key",
+        "candidate_key",
+        "partner_attrs",
+        "candidate_attrs",
+        "partner_attr",
+        "candidate_attr",
+        "keep",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        partner_key: AlphaKey,
+        candidate_key: AlphaKey,
+        partner_attrs: Tuple[str, ...],
+        candidate_attrs: Tuple[str, ...],
+        partner_attr: str,
+        candidate_attr: str,
+        keep: Callable[[Value, Value], bool],
+    ) -> None:
+        self.name = name
+        #: The phase memories the two CEs read.
+        self.partner_key = partner_key
+        self.candidate_key = candidate_key
+        #: The equality keys, as the partner and the candidate read them.
+        self.partner_attrs = partner_attrs
+        self.candidate_attrs = candidate_attrs
+        #: The ordered attribute, on each side.
+        self.partner_attr = partner_attr
+        self.candidate_attr = candidate_attr
+        #: ``keep(a, b)``: ``a`` is the better bound, so a candidate value
+        #: ``v`` is witnessed by its group's bound iff ``keep(bound, v)``.
+        self.keep = keep
+
+    @classmethod
+    def classify(cls, compiled: CompiledRule, project: int) -> Optional["_Extremum"]:
+        """The shape of ``compiled`` (projected on CE ``project``), or
+        ``None`` when it must walk the join kernel."""
+        ces = compiled.ces
+        # The projected CE is a positive ``instantiation`` one, and the
+        # first CE binds every variable the second one's join tests read.
+        if (
+            len(ces) != 2
+            or project != 1
+            or ces[0].negated
+            or ces[0].class_name != INSTANTIATION_CLASS
+        ):
+            return None
+        binders = compiled.binder_map()
+        keys: List[Tuple[str, str]] = []
+        order: Optional[Tuple[str, str, str]] = None
+        id_distinct = False
+        for attr, op, var in ces[1].join_tests:
+            bound = binders[var][1]
+            if op == "=":
+                keys.append((bound, attr))
+            elif op in ("<", ">") and order is None:
+                order = (bound, op, attr)
+            elif op == "<>" and attr == bound == "id" and not id_distinct:
+                id_distinct = True
+            else:
+                return None
+        if order is None or (id_distinct and order[0] != order[2]):
+            return None
+        partner_attr, op, candidate_attr = order
+        return cls(
+            compiled.name,
+            ces[0].alpha_key,
+            ces[1].alpha_key,
+            tuple(p for p, _c in keys),
+            tuple(c for _p, c in keys),
+            partner_attr,
+            candidate_attr,
+            operator.lt if op == ">" else operator.gt,
+        )
+
+    def witnesses(
+        self,
+        reified: Dict[AlphaKey, IndexedMemory],
+        witnessed: Set[int],
+        stats: MatchStats,
+    ) -> List[WME]:
+        """The candidates not yet in ``witnessed`` that some partner
+        witnesses, in timestamp order; they are added to ``witnessed``.
+        Counters as the join kernel's existence mode: every WME read under
+        ``join_probes``, each candidate lookup under ``hash_probes``, the
+        witnesses under ``instantiations``."""
+        keep = self.keep
+        attrs = self.partner_attrs
+        attr = self.partner_attr
+        # key -> [symbol bound, number bound]: ordering predicates are false
+        # across kinds, so a symbol never witnesses a number.
+        bounds: Dict[Tuple, List[Optional[Value]]] = {}
+        partners = reified[self.partner_key]
+        for wme in partners:
+            get = wme.get
+            value = get(attr)
+            if value != value:  # NaN is ordered against nothing
+                continue
+            kinds = bounds.setdefault(tuple(map(get, attrs)), [None, None])
+            kind = isinstance(value, (int, float))
+            bound = kinds[kind]
+            if bound is None or keep(value, bound):
+                kinds[kind] = value
+        attrs = self.candidate_attrs
+        attr = self.candidate_attr
+        out: List[WME] = []
+        tested = 0
+        # Alpha memories hold their WMEs in timestamp order.
+        for wme in reified[self.candidate_key]:
+            if wme.timestamp in witnessed:
+                continue
+            tested += 1
+            get = wme.get
+            kinds = bounds.get(tuple(map(get, attrs)))
+            if kinds is None:
+                continue
+            value = get(attr)
+            bound = kinds[isinstance(value, (int, float))]
+            if bound is not None and keep(bound, value):
+                witnessed.add(wme.timestamp)
+                out.append(wme)
+        for counter, n in (
+            ("join_probes", len(partners) + tested),
+            ("hash_probes", tested),
+            ("instantiations", len(out)),
+        ):
+            if n:
+                stats.bump(counter, self.name, n)
+        return out
 
 
 class RedactionReport:
@@ -249,12 +412,18 @@ class MetaLevel:
             )
         )
         #: Redact-only meta-rules -> the CE whose matched WMEs they redact;
-        #: these go through the join kernel's existence mode.
+        #: these go through the join kernel's existence mode, unless their
+        #: shape is answered from a per-group extremum (``_extremum``).
         self._projected: Dict[str, int] = {}
+        self._extremum: Dict[str, _Extremum] = {}
         for compiled in self.compiled:
             index = _projected_ce(compiled)
-            if index is not None:
-                self._projected[compiled.name] = index
+            if index is None:
+                continue
+            self._projected[compiled.name] = index
+            shape = _Extremum.classify(compiled, index) if indexed else None
+            if shape is not None:
+                self._extremum[compiled.name] = shape
         #: Object rule name -> (rule, reification template), filled as
         #: rules turn up among the candidates.
         self._templates: Dict[str, Tuple[Rule, Dict[str, Value]]] = {}
@@ -329,9 +498,11 @@ class MetaLevel:
                 # A redact-only rule fires once per WME it is the first to
                 # redact, and needs no refraction: each of them is gone
                 # after this meta-cycle, with every match it was part of.
-                ids_this_cycle.extend(
-                    wme.get("id")
-                    for wme in project_matches(
+                shape = self._extremum.get(compiled.name)
+                if shape is not None:
+                    found = shape.witnesses(reified, witnessed, stats)
+                else:
+                    found = project_matches(
                         compiled,
                         self.wm,
                         project,
@@ -340,7 +511,7 @@ class MetaLevel:
                         indexed=self.indexed,
                         witnessed=witnessed,
                     )
-                )
+                ids_this_cycle.extend(wme.get("id") for wme in found)
             if not ready and not ids_this_cycle:
                 break
             meta_cycles += 1
@@ -359,7 +530,7 @@ class MetaLevel:
                 break
             shrunk = False
             for raw_id in ids_this_cycle:
-                if not isinstance(raw_id, int):
+                if not isinstance(raw_id, int) or isinstance(raw_id, bool):
                     raise ExecutionError(
                         f"(redact {raw_id!r}): redact needs the integer "
                         f"^id of an instantiation"
@@ -372,8 +543,10 @@ class MetaLevel:
                         f"in the current conflict set"
                     )
                 redacted.add(raw_id)
-                for mem in reified.values():
-                    mem.remove(wmes[raw_id - 1])
+                # Only a rechecked rule reads the memories again.
+                if self._recheck:
+                    for mem in reified.values():
+                        mem.remove(wmes[raw_id - 1])
                 shrunk = True
             # All that can change between meta-cycles is the reified set
             # getting smaller, which enables only absence tests over it.

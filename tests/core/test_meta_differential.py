@@ -5,8 +5,10 @@ Each seed draws a meta-program from a pool of meta-rule shapes — negated
 meta-cycles), redact-only rules (with and without such a CE) next to rules
 that also ``write``, joins and negations over ordinary classes the object
 rules rewrite between cycles, a redact id computed with ``bind``, mixed
-``1`` / ``1.0`` / ``True`` / symbol join keys, ``write`` actions — plus a
-fact set. Two engines run it in lockstep, one on :class:`~repro.core.redaction.MetaLevel`
+``1`` / ``1.0`` / ``True`` / symbol join keys, ``write`` actions, the
+order-comparison shapes the meta level answers from a per-group extremum
+(over ints, floats, big ints, symbols and NaN) and their near misses that
+must still walk the join kernel — plus a fact set. Two engines run it in lockstep, one on :class:`~repro.core.redaction.MetaLevel`
 and one on :class:`tests.core.meta_oracle.OracleMetaLevel`; after every
 cycle the survivors (via the applied delta), every ``RedactionReport``
 field, the meta ``write`` lines, the next timestamp and the WM records
@@ -25,26 +27,29 @@ from repro.obs.profile import RULE_REDACTIONS
 from repro.programs import REGISTRY, build_manners
 from tests.core.meta_oracle import redact_only, use_oracle
 
-N_PROGRAMS = 72
+#: The pool grew to 18 shapes; 96 draws still reach every coverage floor.
+N_PROGRAMS = 96
 
 #: ``bystander`` precedes ``pick``: candidate ids follow rule position, so
 #: ``evict-prev``'s ``<i> - 1`` can name a bystander candidate — the only
 #: way one is ever redacted.
 OBJECT_LEVEL = """
-(literalize item x p tag)
+(literalize item x p tag w)
 (literalize blocked x)
 (literalize quota n)
 (literalize log x)
 (p bystander (item ^x <v> ^tag <t>) --> (make log ^x <t>))
-(p pick (item ^x <v> ^p <p>) --> (remove 1) (make log ^x <v>))
+(p pick (item ^x <v> ^p <p> ^w <w>) --> (remove 1) (make log ^x <v>))
 (p unblock (blocked ^x <v>) (log ^x <v>) --> (remove 1))
 (p tighten (quota ^n {<n> > 0}) --> (modify 1 ^n (compute <n> - 1)))
 """
 
 #: name -> meta-rule source. ``peel``, ``peel-quiet`` and ``heir`` test for
 #: the absence of an instantiation, so each redaction can ready the next
-#: one. ``peel-quiet`` and ``tie`` only redact: they run in the join
-#: kernel's existence mode, every other rule is enumerated in full.
+#: one. ``peel-quiet``, ``tie`` and every rule after ``stop`` only redact:
+#: the :data:`EXTREMUM` ones are answered from a per-group extremum, the
+#: others run in the join kernel's existence mode, and every other rule is
+#: enumerated in full.
 META_POOL = {
     "peel": """
         (mp peel
@@ -93,10 +98,67 @@ META_POOL = {
             (instantiation ^rule pick ^id <i> ^p 5)
             (quota ^n 0)
             --> (halt))""",
+    # Answered from a per-group extremum: ``>`` keyed on ``^v`` with the id
+    # test, ``<`` with neither, and an order across two attributes (where
+    # a candidate may be its own partner).
+    "floor": """
+        (mp floor
+            (instantiation ^rule pick ^id <i> ^v <x> ^w <a>)
+            (instantiation ^rule pick ^id {<j> <> <i>} ^v <x> ^w > <a>)
+            --> (redact <j>))""",
+    "ceiling": """
+        (mp ceiling
+            (instantiation ^rule pick ^w <a>)
+            (instantiation ^rule pick ^id <j> ^w < <a>)
+            --> (redact <j>))""",
+    "skew": """
+        (mp skew
+            (instantiation ^rule pick ^v <x> ^p <a>)
+            (instantiation ^rule pick ^id <j> ^v <x> ^w > <a>)
+            --> (redact <j>))""",
+    # Near misses: redact-only, but they walk the join kernel.
+    "floor-or-equal": """
+        (mp floor-or-equal
+            (instantiation ^rule pick ^id <i> ^v <x> ^w <a>)
+            (instantiation ^rule pick ^id {<j> <> <i>} ^v <x> ^w >= <a>)
+            --> (redact <j>))""",
+    "two-orders": """
+        (mp two-orders
+            (instantiation ^rule pick ^w <a> ^p <q>)
+            (instantiation ^rule pick ^id <j> ^w > <a> ^p < <q>)
+            --> (redact <j>))""",
+    "other-differs": """
+        (mp other-differs
+            (instantiation ^rule pick ^w <a> ^p <q>)
+            (instantiation ^rule pick ^id <j> ^w > <a> ^p <> <q>)
+            --> (redact <j>))""",
+    "skew-distinct": """
+        (mp skew-distinct
+            (instantiation ^rule pick ^id <i> ^p <a>)
+            (instantiation ^rule pick ^id {<j> <> <i>} ^w > <a>)
+            --> (redact <j>))""",
+    "floor-blocked": """
+        (mp floor-blocked
+            (instantiation ^rule pick ^v <x> ^w <a>)
+            (instantiation ^rule pick ^id <j> ^v <x> ^w > <a>)
+            (blocked ^x <x>)
+            --> (redact <j>))""",
+    "top-of-group": """
+        (mp top-of-group
+            (instantiation ^rule pick ^id <j> ^v <x> ^w <a>)
+            -(instantiation ^rule pick ^v <x> ^w > <a>)
+            --> (redact <j>))""",
 }
+
+#: The meta-rules answered from a per-group extremum.
+EXTREMUM = ("ceiling", "floor", "skew", "tie")
 
 #: ``1``, ``1.0`` and ``True`` are one join key; so are ``2`` and ``2.0``.
 X_VALUES = [1, 1.0, True, 2, 2.0, "a", "b", 3]
+#: ``^w`` is only ever ordered: numbers of every kind (a big int next to
+#: the float it rounds to), symbols, and NaN, which is ordered against
+#: nothing.
+W_VALUES = [1, 1.0, True, 2.5, -3, 10**20, 10**20 + 1, float(10**20), "a", "m", float("nan")]
 
 
 def _draw(seed):
@@ -107,7 +169,15 @@ def _draw(seed):
     facts = []
     for n in range(rng.randint(4, 9)):
         facts.append(
-            ("item", {"x": rng.choice(X_VALUES), "p": rng.randint(0, 5), "tag": f"t{n}"})
+            (
+                "item",
+                {
+                    "x": rng.choice(X_VALUES),
+                    "p": rng.randint(0, 5),
+                    "tag": f"t{n}",
+                    "w": rng.choice(W_VALUES),
+                },
+            )
         )
     for x in rng.sample(X_VALUES, rng.randint(1, 5)):
         # Biased towards blocking: chains need several blocked in a row.
@@ -176,9 +246,20 @@ def _lockstep(seed, oracle):
         RULE_REDACTIONS, rule="bystander"
     )
     kinds = {redact_only(rule) for rule in new.program.meta_rules}
+    names = {rule.name for rule in new.program.meta_rules}
+    assert set(new.meta._extremum) == names.intersection(EXTREMUM), seed
+    per_rule = new.meta.stats.per_rule
     return {
         "redact_only": True in kinds,
         "both_paths": kinds == {True, False},
+        "extremum_witnesses": sum(
+            per_rule[name]["instantiations"] for name in new.meta._extremum
+        ),
+        "near_misses": sum(
+            1
+            for rule in new.program.meta_rules
+            if redact_only(rule) and rule.name not in EXTREMUM
+        ),
         "deepest": deepest,
         "wrote": wrote,
         "consulted_changed": consulted_changed,
@@ -197,6 +278,8 @@ class TestPhaseLocalAgreesWithOracle:
         assert sum(1 for s in seen if s["wrote"]) >= 30
         assert sum(1 for s in seen if s["redact_only"]) >= 25
         assert sum(1 for s in seen if s["both_paths"]) >= 20
+        assert sum(1 for s in seen if s["extremum_witnesses"]) >= 25
+        assert sum(1 for s in seen if s["near_misses"]) >= 40
 
     @pytest.mark.parametrize("oracle", ["naive", "rete"])
     def test_numeric_keys_unify_across_types(self, oracle):

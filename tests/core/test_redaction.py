@@ -1,13 +1,18 @@
 """Unit tests for the meta level: reification and redaction fixpoints."""
 
+import random
+
 import pytest
 
+from repro.cli import main
 from repro.errors import ExecutionError
 from repro.core import EngineConfig, ParulelEngine
 from repro.core.redaction import reify_instantiation
 from repro.lang.parser import parse_program
 from repro.match.instantiation import Instantiation
 from repro.programs import REGISTRY, build_manners
+from repro.wm.io import dumps, parse_facts_text
+from repro.wm.memory import WorkingMemory
 from repro.wm.wme import WME
 from tests.core.meta_oracle import redact_only, use_oracle
 from tests.nested_loop import nested_loop_engine
@@ -119,6 +124,21 @@ class TestRedactionSemantics:
         """
         with pytest.raises(ExecutionError, match="integer"):
             run_engine(src, [("req", {"name": "a"})])
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_redact_of_a_boolean_raises(self, flag):
+        # ``True`` is an ``int`` to Python, and would name candidate 1.
+        src = """
+        (literalize req name)
+        (p grant (req ^name <n>) --> (remove 1))
+        (mp bad (instantiation ^rule grant ^n <a>) --> (redact <a>))
+        """
+        engine = ParulelEngine(parse_program(src))
+        engine.make("req", name=flag)
+        before = engine.wm.dump_records()[0]
+        with pytest.raises(ExecutionError, match="integer"):
+            engine.step()
+        assert engine.wm.dump_records()[0] == before
 
     def test_redact_unknown_id_raises(self):
         src = """
@@ -248,6 +268,73 @@ class TestEveryCandidateIsReified:
         assert (candidates, alpha_tests) == self.EXPECTED[name]
         for r in reports:
             assert r.rule_tries == r.candidates * r.meta_cycles
+
+
+class TestExtremumShapes:
+    """Which redact-only meta-rules are answered from a per-group extremum
+    instead of a walk of the join kernel."""
+
+    @pytest.mark.parametrize(
+        "name,count", [("manners", 4), ("routing", 3), ("sort-meta", 0)]
+    )
+    def test_bundled_meta_rules(self, name, count):
+        engine = ParulelEngine(REGISTRY[name]().program)
+        assert len(engine.meta._extremum) == count
+
+    PARTNER = "(instantiation ^rule grant ^id <i> ^n <a> ^m <b>)"
+
+    @pytest.mark.parametrize(
+        "candidate,qualifies",
+        [
+            ("^id <j> ^n > <a>", True),
+            ("^id {<j> <> <i>} ^n < <a> ^m <b>", True),
+            ("^id {<j> > <i>} ^n <a>", True),
+            ("^id <j> ^m > <a>", True),
+            ("^id {<j> <> <i>} ^m > <a>", False),
+            ("^id {<j> <> <i>} ^n >= <a>", False),
+            ("^id {<j> <> <i>} ^n <= <a>", False),
+            ("^id <j> ^n > <a> ^m < <b>", False),
+            ("^id <j> ^n > <a> ^m <> <b>", False),
+            ("^id {<j> <> <i>} ^n <a>", False),
+            ("^id {<j> <> <i> <> <i>} ^n > <a>", False),
+        ],
+    )
+    def test_join_tests_decide(self, candidate, qualifies):
+        src = f"""
+        (literalize req name)
+        (p grant (req ^name <n>) --> (remove 1))
+        (mp arbitrate {self.PARTNER} (instantiation ^rule grant {candidate})
+            --> (redact <j>))
+        """
+        engine = ParulelEngine(parse_program(src))
+        assert bool(engine.meta._extremum) is qualifies
+
+    @pytest.mark.parametrize(
+        "lhs",
+        [
+            # A third CE, an ordinary partner, a negated partner.
+            "(instantiation ^rule grant ^id <i> ^n <a>)"
+            " (instantiation ^rule grant ^id <j> ^n > <a>) (req ^name <a>)",
+            "(req ^name <a>) (instantiation ^rule grant ^id <j> ^n > <a>)",
+            "(instantiation ^rule grant ^id <j> ^n <a>)"
+            " -(instantiation ^rule grant ^n < <a>)",
+            # The redacted id is the partner's.
+            "(instantiation ^rule grant ^id <j> ^n <a>)"
+            " (instantiation ^rule grant ^n > <a>)",
+        ],
+    )
+    def test_other_ces_keep_the_walk(self, lhs):
+        src = f"""
+        (literalize req name)
+        (p grant (req ^name <n>) --> (remove 1))
+        (mp arbitrate {lhs} --> (redact <j>))
+        """
+        engine = ParulelEngine(parse_program(src))
+        assert engine.meta._extremum == {}
+
+    def test_nested_loop_reference_keeps_the_walk(self):
+        engine = nested_loop_engine(REGISTRY["manners"]().program, EngineConfig())
+        assert engine.meta._extremum == {}
 
 
 class TestNoMetaRules:
@@ -385,6 +472,39 @@ class TestRedactOnlyMetaRules:
         assert sum(r.rule_tries for r in reports) >= sum(
             r.meta_firings for r in reports
         )
+
+    def test_manners_meta_counters_do_not_depend_on_fact_order(self):
+        # Every manners meta-rule is answered from a per-group extremum,
+        # which reads each reification once whatever order it came in.
+        wl = build_manners(n_guests=64)
+        wm = WorkingMemory()
+        wl.setup(wm)
+        lines = dumps(wm).splitlines()
+        counters = []
+        for seed in range(6):
+            random.Random(seed).shuffle(lines)
+            engine = ParulelEngine(wl.program)
+            for class_name, attrs in parse_facts_text("\n".join(lines)):
+                engine.make(class_name, attrs)
+            result = engine.run(max_cycles=10_000)
+            assert wl.verify(engine.wm)
+            assert result.firings == 236
+            stats = engine.meta.stats
+            counters.append((stats.totals, stats.per_rule))
+        assert len(counters[0][1]) == 4
+        assert all(c == counters[0] for c in counters[1:])
+
+    def test_profile_lists_every_manners_meta_rule(self, capsys):
+        assert main(["profile", "manners"]) == 0
+        rows = {}
+        for line in capsys.readouterr().out.splitlines():
+            cells = line.split()
+            if len(cells) == 9 and cells[1] == "-":
+                rows[cells[0]] = cells[6]
+        meta = [rule.name for rule in build_manners().program.meta_rules]
+        assert len(meta) == 4
+        for name in meta:
+            assert int(rows[name]) > 0, name
 
     def test_collision_is_checked_once_per_rule_and_still_raised(self):
         src = """
