@@ -13,7 +13,7 @@ import os
 
 import pytest
 
-from repro.metrics import Table
+from repro.obs import Table
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 

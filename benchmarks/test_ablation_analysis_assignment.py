@@ -10,7 +10,7 @@ working memory, measured here per bundled workload at 4 sites.
 
 import pytest
 
-from repro.metrics import Table
+from repro.obs import Table
 from repro.parallel.distributed import DistributedMachine
 from repro.programs import REGISTRY
 from repro.wm.io import dumps

@@ -17,7 +17,7 @@ import pytest
 from repro.lang.builder import ProgramBuilder, v
 from repro.match.rete import ReteMatcher, SharedReteMatcher
 from repro.match.stats import COUNTER_NAMES
-from repro.metrics import Table
+from repro.obs import Table
 from repro.wm.memory import WorkingMemory
 
 from .conftest import emit

@@ -18,7 +18,7 @@ advisory.
 
 import pytest
 
-from repro.metrics import Table
+from repro.obs import Table
 
 from .conftest import emit
 from .match_microbench import run_workload

@@ -12,7 +12,7 @@ changing any result.
 import pytest
 
 from repro.lang.ast import Program
-from repro.metrics import Table
+from repro.obs import Table
 from repro.parallel import SimMachine
 from repro.programs import build_sieve, build_tc, build_waltz
 

@@ -11,7 +11,7 @@ imbalance is lower — profiling pays for itself.
 import pytest
 
 from repro.lang.ast import Program
-from repro.metrics import Table
+from repro.obs import Table
 from repro.parallel import (
     SimMachine,
     lpt_assignment,

@@ -23,7 +23,7 @@ import pytest
 from repro.errors import InterferenceError
 from repro.baseline import OPS5Engine
 from repro.core import EngineConfig, ParulelEngine
-from repro.metrics import Table
+from repro.obs import Table
 from repro.programs.routing import build_routing, routing_program
 
 from .conftest import emit

@@ -14,7 +14,7 @@ reproducible.
 
 import pytest
 
-from repro.metrics import Table
+from repro.obs import Table
 from repro.parallel import (
     SimMachine,
     SpeedupSeries,

@@ -13,7 +13,7 @@ paper's story (rule parallelism alone caps at the number of rules).
 
 import pytest
 
-from repro.metrics import Table
+from repro.obs import Table
 from repro.parallel import (
     SimMachine,
     SpeedupSeries,

@@ -22,7 +22,7 @@ import pytest
 
 from repro.match.interface import create_matcher
 from repro.match.stats import COUNTER_NAMES
-from repro.metrics import Table
+from repro.obs import Table
 from repro.programs import build_join_workload
 from tests.nested_loop import SERIAL_MATCHERS
 

@@ -14,7 +14,7 @@ set-oriented semantics matters. Expected shapes:
 import pytest
 
 from repro.core import ParulelEngine
-from repro.metrics import Table
+from repro.obs import Table
 from repro.programs import REGISTRY, build_waltz
 
 from .conftest import emit

@@ -19,7 +19,7 @@ of the final working memory) is asserted at each point.
 
 import pytest
 
-from repro.metrics import Table
+from repro.obs import Table
 from repro.parallel import DistributedMachine, NetworkModel
 from repro.programs import build_circuit
 

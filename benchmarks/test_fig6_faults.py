@@ -3,7 +3,7 @@
 PARADISER, PARULEL's distributed successor, had to keep replicated working
 memories convergent on machines whose sites and messages actually fail.
 This figure drives the :class:`~repro.parallel.DistributedMachine` through
-seeded :class:`~repro.faults.FaultPlan`\\ s at P = 4 on the circuit
+seeded :class:`~repro.resilience.FaultPlan`\\ s at P = 4 on the circuit
 workload, sweeping
 
 - **message drop rate** (every drop is retried and charged one latency +
@@ -20,10 +20,10 @@ headline curve.
 
 import pytest
 
-from repro.faults import FaultPlan, SiteCrash
-from repro.metrics import Table
+from repro.obs import Table
 from repro.parallel import DistributedMachine
 from repro.programs import build_circuit
+from repro.resilience import FaultPlan, SiteCrash
 
 from .conftest import emit
 

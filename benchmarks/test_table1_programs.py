@@ -8,7 +8,7 @@ production-system paper of the era opens its evaluation with.)
 import pytest
 
 from repro.core import ParulelEngine
-from repro.metrics import Table
+from repro.obs import Table
 from repro.programs import REGISTRY
 
 from .conftest import emit

@@ -14,7 +14,7 @@ import pytest
 
 from repro.baseline import OPS5Engine
 from repro.core import ParulelEngine
-from repro.metrics import Table
+from repro.obs import Table
 from repro.programs import REGISTRY
 
 from .conftest import emit

@@ -12,7 +12,7 @@ as < 85% of wall time, > 0 work.
 import pytest
 
 from repro.core import ParulelEngine
-from repro.metrics import Table, summarize_cycles
+from repro.obs import Table, summarize_cycles
 from repro.programs import REGISTRY
 
 from .conftest import emit

@@ -21,7 +21,7 @@ import time
 
 import pytest
 
-from repro.metrics import Table
+from repro.obs import Table
 from repro.parallel.process import ProcessMatchPool
 from repro.parallel.threaded import ThreadedMatchPool
 from repro.programs import build_join_workload

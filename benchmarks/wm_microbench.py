@@ -73,6 +73,7 @@ from statistics import median
 from typing import Dict, List
 
 from repro.core import EngineConfig, ParulelEngine
+from repro.match.interface import PoolConfig
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel.process import ProcessMatchPool
 from repro.parallel.threaded import ThreadedMatchPool
@@ -141,7 +142,7 @@ def _run_pool(wl, tier_cfg: Dict, backend: str) -> Dict:
     load_s = time.perf_counter() - t0
     metrics = MetricsRegistry()
     pool = ProcessMatchPool(
-        wl.program.rules, wm, 2, metrics=metrics, timeout=300.0
+        wl.program.rules, wm, 2, PoolConfig(timeout=300.0), metrics=metrics
     )
     images: List[str] = []
     try:
@@ -322,7 +323,7 @@ def _run_engine(wl, backend: str) -> Dict:
     engine = ParulelEngine(
         wl.program,
         EngineConfig(
-            matcher="process:2", wm_backend=backend, matcher_timeout=300.0
+            matcher="process:2", wm_backend=backend, pool=PoolConfig(timeout=300.0)
         ),
     )
     try:
@@ -405,7 +406,7 @@ def measure_workloads() -> Dict[str, Dict]:
                 EngineConfig(
                     matcher="process:2",
                     wm_backend=backend,
-                    matcher_timeout=300.0,
+                    pool=PoolConfig(timeout=300.0),
                 ),
             )
             try:

@@ -17,7 +17,7 @@ repro/parallel/costmodel.py), so the numbers are stable run to run.
 Run:  python examples/simulated_speedup.py
 """
 
-from repro.metrics import Table
+from repro.obs import Table
 from repro.parallel import (
     SimMachine,
     SpeedupSeries,

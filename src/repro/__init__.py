@@ -32,10 +32,11 @@ Package map:
 - :mod:`repro.baseline` — the sequential OPS5 engine (LEX/MEA)
 - :mod:`repro.parallel` — simulated multiprocessor, partitioners,
   copy-and-constrain, threaded executor
-- :mod:`repro.faults` — seeded fault plans, injection, and the structured
-  fault/recovery event records
+- :mod:`repro.resilience` — seeded fault plans and the structured
+  fault/recovery event records, checkpoints, the shared-memory janitor
+- :mod:`repro.obs` — tracing, metrics, the flight recorder, and the
+  report tables of the experiment suite
 - :mod:`repro.programs` — benchmark program generators
-- :mod:`repro.metrics` — reporting helpers for the experiment suite
 """
 
 from repro._lazy import lazy_exports
@@ -61,8 +62,8 @@ __getattr__ = lazy_exports(
         "ReproError": "repro.errors",
         "SemanticError": "repro.errors",
         "WorkingMemoryError": "repro.errors",
-        "FaultEvent": "repro.faults",
-        "FaultPlan": "repro.faults",
+        "FaultEvent": "repro.resilience",
+        "FaultPlan": "repro.resilience",
         "Program": "repro.lang",
         "ProgramBuilder": "repro.lang",
         "RuleBuilder": "repro.lang",
@@ -71,6 +72,7 @@ __getattr__ = lazy_exports(
         "parse_program": "repro.lang",
         "Instantiation": "repro.match",
         "NaiveMatcher": "repro.match",
+        "PoolConfig": "repro.match",
         "ReteMatcher": "repro.match",
         "TreatMatcher": "repro.match",
         "create_matcher": "repro.match",
@@ -98,6 +100,7 @@ __all__ = [
     "OPS5Result",
     "ParseError",
     "ParulelEngine",
+    "PoolConfig",
     "Program",
     "ProgramBuilder",
     "ReproError",

@@ -74,14 +74,14 @@ A *facts file* contains bare WME forms, one per s-expression::
 from __future__ import annotations
 
 import argparse
-import math
 import sys
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from repro.collector import CollectorSchedule
 from repro.core import EngineConfig, ParulelEngine
 from repro.errors import CycleLimitExceeded, ReproError
 from repro.lang import analyze_program, format_program, parse_program
+from repro.match.interface import PoolConfig
 from repro.wm.io import Fact, fact_line, parse_facts_text
 from repro.wm.io import dumps as dump_wm_text
 
@@ -191,12 +191,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if matcher is None:
         return 2
 
-    if args.matcher_timeout is not None and not 0 < args.matcher_timeout < math.inf:
-        print("error: --matcher-timeout must be > 0 seconds", file=sys.stderr)
-        return 2
-    if args.respawn_limit is not None and args.respawn_limit < 0:
-        print("error: --respawn-limit must be >= 0", file=sys.stderr)
-        return 2
     if (
         args.matcher_timeout is not None or args.respawn_limit is not None
     ) and args.matcher != "process":
@@ -208,19 +202,23 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.checkpoint_every is not None and args.checkpoint_every < 1:
         print("error: --checkpoint-every must be >= 1", file=sys.stderr)
         return 2
-    if args.checkpoint_keep is not None:
-        if args.checkpoint_keep < 1:
-            print("error: --checkpoint-keep must be >= 1", file=sys.stderr)
-            return 2
-        if args.checkpoint_every is None:
-            print(
-                "error: --checkpoint-keep requires --checkpoint-every",
-                file=sys.stderr,
-            )
-            return 2
-    if args.checkpoint_full_every < 1:
+    if args.checkpoint_keep is not None and args.checkpoint_keep < 1:
+        print("error: --checkpoint-keep must be >= 1", file=sys.stderr)
+        return 2
+    if args.checkpoint_full_every is not None and args.checkpoint_full_every < 1:
         print("error: --checkpoint-full-every must be >= 1", file=sys.stderr)
         return 2
+    # A flag that refines one it depends on does nothing alone: refuse it.
+    for flag, given, needs, needed in (
+        ("--checkpoint", args.checkpoint, "--checkpoint-every", args.checkpoint_every),
+        ("--checkpoint-keep", args.checkpoint_keep, "--checkpoint-every",
+         args.checkpoint_every),
+        ("--checkpoint-full-every", args.checkpoint_full_every,
+         "--checkpoint-keep", args.checkpoint_keep),
+    ):
+        if given is not None and needed is None:
+            print(f"error: {flag} requires {needs}", file=sys.stderr)
+            return 2
     if args.engine == "ops5" and (
         args.matcher_timeout is not None
         or args.respawn_limit is not None
@@ -295,8 +293,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     config = EngineConfig(
         matcher=matcher,
         interference=args.interference,
-        matcher_timeout=args.matcher_timeout,
-        respawn_limit=args.respawn_limit,
+        pool=(
+            PoolConfig(args.matcher_timeout, args.respawn_limit)
+            if args.matcher == "process"
+            else None
+        ),
         wm_backend=args.wm_backend,
         flight_recorder=not args.no_flight_recorder,
         blackbox_path=args.blackbox or (args.program + ".blackbox"),
@@ -339,7 +340,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         _ckpt = EngineCheckpointer(
             engine,
             CheckpointStore(ckpt_path, keep=args.checkpoint_keep),
-            full_every=args.checkpoint_full_every,
+            full_every=args.checkpoint_full_every or 5,
         )
         ckpt_save = _ckpt.save
     else:
@@ -387,14 +388,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
         file=sys.stderr,
     )
     if engine.fault_events:
-        from repro.faults import summarize_faults
+        from repro.resilience.events import summarize_faults
 
         counts = summarize_faults(engine.fault_events)
         summary = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
         print(f"  faults: {summary}", file=sys.stderr)
     if args.stats:
         stats = engine.matcher.stats
-        print(f"  match: {stats}", file=sys.stderr)
+        if stats is None:
+            print(
+                f"  match: the {engine.matcher.name} backend keeps no match counters",
+                file=sys.stderr,
+            )
+        else:
+            print(f"  match: {stats}", file=sys.stderr)
         for name, secs in sorted(engine.phase_times.items()):
             print(f"  phase {name}: {secs * 1000:.1f} ms", file=sys.stderr)
     if args.dump_wm:
@@ -876,6 +883,23 @@ def _count(text: str) -> int:
     return value
 
 
+def _pool_setting(field: str, parse: Callable[[str], object]) -> Callable[[str], object]:
+    """argparse ``type`` of a :class:`PoolConfig` flag: ``parse`` the text,
+    then let ``PoolConfig`` check it as ``field``, so a bad value exits 2
+    naming the flag and the rule itself lives only in ``PoolConfig``."""
+
+    def convert(text: str) -> object:
+        value = parse(text)  # a ValueError here: "invalid float value"
+        try:
+            PoolConfig(**{field: value})
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+
+    convert.__name__ = parse.__name__
+    return convert
+
+
 # One function per subcommand adds its arguments to the parser
 # ``_SUBCOMMANDS`` creates for it.
 
@@ -905,14 +929,14 @@ def _run_arguments(p_run: argparse.ArgumentParser) -> None:
     )
     p_run.add_argument(
         "--matcher-timeout",
-        type=float,
+        type=_pool_setting("timeout", float),
         default=None,
         metavar="SECONDS",
         help="per-worker reply deadline for --matcher process",
     )
     p_run.add_argument(
         "--respawn-limit",
-        type=int,
+        type=_pool_setting("respawn_limit", int),
         default=None,
         metavar="N",
         help="per-site worker respawn budget for --matcher process; once "
@@ -951,7 +975,7 @@ def _run_arguments(p_run: argparse.ArgumentParser) -> None:
     p_run.add_argument(
         "--checkpoint-full-every",
         type=int,
-        default=5,
+        default=None,
         metavar="M",
         help="with --checkpoint-keep: write a full snapshot every M-th "
         "checkpoint, deltas in between (default: 5)",

@@ -29,7 +29,6 @@ published description of PARULEL's meta level.
 
 from __future__ import annotations
 
-import math
 import time
 from collections import Counter
 from typing import (
@@ -53,8 +52,7 @@ from repro.core.redaction import MetaLevel, RedactionReport
 from repro.lang.analysis import analyze_program
 from repro.lang.ast import Program, Value
 from repro.match.instantiation import InstKey, Instantiation
-from repro.match.interface import Matcher, create_matcher
-from repro.metrics.timers import PhaseTimer
+from repro.match.interface import Matcher, PoolConfig, create_matcher
 from repro.obs.metrics import NULL_METRICS
 from repro.obs.profile import (
     MATCH_OPS,
@@ -70,7 +68,7 @@ from repro.wm.wme import WME
 
 if TYPE_CHECKING:  # named in annotations only: a plain run loads neither
     from repro.core.provenance import ProvenanceTracker
-    from repro.faults import FaultEvent, FaultPlan
+    from repro.resilience import FaultEvent
 
 __all__ = ["ParulelEngine", "EngineConfig", "CycleReport", "RunResult"]
 
@@ -89,13 +87,13 @@ class EngineConfig(FrozenRecord):
     choose. ``interference`` picks the
     :class:`~repro.core.delta.InterferencePolicy`. ``dedupe_makes``
     collapses identical makes within one cycle (set-insertion reading).
+    ``max_cycles`` and ``max_meta_cycles`` are counts (>= 0).
     """
 
     __slots__ = (
         "matcher", "interference", "dedupe_makes",
         "max_cycles", "max_meta_cycles", "track_provenance",
-        "matcher_timeout", "respawn_limit", "fault_plan", "wm_backend",
-        "flight_recorder", "blackbox_path", "flight_capacity",
+        "pool", "wm_backend", "flight_recorder", "blackbox_path",
     )
 
     def __init__(
@@ -108,14 +106,10 @@ class EngineConfig(FrozenRecord):
         #: Record a :class:`~repro.core.provenance.Derivation` for every WME,
         #: enabling ``engine.explain(wme)``. Off by default (memory cost).
         track_provenance: bool = False,
-        #: Process-backend knobs (``matcher="process"`` only): per-worker reply
-        #: deadline in seconds, per-site respawn budget before the site is
-        #: matched in the parent for the rest of the run, and an injected
-        #: :class:`~repro.faults.FaultPlan`. Respawns are immediate; there is
-        #: no other supervision knob.
-        matcher_timeout: Optional[float] = None,
-        respawn_limit: Optional[int] = None,
-        fault_plan: Optional[FaultPlan] = None,
+        #: The process backend's settings (``matcher="process"`` only):
+        #: reply deadline, respawn budget and injected faults, as one
+        #: :class:`~repro.match.interface.PoolConfig`.
+        pool: Optional[PoolConfig] = None,
         #: Working-memory store: ``"dict"`` (the default in-process store) or
         #: ``"columnar"`` (:class:`~repro.wm.columnar.ColumnarWorkingMemory`,
         #: shared-memory columns the process backend attaches instead of
@@ -130,26 +124,22 @@ class EngineConfig(FrozenRecord):
         #: Where crash dumps land; ``None`` means a pid-keyed file under the
         #: temp dir (:func:`repro.obs.flightrec.default_blackbox_path`).
         blackbox_path: Optional[str] = None,
-        #: Ring capacity in records (per ring — the engine's and each worker's).
-        flight_capacity: int = 4096,
     ) -> None:
         self._set(
             matcher, InterferencePolicy.of(interference),
             dedupe_makes, max_cycles, max_meta_cycles, track_provenance,
-            matcher_timeout, respawn_limit, fault_plan, wm_backend,
-            flight_recorder, blackbox_path, flight_capacity,
+            pool, wm_backend, flight_recorder, blackbox_path,
         )
-        if matcher_timeout is not None and not 0 < matcher_timeout < math.inf:
-            raise ValueError("matcher_timeout must be a finite number > 0 seconds")
-        if respawn_limit is not None and respawn_limit < 0:
-            raise ValueError("respawn_limit must be >= 0 (None for unlimited)")
+        for name, limit in (
+            ("max_cycles", max_cycles), ("max_meta_cycles", max_meta_cycles)
+        ):
+            if limit < 0:
+                raise ValueError(f"{name} must be >= 0, got {limit}")
         if wm_backend not in ("dict", "columnar"):
             raise ValueError(
                 f"unknown wm_backend {wm_backend!r} "
                 f"(expected 'dict' or 'columnar')"
             )
-        if flight_capacity < 16:
-            raise ValueError("flight_capacity must be >= 16 records")
 
 
 def _build_wm(config: "EngineConfig", program: Program) -> WorkingMemory:
@@ -274,13 +264,7 @@ class ParulelEngine:
         self.metrics = metrics if metrics is not None else NULL_METRICS
         self.wm = wm if wm is not None else _build_wm(self.config, program)
         self.evaluator = ActionEvaluator(host_functions)
-        matcher_options: Dict[str, Any] = {}
-        if self.config.matcher_timeout is not None:
-            matcher_options["timeout"] = self.config.matcher_timeout
-        if self.config.respawn_limit is not None:
-            matcher_options["respawn_limit"] = self.config.respawn_limit
-        if self.config.fault_plan is not None:
-            matcher_options["fault_plan"] = self.config.fault_plan
+        matcher_options: Dict[str, Any] = {"pool": self.config.pool}
         if self.tracer.enabled or self.metrics.enabled:
             matcher_options["tracer"] = self.tracer
             matcher_options["metrics"] = self.metrics
@@ -293,10 +277,7 @@ class ParulelEngine:
             from repro.obs import flightrec as _fr
 
             self._fr = _fr
-            self.flightrec = _fr.FlightRecorder(
-                [r.name for r in program.rules],
-                capacity=self.config.flight_capacity,
-            )
+            self.flightrec = _fr.FlightRecorder([r.name for r in program.rules])
             matcher_options["flightrec"] = self.flightrec
         #: A prebuilt ``matcher`` (over ``wm``) replaces the one the config
         #: names — how the simulators put one matcher per site under the
@@ -334,11 +315,9 @@ class ParulelEngine:
         self.fired_log: List[InstKey] = []
         self.output: List[str] = []
         self.reports: List[CycleReport] = []
-        #: Thread-safe per-phase wall-clock accumulator; the engine's named
-        #: spans are backed by it, and ``phase_times`` is a live view of
-        #: its seconds counter (the historical public shape).
-        self.timer = PhaseTimer()
-        self.phase_times: Counter = self.timer.seconds
+        #: Wall-clock seconds per cycle phase (collect / redact / evaluate
+        #: / apply), added to by each :class:`PhaseSpan` as it closes.
+        self.phase_times: Counter = Counter()
         #: All fault/recovery events surfaced by the match backend,
         #: cumulative across the engine's life (per-cycle slices land on
         #: each :class:`CycleReport`).
@@ -522,7 +501,7 @@ class ParulelEngine:
         apply), the phase-seconds histogram, and — when the flight
         recorder is on — an ``EV_PHASE`` ring record."""
         return PhaseSpan(
-            self.timer,
+            self.phase_times,
             self.tracer,
             self.metrics,
             span_name,
@@ -718,7 +697,8 @@ class ParulelEngine:
         cfg = {
             name: repr(getattr(self.config, name)) for name in EngineConfig._fields
         }
-        seed = getattr(self.config.fault_plan, "seed", None)
+        plan = self.config.pool.fault_plan if self.config.pool is not None else None
+        seed = getattr(plan, "seed", None)
         self.flightrec.dump(
             path,
             reason=reason,

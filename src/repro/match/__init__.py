@@ -35,6 +35,7 @@ __getattr__ = lazy_exports(
         "ConflictSet": "repro.match.instantiation",
         "Instantiation": "repro.match.instantiation",
         "Matcher": "repro.match.interface",
+        "PoolConfig": "repro.match.interface",
         "create_matcher": "repro.match.interface",
         "NaiveMatcher": "repro.match.naive",
         "ReteMatcher": "repro.match.rete",
@@ -51,6 +52,7 @@ __all__ = [
     "MatchStats",
     "Matcher",
     "NaiveMatcher",
+    "PoolConfig",
     "ReteMatcher",
     "TreatMatcher",
     "compile_rule",

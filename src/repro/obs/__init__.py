@@ -12,7 +12,10 @@ every execution substrate show its work:
   with JSON snapshots and Prometheus text exposition, with exact
   cross-process merging for worker-shipped counts;
 - :mod:`repro.obs.profile` — the per-rule hot-rule table
-  (``parulel profile``).
+  (``parulel profile``);
+- :mod:`repro.obs.report` — fixed-width text tables, CSV output and
+  cycle summaries (the experiment suite prints paper-style tables with
+  these).
 
 - :mod:`repro.obs.flightrec` / :mod:`repro.obs.blackbox` — the always-on
   black-box flight recorder: bounded shared-memory event rings that
@@ -46,18 +49,24 @@ __all__ = [
     "NullMetrics",
     "NullTracer",
     "RuleProfile",
+    "Table",
     "Tracer",
     "diff_blackbox",
+    "fault_table",
+    "format_table",
     "hot_rule_table",
     "load_blackbox",
     "rule_profiles",
     "skew_report",
+    "summarize_cycles",
     "validate_chrome_trace",
+    "write_csv",
 ]
 
 #: Flight-recorder names resolve lazily (PEP 562) so importing
 #: ``repro.obs`` never drags in ``multiprocessing.shared_memory`` — the
-#: engine's default dict-WM path stays import-light.
+#: engine's default dict-WM path stays import-light — and the report
+#: helpers load only for the experiment suite and ``parulel profile``.
 __getattr__ = lazy_exports(
     __name__,
     {
@@ -67,5 +76,10 @@ __getattr__ = lazy_exports(
         "load_blackbox": "repro.obs.blackbox",
         "skew_report": "repro.obs.blackbox",
         "diff_blackbox": "repro.obs.blackbox",
+        "Table": "repro.obs.report",
+        "fault_table": "repro.obs.report",
+        "format_table": "repro.obs.report",
+        "summarize_cycles": "repro.obs.report",
+        "write_csv": "repro.obs.report",
     },
 )

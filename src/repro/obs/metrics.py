@@ -26,11 +26,9 @@ per-item work with ``metrics.enabled``.
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.metrics.timers import percentile
-
-__all__ = ["NULL_METRICS", "MetricsRegistry", "NullMetrics"]
+__all__ = ["NULL_METRICS", "MetricsRegistry", "NullMetrics", "percentile"]
 
 #: A series key: metric name + canonicalized label pairs.
 SeriesKey = Tuple[str, Tuple[Tuple[str, str], ...]]
@@ -44,6 +42,19 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
 #: Cap on raw observations kept per histogram series; past it the series
 #: keeps exact count/sum/min/max but percentiles reflect the first N.
 MAX_OBSERVATIONS = 65_536
+
+
+def percentile(values: Sequence[float], q: float) -> float:
+    """Nearest-rank percentile of ``values`` (``q`` in [0, 100]; 0 when
+    empty). Deterministic and dependency-free — shared by the histograms
+    and the cycle summaries (:func:`repro.obs.report.summarize_cycles`)."""
+    if not values:
+        return 0.0
+    if not 0 <= q <= 100:
+        raise ValueError(f"percentile q must be in [0, 100], got {q}")
+    ordered = sorted(values)
+    rank = max(1, int(-(-q * len(ordered) // 100)))  # ceil without math
+    return float(ordered[min(rank, len(ordered)) - 1])
 
 
 def _key(name: str, labels: Mapping[str, Any]) -> SeriesKey:

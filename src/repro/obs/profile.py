@@ -28,7 +28,7 @@ from repro.match.stats import MatchStats
 from repro.obs.metrics import MetricsRegistry
 
 if TYPE_CHECKING:
-    from repro.metrics.report import Table
+    from repro.obs.report import Table
 
 __all__ = [
     "CollectorLog",
@@ -163,7 +163,7 @@ def hot_rule_table(
     follows the object rules, most join probes first; ``top`` limits the
     object rules only.
     """
-    from repro.metrics.report import Table
+    from repro.obs.report import Table
 
     meta = meta_stats.per_rule if meta_stats is not None else {}
     headers = ("rule", "match_ms", "eval_ms", "candidates", "fired", "redacted")

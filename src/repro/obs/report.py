@@ -1,8 +1,10 @@
-"""Plain-text tables and CSV output for the benchmark harness.
+"""Plain-text tables, CSV output and cycle summaries for the experiments.
 
 Every experiment bench renders its results through :class:`Table`, so
 ``pytest benchmarks/ --benchmark-only`` prints the same rows the paper's
-tables would hold, and EXPERIMENTS.md quotes them verbatim.
+tables would hold, and EXPERIMENTS.md quotes them verbatim;
+:func:`summarize_cycles` turns a run's cycle reports into the numbers
+those tables and ``parulel profile`` print.
 """
 
 from __future__ import annotations
@@ -10,9 +12,14 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence, Union
 
-__all__ = ["Table", "fault_table", "format_table", "write_csv"]
+from repro.obs.metrics import percentile
+
+if TYPE_CHECKING:  # avoid a runtime cycle: the engine imports repro.obs
+    from repro.core.engine import CycleReport
+
+__all__ = ["Table", "fault_table", "format_table", "summarize_cycles", "write_csv"]
 
 Cell = Union[str, int, float, None]
 
@@ -106,10 +113,50 @@ def write_csv(path: str, headers: Sequence[str], rows: Iterable[Sequence[Cell]])
 
 
 def fault_table(events: Iterable, title: str = "fault/recovery events") -> Table:
-    """A :class:`Table` over :class:`~repro.faults.FaultEvent` records —
+    """A :class:`Table` over :class:`~repro.resilience.FaultEvent` records —
     one row per event, chronological. Used by the fault benchmark and
     handy from the REPL/tests."""
     table = Table(title, ("cycle", "kind", "site", "detail"))
     for ev in events:
         table.add(ev.cycle, ev.kind, ev.site if ev.site is not None else "-", ev.detail)
     return table
+
+
+def summarize_cycles(reports: "Sequence[CycleReport]") -> Dict[str, Union[int, float]]:
+    """Aggregate a run's cycle reports into the quantities the experiment
+    tables and the profiler print: firing-set statistics (including
+    p50/p95 percentiles), redaction load, delta volume, write and fault
+    counts. Counts are ints, ratios/percentiles floats — the return type
+    says so honestly instead of claiming all-float."""
+    if not reports:
+        return {
+            "cycles": 0,
+            "firings": 0,
+            "mean_firing_set": 0.0,
+            "max_firing_set": 0,
+            "p50_firing_set": 0.0,
+            "p95_firing_set": 0.0,
+            "total_redacted": 0,
+            "redacted_per_cycle": 0.0,
+            "meta_cycles": 0,
+            "wm_changes": 0,
+            "writes": 0,
+            "fault_events": 0,
+        }
+    fired = [r.fired for r in reports]
+    redacted = [r.redaction.redacted for r in reports]
+    firing = [f for f in fired if f]
+    return {
+        "cycles": len(reports),
+        "firings": sum(fired),
+        "mean_firing_set": (sum(firing) / len(firing)) if firing else 0.0,
+        "max_firing_set": max(fired),
+        "p50_firing_set": percentile(firing, 50),
+        "p95_firing_set": percentile(firing, 95),
+        "total_redacted": sum(redacted),
+        "redacted_per_cycle": sum(redacted) / len(reports),
+        "meta_cycles": sum(r.redaction.meta_cycles for r in reports),
+        "wm_changes": sum(r.delta_removes + r.delta_makes for r in reports),
+        "writes": sum(len(r.writes) for r in reports),
+        "fault_events": sum(len(r.fault_events) for r in reports),
+    }

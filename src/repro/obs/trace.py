@@ -7,10 +7,7 @@ does the cycle time go* — with real spans instead of ad-hoc
 - a **span** is a named interval on a **lane** (the engine, one worker
   process, one distributed site, the simulated network); spans nest;
 - an **instant** is a point event on a lane (fault injections, recovery
-  actions);
-- every closed span also feeds a thread-safe
-  :class:`~repro.metrics.timers.PhaseTimer`, so aggregate per-name
-  seconds/entries are always available without replaying the event list.
+  actions).
 
 Recording is thread-safe (one lock around the event list) and
 process-friendly: timestamps come from ``time.perf_counter_ns()``, whose
@@ -40,9 +37,8 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import Counter
 from typing import Any, Dict, Iterable, List, Optional, Tuple
-
-from repro.metrics.timers import PhaseTimer
 
 __all__ = [
     "NULL_TRACER",
@@ -98,10 +94,6 @@ class Tracer:
         #: Lanes in first-seen order (stable tid assignment in exports).
         self._lanes: List[str] = []
         self._lane_set: set = set()
-        #: Aggregate per-span-name seconds/entries — the PhaseTimer the
-        #: span layer is backed by (closed spans land here).
-        self.timer = PhaseTimer()
-        self._open_ns: Dict[Tuple[str, str], List[int]] = {}
         self.origin_ns = clock()
 
     # -- recording ----------------------------------------------------------
@@ -111,13 +103,6 @@ class Tracer:
         with self._lock:
             self._note_lane(lane)
             self._events.append((ph, name, lane, ts, args))
-            key = (lane, name)
-            if ph == "B":
-                self._open_ns.setdefault(key, []).append(ts)
-            elif ph == "E":
-                starts = self._open_ns.get(key)
-                if starts:
-                    self.timer.add(name, (ts - starts.pop()) / 1e9)
 
     def _note_lane(self, lane: str) -> None:
         if lane not in self._lane_set:
@@ -160,15 +145,6 @@ class Tracer:
                 target = lane if lane is not None else evlane
                 self._note_lane(target)
                 self._events.append((ph, name, target, ts, args))
-                if ph == "E":
-                    # Aggregate time still lands in the timer: find is not
-                    # possible without the matching B, so ingestion pairs
-                    # B/E per (lane, name) as the buffer replays.
-                    starts = self._open_ns.get((target, name))
-                    if starts:
-                        self.timer.add(name, (ts - starts.pop()) / 1e9)
-                elif ph == "B":
-                    self._open_ns.setdefault((target, name), []).append(ts)
 
     # -- queries ------------------------------------------------------------
 
@@ -281,8 +257,8 @@ class PhaseSpan:
     """Measures one engine phase once and fans the measurement out.
 
     One ``perf_counter`` pair feeds up to four consumers: the engine's
-    public :class:`~repro.metrics.timers.PhaseTimer` (always —
-    ``phase_times`` stays populated with tracing off), the tracer (as a
+    ``phase_times`` counter (always — it stays populated with tracing
+    off; the engine runs its phases on one thread), the tracer (as a
     span named ``name`` on ``lane``, when enabled), the metrics registry
     (as a :data:`PHASE_SECONDS` observation labelled ``phase``, when
     enabled), and the flight recorder (as an ``EV_PHASE`` ring record with
@@ -290,13 +266,13 @@ class PhaseSpan:
     """
 
     __slots__ = (
-        "_timer", "_tracer", "_metrics", "_name", "_phase", "_lane",
+        "_times", "_tracer", "_metrics", "_name", "_phase", "_lane",
         "_args", "_t0", "_span", "_flightrec", "_flight_cycle", "_flight_code",
     )
 
     def __init__(
         self,
-        timer: PhaseTimer,
+        times: Counter,
         tracer,
         metrics,
         name: str,
@@ -307,7 +283,7 @@ class PhaseSpan:
         flight_code: int = 0,
         **args: Any,
     ) -> None:
-        self._timer = timer
+        self._times = times
         self._tracer = tracer
         self._metrics = metrics
         self._name = name
@@ -330,7 +306,7 @@ class PhaseSpan:
         elapsed = time.perf_counter() - self._t0
         if self._span is not None:
             self._span.__exit__(*exc)
-        self._timer.add(self._phase, elapsed)
+        self._times[self._phase] += elapsed
         if self._metrics.enabled:
             self._metrics.observe(PHASE_SECONDS, elapsed, phase=self._phase)
         if self._flightrec is not None:

@@ -33,7 +33,7 @@ Figure 5 sweeps ``latency`` to show where communication swamps the
 parallel match gain — the trade that separated the DADO/shared-memory
 line from distributed rule systems.
 
-**Faults and recovery.** A :class:`~repro.faults.FaultPlan` injects
+**Faults and recovery.** A :class:`~repro.resilience.FaultPlan` injects
 deterministic failures: a non-master site can crash at cycle *k* (the
 master detects the missed gather, charges the timeout, and re-hosts the
 dead site's rules across survivors via
@@ -47,7 +47,7 @@ duplicated, or delayed; straggler sites multiply their compute ticks.
 The engine fires in the language's order whichever site hosts a rule, so
 a run that loses a site finishes with exactly the fault-free working
 memory. Every injection and recovery action is a
-:class:`~repro.faults.FaultEvent` on ``DistResult.fault_events``.
+:class:`~repro.resilience.FaultEvent` on ``DistResult.fault_events``.
 """
 
 from __future__ import annotations
@@ -58,13 +58,13 @@ from typing import List, Optional, Set
 from repro.errors import CycleLimitExceeded
 from repro.core.delta import InterferencePolicy
 from repro.core.engine import CycleReport
-from repro.faults import FaultEvent, FaultInjector, FaultPlan
 from repro.lang.ast import Program
 from repro.obs.metrics import NULL_METRICS
 from repro.obs.trace import NULL_TRACER
 from repro.parallel.costmodel import CostModel
 from repro.parallel.partition import Assignment, rehost_assignment
 from repro.parallel.simmachine import SimMachine
+from repro.resilience import FaultEvent, FaultInjector, FaultPlan
 
 __all__ = ["NetworkModel", "DistributedMachine", "DistResult"]
 

@@ -63,10 +63,10 @@ What keeps it fast and correct:
   exactly the site's share of it, degraded results are byte-identical to
   worker results. A worker that *reports* an error still raises: a
   deterministic error would recur on respawn. Every respawn and
-  degradation is a :class:`~repro.faults.FaultEvent`; engines drain them
+  degradation is a :class:`~repro.resilience.FaultEvent`; engines drain them
   per cycle via :meth:`ProcessMatcher.drain_fault_events` into the
   :class:`~repro.core.engine.CycleReport`.
-- **Fault injection.** A :class:`~repro.faults.FaultPlan` can schedule
+- **Fault injection.** A :class:`~repro.resilience.FaultPlan` can schedule
   real ``SIGKILL`` (``kills``) and ``SIGSTOP`` (``wedges``) against
   workers at a given conflict-set cycle, driving the recovery machinery
   deterministically under test.
@@ -83,7 +83,6 @@ explicit worker count) like any other backend.
 
 from __future__ import annotations
 
-import math
 import multiprocessing
 import os
 import pickle
@@ -94,7 +93,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.collector import CollectorSchedule
 from repro.errors import MatchError
-from repro.faults import FaultEvent, FaultInjector, FaultPlan
 from repro.lang.ast import Rule, Value
 from repro.match.alphaindex import AlphaCache, ColumnVectorCache
 from repro.match.compile import (
@@ -105,7 +103,7 @@ from repro.match.compile import (
     value_residue,
 )
 from repro.match.instantiation import InstKey, Instantiation
-from repro.match.interface import Matcher
+from repro.match.interface import Matcher, PoolConfig
 from repro.match.join import enumerate_matches
 from repro.match.treat import TreatMatcher
 from repro.obs.flightrec import (
@@ -126,6 +124,7 @@ from repro.obs.profile import (
     VECTOR_SCAN_ROWS,
 )
 from repro.obs.trace import NULL_TRACER, TraceEvent, Tracer
+from repro.resilience import FaultEvent, FaultInjector
 from repro.wm.columnar import ColumnarReader, ColumnarWorkingMemory
 from repro.wm.memory import DeltaRecorder, WMDelta, WorkingMemory
 from repro.wm.wme import WME
@@ -160,7 +159,7 @@ ObsPayload = Optional[
 
 #: Per-worker, per-cycle reply deadline (seconds). Generous: it exists to
 #: unwedge a hung worker, not to police slow matches. Override per run with
-#: ``ProcessMatchPool(timeout=...)`` or the CLI's ``--matcher-timeout``.
+#: ``PoolConfig(timeout=...)`` or the CLI's ``--matcher-timeout``.
 DEFAULT_TIMEOUT = 60.0
 
 #: A worker that cannot even come up is a deterministic failure no respawn
@@ -527,24 +526,18 @@ class ProcessMatchPool:
         rules: Sequence[Rule],
         wm: WorkingMemory,
         n_workers: int,
-        timeout: Optional[float] = DEFAULT_TIMEOUT,
+        config: Optional[PoolConfig] = None,
         start_method: Optional[str] = None,
-        respawn_limit: Optional[int] = None,
-        fault_plan: Optional[FaultPlan] = None,
         tracer=None,
         metrics=None,
         flightrec=None,
     ) -> None:
         if n_workers < 1:
             raise ValueError("need at least one worker")
-        # An unconfigured timeout must never mean "wait forever": a worker
-        # that dies between request and reply would hang the parent.
-        if timeout is None:
-            timeout = DEFAULT_TIMEOUT
-        if not 0 < timeout < math.inf:
-            raise ValueError("timeout must be a finite number > 0 seconds")
-        if respawn_limit is not None and respawn_limit < 0:
-            raise ValueError("respawn_limit must be >= 0 (None for unlimited)")
+        config = config if config is not None else PoolConfig()
+        fault_plan = config.fault_plan
+        if fault_plan is not None:
+            fault_plan.validate_sites(n_workers)
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else NULL_METRICS
         #: Workers only pay span-recording costs when the parent can use
@@ -555,8 +548,12 @@ class ProcessMatchPool:
         #: degradation (no listener overhead while every worker is healthy).
         self._parent_alpha: Optional[AlphaCache] = None
         self.n_workers = n_workers
-        self.timeout = timeout
-        self.respawn_limit = respawn_limit
+        # An unconfigured timeout must never mean "wait forever": a worker
+        # that dies between request and reply would hang the parent.
+        self.timeout = (
+            config.timeout if config.timeout is not None else DEFAULT_TIMEOUT
+        )
+        self.respawn_limit = config.respawn_limit
         self._rules: Tuple[Rule, ...] = tuple(rules)
         self._rules_by_name: Dict[str, Rule] = {r.name: r for r in rules}
         #: The sites given a process: all of them, each with its share of
@@ -1091,9 +1088,7 @@ class ProcessMatcher(Matcher):
         rules: Sequence[Rule],
         wm: WorkingMemory,
         n_workers: Optional[int] = None,
-        timeout: float = DEFAULT_TIMEOUT,
-        respawn_limit: Optional[int] = None,
-        fault_plan: Optional[FaultPlan] = None,
+        config: Optional[PoolConfig] = None,
         tracer=None,
         metrics=None,
         flightrec=None,
@@ -1107,14 +1102,17 @@ class ProcessMatcher(Matcher):
             rules,
             wm,
             n_workers,
-            timeout=timeout,
-            respawn_limit=respawn_limit,
-            fault_plan=fault_plan,
+            config,
             tracer=tracer,
             metrics=metrics,
             flightrec=flightrec,
         )
         super().__init__(rules, wm)
+        #: The workers keep no match counters (``_worker_main`` drops them,
+        #: keeping per-candidate accounting off the hot path) and the
+        #: parent does no matching, so there is no
+        #: :class:`~repro.match.stats.MatchStats` to report.
+        self.stats = None
 
     def _on_add(self, wme: WME) -> None:
         self._dirty = True

@@ -9,7 +9,7 @@ This module turns that claim into a differential test:
    output, the cycle count, and the final working memory (as facts text —
    the byte-level artifact compared at the end).
 2. **Chaos run.** Execute the same workload on the process match backend
-   under a seeded :class:`~repro.faults.FaultPlan` of real worker
+   under a seeded :class:`~repro.resilience.FaultPlan` of real worker
    ``SIGKILL``\\ s — absorbed by the pool's one recovery policy (respawn,
    then match the site's share in the parent once its budget is spent) —
    and a rotating :class:`~repro.resilience.checkpoint.CheckpointStore`
@@ -63,11 +63,12 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core import EngineConfig, ParulelEngine
 from repro.errors import MatchError
-from repro.faults import FaultPlan, WorkerKill
+from repro.match.interface import PoolConfig
 from repro.obs.blackbox import load_blackbox
 from repro.programs import REGISTRY
 from repro.resilience.checkpoint import CheckpointStore, EngineCheckpointer
 from repro.resilience.janitor import sweep_orphans
+from repro.resilience.plan import FaultPlan, WorkerKill
 from repro.wm.io import dumps as dump_wm_text
 
 __all__ = ["ChaosResult", "run_chaos", "kill_columnar_child", "main"]
@@ -185,8 +186,9 @@ def run_chaos(
         EngineConfig(
             matcher=f"process:{N_WORKERS}",
             wm_backend=backend,
-            matcher_timeout=30.0,
-            fault_plan=FaultPlan(seed=seed, kills=kills),
+            pool=PoolConfig(
+                timeout=30.0, fault_plan=FaultPlan(seed=seed, kills=kills)
+            ),
             blackbox_path=blackbox_path,
         ),
     )

@@ -1,8 +1,8 @@
 """Structured records of faults and recovery actions.
 
-Every fault the :mod:`repro.faults` subsystem injects — and every recovery
-action an execution substrate takes in response — is recorded as a
-:class:`FaultEvent`. The distributed machine surfaces them on
+Every fault a :class:`~repro.resilience.plan.FaultPlan` injects — and
+every recovery action an execution substrate takes in response — is
+recorded as a :class:`FaultEvent`. The distributed machine surfaces them on
 :class:`~repro.parallel.distributed.DistResult`, the process pool exposes
 them via ``drain_fault_events()`` so the engine can attach them to the
 cycle's :class:`~repro.core.engine.CycleReport`, and the fault benchmark

@@ -28,7 +28,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.faults.events import FaultEvent
+from repro.resilience.events import FaultEvent
 
 __all__ = [
     "SiteCrash",
@@ -115,7 +115,8 @@ class FaultPlan:
                 )
 
     def validate_sites(self, n_sites: int) -> None:
-        """Check every referenced site exists; the distributed master
+        """Check every referenced site exists — a fault at a site the run
+        does not have would otherwise never fire. The distributed master
         (site 0) hosts the meta level and the timestamp authority, so the
         simulation does not model losing it."""
         for crash in self.crashes:
@@ -124,11 +125,18 @@ class FaultPlan:
                     "site 0 is the master (meta level + timestamp authority) "
                     "and cannot crash in this model"
                 )
-            if not (0 <= crash.site < n_sites):
-                raise ValueError(f"crash site {crash.site} out of range")
-        for straggler in self.stragglers:
-            if not (0 <= straggler.site < n_sites):
-                raise ValueError(f"straggler site {straggler.site} out of range")
+        for kind, faults in (
+            ("crash", self.crashes),
+            ("straggler", self.stragglers),
+            ("kill", self.kills),
+            ("wedge", self.wedges),
+        ):
+            for fault in faults:
+                if not (0 <= fault.site < n_sites):
+                    raise ValueError(
+                        f"{kind} site {fault.site} out of range "
+                        f"(sites are 0..{n_sites - 1})"
+                    )
 
     @property
     def empty(self) -> bool:

@@ -6,6 +6,7 @@ from repro.errors import CycleLimitExceeded, ExecutionError
 from repro.core import EngineConfig, ParulelEngine
 from repro.core.redaction import MetaLevel
 from repro.lang.parser import parse_program
+from repro.match.interface import PoolConfig
 from repro.parallel import DistributedMachine, SimMachine
 
 
@@ -99,7 +100,14 @@ class TestEngineEdges:
         # A NaN or infinite reply deadline never expires: a wedged worker
         # would hang the parent.
         with pytest.raises(ValueError, match="finite number > 0"):
-            EngineConfig(matcher="process:2", matcher_timeout=timeout)
+            PoolConfig(timeout=timeout)
+
+    @pytest.mark.parametrize("field", ["max_cycles", "max_meta_cycles"])
+    def test_negative_limits_rejected(self, field):
+        # A negative limit would only surface as a failed first run.
+        with pytest.raises(ValueError, match=f"{field} must be >= 0, got -1"):
+            EngineConfig(**{field: -1})
+        assert getattr(EngineConfig(**{field: 0}), field) == 0
 
 
 class TestSubstrateLimits:

@@ -7,10 +7,10 @@ the recovery is visible as structured FaultEvent records.
 
 import pytest
 
-from repro.faults import FaultPlan, SiteCrash, Straggler
 from repro.lang.parser import parse_program
 from repro.parallel import DistributedMachine
 from repro.parallel.partition import rehost_assignment, round_robin_assignment
+from repro.resilience import FaultPlan, SiteCrash, Straggler
 
 pytestmark = pytest.mark.faults
 

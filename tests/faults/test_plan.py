@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.faults import (
+from repro.resilience import (
     FaultEvent,
     FaultPlan,
     SiteCrash,
@@ -50,6 +50,17 @@ class TestPlanValidation:
         plan = FaultPlan(stragglers=(Straggler(site=9),))
         with pytest.raises(ValueError):
             plan.validate_sites(4)
+
+    @pytest.mark.parametrize("site", [-1, 4])
+    @pytest.mark.parametrize("kind", [WorkerKill, WorkerWedge])
+    def test_worker_fault_site_in_range(self, kind, site):
+        fault = kind(cycle=2, site=site)
+        field = "kills" if kind is WorkerKill else "wedges"
+        plan = FaultPlan(**{field: (fault,)})
+        with pytest.raises(ValueError, match=rf"site {site} out of range"):
+            plan.validate_sites(4)
+        # Site 0 is a worker like any other: only a crash spares it.
+        FaultPlan(**{field: (kind(cycle=2, site=0),)}).validate_sites(4)
 
     def test_empty_property(self):
         assert FaultPlan().empty

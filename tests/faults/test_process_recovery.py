@@ -13,13 +13,13 @@ import time
 import pytest
 
 from repro.core import EngineConfig, ParulelEngine
-from repro.faults import FaultPlan, WorkerKill, WorkerWedge
-from repro.faults.events import KNOWN_KINDS
 from repro.lang.parser import parse_program
 from repro.match.compile import compile_rules
-from repro.match.interface import create_matcher
+from repro.match.interface import PoolConfig, create_matcher
 from repro.obs.flightrec import DEATH_KINDS
 from repro.parallel.process import ProcessMatchPool
+from repro.resilience import FaultPlan, WorkerKill, WorkerWedge
+from repro.resilience.events import KNOWN_KINDS
 from repro.wm.io import dumps
 from repro.wm.memory import WorkingMemory
 
@@ -58,7 +58,9 @@ class TestInjectedKills:
         plan = FaultPlan(
             kills=(WorkerKill(cycle=1, site=1), WorkerKill(cycle=2, site=1))
         )
-        with ProcessMatchPool(prog.rules, wm, 2, fault_plan=plan) as pool:
+        with ProcessMatchPool(
+            prog.rules, wm, 2, PoolConfig(fault_plan=plan)
+        ) as pool:
             expected = rete_keys(prog, wm)
             assert keys(pool.conflict_set()) == expected
             assert keys(pool.conflict_set()) == expected
@@ -80,7 +82,7 @@ class TestInjectedKills:
             kills=(WorkerKill(cycle=1, site=1), WorkerKill(cycle=2, site=1))
         )
         with ProcessMatchPool(
-            prog.rules, wm, 2, fault_plan=plan, respawn_limit=1
+            prog.rules, wm, 2, PoolConfig(respawn_limit=1, fault_plan=plan)
         ) as pool:
             expected = rete_keys(prog, wm)
             # Kill 1 consumes the whole budget (respawn); kill 2 degrades.
@@ -103,7 +105,7 @@ class TestInjectedKills:
         load(wm)
         plan = FaultPlan(kills=(WorkerKill(cycle=1, site=0),))
         with ProcessMatchPool(
-            prog.rules, wm, 2, fault_plan=plan, respawn_limit=0
+            prog.rules, wm, 2, PoolConfig(respawn_limit=0, fault_plan=plan)
         ) as pool:
             assert keys(pool.conflict_set()) == rete_keys(prog, wm)
             assert pool.respawns == 0
@@ -121,7 +123,7 @@ class TestInjectedKills:
             kills=tuple(WorkerKill(cycle=c, site=0) for c in (1, 2, 3))
         )
         with ProcessMatchPool(
-            prog.rules, wm, 2, fault_plan=plan, respawn_limit=0
+            prog.rules, wm, 2, PoolConfig(respawn_limit=0, fault_plan=plan)
         ) as pool:
             for n in range(3):
                 wm.make("a0", k=n)
@@ -147,7 +149,7 @@ class TestInjectedWedges:
         load(wm)
         plan = FaultPlan(wedges=(WorkerWedge(cycle=1, site=1),))
         with ProcessMatchPool(
-            prog.rules, wm, 2, timeout=1.0, fault_plan=plan
+            prog.rules, wm, 2, PoolConfig(timeout=1.0, fault_plan=plan)
         ) as pool:
             assert keys(pool.conflict_set()) == rete_keys(prog, wm)
             assert pool.respawns == 1
@@ -165,7 +167,10 @@ class TestInjectedWedges:
         load(wm)
         plan = FaultPlan(wedges=(WorkerWedge(cycle=1, site=1),))
         with ProcessMatchPool(
-            prog.rules, wm, 2, timeout=1.0, fault_plan=plan, respawn_limit=0
+            prog.rules,
+            wm,
+            2,
+            PoolConfig(timeout=1.0, respawn_limit=0, fault_plan=plan),
         ) as pool:
             victim = pool._procs[1]
             assert keys(pool.conflict_set()) == rete_keys(prog, wm)
@@ -225,7 +230,10 @@ class TestEngineIntegration:
         )
         engine = ParulelEngine(
             prog,
-            EngineConfig(matcher="process:2", respawn_limit=1, fault_plan=plan),
+            EngineConfig(
+                matcher="process:2",
+                pool=PoolConfig(respawn_limit=1, fault_plan=plan),
+            ),
         )
         for i in range(8):
             engine.make("edge", src=f"n{i}", dst=f"n{i + 1}")
@@ -275,8 +283,7 @@ class TestEngineIntegration:
             workload.program,
             EngineConfig(
                 matcher=f"process:{k}",
-                fault_plan=plan,
-                respawn_limit=1,
+                pool=PoolConfig(respawn_limit=1, fault_plan=plan),
                 wm_backend=wm_backend,
             ),
         )

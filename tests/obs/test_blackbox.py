@@ -9,8 +9,8 @@ import pytest
 
 from repro.core import EngineConfig, ParulelEngine
 from repro.errors import CycleLimitExceeded
-from repro.faults import FaultPlan, WorkerKill
 from repro.lang.parser import parse_program
+from repro.match.interface import PoolConfig
 from repro.obs.blackbox import diff_blackbox, load_blackbox, skew_report
 from repro.obs.flightrec import (
     EV_CYCLE,
@@ -22,6 +22,7 @@ from repro.obs.flightrec import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import RULE_TIME_SHARE, SITE_SKEW_RATIO
+from repro.resilience import FaultPlan, WorkerKill
 
 TC = """
 (literalize edge src dst)
@@ -76,7 +77,7 @@ class TestEngineDumps:
     def test_manual_dump_records_config_and_seed(self, tmp_path):
         path = tmp_path / "manual.blackbox"
         engine = tc_engine(
-            path, matcher="process:2", fault_plan=FaultPlan(seed=42)
+            path, matcher="process:2", pool=PoolConfig(fault_plan=FaultPlan(seed=42))
         )
         try:
             engine.run()
@@ -94,7 +95,9 @@ class TestEngineDumps:
         path = tmp_path / "kill.blackbox"
         plan = FaultPlan(kills=(WorkerKill(cycle=1, site=1),))
         engine = tc_engine(
-            path, matcher="process:2", respawn_limit=1, fault_plan=plan
+            path,
+            matcher="process:2",
+            pool=PoolConfig(respawn_limit=1, fault_plan=plan),
         )
         try:
             engine.run()

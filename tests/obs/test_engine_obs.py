@@ -6,11 +6,13 @@ exact cross-process counts, fault instants under an injected plan, and
 the distributed machine's virtual site/network lanes.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro.core import EngineConfig, ParulelEngine
-from repro.faults import FaultPlan, WorkerKill
 from repro.lang.parser import parse_program
+from repro.match.interface import PoolConfig
 from repro.obs import MetricsRegistry, Tracer, validate_chrome_trace
 from repro.obs.profile import (
     RULE_CANDIDATES,
@@ -24,6 +26,7 @@ from repro.obs.trace import NULL_TRACER
 from repro.obs.metrics import NULL_METRICS
 from repro.parallel.distributed import DistributedMachine
 from repro.programs.tc import build_tc
+from repro.resilience import FaultPlan, WorkerKill
 
 TC_FACTS = [
     ("edge", {"src": f"n{i}", "dst": f"n{i + 1}"}) for i in range(6)
@@ -73,17 +76,22 @@ class TestEngineSpans:
         names = {e[1] for e in tracer.events()}
         assert {"run", "match", "redact", "act", "merge"} <= names
         validate_chrome_trace(tracer.to_chrome())
-        # Spans land on the engine lane; aggregate seconds are queryable
-        # without replaying events.
+        # Spans land on the engine lane, one closed match span per cycle
+        # at least.
         assert tracer.lanes() == ["engine"]
-        assert tracer.timer.entries["match"] >= result.cycles
+        ends = [e for e in tracer.events() if e[0] == "E" and e[1] == "match"]
+        assert len(ends) >= result.cycles
 
     def test_phase_times_public_keys_unchanged(self):
         tracer = Tracer()
-        engine, _result = run_tc(tracer=tracer)
+        engine, result = run_tc(tracer=tracer)
         assert {"collect", "redact", "evaluate", "apply"} <= set(
             engine.phase_times
         )
+        assert isinstance(engine.phase_times, Counter)
+        # The run's slice is a snapshot, not a live view.
+        assert result.phase_times == engine.phase_times
+        assert result.phase_times is not engine.phase_times
 
     def test_run_span_closes_on_cycle_limit(self):
         from repro.errors import CycleLimitExceeded
@@ -236,7 +244,7 @@ class TestProcessBackendObs:
             tracer=tracer,
             metrics=metrics,
             matcher="process:2",
-            fault_plan=plan,
+            pool=PoolConfig(fault_plan=plan),
         )
         kinds = [e.kind for e in engine.fault_events]
         assert "kill" in kinds and "respawn" in kinds

@@ -1,41 +1,11 @@
-"""PhaseTimer thread-safety, nearest-rank percentiles, cycle summaries."""
-
-import threading
+"""Nearest-rank percentiles and cycle summaries."""
 
 import pytest
 
 from repro.core import EngineConfig, ParulelEngine
 from repro.lang.parser import parse_program
-from repro.metrics.timers import PhaseTimer, percentile, summarize_cycles
-
-
-class TestPhaseTimerThreadSafety:
-    def test_concurrent_adds_lose_nothing(self):
-        timer = PhaseTimer()
-        n_threads, per_thread = 8, 10_000
-
-        def work() -> None:
-            for _ in range(per_thread):
-                timer.add("phase", 0.001)
-
-        threads = [threading.Thread(target=work) for _ in range(n_threads)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-
-        assert timer.entries["phase"] == n_threads * per_thread
-        expected = n_threads * per_thread * 0.001
-        assert abs(timer.seconds["phase"] - expected) < expected * 1e-6
-
-    def test_phase_context_manager_still_works(self):
-        timer = PhaseTimer()
-        with timer.phase("match"):
-            pass
-        assert timer.entries["match"] == 1
-        assert timer.fraction("match") == 1.0
-        timer.reset()
-        assert not timer.seconds and not timer.entries
+from repro.obs import summarize_cycles
+from repro.obs.metrics import percentile
 
 
 class TestPercentile:

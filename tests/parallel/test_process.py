@@ -7,16 +7,16 @@ import pytest
 
 from repro.core import EngineConfig, ParulelEngine
 from repro.errors import MatchError
-from repro.faults import FaultPlan, WorkerKill
 from repro.lang.parser import parse_program
 from repro.match.compile import value_residue
-from repro.match.interface import MATCHER_NAMES, create_matcher
+from repro.match.interface import MATCHER_NAMES, PoolConfig, create_matcher
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel.process import (
     ProcessMatchPool,
     ProcessMatcher,
     default_worker_count,
 )
+from repro.resilience import FaultPlan, WorkerKill, WorkerWedge
 from repro.wm.columnar import ColumnarWorkingMemory
 from repro.wm.memory import WorkingMemory
 
@@ -198,7 +198,7 @@ class TestWorkerRobustness:
         wm = WorkingMemory()
         rete = create_matcher("rete", prog.rules, wm)
         load(wm)
-        with ProcessMatchPool(prog.rules, wm, 2, timeout=0.5) as pool:
+        with ProcessMatchPool(prog.rules, wm, 2, PoolConfig(timeout=0.5)) as pool:
             pool.conflict_set()
             victim = pool.active_sites[0]
             os.kill(pool._procs[victim].pid, signal.SIGSTOP)
@@ -330,7 +330,7 @@ class TestIncrementalReplies:
         plan = FaultPlan(kills=(WorkerKill(cycle=2, site=0),))
         with ProcessMatchPool(prog.rules, wm, k) as healthy:
             with ProcessMatchPool(
-                prog.rules, wm, k, fault_plan=plan, respawn_limit=0
+                prog.rules, wm, k, PoolConfig(respawn_limit=0, fault_plan=plan)
             ) as pool:
                 degraded_cycles = 0
                 for cycle in range(1, 7):
@@ -404,7 +404,9 @@ class TestProcessMatcher:
     def test_process_only_knobs_rejected_on_a_serial_engine(self, knob):
         prog = parse_program(SRC)
         with pytest.raises(ValueError, match="only apply to the 'process' backend"):
-            create_matcher("treat", prog.rules, WorkingMemory(), **knob)
+            create_matcher(
+                "treat", prog.rules, WorkingMemory(), pool=PoolConfig(**knob)
+            )
 
     @pytest.mark.parametrize(
         "knob",
@@ -416,7 +418,39 @@ class TestProcessMatcher:
     def test_bad_pool_knobs_rejected_before_any_spawn(self, knob):
         prog = parse_program(SRC)
         with pytest.raises(ValueError, match="must be"):
-            ProcessMatchPool(prog.rules, WorkingMemory(), 2, **knob)
+            ProcessMatchPool(prog.rules, WorkingMemory(), 2, PoolConfig(**knob))
+
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            FaultPlan(kills=(WorkerKill(cycle=2, site=2),)),
+            FaultPlan(kills=(WorkerKill(cycle=2, site=-1),)),
+            FaultPlan(wedges=(WorkerWedge(cycle=2, site=11),)),
+            FaultPlan(wedges=(WorkerWedge(cycle=2, site=-1),)),
+        ],
+        ids=["kill-above", "kill-below", "wedge-above", "wedge-below"],
+    )
+    def test_a_fault_at_a_site_the_pool_lacks_is_refused_before_any_spawn(
+        self, plan, monkeypatch
+    ):
+        # A fault at a site the pool lacks would never fire.
+        (fault,) = plan.kills or plan.wedges
+        spawned = []
+        monkeypatch.setattr(
+            ProcessMatchPool, "_spawn", lambda pool, site: spawned.append(site)
+        )
+        prog = parse_program(SRC)
+        wm = WorkingMemory()
+        with pytest.raises(ValueError, match=rf"site {fault.site} out of range"):
+            ProcessMatchPool(prog.rules, wm, 2, PoolConfig(fault_plan=plan))
+        assert spawned == []
+        with pytest.raises(ValueError, match=rf"site {fault.site} out of range"):
+            ParulelEngine(
+                prog,
+                EngineConfig(matcher="process:2", pool=PoolConfig(fault_plan=plan)),
+                wm=wm,
+            )
+        assert spawned == []
 
     def test_default_worker_count_bounds(self):
         assert 1 <= default_worker_count() <= 4

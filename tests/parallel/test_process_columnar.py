@@ -15,13 +15,13 @@ import time
 import pytest
 
 from repro.core import EngineConfig, ParulelEngine
-from repro.faults import FaultPlan, WorkerKill
 from repro.lang.parser import parse_program
-from repro.match.interface import create_matcher
+from repro.match.interface import PoolConfig, create_matcher
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel.process import ProcessMatchPool
 from repro.programs import REGISTRY
 from repro.programs.synthetic import build_scale_workload
+from repro.resilience import FaultPlan, WorkerKill
 from repro.wm.columnar import ColumnarWorkingMemory
 from repro.wm.memory import DeltaRecorder, WorkingMemory
 
@@ -103,7 +103,9 @@ class TestColumnarPool:
             rete = create_matcher("rete", prog.rules, wm)
             load(wm)
             plan = FaultPlan(kills=(WorkerKill(cycle=2, site=0),))
-            with ProcessMatchPool(prog.rules, wm, 2, fault_plan=plan) as pool:
+            with ProcessMatchPool(
+                prog.rules, wm, 2, PoolConfig(fault_plan=plan)
+            ) as pool:
                 assert keys(pool.conflict_set()) == keys(rete.instantiations())
                 wm.make("a0", k=0)
                 # Cycle 2: site 0's worker is SIGKILLed before the request;
@@ -287,7 +289,7 @@ class TestBoundedRecv:
             load(wm)
             plan = FaultPlan(kills=(WorkerKill(cycle=2, site=0),))
             with ProcessMatchPool(
-                prog.rules, wm, 2, timeout=60.0, fault_plan=plan
+                prog.rules, wm, 2, PoolConfig(timeout=60.0, fault_plan=plan)
             ) as pool:
                 rete = create_matcher("rete", prog.rules, wm)
                 pool.conflict_set()

@@ -26,9 +26,9 @@ from typing import Any, Dict
 
 import pytest
 
-from repro.faults import FaultPlan, SiteCrash
 from repro.parallel import DistributedMachine, SimMachine, lpt_assignment
 from repro.programs import REGISTRY
+from repro.resilience import FaultPlan, SiteCrash
 from repro.wm.io import dumps
 
 EXPECTED_PATH = Path(__file__).with_name("simulator_pin.json")

@@ -170,6 +170,28 @@ class TestStoreFlagValidation:
         assert rc == 2
         assert "--checkpoint-full-every must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, refused",
+        [
+            (["--checkpoint", "run.ckpt"], "--checkpoint requires --checkpoint-every"),
+            (
+                ["--checkpoint-every", "1", "--checkpoint", "run.ckpt",
+                 "--checkpoint-full-every", "2"],
+                "--checkpoint-full-every requires --checkpoint-keep",
+            ),
+        ],
+        ids=["checkpoint", "checkpoint-full-every"],
+    )
+    def test_a_flag_that_does_nothing_alone_is_refused(
+        self, counter_file, tmp_path, monkeypatch, capsys, flags, refused
+    ):
+        # Without the flag it refines, the flag would do nothing.
+        monkeypatch.chdir(tmp_path)
+        rc = main(["run", counter_file, *flags])
+        assert rc == 2
+        assert f"error: {refused}" in capsys.readouterr().err
+        assert not (tmp_path / "run.ckpt").exists()
+
 
 class TestJanitorCommand:
     def seg_for_dead_pid(self, tmp_path):

@@ -11,12 +11,12 @@ correctness.
 
 import pytest
 
-from repro.faults import FaultPlan, WorkerKill
 from repro.lang.parser import parse_program
-from repro.match.interface import create_matcher
+from repro.match.interface import PoolConfig, create_matcher
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel import process
 from repro.parallel.process import ProcessMatchPool
+from repro.resilience import FaultPlan, WorkerKill
 from repro.wm.columnar import ColumnarWorkingMemory
 from repro.wm.memory import WorkingMemory
 
@@ -78,7 +78,7 @@ class TestPastTheBudget:
             kills=(WorkerKill(cycle=1, site=site), WorkerKill(cycle=2, site=site))
         )
         with ProcessMatchPool(
-            prog.rules, wm, k, fault_plan=plan, respawn_limit=1
+            prog.rules, wm, k, PoolConfig(respawn_limit=1, fault_plan=plan)
         ) as pool:
             expected = rete_keys(prog, wm)
             degraded = []
@@ -108,7 +108,7 @@ class TestPastTheBudget:
         load(wm)
         plan = FaultPlan(kills=(WorkerKill(cycle=1, site=0),))
         with ProcessMatchPool(
-            prog.rules, wm, k, fault_plan=plan, respawn_limit=0
+            prog.rules, wm, k, PoolConfig(respawn_limit=0, fault_plan=plan)
         ) as pool:
             assert keys(pool.conflict_set()) == rete_keys(prog, wm)
             assert pool.degraded_sites == {0}
@@ -138,7 +138,7 @@ class TestPastTheBudget:
         plan = FaultPlan(kills=(WorkerKill(cycle=2, site=0),))
         with ProcessMatchPool(prog.rules, wm, k) as healthy:
             with ProcessMatchPool(
-                prog.rules, wm, k, fault_plan=plan, respawn_limit=0
+                prog.rules, wm, k, PoolConfig(respawn_limit=0, fault_plan=plan)
             ) as pool:
                 degraded = []
                 for cycle in range(1, 7):
@@ -173,7 +173,7 @@ class TestPastTheBudget:
             )
         )
         with ProcessMatchPool(
-            prog.rules, wm, k, fault_plan=plan, respawn_limit=1
+            prog.rules, wm, k, PoolConfig(respawn_limit=1, fault_plan=plan)
         ) as pool:
             for _cycle in range(3):
                 assert keys(pool.conflict_set()) == rete_keys(prog, wm)
@@ -194,7 +194,11 @@ class TestPastTheBudget:
         metrics = MetricsRegistry()
         plan = FaultPlan(kills=(WorkerKill(cycle=2, site=1),))
         with ProcessMatchPool(
-            prog.rules, wm, 2, fault_plan=plan, respawn_limit=0, metrics=metrics
+            prog.rules,
+            wm,
+            2,
+            PoolConfig(respawn_limit=0, fault_plan=plan),
+            metrics=metrics,
         ) as pool:
             pool.conflict_set()
             assert metrics.gauge_value("parulel_site_mode", site=1) is None
@@ -216,7 +220,7 @@ class TestDegradeReasons:
         load(wm)
         plan = FaultPlan(kills=(WorkerKill(cycle=1, site=1),))
         with ProcessMatchPool(
-            prog.rules, wm, 2, fault_plan=plan, respawn_limit=0
+            prog.rules, wm, 2, PoolConfig(respawn_limit=0, fault_plan=plan)
         ) as pool:
             assert keys(pool.conflict_set()) == rete_keys(prog, wm)
             (_kill, degrade) = pool.drain_fault_events()
@@ -281,7 +285,7 @@ class TestDegradeReasons:
         prog = parse_program(SRC)
         wm = WorkingMemory()
         load(wm)
-        with ProcessMatchPool(prog.rules, wm, 2, respawn_limit=3) as pool:
+        with ProcessMatchPool(prog.rules, wm, 2, PoolConfig(respawn_limit=3)) as pool:
             assert keys(pool.conflict_set()) == rete_keys(prog, wm)
             monkeypatch.setattr(process, "_worker_main", _exit_at_once)
             pool._procs[0].kill()

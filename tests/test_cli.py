@@ -387,28 +387,59 @@ class TestRobustnessOptions:
         return str(path)
 
     def test_matcher_timeout_rejects_nonpositive(self, counter_file, capsys):
-        rc = main(["run", counter_file, "--matcher", "process",
-                   "--matcher-timeout", "0"])
-        assert rc == 2
-        assert "--matcher-timeout must be > 0" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["run", counter_file, "--matcher", "process",
+                  "--matcher-timeout", "0"])
+        assert exc.value.code == 2
+        assert (
+            "argument --matcher-timeout: timeout must be a finite number > 0"
+            in capsys.readouterr().err
+        )
 
     @pytest.mark.parametrize("timeout", ["nan", "inf"])
     def test_matcher_timeout_rejects_non_finite(self, counter_file, capsys, timeout):
-        rc = main(["run", counter_file, "--matcher", "process",
-                   "--matcher-timeout", timeout])
-        assert rc == 2
-        assert "--matcher-timeout must be > 0" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["run", counter_file, "--matcher", "process",
+                  "--matcher-timeout", timeout])
+        assert exc.value.code == 2
+        assert (
+            "argument --matcher-timeout: timeout must be a finite number > 0"
+            in capsys.readouterr().err
+        )
 
     def test_respawn_limit_rejects_negative(self, counter_file, capsys):
-        rc = main(["run", counter_file, "--matcher", "process",
-                   "--respawn-limit", "-1"])
-        assert rc == 2
-        assert "--respawn-limit must be >= 0" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["run", counter_file, "--matcher", "process",
+                  "--respawn-limit", "-1"])
+        assert exc.value.code == 2
+        assert (
+            "argument --respawn-limit: respawn_limit must be >= 0"
+            in capsys.readouterr().err
+        )
+
+    def test_pool_flags_keep_argparse_type_errors(self, counter_file, capsys):
+        with pytest.raises(SystemExit):
+            main(["run", counter_file, "--matcher-timeout", "soon"])
+        assert (
+            "argument --matcher-timeout: invalid float value: 'soon'"
+            in capsys.readouterr().err
+        )
 
     def test_process_options_require_process_matcher(self, counter_file, capsys):
         rc = main(["run", counter_file, "--respawn-limit", "2"])
         assert rc == 2
         assert "require --matcher process" in capsys.readouterr().err
+
+    def test_stats_on_the_process_backend_invents_no_counters(
+        self, counter_file, counter_facts, capsys
+    ):
+        rc = main(["run", counter_file, "--facts", counter_facts,
+                   "--matcher", "process", "--workers", "1", "--stats"])
+        assert rc == 0
+        err = capsys.readouterr().err
+        assert "match: the process backend keeps no match counters" in err
+        assert "MatchStats(" not in err
+        assert "phase collect:" in err
 
     def test_process_options_accepted(self, counter_file, counter_facts):
         rc = main(["run", counter_file, "--facts", counter_facts,

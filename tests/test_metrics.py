@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import ParulelEngine
 from repro.lang.parser import parse_program
-from repro.metrics import PhaseTimer, Table, format_table, summarize_cycles
+from repro.obs import Table, format_table, summarize_cycles
 
 
 class TestFormatTable:
@@ -51,31 +51,6 @@ class TestTable:
         path = tmp_path / "out.csv"
         t.save_csv(str(path))
         assert path.read_text().splitlines() == ["a", "5"]
-
-
-class TestPhaseTimer:
-    def test_accumulates(self):
-        timer = PhaseTimer()
-        with timer.phase("work"):
-            pass
-        with timer.phase("work"):
-            pass
-        assert timer.entries["work"] == 2
-        assert timer.seconds["work"] >= 0
-
-    def test_fraction(self):
-        timer = PhaseTimer()
-        assert timer.fraction("none") == 0.0
-        with timer.phase("a"):
-            sum(range(1000))
-        assert 0 < timer.fraction("a") <= 1.0
-
-    def test_reset(self):
-        timer = PhaseTimer()
-        with timer.phase("a"):
-            pass
-        timer.reset()
-        assert timer.entries == {}
 
 
 class TestSummarizeCycles:

@@ -50,15 +50,11 @@ CLI = {
 
 ENGINE_CONFIG = [
     "matcher", "interference", "dedupe_makes", "max_cycles",
-    "max_meta_cycles", "track_provenance", "matcher_timeout", "respawn_limit",
-    "fault_plan", "wm_backend", "flight_recorder", "blackbox_path",
-    "flight_capacity",
+    "max_meta_cycles", "track_provenance", "pool", "wm_backend",
+    "flight_recorder", "blackbox_path",
 ]
 
-CREATE_MATCHER = [
-    "timeout", "respawn_limit", "fault_plan",
-    "tracer", "metrics", "flightrec",
-]
+CREATE_MATCHER = ["pool", "tracer", "metrics", "flightrec"]
 
 #: The ``repro`` modules ``import repro.cli`` loads: what a default ``run``
 #: executes. The packages' other public names resolve on first use
@@ -72,9 +68,9 @@ CLI_IMPORTS = [
     "repro.lang.lexer", "repro.lang.parser", "repro.lang.pretty",
     "repro.match", "repro.match.alphaindex", "repro.match.compile",
     "repro.match.instantiation", "repro.match.interface", "repro.match.join",
-    "repro.match.stats", "repro.metrics", "repro.metrics.timers", "repro.obs",
-    "repro.obs.metrics", "repro.obs.profile", "repro.obs.trace", "repro.wm",
-    "repro.wm.io", "repro.wm.memory", "repro.wm.template", "repro.wm.wme",
+    "repro.match.stats", "repro.obs", "repro.obs.metrics", "repro.obs.profile",
+    "repro.obs.trace", "repro.wm", "repro.wm.io", "repro.wm.memory",
+    "repro.wm.template", "repro.wm.wme",
 ]
 
 #: The other modules ``import repro.cli`` adds to a fresh interpreter. No
@@ -91,9 +87,9 @@ CLI_STDLIB_IMPORTS = ["__future__", "argparse", "gc", "gettext"]
 #: autotuner) resolve on first use, and with them ``concurrent.futures``
 #: and ``logging``.
 POOL_IMPORTS = [
-    "repro.faults", "repro.faults.events", "repro.faults.plan",
     "repro.match.treat", "repro.obs.flightrec", "repro.parallel",
-    "repro.parallel.process", "repro.wm.columnar",
+    "repro.parallel.process", "repro.resilience", "repro.resilience.events",
+    "repro.resilience.plan", "repro.wm.columnar",
 ]
 
 
@@ -147,7 +143,7 @@ def test_engine_config_fields_are_exactly_the_listed_ones():
     parameters = inspect.signature(EngineConfig).parameters
     assert list(parameters) == ENGINE_CONFIG
     assert list(EngineConfig._fields) == ENGINE_CONFIG  # the blackbox header's keys
-    assert len(ENGINE_CONFIG) == 13
+    assert len(ENGINE_CONFIG) == 10
 
 
 def test_create_matcher_keywords_are_exactly_the_listed_ones():
@@ -157,7 +153,7 @@ def test_create_matcher_keywords_are_exactly_the_listed_ones():
         if p.kind is p.KEYWORD_ONLY
     ]
     assert keywords == CREATE_MATCHER
-    assert len(CREATE_MATCHER) == 6
+    assert len(CREATE_MATCHER) == 4
 
 
 def test_importing_the_cli_loads_exactly_the_listed_modules():
@@ -175,6 +171,7 @@ def test_importing_the_cli_loads_exactly_the_listed_modules():
         check=True,
     )
     assert out.stdout.split() == CLI_IMPORTS
+    assert len(CLI_IMPORTS) == 34
 
 
 def test_importing_the_cli_loads_exactly_the_listed_stdlib_modules():
