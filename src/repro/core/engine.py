@@ -153,6 +153,17 @@ def _build_wm(config: "EngineConfig", program: Program) -> WorkingMemory:
     return WorkingMemory(templates)
 
 
+def _render_delta_log(
+    entries: Sequence[Tuple[Tuple[int, ...], Tuple[WME, ...]]]
+) -> List[List[Any]]:
+    """Delta-log entries as checkpoint JSON: ``[removed timestamps,
+    [[class, attrs, timestamp], ...]]`` per cycle."""
+    return [
+        [list(removed), [[w.class_name, w.attributes, w.timestamp] for w in made]]
+        for removed, made in entries
+    ]
+
+
 class CycleReport(Record):
     """Everything one cycle did — the unit of engine instrumentation."""
 
@@ -322,10 +333,10 @@ class ParulelEngine:
         #: cumulative across the engine's life (per-cycle slices land on
         #: each :class:`CycleReport`).
         self.fault_events: List[FaultEvent] = []
-        #: Per-cycle applied deltas in wire form
-        #: ``(removed timestamps, ((class, attrs, timestamp), ...))`` —
-        #: the audit trail checkpoints carry.
-        self.delta_log: List[Tuple[Tuple[int, ...], Tuple[Tuple[str, Dict[str, Value], int], ...]]] = []
+        #: Per-cycle applied deltas ``(removed timestamps, made WMEs)`` —
+        #: the audit trail checkpoints carry, rendered as
+        #: ``[class, attrs, timestamp]`` records only when one is taken.
+        self.delta_log: List[Tuple[Tuple[int, ...], Tuple[WME, ...]]] = []
         self.halted = False
         self._cycle = 0
         self._redaction_quiescent = False
@@ -586,18 +597,16 @@ class ParulelEngine:
     def _apply(self, merged: CycleDelta, deltas: Sequence[InstantiationDelta]) -> None:
         """Commit a cycle delta: retractions, then assertions, then host
         calls (in firing order). The committed delta — retracted timestamps
-        plus asserted records — is appended to :attr:`delta_log`."""
+        plus asserted WMEs — is appended to :attr:`delta_log`."""
         removed_ts = tuple(wme.timestamp for wme in merged.removes)
-        made_records: List[Tuple[str, Dict[str, Value], int]] = []
+        made: List[WME] = []
         for wme in merged.removes:
             self.wm.remove(wme)
             if self.provenance is not None:
                 self.provenance.record_retract(wme, self._cycle)
         for (class_name, attrs), origin in zip(merged.makes, merged.make_origins):
             new_wme = self.wm.make(class_name, attrs)
-            made_records.append(
-                (new_wme.class_name, new_wme.attributes, new_wme.timestamp)
-            )
+            made.append(new_wme)
             if self.provenance is not None:
                 inst, kind, replaced = origin
                 parents = tuple(w for w in inst.wmes if w is not None)
@@ -610,7 +619,7 @@ class ParulelEngine:
                     self.provenance.record_make(
                         new_wme, self._cycle, inst.rule.name, inst.key, parents
                     )
-        self.delta_log.append((removed_ts, tuple(made_records)))
+        self.delta_log.append((removed_ts, tuple(made)))
         for delta in deltas:
             self.evaluator.run_calls(delta)
 
@@ -771,10 +780,7 @@ class ParulelEngine:
                 [rule, list(timestamps)] for rule, timestamps in sorted(self.fired)
             ],
             "output": list(self.output),
-            "delta_log": [
-                [list(removed), [list(rec) for rec in made]]
-                for removed, made in self.delta_log
-            ],
+            "delta_log": _render_delta_log(self.delta_log),
         }
         if self.flightrec is not None:
             self.flightrec.record(self._fr.EV_CHECKPOINT, self._cycle, code=0)
@@ -820,10 +826,7 @@ class ParulelEngine:
                 for rule, timestamps in self.fired_log[f0:]
             ],
             "output": list(self.output[o0:]),
-            "delta_log": [
-                [list(removed), [list(rec) for rec in made]]
-                for removed, made in self.delta_log[d0:]
-            ],
+            "delta_log": _render_delta_log(self.delta_log[d0:]),
         }
         if self.flightrec is not None:
             self.flightrec.record(self._fr.EV_CHECKPOINT, self._cycle, code=1)
@@ -886,7 +889,7 @@ class ParulelEngine:
             delta_log = [
                 (
                     tuple(removed),
-                    tuple((cn, dict(attrs), ts) for cn, attrs, ts in made),
+                    tuple(WME(cn, attrs, ts) for cn, attrs, ts in made),
                 )
                 for removed, made in state["delta_log"]
             ]

@@ -68,9 +68,15 @@ class WorkingMemory:
         Attributes come from the ``attrs`` mapping and/or keyword arguments
         (keywords use ``_`` for ``-``, as in the builder DSL).
         """
-        merged: Dict[str, Value] = dict(attrs or {})
-        for key, val in kw.items():
-            merged[key.replace("_", "-")] = val
+        merged: Mapping[str, Value]
+        if kw:
+            merged = dict(attrs or {})
+            for key, val in kw.items():
+                merged[key.replace("_", "-")] = val
+        else:
+            # The WME copies the values out, so the caller's mapping can be
+            # read in place.
+            merged = attrs if attrs is not None else {}
         self.templates.validate(class_name, merged)
         wme = WME(class_name, merged, self._next_timestamp)
         self._next_timestamp += 1

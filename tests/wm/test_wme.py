@@ -1,5 +1,10 @@
 """Unit tests for WMEs."""
 
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 
 from repro.wm.wme import NIL, WME
@@ -97,3 +102,38 @@ class TestRepr:
     def test_repr_quotes_spacey_strings(self):
         w = WME("note", {"text": "two words"}, 1)
         assert "^text |two words|" in repr(w)
+
+
+class TestPickle:
+    def test_round_trip(self):
+        w = WME("block", {"name": "b1", "size": 3}, 4)
+        back = pickle.loads(pickle.dumps(w))
+        assert back == w and hash(back) == hash(w)
+        assert back.get("size") == 3 and back.get("colour") == NIL
+
+    def test_hash_follows_the_loading_process(self, tmp_path):
+        """A WME pickled under one hash seed and loaded under another must
+        hash like a twin built there, or set and dict lookups miss it."""
+        blob = tmp_path / "wme.pickle"
+        dump = (
+            "import pathlib, pickle, sys\n"
+            "from repro.wm.wme import WME\n"
+            "w = WME('block', {'name': 'b1', 'size': 3, 'on': 'table'}, 7)\n"
+            "pathlib.Path(sys.argv[1]).write_bytes(pickle.dumps(w))\n"
+        )
+        load = (
+            "import pathlib, pickle, sys\n"
+            "from repro.wm.wme import WME\n"
+            "w = pickle.loads(pathlib.Path(sys.argv[1]).read_bytes())\n"
+            "twin = WME('block', {'on': 'table', 'size': 3, 'name': 'b1'}, 7)\n"
+            "assert w == twin, (w, twin)\n"
+            "assert hash(w) == hash(twin), 'hash kept from the dumping process'\n"
+            "assert w in {twin} and twin in {w}\n"
+        )
+        for seed, code in (("1", dump), ("2", load)):
+            env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), PYTHONHASHSEED=seed)
+            done = subprocess.run(
+                [sys.executable, "-c", code, str(blob)],
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+            assert done.returncode == 0, done.stderr
