@@ -82,8 +82,7 @@ from repro.core import EngineConfig, ParulelEngine
 from repro.errors import CycleLimitExceeded, ReproError
 from repro.lang import analyze_program, format_program, parse_program
 from repro.match.interface import PoolConfig
-from repro.wm.io import Fact, fact_line, parse_facts_text
-from repro.wm.io import dumps as dump_wm_text
+from repro.wm.io import Fact, dump, fact_line, parse_facts_text
 
 __all__ = ["main", "parse_facts"]
 
@@ -103,9 +102,11 @@ def _read_text(path: str) -> str:
         raise ReproError(f"{path}: not valid UTF-8 (byte {exc.start})") from None
 
 
-def _write_text(path: str, text: str) -> None:
+def dump_wm_text(wm, path: str) -> None:  # noqa: ANN001 - either WM store
+    """``--dump-wm``: the working memory as UTF-8 facts text, streamed to
+    ``path`` a line at a time (no string of the whole WM is built)."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        dump(wm, fh)
 
 
 def _read_facts(path: str) -> List[Fact]:
@@ -254,6 +255,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             matcher=matcher,
         )
         _assert_facts(ops5.make, args.facts, facts)
+        del facts  # loaded: the run needs no second copy of them
         result = ops5.run(max_cycles=args.max_cycles)
         for line in result.output:
             print(line)
@@ -266,7 +268,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             for rule in result.fired_rules:
                 print(f"  fired {rule}", file=sys.stderr)
         if args.dump_wm:
-            _write_text(args.dump_wm, dump_wm_text(ops5.wm))
+            dump_wm_text(ops5.wm, args.dump_wm)
         return 0
 
     user_trace = None
@@ -334,6 +336,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             program, config, trace=trace, tracer=obs_tracer, metrics=obs_metrics
         )
         _assert_facts(engine.make, args.facts, facts)
+    del facts  # loaded: the run needs no second copy of them
     if args.checkpoint_keep is not None:
         from repro.resilience import CheckpointStore, EngineCheckpointer
 
@@ -359,6 +362,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 print(line)
         if args.checkpoint_every is not None:
             ckpt_save()  # salvage the partial run
+        if args.dump_wm:
+            dump_wm_text(engine.wm, args.dump_wm)
         # A truncated run is exactly when you want to see where the time
         # went — the artifacts cover the cycles that did complete.
         _write_obs(args, obs_tracer, obs_metrics)
@@ -405,7 +410,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         for name, secs in sorted(engine.phase_times.items()):
             print(f"  phase {name}: {secs * 1000:.1f} ms", file=sys.stderr)
     if args.dump_wm:
-        _write_text(args.dump_wm, dump_wm_text(engine.wm))
+        dump_wm_text(engine.wm, args.dump_wm)
     _write_obs(args, obs_tracer, obs_metrics)
     engine.close()
     return 0

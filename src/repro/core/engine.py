@@ -144,7 +144,7 @@ class EngineConfig(FrozenRecord):
 
 def _build_wm(config: "EngineConfig", program: Program) -> WorkingMemory:
     """The working-memory store the config asks for. Imported lazily so the
-    default dict path never touches :mod:`multiprocessing.shared_memory`."""
+    default dict path never touches shared memory."""
     templates = TemplateRegistry.from_program(program)
     if config.wm_backend == "columnar":
         from repro.wm.columnar import ColumnarWorkingMemory
@@ -281,7 +281,7 @@ class ParulelEngine:
             matcher_options["metrics"] = self.metrics
         #: The always-on black-box flight recorder (None only with
         #: ``flight_recorder=False``). Imported lazily: it is the one
-        #: default-on feature that touches multiprocessing.shared_memory.
+        #: default-on feature that can touch shared memory.
         self.flightrec = None
         self._fr = None  # the flightrec module (event-kind constants)
         if self.config.flight_recorder:

@@ -34,7 +34,7 @@ differential and conformance tests enforce it.
 from __future__ import annotations
 
 import struct
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.match.compile import (
     AlphaKey,
@@ -62,10 +62,14 @@ IndexAttrs = Tuple[str, ...]
 class IndexedMemory:
     """Insertion-ordered WME set with lazily-built hash indexes.
 
-    Each index maps an attribute tuple to ``values-tuple -> ordered bucket``.
-    Indexes are built on first probe of that attribute tuple and maintained
-    incrementally afterwards. Buckets are insertion-ordered dicts, so a
-    probe returns the same subsequence a scan of :attr:`wmes` would.
+    Each index maps an attribute tuple to ``values-tuple -> holder``, where
+    the holder is the WME itself while its key has one member and an
+    insertion-ordered dict of them from the second member on (removals
+    that leave one member put the lone WME back). Most keys of a selective
+    index hold one WME, so most need no bucket at all. Indexes are built on
+    first probe of that attribute tuple and maintained incrementally
+    afterwards; a probe returns the same subsequence a scan of
+    :attr:`wmes` would.
 
     Thread note: concurrent lazy builds (threaded pool) each construct a
     complete local index before installing it, so readers only ever see a
@@ -78,16 +82,16 @@ class IndexedMemory:
     def __init__(self) -> None:
         #: Ordered set of member WMEs (values unused — membership + order).
         self.wmes: Dict[WME, None] = {}
-        self._indexes: Dict[IndexAttrs, Dict[Tuple, Dict[WME, None]]] = {}
+        self._indexes: Dict[IndexAttrs, Dict[Tuple, _Holder]] = {}
 
     def add(self, wme: WME) -> None:
-        self.wmes[wme] = None
+        wmes = self.wmes
+        size = len(wmes)
+        wmes[wme] = None
+        if len(wmes) == size:
+            return  # already a member
         for attrs, index in self._indexes.items():
-            key = tuple(wme.get(a) for a in attrs)
-            bucket = index.get(key)
-            if bucket is None:
-                bucket = index[key] = {}
-            bucket[wme] = None
+            _hold(index, tuple(wme.get(a) for a in attrs), wme)
 
     def bulk_add(self, wmes: Sequence[WME]) -> None:
         """Add many WMEs at once, preserving their order.
@@ -111,36 +115,36 @@ class IndexedMemory:
         del self.wmes[wme]
         for attrs, index in self._indexes.items():
             key = tuple(wme.get(a) for a in attrs)
-            bucket = index.get(key)
-            if bucket is not None:
-                bucket.pop(wme, None)
-                if not bucket:
-                    del index[key]
+            held = index[key]
+            if type(held) is not dict:
+                del index[key]  # the lone member is this WME
+                continue
+            del held[wme]
+            if len(held) == 1:
+                index[key] = next(iter(held))
         return True
 
-    def _index_for(self, attrs: IndexAttrs) -> Dict[Tuple, Dict[WME, None]]:
+    def _index_for(self, attrs: IndexAttrs) -> Dict[Tuple, _Holder]:
         index = self._indexes.get(attrs)
         if index is None:
             index = {}
             for wme in self.wmes:
-                key = tuple(wme.get(a) for a in attrs)
-                bucket = index.get(key)
-                if bucket is None:
-                    bucket = index[key] = {}
-                bucket[wme] = None
+                _hold(index, tuple(wme.get(a) for a in attrs), wme)
             self._indexes[attrs] = index
         return index
 
     def probe(self, attrs: IndexAttrs, values: Tuple) -> Sequence[WME]:
         """WMEs whose ``attrs`` equal ``values``, in insertion order."""
-        bucket = self._index_for(attrs).get(values)
-        return tuple(bucket) if bucket else ()
+        held = self._index_for(attrs).get(values)
+        if held is None:
+            return ()
+        return tuple(held) if type(held) is dict else (held,)
 
     def probe_exists(self, attrs: IndexAttrs, values: Tuple) -> bool:
-        """Bucket non-emptiness without materializing it — the negated-CE
-        existence check when no residual tests remain (empty buckets are
-        deleted on remove, so membership means at least one WME)."""
-        return bool(self._index_for(attrs).get(values))
+        """Whether any member has ``attrs`` equal to ``values``, without
+        materializing them — the negated-CE existence check when no
+        residual tests remain (a key is deleted with its last member)."""
+        return self._index_for(attrs).get(values) is not None
 
     @property
     def index_count(self) -> int:
@@ -154,6 +158,22 @@ class IndexedMemory:
 
     def __iter__(self) -> Iterator[WME]:
         return iter(self.wmes)
+
+
+#: What an :class:`IndexedMemory` index holds under one key: the lone
+#: member, or an insertion-ordered dict of two or more.
+_Holder = Union[WME, Dict[WME, None]]
+
+
+def _hold(index: Dict[Tuple, _Holder], key: Tuple, wme: WME) -> None:
+    """Add ``wme`` (not yet held) under ``key``, after the key's members."""
+    held = index.get(key)
+    if held is None:
+        index[key] = wme
+    elif type(held) is dict:
+        held[wme] = None
+    else:
+        index[key] = {held: None, wme: None}
 
 
 class AlphaCache:
@@ -256,8 +276,8 @@ class AlphaCache:
 # as *row ids* over a :class:`~repro.wm.columnar.ColumnarReader`'s shared
 # ``(tag, payload)`` int64 columns, with WME objects built lazily — only for
 # rows a probe or full scan actually surfaces. The columnar module is
-# imported lazily so the default dict-backed path never touches
-# ``multiprocessing.shared_memory``.
+# imported lazily so the default dict-backed path never touches shared
+# memory.
 #
 # Keying scheme: every storable value canonicalizes to one packed integer
 # ``(kind << 64) | (payload & 0xFFFF..FF)`` chosen so that two stored cells

@@ -64,7 +64,7 @@ __all__ = [
 ]
 
 #: Flight-recorder names resolve lazily (PEP 562) so importing
-#: ``repro.obs`` never drags in ``multiprocessing.shared_memory`` — the
+#: ``repro.obs`` never drags in the shared-memory segment code — the
 #: engine's default dict-WM path stays import-light — and the report
 #: helpers load only for the experiment suite and ``parulel profile``.
 __getattr__ = lazy_exports(

@@ -7,8 +7,8 @@ to opt out) holding one bounded ring per process — the engine writes cycle
 boundaries, phase durations, per-rule firings, redaction verdicts,
 conflict-set churn, checkpoint writes and fault/recovery events into
 its own ring, while each match worker writes rule-level lifecycle records
-into a ``multiprocessing.shared_memory`` ring the *parent* created and
-keeps mapped, so the records survive a worker SIGKILL.
+into a POSIX shared-memory ring the *parent* created and keeps mapped, so
+the records survive a worker SIGKILL.
 
 Records are fixed 48-byte packed structs (see :data:`RECORD`). The writer
 publishes a monotonically increasing sequence number in the ring header
@@ -37,10 +37,8 @@ timelines, skew analytics and recording diffs.
 
 from __future__ import annotations
 
-import json
 import mmap
 import os
-import secrets
 import struct
 import sys
 import tempfile
@@ -186,7 +184,7 @@ def default_blackbox_path() -> str:
 
 def _flight_token() -> str:
     return (
-        f"{FLIGHT_PREFIX}{os.getpid() & 0xFFFFFFFF:08x}p{secrets.token_hex(4)}"
+        f"{FLIGHT_PREFIX}{os.getpid() & 0xFFFFFFFF:08x}p{os.urandom(4).hex()}"
     )
 
 
@@ -566,6 +564,8 @@ class FlightRecorder:
         }
         if info:
             header["info"] = dict(info)
+        import json  # only a dump writes JSON: a clean run never loads it
+
         payload = json.dumps(header, default=repr).encode("utf-8")
         tmp = f"{path}.tmp.{os.getpid()}"
         with open(tmp, "wb") as fh:

@@ -1,4 +1,4 @@
-"""Columnar working memory on ``multiprocessing.shared_memory``.
+"""Columnar working memory on POSIX shared memory.
 
 :class:`ColumnarWorkingMemory` is a drop-in :class:`~repro.wm.memory.WorkingMemory`
 whose authoritative storage is *struct-of-arrays*: per class, one shared
@@ -67,11 +67,12 @@ in ``tests/wm/test_columnar.py`` asserts it operation by operation.
 
 from __future__ import annotations
 
+import _posixshmem
+import mmap
 import os
-import secrets
 import struct
 import weakref
-from multiprocessing import shared_memory
+from multiprocessing import resource_tracker
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import WorkingMemoryError
@@ -126,31 +127,46 @@ _INITIAL_JOURNAL_RECORDS = 4096
 
 
 class _Seg:
-    """One shared-memory segment plus the memoryviews carved from it.
+    """One POSIX shared-memory segment plus the memoryviews carved from it.
+
+    Opened with ``_posixshmem.shm_open`` + ``os.ftruncate`` + ``mmap``
+    rather than the stdlib's ``SharedMemory`` class, whose module imports
+    :mod:`secrets` (and through it ``hashlib`` and OpenSSL's libcrypto) to
+    generate names this store always chooses itself. The resource-tracker
+    protocol is the stdlib's: ``register`` on create and on attach,
+    ``unregister`` after an unlink. The shm descriptor is closed as soon as
+    the mapping exists (``mmap`` keeps its own duplicate, which
+    :meth:`close` — or collection — releases with the mapping).
 
     Tracks derived views so :meth:`close` can release them first —
     ``mmap.close`` refuses while exported views are alive.
     """
 
-    __slots__ = ("shm", "_views")
+    __slots__ = ("name", "size", "_mmap", "buf", "_views")
 
     def __init__(self, name: str, size: int = 0, create: bool = False) -> None:
-        if create:
-            self.shm = shared_memory.SharedMemory(name=name, create=True, size=size)
-        else:
-            self.shm = shared_memory.SharedMemory(name=name)
+        flags = os.O_RDWR | (os.O_CREAT | os.O_EXCL if create else 0)
+        fd = _posixshmem.shm_open("/" + name, flags, mode=0o600)
+        try:
+            if create:
+                os.ftruncate(fd, size)
+            else:
+                size = os.fstat(fd).st_size
+            self._mmap = mmap.mmap(fd, size)
+        except OSError:
+            if create:
+                _posixshmem.shm_unlink("/" + name)
+            raise
+        finally:
+            os.close(fd)
+        resource_tracker.register("/" + name, "shared_memory")
+        self.name = name
+        self.size = size
+        self.buf = memoryview(self._mmap)
         self._views: List[memoryview] = []
 
-    @property
-    def name(self) -> str:
-        return self.shm.name
-
-    @property
-    def buf(self) -> memoryview:
-        return self.shm.buf
-
     def view(self, start: int, stop: int, fmt: Optional[str] = None) -> memoryview:
-        mv = self.shm.buf[start:stop]
+        mv = self.buf[start:stop]
         if fmt is not None:
             mv = mv.cast(fmt)
         self._views.append(mv)
@@ -160,22 +176,18 @@ class _Seg:
         for mv in self._views:
             mv.release()
         self._views.clear()
-        self.shm.close()
+        self.buf.release()
+        self._mmap.close()
 
     def unlink(self) -> None:
         try:
-            self.shm.unlink()
+            _posixshmem.shm_unlink("/" + self.name)
         except FileNotFoundError:
-            # Already swept externally (janitor, chaos fault). The stdlib
-            # only unregisters after a successful shm_unlink, so drop the
-            # stale tracker entry ourselves or the resource tracker warns
+            # Already swept externally (janitor, chaos fault). Drop the
+            # stale tracker entry anyway, or the resource tracker warns
             # (and re-unlinks the missing name) at interpreter exit.
-            try:
-                from multiprocessing import resource_tracker
-
-                resource_tracker.unregister(self.shm._name, "shared_memory")
-            except Exception:  # noqa: BLE001 - cleanup must never raise
-                pass
+            pass
+        resource_tracker.unregister("/" + self.name, "shared_memory")
 
 
 def _encode_value(intern: Callable[[str], int], val: Value) -> Tuple[int, int]:
@@ -384,7 +396,7 @@ class ColumnarWorkingMemory(WorkingMemory):
         # The owner pid rides in the token so the shm janitor can prove a
         # segment orphaned (owner dead) without a /proc-wide maps scan.
         self.token = (
-            f"{SEGMENT_PREFIX}{os.getpid() & 0xFFFFFFFF:08x}p{secrets.token_hex(4)}"
+            f"{SEGMENT_PREFIX}{os.getpid() & 0xFFFFFFFF:08x}p{os.urandom(4).hex()}"
         )
         self._segs: Dict[str, _Seg] = {}
         self._owner_pid = os.getpid()
@@ -578,7 +590,7 @@ class ColumnarWorkingMemory(WorkingMemory):
     @property
     def shared_bytes(self) -> int:
         """Total bytes currently allocated in shared segments."""
-        return sum(seg.shm.size for seg in self._segs.values())
+        return sum(seg.size for seg in self._segs.values())
 
     # -- lifecycle -----------------------------------------------------------
 

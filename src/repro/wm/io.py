@@ -55,14 +55,17 @@ def _format_wme(wme: WME) -> str:
 
 def dumps(wm: WorkingMemory) -> str:
     """Serialize all live WMEs, one per line, in global timestamp order."""
-    return "\n".join(_format_wme(w) for w in wm.snapshot()) + (
-        "\n" if len(wm) else ""
-    )
+    return "".join(_lines(wm))
 
 
 def dump(wm: WorkingMemory, fh: TextIO) -> None:
-    """Write :func:`dumps` output to an open text file."""
-    fh.write(dumps(wm))
+    """Write :func:`dumps` output to an open text file, a line at a time:
+    no string of the whole working memory is ever built."""
+    fh.writelines(_lines(wm))
+
+
+def _lines(wm: WorkingMemory) -> Iterator[str]:
+    return (f"{_format_wme(w)}\n" for w in wm.snapshot())
 
 
 # --- the facts reader ------------------------------------------------------

@@ -491,6 +491,20 @@ class TestRobustnessOptions:
         straight = (tmp_path / "straight.wm").read_text()
         assert resumed == straight
 
+    def test_a_run_stopped_by_the_cycle_limit_still_dumps_its_wm(
+        self, counter_file, counter_facts, tmp_path, capsys
+    ):
+        # Regression: the cycle-limit exit saved the checkpoint and the obs
+        # artifacts for the cycles that did complete, but no --dump-wm.
+        dump, metrics = tmp_path / "o.wm", tmp_path / "m.json"
+        rc = main(["run", counter_file, "--facts", counter_facts,
+                   "--max-cycles", "3", "--dump-wm", str(dump),
+                   "--metrics-out", str(metrics)])
+        assert rc == 1
+        assert "cycle limit hit after 3 cycles" in capsys.readouterr().err
+        assert metrics.exists()
+        assert dump.read_text(encoding="utf-8") == "(count ^value 3)\n"
+
     def test_resume_ignores_facts_with_warning(
         self, counter_file, counter_facts, tmp_path, capsys
     ):

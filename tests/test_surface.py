@@ -227,14 +227,62 @@ def test_a_default_run_loads_only_the_default_matcher_on_top(tmp_path):
             "import sys, repro.cli\n"
             "before = set(sys.modules)\n"
             f"assert repro.cli.main(['run', {str(program)!r}]) == 0\n"
-            "print(*sorted(m for m in set(sys.modules) - before"
-            " if m.startswith('repro.')))",
+            "new = set(sys.modules) - before\n"
+            "print(*sorted(m for m in new if m.startswith('repro.')))\n"
+            "print('json' in new)",
         ],
         capture_output=True,
         text=True,
         check=True,
     )
-    assert out.stdout.split() == ["repro.match.treat", "repro.obs.flightrec"]
+    loaded, json_loaded = out.stdout.split("\n")[:2]
+    assert loaded.split() == ["repro.match.treat", "repro.obs.flightrec"]
+    # Only a black-box dump writes JSON; a clean run never loads it.
+    assert json_loaded == "False"
+
+
+#: ``secrets`` and what it imports: ``hmac`` -> ``hashlib`` -> ``_hashlib``,
+#: which maps OpenSSL's libcrypto into the process. Segment names need
+#: only ``os.urandom``, so no run path may load any of them.
+CRYPTO_MODULES = ["_hashlib", "hashlib", "hmac", "secrets"]
+
+#: The code each import-ratchet path runs after ``import repro.cli``, with
+#: ``{p}`` a program and ``{f}`` its two facts.
+RATCHET_PATHS = {
+    "import repro.cli": "",
+    "default run": "assert repro.cli.main(['run', {p!r}]) == 0",
+    "import repro.parallel.process": "import repro.parallel.process",
+    "process columnar run": (
+        "assert repro.cli.main(['run', {p!r}, '--facts', {f!r},"
+        " '--matcher', 'process', '--workers', '2',"
+        " '--wm-backend', 'columnar']) == 0"
+    ),
+}
+
+
+@pytest.mark.parametrize("path", list(RATCHET_PATHS))
+def test_no_run_path_loads_a_crypto_library(path, tmp_path):
+    """In a fresh interpreter, counting only what the path itself loads
+    (a set difference, so modules ``site`` imported do not count)."""
+    program, facts = tmp_path / "p.pl", tmp_path / "f.facts"
+    program.write_text("(literalize a k)\n(p r (a ^k 1) --> (halt))\n")
+    facts.write_text("(a ^k 1)\n(a ^k 2)\n")
+    code = RATCHET_PATHS[path].format(p=str(program), f=str(facts))
+    out = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import repro.cli\n"
+            f"{code}\n"
+            f"print(*sorted((set(sys.modules) - before) & {set(CRYPTO_MODULES)!r}))",
+        ],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.split() == []
 
 
 #: Command lines ``main`` parses with only the named subcommand's parser
