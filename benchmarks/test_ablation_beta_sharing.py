@@ -14,8 +14,8 @@ while producing the identical conflict set.
 
 import pytest
 
+from repro.lab.rete import ReteMatcher, SharedReteMatcher
 from repro.lang.builder import ProgramBuilder, v
-from repro.match.rete import ReteMatcher, SharedReteMatcher
 from repro.match.stats import COUNTER_NAMES
 from repro.obs import Table
 from repro.wm.memory import WorkingMemory

@@ -11,9 +11,9 @@ changing any result.
 
 import pytest
 
+from repro.lab import SimMachine
 from repro.lang.ast import Program
 from repro.obs import Table
-from repro.parallel import SimMachine
 from repro.programs import build_sieve, build_tc, build_waltz
 
 from .conftest import emit

@@ -10,14 +10,14 @@ imbalance is lower — profiling pays for itself.
 
 import pytest
 
-from repro.lang.ast import Program
-from repro.obs import Table
-from repro.parallel import (
+from repro.lab import (
     SimMachine,
     lpt_assignment,
     profile_rule_weights,
     round_robin_assignment,
 )
+from repro.lang.ast import Program
+from repro.obs import Table
 from repro.programs import build_sieve, build_tc, build_waltz
 
 from .conftest import emit

@@ -17,7 +17,7 @@ import time
 
 import pytest
 
-from repro.match.interface import create_matcher
+from repro.lab.rete import create_lab_matcher
 from repro.match.stats import COUNTER_NAMES
 from repro.obs import Table
 from repro.programs import build_churn_workload
@@ -30,7 +30,7 @@ CHURN_STEPS = 25
 def run_churn(engine_name, chain_length=4, n_entities=24):
     cw = build_churn_workload(chain_length=chain_length, n_entities=n_entities)
     wm = cw.fresh_wm()
-    matcher = create_matcher(engine_name, cw.program.rules, wm)
+    matcher = create_lab_matcher(engine_name, cw.program.rules, wm)
     block = cw.load(wm)
     matcher.instantiations()
     matcher.stats.reset()

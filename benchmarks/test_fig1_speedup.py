@@ -14,13 +14,13 @@ reproducible.
 
 import pytest
 
-from repro.obs import Table
-from repro.parallel import (
+from repro.lab import (
     SimMachine,
     SpeedupSeries,
     copy_and_constrain_program,
     hash_partitions,
 )
+from repro.obs import Table
 from repro.programs import REGISTRY
 
 from .conftest import emit

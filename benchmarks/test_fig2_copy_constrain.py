@@ -13,13 +13,13 @@ paper's story (rule parallelism alone caps at the number of rules).
 
 import pytest
 
-from repro.obs import Table
-from repro.parallel import (
+from repro.lab import (
     SimMachine,
     SpeedupSeries,
     copy_and_constrain_program,
     hash_partitions,
 )
+from repro.obs import Table
 from repro.programs import build_tc
 
 from .conftest import emit

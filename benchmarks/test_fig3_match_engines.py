@@ -20,6 +20,7 @@ import time
 
 import pytest
 
+from repro.lab.rete import create_lab_matcher
 from repro.match.interface import create_matcher
 from repro.match.stats import COUNTER_NAMES
 from repro.obs import Table
@@ -109,7 +110,7 @@ def test_fig3_naive_recompute_dominates(benchmark, figure3):
     def rete_reread():
         jw = build_join_workload(n_rules=2, n_keys=20, seed=9)
         wm = jw.fresh_wm()
-        matcher = create_matcher("rete", jw.program.rules, wm)
+        matcher = create_lab_matcher("rete", jw.program.rules, wm)
         jw.load(wm, 100)
         matcher.instantiations()
         for i in range(10):

@@ -19,8 +19,8 @@ of the final working memory) is asserted at each point.
 
 import pytest
 
+from repro.lab import DistributedMachine, NetworkModel
 from repro.obs import Table
-from repro.parallel import DistributedMachine, NetworkModel
 from repro.programs import build_circuit
 
 from .conftest import emit

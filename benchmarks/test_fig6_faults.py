@@ -20,8 +20,8 @@ headline curve.
 
 import pytest
 
+from repro.lab import DistributedMachine
 from repro.obs import Table
-from repro.parallel import DistributedMachine
 from repro.programs import build_circuit
 from repro.resilience import FaultPlan, SiteCrash
 

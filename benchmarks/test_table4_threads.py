@@ -21,9 +21,9 @@ import time
 
 import pytest
 
+from repro.lab.threaded import ThreadedMatchPool
 from repro.obs import Table
 from repro.parallel.process import ProcessMatchPool
-from repro.parallel.threaded import ThreadedMatchPool
 from repro.programs import build_join_workload
 
 from .conftest import emit

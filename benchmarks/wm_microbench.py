@@ -73,10 +73,10 @@ from statistics import median
 from typing import Dict, List
 
 from repro.core import EngineConfig, ParulelEngine
+from repro.lab.threaded import ThreadedMatchPool
 from repro.match.interface import PoolConfig
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel.process import ProcessMatchPool
-from repro.parallel.threaded import ThreadedMatchPool
 from repro.programs.synthetic import build_scale_workload
 from repro.wm.columnar import ColumnarWorkingMemory
 from repro.wm.memory import WorkingMemory

@@ -17,13 +17,13 @@ repro/parallel/costmodel.py), so the numbers are stable run to run.
 Run:  python examples/simulated_speedup.py
 """
 
-from repro.obs import Table
-from repro.parallel import (
+from repro.lab import (
     SimMachine,
     SpeedupSeries,
     copy_and_constrain_program,
     hash_partitions,
 )
+from repro.obs import Table
 from repro.programs import build_waltz
 
 

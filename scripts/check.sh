@@ -9,7 +9,7 @@
 #                               # recovery bug from hanging the gate)
 #   scripts/check.sh --bench    # additionally regenerate the experiment
 #                               # tables/figures under benchmarks/results/
-#                               # and fail if a simulator table moved
+#                               # and fail if a deterministic table moved
 #   scripts/check.sh --resilience  # additionally run the live-recovery
 #                               # chaos differential (seeded SIGKILLs +
 #                               # checkpoint truncation + segment unlinks
@@ -169,17 +169,21 @@ if [[ "${1:-}" == "--bench" ]]; then
     echo "== simulator figures' plain assertions (--benchmark-only skips them)"
     python -m pytest benchmarks/test_fig5_distributed.py \
         benchmarks/test_fig6_faults.py -q --benchmark-disable
-    echo "== simulator tables byte-identical to the committed ones"
-    # These tables are cost-model ticks with no wall-clock column, so any
-    # byte that moves is a change to what the simulators charge. After an
-    # intentional one, commit the regenerated files.
+    echo "== deterministic tables byte-identical to the committed ones"
+    # These tables have no wall-clock column: the simulators' cost-model
+    # ticks, and the cycle/firing/token counts of Tables 1-2, Figure 4 and
+    # Ablations A3/A5. Any byte that moves is a change to what a run does
+    # or what the simulators charge. After an intentional one, commit the
+    # regenerated files.
     SIM_TABLES=()
     for name in fig1_speedup fig2_copy_constrain fig5_distributed fig6_faults \
-            ablation1_partition ablation4_multicast ablation6_analysis_partition; do
+            ablation1_partition ablation4_multicast ablation6_analysis_partition \
+            table1_programs table2_cycles fig4_firing_sets ablation3_policy \
+            ablation5_beta_sharing; do
         SIM_TABLES+=("benchmarks/results/$name.txt" "benchmarks/results/$name.csv")
     done
     git diff --exit-code -- "${SIM_TABLES[@]}" || {
-        echo "simulator tables differ from the committed ones (diff above)"
+        echo "deterministic tables differ from the committed ones (diff above)"
         exit 1
     }
 fi

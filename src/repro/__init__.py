@@ -27,11 +27,14 @@ Package map:
 
 - :mod:`repro.lang` — lexer, parser, AST, analysis, pretty-printer, builder
 - :mod:`repro.wm` — working memory
-- :mod:`repro.match` — RETE / TREAT / naive match engines
+- :mod:`repro.match` — TREAT / naive match engines and the process
+  backend's settings
 - :mod:`repro.core` — the PARULEL set-oriented engine and meta level
 - :mod:`repro.baseline` — the sequential OPS5 engine (LEX/MEA)
-- :mod:`repro.parallel` — simulated multiprocessor, partitioners,
-  copy-and-constrain, threaded executor
+- :mod:`repro.parallel` — the process pool behind ``--matcher process``
+- :mod:`repro.lab` — the figures' comparands: RETE, the simulated
+  multiprocessor and distributed machine, partitioners, copy-and-constrain
+  by source rewrite, the thread pool
 - :mod:`repro.resilience` — seeded fault plans and the structured
   fault/recovery event records, checkpoints, the shared-memory janitor
 - :mod:`repro.obs` — tracing, metrics, the flight recorder, and the
@@ -73,7 +76,6 @@ __getattr__ = lazy_exports(
         "Instantiation": "repro.match",
         "NaiveMatcher": "repro.match",
         "PoolConfig": "repro.match",
-        "ReteMatcher": "repro.match",
         "TreatMatcher": "repro.match",
         "create_matcher": "repro.match",
         "WME": "repro.wm",
@@ -104,7 +106,6 @@ __all__ = [
     "Program",
     "ProgramBuilder",
     "ReproError",
-    "ReteMatcher",
     "RuleBuilder",
     "RunResult",
     "SemanticError",

@@ -12,9 +12,6 @@ workflow and the distributed backends need decided before a run:
   every interference candidate the lint reports?
 - :mod:`repro.analysis.deadcode` — rules that can never fire,
   condition elements that can never match;
-- :mod:`repro.analysis.advisor` — an analysis-driven rule partition
-  that the distributed/process backends accept as
-  ``assignment="analysis"``;
 - :mod:`repro.analysis.commute` — the critical-pair race detector:
   COMMUTES / RACES (with concrete witness WMs) / UNKNOWN verdicts per
   rule pair, feeding PA007–PA009 diagnostics, ``races`` edges in the
@@ -35,7 +32,6 @@ from typing import Dict, Iterable, List, Optional
 
 from repro.lang.ast import Program
 
-from repro.analysis.advisor import analysis_assignment, connectivity_cost
 from repro.analysis.commute import (
     CommuteSummary,
     PairVerdict,
@@ -63,8 +59,6 @@ from repro.analysis.diagnostics import (
 __all__ = [
     "AnalysisReport",
     "analyze",
-    "analysis_assignment",
-    "connectivity_cost",
     "CommuteSummary",
     "PairVerdict",
     "Verdict",

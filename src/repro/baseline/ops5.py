@@ -16,7 +16,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import List, Mapping, Optional, Set
+from typing import List, Mapping, Optional, Set, Union
 
 from repro.errors import CycleLimitExceeded
 from repro.core.actions import ActionEvaluator, HostFunction
@@ -54,7 +54,7 @@ class OPS5Engine:
         self,
         program: Program,
         strategy: str = "lex",
-        matcher: str = "rete",
+        matcher: Union[str, Matcher] = "treat",
         host_functions: Optional[Mapping[str, HostFunction]] = None,
         wm: Optional[WorkingMemory] = None,
         max_cycles: int = 1_000_000,
@@ -68,7 +68,13 @@ class OPS5Engine:
             TemplateRegistry.from_program(program)
         )
         self.evaluator = ActionEvaluator(host_functions)
-        self.matcher: Matcher = create_matcher(matcher, program.rules, self.wm)
+        #: A matcher name, or a prebuilt matcher over ``wm`` (how a figure
+        #: runs a comparand :func:`create_matcher` does not build).
+        self.matcher: Matcher = (
+            matcher
+            if isinstance(matcher, Matcher)
+            else create_matcher(matcher, program.rules, self.wm)
+        )
         self.max_cycles = max_cycles
         self.fired: Set[InstKey] = set()
         self.fired_rules: List[str] = []

@@ -6,9 +6,8 @@ Installed as ``parulel`` (see pyproject). Subcommands:
     execute a program to quiescence/halt and report cycles, firings and
     the ``(write ...)`` output. The matcher is set-oriented TREAT unless
     ``--matcher naive|process`` says otherwise; every matcher gives the
-    same firings and the same ``--dump-wm`` bytes (RETE remains in the
-    library as an experiment comparand — ``EngineConfig(matcher="rete")``
-    — and is what ``parulel dot`` draws);
+    same firings and the same ``--dump-wm`` bytes (RETE is a figure's
+    comparand in :mod:`repro.lab`, which no command runs);
 ``parulel check PROGRAM``
     parse + semantic analysis, then a one-line-per-rule inventory;
 ``parulel fmt PROGRAM``
@@ -16,7 +15,8 @@ Installed as ``parulel`` (see pyproject). Subcommands:
 ``parulel demo NAME``
     build and run a bundled benchmark workload under both engines;
 ``parulel dot PROGRAM [--facts FILE]``
-    Graphviz DOT of the compiled RETE network (sizes reflect the facts);
+    Graphviz DOT of the TREAT join plan a run executes: alpha memories
+    (sized by the facts) and each rule's CEs in join order;
 ``parulel explain PROGRAM --facts FILE --wme "(class ^attr value)"``
     run with provenance tracking and print the derivation tree of the
     final WME matching the given pattern;
@@ -220,47 +220,37 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if given is not None and needed is None:
             print(f"error: {flag} requires {needs}", file=sys.stderr)
             return 2
-    if args.engine == "ops5" and (
-        args.matcher_timeout is not None
-        or args.respawn_limit is not None
-        or args.checkpoint_every is not None
-        or args.resume is not None
-        or args.wm_backend != "dict"
+    # A flag only one engine reads is refused under the other, not ignored.
+    for flag, given, engine in (
+        ("--matcher-timeout", args.matcher_timeout is not None, "parulel"),
+        ("--respawn-limit", args.respawn_limit is not None, "parulel"),
+        ("--wm-backend", args.wm_backend != "dict", "parulel"),
+        ("--checkpoint-every", args.checkpoint_every is not None, "parulel"),
+        ("--resume", args.resume is not None, "parulel"),
+        ("--interference", args.interference is not None, "parulel"),
+        ("--trace", args.trace, "parulel"),
+        ("--trace-out", args.trace_out is not None, "parulel"),
+        ("--metrics-out", args.metrics_out is not None, "parulel"),
+        ("--no-flight-recorder", args.no_flight_recorder, "parulel"),
+        ("--blackbox", args.blackbox is not None, "parulel"),
+        ("--strategy", args.strategy is not None, "ops5"),
     ):
-        print(
-            "error: process-backend, checkpoint and --wm-backend options "
-            "apply to --engine parulel only",
-            file=sys.stderr,
-        )
-        return 2
-    if args.engine == "ops5" and (args.trace_out or args.metrics_out):
-        print(
-            "error: --trace-out/--metrics-out apply to --engine parulel only",
-            file=sys.stderr,
-        )
-        return 2
-    if args.engine == "ops5" and (args.no_flight_recorder or args.blackbox is not None):
-        print(
-            "error: --no-flight-recorder/--blackbox apply to --engine parulel only",
-            file=sys.stderr,
-        )
-        return 2
+        if given and args.engine != engine:
+            print(f"error: {flag} applies to --engine {engine} only", file=sys.stderr)
+            return 2
 
     if args.engine == "ops5":
         from repro.baseline import OPS5Engine
 
-        ops5 = OPS5Engine(
-            program,
-            strategy=args.strategy,
-            matcher=matcher,
-        )
+        strategy = args.strategy or "lex"
+        ops5 = OPS5Engine(program, strategy=strategy, matcher=matcher)
         _assert_facts(ops5.make, args.facts, facts)
         del facts  # loaded: the run needs no second copy of them
         result = ops5.run(max_cycles=args.max_cycles)
         for line in result.output:
             print(line)
         print(
-            f"[ops5/{args.strategy}] {result.cycles} cycles, "
+            f"[ops5/{strategy}] {result.cycles} cycles, "
             f"{result.firings} firings, stopped by {result.reason}",
             file=sys.stderr,
         )
@@ -294,7 +284,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     config = EngineConfig(
         matcher=matcher,
-        interference=args.interference,
+        interference=args.interference or "error",
         pool=(
             PoolConfig(args.matcher_timeout, args.respawn_limit)
             if args.matcher == "process"
@@ -535,18 +525,17 @@ def _cmd_fmt(args: argparse.Namespace) -> int:
 
 
 def _cmd_dot(args: argparse.Namespace) -> int:
-    from repro.match.rete import ReteMatcher
-    from repro.tools import rete_to_dot
+    from repro.tools import plan_to_dot
     from repro.wm.memory import WorkingMemory
     from repro.wm.template import TemplateRegistry
 
     program = parse_program(_read_text(args.program))
     analyze_program(program)
-    wm = WorkingMemory(TemplateRegistry.from_program(program))
-    matcher = ReteMatcher(program.rules, wm)
+    wm = None
     if args.facts:
+        wm = WorkingMemory(TemplateRegistry.from_program(program))
         _assert_facts(wm.make, args.facts, _read_facts(args.facts))
-    print(rete_to_dot(matcher))
+    print(plan_to_dot(program.rules, wm))
     return 0
 
 
@@ -992,9 +981,18 @@ def _run_arguments(p_run: argparse.ArgumentParser) -> None:
         "--checkpoint-every (--facts is ignored); a store falls back to "
         "the newest checkpoint that verifies",
     )
-    p_run.add_argument("--strategy", choices=("lex", "mea"), default="lex")
     p_run.add_argument(
-        "--interference", choices=("error", "first", "merge"), default="error"
+        "--strategy",
+        choices=("lex", "mea"),
+        default=None,
+        help="--engine ops5's conflict resolution (default: lex)",
+    )
+    p_run.add_argument(
+        "--interference",
+        choices=("error", "first", "merge"),
+        default=None,
+        help="--engine parulel's policy for two firings that write one WME "
+        "(default: error)",
     )
     p_run.add_argument("--max-cycles", type=_count, default=100_000)
     p_run.add_argument("--trace", action="store_true", help="per-cycle trace to stderr")
@@ -1198,7 +1196,7 @@ _SUBCOMMANDS = {
     "check": ("parse and analyze a program", _check_arguments),
     "fmt": ("canonical pretty-print", _fmt_arguments),
     "demo": ("run a bundled benchmark workload", _demo_arguments),
-    "dot": ("Graphviz DOT of the RETE network", _dot_arguments),
+    "dot": ("Graphviz DOT of the TREAT join plan", _dot_arguments),
     "explain": (
         "derivation tree of a final working-memory element",
         _explain_arguments,

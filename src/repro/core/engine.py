@@ -81,9 +81,8 @@ class EngineConfig(FrozenRecord):
 
     ``matcher`` names the object-level match engine: ``treat`` (the
     default — set-oriented TREAT, what every measured workload runs
-    fastest or tied on), ``naive``, ``process``, or the experiment
-    comparands ``rete`` / ``rete-shared``. Results do not depend on the
-    choice. The meta level has no retained matcher to
+    fastest or tied on), ``naive`` or ``process``. Results do not depend
+    on the choice. The meta level has no retained matcher to
     choose. ``interference`` picks the
     :class:`~repro.core.delta.InterferencePolicy`. ``dedupe_makes``
     collapses identical makes within one cycle (set-insertion reading).

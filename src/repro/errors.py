@@ -52,7 +52,7 @@ class MatchError(ReproError):
 
 
 class PartitionConstraintError(MatchError):
-    """Raised by :func:`repro.parallel.partition.copy_and_constrain` when a
+    """Raised by :func:`repro.lab.partition.copy_and_constrain` when a
     partition's membership test conjoins with an existing test on the same
     attribute into an unsatisfiable constraint — the resulting rule copy
     could never match, so the split silently drops work instead of
@@ -120,7 +120,7 @@ class CycleLimitExceeded(ExecutionError):
     ``cycles_completed`` / ``firings`` counts, the ``last_report``
     (the final :class:`~repro.core.engine.CycleReport`, when the engine
     produces them), and optionally a substrate-specific ``partial`` result
-    (e.g. a :class:`~repro.parallel.distributed.DistResult`), so callers
+    (e.g. a :class:`~repro.lab.distributed.DistResult`), so callers
     and the CLI can report progress instead of losing the run.
     """
 
@@ -139,10 +139,3 @@ class CycleLimitExceeded(ExecutionError):
         self.last_report = last_report
         self.partial = partial
 
-
-class HaltSignal(Exception):
-    """Internal control-flow signal raised by the ``(halt)`` action.
-
-    Not a :class:`ReproError`: engines catch it to stop the recognize-act
-    cycle cleanly; it never escapes the public API.
-    """

@@ -4,7 +4,7 @@ The printer produces canonical surface syntax that **round-trips**: for any
 program ``p``, ``parse_program(format_program(p)) == p``. This property is
 exercised by hypothesis tests in ``tests/lang/test_roundtrip.py`` and makes
 the printer safe to use for program transformations (e.g.
-:func:`repro.parallel.partition.copy_and_constrain` prints transformed rules
+:func:`repro.lab.partition.copy_and_constrain` prints transformed rules
 into traces).
 """
 

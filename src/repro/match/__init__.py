@@ -2,15 +2,13 @@
 
 The match phase dominates production-system runtime (the classic
 McDermott/Forgy observation that motivated RETE, and the DADO/TREAT work in
-PARULEL's lineage). This package provides three engines behind one
-interface:
+PARULEL's lineage). This package provides the engines a run can choose,
+behind one interface (RETE, Figure 3's comparand, is in
+:mod:`repro.lab.rete`):
 
 - :class:`~repro.match.naive.NaiveMatcher` — recomputes every rule's join
   from scratch on demand. Slow, obviously correct: the semantic reference
-  that RETE and TREAT are differentially tested against.
-- :class:`~repro.match.rete.ReteMatcher` — a RETE network with shared,
-  hash-indexed alpha memories, hash-equijoin beta nodes, and negative nodes;
-  fully incremental under WME addition and removal.
+  the other matchers are differentially tested against.
 - :class:`~repro.match.treat.TreatMatcher` — TREAT (Miranker), taken
   set-at-a-time: alpha memories plus a retained conflict set, join work
   seeded by each cycle's batch of WME deltas. No beta memories. The
@@ -38,7 +36,6 @@ __getattr__ = lazy_exports(
         "PoolConfig": "repro.match.interface",
         "create_matcher": "repro.match.interface",
         "NaiveMatcher": "repro.match.naive",
-        "ReteMatcher": "repro.match.rete",
         "MatchStats": "repro.match.stats",
         "TreatMatcher": "repro.match.treat",
     },
@@ -53,7 +50,6 @@ __all__ = [
     "Matcher",
     "NaiveMatcher",
     "PoolConfig",
-    "ReteMatcher",
     "TreatMatcher",
     "compile_rule",
     "compile_rules",

@@ -108,7 +108,7 @@ class Matcher(abc.ABC):
 
 #: Registry of engine names accepted by :func:`create_matcher`. ``process``
 #: also accepts an explicit worker count as ``process:N``.
-MATCHER_NAMES = ("rete", "rete-shared", "treat", "naive", "process")
+MATCHER_NAMES = ("treat", "naive", "process")
 
 
 class PoolConfig(FrozenRecord):
@@ -147,7 +147,7 @@ def create_matcher(
     metrics=None,
     flightrec=None,
 ) -> Matcher:
-    """Instantiate a match engine by name (``rete``, ``treat``, ``naive`` or
+    """Instantiate a match engine by name (``treat``, ``naive`` or
     ``process``/``process:N`` for the multiprocessing fan-out).
 
     ``pool`` (a :class:`PoolConfig`) applies only to the ``process``
@@ -201,10 +201,6 @@ def create_matcher(
         from repro.match.treat import TreatMatcher as cls
     elif engine == "naive":
         from repro.match.naive import NaiveMatcher as cls
-    elif engine == "rete":
-        from repro.match.rete import ReteMatcher as cls
-    elif engine == "rete-shared":
-        from repro.match.rete import SharedReteMatcher as cls
     else:
         raise ValueError(
             f"unknown match engine {engine!r} (choose from {MATCHER_NAMES})"

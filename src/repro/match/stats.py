@@ -5,10 +5,10 @@ two purposes:
 
 1. *Measurement* — Figure 3 and Ablation A2 compare engines by work done,
    which is steadier than wall-clock on a shared machine;
-2. *Simulation* — the simulators (:mod:`repro.parallel.simmachine`,
-   :mod:`repro.parallel.distributed`) keep one matcher per site under one
+2. *Simulation* — the simulators (:mod:`repro.lab.simmachine`,
+   :mod:`repro.lab.distributed`) keep one matcher per site under one
    engine run and charge each site's per-cycle operation deltas through a
-   :class:`repro.parallel.costmodel.CostModel`, which is how the
+   :class:`repro.lab.costmodel.CostModel`, which is how the
    paper-style speedup curves are produced deterministically.
 
 Counter semantics (shared vocabulary across engines):

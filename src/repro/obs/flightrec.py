@@ -524,9 +524,6 @@ class FlightRecorder:
             return None
         return name, {rn: self.rule_id(rn) for rn in rule_names}
 
-    def worker_ring(self, site: int) -> Optional[FlightRing]:
-        return self._worker_rings.get(site)
-
     # -- dumping ----------------------------------------------------------
 
     def dump(

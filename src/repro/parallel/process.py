@@ -1,8 +1,8 @@
 """Process-parallel match fan-out: real data parallelism past the GIL.
 
-:mod:`repro.parallel.threaded` measures the GIL ceiling — pure-Python match
-work fanned out to threads does not scale, which Table 4 documents. This
-module is the escape hatch: :class:`ProcessMatchPool` keeps one persistent
+Pure-Python match work fanned out to threads does not scale: one GIL
+serializes it (Table 4 measures that ceiling). This module is the escape
+hatch: :class:`ProcessMatchPool` keeps one persistent
 ``multiprocessing`` worker per site and computes the conflict set with
 genuinely concurrent interpreters (one GIL each).
 

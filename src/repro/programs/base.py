@@ -31,7 +31,7 @@ class BenchmarkWorkload:
     every engine × matcher combination).
 
     ``domains`` maps ``(class, attr)`` to the runtime value domain of that
-    attribute — what :func:`repro.parallel.partition.copy_and_constrain`
+    attribute — what :func:`repro.lab.partition.copy_and_constrain`
     needs to build covering partitions.
 
     ``cc_hint`` optionally names the canonical copy-and-constrain target as

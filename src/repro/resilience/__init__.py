@@ -10,7 +10,7 @@ holds both halves of that story (see ``docs/RESILIENCE.md``):
   :class:`FaultInjector`;
 - :mod:`repro.resilience.events` — the structured :class:`FaultEvent`
   records every injection and recovery action leaves behind, surfaced on
-  :class:`~repro.parallel.distributed.DistResult` and
+  :class:`~repro.lab.distributed.DistResult` and
   :class:`~repro.core.engine.CycleReport`;
 - :mod:`repro.resilience.checkpoint` — atomic, digest-framed checkpoint
   envelopes; a keep-last-K rotating store with cheap delta checkpoints

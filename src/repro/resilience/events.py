@@ -3,7 +3,7 @@
 Every fault a :class:`~repro.resilience.plan.FaultPlan` injects — and
 every recovery action an execution substrate takes in response — is
 recorded as a :class:`FaultEvent`. The distributed machine surfaces them on
-:class:`~repro.parallel.distributed.DistResult`, the process pool exposes
+:class:`~repro.lab.distributed.DistResult`, the process pool exposes
 them via ``drain_fault_events()`` so the engine can attach them to the
 cycle's :class:`~repro.core.engine.CycleReport`, and the fault benchmark
 (fig. 6) aggregates them with :func:`summarize_faults`.

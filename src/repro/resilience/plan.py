@@ -10,9 +10,9 @@ inside a fresh :class:`FaultInjector` per run.
 
 The two consumers:
 
-- :class:`~repro.parallel.distributed.DistributedMachine` consumes
+- :class:`~repro.lab.distributed.DistributedMachine` consumes
   ``crashes`` / ``stragglers`` and the message rates (simulated faults,
-  charged through the :class:`~repro.parallel.distributed.NetworkModel`);
+  charged through the :class:`~repro.lab.distributed.NetworkModel`);
 - :class:`~repro.parallel.process.ProcessMatchPool` consumes ``kills`` /
   ``wedges`` (real ``SIGKILL`` / ``SIGSTOP`` against its workers).
 

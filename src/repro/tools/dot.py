@@ -1,22 +1,24 @@
-"""Graphviz DOT export: RETE networks and derivation graphs.
+"""Graphviz DOT export: TREAT join plans and derivation graphs.
 
 Pure text generation — paste the output into any Graphviz renderer.
-``rete_to_dot`` shows the compiled network topology (alpha memories with
-their patterns and live sizes, join/negative nodes per rule chain,
-production leaves); ``provenance_to_dot`` draws a WME's derivation DAG as
-recorded by :class:`~repro.core.provenance.ProvenanceTracker`.
+``plan_to_dot`` shows what the matcher a run builds will join (alpha
+memories with their patterns and sizes, each rule's CEs in join-plan
+order, production leaves); ``provenance_to_dot`` draws a WME's derivation
+DAG as recorded by :class:`~repro.core.provenance.ProvenanceTracker`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.core.provenance import ProvenanceTracker
-from repro.match.rete import ReteMatcher
-from repro.match.rete.nodes import JoinBetaNode, NegativeNode, ProductionNode
+from repro.lang.ast import Rule
+from repro.match.alphaindex import AlphaCache
+from repro.match.compile import AlphaKey, compile_rules
+from repro.wm.memory import WorkingMemory
 from repro.wm.wme import WME
 
-__all__ = ["rete_to_dot", "provenance_to_dot"]
+__all__ = ["plan_to_dot", "provenance_to_dot"]
 
 
 def _esc(text: str) -> str:
@@ -39,72 +41,61 @@ def _alpha_label(key) -> str:
     return "\\n".join(_esc(p) for p in parts)
 
 
-def rete_to_dot(matcher: ReteMatcher, include_sizes: bool = True) -> str:
-    """Render a RETE matcher's network as a DOT digraph."""
+def plan_to_dot(rules: Sequence[Rule], wm: Optional[WorkingMemory] = None) -> str:
+    """Render the TREAT join plan a run executes as a DOT digraph.
+
+    One box per alpha memory (class and WME-local tests, plus ``[N wmes]``
+    when ``wm`` is given: the memory primed from it); per rule, its CEs in
+    :class:`~repro.match.compile.JoinPlan` visit order, each fed by its
+    memory along an edge labelled with the equality-join attributes it is
+    probed on, negated CEs dashed, and a production node at the end.
+    """
     lines: List[str] = [
-        "digraph rete {",
+        "digraph treat {",
         "  rankdir=TB;",
         '  node [fontname="monospace", fontsize=10];',
     ]
-    node_ids: Dict[int, str] = {}
-
-    # Alpha memories.
-    for i, (key, mem) in enumerate(matcher._alpha.items()):
-        nid = f"alpha{i}"
-        size = f"\\n[{len(mem)} wmes]" if include_sizes else ""
+    compiled = compile_rules(rules)
+    alphas = AlphaCache(wm) if wm is not None else None
+    alpha_ids: Dict[AlphaKey, str] = {}
+    for cr in compiled:
+        for ce in cr.ces:
+            if ce.alpha_key in alpha_ids:
+                continue
+            nid = alpha_ids[ce.alpha_key] = f"alpha{len(alpha_ids)}"
+            size = f"\\n[{len(alphas.memory(ce))} wmes]" if alphas is not None else ""
+            lines.append(
+                f'  {nid} [shape=box, style=filled, fillcolor=lightyellow, '
+                f'label="{_alpha_label(ce.alpha_key)}{size}"];'
+            )
+    for r, cr in enumerate(compiled):
+        rule = _esc(cr.name)
+        ces = cr.plan.ces if cr.plan is not None else cr.ces
+        prev = None
+        for p, ce in enumerate(ces):
+            nid = f"r{r}ce{p}"
+            kind, dashed = ("NOT", ", style=dashed") if ce.negated else ("join", "")
+            lines.append(
+                f'  {nid} [shape=ellipse{dashed}, '
+                f'label="{kind} ce{ce.index + 1} ({rule})"];'
+            )
+            keys = "\\n".join(
+                _esc(f"^{attr} = <{var}>") for attr, var in ce.eq_join_tests
+            )
+            attrs = [f'label="{keys}"'] if keys else []
+            if ce.negated:
+                attrs.append("style=dashed")
+            edge = f" [{', '.join(attrs)}]" if attrs else ""
+            lines.append(f"  {alpha_ids[ce.alpha_key]} -> {nid}{edge};")
+            if prev is not None:
+                lines.append(f"  {prev} -> {nid};")
+            prev = nid
         lines.append(
-            f'  {nid} [shape=box, style=filled, fillcolor=lightyellow, '
-            f'label="{_alpha_label(key)}{size}"];'
+            f'  r{r}prod [shape=doubleoctagon, style=filled, '
+            f'fillcolor=lightblue, label="{rule}"];'
         )
-        node_ids[id(mem)] = nid
-
-    # Beta chains: walk every alpha memory's successors, then chain children.
-    counter = 0
-    seen: Set[int] = set()
-
-    def visit(node) -> str:
-        nonlocal counter
-        if id(node) in node_ids:
-            return node_ids[id(node)]
-        counter += 1
-        nid = f"beta{counter}"
-        node_ids[id(node)] = nid
-        if isinstance(node, ProductionNode):
-            lines.append(
-                f'  {nid} [shape=doubleoctagon, style=filled, '
-                f'fillcolor=lightblue, label="{_esc(node.rule.name)}"];'
-            )
-        elif isinstance(node, NegativeNode):
-            size = f"\\n[{len(node.tokens)} passing]" if include_sizes else ""
-            lines.append(
-                f'  {nid} [shape=ellipse, style=filled, fillcolor=mistyrose, '
-                f'label="NOT ce{node.ce.index + 1} ({_esc(node.rule_name)}){size}"];'
-            )
-        else:
-            size = f"\\n[{len(node.tokens)} tokens]" if include_sizes else ""
-            lines.append(
-                f'  {nid} [shape=ellipse, label="join ce{node.ce.index + 1} '
-                f'({_esc(node.rule_name)}){size}"];'
-            )
-        return nid
-
-    def walk(node, prev_id):
-        if (id(node), prev_id) in seen:
-            return
-        seen.add((id(node), prev_id))
-        nid = visit(node)
-        if prev_id is not None:
-            lines.append(f"  {prev_id} -> {nid};")
-        if isinstance(node, (JoinBetaNode, NegativeNode)):
-            edge = f"  {node_ids[id(node.alpha)]} -> {nid} [style=dashed];"
-            if edge not in lines:
-                lines.append(edge)
-        for child in getattr(node, "children", ()):
-            walk(child, nid)
-
-    for mem in matcher._alpha.values():
-        for node in mem.successors:
-            walk(node, None)
+        if prev is not None:
+            lines.append(f"  {prev} -> r{r}prod;")
     lines.append("}")
     return "\n".join(lines)
 

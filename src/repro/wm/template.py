@@ -51,9 +51,6 @@ class TemplateRegistry:
         """Declared attributes for a class, or ``None`` if undeclared."""
         return self._templates.get(class_name)
 
-    def is_declared(self, class_name: str) -> bool:
-        return class_name in self._templates
-
     @property
     def class_names(self) -> FrozenSet[str]:
         return frozenset(self._templates)

@@ -2,17 +2,17 @@
 
 import pytest
 
-from repro.analysis.advisor import (
+from repro.lab.advisor import (
     analysis_assignment,
     class_weights,
     connectivity_cost,
 )
-from repro.lang.parser import parse_program
-from repro.parallel.partition import (
+from repro.lab.partition import (
     Assignment,
     resolve_assignment,
     round_robin_assignment,
 )
+from repro.lang.parser import parse_program
 from repro.programs import REGISTRY
 
 # Two independent clusters of rules; a good 2-way partition separates them.

@@ -9,7 +9,7 @@ worker matches its share of every rule — so it has no case here.)
 
 import pytest
 
-from repro.parallel.distributed import DistributedMachine
+from repro.lab.distributed import DistributedMachine
 from repro.programs import REGISTRY
 from repro.wm.io import dumps
 
@@ -33,7 +33,7 @@ def test_distributed_final_wm_identical(name):
 
 def test_analysis_never_costlier_in_messages():
     # The advisor's whole point: multicast scatter ships fewer deltas.
-    from repro.parallel.distributed import DistResult  # noqa: F401
+    from repro.lab.distributed import DistResult  # noqa: F401
 
     improved = 0
     for name in sorted(REGISTRY):

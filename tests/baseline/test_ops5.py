@@ -4,7 +4,10 @@ import pytest
 
 from repro.errors import CycleLimitExceeded
 from repro.baseline import OPS5Engine
+from repro.lab.rete import create_lab_matcher
 from repro.lang.parser import parse_program
+from repro.wm.memory import WorkingMemory
+from repro.wm.template import TemplateRegistry
 
 
 def engine_for(src, **kw):
@@ -141,7 +144,11 @@ class TestStrategySelection:
 class TestMatcherChoices:
     @pytest.mark.parametrize("matcher", ["rete", "treat", "naive"])
     def test_same_result_all_matchers(self, matcher):
-        e = engine_for(COUNTER, matcher=matcher)
+        program = parse_program(COUNTER)
+        wm = WorkingMemory(TemplateRegistry.from_program(program))
+        e = OPS5Engine(
+            program, wm=wm, matcher=create_lab_matcher(matcher, program.rules, wm)
+        )
         e.make("count", value=0)
         result = e.run()
         assert result.cycles == 3

@@ -25,6 +25,7 @@ from typing import Dict, List, Sequence, Set, Tuple
 from repro.core.actions import ActionEvaluator
 from repro.core.redaction import RedactionReport, reify_instantiation
 from repro.errors import ExecutionError
+from repro.lab.rete import create_lab_matcher
 from repro.lang.analysis import INSTANTIATION_CLASS
 from repro.lang.ast import (
     ConjunctiveTest,
@@ -35,7 +36,6 @@ from repro.lang.ast import (
     VariableTest,
 )
 from repro.match.instantiation import InstKey, Instantiation
-from repro.match.interface import create_matcher
 from repro.wm.memory import WorkingMemory
 from repro.wm.wme import WME
 
@@ -89,7 +89,7 @@ class OracleMetaLevel:
         self.halt_requested = False
         self.writes: List[str] = []
         self.matcher = (
-            create_matcher(matcher_name, self.meta_rules, wm)
+            create_lab_matcher(matcher_name, self.meta_rules, wm)
             if self.meta_rules
             else None
         )

@@ -18,8 +18,9 @@ from hypothesis import HealthCheck, given, settings
 
 from repro.baseline import OPS5Engine
 from repro.core import EngineConfig, ParulelEngine
-from repro.parallel import SimMachine, copy_and_constrain_program
+from repro.lab import SimMachine, copy_and_constrain_program
 from repro.programs.tc import tc_program
+from tests.lab_engine import lab_engine
 
 TC = tc_program()
 
@@ -31,8 +32,8 @@ edge_lists = st.lists(
 )
 
 
-def run_parulel(edges, **cfg):
-    engine = ParulelEngine(TC, EngineConfig(**cfg))
+def run_parulel(edges, matcher="treat", **cfg):
+    engine = lab_engine(TC, matcher, EngineConfig(**cfg))
     for a, b in edges:
         engine.make("edge", src=f"n{a}", dst=f"n{b}")
     engine.run(max_cycles=500)

@@ -7,7 +7,7 @@ from repro.core import EngineConfig, ParulelEngine
 from repro.core.redaction import MetaLevel
 from repro.lang.parser import parse_program
 from repro.match.interface import PoolConfig
-from repro.parallel import DistributedMachine, SimMachine
+from repro.lab import DistributedMachine, SimMachine
 
 
 class TestMetaLevelLimits:

@@ -13,9 +13,10 @@ import time
 import pytest
 
 from repro.core import EngineConfig, ParulelEngine
+from repro.lab.rete import create_lab_matcher
 from repro.lang.parser import parse_program
 from repro.match.compile import compile_rules
-from repro.match.interface import PoolConfig, create_matcher
+from repro.match.interface import PoolConfig
 from repro.obs.flightrec import DEATH_KINDS
 from repro.parallel.process import ProcessMatchPool
 from repro.resilience import FaultPlan, WorkerKill, WorkerWedge
@@ -45,7 +46,7 @@ def keys(insts):
 
 
 def rete_keys(prog, wm):
-    return keys(create_matcher("rete", prog.rules, wm).instantiations())
+    return keys(create_lab_matcher("rete", prog.rules, wm).instantiations())
 
 
 class TestInjectedKills:

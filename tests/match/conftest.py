@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.lab.rete import create_lab_matcher
 from repro.lang.parser import parse_program
-from repro.match.interface import create_matcher
 from repro.wm.memory import WorkingMemory
 from repro.wm.template import TemplateRegistry
 
@@ -20,7 +20,7 @@ def setup(engine_name):
     def _setup(src):
         prog = parse_program(src)
         wm = WorkingMemory(TemplateRegistry.from_program(prog))
-        matcher = create_matcher(engine_name, prog.rules, wm)
+        matcher = create_lab_matcher(engine_name, prog.rules, wm)
         return wm, matcher
 
     return _setup

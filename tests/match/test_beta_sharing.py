@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.lab.rete import ReteMatcher, SharedReteMatcher
 from repro.lang.parser import parse_program
-from repro.match.rete import ReteMatcher, SharedReteMatcher
 from repro.wm.memory import WorkingMemory
 
 # Three rules sharing a two-CE prefix (context + item), diverging after.
@@ -106,12 +106,12 @@ class TestSharing:
 
 class TestEngineIntegration:
     def test_parulel_runs_on_shared_matcher(self):
-        from repro.core import EngineConfig, ParulelEngine
         from repro.programs import REGISTRY
+        from tests.lab_engine import lab_engine
 
         for name in ("manners", "routing", "tc"):
             wl = REGISTRY[name]()
-            engine = ParulelEngine(wl.program, EngineConfig(matcher="rete-shared"))
+            engine = lab_engine(wl.program, "rete-shared")
             wl.setup(engine)
             engine.run(max_cycles=5000)
             assert wl.failed_checks(engine.wm) == [], name

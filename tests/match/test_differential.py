@@ -11,8 +11,9 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+from repro.lab.rete import create_lab_matcher
 from repro.lang.builder import ProgramBuilder, conj, gt, lt, ne, v
-from repro.match.interface import MATCHER_NAMES, create_matcher
+from repro.match.interface import MATCHER_NAMES
 from repro.programs import REGISTRY
 from repro.wm.columnar import ColumnarWorkingMemory
 from repro.wm.memory import WorkingMemory
@@ -20,6 +21,10 @@ from repro.wm.memory import WorkingMemory
 CLASSES = ["a", "b", "c"]
 ATTRS = ["k", "m"]
 VALUES = [0, 1, 2]
+
+#: Every backend a run can choose, behind the RETE comparands the figures
+#: still rely on.
+BACKENDS = ("rete", "rete-shared") + MATCHER_NAMES
 
 
 @st.composite
@@ -97,7 +102,7 @@ class TestDifferential:
     def test_engines_agree_at_every_step(self, program, script):
         wm = WorkingMemory()
         matchers = [
-            create_matcher(name, program.rules, wm)
+            create_lab_matcher(name, program.rules, wm)
             for name in ("rete", "rete-shared", "treat", "naive")
         ]
         live = []
@@ -125,7 +130,7 @@ class TestDifferential:
         """After the whole script, an incrementally maintained RETE must
         equal a RETE freshly built over the final memory."""
         wm = WorkingMemory()
-        incremental = create_matcher("rete", program.rules, wm)
+        incremental = create_lab_matcher("rete", program.rules, wm)
         live = []
         for step in script:
             if step[0] == "add":
@@ -136,7 +141,7 @@ class TestDifferential:
         fresh_wm = WorkingMemory()
         for wme in wm.snapshot():
             fresh_wm.add(wme)
-        fresh = create_matcher("rete", program.rules, fresh_wm)
+        fresh = create_lab_matcher("rete", program.rules, fresh_wm)
         assert conflict_image(incremental) == conflict_image(fresh)
 
     @settings(
@@ -153,10 +158,10 @@ class TestDifferential:
         dict_wm = WorkingMemory()
         try:
             col_matchers = [
-                create_matcher(name, program.rules, col_wm)
+                create_lab_matcher(name, program.rules, col_wm)
                 for name in ("rete", "rete-shared", "treat", "naive")
             ]
-            dict_rete = create_matcher("rete", program.rules, dict_wm)
+            dict_rete = create_lab_matcher("rete", program.rules, dict_wm)
             live_col, live_dict = [], []
             for step in script:
                 if step[0] == "add":
@@ -188,17 +193,17 @@ class TestAllBackendsOnRealPrograms:
         workload = REGISTRY[name]()
         wm = WorkingMemory()
         matchers = [
-            create_matcher(backend, workload.program.rules, wm)
-            for backend in MATCHER_NAMES
+            create_lab_matcher(backend, workload.program.rules, wm)
+            for backend in BACKENDS
         ]
         try:
             workload.setup(wm)
             images = [conflict_image(m) for m in matchers]
             assert images[0], f"{name}: initial conflict set unexpectedly empty"
-            for backend, image in zip(MATCHER_NAMES, images):
+            for backend, image in zip(BACKENDS, images):
                 assert image == images[0], (
                     f"{name}: backend {backend!r} diverges from "
-                    f"{MATCHER_NAMES[0]!r}"
+                    f"{BACKENDS[0]!r}"
                 )
         finally:
             for matcher in matchers:
@@ -212,8 +217,8 @@ class TestAllBackendsOnRealPrograms:
         workload = REGISTRY[name]()
         wm = WorkingMemory()
         matchers = [
-            create_matcher(backend, workload.program.rules, wm)
-            for backend in MATCHER_NAMES
+            create_lab_matcher(backend, workload.program.rules, wm)
+            for backend in BACKENDS
         ]
         try:
             workload.setup(wm)
@@ -221,7 +226,7 @@ class TestAllBackendsOnRealPrograms:
             for wme in victims:
                 wm.remove(wme)
             images = [conflict_image(m) for m in matchers]
-            for backend, image in zip(MATCHER_NAMES, images):
+            for backend, image in zip(BACKENDS, images):
                 assert image == images[0], (
                     f"{name}: backend {backend!r} diverges after retractions"
                 )

@@ -16,6 +16,7 @@ import random
 import pytest
 
 from repro.core import EngineConfig, ParulelEngine
+from repro.lab.rete import create_lab_matcher
 from repro.lang.builder import ProgramBuilder, conj, gt, lt, ne, v
 from repro.match.alphaindex import AlphaCache
 from repro.match.compile import compile_rule
@@ -99,12 +100,12 @@ class TestIndexedVersusNestedLoop:
         wm = WorkingMemory()
         pairs = {
             name: (
-                create_matcher(name, program.rules, wm),
+                create_lab_matcher(name, program.rules, wm),
                 SERIAL_MATCHERS[name](program.rules, wm, indexed=False),
             )
             for name in ("treat", "naive")
         }
-        rete = create_matcher("rete", program.rules, wm)
+        rete = create_lab_matcher("rete", program.rules, wm)
         live = []
         for step in script:
             if step[0] == "add":

@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.lab.rete import ReteMatcher
 from repro.lang.parser import parse_program
-from repro.match.rete import ReteMatcher
 from repro.wm.memory import WorkingMemory
 
 

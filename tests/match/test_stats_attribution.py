@@ -8,8 +8,8 @@ the contract for all of them, indexed and not.
 
 import pytest
 
+from repro.lab.rete import create_lab_matcher
 from repro.lang.builder import ProgramBuilder, v
-from repro.match.interface import create_matcher
 from repro.wm.memory import WorkingMemory
 
 from tests.nested_loop import SERIAL_MATCHERS
@@ -61,7 +61,7 @@ class TestAlphaTestAttribution:
         land in per-rule buckets."""
         program = _program()
         wm = WorkingMemory()
-        matcher = create_matcher(name, program.rules, wm)
+        matcher = create_lab_matcher(name, program.rules, wm)
         _churn(wm)
         matcher.instantiations()
         per_rule_join = sum(

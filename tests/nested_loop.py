@@ -12,9 +12,9 @@ from typing import Optional
 
 from repro.core import EngineConfig, ParulelEngine
 from repro.core.redaction import MetaLevel
+from repro.lab.rete import ReteMatcher, SharedReteMatcher
 from repro.lang.ast import Program
 from repro.match.naive import NaiveMatcher
-from repro.match.rete import ReteMatcher, SharedReteMatcher
 from repro.match.treat import TreatMatcher
 from repro.wm.memory import WorkingMemory
 from repro.wm.template import TemplateRegistry

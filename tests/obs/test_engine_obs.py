@@ -24,7 +24,7 @@ from repro.obs.profile import (
 )
 from repro.obs.trace import NULL_TRACER
 from repro.obs.metrics import NULL_METRICS
-from repro.parallel.distributed import DistributedMachine
+from repro.lab.distributed import DistributedMachine
 from repro.programs.tc import build_tc
 from repro.resilience import FaultPlan, WorkerKill
 

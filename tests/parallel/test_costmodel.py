@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from repro.parallel import CostModel
+from repro.lab import CostModel
 
 
 class TestMatchCost:

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.core import ParulelEngine
+from repro.lab import DistributedMachine, NetworkModel
 from repro.lang.parser import parse_program
-from repro.parallel import DistributedMachine, NetworkModel
 from repro.programs import REGISTRY, build_routing, build_tc
 from repro.wm.io import dumps
 

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.errors import MatchError
-from repro.lang.parser import parse_program
-from repro.parallel.partition import (
+from repro.lab.partition import (
     Assignment,
     copy_and_constrain,
     copy_and_constrain_program,
@@ -13,6 +12,7 @@ from repro.parallel.partition import (
     profile_rule_weights,
     round_robin_assignment,
 )
+from repro.lang.parser import parse_program
 
 PROG = parse_program(
     "(p r0 (c ^a <x>) --> (halt))"

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core import EngineConfig, ParulelEngine
 from repro.errors import MatchError
+from repro.lab.rete import create_lab_matcher
 from repro.lang.parser import parse_program
 from repro.match.compile import value_residue
 from repro.match.interface import MATCHER_NAMES, PoolConfig, create_matcher
@@ -44,7 +45,7 @@ class TestProcessMatchPool:
     def test_agrees_with_rete(self, n_workers):
         prog = parse_program(SRC)
         wm = WorkingMemory()
-        rete = create_matcher("rete", prog.rules, wm)
+        rete = create_lab_matcher("rete", prog.rules, wm)
         load(wm)
         with ProcessMatchPool(prog.rules, wm, n_workers) as pool:
             assert keys(pool.conflict_set()) == keys(rete.instantiations())
@@ -55,7 +56,7 @@ class TestProcessMatchPool:
         are not all on one site."""
         prog = parse_program(SRC)
         wm = WorkingMemory()
-        rete = create_matcher("rete", prog.rules, wm)
+        rete = create_lab_matcher("rete", prog.rules, wm)
         load(wm, n=12)
         with ProcessMatchPool(prog.rules, wm, 3) as pool:
             merged = pool.conflict_set()
@@ -74,7 +75,7 @@ class TestProcessMatchPool:
     def test_incremental_deltas_between_calls(self):
         prog = parse_program(SRC)
         wm = WorkingMemory()
-        rete = create_matcher("rete", prog.rules, wm)
+        rete = create_lab_matcher("rete", prog.rules, wm)
         with ProcessMatchPool(prog.rules, wm, 2) as pool:
             assert pool.conflict_set() == []
             live = []
@@ -105,7 +106,7 @@ class TestProcessMatchPool:
         sites, sixty engage them all."""
         prog = parse_program(SRC)  # 4 rules
         wm = WorkingMemory()
-        rete = create_matcher("rete", prog.rules, wm)
+        rete = create_lab_matcher("rete", prog.rules, wm)
         load(wm, n=12)  # k in {0, 1, 2}
         with ProcessMatchPool(prog.rules, wm, 6) as pool:
             assert pool.active_sites == tuple(range(6))
@@ -155,7 +156,7 @@ class TestWorkerRobustness:
     def test_survives_worker_crash_mid_run(self):
         prog = parse_program(SRC)
         wm = WorkingMemory()
-        rete = create_matcher("rete", prog.rules, wm)
+        rete = create_lab_matcher("rete", prog.rules, wm)
         load(wm)
         with ProcessMatchPool(prog.rules, wm, 2) as pool:
             before = keys(pool.conflict_set())
@@ -180,7 +181,7 @@ class TestWorkerRobustness:
     def test_all_workers_crashing_still_recovers(self):
         prog = parse_program(SRC)
         wm = WorkingMemory()
-        rete = create_matcher("rete", prog.rules, wm)
+        rete = create_lab_matcher("rete", prog.rules, wm)
         load(wm)
         with ProcessMatchPool(prog.rules, wm, 4) as pool:
             pool.conflict_set()
@@ -196,7 +197,7 @@ class TestWorkerRobustness:
     def test_wedged_worker_times_out_and_respawns(self):
         prog = parse_program(SRC)
         wm = WorkingMemory()
-        rete = create_matcher("rete", prog.rules, wm)
+        rete = create_lab_matcher("rete", prog.rules, wm)
         load(wm)
         with ProcessMatchPool(prog.rules, wm, 2, PoolConfig(timeout=0.5)) as pool:
             pool.conflict_set()
@@ -297,7 +298,7 @@ class TestIncrementalReplies:
     def test_kill_after_retractions_leaves_no_stale_entry(self, store):
         wm = store
         prog = parse_program(SRC)
-        rete = create_matcher("rete", prog.rules, wm)
+        rete = create_lab_matcher("rete", prog.rules, wm)
         load(wm)
         with ProcessMatchPool(prog.rules, wm, 2) as pool:
             assert keys(pool.conflict_set()) == keys(rete.instantiations())
@@ -325,7 +326,7 @@ class TestIncrementalReplies:
         every later cycle, byte-identically to a healthy pool's site."""
         wm = store
         prog = parse_program(SRC)
-        oracles = [create_matcher(name, prog.rules, wm) for name in ("rete", "naive")]
+        oracles = [create_lab_matcher(name, prog.rules, wm) for name in ("rete", "naive")]
         load(wm)
         plan = FaultPlan(kills=(WorkerKill(cycle=2, site=0),))
         with ProcessMatchPool(prog.rules, wm, k) as healthy:
@@ -458,7 +459,7 @@ class TestProcessMatcher:
     def test_attaches_to_populated_memory(self):
         prog = parse_program(SRC)
         wm = WorkingMemory()
-        rete = create_matcher("rete", prog.rules, wm)
+        rete = create_lab_matcher("rete", prog.rules, wm)
         load(wm)
         matcher = create_matcher("process:2", prog.rules, wm)
         try:

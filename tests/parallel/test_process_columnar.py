@@ -15,8 +15,9 @@ import time
 import pytest
 
 from repro.core import EngineConfig, ParulelEngine
+from repro.lab.rete import create_lab_matcher
 from repro.lang.parser import parse_program
-from repro.match.interface import PoolConfig, create_matcher
+from repro.match.interface import PoolConfig
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel.process import ProcessMatchPool
 from repro.programs import REGISTRY
@@ -24,6 +25,7 @@ from repro.programs.synthetic import build_scale_workload
 from repro.resilience import FaultPlan, WorkerKill
 from repro.wm.columnar import ColumnarWorkingMemory
 from repro.wm.memory import DeltaRecorder, WorkingMemory
+from tests.lab_engine import lab_engine
 
 SRC = """
 (p j0 (a0 ^k <k>) (b0 ^k <k>) --> (halt))
@@ -48,7 +50,7 @@ class TestColumnarPool:
         prog = parse_program(SRC)
         wm = ColumnarWorkingMemory()
         try:
-            rete = create_matcher("rete", prog.rules, wm)
+            rete = create_lab_matcher("rete", prog.rules, wm)
             load(wm)
             with ProcessMatchPool(prog.rules, wm, 2) as pool:
                 assert keys(pool.conflict_set()) == keys(rete.instantiations())
@@ -100,7 +102,7 @@ class TestColumnarPool:
         prog = parse_program(SRC)
         wm = ColumnarWorkingMemory()
         try:
-            rete = create_matcher("rete", prog.rules, wm)
+            rete = create_lab_matcher("rete", prog.rules, wm)
             load(wm)
             plan = FaultPlan(kills=(WorkerKill(cycle=2, site=0),))
             with ProcessMatchPool(
@@ -139,7 +141,7 @@ class TestVectorProbe:
         prog = parse_program(SRC)
         wm = ColumnarWorkingMemory()
         try:
-            rete = create_matcher("rete", prog.rules, wm)
+            rete = create_lab_matcher("rete", prog.rules, wm)
             load(wm)
             with ProcessMatchPool(prog.rules, wm, 2) as pool:
                 assert keys(pool.conflict_set()) == keys(rete.instantiations())
@@ -156,9 +158,7 @@ class TestVectorProbe:
         results = {}
         for matcher, backend in (("process:2", "columnar"), ("rete", "dict")):
             wl = REGISTRY["tc"]()
-            engine = ParulelEngine(
-                wl.program, EngineConfig(matcher=matcher, wm_backend=backend)
-            )
+            engine = lab_engine(wl.program, matcher, EngineConfig(wm_backend=backend))
             try:
                 wl.setup(engine)
                 run = engine.run()
@@ -291,7 +291,7 @@ class TestBoundedRecv:
             with ProcessMatchPool(
                 prog.rules, wm, 2, PoolConfig(timeout=60.0, fault_plan=plan)
             ) as pool:
-                rete = create_matcher("rete", prog.rules, wm)
+                rete = create_lab_matcher("rete", prog.rules, wm)
                 pool.conflict_set()
                 start = time.monotonic()
                 assert keys(pool.conflict_set()) == keys(rete.instantiations())

@@ -22,9 +22,10 @@ import pytest
 
 from repro.core import ParulelEngine
 from repro.errors import MatchError
+from repro.lab.rete import create_lab_matcher
 from repro.lang.parser import parse_program
 from repro.match.compile import alpha_test_passes, compile_rules
-from repro.match.interface import Matcher, create_matcher
+from repro.match.interface import Matcher
 from repro.parallel.process import ProcessMatcher, ProcessMatchPool
 from repro.wm.io import dumps
 from repro.wm.memory import WMDelta, WorkingMemory
@@ -125,7 +126,7 @@ def test_each_replica_holds_exactly_what_its_memories_can_hold(k):
     prog = parse_program(SRC)
     shares = [compile_rules(prog.rules, site=(k, s)) for s in range(k)]
     wm = WorkingMemory()
-    rete = create_matcher("rete", prog.rules, wm)
+    rete = create_lab_matcher("rete", prog.rules, wm)
     rng = random.Random(k)
     live = []
     churn(wm, rng, live)

@@ -3,14 +3,14 @@
 import pytest
 
 from repro.core import EngineConfig, ParulelEngine
-from repro.lang.parser import parse_program
-from repro.parallel import (
+from repro.lab import (
     CostModel,
     SimMachine,
     SpeedupSeries,
     lpt_assignment,
     round_robin_assignment,
 )
+from repro.lang.parser import parse_program
 from repro.programs import build_tc, build_waltz
 
 TC_SRC = """

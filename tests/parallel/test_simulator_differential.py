@@ -5,7 +5,7 @@ working memory, byte for byte."""
 import pytest
 
 from repro.core import ParulelEngine
-from repro.parallel import DistributedMachine, SimMachine
+from repro.lab import DistributedMachine, SimMachine
 from repro.programs import REGISTRY
 from repro.wm.io import dumps
 

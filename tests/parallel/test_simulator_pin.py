@@ -26,7 +26,7 @@ from typing import Any, Dict
 
 import pytest
 
-from repro.parallel import DistributedMachine, SimMachine, lpt_assignment
+from repro.lab import DistributedMachine, SimMachine, lpt_assignment
 from repro.programs import REGISTRY
 from repro.resilience import FaultPlan, SiteCrash
 from repro.wm.io import dumps

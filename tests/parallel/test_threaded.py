@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.lab.rete import create_lab_matcher
+from repro.lab.threaded import ThreadedMatchPool
 from repro.lang.parser import parse_program
-from repro.match.interface import create_matcher
-from repro.parallel.threaded import ThreadedMatchPool
 from repro.wm.memory import WorkingMemory
 
 SRC = """
@@ -27,7 +27,7 @@ class TestThreadedMatchPool:
     def test_agrees_with_rete(self, n_threads):
         prog = parse_program(SRC)
         wm = WorkingMemory()
-        rete = create_matcher("rete", prog.rules, wm)
+        rete = create_lab_matcher("rete", prog.rules, wm)
         load(wm)
         with ThreadedMatchPool(prog.rules, wm, n_threads) as pool:
             pooled = sorted(i.key for i in pool.conflict_set())
@@ -68,7 +68,7 @@ class TestThreadedMatchPool:
         # futures submitted every cycle.
         prog = parse_program(SRC)  # 4 rules
         wm = WorkingMemory()
-        rete = create_matcher("rete", prog.rules, wm)
+        rete = create_lab_matcher("rete", prog.rules, wm)
         load(wm)
         submitted = []
         with ThreadedMatchPool(prog.rules, wm, 16) as pool:

@@ -2,12 +2,13 @@
 
 import pytest
 
-from repro.core import EngineConfig, ParulelEngine
+from repro.core import ParulelEngine
 from repro.programs.circuit import (
     GATE_FUNCS,
     build_circuit,
     generate_circuit,
 )
+from tests.lab_engine import lab_engine
 
 
 class TestGeneration:
@@ -68,7 +69,7 @@ class TestSimulation:
     @pytest.mark.parametrize("matcher", ["rete", "treat", "naive"])
     def test_all_matchers_agree(self, matcher):
         wl = build_circuit(n_inputs=4, n_levels=4, gates_per_level=4, seed=11)
-        engine = ParulelEngine(wl.program, EngineConfig(matcher=matcher))
+        engine = lab_engine(wl.program, matcher)
         wl.setup(engine)
         result = engine.run(max_cycles=200)
         assert wl.failed_checks(engine.wm) == []

@@ -14,9 +14,10 @@ import pytest
 
 from repro.baseline import OPS5Engine
 from repro.core import EngineConfig, ParulelEngine
-from repro.parallel import SimMachine
+from repro.lab import SimMachine
 from repro.programs import REGISTRY
 from repro.wm.io import dumps
+from tests.lab_engine import lab_engine
 
 WORKLOADS = sorted(REGISTRY)
 
@@ -31,7 +32,7 @@ class TestParulelCorrectness:
     @pytest.mark.parametrize("matcher", ["rete", "treat", "naive"])
     def test_workload_verifies(self, built, name, matcher):
         wl = built[name]
-        engine = ParulelEngine(wl.program, EngineConfig(matcher=matcher))
+        engine = lab_engine(wl.program, matcher)
         wl.setup(engine)
         engine.run(max_cycles=5000)
         assert wl.failed_checks(engine.wm) == []
@@ -70,9 +71,7 @@ class TestCrossMatcherAgreement:
         results = {}
         for matcher, store in self.CONFIGS:
             wl = REGISTRY[name]()
-            engine = ParulelEngine(
-                wl.program, EngineConfig(matcher=matcher, wm_backend=store)
-            )
+            engine = lab_engine(wl.program, matcher, EngineConfig(wm_backend=store))
             try:
                 wl.setup(engine)
                 res = engine.run(max_cycles=5000)

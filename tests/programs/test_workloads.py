@@ -4,7 +4,7 @@ sieve, monkey, synthetic)."""
 import pytest
 
 from repro.core import EngineConfig, ParulelEngine
-from repro.match.interface import create_matcher
+from repro.lab.rete import create_lab_matcher
 from repro.programs.manners import build_manners
 from repro.programs.monkey import build_monkey
 from repro.programs.sieve import build_sieve, primes_below
@@ -141,7 +141,7 @@ class TestSynthetic:
     def test_join_workload_output_size(self):
         jw = build_join_workload(n_rules=2, n_keys=4, seed=1)
         wm = jw.fresh_wm()
-        matcher = create_matcher("rete", jw.program.rules, wm)
+        matcher = create_lab_matcher("rete", jw.program.rules, wm)
         jw.load(wm, 20)
         insts = matcher.instantiations()
         assert len(insts) > 0
@@ -152,7 +152,7 @@ class TestSynthetic:
     def test_churn_workload_roundtrip(self):
         cw = build_churn_workload(chain_length=3, n_entities=5)
         wm = cw.fresh_wm()
-        matcher = create_matcher("rete", cw.program.rules, wm)
+        matcher = create_lab_matcher("rete", cw.program.rules, wm)
         block = cw.load(wm)
         before = len(matcher.instantiations())
         assert before == 5  # one chain instantiation per entity

@@ -11,8 +11,9 @@ correctness.
 
 import pytest
 
+from repro.lab.rete import create_lab_matcher
 from repro.lang.parser import parse_program
-from repro.match.interface import PoolConfig, create_matcher
+from repro.match.interface import PoolConfig
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel import process
 from repro.parallel.process import ProcessMatchPool
@@ -42,7 +43,7 @@ def keys(insts):
 
 
 def rete_keys(prog, wm):
-    return keys(create_matcher("rete", prog.rules, wm).instantiations())
+    return keys(create_lab_matcher("rete", prog.rules, wm).instantiations())
 
 
 @pytest.fixture(params=["dict", "columnar"])

@@ -50,9 +50,9 @@ class TestTopLevelExports:
     def test_lazily_exported_names_resolve_to_their_definitions(self):
         """The packages that name their API without importing it (PEP 562)
         export what they did when the imports were eager."""
-        from repro import core, match, obs, resilience
+        from repro import core, lab, match, obs, parallel, resilience
 
-        for package in (repro, core, match, obs, resilience):
+        for package in (repro, core, lab, match, obs, parallel, resilience):
             for name in package.__all__:
                 value = getattr(package, name)
                 home = getattr(value, "__module__", None)

@@ -67,6 +67,53 @@ class TestRunCommand:
         _out, err = capsys.readouterr()
         assert "[ops5/lex]" in err
 
+    @pytest.mark.parametrize(
+        "engine,flags",
+        [
+            ("ops5", ["--trace"]),
+            ("ops5", ["--interference", "merge"]),
+            ("ops5", ["--interference", "error"]),
+            ("ops5", ["--matcher", "process", "--matcher-timeout", "5"]),
+            ("ops5", ["--matcher", "process", "--respawn-limit", "1"]),
+            ("ops5", ["--wm-backend", "columnar"]),
+            ("ops5", ["--checkpoint-every", "2"]),
+            ("ops5", ["--resume", "run.ckpt"]),
+            ("ops5", ["--trace-out", "t.json"]),
+            ("ops5", ["--metrics-out", "m.json"]),
+            ("ops5", ["--no-flight-recorder"]),
+            ("ops5", ["--blackbox", "run.blackbox"]),
+            ("parulel", ["--strategy", "mea"]),
+            ("parulel", ["--strategy", "lex"]),
+        ],
+    )
+    def test_a_flag_the_engine_does_not_read_exits_2(
+        self, program_file, facts_file, capsys, engine, flags
+    ):
+        """Refused before anything runs, naming the flag and its engine."""
+        argv = ["run", program_file, "--facts", facts_file, "--engine", engine]
+        assert main(argv + flags) == 2
+        flag = [f for f in flags if f.startswith("--")][-1]
+        other = "parulel" if engine == "ops5" else "ops5"
+        assert capsys.readouterr() == (
+            "", f"error: {flag} applies to --engine {other} only\n"
+        )
+
+    @pytest.mark.parametrize(
+        "flags,banner",
+        [
+            (["--engine", "ops5", "--strategy", "mea"], "[ops5/mea]"),
+            (["--engine", "ops5"], "[ops5/lex]"),
+            (["--interference", "merge"], "[parulel]"),
+            (["--interference", "error", "--trace"], "[cycle 1]"),
+        ],
+    )
+    def test_each_engine_keeps_its_own_flags(
+        self, program_file, facts_file, capsys, flags, banner
+    ):
+        rc = main(["run", program_file, "--facts", facts_file, *flags])
+        assert rc == 0
+        assert banner in capsys.readouterr().err
+
     def test_trace_and_stats(self, program_file, facts_file, capsys):
         rc = main(
             ["run", program_file, "--facts", facts_file, "--trace", "--stats"]
@@ -183,7 +230,7 @@ class TestDotCommand:
         rc = main(["dot", program_file, "--facts", facts_file])
         assert rc == 0
         out = capsys.readouterr().out
-        assert out.startswith("digraph rete {")
+        assert out.startswith("digraph treat {")
         assert "tc-extend" in out
         assert "[2 wmes]" in out  # the two edge facts
 

@@ -16,8 +16,9 @@ import pytest
 
 from repro.cli import main
 from repro.collector import GEN0_THRESHOLD, CollectorSchedule
-from repro.core import EngineConfig, ParulelEngine
+from repro.core import ParulelEngine
 from repro.lang.parser import parse_program
+from tests.lab_engine import lab_engine
 
 TC = """
 (literalize edge src dst)
@@ -141,9 +142,7 @@ class TestLibraryNeverTouchesIt:
     def test_engines_and_pools_leave_the_collector_alone(self):
         before = collector_state()
         for matcher in ("treat", "naive", "rete", "process:2"):
-            with ParulelEngine(
-                parse_program(TC), EngineConfig(matcher=matcher)
-            ) as engine:
+            with lab_engine(parse_program(TC), matcher) as engine:
                 for i in range(5):
                     engine.make("edge", src=f"n{i}", dst=f"n{i + 1}")
                 engine.run()

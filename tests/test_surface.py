@@ -5,15 +5,20 @@ benchmarks must cover (ROADMAP aim 2), so adding or removing a CLI
 argument, an ``EngineConfig`` field or a ``create_matcher`` keyword must
 show up as an edit to this file in the same diff. So must a module that
 ``import repro.cli`` newly loads: every run pays for it before ``main``.
+And no product module may reach into :mod:`repro.lab`, the figures'
+comparands.
 """
 
 import argparse
+import ast
 import inspect
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import _parse_args, build_parser, main
 from repro.core import EngineConfig
 from repro.match.interface import MATCHER_NAMES, create_matcher
@@ -58,8 +63,8 @@ CREATE_MATCHER = ["pool", "tracer", "metrics", "flightrec"]
 
 #: The ``repro`` modules ``import repro.cli`` loads: what a default ``run``
 #: executes. The packages' other public names resolve on first use
-#: (PEP 562), so the baseline engine, the fault plans, RETE, the naive
-#: matcher, the table helpers and provenance load when something asks.
+#: (PEP 562), so the baseline engine, the fault plans, the naive matcher,
+#: the table helpers and provenance load when something asks.
 CLI_IMPORTS = [
     "repro", "repro._lazy", "repro._record", "repro.cli", "repro.collector",
     "repro.core", "repro.core.actions", "repro.core.delta", "repro.core.engine",
@@ -82,10 +87,9 @@ CLI_STDLIB_IMPORTS = ["__future__", "argparse", "gc", "gettext"]
 
 #: What ``import repro.parallel.process`` adds on top of ``CLI_IMPORTS`` —
 #: the pool a ``--matcher process`` run builds: its workers' matcher, the
-#: fault types, the flight ring and the columnar store.
-#: ``repro.parallel``'s other names (the simulators, the thread pool, the
-#: autotuner) resolve on first use, and with them ``concurrent.futures``
-#: and ``logging``.
+#: fault types, the flight ring and the columnar store — and not
+#: ``concurrent.futures`` or ``logging``, which only the lab's thread pool
+#: and simulators load.
 POOL_IMPORTS = [
     "repro.match.treat", "repro.obs.flightrec", "repro.parallel",
     "repro.parallel.process", "repro.resilience", "repro.resilience.events",
@@ -93,9 +97,10 @@ POOL_IMPORTS = [
 ]
 
 
-#: What ``run --matcher`` and ``profile --matcher`` offer. RETE is a
-#: library comparand (``MATCHER_NAMES``), not something a user is asked
-#: to choose: no workload has it ahead of the default (EXPERIMENTS.md).
+#: What ``run --matcher`` and ``profile --matcher`` offer, and all that
+#: ``create_matcher`` builds. RETE is a figure's comparand in
+#: :mod:`repro.lab`: no workload has it ahead of the default
+#: (EXPERIMENTS.md).
 MATCHER_CHOICES = ("treat", "naive", "process")
 DEFAULT_MATCHER = "treat"
 
@@ -136,7 +141,7 @@ def test_the_default_matcher_is_treat_wherever_one_is_defaulted():
         ]
         assert action.default == DEFAULT_MATCHER
         assert tuple(action.choices) == MATCHER_CHOICES
-    assert set(MATCHER_CHOICES) | {"rete", "rete-shared"} == set(MATCHER_NAMES)
+    assert MATCHER_NAMES == MATCHER_CHOICES
 
 
 def test_engine_config_fields_are_exactly_the_listed_ones():
@@ -239,6 +244,42 @@ def test_a_default_run_loads_only_the_default_matcher_on_top(tmp_path):
     assert loaded.split() == ["repro.match.treat", "repro.obs.flightrec"]
     # Only a black-box dump writes JSON; a clean run never loads it.
     assert json_loaded == "False"
+
+
+SRC = Path(repro.__file__).parent
+LAB = SRC / "lab"
+
+
+def _named_modules(tree):
+    """Every module a file names: ``import`` / ``from`` targets at any
+    depth (function-local ones included) and the string values of its
+    ``lazy_exports`` tables, which import on first use."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            # A relative import would name a module this walk cannot see.
+            assert node.level == 0, ast.dump(node)
+            yield node.module
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Call) and ast.unparse(node.func) == "lazy_exports":
+            for table in node.args:
+                if isinstance(table, ast.Dict):
+                    yield from (ast.literal_eval(v) for v in table.values)
+
+
+def test_no_product_module_imports_the_lab():
+    """``repro.lab`` holds what only the figures run; a product module that
+    imports it would put a comparand on a run path."""
+    product = sorted(p for p in SRC.rglob("*.py") if LAB not in p.parents)
+    assert len(product) > 50 and SRC / "cli.py" in product
+    offenders = [
+        f"{path.relative_to(SRC)}: {name}"
+        for path in product
+        for name in _named_modules(ast.parse(path.read_text(encoding="utf-8")))
+        if name == "repro.lab" or name.startswith("repro.lab.")
+    ]
+    assert offenders == []
 
 
 #: ``secrets`` and what it imports: ``hmac`` -> ``hashlib`` -> ``_hashlib``,

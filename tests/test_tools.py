@@ -1,12 +1,18 @@
 """Tests for the tooling package (DOT export, WM diff)."""
 
+import re
+
 import pytest
 
 from repro.core import EngineConfig, ParulelEngine
+from repro.lab.rete import ReteMatcher
+from repro.lab.rete.dot import rete_to_dot
 from repro.lang.parser import parse_program
-from repro.match.rete import ReteMatcher
-from repro.tools import diff_wm, provenance_to_dot, rete_to_dot
+from repro.match.compile import compile_rules
+from repro.programs import REGISTRY
+from repro.tools import diff_wm, plan_to_dot, provenance_to_dot
 from repro.wm.memory import WorkingMemory
+from repro.wm.template import TemplateRegistry
 
 TC = """
 (literalize edge src dst)
@@ -57,6 +63,63 @@ class TestReteDot:
                 dst = rest.split(" ")[0].rstrip(";")
                 assert src in defined, src
                 assert dst in defined, dst
+
+
+def _defined_and_edges(dot):
+    """Node ids the DOT text declares, and the ``(src, dst)`` of each edge."""
+    defined, edges = set(), []
+    for line in dot.splitlines()[1:-1]:
+        line = line.strip()
+        if "->" in line:
+            src, rest = line.split(" -> ")
+            edges.append((src, rest.split(" ")[0].rstrip(";")))
+        elif line.split(" ")[0] not in ("rankdir=TB;", "node"):
+            defined.add(line.split(" ")[0])
+    return defined, edges
+
+
+class TestPlanDot:
+    def test_structure(self):
+        dot = plan_to_dot(parse_program(TC).rules)
+        assert dot.startswith("digraph treat {")
+        assert dot.rstrip().endswith("}")
+        assert dot.count("shape=box") == 2  # edge and path: one memory each
+        assert dot.count("doubleoctagon") == 2  # one production per rule
+        assert dot.count("NOT ce") == 2  # tc-init's and tc-extend's last CE
+        assert "wmes]" not in dot  # no facts, no sizes
+        defined, edges = _defined_and_edges(dot)
+        assert edges
+        for src, dst in edges:
+            assert src in defined and dst in defined, (src, dst)
+
+    def test_join_attributes_label_edges_and_negations_are_dashed(self):
+        dot = plan_to_dot(parse_program(TC).rules)
+        assert 'alpha0 -> r1ce1 [label="^src = <b>"];' in dot
+        assert '[label="^src = <a>\\n^dst = <c>", style=dashed];' in dot
+        assert 'r1ce2 [shape=ellipse, style=dashed, label="NOT ce3 (tc-extend)"];' in dot
+
+    def test_sizes_are_the_primed_memories(self):
+        program = parse_program(TC)
+        wm = WorkingMemory(TemplateRegistry.from_program(program))
+        wm.make("edge", src="a", dst="b")
+        wm.make("edge", src="b", dst="c")
+        dot = plan_to_dot(program.rules, wm)
+        assert 'label="edge\\n[2 wmes]"' in dot
+        assert 'label="path\\n[0 wmes]"' in dot
+
+    @pytest.mark.parametrize("name", ["manners", "circuit"])
+    def test_ces_are_drawn_in_join_plan_order(self, name):
+        rules = REGISTRY[name]().program.rules
+        dot = plan_to_dot(rules)
+        replanned = 0
+        for r, cr in enumerate(compile_rules(rules)):
+            order = cr.plan.order if cr.plan is not None else range(len(cr.ces))
+            replanned += list(order) != list(range(len(cr.ces)))
+            pattern = rf"^  r{r}ce\d+ \[.*? ce(\d+) \("
+            drawn = [int(n) - 1 for n in re.findall(pattern, dot, re.M)]
+            assert drawn == list(order), cr.name
+            assert f"r{r}ce{len(cr.ces) - 1} -> r{r}prod;" in dot
+        assert replanned  # the workload has a rule the planner reorders
 
 
 class TestProvenanceDot:
