@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Porting an OPS5 program to PARULEL, with the linter in the loop.
+"""Porting an OPS5 program to PARULEL, with the static analysis in the loop.
 
 The paper's intended workflow: take a sequential OPS5 program, run it
 set-oriented, and add redaction meta-rules wherever parallel firings
@@ -8,8 +8,9 @@ collide. This example walks that loop mechanically:
 1. a little inventory-allocation program runs fine under sequential OPS5;
 2. under PARULEL it aborts with an InterferenceError (two order-filling
    firings decrement the same stock WME);
-3. ``repro.tools.lint`` predicts exactly that pair statically and drafts a
-   meta-rule skeleton;
+3. ``repro.analysis.analyze`` predicts exactly that pair statically (a
+   PA001 interference candidate) and drafts a meta-rule skeleton as its
+   hint;
 4. we refine the skeleton (serialize only *colliding* orders — same item)
    and the program runs parallel AND correct: orders for different items
    still fire in the same cycle.
@@ -18,7 +19,7 @@ Run:  python examples/ops5_porting.py
 """
 
 from repro import InterferenceError, OPS5Engine, ParulelEngine, parse_program
-from repro.tools.lint import lint_program, suggest_meta_rules
+from repro.analysis import analyze, render_text
 
 OPS5_PROGRAM = """
 (literalize order id item qty status)
@@ -68,10 +69,12 @@ def main() -> None:
     except InterferenceError as exc:
         print(f"   InterferenceError: {exc}")
 
-    print("\n== 3. the linter predicted this statically:")
-    for line in lint_program(program).splitlines():
+    print("\n== 3. the static analysis predicted this (PA001):")
+    pa001 = [d for d in analyze(program).diagnostics if d.code == "PA001"]
+    for line in render_text(pa001).splitlines():
         print("   " + line)
-    assert suggest_meta_rules(program)  # skeletons drafted
+    assert any(d.ce == 2 for d in pa001)  # fill's stock write, CE 2
+    assert all("(mp " in d.hint for d in pa001)  # skeletons drafted
 
     print("\n== 4. refined meta-rule: serialize only same-item orders")
     patched = parse_program(OPS5_PROGRAM + REFINED_META)

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# The one gate CI and humans both run: tier-1 tests + the porting lint.
+# The one gate CI and humans both run: tier-1 tests + static analysis.
 #
 #   scripts/check.sh            # fast gate (tier-1 tests minus slow
-#                               # process-killing tests, lint smoke)
+#                               # process-killing tests, static analysis)
 #   scripts/check.sh --faults   # additionally run the full fault-injection
 #                               # and recovery suite (kills/SIGSTOPs real
 #                               # workers; per-test SIGALRM timeouts keep a
@@ -35,9 +35,6 @@ echo "== tier-1 tests (fast gate: slow worker-kill tests excluded)"
 # PytestUnraisableExceptionWarning, which the first flag does not cover.
 python -m pytest -x -q -m "not slow" \
     -W error::ResourceWarning -W error::pytest.PytestUnraisableExceptionWarning
-
-echo "== porting lint (bundled workloads)"
-python -m repro.tools.lint
 
 echo "== static analysis (bundled workloads)"
 # 'parulel analyze' exits 1 when any error-severity PAxxx diagnostic fires;

@@ -8,14 +8,16 @@ workflow and the distributed backends need decided before a run:
 - :mod:`repro.analysis.depgraph` — the rule dependency graph
   (enables / inhibits / conflicts edges over read/write footprints),
   SCCs, and stratification;
-- :mod:`repro.analysis.coverage` — do the redaction meta-rules reach
-  every interference candidate the lint reports?
+- :mod:`repro.analysis.coverage` — the interference candidates (PA001)
+  and whether the redaction meta-rules reach every one of them (PA002);
 - :mod:`repro.analysis.deadcode` — rules that can never fire,
   condition elements that can never match;
 - :mod:`repro.analysis.commute` — the critical-pair race detector:
   COMMUTES / RACES (with concrete witness WMs) / UNKNOWN verdicts per
   rule pair, feeding PA007–PA009 diagnostics, ``races`` edges in the
-  dependency graph, and the tests' audit of fired pairs;
+  dependency graph, and the tests' audit of fired pairs; its write/write
+  channels are the ``conflicts`` edges and, on pairs not proven to
+  commute, PA001;
 - :mod:`repro.analysis.diagnostics` — the shared ``PAxxx`` diagnostic
   vocabulary with text and SARIF-shaped JSON renderers.
 
@@ -34,15 +36,18 @@ from repro.lang.ast import Program
 
 from repro.analysis.commute import (
     CommuteSummary,
+    InterferenceCandidate,
     PairVerdict,
     Verdict,
     classify_rule_pair,
     commute_matrix,
+    write_conflicts,
 )
 from repro.analysis.coverage import (
     CoverageSummary,
     check_meta_rules,
     check_redaction_coverage,
+    interference_diagnostics,
 )
 from repro.analysis.deadcode import check_dead_rules, check_unsatisfiable_ces
 from repro.analysis.depgraph import DepEdge, DependencyGraph, build_dependency_graph
@@ -60,10 +65,12 @@ __all__ = [
     "AnalysisReport",
     "analyze",
     "CommuteSummary",
+    "InterferenceCandidate",
     "PairVerdict",
     "Verdict",
     "classify_rule_pair",
     "commute_matrix",
+    "write_conflicts",
     "build_dependency_graph",
     "DependencyGraph",
     "DepEdge",
@@ -85,12 +92,14 @@ class AnalysisReport:
     name: str
     graph: DependencyGraph
     coverage: CoverageSummary
+    #: Critical-pair verdicts for every unordered object-rule pair.
+    commute: CommuteSummary
+    #: The interference candidates (PA001): write conflicts on pairs the
+    #: commute analysis does not prove COMMUTES.
+    interference: List[InterferenceCandidate] = field(default_factory=list)
     diagnostics: List[Diagnostic] = field(default_factory=list)
     #: Whether the dead-rule check ran (it needs seed classes).
     dead_rules_checked: bool = False
-    #: Critical-pair verdicts for every unordered object-rule pair
-    #: (``None`` when the commute analysis was skipped).
-    commute: Optional[CommuteSummary] = None
 
     @property
     def worst(self) -> Optional[Severity]:
@@ -107,8 +116,7 @@ class AnalysisReport:
         props["coverage"] = self.coverage.as_properties()
         props["deadRulesChecked"] = self.dead_rules_checked
         props["diagnostics"] = len(self.diagnostics)
-        if self.commute is not None:
-            props["commute"] = self.commute.as_properties()
+        props["commute"] = self.commute.as_properties()
         return props
 
     def render_text(self, show_hints: bool = True) -> str:
@@ -154,13 +162,12 @@ class AnalysisReport:
             "dead rules: "
             + ("checked against seed classes" if self.dead_rules_checked else "not checked (no facts given)")
         )
-        if self.commute is not None:
-            c = self.commute.counts
-            lines.append(
-                f"commutativity: {len(self.commute.pairs)} rule pair(s) — "
-                f"{c['commutes']} commute, {c['races']} race, "
-                f"{c['unknown']} unknown"
-            )
+        c = self.commute.counts
+        lines.append(
+            f"commutativity: {len(self.commute.pairs)} rule pair(s) — "
+            f"{c['commutes']} commute, {c['races']} race, "
+            f"{c['unknown']} unknown"
+        )
         if self.diagnostics:
             lines.append(f"{len(self.diagnostics)} finding(s):")
             lines.append(render_text(self.diagnostics, show_hints=show_hints))
@@ -173,24 +180,20 @@ def analyze(
     program: Program,
     seed_classes: Optional[Iterable[str]] = None,
     name: str = "<program>",
-    include_lint: bool = True,
-    include_commute: bool = True,
 ) -> AnalysisReport:
     """Run every static check over ``program``.
 
     ``seed_classes`` — classes the initial facts load; enables the
-    dead-rule check. ``include_lint=False`` drops the PA001 interference
-    candidates from the findings (``parulel lint`` already reports them;
-    the registry gate keeps them on). ``include_commute=False`` skips the
-    critical-pair race detector (PA007–PA009 and ``races`` edges).
+    dead-rule check.
     """
-    from repro.tools.lint import lint_diagnostics
-
     graph = build_dependency_graph(program)
-    diagnostics: List[Diagnostic] = []
-    if include_lint:
-        diagnostics.extend(lint_diagnostics(program))
-    cov_diags, coverage = check_redaction_coverage(program)
+    commute = commute_matrix(program, name=name)
+    commuting = commute.commuting_names()
+    interference = [
+        c for c in write_conflicts(program) if c.names not in commuting
+    ]
+    diagnostics = interference_diagnostics(program, interference)
+    cov_diags, coverage = check_redaction_coverage(program, interference)
     diagnostics.extend(cov_diags)
     diagnostics.extend(check_unsatisfiable_ces(program))
     diagnostics.extend(check_dead_rules(program, seed_classes))
@@ -206,28 +209,26 @@ def analyze(
             )
         )
     diagnostics.extend(_check_cc_splits(program))
-    commute: Optional[CommuteSummary] = None
-    if include_commute:
-        commute = commute_matrix(program, name=name)
-        diagnostics.extend(commute.diagnostics())
-        race_edges = tuple(
-            DepEdge(
-                src=min(p.rule_a, p.rule_b),
-                dst=max(p.rule_a, p.rule_b),
-                kind="races",
-                class_name="*",
-            )
-            for p in commute.of_verdict(Verdict.RACES)
+    diagnostics.extend(commute.diagnostics())
+    race_edges = tuple(
+        DepEdge(
+            src=min(p.rule_a, p.rule_b),
+            dst=max(p.rule_a, p.rule_b),
+            kind="races",
+            class_name="*",
         )
-        if race_edges:
-            graph = dataclasses.replace(graph, edges=graph.edges + race_edges)
+        for p in commute.of_verdict(Verdict.RACES)
+    )
+    if race_edges:
+        graph = dataclasses.replace(graph, edges=graph.edges + race_edges)
     return AnalysisReport(
         name=name,
         graph=graph,
         coverage=coverage,
+        commute=commute,
+        interference=interference,
         diagnostics=diagnostics,
         dead_rules_checked=seed_classes is not None,
-        commute=commute,
     )
 
 

@@ -67,16 +67,22 @@ mix on one pair:
 
 Rules whose RHS uses ``(genatom)`` or ``(call ...)`` are never
 classified COMMUTES or RACES — fresh symbols and host effects are
-outside the WM-only verdict. Verdicts feed three consumers: PA007–PA009
+outside the WM-only verdict. Verdicts feed four consumers: PA007–PA009
 diagnostics in ``parulel analyze``, ``races`` edges in the dependency
-graph, and the test-side audit that replays every fired pair of a run
-(``tests/core/commute_audit.py``).
+graph, the PA001 filter (below), and the test-side audit that replays
+every fired pair of a run (``tests/core/commute_audit.py``).
+
+:func:`write_conflicts` lists the retract channels whose reader CE is
+one of the reader's own ``modify``/``remove`` targets — two firings that
+may write one WME: the dependency graph's ``conflicts`` edges and, on
+pairs not proven COMMUTES, PA001.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.diagnostics import Diagnostic, diag
@@ -108,8 +114,10 @@ __all__ = [
     "Verdict",
     "PairVerdict",
     "CommuteSummary",
+    "InterferenceCandidate",
     "classify_rule_pair",
     "commute_matrix",
+    "write_conflicts",
 ]
 
 
@@ -1029,6 +1037,102 @@ def commute_matrix(program: Program, name: str = "<program>") -> CommuteSummary:
         for rule_b in rules[i:]:
             pairs.append(classify_rule_pair(rule_a, rule_b))
     return CommuteSummary(name=name, pairs=pairs)
+
+
+# ---------------------------------------------------------------------------
+# Write/write conflicts
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class InterferenceCandidate:
+    """Two rules that may issue conflicting writes to one WME."""
+
+    rule_a: str
+    rule_b: str  # == rule_a for self-interference
+    class_name: str
+    #: 1-based CE indices of the written condition elements.
+    ce_a: int
+    ce_b: int
+    #: 'modify/modify', 'modify/remove' or 'remove/remove'.
+    kind: str
+
+    @property
+    def names(self) -> FrozenSet[str]:
+        """The unordered rule pair, as :meth:`CommuteSummary.commuting_names`
+        keys it."""
+        return frozenset((self.rule_a, self.rule_b))
+
+    def describe(self) -> str:
+        who = (
+            f"two instantiations of {self.rule_a!r}"
+            if self.rule_a == self.rule_b
+            else f"{self.rule_a!r} and {self.rule_b!r}"
+        )
+        return (
+            f"{who} may {self.kind} the same {self.class_name!r} WME "
+            f"(CE {self.ce_a} vs CE {self.ce_b})"
+        )
+
+
+def _write_targets(rule: Rule) -> List[Tuple[int, str]]:
+    """(0-based CE, 'modify'|'remove') per written CE, in action order.
+
+    Not :attr:`_SymbolicRule.retract_ces`: that lists removes first, and
+    a blocked rule's (a ``call``, say) stops at the blocking action.
+    """
+    out: List[Tuple[int, str]] = []
+    for action in rule.actions:
+        if isinstance(action, ModifyAction):
+            out.append((action.ce_index - 1, "modify"))
+        elif isinstance(action, RemoveAction):
+            out.extend((idx - 1, "remove") for idx in action.ce_indices)
+    return out
+
+
+def _only_positive_ce(compiled: CompiledRule, index: int) -> bool:
+    return [ce.index for ce in compiled.ces if not ce.negated] == [index]
+
+
+def write_conflicts(program: Program) -> List[InterferenceCandidate]:
+    """One candidate per feasible retract channel between two write
+    targets, ordered by rule pair, then by the first rule's action order.
+
+    Feasibility is the commute analysis's own: both rules' positive CEs
+    plus the two targets' aliasing, unified. A self-pair from CE *i* to
+    CE *i* is left out when *i* is the rule's only positive CE: two
+    distinct instantiations matched two different WMEs there.
+    """
+    rules = [
+        (rule, _write_targets(rule), compile_rule(rule, plan=False))
+        for rule in program.rules
+    ]
+    out: List[InterferenceCandidate] = []
+    for i, (rule_a, targets_a, compiled_a) in enumerate(rules):
+        a = _SymbolicRule(rule=rule_a, compiled=compiled_a, ns="a")
+        for rule_b, targets_b, compiled_b in rules[i:]:
+            b = _SymbolicRule(rule=rule_b, compiled=compiled_b, ns="b")
+            for (ce_a, kind_a), (ce_b, kind_b) in product(targets_a, targets_b):
+                class_name = compiled_a.ces[ce_a].class_name
+                if compiled_b.ces[ce_b].class_name != class_name:
+                    continue
+                if rule_a is rule_b and (
+                    ce_b < ce_a  # unordered within one rule
+                    or (ce_b == ce_a and _only_positive_ce(compiled_a, ce_a))
+                ):
+                    continue
+                solver = _base_solver(a, b)
+                if solver is None or not _apply_retract_channel(
+                    solver, a, ce_a, b, ce_b
+                ):
+                    continue
+                kind = "/".join(sorted((kind_a, kind_b)))
+                cand = InterferenceCandidate(
+                    rule_a.name, rule_b.name, class_name, ce_a + 1, ce_b + 1, kind
+                )
+                if cand not in out:  # a CE written twice by one RHS
+                    out.append(cand)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,31 +1,33 @@
-"""Redaction-coverage: do the meta-rules arbitrate what the lint flags?
+"""Interference candidates (PA001) and redaction coverage (PA002).
 
-The porting lint (:mod:`repro.tools.lint`) finds *interference
-candidates* — rule pairs whose firings may issue conflicting writes to
-one WME. PARULEL's contract is that the programmer's meta-rules redact
-such pairs before they fire. This checker closes the loop statically: it
-reifies each candidate's two conflicting instantiations the same way
-:func:`repro.core.redaction.reify_instantiation` would at runtime —
-``rule`` / ``salience`` / ``specificity`` are known constants, ``id`` /
-``recency`` / the rule's variables are unknown values, every other
-attribute reads back as ``nil`` — and asks whether any meta-rule could
-*redact a member of the pair*.
+The commute analysis (:func:`repro.analysis.commute.write_conflicts`)
+lists the rule pairs whose firings may write one WME. Those on a pair it
+does not prove COMMUTES are the program's *interference candidates*:
+PA001, each with a paste-ready meta-rule skeleton as its hint
+(:func:`meta_rule_skeleton`). PARULEL's contract is that the programmer's
+meta-rules redact such pairs before they fire. The coverage check closes
+the loop statically: it reifies each candidate's two conflicting
+instantiations the same way :func:`repro.core.redaction.reify_instantiation`
+would at runtime — ``rule`` / ``salience`` / ``specificity`` are known
+constants, ``id`` / ``recency`` / the rule's variables are unknown
+values, every other attribute reads back as ``nil`` — and asks whether
+any meta-rule could *redact a member of the pair*.
 
 A meta-rule can redact candidate member *m* when the condition element
 that binds its redacted ``^id`` variable may match *m*'s reified image
 (:func:`~repro.analysis.footprint.may_overlap`, so unknowns are
 satisfiable and only constant contradictions disprove). A candidate none
-of the meta-rules can touch is **uncovered** — PA002, with the lint's
-meta-rule skeleton attached as the fix hint.
+of the meta-rules can touch is **uncovered** — PA002, with the same
+skeleton attached as the fix hint.
 
 Deliberately conservative in both directions the analysis can afford:
 
 - ``remove/remove`` candidates are skipped — the delta merge treats a
   double remove as idempotent, so there is nothing to arbitrate;
-- programs with *no* meta-rules are skipped — the lint's PA001 already
-  says "candidates exist and no meta level is present"; coverage answers
-  the sharper question "does the meta level you wrote actually reach
-  every candidate";
+- programs with *no* meta-rules are skipped — PA001 already says
+  "candidates exist and no meta level is present"; coverage answers the
+  sharper question "does the meta level you wrote actually reach every
+  candidate";
 - a redact whose target cannot be traced to one condition element (a
   computed id, a rebound variable) counts as able to reach anything.
 
@@ -42,10 +44,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.lang.analysis import INSTANTIATION_CLASS
 from repro.lang.ast import MetaRule, Program, RedactAction, Rule, VariableExpr
 from repro.match.compile import CompiledCE, compile_rule
+from repro.analysis.commute import InterferenceCandidate
 from repro.analysis.diagnostics import Diagnostic, diag
 from repro.analysis.footprint import WriteImage, ce_constraints, may_overlap
 
-__all__ = ["CoverageSummary", "check_redaction_coverage", "check_meta_rules", "victim_image"]
+__all__ = [
+    "CoverageSummary", "interference_diagnostics", "meta_rule_skeleton",
+    "check_redaction_coverage", "check_meta_rules", "victim_image",
+]
 
 
 @dataclass(frozen=True)
@@ -129,64 +135,116 @@ def _victim_ces(meta: MetaRule) -> Optional[List[CompiledCE]]:
     return out
 
 
-def check_redaction_coverage(
-    program: Program,
-) -> Tuple[List[Diagnostic], CoverageSummary]:
-    """PA002 diagnostics + the coverage summary for ``program``."""
-    from repro.tools.lint import find_interference_candidates, meta_rule_skeleton
+def _binding_vars(rule: Rule, ce_index: int) -> List[str]:
+    ce = compile_rule(rule).ces[ce_index - 1]
+    vars_ = [var for _attr, var in ce.bindings]
+    vars_.extend(var for _attr, _op, var in ce.join_tests)
+    return sorted(set(vars_))
 
-    candidates = find_interference_candidates(program)
-    n_meta = len(program.meta_rules)
-    skipped = sum(1 for c in candidates if c.kind == "remove/remove")
-    if not candidates or n_meta == 0:
-        return [], CoverageSummary(
-            candidates=len(candidates),
-            checked=0,
-            covered=0,
-            uncovered=0,
-            skipped_remove_remove=skipped,
-            meta_rules=n_meta,
-        )
 
-    # Victim CEs of every meta-rule, computed once. A None entry is a
-    # wildcard: that meta-rule counts as covering every candidate.
-    wildcard = False
-    victim_ces: List[CompiledCE] = []
-    for meta in program.meta_rules:
-        ces = _victim_ces(meta)
-        if ces is None:
-            wildcard = True
-            break
-        victim_ces.extend(ces)
+def _skeleton_name(candidate: InterferenceCandidate) -> str:
+    if candidate.rule_a == candidate.rule_b:
+        return f"arbitrate-{candidate.rule_a}"
+    return f"arbitrate-{candidate.rule_a}-{candidate.rule_b}"
 
-    images = {r.name: victim_image(r) for r in program.rules}
-    diagnostics: List[Diagnostic] = []
-    checked = covered = 0
+
+def meta_rule_skeleton(
+    program: Program, candidate: InterferenceCandidate, name: Optional[str] = None
+) -> str:
+    """Draft the ``mp`` skeleton arbitrating one interference candidate.
+
+    The skeleton compiles and runs (it arbitrates by instantiation id),
+    but the leading comments tell the programmer which bindings identify
+    the contended WME so the rule can be narrowed from "serialize these
+    rules" to "serialize only true collisions".
+    """
+    vars_a = _binding_vars(program.rule(candidate.rule_a), candidate.ce_a)
+    note = (
+        f"; NOTE: narrow by equating the bindings that identify the "
+        f"contended {candidate.class_name!r} WME (rule {candidate.rule_a!r} CE "
+        f"{candidate.ce_a} binds: "
+        f"{', '.join('<' + v + '>' for v in vars_a) or 'none'})"
+    )
+    return (
+        f"; {candidate.describe()}\n"
+        f"{note}\n"
+        f"(mp {name or _skeleton_name(candidate)}\n"
+        f"    (instantiation ^rule {candidate.rule_a} ^id <i>)\n"
+        f"    (instantiation ^rule {candidate.rule_b} ^id {{<j> > <i>}})\n"
+        f"    -->\n"
+        f"    (redact <j>))"
+    )
+
+
+def interference_diagnostics(
+    program: Program, candidates: Sequence[InterferenceCandidate]
+) -> List[Diagnostic]:
+    """PA001, one per candidate. Each hint is a skeleton whose ``mp``
+    name is unique among them, so all of them can be pasted at once."""
+    used: Dict[str, int] = {}
+    out: List[Diagnostic] = []
     for cand in candidates:
-        if cand.kind == "remove/remove":
-            continue
-        checked += 1
-        if wildcard or any(
-            may_overlap(images[member], ce_constraints(ce), INSTANTIATION_CLASS)
-            for member in (cand.rule_a, cand.rule_b)
-            for ce in victim_ces
-        ):
-            covered += 1
-            continue
-        diagnostics.append(
+        name = _skeleton_name(cand)
+        n = used.get(name, 0)
+        used[name] = n + 1
+        if n:
+            name = f"{name}-{n + 1}"  # rule names must be unique
+        out.append(
             diag(
-                "PA002",
-                f"no meta-rule can redact either side of: {cand.describe()}",
+                "PA001",
+                cand.describe(),
                 rule=cand.rule_a,
                 ce=cand.ce_a,
-                hint=meta_rule_skeleton(program, cand),
+                # The skeleton's first line repeats describe(); the
+                # message already carries it.
+                hint=meta_rule_skeleton(program, cand, name).split("\n", 1)[1],
             )
         )
+    return out
+
+
+def check_redaction_coverage(
+    program: Program, candidates: Sequence[InterferenceCandidate]
+) -> Tuple[List[Diagnostic], CoverageSummary]:
+    """PA002 diagnostics + the coverage summary for ``program``'s
+    interference ``candidates`` (its PA001 set)."""
+    n_meta = len(program.meta_rules)
+    skipped = sum(1 for c in candidates if c.kind == "remove/remove")
+    checked = [c for c in candidates if c.kind != "remove/remove"] if n_meta else []
+    diagnostics: List[Diagnostic] = []
+    if checked:
+        # Victim CEs of every meta-rule, computed once. A None entry is a
+        # wildcard: that meta-rule counts as covering every candidate.
+        wildcard = False
+        victim_ces: List[CompiledCE] = []
+        for meta in program.meta_rules:
+            ces = _victim_ces(meta)
+            if ces is None:
+                wildcard = True
+                break
+            victim_ces.extend(ces)
+        images = {r.name: victim_image(r) for r in program.rules}
+        for cand in checked:
+            if wildcard or any(
+                may_overlap(images[member], ce_constraints(ce), INSTANTIATION_CLASS)
+                for member in (cand.rule_a, cand.rule_b)
+                for ce in victim_ces
+            ):
+                continue
+            diagnostics.append(
+                diag(
+                    "PA002",
+                    f"no meta-rule can redact either side of: {cand.describe()}",
+                    rule=cand.rule_a,
+                    ce=cand.ce_a,
+                    hint=meta_rule_skeleton(program, cand),
+                )
+            )
     return diagnostics, CoverageSummary(
         candidates=len(candidates),
-        checked=checked,
-        covered=covered,
-        uncovered=checked - covered,
+        checked=len(checked),
+        covered=len(checked) - len(diagnostics),
+        uncovered=len(diagnostics),
         skipped_remove_remove=skipped,
         meta_rules=n_meta,
     )

@@ -13,8 +13,10 @@ footprints of :mod:`repro.analysis.footprint` by the conservative
     post-image aliases a negated CE of R, or a remove destroys a WME a
     positive CE of R matched;
 ``conflicts`` (undirected, stored with ``src <= dst`` lexicographically)
-    the porting lint's write/write aliasing — two rules whose firings may
-    issue conflicting updates to one WME in the same cycle.
+    the commute analysis's write/write channels
+    (:func:`~repro.analysis.commute.write_conflicts`) — two rules whose
+    firings may issue conflicting updates to one WME in the same cycle,
+    whether or not the pair is proven to commute.
 
 On top of the edge set the module computes:
 
@@ -38,6 +40,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.lang.ast import Program, Rule
+from repro.analysis.commute import write_conflicts
 from repro.analysis.footprint import (
     RuleFootprint,
     ce_constraints,
@@ -229,11 +232,8 @@ def build_dependency_graph(program: Program) -> DependencyGraph:
                         kind = "inhibits" if ce.negated else "enables"
                     add(w_name, r_name, kind, ce.class_name)
 
-    # conflicts: the porting lint's write/write aliasing, verbatim.
-    from repro.tools.lint import find_interference_candidates  # no cycle: lint
-    # imports only repro.lang/repro.match.
-
-    for cand in find_interference_candidates(program):
+    # conflicts: the commute analysis's write/write channels.
+    for cand in write_conflicts(program):
         add(cand.rule_a, cand.rule_b, "conflicts", cand.class_name)
 
     # SCCs over the directed edges.

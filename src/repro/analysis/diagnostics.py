@@ -1,14 +1,13 @@
 """The one diagnostics currency of the static analyzer.
 
-Every check in :mod:`repro.analysis` — and the porting lint in
-:mod:`repro.tools.lint`, which predates this package — reports findings as
+Every check in :mod:`repro.analysis` reports findings as
 :class:`Diagnostic` values carrying a stable code (``PA001`` ...), a
 severity, the rule/CE the finding anchors to, and an optional fix hint
 (e.g. a meta-rule skeleton the programmer can paste in). Two renderers
 consume them:
 
-- :func:`render_text` — the human report ``parulel analyze`` / ``parulel
-  lint`` print;
+- :func:`render_text` — the human report ``parulel analyze`` and the
+  REPL's ``:lint`` print;
 - :func:`render_sarif` — a SARIF-shaped JSON document (``--json``) that CI
   gates can parse to show the exact regressing code.
 

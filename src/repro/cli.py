@@ -20,14 +20,12 @@ Installed as ``parulel`` (see pyproject). Subcommands:
 ``parulel explain PROGRAM --facts FILE --wme "(class ^attr value)"``
     run with provenance tracking and print the derivation tree of the
     final WME matching the given pattern;
-``parulel lint PROGRAM``
-    static interference analysis for set-oriented firing, with meta-rule
-    skeleton suggestions (the OPS5→PARULEL porting aid);
-``parulel analyze [PROGRAM ...] [--facts FILE] [--json]``
-    whole-program static analysis: rule dependency graph, stratification,
-    redaction coverage, dead rules, unsatisfiable CEs — ``PAxxx``
-    diagnostics as text or SARIF-shaped JSON (no arguments: analyze every
-    bundled workload);
+``parulel analyze [PROGRAM ...] [--facts FILE] [--json|--sarif]``
+    whole-program static analysis: interference candidates with meta-rule
+    skeletons (the OPS5→PARULEL porting aid), rule dependency graph,
+    stratification, redaction coverage, commutativity, dead rules,
+    unsatisfiable CEs — ``PAxxx`` diagnostics as text, flat JSON or
+    SARIF-shaped JSON (no arguments: analyze every bundled workload);
 ``parulel repl PROGRAM [--facts FILE]``
     interactive session: assert facts, step cycles, inspect the conflict
     set, explain derivations.
@@ -595,15 +593,6 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         engine.close()
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.tools.lint import lint_paths
-
-    code = lint_paths([args.program])
-    if code == 0:
-        print("clean: no parallel-firing interference candidates")
-    return code
-
-
 def _registry_seed_classes(workload) -> List[str]:
     """The WME classes a workload's initial facts load, found by running
     its setup against a bare working memory."""
@@ -630,6 +619,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
     # Collect (name, program, seed_classes) units to analyze.
     units = []
+    if args.facts and len(args.programs) != 1:
+        print("error: --facts requires a single PROGRAM argument", file=sys.stderr)
+        return 2
     if args.programs:
         for path in args.programs:
             try:
@@ -639,14 +631,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                 print(f"error: {path}: {exc}", file=sys.stderr)
                 return 2
             seeds = None
-            if args.facts:
-                facts = _read_facts(args.facts)
-                seeds = sorted({cls for cls, _attrs in facts})
+            if args.facts:  # one PROGRAM, so the file is read once
+                seeds = sorted({cls for cls, _attrs in _read_facts(args.facts)})
             units.append((path, program, seeds))
     else:
-        if args.facts:
-            print("error: --facts requires a PROGRAM argument", file=sys.stderr)
-            return 2
         from repro.programs import REGISTRY
 
         for name in sorted(REGISTRY):
@@ -1064,11 +1052,6 @@ def _explain_arguments(p_explain: argparse.ArgumentParser) -> None:
     p_explain.set_defaults(fn=_cmd_explain)
 
 
-def _lint_arguments(p_lint: argparse.ArgumentParser) -> None:
-    p_lint.add_argument("program")
-    p_lint.set_defaults(fn=_cmd_lint)
-
-
 def _analyze_arguments(p_analyze: argparse.ArgumentParser) -> None:
     p_analyze.add_argument(
         "programs",
@@ -1201,10 +1184,6 @@ _SUBCOMMANDS = {
         "derivation tree of a final working-memory element",
         _explain_arguments,
     ),
-    "lint": (
-        "static interference analysis + meta-rule suggestions",
-        _lint_arguments,
-    ),
     "analyze": (
         "whole-program static analysis: dependency graph, "
         "stratification, redaction coverage, dead rules",
@@ -1256,7 +1235,7 @@ def _parser(command: Optional[str] = None) -> argparse.ArgumentParser:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The whole command line: all 12 subcommands with their arguments."""
+    """The whole command line: all 11 subcommands with their arguments."""
     return _parser()
 
 

@@ -291,7 +291,14 @@ class ParulelEngine:
             matcher_options["flightrec"] = self.flightrec
         #: A prebuilt ``matcher`` (over ``wm``) replaces the one the config
         #: names — how the simulators put one matcher per site under the
-        #: engine's cycle.
+        #: engine's cycle. The config must then name no matcher of its own.
+        if matcher is not None and (
+            self.config.matcher != "treat" or self.config.pool is not None
+        ):
+            raise ValueError(
+                "a prebuilt matcher= replaces the configured one: leave "
+                "EngineConfig.matcher at 'treat' and EngineConfig.pool unset"
+            )
         self.matcher: Matcher = matcher if matcher is not None else create_matcher(
             self.config.matcher,
             program.rules,

@@ -107,8 +107,8 @@ class InterferenceError(ExecutionError):
         self.wme = wme
         self.actions = tuple(actions)
         #: Names of the two rules whose firings conflicted (when known) —
-        #: the porting lint's tests check each runtime pair appears among
-        #: its static candidates.
+        #: the PA001 soundness tests check each runtime pair appears among
+        #: the static interference candidates.
         self.rules = tuple(rules)
 
 

@@ -18,7 +18,8 @@ Invoked as ``parulel repl PROGRAM``. The prompt accepts:
     derivation tree of a matching live WME (provenance is always on in the
     REPL);
 ``:lint``
-    static interference report for the loaded program;
+    the loaded program's interference candidates (``parulel analyze``'s
+    PA001 findings), each with its meta-rule skeleton;
 ``:help`` / ``:quit``
 
 Designed to be drivable programmatically (tests feed ``input_lines``), so
@@ -46,7 +47,7 @@ HELP = """commands:
   :wm [class]               list working memory
   :retract <timestamp>      retract a WME by its @timestamp
   :explain (class ^a v ...) derivation tree of a matching live WME
-  :lint                     static interference report
+  :lint                     interference candidates (PA001) + skeletons
   :help                     this text
   :quit                     leave"""
 
@@ -133,10 +134,12 @@ class ReplSession:
                 return "no live WME matches"
             return "\n\n".join(self.engine.explain(w) for w in matches)
         if cmd == ":lint":
-            from repro.tools.lint import lint_program
+            from repro.analysis import analyze, render_text
 
-            report = lint_program(self.program)
-            return report or "clean: no interference candidates"
+            found = [
+                d for d in analyze(self.program).diagnostics if d.code == "PA001"
+            ]
+            return render_text(found) if found else "clean: no interference candidates"
         return f"unknown command {cmd!r} (try :help)"
 
     # -- helpers ---------------------------------------------------------------

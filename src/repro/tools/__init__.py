@@ -8,18 +8,10 @@
 
 from repro.tools.diff import WMDiff, diff_wm
 from repro.tools.dot import plan_to_dot, provenance_to_dot
-from repro.tools.lint import (
-    find_interference_candidates,
-    lint_program,
-    suggest_meta_rules,
-)
 
 __all__ = [
     "WMDiff",
     "diff_wm",
-    "find_interference_candidates",
-    "lint_program",
     "plan_to_dot",
     "provenance_to_dot",
-    "suggest_meta_rules",
 ]

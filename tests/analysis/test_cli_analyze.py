@@ -91,6 +91,39 @@ class TestFileMode:
         assert rc == 2
         assert "--facts requires" in capsys.readouterr().err
 
+    def test_facts_with_several_programs_exit_two(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import repro.cli
+
+        def unread(path):
+            raise AssertionError(f"facts file read: {path}")
+
+        monkeypatch.setattr(repro.cli, "_read_facts", unread)
+        program = _write(tmp_path, "tc.pl", CLEAN)
+        facts = _write(tmp_path, "facts.pl", "(edge ^src a ^dst b)")
+        rc = main(["analyze", program, program, "--facts", facts])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: --facts requires a single PROGRAM argument\n"
+
+    def test_facts_read_once(self, tmp_path, capsys, monkeypatch):
+        import repro.cli
+
+        reads = []
+        read_facts = repro.cli._read_facts
+        monkeypatch.setattr(
+            repro.cli,
+            "_read_facts",
+            lambda path: reads.append(path) or read_facts(path),
+        )
+        program = _write(tmp_path, "tc.pl", CLEAN)
+        facts = _write(tmp_path, "facts.pl", "(edge ^src a ^dst b)")
+        assert main(["analyze", program, "--facts", facts]) == 0
+        assert reads == [facts]
+        assert "dead rules: checked against seed classes" in capsys.readouterr().out
+
 
 class TestRegistryMode:
     def test_analyzes_every_bundled_workload(self, capsys):

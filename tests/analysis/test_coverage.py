@@ -1,6 +1,7 @@
 """Tests for the redaction-coverage checker (PA002) and meta-rule
 applicability (PA006)."""
 
+from repro.analysis import analyze
 from repro.analysis.coverage import (
     check_meta_rules,
     check_redaction_coverage,
@@ -8,6 +9,11 @@ from repro.analysis.coverage import (
 )
 from repro.lang.parser import parse_program
 from repro.programs import REGISTRY
+
+
+def _coverage(program):
+    """PA002 over the program's PA001 set, as ``analyze`` runs it."""
+    return check_redaction_coverage(program, analyze(program).interference)
 
 CONTENDED = """
 (literalize req n)
@@ -41,7 +47,7 @@ class TestVictimImage:
 class TestCoverage:
     def test_covered_candidate_no_diagnostics(self):
         program = parse_program(CONTENDED + ARBITER)
-        diags, summary = check_redaction_coverage(program)
+        diags, summary = _coverage(program)
         assert diags == []
         assert summary.checked == summary.covered == 1
         assert summary.uncovered == 0
@@ -60,7 +66,7 @@ class TestCoverage:
             (redact <j>))
         """
         program = parse_program(CONTENDED + other + meta)
-        diags, summary = check_redaction_coverage(program)
+        diags, summary = _coverage(program)
         uncovered_rules = {d.rule for d in diags}
         assert "claim" in uncovered_rules
         assert all(d.code == "PA002" for d in diags)
@@ -68,27 +74,42 @@ class TestCoverage:
         assert summary.uncovered == len(diags) > 0
 
     def test_no_meta_rules_not_applicable(self):
-        diags, summary = check_redaction_coverage(parse_program(CONTENDED))
+        diags, summary = _coverage(parse_program(CONTENDED))
         assert diags == []
         assert not summary.applicable
         assert summary.candidates == 1
         assert summary.checked == 0
 
-    def test_remove_remove_pairs_skipped(self):
-        # Double removes are idempotent in the delta merge — benign.
-        src = """
+    REAPERS = """
         (literalize job n)
         (literalize tick n)
-        (p reap-a (tick ^n 1) (job ^n <n>) --> (remove 2))
+        (literalize log n)
+        (p reap-a (tick ^n 1) (job ^n <n>) --> (remove 2){extra})
         (p reap-b (tick ^n 2) (job ^n <n>) --> (remove 2))
         (mp noop
             (instantiation ^rule reap-a ^id <i>)
-            (instantiation ^rule reap-a ^id {<j> > <i>})
+            (instantiation ^rule reap-a ^id {{<j> > <i>}})
             -->
             (redact <j>))
         """
-        diags, summary = check_redaction_coverage(parse_program(src))
-        assert summary.skipped_remove_remove >= 1
+
+    def test_pure_remove_pairs_leave_the_candidates(self):
+        # Two single-remove rules removing the WME they share: the commute
+        # analysis discharges the pair, so it is no PA001 candidate and
+        # coverage never sees it.
+        program = parse_program(self.REAPERS.format(extra=""))
+        diags, summary = _coverage(program)
+        assert summary.candidates == summary.skipped_remove_remove == 0
+        assert diags == []
+
+    def test_remove_remove_pairs_skipped(self):
+        # reap-a also makes, so no discharge applies and the pair stays a
+        # candidate; a double remove is still idempotent in the delta
+        # merge — benign, so coverage skips it.
+        program = parse_program(self.REAPERS.format(extra=" (make log ^n <n>)"))
+        diags, summary = _coverage(program)
+        assert summary.skipped_remove_remove == 2
+        assert summary.checked == 0
         # remove/remove pairs produce no PA002 even though no meta-rule
         # covers (reap-a, reap-b).
         assert not any("reap-b" in (d.message or "") for d in diags)
@@ -103,7 +124,7 @@ class TestCoverage:
             (bind <k> (compute <i> + 0))
             (redact <k>))
         """
-        diags, summary = check_redaction_coverage(parse_program(src))
+        diags, summary = _coverage(parse_program(src))
         assert diags == []
         assert summary.covered == summary.checked == 1
 
@@ -111,7 +132,7 @@ class TestCoverage:
         """Acceptance: no false 'uncovered' warnings on bundled programs."""
         for name in sorted(REGISTRY):
             program = REGISTRY[name]().program
-            diags, summary = check_redaction_coverage(program)
+            diags, summary = _coverage(program)
             assert diags == [], (name, [d.message for d in diags])
             assert summary.uncovered == 0, name
 

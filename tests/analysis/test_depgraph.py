@@ -77,7 +77,7 @@ class TestEdgeDerivation:
             if e.src == "maker" and e.dst == "reader" and e.kind == "enables"
         ]
 
-    def test_conflicts_from_lint_candidates(self):
+    def test_conflicts_from_write_conflicts(self):
         g = _graph(
             """
             (literalize req n)

@@ -120,13 +120,6 @@ class TestCleanPrograms:
                 [d.message for d in report.diagnostics],
             )
 
-    def test_include_lint_false_drops_pa001(self):
-        program = parse_program(EVERYTHING_WRONG)
-        report = analyze(program, include_lint=False)
-        assert not any(d.code == "PA001" for d in report.diagnostics)
-        # The other checks are unaffected.
-        assert any(d.code == "PA004" for d in report.diagnostics)
-
     def test_no_seeds_skips_dead_rules(self):
         report = analyze(parse_program(EVERYTHING_WRONG))
         assert not report.dead_rules_checked

@@ -1,20 +1,22 @@
-"""Lint soundness: every *runtime* interference is a *static* candidate.
+"""PA001 soundness: every *runtime* interference is a *static* candidate.
 
-The lint (PA001) is allowed to over-approximate — flagging pairs that
-never actually clash — but it must never under-approximate: if the merge
-step raises :class:`InterferenceError` for a pair of rules, that pair
-must be among the statically reported candidates. We strip each bundled
-workload's meta-rules (they exist precisely to prevent interference) and
-run under the ERROR policy to provoke the clashes.
+PA001 is allowed to over-approximate — flagging pairs that never
+actually clash — but it must never under-approximate: if the merge step
+raises :class:`InterferenceError` for a pair of rules, that pair must be
+among the interference candidates ``analyze`` reports. A pair the
+commute analysis proves COMMUTES leaves PA001, so this also holds it to
+that proof. We strip each bundled workload's meta-rules (they exist
+precisely to prevent interference) and run under the ERROR policy to
+provoke the clashes.
 """
 
 import pytest
 
+from repro.analysis import analyze
 from repro.core.engine import ParulelEngine
 from repro.errors import CycleLimitExceeded, InterferenceError
 from repro.lang.ast import Program
 from repro.programs import REGISTRY
-from repro.tools.lint import find_interference_candidates
 
 
 def _stripped(program: Program) -> Program:
@@ -29,10 +31,7 @@ def _stripped(program: Program) -> Program:
 def test_runtime_interference_is_statically_predicted(name):
     workload = REGISTRY[name]()
     program = _stripped(workload.program)
-    static_pairs = {
-        frozenset((c.rule_a, c.rule_b))
-        for c in find_interference_candidates(program)
-    }
+    static_pairs = {c.names for c in analyze(program).interference}
 
     engine = ParulelEngine(program)
     workload.setup(engine)

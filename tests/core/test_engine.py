@@ -346,3 +346,41 @@ class TestMetaWritesInReports:
         assert report.fired == 0
         assert any(w.startswith("vetoed") for w in report.writes)
         assert report.writes == result.output
+
+
+class TestPrebuiltMatcher:
+    """A prebuilt ``matcher=`` replaces the configured one, so a config
+    that names a matcher of its own is refused, not silently overridden."""
+
+    @staticmethod
+    def _build(**config):
+        from repro.match.treat import TreatMatcher
+        from repro.wm.memory import WorkingMemory
+        from repro.wm.template import TemplateRegistry
+
+        program = parse_program(COUNTER)
+        wm = WorkingMemory(TemplateRegistry.from_program(program))
+        return ParulelEngine(
+            program,
+            EngineConfig(**config),
+            wm=wm,
+            matcher=TreatMatcher(program.rules, wm),
+        )
+
+    def test_default_config_accepted(self):
+        engine = self._build()
+        engine.make("count", value=0)
+        assert engine.run().firings == 3
+
+    @pytest.mark.parametrize("name", ["naive", "process"])
+    def test_named_matcher_refused(self, name):
+        with pytest.raises(ValueError, match="prebuilt matcher"):
+            self._build(matcher=name)
+
+    def test_pool_refused(self):
+        from repro.match.interface import PoolConfig
+
+        with pytest.raises(ValueError, match="prebuilt matcher"):
+            self._build(pool=PoolConfig(timeout=5))
+        with pytest.raises(ValueError, match="prebuilt matcher"):
+            self._build(matcher="process", pool=PoolConfig(timeout=5))

@@ -35,11 +35,14 @@ def nested_loop_engine(
     program: Program, config: Optional[EngineConfig] = None
 ) -> ParulelEngine:
     """A :class:`ParulelEngine` whose object matcher (``config.matcher``)
-    and meta level both run the nested-loop kernel."""
+    and meta level both run the nested-loop kernel. The kernel is built
+    here, so the engine gets the config with the default matcher."""
     config = config or EngineConfig()
     wm = WorkingMemory(TemplateRegistry.from_program(program))
     matcher = SERIAL_MATCHERS[config.matcher](program.rules, wm, indexed=False)
-    engine = ParulelEngine(program, config, wm=wm, matcher=matcher)
+    fields = {name: getattr(config, name) for name in EngineConfig._fields}
+    fields["matcher"] = EngineConfig().matcher
+    engine = ParulelEngine(program, EngineConfig(**fields), wm=wm, matcher=matcher)
     engine.meta = MetaLevel(
         program.meta_rules,
         wm,

@@ -392,11 +392,15 @@ class TestInputFiles:
         assert f"error: {facts}: facts: expected ')'" in capsys.readouterr().err
 
 
-class TestLintCommand:
+class TestAnalyzeInterference:
+    """``analyze`` reports the interference candidates (PA001)."""
+
     def test_clean_program(self, program_file, capsys):
-        rc = main(["lint", program_file])  # tc only makes -> clean
+        rc = main(["analyze", program_file])  # tc only makes -> clean
         assert rc == 0
-        assert "clean" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "redaction coverage: n/a — no interference candidates" in out
+        assert "PA001" not in out
 
     def test_flagged_program(self, tmp_path, capsys):
         prog = tmp_path / "contended.pl"
@@ -405,10 +409,10 @@ class TestLintCommand:
             "(literalize slot owner)\n"
             "(p claim (req ^n <n>) (slot ^owner nil) --> (modify 2 ^owner <n>))\n"
         )
-        rc = main(["lint", str(prog)])
-        assert rc == 3
+        rc = main(["analyze", str(prog)])
+        assert rc == 0  # PA001 is a warning
         out = capsys.readouterr().out
-        assert "interference" in out
+        assert "PA001 warning [claim/CE 2] two instantiations of 'claim'" in out
         assert "(mp arbitrate-claim" in out
 
 

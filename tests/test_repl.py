@@ -71,6 +71,20 @@ class TestCommands:
     def test_lint(self, session):
         assert "clean" in session.execute(":lint")
 
+    def test_lint_prints_pa001_with_hints(self):
+        session = ReplSession(
+            parse_program(
+                "(literalize req n)\n(literalize slot owner)\n"
+                "(p claim (req ^n <n>) (slot ^owner nil) --> (modify 2 ^owner <n>))"
+            )
+        )
+        out = session.execute(":lint").splitlines()
+        assert out[0] == (
+            "PA001 warning [claim/CE 2] two instantiations of 'claim' may "
+            "modify/modify the same 'slot' WME (CE 2 vs CE 2)"
+        )
+        assert "    (mp arbitrate-claim" in out
+
     def test_help_and_unknown(self, session):
         assert ":run" in session.execute(":help")
         assert "unknown command" in session.execute(":frobnicate")

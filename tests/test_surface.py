@@ -2,9 +2,10 @@
 
 Every independent option multiplies the configurations tests and
 benchmarks must cover (ROADMAP aim 2), so adding or removing a CLI
-argument, an ``EngineConfig`` field or a ``create_matcher`` keyword must
-show up as an edit to this file in the same diff. So must a module that
-``import repro.cli`` newly loads: every run pays for it before ``main``.
+argument, an ``EngineConfig`` field, a ``create_matcher`` keyword or an
+``analyze`` parameter must show up as an edit to this file in the same
+diff. So must a module that ``import repro.cli`` newly loads: every run
+pays for it before ``main``.
 And no product module may reach into :mod:`repro.lab`, the figures'
 comparands.
 """
@@ -39,7 +40,6 @@ CLI = {
     "demo": ["name"],
     "dot": ["program", "--facts"],
     "explain": ["program", "--facts", "--wme", "--max-cycles", "--json"],
-    "lint": ["program"],
     "analyze": ["programs", "--facts", "--json", "--sarif", "--no-hints"],
     "repl": ["program", "--facts"],
     "profile": [
@@ -60,6 +60,9 @@ ENGINE_CONFIG = [
 ]
 
 CREATE_MATCHER = ["pool", "tracer", "metrics", "flightrec"]
+
+#: ``repro.analysis.analyze`` runs every check; none can be switched off.
+ANALYZE = ["program", "seed_classes", "name"]
 
 #: The ``repro`` modules ``import repro.cli`` loads: what a default ``run``
 #: executes. The packages' other public names resolve on first use
@@ -124,7 +127,7 @@ def _walk(parser, prefix=""):
 
 def test_cli_arguments_are_exactly_the_listed_ones():
     assert _walk(build_parser()) == CLI
-    assert sum(len(args) for args in CLI.values()) == 59
+    assert sum(len(args) for args in CLI.values()) == 58
 
 
 def test_the_default_matcher_is_treat_wherever_one_is_defaulted():
@@ -159,6 +162,12 @@ def test_create_matcher_keywords_are_exactly_the_listed_ones():
     ]
     assert keywords == CREATE_MATCHER
     assert len(CREATE_MATCHER) == 4
+
+
+def test_analyze_parameters_are_exactly_the_listed_ones():
+    from repro.analysis import analyze
+
+    assert list(inspect.signature(analyze).parameters) == ANALYZE
 
 
 def test_importing_the_cli_loads_exactly_the_listed_modules():
