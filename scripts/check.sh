@@ -122,9 +122,14 @@ if [[ "${1:-}" == "--resilience" ]]; then
     echo "== resilience suite (checkpoints, respawn/degrade, janitor)"
     python -m pytest tests/resilience -q
     echo "== chaos differential (crash + corruption -> byte-identical recovery)"
-    for seed in 0 1; do
-        python -m repro.resilience.chaos --workload tc --backend dict --seed "$seed"
-        python -m repro.resilience.chaos --workload tc --backend columnar --seed "$seed"
+    # tc's fired instantiations are blocked by their own makes; routing's
+    # stay matched, so its restores and the pool's reset replies hand the
+    # engine fired entries to drop and consume again.
+    for workload in tc routing; do
+        for seed in 0 1; do
+            python -m repro.resilience.chaos --workload "$workload" --backend dict --seed "$seed"
+            python -m repro.resilience.chaos --workload "$workload" --backend columnar --seed "$seed"
+        done
     done
     # The chaos runs above include the janitor leg (orphaned-segment
     # reclamation after a SIGKILLed columnar owner); fail loudly if

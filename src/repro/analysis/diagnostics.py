@@ -56,7 +56,8 @@ class Severity(enum.Enum):
 CODES: Dict[str, Tuple[Severity, str]] = {
     "PA001": (
         Severity.WARNING,
-        "parallel-firing interference candidate (two rules may write one WME)",
+        "parallel-firing interference candidate (two rules may write one WME "
+        "and are not proven to commute)",
     ),
     "PA002": (
         Severity.WARNING,

@@ -2,7 +2,9 @@
 
 Classic recognize-act: match, pick **one** instantiation via the strategy,
 fire it immediately (its effects are visible to the very next match), and
-repeat. Refraction prevents the same instantiation from firing twice.
+repeat. Refraction prevents the same instantiation from firing twice; the
+winner leaves the matcher's conflict set as it fires
+(:meth:`~repro.match.interface.Matcher.consume`).
 
 Shares everything except the cycle discipline with
 :class:`~repro.core.engine.ParulelEngine`: same parser/analysis, same match
@@ -99,14 +101,18 @@ class OPS5Engine:
         """Fire the strategy's pick; return it, or ``None`` at quiescence."""
         if self.halted:
             return None
-        candidates = [
-            i for i in self.matcher.instantiations() if i.key not in self.fired
-        ]
+        fired = self.fired
+        insts = self.matcher.instantiations()
+        candidates = [i for i in insts if i.key not in fired]
+        if len(candidates) < len(insts):
+            # Fired entries a matcher re-discovered: they leave again.
+            self.matcher.consume([i.key for i in insts if i.key in fired])
         winner = self.strategy.select(candidates)
         if winner is None:
             return None
         self._cycle += 1
-        self.fired.add(winner.key)
+        fired.add(winner.key)
+        self.matcher.consume([winner.key])
         self.fired_rules.append(winner.rule.name)
         delta = self.evaluator.evaluate(winner)
         # Sequential semantics: apply immediately, effects visible next match.

@@ -4,7 +4,7 @@ Each cycle of :meth:`ParulelEngine.step`:
 
 1. **Collect** — take the incremental matcher's conflict set, drop
    refracted instantiations (an instantiation — rule + exact WME
-   timestamps — fires at most once);
+   timestamps — fires at most once) and sort the rest into firing order;
 2. **Redact** — run the meta-program over the reified candidates
    (:class:`~repro.core.redaction.MetaLevel`); the survivors form the
    *firing set*;
@@ -12,7 +12,9 @@ Each cycle of :meth:`ParulelEngine.step`:
    (:class:`~repro.core.actions.ActionEvaluator`); nothing is applied yet,
    so firings cannot observe each other — the defining property of
    PARULEL's parallel semantics;
-4. **Apply** — merge the per-firing deltas under the configured
+4. **Apply** — hand the firing set to the matcher
+   (:meth:`~repro.match.interface.Matcher.consume`: what fired leaves the
+   conflict set), merge the per-firing deltas under the configured
    interference policy (:func:`~repro.core.delta.merge_deltas`) and commit
    the result atomically; the incremental matchers update as the WMEs flow.
 
@@ -320,7 +322,7 @@ class ParulelEngine:
         #: Last-seen matcher op totals, for per-cycle MATCH_OPS deltas.
         self._last_match_ops: Counter = Counter()
         #: Rule name -> position in the program: the major key of the
-        #: firing order (:meth:`_unfired`).
+        #: firing order (:meth:`_collect`).
         self._rule_pos: Dict[str, int] = {
             r.name: pos for pos, r in enumerate(program.rules)
         }
@@ -391,8 +393,7 @@ class ParulelEngine:
         cycle_no = self._cycle + 1
 
         with self._phase("match", "collect", cycle=cycle_no):
-            all_insts = self.matcher.instantiations()
-            candidates = self._unfired(all_insts)
+            candidates, dropped = self._collect()
         # The match phase is where backend faults surface (worker kills,
         # respawns, degradations); drain them now so the report for this
         # cycle carries them even if nothing fires. The backends record
@@ -400,7 +401,7 @@ class ParulelEngine:
         cycle_faults = self._drain_matcher_faults()
         if flightrec is not None:
             flightrec.record(
-                self._fr.EV_CHURN, cycle_no, a=len(all_insts), b=len(candidates)
+                self._fr.EV_CHURN, cycle_no, a=dropped, b=len(candidates)
             )
             # A worker died (or was declared dead) this cycle: the engine
             # survives by respawn/degradation, but the post-mortem evidence
@@ -435,7 +436,7 @@ class ParulelEngine:
             return self._emit(
                 CycleReport(
                     cycle=self._cycle,
-                    conflict_set_size=len(all_insts),
+                    conflict_set_size=len(candidates),
                     candidates=len(candidates),
                     redaction=red_report,
                     fired=0,
@@ -478,6 +479,9 @@ class ParulelEngine:
                     deltas.append(self.evaluator.evaluate(inst))
 
         with self._phase("merge", "apply", cycle=cycle_no, deltas=len(deltas)):
+            # What fired leaves the conflict set before its changes land, so
+            # the matcher spends no maintenance on entries that cannot fire.
+            self.matcher.consume([inst.key for inst in survivors])
             merged = merge_deltas(
                 deltas,
                 policy=self.config.interference,
@@ -497,7 +501,7 @@ class ParulelEngine:
         return self._emit(
             CycleReport(
                 cycle=self._cycle,
-                conflict_set_size=len(all_insts),
+                conflict_set_size=len(candidates),
                 candidates=len(candidates),
                 redaction=red_report,
                 fired=len(survivors),
@@ -931,18 +935,27 @@ class ParulelEngine:
     def cycle(self) -> int:
         return self._cycle
 
-    def _unfired(self, insts: Sequence[Instantiation]) -> List[Instantiation]:
-        """The unrefracted ones, in firing order: rule position in the
-        program, then per-CE timestamps. The order belongs to the language
-        (LANGUAGE.md §6), not to how a matcher happened to discover them."""
+    def _collect(self) -> Tuple[List[Instantiation], int]:
+        """The matcher's conflict set less what already fired, in firing
+        order — rule position in the program, then per-CE timestamps; the
+        order belongs to the language (LANGUAGE.md §6), not to how a
+        matcher happened to discover them — and how many fired entries
+        were dropped. Fired instantiations are consumed as they fire, so
+        one shows up here only when a matcher re-discovered it (an unblock
+        re-enumeration, a recompute, a pool worker's reset, the first
+        collect after :meth:`restore`); it is consumed again."""
         fired, rule_pos = self.fired, self._rule_pos
+        insts = self.matcher.instantiations()
         out = [i for i in insts if i.key not in fired]
+        dropped = len(insts) - len(out)
+        if dropped:
+            self.matcher.consume([i.key for i in insts if i.key in fired])
         out.sort(key=lambda i: (rule_pos[i.key[0]], i.key[1]))
-        return out
+        return out, dropped
 
     def conflict_set(self) -> List[Instantiation]:
         """Unrefracted instantiations currently eligible, in firing order."""
-        return self._unfired(self.matcher.instantiations())
+        return self._collect()[0]
 
     def explain(self, wme: WME, max_depth: int = 10) -> str:
         """Derivation tree for ``wme`` (requires

@@ -37,7 +37,7 @@ from repro.lab.costmodel import CostModel
 from repro.lab.partition import Assignment, resolve_assignment
 from repro.lab.rete import create_lab_matcher
 from repro.lang.ast import Program, Rule, Value
-from repro.match.instantiation import Instantiation
+from repro.match.instantiation import InstKey, Instantiation
 from repro.match.interface import Matcher
 from repro.wm.memory import WorkingMemory
 from repro.wm.template import TemplateRegistry
@@ -163,6 +163,11 @@ class SiteMatcher:
                 out.extend(matcher.instantiations())
         self.collected = out
         return out
+
+    def consume(self, keys: Sequence[InstKey]) -> None:
+        """A no-op: the simulators charge the era's matchers, which kept
+        every fired instantiation until one of its WMEs went, so the sites
+        keep them too (the engine filters them out at collect)."""
 
 
 class SimMachine:

@@ -8,12 +8,15 @@ refraction, redaction, and differential tests all speak one language.
 
 The :class:`ConflictSet` is an insertion-ordered dict of instantiations keyed
 by that identity, with the derived orderings OPS5's LEX/MEA strategies and
-PARULEL's meta level need (recency vectors, specificity).
+PARULEL's meta level need (recency vectors, specificity). It holds what can
+still fire: the engines hand each fired instantiation back to
+:meth:`ConflictSet.consume`, so an entry refraction bars leaves the set
+instead of staying matched until one of its WMEs goes.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.lang.ast import Rule, Value
 from repro.wm.wme import WME
@@ -120,6 +123,10 @@ class ConflictSet:
     of TREAT's churn handling. Both preserve conflict-set insertion order
     (index buckets are insertion-ordered dicts).
 
+    :meth:`consume` drops the entries that fired (refraction bars them for
+    good); when they are the whole set — every cycle that redacts nothing —
+    it is one :meth:`clear`.
+
     Two opt-in extras serve the set-oriented TREAT matcher:
 
     - :meth:`index_env` keeps one rule's entries bucketed by the values of
@@ -215,6 +222,19 @@ class ConflictSet:
         if inst is not None:
             self._unlink(inst)
         return inst
+
+    def consume(self, keys: Sequence[InstKey]) -> None:
+        """Drop the entries ``keys`` name — fired instantiations, which
+        refraction bars from firing again (absent keys are skipped; keys
+        must be distinct). When they are the whole retained set the set is
+        cleared in one pass, buckets and environment indexes included;
+        otherwise each key is discarded. Journalled like any removal."""
+        by_key = self._by_key
+        if len(keys) == len(by_key) and all(key in by_key for key in keys):
+            self.clear()
+            return
+        for key in keys:
+            self.discard_key(key)
 
     def get(self, key: InstKey) -> Optional[Instantiation]:
         return self._by_key.get(key)

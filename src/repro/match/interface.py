@@ -4,7 +4,9 @@ A matcher attaches to a :class:`~repro.wm.memory.WorkingMemory`, observes
 every assert/retract, and keeps a :class:`~repro.match.instantiation.ConflictSet`
 current. Engines (:mod:`repro.core`, :mod:`repro.baseline`) and the parallel
 substrate only ever talk to this interface, so the match algorithm is a
-plug-in choice.
+plug-in choice. The protocol is three calls: the WM listener,
+:meth:`Matcher.instantiations` at collect, and :meth:`Matcher.consume` with
+what fired.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 from repro._record import FrozenRecord
 from repro.lang.ast import Rule
 from repro.match.compile import CompiledRule, compile_rules
-from repro.match.instantiation import ConflictSet, Instantiation
+from repro.match.instantiation import ConflictSet, InstKey, Instantiation
 from repro.match.stats import MatchStats
 from repro.wm.memory import WorkingMemory
 from repro.wm.wme import WME
@@ -101,6 +103,16 @@ class Matcher(abc.ABC):
     def instantiations(self) -> List[Instantiation]:
         """Current conflict set, insertion-ordered, as a stable snapshot."""
         return self.conflict_set.instantiations()
+
+    def consume(self, keys: Sequence[InstKey]) -> None:
+        """The engine fired the instantiations ``keys`` (distinct, all from
+        the last collect): drop them from the conflict set, before the
+        firings' WM changes arrive. Refraction bars them for good, so no
+        match is lost. A matcher may report one again if it re-discovers
+        it (an unblock re-enumeration, a recompute, a worker's reset); the
+        engine, which alone keeps the refraction set, filters it out and
+        consumes it anew."""
+        self.conflict_set.consume(keys)
 
     def rule_names(self) -> List[str]:
         return [cr.name for cr in self.compiled]

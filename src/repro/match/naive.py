@@ -1,9 +1,11 @@
 """The naive (reference) matcher.
 
 Recomputes every rule's join from scratch whenever the conflict set is
-requested after a working-memory change. O(product of class-bucket sizes)
-per rule — unusable for big programs, invaluable as the semantic oracle:
-property-based tests assert RETE and TREAT always agree with it.
+requested after a working-memory change — fired instantiations included,
+which the engine filters out and consumes again. O(product of
+class-bucket sizes) per rule — unusable for big programs, invaluable as
+the semantic oracle: property-based tests assert RETE and TREAT always
+agree with it.
 
 Recomputation runs over a persistent
 :class:`~repro.match.alphaindex.AlphaCache` — alpha memories are filtered

@@ -37,7 +37,13 @@ cycle's additions call for are deferred and run once per *batch*.
   now exist. When the negated CE's join tests include equalities we seed
   the join with the variable values the removed WME pinned; otherwise we
   fall back to a full re-enumeration of that rule (deduplicated against
-  the retained set).
+  the retained set). Either may find again an instantiation that already
+  fired; the engine, which keeps the refraction set, drops it at collect.
+- *Fire*: the engine consumes the firing set
+  (:meth:`~repro.match.interface.Matcher.consume`) before the firings'
+  changes arrive, so the retained set holds unfired entries only and a
+  flush spends nothing on what a cycle's own makes block — on tc, every
+  instantiation that fired.
 - A WME added and removed between two flushes was never joined, so it
   just leaves the batch.
 

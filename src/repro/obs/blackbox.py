@@ -130,7 +130,7 @@ class Blackbox:
         if kind == EV_REDACT:
             return f"redact: candidates={a} redacted={b}"
         if kind == EV_CHURN:
-            return f"churn: instantiations={a} candidates={b}"
+            return f"churn: fired-dropped={a} candidates={b}"
         if kind == EV_CHECKPOINT:
             return f"checkpoint ({'full' if code == 0 else 'delta'})"
         if kind == EV_FAULT:

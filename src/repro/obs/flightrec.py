@@ -104,11 +104,14 @@ MIN_CAPACITY = 16
 
 # -- event kinds --------------------------------------------------------------
 
-EV_CYCLE = 1  # cycle boundary: a=fired, b=conflict-set size
+EV_CYCLE = 1  # cycle boundary: a=fired, b=conflict-set size (unfired)
 EV_PHASE = 2  # phase complete: code=phase id, a=duration ns
 EV_FIRE = 3  # one firing evaluated: code=rule id, a=eval ns
 EV_REDACT = 4  # redaction verdict: a=candidates, b=redacted
-EV_CHURN = 5  # conflict-set churn: a=instantiations, b=candidates
+# Conflict-set churn at collect: a=fired entries a matcher re-discovered
+# and the engine dropped (0 on TREAT outside restore and unblock),
+# b=candidates.
+EV_CHURN = 5
 EV_CHECKPOINT = 6  # checkpoint written: code 0=full, 1=delta
 EV_FAULT = 7  # fault / recovery event: code=interned kind, a=site
 # Kinds 8 and 9 are retired, not free: dumps written before the runtime

@@ -41,10 +41,13 @@ What keeps it fast and correct:
   set as one dict keyed by instantiation identity, rebuilds
   :class:`~repro.match.instantiation.Instantiation` objects against its
   own WME store for the additions only, and hands back the sites' values
-  end to end. The order instantiations fire in belongs to the language
-  (LANGUAGE.md §6) and the engine sorts its candidates into it, so the
-  same *set* is all it takes to run byte-identically to the sequential
-  matchers (the differential suite asserts this).
+  end to end. What fires leaves those dicts at once
+  (:meth:`ProcessMatchPool.consume`, no message sent); the workers still
+  retain it, and their later report of its removal is a no-op. The order
+  instantiations fire in belongs to the language (LANGUAGE.md §6) and the
+  engine sorts its candidates into it, so the same *set* is all it takes
+  to run byte-identically to the sequential matchers (the differential
+  suite asserts this).
 - **Robustness.** Every cycle applies a per-worker timeout; a crashed,
   wedged, or killed worker is respawned and caught up from a snapshot of
   the live parent memory, routed like any delta (its site's share *is*
@@ -1014,7 +1017,9 @@ class ProcessMatchPool:
             self._retained[site] = {}
         retained = self._retained[site]
         for key in removed:
-            del retained[key]
+            # The worker still retains what the parent consumed, so it may
+            # report the removal of a key already gone here.
+            retained.pop(key, None)
         wme_by_ts = self._wme_by_ts
         rules_by_name = self._rules_by_name
         for rule_name, timestamps, env in added:
@@ -1022,6 +1027,17 @@ class ProcessMatchPool:
             inst = Instantiation(rules_by_name[rule_name], wmes, env)
             retained[inst.key] = inst
         return retained
+
+    def consume(self, keys: Sequence[InstKey]) -> None:
+        """Drop the fired instantiations ``keys`` from the sites' retained
+        sets (disjoint, so each key leaves at most one). Parent-side only:
+        no message goes out, and a worker's later report that one of them
+        went away is ignored (:meth:`_apply_reply`)."""
+        sites = list(self._retained.values())
+        for key in keys:
+            for retained in sites:
+                if retained.pop(key, None) is not None:
+                    break
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -1125,6 +1141,13 @@ class ProcessMatcher(Matcher):
             self._current = self.pool.conflict_set()
             self._dirty = False
         return list(self._current)
+
+    def consume(self, keys: Sequence[InstKey]) -> None:
+        """Forwarded to :meth:`ProcessMatchPool.consume`. The list of the
+        last collect is not rebuilt: it differs from the pool's sets only
+        by what fired, which the engine filters out, and the next WM
+        change replaces it."""
+        self.pool.consume(keys)
 
     def drain_fault_events(self) -> List[FaultEvent]:
         """Respawn/degrade/injection events since the last drain — the

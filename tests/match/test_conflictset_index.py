@@ -263,3 +263,57 @@ class TestEnvIndex:
         # finds itself (identity), a different one finds nothing.
         assert len(cs.probe_env("r0", ("x",), (nan,))) == 1
         assert cs.probe_env("r0", ("x",), (float("nan"),)) == []
+
+
+class TestConsume:
+    """What fired leaves the set: in one pass when it is all of it."""
+
+    def _indexed(self, n=6):
+        rules = _rules(2)
+        wa = [WME("a", {"k": i % 3}, i + 1) for i in range(n)]
+        wb = [WME("b", {"k": i % 3}, i + 1 + n) for i in range(n)]
+        cs = ConflictSet()
+        cs.index_env("r0", ("x",))
+        insts = [_inst(rules[i % 2], wa[i], wb[i]) for i in range(n)]
+        for inst in insts:
+            cs.add(inst)
+        return cs, insts, wa + wb
+
+    def test_the_whole_set_leaves_no_bucket_behind(self):
+        cs, insts, _wmes = self._indexed()
+        cs.consume([i.key for i in reversed(insts)])
+        assert len(cs) == 0
+        assert cs._by_rule == {} and cs._by_wme == {}
+        assert cs._env_indexes == {"r0": {("x",): {}}}
+
+    def test_a_partial_consume_keeps_the_others_indexed(self):
+        cs, insts, wmes = self._indexed()
+        gone, kept = insts[::2], insts[1::2]
+        cs.consume([i.key for i in gone] + [("r0", (99, 99))])  # absent: skipped
+        assert [i.key for i in cs.instantiations()] == [i.key for i in kept]
+        for rule in ("r0", "r1"):
+            assert [i.key for i in cs.of_rule(rule)] == [
+                i.key for i in kept if i.rule.name == rule
+            ]
+        for value in range(3):
+            assert [i.key for i in cs.probe_env("r0", ("x",), (value,))] == [
+                i.key for i in kept if i.rule.name == "r0" and i.env["x"] == value
+            ]
+        for wme in wmes:
+            expected = [i.key for i in cs.instantiations() if i.uses(wme)]
+            assert [i.key for i in cs.remove_with_wme(wme)] == expected
+        assert len(cs) == 0
+
+    def test_consumed_inside_a_journal_window_cancels_the_add(self):
+        for whole in (True, False):
+            cs, insts, _wmes = self._indexed()
+            cs.start_journal()
+            cs.drain_journal()
+            rule = insts[0].rule
+            fresh = _inst(rule, WME("a", {"k": 0}, 50), WME("b", {"k": 0}, 51))
+            cs.add(fresh)
+            fired = insts + [fresh] if whole else [insts[0], fresh]
+            cs.consume([i.key for i in fired])
+            added, removed = cs.drain_journal()
+            assert added == []
+            assert removed == [i.key for i in fired if i is not fresh]

@@ -215,12 +215,17 @@ def test_a_spawned_pool_over_symbol_keys_dumps_what_serial_does(monkeypatch):
     wm = WorkingMemory(TemplateRegistry.from_program(prog))
     matcher = _SpawnedPool(prog.rules, wm)
     matched = [0, 0]
+    real = matcher.pool.conflict_set
 
-    def count(report):
+    def count():
+        # Each site's retained set as collected, before what fires leaves.
+        merged = real()
         for site in (0, 1):
             matched[site] += len(matcher.pool._retained[site])
+        return merged
 
-    engine = ParulelEngine(prog, wm=wm, matcher=matcher, trace=count)
+    matcher.pool.conflict_set = count
+    engine = ParulelEngine(prog, wm=wm, matcher=matcher)
     try:
         setup(engine)
         got = engine.run()

@@ -17,6 +17,7 @@ from repro.core import EngineConfig, ParulelEngine
 from repro.lab import SimMachine
 from repro.programs import REGISTRY
 from repro.wm.io import dumps
+from tests.core.test_consume import projection
 from tests.lab_engine import lab_engine
 
 WORKLOADS = sorted(REGISTRY)
@@ -67,7 +68,9 @@ class TestCrossMatcherAgreement:
     @pytest.mark.parametrize("name", WORKLOADS)
     def test_cycles_firings_and_dump_identical(self, name):
         # The dump is compared as bytes: same WMEs in the same timestamp
-        # order, i.e. the matchers agree on the firing order too.
+        # order, i.e. the matchers agree on the firing order too. Every
+        # CycleReport field agrees as well: a conflict set holds what has
+        # not fired under every matcher.
         results = {}
         for matcher, store in self.CONFIGS:
             wl = REGISTRY[name]()
@@ -76,7 +79,8 @@ class TestCrossMatcherAgreement:
                 wl.setup(engine)
                 res = engine.run(max_cycles=5000)
                 results[matcher, store] = (
-                    res.cycles, res.firings, res.reason, dumps(engine.wm)
+                    res.cycles, res.firings, res.reason, dumps(engine.wm),
+                    tuple(projection(r) for r in res.reports),
                 )
             finally:
                 engine.close()
