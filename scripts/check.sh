@@ -14,7 +14,8 @@
 #                               # chaos differential (seeded SIGKILLs +
 #                               # checkpoint truncation + segment unlinks
 #                               # must recover byte-identically) for both
-#                               # WM backends, plus the shm-leak check
+#                               # WM backends, the shm-leak check and a
+#                               # checkpoint-cost microbenchmark smoke run
 #   scripts/check.sh --obs      # additionally run the full observability
 #                               # suite (flight recorder, blackbox decode,
 #                               # metrics export) and the recorder-overhead
@@ -121,6 +122,8 @@ fi
 if [[ "${1:-}" == "--resilience" ]]; then
     echo "== resilience suite (checkpoints, respawn/degrade, janitor)"
     python -m pytest tests/resilience -q
+    echo "== checkpoint cost microbenchmark (smoke: it must run; no gate)"
+    python -m benchmarks.resilience_microbench --wmes 2000 --cycles 4
     echo "== chaos differential (crash + corruption -> byte-identical recovery)"
     # tc's fired instantiations are blocked by their own makes; routing's
     # stay matched, so its restores and the pool's reset replies hand the

@@ -51,12 +51,14 @@ and writes a self-contained ``PROGRAM.blackbox`` dump on abnormal exit
 the recorder off).
 
 Checkpointing: ``--checkpoint-every N`` writes a resumable checkpoint
-every N cycles (atomic, digest-framed — a crash mid-write never corrupts
-the previous one). Adding ``--checkpoint-keep K`` turns the checkpoint
-path into a rotating *store directory* holding the last K full snapshots
-with cheap delta checkpoints in between (``--checkpoint-full-every``);
-``--resume`` accepts either form and, given a store, falls back to the
-newest checkpoint that verifies, warning about any it had to skip.
+every N cycles into a rotating *store directory* (``--checkpoint``,
+default ``PROGRAM.ckpt/``): a full snapshot every 5th save with cheap
+delta checkpoints in between, the last 3 full snapshots kept — up to 3
+full snapshots plus their deltas on disk. Every file is atomic and
+digest-framed, so a crash mid-write never corrupts the previous one.
+``--resume`` reads a store, falling back to the newest checkpoint that
+verifies and warning about any it had to skip; it also reads a bare
+checkpoint file, which older versions wrote.
 
 ``parulel run``/``parulel profile`` accept ``--trace-out PATH`` (Chrome
 trace-event JSON, or JSONL when PATH ends in ``.jsonl`` — load the former
@@ -201,23 +203,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.checkpoint_every is not None and args.checkpoint_every < 1:
         print("error: --checkpoint-every must be >= 1", file=sys.stderr)
         return 2
-    if args.checkpoint_keep is not None and args.checkpoint_keep < 1:
-        print("error: --checkpoint-keep must be >= 1", file=sys.stderr)
+    # Without the cadence, a store path would do nothing: refuse it.
+    if args.checkpoint is not None and args.checkpoint_every is None:
+        print("error: --checkpoint requires --checkpoint-every", file=sys.stderr)
         return 2
-    if args.checkpoint_full_every is not None and args.checkpoint_full_every < 1:
-        print("error: --checkpoint-full-every must be >= 1", file=sys.stderr)
-        return 2
-    # A flag that refines one it depends on does nothing alone: refuse it.
-    for flag, given, needs, needed in (
-        ("--checkpoint", args.checkpoint, "--checkpoint-every", args.checkpoint_every),
-        ("--checkpoint-keep", args.checkpoint_keep, "--checkpoint-every",
-         args.checkpoint_every),
-        ("--checkpoint-full-every", args.checkpoint_full_every,
-         "--checkpoint-keep", args.checkpoint_keep),
-    ):
-        if given is not None and needed is None:
-            print(f"error: {flag} requires {needs}", file=sys.stderr)
-            return 2
     # A flag only one engine reads is refused under the other, not ignored.
     for flag, given, engine in (
         ("--matcher-timeout", args.matcher_timeout is not None, "parulel"),
@@ -270,15 +259,26 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
 
-    ckpt_path = args.checkpoint or (args.program + ".ckpt")
     trace = user_trace
+    ckpt = None  # the EngineCheckpointer, once the engine exists
     if args.checkpoint_every is not None:
+        import os
+
+        ckpt_path = args.checkpoint or (args.program + ".ckpt")
+        if os.path.exists(ckpt_path) and not os.path.isdir(ckpt_path):
+            print(
+                f"error: --checkpoint {ckpt_path} is a file; checkpoints are "
+                f"now a store directory (resume it with --resume {ckpt_path}, "
+                f"then pass --checkpoint DIR)",
+                file=sys.stderr,
+            )
+            return 2
 
         def trace(report):  # noqa: ANN001 - CycleReport
             if user_trace is not None:
                 user_trace(report)
             if report.cycle % args.checkpoint_every == 0:
-                ckpt_save()
+                ckpt.save()
 
     config = EngineConfig(
         matcher=matcher,
@@ -294,7 +294,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     )
     obs_tracer, obs_metrics = _make_obs(args)
     if args.resume:
-        import os
+        from repro.resilience.checkpoint import load_checkpoint_file
 
         if args.facts:
             print(
@@ -302,21 +302,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 "--facts is ignored",
                 file=sys.stderr,
             )
-        resume_state = args.resume
-        if os.path.isdir(args.resume):
-            # A checkpoint store: load here (not inside restore) so the
-            # last-good fallback can surface which files were skipped.
-            from repro.resilience import CheckpointStore
-
-            load = CheckpointStore(args.resume).load()
-            for path, reason in load.skipped:
-                print(
-                    f"warning: skipped corrupt checkpoint {path}: {reason}",
-                    file=sys.stderr,
-                )
-            resume_state = load.state
+        # Loaded here (not inside restore) so a store's last-good fallback
+        # can surface which files were skipped.
+        load = load_checkpoint_file(args.resume)
+        for path, reason in load.skipped:
+            print(
+                f"warning: skipped corrupt checkpoint {path}: {reason}",
+                file=sys.stderr,
+            )
         engine = ParulelEngine.restore(
-            program, resume_state, config, trace=trace,
+            program, load.state, config, trace=trace,
             tracer=obs_tracer, metrics=obs_metrics,
         )
     else:
@@ -325,19 +320,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
         _assert_facts(engine.make, args.facts, facts)
     del facts  # loaded: the run needs no second copy of them
-    if args.checkpoint_keep is not None:
-        from repro.resilience import CheckpointStore, EngineCheckpointer
+    if args.checkpoint_every is not None:
+        from repro.resilience.checkpoint import CheckpointStore, EngineCheckpointer
 
-        _ckpt = EngineCheckpointer(
-            engine,
-            CheckpointStore(ckpt_path, keep=args.checkpoint_keep),
-            full_every=args.checkpoint_full_every or 5,
-        )
-        ckpt_save = _ckpt.save
-    else:
-
-        def ckpt_save() -> None:
-            engine.checkpoint(ckpt_path)
+        ckpt = EngineCheckpointer(engine, CheckpointStore(ckpt_path))
 
     # Loaded and primed: from here on the collector need not look at it.
     args.collector.freeze()
@@ -348,8 +334,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if partial is not None:
             for line in partial.output:
                 print(line)
-        if args.checkpoint_every is not None:
-            ckpt_save()  # salvage the partial run
+        if ckpt is not None and exc.cycles_completed and ckpt.cycle != engine.cycle:
+            ckpt.save()  # salvage this run's cycles since the last save
         if args.dump_wm:
             dump_wm_text(engine.wm, args.dump_wm)
         # A truncated run is exactly when you want to see where the time
@@ -941,33 +927,17 @@ def _run_arguments(p_run: argparse.ArgumentParser) -> None:
     )
     p_run.add_argument(
         "--checkpoint",
-        metavar="PATH",
-        help="checkpoint file path (default: PROGRAM.ckpt); with "
-        "--checkpoint-keep this is a store *directory*",
-    )
-    p_run.add_argument(
-        "--checkpoint-keep",
-        type=int,
-        default=None,
-        metavar="K",
-        help="rotate checkpoints in a store directory, keeping the last K "
-        "full snapshots (requires --checkpoint-every); between fulls the "
-        "store writes cheap incremental deltas",
-    )
-    p_run.add_argument(
-        "--checkpoint-full-every",
-        type=int,
-        default=None,
-        metavar="M",
-        help="with --checkpoint-keep: write a full snapshot every M-th "
-        "checkpoint, deltas in between (default: 5)",
+        metavar="DIR",
+        help="checkpoint store directory (default: PROGRAM.ckpt/): a full "
+        "snapshot every 5th checkpoint, deltas in between, the last 3 "
+        "fulls kept",
     )
     p_run.add_argument(
         "--resume",
         metavar="PATH",
-        help="resume from a checkpoint file or store directory written by "
-        "--checkpoint-every (--facts is ignored); a store falls back to "
-        "the newest checkpoint that verifies",
+        help="resume from a store directory written by --checkpoint-every, "
+        "or a bare checkpoint file (--facts is ignored); a store falls "
+        "back to the newest checkpoint that verifies",
     )
     p_run.add_argument(
         "--strategy",

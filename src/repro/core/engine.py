@@ -758,23 +758,21 @@ class ParulelEngine:
 
     # -- checkpoint / resume ---------------------------------------------------
 
-    def checkpoint(self, path: Optional[str] = None) -> Dict[str, Any]:
+    def checkpoint(self) -> Dict[str, Any]:
         """Snapshot the resumable engine state as a JSON-safe dict.
 
         Captures working memory (records with exact timestamps plus the
         allocation counter), the refraction set, the cycle counter, emitted
         output, halt flags, and the delta log. Values are symbols/numbers,
-        so the dict serializes as JSON directly; when ``path`` is given the
-        checkpoint is also written there.
+        so the dict serializes as JSON directly.
 
         Matcher internals are *not* saved — :meth:`restore` rebuilds the
         match network by replaying the restored WMEs, which yields the same
         conflict set because matchers are deterministic in timestamp order.
 
-        When ``path`` is given the checkpoint is written as a framed,
-        digest-protected envelope (:mod:`repro.resilience.checkpoint`)
-        via an atomic tmp + fsync + rename, so a crash mid-write can never
-        leave a half-written file under the final name.
+        Nothing is written here: :mod:`repro.resilience.checkpoint` owns
+        the disk format (a rotating :class:`CheckpointStore`, or one framed
+        envelope via ``write_envelope``).
         """
         records, next_ts = self.wm.dump_records()
         state: Dict[str, Any] = {
@@ -794,10 +792,6 @@ class ParulelEngine:
         }
         if self.flightrec is not None:
             self.flightrec.record(self._fr.EV_CHECKPOINT, self._cycle, code=0)
-        if path is not None:
-            from repro.resilience.checkpoint import write_envelope
-
-            write_envelope(path, state, kind="full")
         return state
 
     def checkpoint_cursor(self) -> Tuple[int, int, int, int]:
@@ -873,7 +867,7 @@ class ParulelEngine:
             from repro.resilience.checkpoint import load_checkpoint_file
 
             src = state
-            state = load_checkpoint_file(state)
+            state = load_checkpoint_file(state).state
         where = f" file {src!r}" if src is not None else ""
         if not isinstance(state, dict):
             raise ExecutionError(

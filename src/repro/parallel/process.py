@@ -42,12 +42,14 @@ What keeps it fast and correct:
   :class:`~repro.match.instantiation.Instantiation` objects against its
   own WME store for the additions only, and hands back the sites' values
   end to end. What fires leaves those dicts at once
-  (:meth:`ProcessMatchPool.consume`, no message sent); the workers still
-  retain it, and their later report of its removal is a no-op. The order
-  instantiations fire in belongs to the language (LANGUAGE.md §6) and the
-  engine sorts its candidates into it, so the same *set* is all it takes
-  to run byte-identically to the sequential matchers (the differential
-  suite asserts this).
+  (:meth:`ProcessMatchPool.consume`), and each site's fired keys ride
+  with its next match request: the worker drops them from its own
+  conflict set before applying the delta, so it neither unlinks them
+  again nor reports their removal, and its set stays as small as the
+  parent's. The order instantiations fire in belongs to the language
+  (LANGUAGE.md §6) and the engine sorts its candidates into it, so the
+  same *set* is all it takes to run byte-identically to the sequential
+  matchers (the differential suite asserts this).
 - **Robustness.** Every cycle applies a per-worker timeout; a crashed,
   wedged, or killed worker is respawned and caught up from a snapshot of
   the live parent memory, routed like any delta (its site's share *is*
@@ -237,8 +239,10 @@ def _worker_main(
 
     Protocol (parent → worker):
 
-    - ``("match", [wire_delta, ...])`` — apply the pickled deltas (the
-      WMEs this site's memories can hold, see :class:`_Router`) in
+    - ``("match", [wire_delta, ...], fired)`` — drop the ``fired``
+      instantiation keys (this site's share of what the engine fired since
+      the last request) from the conflict set, apply the pickled deltas
+      (the WMEs this site's memories can hold, see :class:`_Router`) in
       order, bring the conflict set current, then reply
       ``("ok", (site_reply, obs_payload))`` where ``site_reply`` is the
       :data:`SiteReply` journal of this site's conflict set since the
@@ -249,9 +253,9 @@ def _worker_main(
     - ``("attach", spec)`` — columnar mode: attach the parent's
       shared-memory columns (:class:`~repro.wm.columnar.ColumnarReader`);
       no reply;
-    - ``("match-shm", info)`` — columnar mode: advance over the shared
-      delta journal up to the message's cursors, then match and reply
-      exactly as ``"match"`` does;
+    - ``("match-shm", info, fired)`` — columnar mode: drop ``fired`` as
+      ``"match"`` does, advance over the shared delta journal up to the
+      message's cursors, then match and reply exactly as ``"match"`` does;
     - ``("stop",)`` — exit.
 
     Any exception is reported as ``("err", message)``; the parent raises
@@ -357,6 +361,12 @@ def _worker_main(
                 if observer is not None:
                     observer.cycle = cycle
                     observer.times = []
+                fired = msg[2]
+                if fired and matcher is not None:
+                    # The parent dropped these already: forget them without
+                    # journalling, before the delta could unlink them.
+                    matcher.consume(fired)
+                    matcher.conflict_set.drain_journal()
                 if tag == "match-shm":
                     with tracer.span("refresh-journal", lane="worker", cycle=cycle):
                         vcache.refresh(msg[1])
@@ -503,12 +513,15 @@ class _Router:
         return out
 
 
-def _match_request(adds: Sequence[WME], removes: Sequence[WME]) -> bytes:
+def _match_request(
+    adds: Sequence[WME], removes: Sequence[WME], fired: Sequence[InstKey]
+) -> bytes:
     """A pickled ``("match", ...)`` request carrying one site's share of a
-    delta: its adds as records, its removes as timestamps."""
+    delta — its adds as records, its removes as timestamps — and of the
+    keys fired since its last request."""
     delta = WMDelta(tuple(adds), tuple(w.timestamp for w in removes))
     payload = [] if delta.empty else [delta.wire()]
-    return pickle.dumps(("match", payload), protocol=pickle.HIGHEST_PROTOCOL)
+    return pickle.dumps(("match", payload, fired), protocol=pickle.HIGHEST_PROTOCOL)
 
 
 class ProcessMatchPool:
@@ -595,6 +608,9 @@ class ProcessMatchPool:
         #: Per site, the instantiations its matcher currently retains,
         #: by identity. Edited by each :data:`SiteReply`.
         self._retained: Dict[int, Dict[InstKey, Instantiation]] = {}
+        #: Per site, the keys consumed here since its last request: its
+        #: worker drops them too when the next request delivers them.
+        self._fired: Dict[int, List[InstKey]] = {}
         self._conns: Dict[int, Connection] = {}
         self._procs: Dict[int, multiprocessing.process.BaseProcess] = {}
         #: Workers respawned after a crash/timeout (tests assert on this).
@@ -882,7 +898,7 @@ class ProcessMatchPool:
                 ("attach", wm.attach_spec()), protocol=pickle.HIGHEST_PROTOCOL
             )
             match_blob = pickle.dumps(
-                ("match-shm", wm.refresh_info()),
+                ("match-shm", wm.refresh_info(), ()),
                 protocol=pickle.HIGHEST_PROTOCOL,
             )
             if not self._try_send_bytes(site, spec_blob):
@@ -892,7 +908,7 @@ class ProcessMatchPool:
             sent_bytes = len(spec_blob) + (len(match_blob) if ok else 0)
         else:
             share = self._router.deal(self.wm.snapshot())[site]
-            blob = _match_request(share, ())
+            blob = _match_request(share, (), ())
             ok = self._try_send_bytes(site, blob)
             sent_bytes = len(blob) if ok else 0
         if self.metrics.enabled and sent_bytes:
@@ -943,15 +959,16 @@ class ProcessMatchPool:
         # byte metrics count precisely what crossed the pipes.
         metrics = self.metrics
         sent: Dict[int, bool] = {}
+        # Each request carries its site's fired keys; a site that gets none
+        # (degraded, or respawned and caught up afresh) has no use for them.
+        fired, self._fired = self._fired, {}
         if self._shared:
             # Columnar mode: the data already lives in shared memory. The
             # per-cycle message is just journal/heap cursors plus any
             # structural (re)mount specs — a few hundred bytes regardless
-            # of how many WMEs changed.
+            # of how many WMEs changed — and the site's fired keys.
             wm: ColumnarWorkingMemory = self.wm  # type: ignore[assignment]
-            match_blob = pickle.dumps(
-                ("match-shm", wm.cycle_info()), protocol=pickle.HIGHEST_PROTOCOL
-            )
+            info = wm.cycle_info()
             spec_blob: Optional[bytes] = None
             for site in self.active_sites:
                 if site in self.degraded_sites:
@@ -970,6 +987,10 @@ class ProcessMatchPool:
                         self._attached.add(site)
                         site_bytes += len(spec_blob)
                 if ok:
+                    match_blob = pickle.dumps(
+                        ("match-shm", info, fired.get(site, ())),
+                        protocol=pickle.HIGHEST_PROTOCOL,
+                    )
                     ok = self._try_send_bytes(site, match_blob)
                     if ok:
                         site_bytes += len(match_blob)
@@ -988,7 +1009,9 @@ class ProcessMatchPool:
                 if site in self.degraded_sites:
                     sent[site] = False
                     continue
-                blob = _match_request(adds[site], removes[site])
+                blob = _match_request(
+                    adds[site], removes[site], fired.get(site, ())
+                )
                 ok = self._try_send_bytes(site, blob)
                 sent[site] = ok
                 if ok and metrics.enabled:
@@ -1017,8 +1040,6 @@ class ProcessMatchPool:
             self._retained[site] = {}
         retained = self._retained[site]
         for key in removed:
-            # The worker still retains what the parent consumed, so it may
-            # report the removal of a key already gone here.
             retained.pop(key, None)
         wme_by_ts = self._wme_by_ts
         rules_by_name = self._rules_by_name
@@ -1030,13 +1051,14 @@ class ProcessMatchPool:
 
     def consume(self, keys: Sequence[InstKey]) -> None:
         """Drop the fired instantiations ``keys`` from the sites' retained
-        sets (disjoint, so each key leaves at most one). Parent-side only:
-        no message goes out, and a worker's later report that one of them
-        went away is ignored (:meth:`_apply_reply`)."""
-        sites = list(self._retained.values())
+        sets (disjoint, so each key leaves at most one). No message goes
+        out now: each site's keys ride with its next match request, and
+        its worker drops them before applying that request's delta."""
+        sites = list(self._retained.items())
         for key in keys:
-            for retained in sites:
+            for site, retained in sites:
                 if retained.pop(key, None) is not None:
+                    self._fired.setdefault(site, []).append(key)
                     break
 
     # -- lifecycle ----------------------------------------------------------

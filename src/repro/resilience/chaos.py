@@ -144,8 +144,6 @@ def run_chaos(
     backend: str = "dict",
     seed: int = 0,
     checkpoint_every: int = 1,
-    full_every: int = 3,
-    keep: int = 2,
 ) -> ChaosResult:
     """One full chaos scenario (module docstring); raises on setup errors,
     returns a :class:`ChaosResult` whose ``mismatches`` list the verdict."""
@@ -193,9 +191,8 @@ def run_chaos(
         ),
     )
     chaos_wl.setup(chaos)
-    ckpt = EngineCheckpointer(
-        chaos, CheckpointStore(store_dir, keep=keep), full_every=full_every
-    )
+    # The store's defaults: the cadence ``--checkpoint-every`` writes.
+    ckpt = EngineCheckpointer(chaos, CheckpointStore(store_dir))
     ckpt.save()  # cycle-0 baseline, so even a cycle-1 crash can restore
 
     unlink_at = rng.randint(2, crash_cycle) if backend == "columnar" else None

@@ -32,9 +32,13 @@ behaviour, not an error path. Retention keeps the last ``keep`` full
 snapshots (and their deltas).
 
 :class:`EngineCheckpointer` is the engine-facing convenience: call
-:meth:`~EngineCheckpointer.save` every N cycles (the CLI's
-``--checkpoint-every``) and it alternates full snapshots with deltas at
-the configured cadence, tracking the engine's checkpoint cursor.
+:meth:`~EngineCheckpointer.save` every N cycles and it alternates full
+snapshots with deltas at the configured cadence, tracking the engine's
+checkpoint cursor. The CLI's ``--checkpoint-every`` uses the defaults: a
+store keeping 3 full snapshots, a full every 5th save and deltas between.
+
+This module is the one place a checkpoint reaches the disk:
+:meth:`~repro.core.engine.ParulelEngine.checkpoint` only returns the state.
 """
 
 from __future__ import annotations
@@ -155,16 +159,17 @@ def read_envelope(path: str) -> Tuple[str, Dict[str, Any]]:
     return kind, payload
 
 
-def load_checkpoint_file(path: str) -> Dict[str, Any]:
-    """Load a restorable full state from ``path``: a framed checkpoint
-    file or a :class:`CheckpointStore` directory (last-good fallback
-    applies). Every state restored is digest-verified: a file without the
-    envelope is refused like any other corruption. Raises
+def load_checkpoint_file(path: str) -> CheckpointLoad:
+    """Load a restorable full state from ``path``: a
+    :class:`CheckpointStore` directory (last-good fallback applies, and
+    ``skipped`` names what it passed over) or a bare framed checkpoint file
+    (``skipped`` is empty). Every state restored is digest-verified: a file
+    without the envelope is refused like any other corruption. Raises
     :class:`~repro.errors.CheckpointCorruptError` (an
     :class:`~repro.errors.ExecutionError`) naming the path on any failure
     other than the file simply not existing."""
     if os.path.isdir(path):
-        return CheckpointStore(path).load().state
+        return CheckpointStore(path).load()
     kind, payload = read_envelope(path)
     if kind != "full":
         raise CheckpointCorruptError(
@@ -172,7 +177,7 @@ def load_checkpoint_file(path: str) -> Dict[str, Any]:
             "a bare delta checkpoint cannot be restored without its "
             "base snapshot (resume from the store directory instead)",
         )
-    return payload
+    return CheckpointLoad(state=payload, base_path=path)
 
 
 # -- delta application ---------------------------------------------------------
@@ -219,8 +224,9 @@ def apply_delta_state(state: Dict[str, Any], delta: Dict[str, Any]) -> Dict[str,
 
 @dataclass
 class CheckpointLoad:
-    """Result of :meth:`CheckpointStore.load`: the reconstructed full
-    state, the snapshot it came from, the deltas applied on top, and the
+    """Result of :func:`load_checkpoint_file` and
+    :meth:`CheckpointStore.load`: the reconstructed full state, the
+    snapshot it came from, the deltas applied on top, and the
     corrupt/unusable files that were skipped (``(path, reason)``)."""
 
     state: Dict[str, Any]
@@ -384,6 +390,11 @@ class EngineCheckpointer:
         self.full_every = full_every
         self._cursor = None
         self._deltas_since_full = 0
+
+    @property
+    def cycle(self) -> Optional[int]:
+        """The engine cycle of the last save (``None`` before the first)."""
+        return None if self._cursor is None else self._cursor[0]
 
     def save(self) -> str:
         """Write the next checkpoint (full or delta per the cadence)."""

@@ -8,6 +8,7 @@ from repro.core import EngineConfig, ParulelEngine
 from repro.core.engine import CHECKPOINT_VERSION
 from repro.errors import CycleLimitExceeded, ExecutionError, WorkingMemoryError
 from repro.lang.parser import parse_program
+from repro.resilience.checkpoint import write_envelope
 
 COUNTER = """
 (literalize count value)
@@ -148,7 +149,7 @@ class TestResume:
         e = fresh()
         e.make("count", value=0)
         e.step()
-        e.checkpoint(path)
+        write_envelope(path, e.checkpoint())
         resumed = ParulelEngine.restore(parse_program(COUNTER), path)
         resumed.run()
         ref = fresh()

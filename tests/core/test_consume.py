@@ -110,3 +110,32 @@ def test_a_routing_run_resumed_mid_run_reports_what_an_unbroken_one_does(matcher
     # found again, dropped without firing.
     fired_before = {(rule, tuple(ts)) for rule, ts in state["fired"]}
     assert consumed[0] and set(consumed[0]) <= fired_before
+
+
+def test_pool_workers_drop_what_the_parent_consumed():
+    # Each site's fired keys ride with its next request, so no worker goes
+    # on to unlink one (a tc firing's `make` blocks its own match) and
+    # report that removal back.
+    wl = REGISTRY["tc"]()
+    config = EngineConfig(matcher="process:2", flight_recorder=False)
+    with ParulelEngine(wl.program, config) as engine:
+        pool = engine.matcher.pool
+        consumed, replied, stale = set(), set(), []
+        real_consume, real_apply = pool.consume, pool._apply_reply
+
+        def consume(keys):
+            consumed.update(keys)
+            real_consume(keys)
+
+        def apply_reply(site, reply):
+            if site in replied:
+                stale.extend(key for key in reply[2] if key in consumed)
+            replied.add(site)
+            return real_apply(site, reply)
+
+        pool.consume, pool._apply_reply = consume, apply_reply
+        wl.setup(engine)
+        result = engine.run()
+    assert result.firings == len(consumed) > 0
+    assert replied == {0, 1}
+    assert stale == []

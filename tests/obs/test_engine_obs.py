@@ -27,6 +27,7 @@ from repro.obs.metrics import NULL_METRICS
 from repro.lab.distributed import DistributedMachine
 from repro.programs.tc import build_tc
 from repro.resilience import FaultPlan, WorkerKill
+from repro.resilience.checkpoint import write_envelope
 
 TC_FACTS = [
     ("edge", {"src": f"n{i}", "dst": f"n{i + 1}"}) for i in range(6)
@@ -304,7 +305,7 @@ class TestRestore:
     def test_restored_engine_carries_observability(self, tmp_path):
         engine, _ = run_tc()
         path = str(tmp_path / "ck.json")
-        engine.checkpoint(path)
+        write_envelope(path, engine.checkpoint())
         tracer = Tracer()
         metrics = MetricsRegistry()
         restored = ParulelEngine.restore(

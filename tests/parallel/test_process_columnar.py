@@ -239,7 +239,7 @@ class TestByteAccounting:
             pool.conflict_set()
             expected = len(
                 pickle.dumps(
-                    ("match", [shadow_recorder.drain().wire()]),
+                    ("match", [shadow_recorder.drain().wire()], ()),
                     protocol=pickle.HIGHEST_PROTOCOL,
                 )
             )
@@ -264,7 +264,7 @@ class TestByteAccounting:
                     )
                 ) + len(
                     pickle.dumps(
-                        ("match-shm", wm.refresh_info()),
+                        ("match-shm", wm.refresh_info(), ()),
                         protocol=pickle.HIGHEST_PROTOCOL,
                     )
                 )

@@ -181,7 +181,7 @@ def test_an_unknown_timestamp_on_a_worker_is_still_an_error():
     wm.make("path", src="a", dst="b")
     with ProcessMatchPool(prog.rules, wm, 2) as pool:
         pool.conflict_set()
-        bogus = pickle.dumps(("match", [((), (10**6,))]))
+        bogus = pickle.dumps(("match", [((), (10**6,))], ()))
         assert pool._try_send_bytes(0, bogus)
         with pytest.raises(MatchError, match="KeyError"):
             pool._recv(0)

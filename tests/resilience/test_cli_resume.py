@@ -1,9 +1,11 @@
 """CLI resume robustness: corrupt checkpoints fail typed, stores fall back.
 
-Satellite coverage for the ``--resume`` path: a missing, truncated, or
+Coverage for the ``--resume`` path: a missing, truncated, or
 digest-flipped checkpoint must exit 1 with an error naming the file —
 never a raw traceback — and a rotating store directory must resume from
-the newest checkpoint that verifies, warning about what it skipped.
+the newest checkpoint that verifies, warning about what it skipped. The
+CLI writes only stores; the bare envelope files here are written through
+the library, because ``--resume`` still reads them.
 """
 
 import os
@@ -12,7 +14,13 @@ import subprocess
 import pytest
 
 from repro.cli import main
-from repro.resilience.checkpoint import write_envelope
+from repro.core import ParulelEngine
+from repro.lang import parse_program
+from repro.resilience.checkpoint import (
+    CheckpointStore,
+    read_envelope,
+    write_envelope,
+)
 from repro.wm.columnar import SEGMENT_PREFIX
 
 COUNTER = """
@@ -40,12 +48,13 @@ def counter_facts(tmp_path):
     return str(path)
 
 
-def write_checkpoint(counter_file, counter_facts, ckpt, capsys):
-    rc = main(["run", counter_file, "--facts", counter_facts,
-               "--checkpoint-every", "2", "--checkpoint", ckpt,
-               "--max-cycles", "4"])
-    assert rc == 1  # cycle limit: the salvage checkpoint is written
-    capsys.readouterr()
+def write_checkpoint(ckpt, cycles=4):
+    """A bare envelope file of the counter after ``cycles`` cycles."""
+    with ParulelEngine(parse_program(COUNTER)) as engine:
+        engine.make("count", value=0)
+        for _ in range(cycles):
+            engine.step()
+        write_envelope(ckpt, engine.checkpoint())
 
 
 class TestResumeFailures:
@@ -61,7 +70,7 @@ class TestResumeFailures:
         self, counter_file, counter_facts, tmp_path, capsys
     ):
         ckpt = str(tmp_path / "torn.ckpt")
-        write_checkpoint(counter_file, counter_facts, ckpt, capsys)
+        write_checkpoint(ckpt)
         size = os.path.getsize(ckpt)
         with open(ckpt, "r+b") as fh:
             fh.truncate(size // 2)
@@ -75,7 +84,7 @@ class TestResumeFailures:
         self, counter_file, counter_facts, tmp_path, capsys
     ):
         ckpt = str(tmp_path / "flip.ckpt")
-        write_checkpoint(counter_file, counter_facts, ckpt, capsys)
+        write_checkpoint(ckpt)
         with open(ckpt, "rb") as fh:
             blob = bytearray(fh.read())
         blob[-2] ^= 0xFF
@@ -101,12 +110,46 @@ class TestResumeFailures:
         assert rc == 1
         assert "base snapshot" in capsys.readouterr().err
 
+    def test_bare_file_resumes_to_the_straight_run(
+        self, counter_file, counter_facts, tmp_path, capsys
+    ):
+        ckpt = str(tmp_path / "old.ckpt")
+        write_checkpoint(ckpt)
+        rc = main(["run", counter_file, "--resume", ckpt,
+                   "--dump-wm", str(tmp_path / "resumed.wm")])
+        assert rc == 0
+        assert "skipped" not in capsys.readouterr().err
+        rc = main(["run", counter_file, "--facts", counter_facts,
+                   "--dump-wm", str(tmp_path / "straight.wm")])
+        assert rc == 0
+        assert (tmp_path / "resumed.wm").read_text() == (
+            tmp_path / "straight.wm"
+        ).read_text()
+
+    def test_checkpoint_path_that_is_a_file_exits_2_before_running(
+        self, counter_file, counter_facts, tmp_path, capsys
+    ):
+        # A file left where the store goes (the old single-file format's
+        # default name among them) is refused before any cycle runs.
+        old = tmp_path / "counter.pl.ckpt"
+        write_checkpoint(str(old))
+        before = old.read_bytes()
+        rc = main(["run", counter_file, "--facts", counter_facts,
+                   "--checkpoint-every", "1", "--trace"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: --checkpoint {old} is a file; checkpoints are now a "
+            f"store directory (resume it with --resume {old}, then pass "
+            f"--checkpoint DIR)\n"
+        )
+        assert old.read_bytes() == before
+
 
 class TestStoreResume:
     def run_store(self, counter_file, counter_facts, store, capsys):
         rc = main(["run", counter_file, "--facts", counter_facts,
                    "--checkpoint-every", "1", "--checkpoint", store,
-                   "--checkpoint-keep", "3", "--checkpoint-full-every", "2",
                    "--max-cycles", "6"])
         assert rc == 1
         capsys.readouterr()
@@ -152,44 +195,63 @@ class TestStoreResume:
         ).read_text()
 
 
-class TestStoreFlagValidation:
-    def test_keep_requires_checkpoint_every(self, counter_file, capsys):
-        rc = main(["run", counter_file, "--checkpoint-keep", "2"])
-        assert rc == 2
-        assert "requires --checkpoint-every" in capsys.readouterr().err
-
-    def test_keep_rejects_nonpositive(self, counter_file, capsys):
-        rc = main(["run", counter_file, "--checkpoint-every", "1",
-                   "--checkpoint-keep", "0"])
-        assert rc == 2
-        assert "--checkpoint-keep must be >= 1" in capsys.readouterr().err
-
-    def test_full_every_rejects_nonpositive(self, counter_file, capsys):
-        rc = main(["run", counter_file, "--checkpoint-every", "1",
-                   "--checkpoint-keep", "2", "--checkpoint-full-every", "0"])
-        assert rc == 2
-        assert "--checkpoint-full-every must be >= 1" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "flags, refused",
-        [
-            (["--checkpoint", "run.ckpt"], "--checkpoint requires --checkpoint-every"),
-            (
-                ["--checkpoint-every", "1", "--checkpoint", "run.ckpt",
-                 "--checkpoint-full-every", "2"],
-                "--checkpoint-full-every requires --checkpoint-keep",
-            ),
-        ],
-        ids=["checkpoint", "checkpoint-full-every"],
-    )
-    def test_a_flag_that_does_nothing_alone_is_refused(
-        self, counter_file, tmp_path, monkeypatch, capsys, flags, refused
+    def test_salvage_does_not_repeat_the_last_save(
+        self, counter_file, counter_facts, tmp_path, capsys
     ):
-        # Without the flag it refines, the flag would do nothing.
+        # The cycle limit falls on a checkpoint cycle: the salvage would
+        # only write an empty delta of the save just made.
+        store = str(tmp_path / "store")
+        rc = main(["run", counter_file, "--facts", counter_facts,
+                   "--checkpoint-every", "2", "--checkpoint", store,
+                   "--max-cycles", "4"])
+        assert rc == 1
+        capsys.readouterr()
+        names = sorted(os.listdir(store))
+        cycles = [read_envelope(os.path.join(store, n))[1]["cycle"]
+                  for n in names]
+        assert cycles == [2, 4]
+        load = CheckpointStore(store).load()
+        assert load.state["cycle"] == 4 and not load.skipped
+        # A resumed run that completes no cycle has nothing to salvage.
+        rc = main(["run", counter_file, "--resume", store,
+                   "--checkpoint-every", "2", "--checkpoint", store,
+                   "--max-cycles", "0"])
+        assert rc == 1
+        assert sorted(os.listdir(store)) == names
+
+    def test_resume_and_continue_into_the_same_store(
+        self, counter_file, counter_facts, tmp_path, capsys
+    ):
+        store = str(tmp_path / "store")
+        self.run_store(counter_file, counter_facts, store, capsys)
+        rc = main(["run", counter_file, "--resume", store,
+                   "--checkpoint-every", "1", "--checkpoint", store,
+                   "--max-cycles", "2"])
+        assert rc == 1
+        assert "skipped" not in capsys.readouterr().err
+        assert CheckpointStore(store).load().state["cycle"] == 8
+        rc = main(["run", counter_file, "--resume", store,
+                   "--dump-wm", str(tmp_path / "resumed.wm")])
+        assert rc == 0
+        assert "skipped" not in capsys.readouterr().err
+        rc = main(["run", counter_file, "--facts", counter_facts,
+                   "--dump-wm", str(tmp_path / "straight.wm")])
+        assert rc == 0
+        assert (tmp_path / "resumed.wm").read_bytes() == (
+            tmp_path / "straight.wm"
+        ).read_bytes()
+
+
+class TestStoreFlagValidation:
+    def test_checkpoint_without_a_cadence_is_refused(
+        self, counter_file, tmp_path, monkeypatch, capsys
+    ):
+        # Without --checkpoint-every, --checkpoint would do nothing.
         monkeypatch.chdir(tmp_path)
-        rc = main(["run", counter_file, *flags])
+        rc = main(["run", counter_file, "--checkpoint", "run.ckpt"])
         assert rc == 2
-        assert f"error: {refused}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error: --checkpoint requires --checkpoint-every" in err
         assert not (tmp_path / "run.ckpt").exists()
 
 

@@ -126,7 +126,10 @@ class TestLoadCheckpointFile:
     def test_envelope_loads(self, tmp_path):
         path = str(tmp_path / "ck.full")
         write_envelope(path, STATE, kind="full")
-        assert load_checkpoint_file(path) == STATE
+        load = load_checkpoint_file(path)
+        assert load.state == STATE
+        assert load.base_path == path
+        assert load.skipped == [] and load.delta_paths == []
 
     def test_bare_delta_file_is_rejected(self, tmp_path):
         path = str(tmp_path / "ck.delta")

@@ -515,13 +515,15 @@ class TestRobustnessOptions:
         rc = main(["run", counter_file, "--facts", counter_facts,
                    "--checkpoint-every", "3"])
         assert rc == 0
-        assert os.path.exists(counter_file + ".ckpt")
+        store = counter_file + ".ckpt"
+        assert os.path.isdir(store)
+        assert sorted(os.listdir(store))[0].endswith(".full")
 
     def test_interrupted_run_resumes_to_same_result(
         self, counter_file, counter_facts, tmp_path, capsys
     ):
         ckpt = str(tmp_path / "run.ckpt")
-        # Hit the cycle limit mid-run; the salvage checkpoint is written.
+        # Hit the cycle limit mid-run; the checkpoint store holds cycle 4.
         rc = main(["run", counter_file, "--facts", counter_facts,
                    "--checkpoint-every", "2", "--checkpoint", ckpt,
                    "--max-cycles", "4"])

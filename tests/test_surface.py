@@ -29,9 +29,8 @@ CLI = {
     "run": [
         "program", "--facts", "--engine", "--matcher", "--workers",
         "--matcher-timeout", "--respawn-limit", "--wm-backend",
-        "--checkpoint-every", "--checkpoint", "--checkpoint-keep",
-        "--checkpoint-full-every", "--resume", "--strategy", "--interference",
-        "--max-cycles", "--trace", "--stats",
+        "--checkpoint-every", "--checkpoint", "--resume", "--strategy",
+        "--interference", "--max-cycles", "--trace", "--stats",
         "--dump-wm", "--trace-out", "--metrics-out", "--no-flight-recorder",
         "--blackbox",
     ],
@@ -127,7 +126,7 @@ def _walk(parser, prefix=""):
 
 def test_cli_arguments_are_exactly_the_listed_ones():
     assert _walk(build_parser()) == CLI
-    assert sum(len(args) for args in CLI.values()) == 58
+    assert sum(len(args) for args in CLI.values()) == 56
 
 
 def test_the_default_matcher_is_treat_wherever_one_is_defaulted():
