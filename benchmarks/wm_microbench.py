@@ -220,9 +220,10 @@ def _run_vector(wl, tier_cfg: Dict) -> Dict:
     try:
         obj_mat = 0
 
-        def count(_wme, added: bool) -> None:
+        def count(wmes, added: bool) -> None:
             nonlocal obj_mat
-            obj_mat += added
+            if added:
+                obj_mat += len(wmes)
 
         obj_wm.add_listener(count)
         t0 = time.perf_counter()

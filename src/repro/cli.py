@@ -182,6 +182,19 @@ def _matcher_spec(args: argparse.Namespace) -> Optional[str]:
     return f"process:{args.workers}"
 
 
+def _unwritable(path: str) -> Optional[str]:
+    """Why an output file could not be created at ``path``, or ``None``.
+    Creates nothing."""
+    import os
+
+    if os.path.isdir(path):
+        return "is a directory"
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        return f"directory {parent} does not exist"
+    return None
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     source = _read_text(args.program)
     program = parse_program(source)
@@ -224,6 +237,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
     ):
         if given and args.engine != engine:
             print(f"error: {flag} applies to --engine {engine} only", file=sys.stderr)
+            return 2
+    # Files written after the run are checked before it: a path that can
+    # never be written fails now, not after the last cycle.
+    for flag, path in (
+        ("--dump-wm", args.dump_wm),
+        ("--trace-out", args.trace_out),
+        ("--metrics-out", args.metrics_out),
+    ):
+        problem = _unwritable(path) if path else None
+        if problem is not None:
+            print(f"error: {flag} {path}: {problem}", file=sys.stderr)
             return 2
 
     if args.engine == "ops5":

@@ -24,7 +24,7 @@ __getattr__ = lazy_exports(
     __name__,
     {
         "ActionEvaluator": "repro.core.actions",
-        "InstantiationDelta": "repro.core.actions",
+        "FiringDelta": "repro.core.actions",
         "CycleDelta": "repro.core.delta",
         "InterferencePolicy": "repro.core.delta",
         "merge_deltas": "repro.core.delta",
@@ -46,7 +46,7 @@ __all__ = [
     "Derivation",
     "EngineConfig",
     "ProvenanceTracker",
-    "InstantiationDelta",
+    "FiringDelta",
     "InterferencePolicy",
     "MetaLevel",
     "ParulelEngine",

@@ -1,25 +1,31 @@
-"""RHS evaluation: from an instantiation to its proposed WM delta.
+"""RHS evaluation: from a batch of one rule's instantiations to its
+proposed WM delta.
 
 Evaluation is **pure with respect to working memory**: an
-:class:`ActionEvaluator` reads the instantiation's environment and the
-matched WMEs, and produces an :class:`InstantiationDelta` describing what the
-firing *wants* — makes, modifies, removes, output lines, host calls, halt.
+:class:`ActionEvaluator` reads each instantiation's environment and matched
+WMEs, and produces a :class:`FiringDelta` describing what the firings
+*want* — makes, modifies, removes, output lines, host calls, halt.
 Nothing touches the store here; PARULEL's set-oriented semantics requires
 all firings of a cycle to be evaluated against the same snapshot before any
-delta is applied, and this split is what guarantees it. The sequential OPS5
-baseline reuses the same evaluator and simply applies each delta
-immediately.
+delta is applied, and this split is what guarantees it.
+
+The engine hands over each rule's survivors as one batch
+(:meth:`ActionEvaluator.evaluate_batch`); the sequential OPS5 baseline and
+the meta level fire one instantiation at a time, a batch of one
+(:meth:`ActionEvaluator.evaluate`). Either way a rule's action list is
+compiled once, at its first firing, into closures over the batch — no
+``exec``, no AST walk per firing.
 """
 
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro._record import Record
 from repro.errors import ExecutionError
 from repro.lang.ast import (
-    Action,
     BindAction,
     CallAction,
     ComputeExpr,
@@ -31,36 +37,63 @@ from repro.lang.ast import (
     ModifyAction,
     RedactAction,
     RemoveAction,
+    Rule,
     Value,
     VariableExpr,
     WriteAction,
-    _format_value,
 )
 from repro.match.instantiation import Instantiation
 from repro.wm.wme import WME
 
-__all__ = ["ActionEvaluator", "InstantiationDelta", "HostFunction", "evaluate_expr"]
+__all__ = [
+    "ActionEvaluator",
+    "FiringDelta",
+    "HostFunction",
+    "evaluate_expr",
+    "make_key",
+]
 
 #: Signature of host callbacks reachable via ``(call fn ...)``.
 HostFunction = Callable[..., None]
 
+#: What a ``make`` is deduplicated on: the class and the attribute items
+#: in sorted-name order.
+MakeKey = Tuple[str, Tuple[Tuple[str, Value], ...]]
 
-class InstantiationDelta(Record):
-    """Everything one firing proposes to do.
+
+def make_key(class_name: str, attrs: Mapping[str, Value]) -> MakeKey:
+    """The dedupe key of a proposed make (:func:`~repro.core.delta.merge_deltas`)."""
+    return (class_name, tuple(sorted(attrs.items())))
+
+
+class FiringDelta(Record):
+    """Everything a batch of firings of one rule proposes.
+
+    ``insts`` are the firings, in firing order; the effect lists hold every
+    firing's effects, concatenated in that order. An RHS is straight-line,
+    so each firing of a batch contributes the same number of removes,
+    modifies and makes: firing ``i``'s share of ``removes`` is the slice
+    ``[i * k, (i + 1) * k)`` with ``k = len(removes) // len(insts)``, and
+    so on. A delta of one firing is a batch of one.
 
     ``modifies`` pairs the *old* WME with its attribute updates; the engine
     turns each into remove+make when applying, but keeps the pairing for
-    interference analysis. ``redacts`` only ever comes from meta-rules.
+    interference analysis. ``make_keys``, when not ``None``, is parallel to
+    ``makes`` and holds each make's :func:`make_key` (the evaluator builds
+    it from attribute names sorted once, at compile time). ``redacts`` only
+    ever comes from meta-rules.
     """
 
     __slots__ = (
-        "inst", "makes", "removes", "modifies", "writes", "calls", "redacts", "halt",
+        "insts", "makes", "make_keys", "removes", "modifies", "writes",
+        "calls", "redacts", "halt",
     )
 
     def __init__(
         self,
-        inst: Instantiation,
+        insts: Sequence[Instantiation],
         makes: Optional[List[Tuple[str, Dict[str, Value]]]] = None,
+        make_keys: Optional[List[MakeKey]] = None,
         removes: Optional[List[WME]] = None,
         modifies: Optional[List[Tuple[WME, Dict[str, Value]]]] = None,
         writes: Optional[List[str]] = None,
@@ -68,14 +101,24 @@ class InstantiationDelta(Record):
         redacts: Optional[List[Value]] = None,
         halt: bool = False,
     ) -> None:
-        self.inst = inst
+        self.insts = insts
         self.makes = [] if makes is None else makes
+        self.make_keys = make_keys
         self.removes = [] if removes is None else removes
         self.modifies = [] if modifies is None else modifies
         self.writes = [] if writes is None else writes
         self.calls = [] if calls is None else calls
         self.redacts = [] if redacts is None else redacts
         self.halt = halt
+
+    @property
+    def inst(self) -> Instantiation:
+        """The first (for a batch of one, the only) firing."""
+        return self.insts[0]
+
+    @property
+    def rule(self) -> Rule:
+        return self.insts[0].rule
 
     @property
     def touches_wm(self) -> bool:
@@ -125,45 +168,256 @@ def _arith(op: str, a: Value, b: Value) -> Value:
 #: Signature of the fresh-symbol source ``(genatom prefix)`` evaluates via.
 Gensym = Callable[[str], str]
 
+#: A compiled expression: environment -> value.
+ExprFn = Callable[[Mapping[str, Value]], Value]
+
+
+def _unbound(name: str) -> ExecutionError:
+    return ExecutionError(f"unbound variable <{name}> on RHS")
+
+
+def _no_gensym(prefix: str) -> str:
+    raise ExecutionError("(genatom) used outside an action evaluator")
+
+
+def compile_expr(expr: Expr, gensym: Optional[Gensym] = None) -> ExprFn:
+    """Compile an RHS expression into a function of the environment.
+
+    ``gensym`` supplies fresh symbols for ``(genatom ...)``; contexts that
+    never see genatom (tests, meta-rule ids) may omit it. Every error —
+    an unbound variable, bad arithmetic — is raised when the function is
+    called, with the same text whatever the expression's position.
+    """
+    if isinstance(expr, ConstantExpr):
+        value = expr.value
+        return lambda env: value
+    if isinstance(expr, VariableExpr):
+        name = expr.name
+
+        def variable(env: Mapping[str, Value]) -> Value:
+            try:
+                return env[name]
+            except KeyError:
+                raise _unbound(name) from None
+
+        return variable
+    if isinstance(expr, ComputeExpr):
+        items = expr.items
+        first = compile_expr(items[0], gensym)  # type: ignore[arg-type]
+        rest = [
+            (items[i], compile_expr(items[i + 1], gensym))  # type: ignore[arg-type]
+            for i in range(1, len(items), 2)
+        ]
+
+        def compute(env: Mapping[str, Value]) -> Value:
+            acc = first(env)
+            for op, operand in rest:
+                acc = _arith(op, acc, operand(env))  # type: ignore[arg-type]
+            return acc
+
+        return compute
+    if isinstance(expr, GenatomExpr):
+        fresh = gensym if gensym is not None else _no_gensym
+        prefix = expr.prefix
+        return lambda env: fresh(prefix)
+
+    def unknown(env: Mapping[str, Value]) -> Value:
+        raise ExecutionError(f"cannot evaluate {expr!r}")
+
+    return unknown
+
 
 def evaluate_expr(
     expr: Expr, env: Mapping[str, Value], gensym: Optional[Gensym] = None
 ) -> Value:
-    """Evaluate an RHS expression in an environment.
+    """Evaluate an RHS expression in an environment (compiled, then
+    called once: tooling and tests, not the firing path)."""
+    return compile_expr(expr, gensym)(env)
 
-    ``gensym`` supplies fresh symbols for ``(genatom ...)``; contexts that
-    never see genatom (tests, meta-rule ids) may omit it.
+
+def _target(inst: Instantiation, ce_index: int) -> WME:
+    try:
+        return inst.wme_for_ce(ce_index)
+    except (IndexError, LookupError) as exc:
+        raise ExecutionError(
+            f"rule {inst.rule.name!r}: bad condition-element index "
+            f"{ce_index} in RHS ({exc})"
+        ) from None
+
+
+def _render(value: Value) -> str:
+    """How ``write`` prints values: symbols bare, numbers as Python."""
+    if isinstance(value, str):
+        return value
+    return str(value)
+
+
+#: A compiled action: ``(instantiation, environment, delta)`` -> None,
+#: appending the action's effect to the delta.
+ActionFn = Callable[[Instantiation, Dict[str, Value], FiringDelta], None]
+
+#: A compiled rule: a batch of its instantiations -> their delta.
+BatchFn = Callable[[Sequence[Instantiation]], FiringDelta]
+
+
+def _compile_make(
+    action: MakeAction, gensym: Gensym
+) -> Callable[[Mapping[str, Value]], Tuple[Tuple[str, Dict[str, Value]], MakeKey]]:
+    """A make as ``env -> ((class, attrs), dedupe key)``. Expressions run in
+    source order (genatom numbering and the first error depend on it); the
+    key's attribute order is fixed here, once."""
+    class_name = action.class_name
+    names = [attr for attr, _expr in action.assignments]
+    exprs = [expr for _attr, expr in action.assignments]
+    sorted_names = tuple(sorted(set(names)))
+    if len(sorted_names) == len(names) and all(
+        isinstance(e, VariableExpr) for e in exprs
+    ):
+        # All variables: one C-level fetch in sorted-name order. A miss
+        # names the first unbound variable in source order, as the
+        # expressions themselves would.
+        variables = [e.name for e in exprs]  # type: ignore[union-attr]
+        by_name = dict(zip(names, variables))
+        fetch = itemgetter(*[by_name[n] for n in sorted_names])
+        single = len(sorted_names) == 1
+
+        def make_vars(env: Mapping[str, Value]):
+            try:
+                values = fetch(env)
+            except KeyError:
+                missing = next(v for v in variables if v not in env)
+                raise _unbound(missing) from None
+            items = tuple(zip(sorted_names, (values,) if single else values))
+            return (class_name, dict(items)), (class_name, items)
+
+        return make_vars
+    fns = [compile_expr(e, gensym) for e in exprs]
+
+    def make_any(env: Mapping[str, Value]):
+        attrs = dict(zip(names, [fn(env) for fn in fns]))
+        items = tuple([(n, attrs[n]) for n in sorted_names])
+        return (class_name, attrs), (class_name, items)
+
+    return make_any
+
+
+def _compile_action(action, gensym: Gensym) -> ActionFn:
+    if isinstance(action, MakeAction):
+        build = _compile_make(action, gensym)
+
+        def make(inst, env, out):
+            made, key = build(env)
+            out.makes.append(made)
+            out.make_keys.append(key)
+
+        return make
+    if isinstance(action, ModifyAction):
+        ce_index = action.ce_index
+        updates = [(a, compile_expr(e, gensym)) for a, e in action.assignments]
+
+        def modify(inst, env, out):
+            wme = _target(inst, ce_index)
+            out.modifies.append((wme, {a: fn(env) for a, fn in updates}))
+
+        return modify
+    if isinstance(action, RemoveAction):
+        ce_indices = action.ce_indices
+
+        def remove(inst, env, out):
+            for idx in ce_indices:
+                out.removes.append(_target(inst, idx))
+
+        return remove
+    if isinstance(action, WriteAction):
+        parts = [compile_expr(e, gensym) for e in action.arguments]
+
+        def write(inst, env, out):
+            out.writes.append(" ".join([_render(fn(env)) for fn in parts]))
+
+        return write
+    if isinstance(action, BindAction):
+        name, value = action.name, compile_expr(action.expr, gensym)
+
+        def bind(inst, env, out):
+            env[name] = value(env)
+
+        return bind
+    if isinstance(action, HaltAction):
+
+        def halt(inst, env, out):
+            out.halt = True
+
+        return halt
+    if isinstance(action, CallAction):
+        function = action.function
+        args = [compile_expr(e, gensym) for e in action.arguments]
+
+        def call(inst, env, out):
+            out.calls.append((function, tuple([fn(env) for fn in args])))
+
+        return call
+    if isinstance(action, RedactAction):
+        redacted = compile_expr(action.expr, gensym)
+
+        def redact(inst, env, out):
+            out.redacts.append(redacted(env))
+
+        return redact
+
+    def unknown(inst, env, out):  # pragma: no cover - parser prevents this
+        raise ExecutionError(f"unknown action {action!r}")
+
+    return unknown
+
+
+def _compile_rule(rule: Rule, gensym: Gensym) -> BatchFn:
+    """One rule's actions as a function of a batch of its instantiations.
+
+    ``bind`` extends a per-firing copy of the environment, visible to later
+    actions of the same firing only — exactly OPS5's scoping; rules with no
+    ``bind`` read each instantiation's environment in place. A rule whose
+    actions are all makes runs a tighter loop: no per-action dispatch.
     """
-    if isinstance(expr, ConstantExpr):
-        return expr.value
-    if isinstance(expr, VariableExpr):
-        try:
-            return env[expr.name]
-        except KeyError:
-            raise ExecutionError(f"unbound variable <{expr.name}> on RHS") from None
-    if isinstance(expr, ComputeExpr):
-        items = expr.items
-        acc = evaluate_expr(items[0], env, gensym)  # type: ignore[arg-type]
-        i = 1
-        while i < len(items):
-            op = items[i]
-            operand = evaluate_expr(items[i + 1], env, gensym)  # type: ignore[arg-type]
-            acc = _arith(op, acc, operand)  # type: ignore[arg-type]
-            i += 2
-        return acc
-    if isinstance(expr, GenatomExpr):
-        if gensym is None:
-            raise ExecutionError("(genatom) used outside an action evaluator")
-        return gensym(expr.prefix)
-    raise ExecutionError(f"cannot evaluate {expr!r}")
+    actions = rule.actions
+    if actions and all(isinstance(a, MakeAction) for a in actions):
+        builds = [_compile_make(a, gensym) for a in actions]
+
+        def run_makes(insts: Sequence[Instantiation]) -> FiringDelta:
+            makes: List[Tuple[str, Dict[str, Value]]] = []
+            keys: List[MakeKey] = []
+            add_make, add_key = makes.append, keys.append
+            for inst in insts:
+                env = inst.env
+                for build in builds:
+                    made, key = build(env)
+                    add_make(made)
+                    add_key(key)
+            return FiringDelta(insts, makes=makes, make_keys=keys)
+
+        return run_makes
+    fns = [_compile_action(a, gensym) for a in actions]
+    copies_env = any(isinstance(a, BindAction) for a in actions)
+
+    def run(insts: Sequence[Instantiation]) -> FiringDelta:
+        out = FiringDelta(insts, make_keys=[])
+        for inst in insts:
+            env = dict(inst.env) if copies_env else inst.env
+            for fn in fns:
+                fn(inst, env, out)
+        return out
+
+    return run
 
 
 class ActionEvaluator:
-    """Evaluates instantiations' RHS action lists into deltas."""
+    """Evaluates batches of one rule's instantiations into deltas."""
 
     def __init__(self, host_functions: Optional[Mapping[str, HostFunction]] = None) -> None:
         self.host_functions: Dict[str, HostFunction] = dict(host_functions or {})
         self._genatom_counts: Dict[str, int] = {}
+        #: id(rule) -> (rule, its compiled batch function), built at the
+        #: rule's first firing.
+        self._compiled: Dict[int, Tuple[Rule, BatchFn]] = {}
 
     def register(self, name: str, fn: HostFunction) -> None:
         """Expose a Python callable to rules as ``(call name ...)``."""
@@ -176,76 +430,26 @@ class ActionEvaluator:
         self._genatom_counts[prefix] = n
         return f"{prefix}{n}"
 
-    def evaluate(self, inst: Instantiation) -> InstantiationDelta:
-        """Run the RHS of ``inst`` and collect its proposed effects.
+    def evaluate_batch(self, insts: Sequence[Instantiation]) -> FiringDelta:
+        """Run the RHS of every instantiation of ``insts`` — all of one
+        rule, in firing order — and collect their proposed effects."""
+        rule = insts[0].rule
+        entry = self._compiled.get(id(rule))
+        if entry is None or entry[0] is not rule:
+            entry = self._compiled[id(rule)] = (rule, _compile_rule(rule, self.gensym))
+        return entry[1](insts)
 
-        ``bind`` extends a local copy of the environment, visible to later
-        actions of the same firing only — exactly OPS5's scoping.
-        """
-        env: Dict[str, Value] = dict(inst.env)
-        delta = InstantiationDelta(inst=inst)
-        for action in inst.rule.actions:
-            self._one(action, inst, env, delta)
-        return delta
+    def evaluate(self, inst: Instantiation) -> FiringDelta:
+        """Run the RHS of one instantiation: a batch of one."""
+        return self.evaluate_batch((inst,))
 
-    def _one(
-        self,
-        action: Action,
-        inst: Instantiation,
-        env: Dict[str, Value],
-        delta: InstantiationDelta,
-    ) -> None:
-        if isinstance(action, MakeAction):
-            attrs = {a: evaluate_expr(e, env, self.gensym) for a, e in action.assignments}
-            delta.makes.append((action.class_name, attrs))
-        elif isinstance(action, ModifyAction):
-            wme = self._target(inst, action.ce_index)
-            updates = {a: evaluate_expr(e, env, self.gensym) for a, e in action.assignments}
-            delta.modifies.append((wme, updates))
-        elif isinstance(action, RemoveAction):
-            for idx in action.ce_indices:
-                delta.removes.append(self._target(inst, idx))
-        elif isinstance(action, WriteAction):
-            parts = [
-                _render(evaluate_expr(e, env, self.gensym)) for e in action.arguments
-            ]
-            delta.writes.append(" ".join(parts))
-        elif isinstance(action, BindAction):
-            env[action.name] = evaluate_expr(action.expr, env, self.gensym)
-        elif isinstance(action, HaltAction):
-            delta.halt = True
-        elif isinstance(action, CallAction):
-            args = tuple(evaluate_expr(e, env, self.gensym) for e in action.arguments)
-            delta.calls.append((action.function, args))
-        elif isinstance(action, RedactAction):
-            delta.redacts.append(evaluate_expr(action.expr, env, self.gensym))
-        else:  # pragma: no cover - parser prevents this
-            raise ExecutionError(f"unknown action {action!r}")
-
-    def run_calls(self, delta: InstantiationDelta) -> None:
+    def run_calls(self, delta: FiringDelta) -> None:
         """Invoke the host callbacks a delta collected (at apply time)."""
         for name, args in delta.calls:
             fn = self.host_functions.get(name)
             if fn is None:
                 raise ExecutionError(
-                    f"rule {delta.inst.rule.name!r} calls unregistered host "
+                    f"rule {delta.rule.name!r} calls unregistered host "
                     f"function {name!r}"
                 )
             fn(*args)
-
-    @staticmethod
-    def _target(inst: Instantiation, ce_index: int) -> WME:
-        try:
-            return inst.wme_for_ce(ce_index)
-        except (IndexError, LookupError) as exc:
-            raise ExecutionError(
-                f"rule {inst.rule.name!r}: bad condition-element index "
-                f"{ce_index} in RHS ({exc})"
-            ) from None
-
-
-def _render(value: Value) -> str:
-    """How ``write`` prints values: symbols bare, numbers as Python."""
-    if isinstance(value, str):
-        return value
-    return str(value)

@@ -1,4 +1,4 @@
-"""Merging per-instantiation deltas into one atomic cycle delta.
+"""Merging the firing deltas of a cycle into one atomic cycle delta.
 
 PARULEL fires the whole (post-redaction) firing set against a snapshot.
 Because firings cannot see each other's effects, two of them may issue
@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro._record import Record
 from repro.errors import InterferenceError
-from repro.core.actions import InstantiationDelta
+from repro.core.actions import FiringDelta, make_key
 from repro.lang.ast import Value
 from repro.wm.wme import WME
 
@@ -85,8 +85,9 @@ class CycleDelta(Record):
         self.removes = [] if removes is None else removes
         #: New WMEs to assert: (class, attrs). Modify results included.
         self.makes = [] if makes is None else makes
-        #: Parallel to ``makes``: who asked for each assertion (first firing
-        #: wins attribution for deduped makes). Consumed by provenance tracking.
+        #: Parallel to ``makes`` when merged with ``origins`` (empty
+        #: otherwise): who asked for each assertion (first firing wins
+        #: attribution for deduped makes). Consumed by provenance tracking.
         self.make_origins = [] if make_origins is None else make_origins
         #: Output lines, in firing order.
         self.writes = [] if writes is None else writes
@@ -102,102 +103,64 @@ class CycleDelta(Record):
 
 
 def merge_deltas(
-    deltas: Sequence[InstantiationDelta],
+    deltas: Sequence[FiringDelta],
     policy: InterferencePolicy = InterferencePolicy.ERROR,
     dedupe_makes: bool = True,
+    origins: bool = True,
 ) -> CycleDelta:
-    """Combine per-firing deltas into one :class:`CycleDelta`.
+    """Combine the cycle's firing deltas — one per batch of one rule's
+    firings — into one :class:`CycleDelta`.
 
-    Deterministic given delta order (engines pass conflict-set order).
-    Raises :class:`~repro.errors.InterferenceError` under the ``error``
-    policy when two firings conflict on a WME.
+    Deterministic given delta order (engines pass firing order). Raises
+    :class:`~repro.errors.InterferenceError` under the ``error`` policy
+    when two firings conflict on a WME. Removes and modifies are resolved
+    firing by firing, so a batch behaves exactly as its firings one after
+    another; a batch with neither (make-only rules) skips that walk. With
+    ``origins`` off, :attr:`CycleDelta.make_origins` stays empty.
     """
     out = CycleDelta()
+    out_makes, out_origins = out.makes, out.make_origins
 
     removed: Dict[WME, str] = {}  # wme -> rule name that removed it
     # wme -> (first modifying instantiation, accumulated updates).
     modified: Dict[WME, Tuple[object, Dict[str, Value]]] = {}
     seen_makes: Dict[Tuple, None] = {}
+    deduped = 0
 
     for delta in deltas:
-        rule_name = delta.inst.rule.name
+        insts = delta.insts
         out.writes.extend(delta.writes)
         if delta.halt:
             out.halt = True
+        if delta.removes or delta.modifies:
+            n = len(insts)
+            n_rem = len(delta.removes) // n
+            n_mod = len(delta.modifies) // n
+            for i, inst in enumerate(insts):
+                _merge_firing(
+                    out, removed, modified, policy, inst,
+                    delta.removes[i * n_rem : (i + 1) * n_rem],
+                    delta.modifies[i * n_mod : (i + 1) * n_mod],
+                )
 
-        for wme in delta.removes:
-            prior_mod = modified.get(wme)
-            if prior_mod is not None:
-                if policy is InterferencePolicy.ERROR:
-                    raise InterferenceError(
-                        f"interference on {wme!r}: modified by rule "
-                        f"{prior_mod[0].rule.name!r} and removed by rule "
-                        f"{rule_name!r} in the same cycle (add a meta-rule "
-                        f"to redact one)",
-                        wme=wme,
-                        rules=(prior_mod[0].rule.name, rule_name),
-                    )
-                if policy is InterferencePolicy.FIRST:
-                    out.conflicts_resolved += 1
-                    continue  # the earlier modify wins, drop the remove
-                # MERGE: remove dominates.
-                del modified[wme]
-                out.conflicts_resolved += 1
-            removed.setdefault(wme, rule_name)
-
-        for wme, updates in delta.modifies:
-            if wme in removed:
-                if policy is InterferencePolicy.ERROR:
-                    raise InterferenceError(
-                        f"interference on {wme!r}: removed by rule "
-                        f"{removed[wme]!r} and modified by rule {rule_name!r} "
-                        f"in the same cycle (add a meta-rule to redact one)",
-                        wme=wme,
-                        rules=(removed[wme], rule_name),
-                    )
-                out.conflicts_resolved += 1
-                continue  # remove dominates (FIRST and MERGE alike)
-            prior = modified.get(wme)
-            if prior is None:
-                modified[wme] = (delta.inst, dict(updates))
-                continue
-            prior_inst, acc = prior
-            prior_rule = prior_inst.rule.name
-            clash = {
-                a for a, v in updates.items() if a in acc and acc[a] != v
-            }
-            if clash:
-                if policy is InterferencePolicy.ERROR:
-                    attrs = ", ".join(sorted(clash))
-                    raise InterferenceError(
-                        f"interference on {wme!r}: rules {prior_rule!r} and "
-                        f"{rule_name!r} both modify attribute(s) {attrs} with "
-                        f"different values (add a meta-rule to redact one)",
-                        wme=wme,
-                        rules=(prior_rule, rule_name),
-                    )
-                out.conflicts_resolved += 1
-                if policy is InterferencePolicy.FIRST:
-                    # Keep only this firing's non-clashing novelties.
-                    for a, v in updates.items():
-                        acc.setdefault(a, v)
-                    continue
-            # MERGE (or compatible updates): last write per attribute wins.
-            if policy is InterferencePolicy.FIRST:
-                for a, v in updates.items():
-                    acc.setdefault(a, v)
-            else:
-                acc.update(updates)
-
-        for class_name, attrs in delta.makes:
+        makes = delta.makes
+        if not makes:
+            continue
+        keys = delta.make_keys
+        if dedupe_makes and keys is None:
+            keys = [make_key(cls, attrs) for cls, attrs in makes]
+        per = len(makes) // len(insts)
+        for j, made in enumerate(makes):
             if dedupe_makes:
-                key = (class_name, tuple(sorted(attrs.items())))
+                key = keys[j]
                 if key in seen_makes:
-                    out.makes_deduped += 1
+                    deduped += 1
                     continue
                 seen_makes[key] = None
-            out.makes.append((class_name, dict(attrs)))
-            out.make_origins.append((delta.inst, "make", None))
+            out_makes.append(made)
+            if origins:
+                out_origins.append((insts[j // per], "make", None))
+    out.makes_deduped = deduped
 
     # Assemble final order: removes (incl. modify retractions) then makes.
     out.removes.extend(removed)
@@ -205,6 +168,84 @@ def merge_deltas(
         out.removes.append(wme)
         merged = wme.attributes
         merged.update(updates)
-        out.makes.append((wme.class_name, merged))
-        out.make_origins.append((inst, "modify", wme))
+        out_makes.append((wme.class_name, merged))
+        if origins:
+            out_origins.append((inst, "modify", wme))
     return out
+
+
+def _merge_firing(
+    out: CycleDelta,
+    removed: Dict[WME, str],
+    modified: Dict[WME, Tuple[object, Dict[str, Value]]],
+    policy: InterferencePolicy,
+    inst,
+    removes: Sequence[WME],
+    modifies: Sequence[Tuple[WME, Dict[str, Value]]],
+) -> None:
+    """One firing's removes, then its modifies, against what the earlier
+    firings of the cycle removed and modified."""
+    rule_name = inst.rule.name
+    for wme in removes:
+        prior_mod = modified.get(wme)
+        if prior_mod is not None:
+            if policy is InterferencePolicy.ERROR:
+                raise InterferenceError(
+                    f"interference on {wme!r}: modified by rule "
+                    f"{prior_mod[0].rule.name!r} and removed by rule "
+                    f"{rule_name!r} in the same cycle (add a meta-rule "
+                    f"to redact one)",
+                    wme=wme,
+                    rules=(prior_mod[0].rule.name, rule_name),
+                )
+            if policy is InterferencePolicy.FIRST:
+                out.conflicts_resolved += 1
+                continue  # the earlier modify wins, drop the remove
+            # MERGE: remove dominates.
+            del modified[wme]
+            out.conflicts_resolved += 1
+        removed.setdefault(wme, rule_name)
+
+    for wme, updates in modifies:
+        if wme in removed:
+            if policy is InterferencePolicy.ERROR:
+                raise InterferenceError(
+                    f"interference on {wme!r}: removed by rule "
+                    f"{removed[wme]!r} and modified by rule {rule_name!r} "
+                    f"in the same cycle (add a meta-rule to redact one)",
+                    wme=wme,
+                    rules=(removed[wme], rule_name),
+                )
+            out.conflicts_resolved += 1
+            continue  # remove dominates (FIRST and MERGE alike)
+        prior = modified.get(wme)
+        if prior is None:
+            modified[wme] = (inst, dict(updates))
+            continue
+        prior_inst, acc = prior
+        prior_rule = prior_inst.rule.name
+        clash = {
+            a for a, v in updates.items() if a in acc and acc[a] != v
+        }
+        if clash:
+            if policy is InterferencePolicy.ERROR:
+                attrs = ", ".join(sorted(clash))
+                raise InterferenceError(
+                    f"interference on {wme!r}: rules {prior_rule!r} and "
+                    f"{rule_name!r} both modify attribute(s) {attrs} with "
+                    f"different values (add a meta-rule to redact one)",
+                    wme=wme,
+                    rules=(prior_rule, rule_name),
+                )
+            out.conflicts_resolved += 1
+            if policy is InterferencePolicy.FIRST:
+                # Keep only this firing's non-clashing novelties.
+                for a, v in updates.items():
+                    acc.setdefault(a, v)
+                continue
+        # MERGE (or compatible updates): last write per attribute wins.
+        if policy is InterferencePolicy.FIRST:
+            for a, v in updates.items():
+                acc.setdefault(a, v)
+        else:
+            acc.update(updates)

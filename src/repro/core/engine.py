@@ -48,7 +48,7 @@ from typing import (
 
 from repro._record import FrozenRecord, Record
 from repro.errors import CycleLimitExceeded, ExecutionError
-from repro.core.actions import ActionEvaluator, HostFunction, InstantiationDelta
+from repro.core.actions import ActionEvaluator, FiringDelta, HostFunction
 from repro.core.delta import CycleDelta, InterferencePolicy, merge_deltas
 from repro.core.redaction import MetaLevel, RedactionReport
 from repro.lang.analysis import analyze_program
@@ -152,6 +152,19 @@ def _build_wm(config: "EngineConfig", program: Program) -> WorkingMemory:
 
         return ColumnarWorkingMemory(templates)
     return WorkingMemory(templates)
+
+
+def _rule_runs(insts: Sequence[Instantiation]) -> List[Sequence[Instantiation]]:
+    """``insts`` cut into maximal runs of one rule, in order."""
+    runs: List[Sequence[Instantiation]] = []
+    start = 0
+    for i in range(1, len(insts)):
+        if insts[i].rule is not insts[start].rule:
+            runs.append(insts[start:i])
+            start = i
+    if insts:
+        runs.append(insts[start:])
+    return runs
 
 
 def _render_delta_log(
@@ -450,33 +463,34 @@ class ParulelEngine:
                 )
             )
 
-        # Evaluate every survivor against the pre-firing snapshot.
-        deltas: List[InstantiationDelta] = []
+        # Evaluate every survivor against the pre-firing snapshot, one
+        # batch per rule: _collect's firing order keeps each rule's
+        # survivors contiguous, and redaction keeps that order.
+        deltas: List[FiringDelta] = []
         with self._phase("act", "evaluate", cycle=cycle_no, firing_set=len(survivors)):
-            if metrics.enabled or flightrec is not None:
-                fire_kind = self._fr.EV_FIRE if flightrec is not None else 0
-                for inst in survivors:
-                    self.fired.add(inst.key)
-                    self.fired_log.append(inst.key)
-                    t0 = time.perf_counter_ns()
-                    deltas.append(self.evaluator.evaluate(inst))
-                    dt_ns = time.perf_counter_ns() - t0
-                    if metrics.enabled:
-                        metrics.observe(
-                            RULE_EVAL_SECONDS, dt_ns / 1e9, rule=inst.rule.name
-                        )
-                    if flightrec is not None:
-                        flightrec.record(
-                            fire_kind,
-                            cycle_no,
-                            code=flightrec.rule_id(inst.rule.name),
-                            a=dt_ns,
-                        )
-            else:
-                for inst in survivors:
-                    self.fired.add(inst.key)
-                    self.fired_log.append(inst.key)
-                    deltas.append(self.evaluator.evaluate(inst))
+            timed = metrics.enabled or flightrec is not None
+            evaluate = self.evaluator.evaluate_batch
+            for batch in _rule_runs(survivors):
+                keys = [inst.key for inst in batch]
+                self.fired.update(keys)
+                self.fired_log.extend(keys)
+                if not timed:
+                    deltas.append(evaluate(batch))
+                    continue
+                t0 = time.perf_counter_ns()
+                deltas.append(evaluate(batch))
+                dt_ns = time.perf_counter_ns() - t0
+                rule_name = batch[0].rule.name
+                if metrics.enabled:
+                    metrics.observe(RULE_EVAL_SECONDS, dt_ns / 1e9, rule=rule_name)
+                if flightrec is not None:
+                    flightrec.record(
+                        self._fr.EV_FIRE,
+                        cycle_no,
+                        code=flightrec.rule_id(rule_name),
+                        a=dt_ns,
+                        b=len(batch),
+                    )
 
         with self._phase("merge", "apply", cycle=cycle_no, deltas=len(deltas)):
             # What fired leaves the conflict set before its changes land, so
@@ -486,6 +500,7 @@ class ParulelEngine:
                 deltas,
                 policy=self.config.interference,
                 dedupe_makes=self.config.dedupe_makes,
+                origins=self.provenance is not None,
             )
             self._apply(merged, deltas)
 
@@ -604,34 +619,34 @@ class ParulelEngine:
         self.fault_events.extend(events)
         return events
 
-    def _apply(self, merged: CycleDelta, deltas: Sequence[InstantiationDelta]) -> None:
-        """Commit a cycle delta: retractions, then assertions, then host
-        calls (in firing order). The committed delta — retracted timestamps
-        plus asserted WMEs — is appended to :attr:`delta_log`."""
-        removed_ts = tuple(wme.timestamp for wme in merged.removes)
-        made: List[WME] = []
-        for wme in merged.removes:
-            self.wm.remove(wme)
-            if self.provenance is not None:
-                self.provenance.record_retract(wme, self._cycle)
-        for (class_name, attrs), origin in zip(merged.makes, merged.make_origins):
-            new_wme = self.wm.make(class_name, attrs)
-            made.append(new_wme)
-            if self.provenance is not None:
-                inst, kind, replaced = origin
+    def _apply(self, merged: CycleDelta, deltas: Sequence[FiringDelta]) -> None:
+        """Commit a cycle delta: retractions as one batch, then assertions
+        as one batch, then host calls (in firing order). The committed
+        delta — retracted timestamps plus asserted WMEs — is appended to
+        :attr:`delta_log`."""
+        wm, provenance, cycle = self.wm, self.provenance, self._cycle
+        removed_ts = tuple([wme.timestamp for wme in merged.removes])
+        if merged.removes:
+            wm.remove_batch(merged.removes)
+        made = wm.make_batch(merged.makes) if merged.makes else []
+        if provenance is not None:
+            for wme in merged.removes:
+                provenance.record_retract(wme, cycle)
+            for new_wme, (inst, kind, replaced) in zip(made, merged.make_origins):
                 parents = tuple(w for w in inst.wmes if w is not None)
                 if kind == "modify":
-                    self.provenance.record_modify(
-                        new_wme, self._cycle, inst.rule.name, inst.key,
+                    provenance.record_modify(
+                        new_wme, cycle, inst.rule.name, inst.key,
                         parents, replaced,
                     )
                 else:
-                    self.provenance.record_make(
-                        new_wme, self._cycle, inst.rule.name, inst.key, parents
+                    provenance.record_make(
+                        new_wme, cycle, inst.rule.name, inst.key, parents
                     )
         self.delta_log.append((removed_ts, tuple(made)))
         for delta in deltas:
-            self.evaluator.run_calls(delta)
+            if delta.calls:
+                self.evaluator.run_calls(delta)
 
     def run(self, max_cycles: Optional[int] = None) -> RunResult:
         """Run to quiescence / halt; raise

@@ -34,7 +34,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.actions import ActionEvaluator, InstantiationDelta
+from repro.core.actions import ActionEvaluator, FiringDelta, MakeKey, make_key
 from repro.errors import ExecutionError
 from repro.lang.ast import Rule, Value
 from repro.match.compile import (
@@ -47,24 +47,16 @@ from repro.match.instantiation import Instantiation
 from repro.wm.wme import WME
 
 __all__ = [
-    "ContentKey",
     "PairNet",
-    "content_key",
     "PairReplayer",
     "evaluate_delta_pure",
 ]
 
-#: Content identity of an asserted WME: (class, sorted attribute items).
-#: The same key :func:`repro.core.delta.merge_deltas` dedupes makes on.
-ContentKey = Tuple[str, Tuple[Tuple[str, Value], ...]]
-
 #: Net effect of one replay order: (retracted WME identities,
-#: asserted-content multiset as sorted (key, count) pairs).
-PairNet = Tuple[frozenset, Tuple[Tuple[ContentKey, int], ...]]
-
-
-def content_key(class_name: str, attrs: Dict[str, Value]) -> ContentKey:
-    return (class_name, tuple(sorted(attrs.items())))
+#: asserted-content multiset as sorted (key, count) pairs). Contents are
+#: :func:`~repro.core.actions.make_key` s, the key
+#: :func:`repro.core.delta.merge_deltas` dedupes makes on.
+PairNet = Tuple[frozenset, Tuple[Tuple[MakeKey, int], ...]]
 
 
 class _PureEvaluator(ActionEvaluator):
@@ -77,10 +69,7 @@ class _PureEvaluator(ActionEvaluator):
         )
 
 
-_PURE = _PureEvaluator()
-
-
-def evaluate_delta_pure(inst: Instantiation) -> Optional[InstantiationDelta]:
+def evaluate_delta_pure(inst: Instantiation) -> Optional[FiringDelta]:
     """Evaluate ``inst``'s RHS from its environment alone, or ``None``.
 
     Returns ``None`` when the RHS is not certifiable without engine state
@@ -89,7 +78,9 @@ def evaluate_delta_pure(inst: Instantiation) -> Optional[InstantiationDelta]:
     error (the real firing would fail too — nothing to certify).
     """
     try:
-        delta = _PURE.evaluate(inst)
+        # A fresh evaluator each time: its compiled-rule cache would
+        # otherwise keep every analysed program's rules alive.
+        delta = _PureEvaluator().evaluate(inst)
     except ExecutionError:
         return None
     if delta.calls:
@@ -120,7 +111,7 @@ class PairReplayer:
 
     def _delta_valid(
         self,
-        delta: InstantiationDelta,
+        delta: FiringDelta,
         removed: Set[WME],
         added_contents: Sequence[Tuple[str, Dict[str, Value]]],
     ) -> bool:
@@ -149,7 +140,7 @@ class PairReplayer:
 
     # -- replay ------------------------------------------------------------
 
-    def replay(self, deltas: Sequence[InstantiationDelta]) -> PairNet:
+    def replay(self, deltas: Sequence[FiringDelta]) -> PairNet:
         """Net WM effect of firing ``deltas`` in order, sequentially.
 
         The first delta is applied unconditionally (the engine only fires
@@ -160,7 +151,7 @@ class PairReplayer:
         removed: Set[WME] = set()
         added: Counter = Counter()
         added_contents: List[Tuple[str, Dict[str, Value]]] = []
-        seen_makes: Set[ContentKey] = set()
+        seen_makes: Set[MakeKey] = set()
         for i, delta in enumerate(deltas):
             if i > 0 and not self._delta_valid(delta, removed, added_contents):
                 continue
@@ -170,10 +161,10 @@ class PairReplayer:
                 removed.add(wme)
                 attrs = wme.attributes
                 attrs.update(updates)
-                added[content_key(wme.class_name, attrs)] += 1
+                added[make_key(wme.class_name, attrs)] += 1
                 added_contents.append((wme.class_name, attrs))
             for cls, attrs in delta.makes:
-                key = content_key(cls, attrs)
+                key = make_key(cls, attrs)
                 if self.dedupe_makes:
                     if key in seen_makes:
                         continue

@@ -106,8 +106,8 @@ class SiteMatcher:
         wm.add_listener(self._note)
         self.rehost(hosting)
 
-    def _note(self, wme: WME, added: bool) -> None:
-        self.changes[wme.class_name] += 1
+    def _note(self, wmes: Sequence[WME], added: bool) -> None:
+        self.changes.update([wme.class_name for wme in wmes])
 
     def host(self, site: int, rules: Sequence[Rule]) -> None:
         """(Re)build one site's matcher over ``rules``. A fresh matcher

@@ -10,8 +10,8 @@ One protocol, two implementations, chosen by the kind of store:
     join enumerator (:mod:`repro.match.join`) uses.
 *write side* — ``source.watch(ces, sink)`` primes a memory per CE and from
     then on reports each alpha-passing change, memory already updated:
-    ``sink.alpha_added(alpha key, wme)`` and ``sink.alpha_removed(alpha
-    keys, wme)``. This is what feeds TREAT's batched joins.
+    ``sink.alpha_added(alpha key, wmes)`` (a batch, in timestamp order) and
+    ``sink.alpha_removed(alpha keys, wme)``. This is what feeds TREAT's batched joins.
 
 :class:`AlphaCache`
     over a :class:`~repro.wm.memory.WorkingMemory` (either store, read as
@@ -34,6 +34,8 @@ differential and conformance tests enforce it.
 from __future__ import annotations
 
 import struct
+from itertools import groupby
+from operator import attrgetter, itemgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.match.compile import (
@@ -94,19 +96,25 @@ class IndexedMemory:
             _hold(index, tuple(wme.get(a) for a in attrs), wme)
 
     def bulk_add(self, wmes: Sequence[WME]) -> None:
-        """Add many WMEs at once, preserving their order.
+        """Add many distinct WMEs at once, preserving their order.
 
-        The hot case is priming a fresh memory (no indexes built yet) over
-        a large class bucket — one C-level dict update instead of a Python
-        call per WME, which is what makes attaching a million-WME store
-        tolerable. With indexes already built it falls back to per-WME
-        maintenance.
+        One C-level dict update enters them as members — all of a fresh
+        memory's priming over a large class bucket, which is what makes
+        attaching a million-WME store tolerable — and each built index
+        takes the batch in one loop of its own.
         """
-        if not self._indexes:
-            self.wmes.update(dict.fromkeys(wmes))
-            return
-        for wme in wmes:
-            self.add(wme)
+        members = self.wmes
+        if members and self._indexes:
+            wmes = [w for w in wmes if w not in members]
+        members.update(dict.fromkeys(wmes))
+        for attrs, index in self._indexes.items():
+            if len(attrs) == 1:
+                attr = attrs[0]
+                for wme in wmes:
+                    _hold(index, (wme.get(attr),), wme)
+            else:
+                for wme in wmes:
+                    _hold(index, tuple([wme.get(a) for a in attrs]), wme)
 
     def remove(self, wme: WME) -> bool:
         """Drop ``wme``; returns whether it was a member."""
@@ -224,37 +232,65 @@ class AlphaCache:
 
     def watch(self, ces: Sequence[CompiledCE], sink) -> None:
         """Prime a memory for every CE now and from then on report each
-        WM event that changes one: ``sink.alpha_added(alpha key, wme)``
-        per memory entered, ``sink.alpha_removed(alpha keys, wme)`` once
-        per WME for the memories it left."""
+        WM batch that changes one: ``sink.alpha_added(alpha key, wmes)``
+        per memory entered (the batch's WMEs that entered it, in order),
+        ``sink.alpha_removed(alpha keys, wme)`` once per WME for the
+        memories it left."""
         self._sink = sink
         for ce in ces:
             self.memory(ce)
 
-    def apply(self, wme: WME, added: bool) -> None:
-        """Incorporate one WM event into every already-primed memory.
+    def apply(self, wmes: Sequence[WME], added: bool) -> None:
+        """Incorporate one batch of WM events into every already-primed
+        memory: per alpha key, the batch is filtered once and added in one
+        call; retractions go one WME at a time.
 
-        Memories not yet primed pick the WME up at prime time instead.
+        Memories not yet primed pick the WMEs up at prime time instead.
+        The sink hears of the memories a batch entered in the order a WME
+        at a time would have told it — by the first WME to enter each,
+        then by the key's place among its class's keys.
         """
-        keys = self._keys_by_class.get(wme.class_name)
-        if not keys:
-            return
+        keys_by_class, mems = self._keys_by_class, self._mems
         sink = self._sink
-        if added:
-            for key in keys:
-                if self.stats is not None:
-                    self.stats.bump("alpha_tests")
-                if alpha_test_passes(key[1], wme):
-                    self._mems[key].add(wme)
-                    if sink is not None:
-                        sink.alpha_added(key, wme)
+        if not added:
+            for wme in wmes:
+                keys = keys_by_class.get(wme.class_name)
+                if keys:
+                    left = [key for key in keys if mems[key].remove(wme)]
+                    if left and sink is not None:
+                        sink.alpha_removed(left, wme)
             return
-        left = [key for key in keys if self._mems[key].remove(wme)]
-        if left and sink is not None:
-            sink.alpha_removed(left, wme)
+        stats = self.stats
+        entered = []
+        start = 0
+        for class_name, run in groupby(wmes, attrgetter("class_name")):
+            run = list(run)
+            keys = keys_by_class.get(class_name)
+            if keys:
+                for pos, key in enumerate(keys):
+                    if stats is not None:
+                        stats.bump("alpha_tests", n=len(run))
+                    conds = key[1]
+                    passing = (
+                        [w for w in run if alpha_test_passes(conds, w)]
+                        if conds
+                        else run
+                    )
+                    if passing:
+                        mems[key].bulk_add(passing)
+                        if sink is not None:
+                            first = start if passing is run else start + run.index(passing[0])
+                            entered.append((first, pos, key, passing))
+            start += len(run)
+        if len(entered) > 1:
+            # (first WME to enter, key position): the order one WME at
+            # a time would have made the calls in.
+            entered.sort(key=itemgetter(0, 1))
+        for _first, _pos, key, passing in entered:
+            sink.alpha_added(key, passing)
 
-    def _listener(self, wme: WME, added: bool) -> None:
-        self.apply(wme, added)
+    def _listener(self, wmes: Sequence[WME], added: bool) -> None:
+        self.apply(wmes, added)
 
     def attach(self) -> None:
         """Subscribe to the working memory's add/remove events."""
@@ -722,7 +758,7 @@ class ColumnVectorCache:
         """Prime a memory for every CE now — or, for a class with no table
         yet, in the refresh that first mentions it — and from then on
         report deltas instead of waiting to be re-enumerated:
-        ``sink.alpha_added(alpha key, wme)`` for each row entering a
+        ``sink.alpha_added(alpha key, wmes)`` for the rows entering a
         memory, ``sink.alpha_removed(alpha keys, wme)`` for each row
         leaving some. Only those rows are materialized."""
         self._sink = sink
@@ -751,8 +787,8 @@ class ColumnVectorCache:
             if mem is _EMPTY_COLUMN_MEMORY:
                 self._unmounted[key] = ce
             else:
-                for wme in mem:
-                    self._sink.alpha_added(mem.key, wme)
+                if len(mem):
+                    self._sink.alpha_added(mem.key, tuple(mem))
 
     def _on_record(self, added: bool, cid: int, row: int) -> None:
         mems = self._mems_by_cid.get(cid)
@@ -761,7 +797,7 @@ class ColumnVectorCache:
             if mems:
                 for mem in mems:
                     if mem.on_add(row) and sink is not None:
-                        sink.alpha_added(mem.key, self.wme_at(mem.table, row))
+                        sink.alpha_added(mem.key, (self.wme_at(mem.table, row),))
             return
         table = self.reader.table(cid)
         left = None

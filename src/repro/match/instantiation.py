@@ -16,7 +16,7 @@ instead of staying matched until one of its WMEs goes.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.lang.ast import Rule, Value
 from repro.wm.wme import WME
@@ -31,6 +31,20 @@ InstKey = Tuple[str, Tuple[int, ...]]
 EnvVars = Tuple[str, ...]
 
 _NO_INDEXES: Dict = {}
+
+
+def _index_wmes(
+    by_wme: Dict[WME, Dict[InstKey, "Instantiation"]],
+    key: InstKey,
+    inst: "Instantiation",
+) -> None:
+    """File ``inst`` under every WME it matched at a positive CE."""
+    for wme in inst.wmes:
+        if wme is not None:
+            bucket = by_wme.get(wme)
+            if bucket is None:
+                bucket = by_wme[wme] = {}
+            bucket[key] = inst
 
 
 class Instantiation:
@@ -121,7 +135,10 @@ class ConflictSet:
     :meth:`remove_with_wme` and :meth:`of_rule` proportional to the
     returned instantiations rather than the retained set — the hot paths
     of TREAT's churn handling. Both preserve conflict-set insertion order
-    (index buckets are insertion-ordered dicts).
+    (index buckets are insertion-ordered dicts). The by-WME index is built
+    on the first :meth:`remove_with_wme` and maintained from then on: a
+    run that never retracts a matched WME (every entry leaves by firing)
+    never pays for it.
 
     :meth:`consume` drops the entries that fired (refraction bars them for
     good); when they are the whole set — every cycle that redacts nothing —
@@ -129,9 +146,11 @@ class ConflictSet:
 
     Two opt-in extras serve the set-oriented TREAT matcher:
 
-    - :meth:`index_env` keeps one rule's entries bucketed by the values of
-      chosen variables, so "which retained instantiations could this new
-      negated-CE WME block" is a :meth:`probe_env` lookup, not a scan;
+    - :meth:`index_env` declares that one rule's entries may be looked up
+      by the values of chosen variables, so "which retained instantiations
+      could this new negated-CE WME block" is a :meth:`probe_env` lookup,
+      not a scan; the index is built at its first probe and maintained
+      from then on, like the by-WME index;
     - :meth:`start_journal` records the net adds/removes between
       :meth:`drain_journal` calls — what a process worker ships instead
       of its whole conflict set.
@@ -140,9 +159,13 @@ class ConflictSet:
     def __init__(self) -> None:
         self._by_key: Dict[InstKey, Instantiation] = {}
         self._by_rule: Dict[str, Dict[InstKey, Instantiation]] = {}
-        self._by_wme: Dict[WME, Dict[InstKey, Instantiation]] = {}
+        #: WME -> ordered bucket of the entries using it (``None``: not
+        #: built yet).
+        self._by_wme: Optional[Dict[WME, Dict[InstKey, Instantiation]]] = None
+        #: rule name -> the variable tuples :meth:`index_env` declared.
+        self._env_declared: Dict[str, Set[EnvVars]] = {}
         #: rule name -> variables -> values -> ordered bucket, one inner
-        #: entry per :meth:`index_env` registration.
+        #: entry per declared index a :meth:`probe_env` has built.
         self._env_indexes: Dict[
             str, Dict[EnvVars, Dict[Tuple, Dict[InstKey, Instantiation]]]
         ] = {}
@@ -160,12 +183,8 @@ class ConflictSet:
         if rule_bucket is None:
             rule_bucket = self._by_rule[inst.rule.name] = {}
         rule_bucket[key] = inst
-        for wme in inst.wmes:
-            if wme is not None:
-                wme_bucket = self._by_wme.get(wme)
-                if wme_bucket is None:
-                    wme_bucket = self._by_wme[wme] = {}
-                wme_bucket[key] = inst
+        if self._by_wme is not None:
+            _index_wmes(self._by_wme, key, inst)
         if self._env_indexes:
             indexes = self._env_indexes.get(inst.rule.name, _NO_INDEXES)
             for variables, index in indexes.items():
@@ -191,13 +210,15 @@ class ConflictSet:
             rule_bucket.pop(key, None)
             if not rule_bucket:
                 del self._by_rule[inst.rule.name]
-        for wme in inst.wmes:
-            if wme is not None:
-                wme_bucket = self._by_wme.get(wme)
-                if wme_bucket is not None:
-                    wme_bucket.pop(key, None)
-                    if not wme_bucket:
-                        del self._by_wme[wme]
+        by_wme = self._by_wme
+        if by_wme is not None:
+            for wme in inst.wmes:
+                if wme is not None:
+                    wme_bucket = by_wme.get(wme)
+                    if wme_bucket is not None:
+                        wme_bucket.pop(key, None)
+                        if not wme_bucket:
+                            del by_wme[wme]
         if self._env_indexes:
             indexes = self._env_indexes.get(inst.rule.name, _NO_INDEXES)
             for variables, index in indexes.items():
@@ -255,7 +276,8 @@ class ConflictSet:
                     self._removed[key] = None
         self._by_key.clear()
         self._by_rule.clear()
-        self._by_wme.clear()
+        if self._by_wme is not None:
+            self._by_wme.clear()
         for indexes in self._env_indexes.values():
             for index in indexes.values():
                 index.clear()
@@ -267,7 +289,12 @@ class ConflictSet:
     def remove_with_wme(self, wme: WME) -> List[Instantiation]:
         """Drop every instantiation that matched ``wme``; return them
         (in conflict-set insertion order)."""
-        bucket = self._by_wme.pop(wme, None)
+        by_wme = self._by_wme
+        if by_wme is None:
+            by_wme = self._by_wme = {}
+            for key, inst in self._by_key.items():
+                _index_wmes(by_wme, key, inst)
+        bucket = by_wme.pop(wme, None)
         if not bucket:
             return []
         victims = list(bucket.values())
@@ -289,15 +316,10 @@ class ConflictSet:
     # -- environment index ----------------------------------------------------
 
     def index_env(self, rule_name: str, variables: EnvVars) -> None:
-        """Keep ``rule_name``'s entries bucketed by the values they bind to
-        ``variables`` (idempotent; covers entries already retained)."""
-        indexes = self._env_indexes.setdefault(rule_name, {})
-        if variables in indexes:
-            return
-        index = indexes[variables] = {}
-        for inst in self.of_rule(rule_name):
-            values = tuple(inst.env[var] for var in variables)
-            index.setdefault(values, {})[inst.key] = inst
+        """Declare that ``rule_name``'s entries will be probed by the values
+        they bind to ``variables`` (idempotent). The index is built from
+        the retained entries at the first :meth:`probe_env`."""
+        self._env_declared.setdefault(rule_name, set()).add(variables)
 
     def probe_env(
         self, rule_name: str, variables: EnvVars, values: Tuple
@@ -305,8 +327,19 @@ class ConflictSet:
         """``rule_name``'s entries whose ``variables`` hash-equal ``values``
         (insertion order). Dict lookup is identity-or-``==``, so the bucket
         is a superset of the ``==`` matches (one NaN object finds itself):
-        callers decide with the real predicate."""
-        bucket = self._env_indexes[rule_name][variables].get(values)
+        callers decide with the real predicate. Raises ``KeyError`` for an
+        index :meth:`index_env` never declared."""
+        indexes = self._env_indexes.get(rule_name)
+        index = indexes.get(variables) if indexes is not None else None
+        if index is None:
+            if variables not in self._env_declared.get(rule_name, ()):
+                raise KeyError((rule_name, variables))
+            index = {}
+            for inst in self.of_rule(rule_name):
+                env_values = tuple(inst.env[var] for var in variables)
+                index.setdefault(env_values, {})[inst.key] = inst
+            self._env_indexes.setdefault(rule_name, {})[variables] = index
+        bucket = index.get(values)
         return list(bucket.values()) if bucket else []
 
     # -- journal ---------------------------------------------------------------

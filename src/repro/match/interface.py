@@ -11,7 +11,6 @@ what fired.
 
 from __future__ import annotations
 
-import abc
 import math
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
@@ -29,12 +28,14 @@ if TYPE_CHECKING:  # named in annotations only: a plain run loads no plan
 __all__ = ["Matcher", "PoolConfig", "create_matcher", "MATCHER_NAMES"]
 
 
-class Matcher(abc.ABC):
+class Matcher:
     """Base class for match engines.
 
-    Subclasses implement :meth:`_on_add` / :meth:`_on_remove` (incremental)
-    and/or :meth:`_recompute` (batch). The base class wires WM listening,
-    compiled-rule storage, statistics, and conflict-set access.
+    Subclasses take the working memory's batches whole by overriding
+    :meth:`_listener`, or one WME at a time by implementing :meth:`_on_add`
+    / :meth:`_on_remove`, which the default listener feeds. The base class
+    wires WM listening, compiled-rule storage, statistics, and
+    conflict-set access.
     """
 
     #: Human-readable engine name (used in reports and ``create_matcher``).
@@ -67,11 +68,11 @@ class Matcher(abc.ABC):
 
     # -- wiring -----------------------------------------------------------
 
-    def _listener(self, wme: WME, added: bool) -> None:
-        if added:
-            self._on_add(wme)
-        else:
-            self._on_remove(wme)
+    def _listener(self, wmes: Sequence[WME], added: bool) -> None:
+        """Incorporate one batch of asserts (``added``) or retracts."""
+        hook = self._on_add if added else self._on_remove
+        for wme in wmes:
+            hook(wme)
 
     def detach(self) -> None:
         """Stop observing the working memory (matcher becomes stale)."""
@@ -87,16 +88,15 @@ class Matcher(abc.ABC):
     def _replay(self) -> None:
         """Feed pre-existing WMEs through the incremental path so attaching
         to a populated memory behaves like replaying its history."""
-        for wme in sorted(self.wm, key=lambda w: w.timestamp):
-            self._on_add(wme)
+        self._listener(sorted(self.wm, key=lambda w: w.timestamp), True)
 
-    @abc.abstractmethod
     def _on_add(self, wme: WME) -> None:
-        """Incorporate one asserted WME."""
+        """Incorporate one asserted WME (per-WME matchers)."""
+        raise NotImplementedError
 
-    @abc.abstractmethod
     def _on_remove(self, wme: WME) -> None:
-        """Incorporate one retracted WME."""
+        """Incorporate one retracted WME (per-WME matchers)."""
+        raise NotImplementedError
 
     # -- queries -----------------------------------------------------------
 

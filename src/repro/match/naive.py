@@ -16,7 +16,7 @@ nested-loop reference kernel.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Sequence
 
 from repro.match.alphaindex import AlphaCache
 from repro.match.instantiation import Instantiation
@@ -34,17 +34,13 @@ class NaiveMatcher(Matcher):
 
     def _build(self) -> None:
         self._dirty = True
-        # Maintained from our own _on_add/_on_remove (the base class replays
-        # pre-existing WMEs through the same path), not a second listener.
+        # Maintained from our own listener (the base class replays
+        # pre-existing WMEs through the same path), not a second one.
         self._alpha = AlphaCache(self.wm, self.stats)
 
-    def _on_add(self, wme: WME) -> None:
+    def _listener(self, wmes: Sequence[WME], added: bool) -> None:
         self._dirty = True
-        self._alpha.apply(wme, True)
-
-    def _on_remove(self, wme: WME) -> None:
-        self._dirty = True
-        self._alpha.apply(wme, False)
+        self._alpha.apply(wmes, added)
 
     def _recompute(self) -> None:
         self.conflict_set.clear()

@@ -89,7 +89,7 @@ class TreatMatcher(Matcher):
 
     ``alpha`` is the alpha layer to watch; by default an
     :class:`~repro.match.alphaindex.AlphaCache` over ``wm``. The matcher's
-    WM listener forwards every event to the layer's ``apply``; a layer
+    WM listener forwards every batch to the layer's ``apply``; a layer
     over another store (a worker's shared columns) is advanced by its
     owner instead, and ``wm`` must then stay untouched. ``site=(k, s)``
     retains site ``s``'s share of every rule instead of the whole
@@ -153,17 +153,18 @@ class TreatMatcher(Matcher):
 
     # -- add -----------------------------------------------------------------
 
-    def _on_add(self, wme: WME) -> None:
-        self._alpha.apply(wme, True)
+    def _listener(self, wmes: Sequence[WME], added: bool) -> None:
+        self._alpha.apply(wmes, added)
 
-    def alpha_added(self, key: AlphaKey, wme: WME) -> None:
-        """``wme`` entered the alpha memory ``key`` (already updated)."""
+    def alpha_added(self, key: AlphaKey, wmes: Sequence[WME]) -> None:
+        """``wmes`` entered the alpha memory ``key`` (already updated)."""
         if self._fresh:
             return
         batch = self._pending.get(key)
         if batch is None:
-            batch = self._pending[key] = {}
-        batch[wme] = None
+            self._pending[key] = dict.fromkeys(wmes)
+        else:
+            batch.update(dict.fromkeys(wmes))
 
     # -- flush ---------------------------------------------------------------
 
@@ -291,9 +292,6 @@ class TreatMatcher(Matcher):
             self._bump("retractions", compiled.name, retractions)
 
     # -- remove ---------------------------------------------------------------
-
-    def _on_remove(self, wme: WME) -> None:
-        self._alpha.apply(wme, False)
 
     def alpha_removed(self, keys: Sequence[AlphaKey], wme: WME) -> None:
         """``wme`` left the alpha memories ``keys`` (already updated)."""

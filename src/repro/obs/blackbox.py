@@ -126,7 +126,7 @@ class Blackbox:
         if kind == EV_PHASE:
             return f"phase {self.phase_name(code)} {a / 1e6:.3f}ms"
         if kind == EV_FIRE:
-            return f"fire {self.rule_name(code)} ({a / 1e6:.3f}ms)"
+            return f"fire {self.rule_name(code)} ×{b} ({a / 1e6:.3f}ms)"
         if kind == EV_REDACT:
             return f"redact: candidates={a} redacted={b}"
         if kind == EV_CHURN:
@@ -423,8 +423,10 @@ def _projection(rec: Dict[str, int]) -> Tuple[int, ...]:
     """The deterministic shadow of a record: everything except wall-clock
     durations and timestamps, which legitimately differ across runs."""
     kind = rec["kind"]
-    if kind in (EV_PHASE, EV_FIRE):
+    if kind == EV_PHASE:
         return (kind, rec["cycle"], rec["code"])
+    if kind == EV_FIRE:
+        return (kind, rec["cycle"], rec["code"], rec["b"])
     if kind == EV_DUMP:
         return (kind,)
     return (kind, rec["cycle"], rec["code"], rec["a"], rec["b"])

@@ -106,7 +106,7 @@ MIN_CAPACITY = 16
 
 EV_CYCLE = 1  # cycle boundary: a=fired, b=conflict-set size (unfired)
 EV_PHASE = 2  # phase complete: code=phase id, a=duration ns
-EV_FIRE = 3  # one firing evaluated: code=rule id, a=eval ns
+EV_FIRE = 3  # one rule's batch of firings evaluated: code=rule id, a=batch eval ns, b=firings
 EV_REDACT = 4  # redaction verdict: a=candidates, b=redacted
 # Conflict-set churn at collect: a=fired entries a matcher re-discovered
 # and the engine dropped (0 on TREAT outside restore and unblock),

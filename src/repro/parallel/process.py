@@ -661,13 +661,15 @@ class ProcessMatchPool:
         self._conns[site] = parent_conn
         self._procs[site] = proc
 
-    def _ts_listener(self, wme: WME, added: bool) -> None:
+    def _ts_listener(self, wmes: Sequence[WME], added: bool) -> None:
         """Columnar mode: keep the parent's ts→WME rebuild index current
         (the delta recorder does this as a side effect in delta mode)."""
+        by_ts = self._wme_by_ts
         if added:
-            self._wme_by_ts[wme.timestamp] = wme
+            by_ts.update([(wme.timestamp, wme) for wme in wmes])
         else:
-            self._wme_by_ts.pop(wme.timestamp, None)
+            for wme in wmes:
+                by_ts.pop(wme.timestamp, None)
 
     def _kill(self, site: int) -> None:
         proc = self._procs.get(site)
@@ -1133,7 +1135,7 @@ class ProcessMatcher(Matcher):
     ) -> None:
         # The pool's recorder primes itself with the pre-existing WMEs, so
         # it must attach before Matcher.__init__ replays them through
-        # _on_add (which only marks the cache dirty here).
+        # _listener (which only marks the cache dirty here).
         if n_workers is None:
             n_workers = default_worker_count()
         self.pool = ProcessMatchPool(
@@ -1152,10 +1154,7 @@ class ProcessMatcher(Matcher):
         #: :class:`~repro.match.stats.MatchStats` to report.
         self.stats = None
 
-    def _on_add(self, wme: WME) -> None:
-        self._dirty = True
-
-    def _on_remove(self, wme: WME) -> None:
+    def _listener(self, wmes: Sequence[WME], added: bool) -> None:
         self._dirty = True
 
     def instantiations(self) -> List[Instantiation]:

@@ -73,7 +73,7 @@ import os
 import struct
 import weakref
 from multiprocessing import resource_tracker
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import WorkingMemoryError
 from repro.lang.ast import Value
@@ -508,40 +508,32 @@ class ColumnarWorkingMemory(WorkingMemory):
             self._mark_dirty(cid)
         return table
 
-    def _insert(self, wme: WME) -> None:
-        # Duplicate detection happens in super()._insert; probe first so a
-        # rejected insert leaves no orphan row behind.
-        bucket = self._by_class.get(wme.class_name)
-        if bucket is not None and wme in bucket:
-            raise WorkingMemoryError(f"duplicate WME {wme!r}")
-        table = self._table(wme.class_name)
-        row = table.append(wme)
-        self._journal_append(_OP_ADD, table.cid, row)
-        super()._insert(wme)
-
-    def remove(self, wme: WME) -> None:
-        bucket = self._by_class.get(wme.class_name)
-        if bucket is None or wme not in bucket:
-            raise WorkingMemoryError(f"cannot remove absent WME {wme!r}")
-        table = self._tables[wme.class_name]
-        row = table.retract(wme.timestamp)
-        self._journal_append(_OP_REMOVE, table.cid, row)
-        super().remove(wme)
-
-    def discard(self, wme: WME) -> bool:
-        bucket = self._by_class.get(wme.class_name)
-        if bucket is None or wme not in bucket:
-            return False
-        table = self._tables[wme.class_name]
-        row = table.retract(wme.timestamp)
-        self._journal_append(_OP_REMOVE, table.cid, row)
-        return super().discard(wme)
-
-    def bulk_load(self, wmes) -> None:
-        # Every assert must hit the columns and the journal; the dict
-        # store's bucket-update fast path would bypass both.
+    def _insert(self, wmes: Sequence[WME]) -> None:
+        # Duplicate detection happens in super()._insert; probe the whole
+        # batch first so a rejected insert leaves no orphan row behind.
+        by_class = self._by_class
         for wme in wmes:
-            self.add(wme)
+            bucket = by_class.get(wme.class_name)
+            if bucket is not None and wme in bucket:
+                raise WorkingMemoryError(f"duplicate WME {wme!r}")
+        for wme in wmes:
+            table = self._table(wme.class_name)
+            row = table.append(wme)
+            self._journal_append(_OP_ADD, table.cid, row)
+        super()._insert(wmes)
+
+    def remove_batch(self, wmes: Sequence[WME]) -> None:
+        # The columns retract the same prefix the buckets will: up to the
+        # first absent WME, on which super() raises.
+        by_class = self._by_class
+        for wme in wmes:
+            bucket = by_class.get(wme.class_name)
+            if bucket is None or wme not in bucket:
+                break
+            table = self._tables[wme.class_name]
+            row = table.retract(wme.timestamp)
+            self._journal_append(_OP_REMOVE, table.cid, row)
+        super().remove_batch(wmes)
 
     # -- shared-attach protocol ----------------------------------------------
 

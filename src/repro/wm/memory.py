@@ -2,7 +2,9 @@
 
 :class:`WorkingMemory` owns the timestamp counter and keeps WMEs indexed by
 class name, in timestamp order. It notifies registered listeners (match
-engines) of every add/remove, which is how RETE/TREAT stay incremental.
+engines) of every batch of asserts and of retracts — one call per batch; a
+single :meth:`~WorkingMemory.make` or :meth:`~WorkingMemory.remove` is a
+batch of one — which is how the matchers stay incremental.
 
 Design notes (hpc-parallel guide: measure, index, avoid copies):
 
@@ -26,6 +28,7 @@ from typing import (
     Mapping,
     NamedTuple,
     Optional,
+    Sequence,
     Tuple,
 )
 
@@ -36,9 +39,10 @@ from repro.wm.wme import WME
 
 __all__ = ["WorkingMemory", "WMDelta", "DeltaRecorder"]
 
-#: Listener signature: ``callback(wme, added)`` — ``added`` is True for an
-#: assert and False for a retract.
-Listener = Callable[[WME, bool], None]
+#: Listener signature: ``callback(wmes, added)`` — a batch of WMEs, in
+#: timestamp order for asserts and retraction order for retracts; ``added``
+#: is True for asserts and False for retracts.
+Listener = Callable[[Sequence[WME], bool], None]
 
 
 class WorkingMemory:
@@ -80,8 +84,25 @@ class WorkingMemory:
         self.templates.validate(class_name, merged)
         wme = WME(class_name, merged, self._next_timestamp)
         self._next_timestamp += 1
-        self._insert(wme)
+        self._insert((wme,))
         return wme
+
+    def make_batch(
+        self, makes: Sequence[Tuple[str, Mapping[str, Value]]]
+    ) -> List[WME]:
+        """Assert ``(class, attrs)`` pairs as one batch, in order, with
+        consecutive fresh timestamps; listeners hear of them in one call.
+        Nothing is asserted when one of them fails validation."""
+        validate = self.templates.validate
+        ts = self._next_timestamp
+        wmes = []
+        for class_name, attrs in makes:
+            validate(class_name, attrs)
+            wmes.append(WME(class_name, attrs, ts))
+            ts += 1
+        self._next_timestamp = ts
+        self._insert(wmes)
+        return wmes
 
     def add(self, wme: WME) -> None:
         """Assert a pre-built WME (timestamp must be fresh).
@@ -89,9 +110,16 @@ class WorkingMemory:
         Used by engines that construct WMEs themselves via
         :meth:`allocate_timestamp`.
         """
-        if wme.timestamp >= self._next_timestamp:
-            self._next_timestamp = wme.timestamp + 1
-        self._insert(wme)
+        self.add_batch((wme,))
+
+    def add_batch(self, wmes: Sequence[WME]) -> None:
+        """Assert distinct pre-built WMEs (fresh timestamps) as one batch:
+        replicas replaying a shipped delta, a checkpoint reload."""
+        if wmes:
+            last = max(wme.timestamp for wme in wmes)
+            if last >= self._next_timestamp:
+                self._next_timestamp = last + 1
+            self._insert(wmes)
 
     def allocate_timestamp(self) -> int:
         """Reserve the next timestamp (engines building WMEs directly)."""
@@ -99,64 +127,57 @@ class WorkingMemory:
         self._next_timestamp += 1
         return ts
 
-    def _insert(self, wme: WME) -> None:
-        bucket = self._by_class.setdefault(wme.class_name, {})
-        if wme in bucket:
-            raise WorkingMemoryError(f"duplicate WME {wme!r}")
-        bucket[wme] = None
-        self._count += 1
-        for listener in self._listeners:
-            listener(wme, True)
-
-    def bulk_load(self, wmes: Iterable[WME]) -> None:
-        """Assert many prepared WMEs at once (replica bootstrap fast path).
-
-        Trusts the caller that the WMEs are distinct and absent — the
-        batches come from an authoritative source (a columnar liveness
-        snapshot, a checkpoint), so duplicate probing per WME is skipped
-        and each class bucket is extended with one C-level dict update.
-        With listeners attached it falls back to per-WME :meth:`add`
-        (listeners must observe every event individually).
-        """
-        wmes = list(wmes)
-        if not wmes:
-            return
-        if self._listeners:
+    def _insert(self, wmes: Sequence[WME]) -> None:
+        """Enter ``wmes`` into the buckets and tell the listeners in one
+        call. Raises on the first duplicate, after entering (and
+        reporting) the ones before it."""
+        by_class = self._by_class
+        done = 0
+        try:
             for wme in wmes:
-                self.add(wme)
-            return
-        grouped: Dict[str, List[WME]] = {}
-        last_ts = 0
-        for wme in wmes:
-            grouped.setdefault(wme.class_name, []).append(wme)
-            if wme.timestamp > last_ts:
-                last_ts = wme.timestamp
-        for class_name, group in grouped.items():
-            bucket = self._by_class.setdefault(class_name, {})
-            bucket.update(dict.fromkeys(group))
-            self._count += len(group)
-        if last_ts >= self._next_timestamp:
-            self._next_timestamp = last_ts + 1
+                bucket = by_class.get(wme.class_name)
+                if bucket is None:
+                    bucket = by_class[wme.class_name] = {}
+                elif wme in bucket:
+                    raise WorkingMemoryError(f"duplicate WME {wme!r}")
+                bucket[wme] = None
+                done += 1
+        finally:
+            if done:
+                self._count += done
+                added = wmes if done == len(wmes) else wmes[:done]
+                for listener in self._listeners:
+                    listener(added, True)
 
     def remove(self, wme: WME) -> None:
         """Retract a WME; raises if it is not present."""
-        bucket = self._by_class.get(wme.class_name)
-        if bucket is None or wme not in bucket:
-            raise WorkingMemoryError(f"cannot remove absent WME {wme!r}")
-        del bucket[wme]
-        self._count -= 1
-        for listener in self._listeners:
-            listener(wme, False)
+        self.remove_batch((wme,))
+
+    def remove_batch(self, wmes: Sequence[WME]) -> None:
+        """Retract distinct WMEs as one batch; listeners hear of them in
+        one call. Raises on the first absent one, after retracting (and
+        reporting) the ones before it."""
+        by_class = self._by_class
+        done = 0
+        try:
+            for wme in wmes:
+                bucket = by_class.get(wme.class_name)
+                if bucket is None or wme not in bucket:
+                    raise WorkingMemoryError(f"cannot remove absent WME {wme!r}")
+                del bucket[wme]
+                done += 1
+        finally:
+            if done:
+                self._count -= done
+                gone = wmes if done == len(wmes) else wmes[:done]
+                for listener in self._listeners:
+                    listener(gone, False)
 
     def discard(self, wme: WME) -> bool:
         """Retract if present; return whether anything was removed."""
-        bucket = self._by_class.get(wme.class_name)
-        if bucket is None or wme not in bucket:
+        if wme not in self:
             return False
-        del bucket[wme]
-        self._count -= 1
-        for listener in self._listeners:
-            listener(wme, False)
+        self.remove_batch((wme,))
         return True
 
     # -- queries ----------------------------------------------------------------
@@ -230,8 +251,9 @@ class WorkingMemory:
             raise WorkingMemoryError(
                 "load_records needs an empty working memory"
             )
-        for class_name, attrs, ts in records:
-            self.add(WME(class_name, dict(attrs), ts))
+        self.add_batch(
+            [WME(class_name, dict(attrs), ts) for class_name, attrs, ts in records]
+        )
         if next_timestamp is not None:
             if next_timestamp <= self.latest_timestamp:
                 raise WorkingMemoryError(
@@ -288,12 +310,12 @@ class WMDelta(NamedTuple):
         place — removes resolve through it and adds register in it.
         """
         adds, removes = wire
-        for ts in removes:
-            wm.remove(by_timestamp.pop(ts))
-        for class_name, attrs, ts in adds:
-            wme = WME(class_name, attrs, ts)
-            wm.add(wme)
-            by_timestamp[ts] = wme
+        if removes:
+            wm.remove_batch([by_timestamp.pop(ts) for ts in removes])
+        if adds:
+            wmes = [WME(class_name, attrs, ts) for class_name, attrs, ts in adds]
+            wm.add_batch(wmes)
+            by_timestamp.update([(wme.timestamp, wme) for wme in wmes])
 
 
 class DeltaRecorder:
@@ -316,14 +338,18 @@ class DeltaRecorder:
         wm.add_listener(self._on_event)
         self._attached = True
 
-    def _on_event(self, wme: WME, added: bool) -> None:
+    def _on_event(self, wmes: Sequence[WME], added: bool) -> None:
+        adds = self._adds
         if added:
-            self._adds[wme.timestamp] = wme
-        elif wme.timestamp in self._adds:
-            # Added and removed within the window: net zero, ship nothing.
-            del self._adds[wme.timestamp]
-        else:
-            self._removes.append(wme.timestamp)
+            for wme in wmes:
+                adds[wme.timestamp] = wme
+            return
+        for wme in wmes:
+            if wme.timestamp in adds:
+                # Added and removed within the window: net zero, ship nothing.
+                del adds[wme.timestamp]
+            else:
+                self._removes.append(wme.timestamp)
 
     def drain(self) -> WMDelta:
         """The net delta since the last drain; resets the window."""

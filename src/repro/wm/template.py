@@ -8,7 +8,7 @@ permissive), matching how :mod:`repro.lang.analysis` treats them.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional
+from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Set, Tuple
 
 from repro.errors import WorkingMemoryError
 from repro.lang.analysis import INSTANTIATION_CLASS
@@ -30,6 +30,9 @@ class TemplateRegistry:
     def __init__(self, strict: bool = False) -> None:
         self._templates: Dict[str, FrozenSet[str]] = {}
         self.strict = strict
+        #: (class, attribute names) shapes already validated: declarations
+        #: only widen, so a shape that passed once always passes.
+        self._valid: Set[Tuple[str, Tuple[str, ...]]] = set()
 
     @classmethod
     def from_program(cls, program: Program) -> "TemplateRegistry":
@@ -60,6 +63,9 @@ class TemplateRegistry:
         violates the declarations (no-op when permissive)."""
         if not self.strict or class_name == INSTANTIATION_CLASS:
             return
+        shape = (class_name, tuple(attrs))
+        if shape in self._valid:
+            return
         allowed = self._templates.get(class_name)
         if allowed is None:
             raise WorkingMemoryError(
@@ -71,3 +77,4 @@ class TemplateRegistry:
                     f"class {class_name!r} has no attribute {attr!r} "
                     f"(declared: {sorted(allowed)})"
                 )
+        self._valid.add(shape)

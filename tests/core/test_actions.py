@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ExecutionError
 from repro.core.actions import ActionEvaluator, evaluate_expr
-from repro.lang.ast import ComputeExpr, ConstantExpr, VariableExpr
+from repro.lang.ast import ComputeExpr, ConstantExpr, ModifyAction, Rule, VariableExpr
 from repro.lang.parser import parse_program
 from repro.match.instantiation import Instantiation
 from repro.wm.wme import WME
@@ -145,14 +145,11 @@ class TestActionEvaluation:
         rule = parse_program(
             "(p r (c ^a <x>) -(d ^a <x>) --> (halt))"
         ).rules[0]
-        object.__setattr__(rule, "actions", rule.actions)  # unchanged
+        bad = ModifyAction(ce_index=2, assignments=(("a", ConstantExpr(1)),))
+        rule = Rule(rule.name, rule.conditions, (bad,))
         inst = Instantiation(rule, (WME("c", {"a": 1}, 1), None), {"x": 1})
-        from repro.lang.ast import ModifyAction, ConstantExpr as CE_
-
-        bad = ModifyAction(ce_index=2, assignments=(("a", CE_(1)),))
-        ev = ActionEvaluator()
         with pytest.raises(ExecutionError, match="bad condition-element index"):
-            ev._one(bad, inst, dict(inst.env), ev.evaluate(inst))
+            ActionEvaluator().evaluate(inst)
 
 
 class TestHostCalls:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import InterferenceError
-from repro.core.actions import InstantiationDelta
+from repro.core.actions import FiringDelta
 from repro.core.delta import InterferencePolicy, merge_deltas
 from repro.lang.parser import parse_program
 from repro.match.instantiation import Instantiation
@@ -16,7 +16,7 @@ RULE_B = parse_program("(p rb (c ^a <x>) --> (halt))").rules[0]
 def delta_for(rule, ts=1, **effects):
     w = WME("c", {"a": 0}, ts)
     inst = Instantiation(rule, (w,), {"x": 0})
-    d = InstantiationDelta(inst=inst)
+    d = FiringDelta([inst])
     for key, value in effects.items():
         setattr(d, key, value)
     return d

@@ -317,7 +317,9 @@ class TestNothingReachesTheWorkingMemory:
         wl = build_manners(n_guests=8)
         engine = ParulelEngine(wl.program)
         seen = []
-        engine.wm.add_listener(lambda wme, added: seen.append(wme.class_name))
+        engine.wm.add_listener(
+            lambda wmes, added: seen.extend(w.class_name for w in wmes)
+        )
         wl.setup(engine)
         result = engine.run(max_cycles=2000)
         assert sum(r.redaction.redacted for r in result.reports) > 0
@@ -343,7 +345,7 @@ class TestNothingReachesTheWorkingMemory:
             engine.make("req", name="b")
             before = engine.wm.dump_records()[0]
             events = []
-            engine.wm.add_listener(lambda wme, added: events.append(wme))
+            engine.wm.add_listener(lambda wmes, added: events.extend(wmes))
             with pytest.raises(ExecutionError, match="no instantiation") as err:
                 engine.step()
             assert engine.wm.dump_records()[0] == before

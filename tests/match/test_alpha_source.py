@@ -217,8 +217,9 @@ class RecordingSink:
     def __init__(self):
         self.events = []
 
-    def alpha_added(self, key, wme):
-        self.events.append(("add", key, wme.timestamp))
+    def alpha_added(self, key, wmes):
+        assert wmes
+        self.events.extend(("add", key, wme.timestamp) for wme in wmes)
 
     def alpha_removed(self, keys, wme):
         assert len(set(keys)) == len(keys)

@@ -96,8 +96,7 @@ class TestAlphaCache:
         cache.attach()
         # Pre-attach WMEs were primed lazily? No — memory was primed while
         # empty, and apply() only runs once attached: feed them explicitly.
-        cache.apply(a, True)
-        cache.apply(b, True)
+        cache.apply([a, b], True)
         c = wm.make("item", {"k": 3})  # via listener
         assert list(mem) == [a, b, c]
         wm.remove(b)
@@ -110,7 +109,7 @@ class TestAlphaCache:
         wm = WorkingMemory()
         cache = AlphaCache(wm)
         other = wm.make("other", {"k": 1})
-        cache.apply(other, True)  # no primed memory for 'other': no-op
+        cache.apply([other], True)  # no primed memory for 'other': no-op
         ce = _one_ce_rule().ces[0]
         assert len(cache.memory(ce)) == 0
 

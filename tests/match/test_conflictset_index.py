@@ -3,6 +3,8 @@ equivalent to brute-force scans of the retained set, in insertion order."""
 
 import random
 
+import pytest
+
 from repro.lang.builder import ProgramBuilder, v
 from repro.match.instantiation import ConflictSet, Instantiation
 from repro.wm.wme import WME
@@ -280,11 +282,24 @@ class TestConsume:
         return cs, insts, wa + wb
 
     def test_the_whole_set_leaves_no_bucket_behind(self):
-        cs, insts, _wmes = self._indexed()
+        cs, insts, wmes = self._indexed()
+        # Build both lazy indexes first, so the clear has buckets to empty.
+        assert cs.probe_env("r0", ("x",), (0,))
+        assert cs.remove_with_wme(WME("a", {"k": 0}, 999)) == []
         cs.consume([i.key for i in reversed(insts)])
+        assert len(cs) == 0 and cs.instantiations() == []
+        for rule in ("r0", "r1"):
+            assert cs.of_rule(rule) == [] and cs.count_of_rule(rule) == 0
+        for value in range(3):
+            assert cs.probe_env("r0", ("x",), (value,)) == []
+        for wme in wmes:
+            assert cs.remove_with_wme(wme) == []
+        # What comes back is indexed afresh, with nothing stale beside it.
+        cs.add(insts[0])
+        assert cs.of_rule("r0") == [insts[0]]
+        assert cs.probe_env("r0", ("x",), (insts[0].env["x"],)) == [insts[0]]
+        assert cs.remove_with_wme(wmes[0]) == [insts[0]]
         assert len(cs) == 0
-        assert cs._by_rule == {} and cs._by_wme == {}
-        assert cs._env_indexes == {"r0": {("x",): {}}}
 
     def test_a_partial_consume_keeps_the_others_indexed(self):
         cs, insts, wmes = self._indexed()
@@ -317,3 +332,92 @@ class TestConsume:
             added, removed = cs.drain_journal()
             assert added == []
             assert removed == [i.key for i in fired if i is not fresh]
+
+
+class EagerReference:
+    """What the conflict set answers, computed by scanning an ordered list:
+    the by-WME and environment lookups as if every index were kept from
+    the first add."""
+
+    def __init__(self):
+        self.entries = {}
+
+    def add(self, inst):
+        if inst.key in self.entries:
+            return False
+        self.entries[inst.key] = inst
+        return True
+
+    def consume(self, keys):
+        for key in keys:
+            self.entries.pop(key, None)
+
+    def remove_with_wme(self, wme):
+        victims = [i for i in self.entries.values() if i.uses(wme)]
+        self.consume([i.key for i in victims])
+        return victims
+
+    def probe_env(self, rule, variables, values):
+        return [
+            i for i in self.entries.values()
+            if i.rule.name == rule
+            and tuple(i.env[var] for var in variables) == values
+        ]
+
+
+class TestLazyIndexes:
+    """The by-WME and environment indexes are built at their first read
+    and kept from then on; answers never depend on when that was."""
+
+    def test_a_random_sequence_matches_the_eager_reference(self):
+        for seed in range(30):
+            rng = random.Random(4100 + seed)
+            rules = _rules(3)
+            wa = [WME("a", {"k": i % 3}, i + 1) for i in range(6)]
+            wb = [WME("b", {"k": i % 3}, i + 7) for i in range(6)]
+            cs, ref = ConflictSet(), EagerReference()
+            cs.index_env("r0", ("x",))
+            cs.index_env("r2", ("x",))
+            for step in range(120):
+                op = rng.choice(["add"] * 4 + ["consume", "wme", "probe"])
+                where = (seed, step, op)
+                if op == "add":
+                    inst = _inst(rng.choice(rules), rng.choice(wa), rng.choice(wb))
+                    assert cs.add(inst) == ref.add(inst), where
+                elif op == "consume":
+                    live = list(ref.entries)
+                    keys = rng.sample(live, rng.randint(0, len(live)))
+                    cs.consume(keys)
+                    ref.consume(keys)
+                elif op == "wme":
+                    wme = rng.choice(wa + wb)
+                    got = cs.remove_with_wme(wme)
+                    assert got == ref.remove_with_wme(wme), where
+                else:
+                    rule = rng.choice(["r0", "r2"])
+                    values = (rng.randrange(3),)
+                    got = cs.probe_env(rule, ("x",), values)
+                    assert got == ref.probe_env(rule, ("x",), values), where
+                assert cs.instantiations() == list(ref.entries.values()), where
+
+    def test_an_undeclared_environment_index_is_refused(self):
+        cs = ConflictSet()
+        cs.add(_inst(_rules(1)[0], WME("a", {"k": 1}, 1), WME("b", {"k": 1}, 2)))
+        with pytest.raises(KeyError):
+            cs.probe_env("r0", ("x",), (1,))
+
+    def test_a_tc_run_builds_neither_index(self):
+        """On tc every entry leaves by firing: no WME it matched is ever
+        retracted and no blocking WME meets a retained entry, so neither
+        lazy index is ever read — nor built."""
+        from repro.core import ParulelEngine
+        from repro.programs import REGISTRY
+
+        wl = REGISTRY["tc"]()
+        engine = ParulelEngine(wl.program)
+        wl.setup(engine)
+        result = engine.run()
+        assert wl.verify_ok(engine.wm) and result.firings > 0
+        cs = engine.matcher.conflict_set
+        assert cs._env_declared  # tc's negated CEs declare one each
+        assert cs._by_wme is None and cs._env_indexes == {}

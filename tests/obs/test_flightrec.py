@@ -253,3 +253,41 @@ class TestSIGKILLSurvival:
             assert begins[-1]["code"] == 2 and 2 not in ends
         finally:
             ring.close()
+
+
+class TestFireRecords:
+    def test_one_record_per_rule_batch_on_tc_48x20(self, tmp_path):
+        """tc over 48 chains of 20 edges fires 10,080 times in 20 cycles:
+        one ``fire`` record per (cycle, rule that fired), their firing
+        counts summing to every firing, and cycle 1 still in the ring."""
+        import re
+
+        from repro.core import ParulelEngine
+        from repro.programs.tc import tc_program
+
+        engine = ParulelEngine(tc_program())
+        for chain in range(48):
+            for i in range(20):
+                src, dst = chain * 21 + i, chain * 21 + i + 1
+                engine.make("edge", {"src": f"n{src}", "dst": f"n{dst}"})
+        fired = set()
+        engine.trace = lambda report: fired.update(
+            (report.cycle, rule)
+            for rule, _ts in engine.fired_log[len(engine.fired_log) - report.fired:]
+        )
+        result = engine.run()
+        assert (result.cycles, result.firings) == (20, 10080)
+        path = str(tmp_path / "tc.blackbox")
+        engine.dump_blackbox(path)
+        engine.close()
+        bb = load_blackbox(path)
+        fires = [r for r in bb.main.records if r["kind"] == EV_FIRE]
+        batches = [(r["cycle"], bb.rule_name(r["code"])) for r in fires]
+        assert len(batches) == len(set(batches))
+        assert set(batches) == fired
+        assert sum(r["b"] for r in fires) == 10080
+        assert min(cycle for cycle, _rule in batches) == 1
+        assert any(r["kind"] == EV_CYCLE and r["cycle"] == 1 for r in bb.main.records)
+        assert re.fullmatch(
+            r"fire tc-extend ×\d+ \(\d+\.\d{3}ms\)", bb.describe(fires[-1])
+        )

@@ -63,7 +63,9 @@ class TestPoolShipsNoReifications:
             # The recorder compacts an add/remove pair inside one window,
             # so also watch what it is told, not only what it ships.
             observed = set()
-            engine.wm.add_listener(lambda wme, added: observed.add(wme.class_name))
+            engine.wm.add_listener(
+                lambda wmes, added: observed.update(w.class_name for w in wmes)
+            )
 
             def check():
                 shipped_classes = {w.class_name for d in shipped for w in d.adds}

@@ -186,6 +186,56 @@ class TestRunCommand:
         assert "error:" in capsys.readouterr().err
 
 
+#: Why an output path is refused, by the shape of the path.
+UNWRITABLE = {
+    "dir": "is a directory",
+    "orphan": "directory {missing} does not exist",
+}
+#: (engine, flag, shape): --trace-out and --metrics-out apply to the
+#: parulel engine only.
+UNWRITABLE_CASES = [
+    (engine, flag, shape)
+    for engine, flags in (
+        ("parulel", ("--dump-wm", "--metrics-out", "--trace-out")),
+        ("ops5", ("--dump-wm",)),
+    )
+    for flag in flags
+    for shape in UNWRITABLE
+]
+
+
+class TestUnwritableOutputs:
+    """An output path that can never be written is refused before the
+    first cycle (exit 2), under either engine, and nothing is created."""
+
+    @pytest.mark.parametrize("engine,flag,shape", UNWRITABLE_CASES)
+    def test_refused_before_the_run(
+        self, program_file, facts_file, tmp_path, capsys, engine, flag, shape
+    ):
+        problem = UNWRITABLE[shape]
+        missing = tmp_path / "missing"
+        path = str(tmp_path) if shape == "dir" else str(missing / "out.txt")
+        rc = main(["run", program_file, "--facts", facts_file,
+                   "--engine", engine, flag, path])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert err == (
+            f"error: {flag} {path}: {problem.format(missing=missing)}\n"
+        )
+        # No cycle ran: tc writes a line per path it derives.
+        assert out == ""
+        assert not missing.exists()
+
+    def test_a_writable_path_in_the_working_directory(
+        self, program_file, facts_file, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        rc = main(["run", program_file, "--facts", facts_file,
+                   "--dump-wm", "out.wm"])
+        assert rc == 0
+        assert "path" in (tmp_path / "out.wm").read_text()
+
+
 class TestCheckCommand:
     def test_inventory(self, program_file, capsys):
         rc = main(["check", program_file])

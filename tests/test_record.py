@@ -7,7 +7,7 @@ import pickle
 import pytest
 
 from repro.core import EngineConfig
-from repro.core.actions import InstantiationDelta
+from repro.core.actions import FiringDelta
 from repro.core.delta import CycleDelta, InterferencePolicy
 from repro.lang import parse_program
 from repro.lang.ast import (
@@ -101,6 +101,6 @@ def test_mutable_records_are_unhashable_and_compare_by_field():
     assert first != second and second.writes == []  # no shared default
     with pytest.raises(TypeError):
         hash(CycleDelta())
-    delta = InstantiationDelta(inst=None)
+    delta = FiringDelta([])
     delta.halt = True
-    assert delta == InstantiationDelta(None, halt=True)
+    assert delta == FiringDelta([], halt=True)

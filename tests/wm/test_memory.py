@@ -108,10 +108,42 @@ class TestQueries:
 class TestListeners:
     def test_listener_sees_adds_and_removes(self, wm):
         events = []
-        wm.add_listener(lambda w, added: events.append((w.get("x"), added)))
+        wm.add_listener(
+            lambda ws, added: events.append(([w.get("x") for w in ws], added))
+        )
         w = wm.make("c", x=1)
         wm.remove(w)
-        assert events == [(1, True), (1, False)]
+        assert events == [([1], True), ([1], False)]
+
+    def test_a_batch_is_one_event(self, wm):
+        events = []
+        wm.add_listener(
+            lambda ws, added: events.append(([w.timestamp for w in ws], added))
+        )
+        made = wm.make_batch([("c", {"x": 1}), ("d", {"x": 2}), ("c", {"x": 3})])
+        assert [w.timestamp for w in made] == [1, 2, 3]
+        wm.remove_batch([made[2], made[0]])
+        assert events == [([1, 2, 3], True), ([3, 1], False)]
+        assert list(wm) == [made[1]]
+
+    def test_a_batch_that_fails_validation_asserts_nothing(self):
+        templates = TemplateRegistry(strict=True)
+        templates.declare("c", ["x"])
+        wm = WorkingMemory(templates)
+        events = []
+        wm.add_listener(lambda ws, added: events.append(ws))
+        with pytest.raises(WorkingMemoryError, match="no attribute 'y'"):
+            wm.make_batch([("c", {"x": 1}), ("c", {"y": 2})])
+        assert len(wm) == 0 and events == [] and wm.latest_timestamp == 0
+
+    def test_a_batch_remove_stops_at_the_first_absent_wme(self, wm):
+        events = []
+        a, b = wm.make("c", x=1), wm.make("c", x=2)
+        wm.remove(b)
+        wm.add_listener(lambda ws, added: events.append(list(ws)))
+        with pytest.raises(WorkingMemoryError, match="absent"):
+            wm.remove_batch([a, b])
+        assert len(wm) == 0 and events == [[a]]
 
     def test_listener_removal(self, wm):
         events = []
