@@ -74,7 +74,6 @@ from typing import Dict, List
 
 from repro.core import EngineConfig, ParulelEngine
 from repro.lab.threaded import ThreadedMatchPool
-from repro.match.interface import PoolConfig
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel.process import ProcessMatchPool
 from repro.programs.synthetic import build_scale_workload
@@ -141,9 +140,7 @@ def _run_pool(wl, tier_cfg: Dict, backend: str) -> Dict:
     block = wl.load(wm)
     load_s = time.perf_counter() - t0
     metrics = MetricsRegistry()
-    pool = ProcessMatchPool(
-        wl.program.rules, wm, 2, PoolConfig(timeout=300.0), metrics=metrics
-    )
+    pool = ProcessMatchPool(wl.program.rules, wm, 2, metrics=metrics)
     images: List[str] = []
     try:
         t0 = time.perf_counter()
@@ -323,9 +320,7 @@ def _run_engine(wl, backend: str) -> Dict:
     """End-to-end process-backend run: fire every hit, to quiescence."""
     engine = ParulelEngine(
         wl.program,
-        EngineConfig(
-            matcher="process:2", wm_backend=backend, pool=PoolConfig(timeout=300.0)
-        ),
+        EngineConfig(matcher="process:2", wm_backend=backend),
     )
     try:
         wl.load(engine.wm)
@@ -404,11 +399,7 @@ def measure_workloads() -> Dict[str, Dict]:
         for backend in ENGINE_CONFIGS:
             engine = ParulelEngine(
                 wl.program,
-                EngineConfig(
-                    matcher="process:2",
-                    wm_backend=backend,
-                    pool=PoolConfig(timeout=300.0),
-                ),
+                EngineConfig(matcher="process:2", wm_backend=backend),
             )
             try:
                 wl.setup(engine.wm)

@@ -3,19 +3,23 @@
 #
 #   scripts/check.sh            # fast gate (tier-1 tests minus slow
 #                               # process-killing tests, static analysis)
-#   scripts/check.sh --faults   # additionally run the full fault-injection
-#                               # and recovery suite (kills/SIGSTOPs real
-#                               # workers; per-test SIGALRM timeouts keep a
-#                               # recovery bug from hanging the gate)
+#   scripts/check.sh --faults   # additionally run the full fault suite
+#                               # (kills/SIGSTOPs real workers, each loss
+#                               # must end in MatchError with a blackbox
+#                               # and nothing left running; per-test
+#                               # SIGALRM timeouts keep a bug from hanging
+#                               # the gate)
 #   scripts/check.sh --bench    # additionally regenerate the experiment
 #                               # tables/figures under benchmarks/results/
 #                               # and fail if a deterministic table moved
 #   scripts/check.sh --resilience  # additionally run the live-recovery
-#                               # chaos differential (seeded SIGKILLs +
+#                               # chaos differential (a seeded worker
+#                               # SIGKILL ends the run in MatchError; with
 #                               # checkpoint truncation + segment unlinks
-#                               # must recover byte-identically) for both
-#                               # WM backends, the shm-leak check and a
-#                               # checkpoint-cost microbenchmark smoke run
+#                               # the restore must recover byte-identically)
+#                               # for both WM backends, the shm-leak check
+#                               # and a checkpoint-cost microbenchmark
+#                               # smoke run
 #   scripts/check.sh --obs      # additionally run the full observability
 #                               # suite (flight recorder, blackbox decode,
 #                               # metrics export) and the recorder-overhead
@@ -120,14 +124,14 @@ if [[ "${1:-}" == "--faults" ]]; then
 fi
 
 if [[ "${1:-}" == "--resilience" ]]; then
-    echo "== resilience suite (checkpoints, respawn/degrade, janitor)"
+    echo "== resilience suite (checkpoints, chaos, janitor)"
     python -m pytest tests/resilience -q
     echo "== checkpoint cost microbenchmark (smoke: it must run; no gate)"
     python -m benchmarks.resilience_microbench --wmes 2000 --cycles 4
     echo "== chaos differential (crash + corruption -> byte-identical recovery)"
     # tc's fired instantiations are blocked by their own makes; routing's
-    # stay matched, so its restores and the pool's reset replies hand the
-    # engine fired entries to drop and consume again.
+    # stay matched, so its restores hand the engine fired entries to drop
+    # and consume again.
     for workload in tc routing; do
         for seed in 0 1; do
             python -m repro.resilience.chaos --workload "$workload" --backend dict --seed "$seed"

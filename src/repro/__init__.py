@@ -75,7 +75,6 @@ __getattr__ = lazy_exports(
         "parse_program": "repro.lang",
         "Instantiation": "repro.match",
         "NaiveMatcher": "repro.match",
-        "PoolConfig": "repro.match",
         "TreatMatcher": "repro.match",
         "create_matcher": "repro.match",
         "WME": "repro.wm",
@@ -102,7 +101,6 @@ __all__ = [
     "OPS5Result",
     "ParseError",
     "ParulelEngine",
-    "PoolConfig",
     "Program",
     "ProgramBuilder",
     "ReproError",

@@ -45,7 +45,7 @@ Installed as ``parulel`` (see pyproject). Subcommands:
     diverging event between two recordings (exit 1 on divergence).
 
 The flight recorder is **on by default** for ``parulel run``: every run
-journals cycle/firing/fault events into fixed-size shared-memory rings
+journals cycle, firing and worker events into fixed-size shared-memory rings
 and writes a self-contained ``PROGRAM.blackbox`` dump on abnormal exit
 (``--blackbox PATH`` overrides the path, ``--no-flight-recorder`` turns
 the recorder off).
@@ -75,13 +75,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from repro.collector import CollectorSchedule
 from repro.core import EngineConfig, ParulelEngine
 from repro.errors import CycleLimitExceeded, ReproError
 from repro.lang import analyze_program, format_program, parse_program
-from repro.match.interface import PoolConfig
 from repro.wm.io import Fact, dump, fact_line, parse_facts_text
 
 __all__ = ["main", "parse_facts"]
@@ -205,14 +204,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if matcher is None:
         return 2
 
-    if (
-        args.matcher_timeout is not None or args.respawn_limit is not None
-    ) and args.matcher != "process":
-        print(
-            "error: --matcher-timeout/--respawn-limit require --matcher process",
-            file=sys.stderr,
-        )
-        return 2
     if args.checkpoint_every is not None and args.checkpoint_every < 1:
         print("error: --checkpoint-every must be >= 1", file=sys.stderr)
         return 2
@@ -222,8 +213,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return 2
     # A flag only one engine reads is refused under the other, not ignored.
     for flag, given, engine in (
-        ("--matcher-timeout", args.matcher_timeout is not None, "parulel"),
-        ("--respawn-limit", args.respawn_limit is not None, "parulel"),
         ("--wm-backend", args.wm_backend != "dict", "parulel"),
         ("--checkpoint-every", args.checkpoint_every is not None, "parulel"),
         ("--resume", args.resume is not None, "parulel"),
@@ -255,22 +244,26 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
         strategy = args.strategy or "lex"
         ops5 = OPS5Engine(program, strategy=strategy, matcher=matcher)
-        _assert_facts(ops5.make, args.facts, facts)
-        del facts  # loaded: the run needs no second copy of them
-        result = ops5.run(max_cycles=args.max_cycles)
-        for line in result.output:
-            print(line)
-        print(
-            f"[ops5/{strategy}] {result.cycles} cycles, "
-            f"{result.firings} firings, stopped by {result.reason}",
-            file=sys.stderr,
-        )
-        if args.stats:
-            for rule in result.fired_rules:
-                print(f"  fired {rule}", file=sys.stderr)
-        if args.dump_wm:
-            dump_wm_text(ops5.wm, args.dump_wm)
-        return 0
+        try:
+            _assert_facts(ops5.make, args.facts, facts)
+            del facts  # loaded: the run needs no second copy of them
+            result = ops5.run(max_cycles=args.max_cycles)
+            for line in result.output:
+                print(line)
+            print(
+                f"[ops5/{strategy}] {result.cycles} cycles, "
+                f"{result.firings} firings, stopped by {result.reason}",
+                file=sys.stderr,
+            )
+            if args.stats:
+                for rule in result.fired_rules:
+                    print(f"  fired {rule}", file=sys.stderr)
+            if args.dump_wm:
+                dump_wm_text(ops5.wm, args.dump_wm)
+            return 0
+        finally:
+            # A process matcher's workers must not outlive the command.
+            ops5.matcher.detach()
 
     user_trace = None
     if args.trace:
@@ -307,11 +300,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     config = EngineConfig(
         matcher=matcher,
         interference=args.interference or "error",
-        pool=(
-            PoolConfig(args.matcher_timeout, args.respawn_limit)
-            if args.matcher == "process"
-            else None
-        ),
         wm_backend=args.wm_backend,
         flight_recorder=not args.no_flight_recorder,
         blackbox_path=args.blackbox or (args.program + ".blackbox"),
@@ -342,76 +330,77 @@ def _cmd_run(args: argparse.Namespace) -> int:
         engine = ParulelEngine(
             program, config, trace=trace, tracer=obs_tracer, metrics=obs_metrics
         )
-        _assert_facts(engine.make, args.facts, facts)
-    del facts  # loaded: the run needs no second copy of them
-    if args.checkpoint_every is not None:
-        from repro.resilience.checkpoint import CheckpointStore, EngineCheckpointer
-
-        ckpt = EngineCheckpointer(engine, CheckpointStore(ckpt_path))
-
-    # Loaded and primed: from here on the collector need not look at it.
-    args.collector.freeze()
+    # From here every exit, an error's too, closes the engine: its
+    # workers and shared segments must not outlive the command.
     try:
-        result = engine.run(max_cycles=args.max_cycles)
-    except CycleLimitExceeded as exc:
-        partial = exc.partial
-        if partial is not None:
-            for line in partial.output:
-                print(line)
-        if ckpt is not None and exc.cycles_completed and ckpt.cycle != engine.cycle:
-            ckpt.save()  # salvage this run's cycles since the last save
-        if args.dump_wm:
-            dump_wm_text(engine.wm, args.dump_wm)
-        # A truncated run is exactly when you want to see where the time
-        # went — the artifacts cover the cycles that did complete.
-        _write_obs(args, obs_tracer, obs_metrics)
-        if not args.no_flight_recorder:
-            import os
+        if not args.resume:
+            _assert_facts(engine.make, args.facts, facts)
+        del facts  # loaded: the run needs no second copy of them
+        if args.checkpoint_every is not None:
+            from repro.resilience.checkpoint import (
+                CheckpointStore,
+                EngineCheckpointer,
+            )
 
-            bb_path = args.blackbox or (args.program + ".blackbox")
-            if os.path.exists(bb_path):
-                print(
-                    f"[obs] black-box dump written to {bb_path} "
-                    f"(inspect with: parulel blackbox dump {bb_path})",
-                    file=sys.stderr,
-                )
-        print(
-            f"[parulel] cycle limit hit after {exc.cycles_completed} cycles "
-            f"and {exc.firings} firings: {exc}",
-            file=sys.stderr,
-        )
-        engine.close()
-        return 1
-    for line in result.output:
-        print(line)
-    print(
-        f"[parulel] {result.cycles} cycles, {result.firings} firings "
-        f"(mean firing set {result.mean_firing_set:.1f}), stopped by "
-        f"{result.reason}",
-        file=sys.stderr,
-    )
-    if engine.fault_events:
-        from repro.resilience.events import summarize_faults
+            ckpt = EngineCheckpointer(engine, CheckpointStore(ckpt_path))
 
-        counts = summarize_faults(engine.fault_events)
-        summary = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
-        print(f"  faults: {summary}", file=sys.stderr)
-    if args.stats:
-        stats = engine.matcher.stats
-        if stats is None:
+        # Loaded and primed: from here on the collector need not look at it.
+        args.collector.freeze()
+        try:
+            result = engine.run(max_cycles=args.max_cycles)
+        except CycleLimitExceeded as exc:
+            partial = exc.partial
+            if partial is not None:
+                for line in partial.output:
+                    print(line)
+            if ckpt is not None and exc.cycles_completed and ckpt.cycle != engine.cycle:
+                ckpt.save()  # salvage this run's cycles since the last save
+            if args.dump_wm:
+                dump_wm_text(engine.wm, args.dump_wm)
+            # A truncated run is exactly when you want to see where the time
+            # went — the artifacts cover the cycles that did complete.
+            _write_obs(args, obs_tracer, obs_metrics)
+            if not args.no_flight_recorder:
+                import os
+
+                bb_path = args.blackbox or (args.program + ".blackbox")
+                if os.path.exists(bb_path):
+                    print(
+                        f"[obs] black-box dump written to {bb_path} "
+                        f"(inspect with: parulel blackbox dump {bb_path})",
+                        file=sys.stderr,
+                    )
             print(
-                f"  match: the {engine.matcher.name} backend keeps no match counters",
+                f"[parulel] cycle limit hit after {exc.cycles_completed} cycles "
+                f"and {exc.firings} firings: {exc}",
                 file=sys.stderr,
             )
-        else:
-            print(f"  match: {stats}", file=sys.stderr)
-        for name, secs in sorted(engine.phase_times.items()):
-            print(f"  phase {name}: {secs * 1000:.1f} ms", file=sys.stderr)
-    if args.dump_wm:
-        dump_wm_text(engine.wm, args.dump_wm)
-    _write_obs(args, obs_tracer, obs_metrics)
-    engine.close()
-    return 0
+            return 1
+        for line in result.output:
+            print(line)
+        print(
+            f"[parulel] {result.cycles} cycles, {result.firings} firings "
+            f"(mean firing set {result.mean_firing_set:.1f}), stopped by "
+            f"{result.reason}",
+            file=sys.stderr,
+        )
+        if args.stats:
+            stats = engine.matcher.stats
+            if stats is None:
+                print(
+                    f"  match: the {engine.matcher.name} backend keeps no match counters",
+                    file=sys.stderr,
+                )
+            else:
+                print(f"  match: {stats}", file=sys.stderr)
+            for name, secs in sorted(engine.phase_times.items()):
+                print(f"  phase {name}: {secs * 1000:.1f} ms", file=sys.stderr)
+        if args.dump_wm:
+            dump_wm_text(engine.wm, args.dump_wm)
+        _write_obs(args, obs_tracer, obs_metrics)
+        return 0
+    finally:
+        engine.close()
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
@@ -757,9 +746,6 @@ def _cmd_blackbox(args: argparse.Namespace) -> int:
         git = hdr.get("git") or {}
         if git.get("sha"):
             print(f"# git: {git.get('sha')} ({git.get('head', '?')})")
-        seed = info.get("seed")
-        if seed is not None:
-            print(f"# fault-plan seed: {seed}")
         timeline = bb.timeline()
         if args.limit is not None and len(timeline) > args.limit:
             print(
@@ -875,23 +861,6 @@ def _count(text: str) -> int:
     return value
 
 
-def _pool_setting(field: str, parse: Callable[[str], object]) -> Callable[[str], object]:
-    """argparse ``type`` of a :class:`PoolConfig` flag: ``parse`` the text,
-    then let ``PoolConfig`` check it as ``field``, so a bad value exits 2
-    naming the flag and the rule itself lives only in ``PoolConfig``."""
-
-    def convert(text: str) -> object:
-        value = parse(text)  # a ValueError here: "invalid float value"
-        try:
-            PoolConfig(**{field: value})
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-        return value
-
-    convert.__name__ = parse.__name__
-    return convert
-
-
 # One function per subcommand adds its arguments to the parser
 # ``_SUBCOMMANDS`` creates for it.
 
@@ -918,21 +887,6 @@ def _run_arguments(p_run: argparse.ArgumentParser) -> None:
         help="worker processes for --matcher process (default: usable "
         "cores, max 4); each matches its share of every rule, so more "
         "workers than rules is still more parallelism",
-    )
-    p_run.add_argument(
-        "--matcher-timeout",
-        type=_pool_setting("timeout", float),
-        default=None,
-        metavar="SECONDS",
-        help="per-worker reply deadline for --matcher process",
-    )
-    p_run.add_argument(
-        "--respawn-limit",
-        type=_pool_setting("respawn_limit", int),
-        default=None,
-        metavar="N",
-        help="per-site worker respawn budget for --matcher process; once "
-        "exhausted the site's share of the rules is matched serially in-parent",
     )
     p_run.add_argument(
         "--wm-backend",

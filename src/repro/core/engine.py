@@ -54,7 +54,7 @@ from repro.core.redaction import MetaLevel, RedactionReport
 from repro.lang.analysis import analyze_program
 from repro.lang.ast import Program, Value
 from repro.match.instantiation import InstKey, Instantiation
-from repro.match.interface import Matcher, PoolConfig, create_matcher
+from repro.match.interface import Matcher, create_matcher
 from repro.obs.metrics import NULL_METRICS
 from repro.obs.profile import (
     MATCH_OPS,
@@ -68,9 +68,8 @@ from repro.wm.memory import WorkingMemory
 from repro.wm.template import TemplateRegistry
 from repro.wm.wme import WME
 
-if TYPE_CHECKING:  # named in annotations only: a plain run loads neither
+if TYPE_CHECKING:  # named in annotations only: a plain run does not load it
     from repro.core.provenance import ProvenanceTracker
-    from repro.resilience import FaultEvent
 
 __all__ = ["ParulelEngine", "EngineConfig", "CycleReport", "RunResult"]
 
@@ -94,7 +93,7 @@ class EngineConfig(FrozenRecord):
     __slots__ = (
         "matcher", "interference", "dedupe_makes",
         "max_cycles", "max_meta_cycles", "track_provenance",
-        "pool", "wm_backend", "flight_recorder", "blackbox_path",
+        "wm_backend", "flight_recorder", "blackbox_path",
     )
 
     def __init__(
@@ -107,10 +106,6 @@ class EngineConfig(FrozenRecord):
         #: Record a :class:`~repro.core.provenance.Derivation` for every WME,
         #: enabling ``engine.explain(wme)``. Off by default (memory cost).
         track_provenance: bool = False,
-        #: The process backend's settings (``matcher="process"`` only):
-        #: reply deadline, respawn budget and injected faults, as one
-        #: :class:`~repro.match.interface.PoolConfig`.
-        pool: Optional[PoolConfig] = None,
         #: Working-memory store: ``"dict"`` (the default in-process store) or
         #: ``"columnar"`` (:class:`~repro.wm.columnar.ColumnarWorkingMemory`,
         #: shared-memory columns the process backend attaches instead of
@@ -129,7 +124,7 @@ class EngineConfig(FrozenRecord):
         self._set(
             matcher, InterferencePolicy.of(interference),
             dedupe_makes, max_cycles, max_meta_cycles, track_provenance,
-            pool, wm_backend, flight_recorder, blackbox_path,
+            wm_backend, flight_recorder, blackbox_path,
         )
         for name, limit in (
             ("max_cycles", max_cycles), ("max_meta_cycles", max_meta_cycles)
@@ -184,7 +179,7 @@ class CycleReport(Record):
     __slots__ = (
         "cycle", "conflict_set_size", "candidates", "redaction", "fired",
         "delta_removes", "delta_makes", "conflicts_resolved", "makes_deduped",
-        "writes", "halted", "fault_events",
+        "writes", "halted",
     )
 
     def __init__(
@@ -200,7 +195,6 @@ class CycleReport(Record):
         makes_deduped: int,
         writes: Optional[List[str]] = None,
         halted: bool = False,
-        fault_events: Optional[List[FaultEvent]] = None,
     ) -> None:
         self.cycle = cycle
         self.conflict_set_size = conflict_set_size
@@ -215,9 +209,6 @@ class CycleReport(Record):
         #: first (redaction phase), then the merged object-level writes.
         self.writes = [] if writes is None else writes
         self.halted = halted
-        #: Fault/recovery events the match backend reported this cycle
-        #: (worker respawns, degradations, injected kills/wedges).
-        self.fault_events = [] if fault_events is None else fault_events
 
 
 class RunResult(Record):
@@ -289,7 +280,7 @@ class ParulelEngine:
         self.metrics = metrics if metrics is not None else NULL_METRICS
         self.wm = wm if wm is not None else _build_wm(self.config, program)
         self.evaluator = ActionEvaluator(host_functions)
-        matcher_options: Dict[str, Any] = {"pool": self.config.pool}
+        matcher_options: Dict[str, Any] = {}
         if self.tracer.enabled or self.metrics.enabled:
             matcher_options["tracer"] = self.tracer
             matcher_options["metrics"] = self.metrics
@@ -307,12 +298,10 @@ class ParulelEngine:
         #: A prebuilt ``matcher`` (over ``wm``) replaces the one the config
         #: names — how the simulators put one matcher per site under the
         #: engine's cycle. The config must then name no matcher of its own.
-        if matcher is not None and (
-            self.config.matcher != "treat" or self.config.pool is not None
-        ):
+        if matcher is not None and self.config.matcher != "treat":
             raise ValueError(
                 "a prebuilt matcher= replaces the configured one: leave "
-                "EngineConfig.matcher at 'treat' and EngineConfig.pool unset"
+                "EngineConfig.matcher at 'treat'"
             )
         self.matcher: Matcher = matcher if matcher is not None else create_matcher(
             self.config.matcher,
@@ -350,10 +339,6 @@ class ParulelEngine:
         #: Wall-clock seconds per cycle phase (collect / redact / evaluate
         #: / apply), added to by each :class:`PhaseSpan` as it closes.
         self.phase_times: Counter = Counter()
-        #: All fault/recovery events surfaced by the match backend,
-        #: cumulative across the engine's life (per-cycle slices land on
-        #: each :class:`CycleReport`).
-        self.fault_events: List[FaultEvent] = []
         #: Per-cycle applied deltas ``(removed timestamps, made WMEs)`` —
         #: the audit trail checkpoints carry, rendered as
         #: ``[class, attrs, timestamp]`` records only when one is taken.
@@ -407,23 +392,10 @@ class ParulelEngine:
 
         with self._phase("match", "collect", cycle=cycle_no):
             candidates, dropped = self._collect()
-        # The match phase is where backend faults surface (worker kills,
-        # respawns, degradations); drain them now so the report for this
-        # cycle carries them even if nothing fires. The backends record
-        # their own trace instants/metrics at injection time.
-        cycle_faults = self._drain_matcher_faults()
         if flightrec is not None:
             flightrec.record(
                 self._fr.EV_CHURN, cycle_no, a=dropped, b=len(candidates)
             )
-            # A worker died (or was declared dead) this cycle: the engine
-            # survives by respawn/degradation, but the post-mortem evidence
-            # is freshest *now* — dump before the ring slides past it.
-            if cycle_faults and any(
-                e.kind in self._fr.DEATH_KINDS for e in cycle_faults
-            ):
-                kinds = ",".join(sorted({e.kind for e in cycle_faults}))
-                self._dump_blackbox(f"worker fault: {kinds}")
         if not candidates:
             return None
 
@@ -459,7 +431,6 @@ class ParulelEngine:
                     makes_deduped=0,
                     writes=meta_writes,
                     halted=self.meta.halt_requested,
-                    fault_events=cycle_faults,
                 )
             )
 
@@ -526,7 +497,6 @@ class ParulelEngine:
                 makes_deduped=merged.makes_deduped,
                 writes=meta_writes + list(merged.writes),
                 halted=halted,
-                fault_events=cycle_faults,
             )
         )
 
@@ -608,16 +578,6 @@ class ParulelEngine:
                 if delta:
                     metrics.inc(MATCH_OPS, delta, op=op)
             self._last_match_ops = snap
-
-    def _drain_matcher_faults(self) -> List[FaultEvent]:
-        """Collect fault/recovery events the match backend accumulated
-        since the last drain (serial matchers report none)."""
-        drain = getattr(self.matcher, "drain_fault_events", None)
-        if drain is None:
-            return []
-        events: List[FaultEvent] = list(drain())
-        self.fault_events.extend(events)
-        return events
 
     def _apply(self, merged: CycleDelta, deltas: Sequence[FiringDelta]) -> None:
         """Commit a cycle delta: retractions as one batch, then assertions
@@ -731,12 +691,8 @@ class ParulelEngine:
         cfg = {
             name: repr(getattr(self.config, name)) for name in EngineConfig._fields
         }
-        plan = self.config.pool.fault_plan if self.config.pool is not None else None
-        seed = getattr(plan, "seed", None)
         self.flightrec.dump(
-            path,
-            reason=reason,
-            info={"config": cfg, "seed": seed, "cycle": self._cycle},
+            path, reason=reason, info={"config": cfg, "cycle": self._cycle}
         )
         return path
 

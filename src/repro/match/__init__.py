@@ -33,7 +33,6 @@ __getattr__ = lazy_exports(
         "ConflictSet": "repro.match.instantiation",
         "Instantiation": "repro.match.instantiation",
         "Matcher": "repro.match.interface",
-        "PoolConfig": "repro.match.interface",
         "create_matcher": "repro.match.interface",
         "NaiveMatcher": "repro.match.naive",
         "MatchStats": "repro.match.stats",
@@ -49,7 +48,6 @@ __all__ = [
     "MatchStats",
     "Matcher",
     "NaiveMatcher",
-    "PoolConfig",
     "TreatMatcher",
     "compile_rule",
     "compile_rules",

@@ -11,10 +11,8 @@ what fired.
 
 from __future__ import annotations
 
-import math
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from repro._record import FrozenRecord
 from repro.lang.ast import Rule
 from repro.match.compile import CompiledRule, compile_rules
 from repro.match.instantiation import ConflictSet, InstKey, Instantiation
@@ -22,10 +20,7 @@ from repro.match.stats import MatchStats
 from repro.wm.memory import WorkingMemory
 from repro.wm.wme import WME
 
-if TYPE_CHECKING:  # named in annotations only: a plain run loads no plan
-    from repro.resilience.plan import FaultPlan
-
-__all__ = ["Matcher", "PoolConfig", "create_matcher", "MATCHER_NAMES"]
+__all__ = ["Matcher", "create_matcher", "MATCHER_NAMES"]
 
 
 class Matcher:
@@ -123,38 +118,11 @@ class Matcher:
 MATCHER_NAMES = ("treat", "naive", "process")
 
 
-class PoolConfig(FrozenRecord):
-    """The ``process`` backend's settings, checked here and nowhere else.
-
-    ``timeout`` is the per-worker reply deadline in seconds (``None``: the
-    pool's :data:`~repro.parallel.process.DEFAULT_TIMEOUT`); it must be
-    finite, or a wedged worker would hang the parent. ``respawn_limit`` is
-    the per-site crash budget before the site's share is matched in the
-    parent (``None``: unlimited). ``fault_plan`` is a
-    :class:`~repro.resilience.FaultPlan` of injected worker kills/wedges.
-    """
-
-    __slots__ = ("timeout", "respawn_limit", "fault_plan")
-
-    def __init__(
-        self,
-        timeout: Optional[float] = None,
-        respawn_limit: Optional[int] = None,
-        fault_plan: Optional[FaultPlan] = None,
-    ) -> None:
-        if timeout is not None and not 0 < timeout < math.inf:
-            raise ValueError("timeout must be a finite number > 0 seconds")
-        if respawn_limit is not None and respawn_limit < 0:
-            raise ValueError("respawn_limit must be >= 0 (None for unlimited)")
-        self._set(timeout, respawn_limit, fault_plan)
-
-
 def create_matcher(
     engine: str,
     rules: Sequence[Rule],
     wm: WorkingMemory,
     *,
-    pool: Optional[PoolConfig] = None,
     tracer=None,
     metrics=None,
     flightrec=None,
@@ -162,10 +130,8 @@ def create_matcher(
     """Instantiate a match engine by name (``treat``, ``naive`` or
     ``process``/``process:N`` for the multiprocessing fan-out).
 
-    ``pool`` (a :class:`PoolConfig`) applies only to the ``process``
-    backend; passing it for a serial engine is an error rather than a
-    silent no-op. Nothing places rules on workers: every worker matches
-    its share of every rule.
+    Nothing places rules on workers: every worker matches its share of
+    every rule.
 
     Every engine built here uses the hash-indexed join kernel; the
     nested-loop reference is built directly, as ``TreatMatcher(rules, wm,
@@ -177,8 +143,8 @@ def create_matcher(
     them to record worker lanes, IPC counts and per-worker flight rings,
     while serial engines — whose work the engine's own phase spans and
     ring records already cover — have nothing extra to record and ignore
-    them. They never change match behaviour, so unlike ``pool`` they are
-    not an error elsewhere.
+    them. They never change match behaviour, so they are not an error
+    elsewhere.
     """
     if engine == "process" or engine.startswith("process:"):
         from repro.parallel.process import ProcessMatcher
@@ -196,15 +162,9 @@ def create_matcher(
             rules,
             wm,
             n_workers=n_workers,
-            config=pool,
             tracer=tracer,
             metrics=metrics,
             flightrec=flightrec,
-        )
-
-    if pool is not None:
-        raise ValueError(
-            f"pool settings only apply to the 'process' backend, not {engine!r}"
         )
 
     # Imported here to avoid a cycle (engines import this interface), and

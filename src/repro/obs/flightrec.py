@@ -5,8 +5,7 @@ This module provides one: every :class:`~repro.core.engine.ParulelEngine`
 owns a :class:`FlightRecorder` (default-enabled, ``--no-flight-recorder``
 to opt out) holding one bounded ring per process — the engine writes cycle
 boundaries, phase durations, per-rule firings, redaction verdicts,
-conflict-set churn, checkpoint writes and fault/recovery events into
-its own ring, while each match worker writes rule-level lifecycle records
+conflict-set churn and checkpoint writes into its own ring, while each match worker writes rule-level lifecycle records
 into a POSIX shared-memory ring the *parent* created and keeps mapped, so
 the records survive a worker SIGKILL.
 
@@ -73,7 +72,6 @@ __all__ = [
     "KIND_NAMES",
     "PHASE_CODES",
     "PHASE_NAMES",
-    "DEATH_KINDS",
     "FlightRecorder",
     "FlightRing",
     "default_blackbox_path",
@@ -113,7 +111,7 @@ EV_REDACT = 4  # redaction verdict: a=candidates, b=redacted
 # b=candidates.
 EV_CHURN = 5
 EV_CHECKPOINT = 6  # checkpoint written: code 0=full, 1=delta
-EV_FAULT = 7  # fault / recovery event: code=interned kind, a=site
+EV_FAULT = 7  # fault event (no longer written; decoded): code=kind, a=site
 # Kinds 8 and 9 are retired, not free: dumps written before the runtime
 # race sanitizer was removed hold them, and they decode as ``kind#8`` /
 # ``kind#9``. Never reuse them.
@@ -151,11 +149,6 @@ KIND_NAMES: Dict[int, str] = {
 #: Engine phase ids used as ``code`` on :data:`EV_PHASE` records.
 PHASE_NAMES: Tuple[str, ...] = ("match", "redact", "act", "merge")
 PHASE_CODES: Dict[str, int] = {name: i for i, name in enumerate(PHASE_NAMES)}
-
-#: Fault kinds that mean a worker died (or was declared dead) — seeing one
-#: of these in a cycle's drained fault events triggers a crash dump even
-#: though the engine itself keeps running (degraded or respawned).
-DEATH_KINDS = frozenset({"kill", "wedge", "respawn"})
 
 #: Segment-name prefix for recorder rings; the token body matches the
 #: columnar store's ``<pid:08x>p<hex>`` format so the janitor's owner-pid
@@ -240,8 +233,7 @@ class FlightRing:
     @classmethod
     def attach(cls, name: str) -> "FlightRing":
         """Map an existing ring by segment name (worker side). The attached
-        ring continues the creator's sequence, so a respawned worker keeps
-        appending where its predecessor stopped."""
+        ring continues the creator's sequence."""
         from repro.wm.columnar import _Seg
 
         ring = cls.__new__(cls)
@@ -459,7 +451,7 @@ class FlightRecorder:
         return rid
 
     def intern(self, text: str) -> int:
-        """Intern a short string (fault kind, dump reason) to a u16 code."""
+        """Intern a short string (a dump reason) to a u16 code."""
         sid = self._string_ids.get(text)
         if sid is None:
             if len(self._strings) >= 0xFFFF:
@@ -489,11 +481,6 @@ class FlightRecorder:
         site: int = -1,
     ) -> None:
         self.ring.append(kind, cycle, code, a, b, site=site)
-
-    def record_fault(self, kind: str, site: Optional[int], cycle: int) -> None:
-        """Fault injection or recovery action (respawn, degrade), by kind name."""
-        s = site if isinstance(site, int) else -1
-        self.record(EV_FAULT, cycle, code=self.intern(kind), a=s, site=s)
 
     # -- worker rings -----------------------------------------------------
 
@@ -596,9 +583,6 @@ class NullFlightRecorder:
     enabled = False
 
     def record(self, *args: Any, **kw: Any) -> None:  # pragma: no cover
-        pass
-
-    def record_fault(self, *args: Any, **kw: Any) -> None:  # pragma: no cover
         pass
 
     def close(self) -> None:  # pragma: no cover

@@ -4,7 +4,7 @@ The engine and match backends publish per-rule series into a
 :class:`~repro.obs.metrics.MetricsRegistry` (see the metric catalog in
 ``docs/OBSERVABILITY.md``); this module folds them into one table per
 rule — match time where the backend can attribute it (process workers,
-degraded in-parent matching, the threaded pool), RHS evaluation time,
+the threaded pool), RHS evaluation time,
 candidate counts, firings, and redactions — sorted hottest first. This
 is the artifact ``parulel profile`` prints, and the answer to "which rule
 should the next optimization PR attack". Meta-rules follow the object
@@ -62,7 +62,7 @@ SITE_SKEW_RATIO = "parulel_site_skew_ratio"
 RULE_TIME_SHARE = "parulel_rule_time_share"
 #: Seconds each process-pool site spent on match requests (``site``
 #: label): in a worker from taking the request off the pipe to handing
-#: the reply over, for a degraded site the in-parent match.
+#: the reply over.
 SITE_BUSY_SECONDS = "parulel_site_busy_seconds_total"
 
 

@@ -125,7 +125,7 @@ def fault_table(events: Iterable, title: str = "fault/recovery events") -> Table
 def summarize_cycles(reports: "Sequence[CycleReport]") -> Dict[str, Union[int, float]]:
     """Aggregate a run's cycle reports into the quantities the experiment
     tables and the profiler print: firing-set statistics (including
-    p50/p95 percentiles), redaction load, delta volume, write and fault
+    p50/p95 percentiles), redaction load, delta volume and write
     counts. Counts are ints, ratios/percentiles floats — the return type
     says so honestly instead of claiming all-float."""
     if not reports:
@@ -141,7 +141,6 @@ def summarize_cycles(reports: "Sequence[CycleReport]") -> Dict[str, Union[int, f
             "meta_cycles": 0,
             "wm_changes": 0,
             "writes": 0,
-            "fault_events": 0,
         }
     fired = [r.fired for r in reports]
     redacted = [r.redaction.redacted for r in reports]
@@ -158,5 +157,4 @@ def summarize_cycles(reports: "Sequence[CycleReport]") -> Dict[str, Union[int, f
         "meta_cycles": sum(r.redaction.meta_cycles for r in reports),
         "wm_changes": sum(r.delta_removes + r.delta_makes for r in reports),
         "writes": sum(len(r.writes) for r in reports),
-        "fault_events": sum(len(r.fault_events) for r in reports),
     }

@@ -19,8 +19,6 @@ What keeps it fast and correct:
   timestamp). The sites' shares of a rule are disjoint and cover it, so a
   program with one hot rule — or one rule — still spreads over every
   worker, and no source is rewritten and no value domain enumerated.
-  Workers, the in-parent fallback and a respawn all derive the share from
-  the same ``(k, s)``.
 - **Delta shipping, routed.** Each worker owns a private working-memory
   replica. Per cycle the pool drains a
   :class:`~repro.wm.memory.DeltaRecorder` and sends each worker only the
@@ -50,31 +48,14 @@ What keeps it fast and correct:
   (LANGUAGE.md §6) and the engine sorts its candidates into it, so the
   same *set* is all it takes to run byte-identically to the sequential
   matchers (the differential suite asserts this).
-- **Robustness.** Every cycle applies a per-worker timeout; a crashed,
-  wedged, or killed worker is respawned and caught up from a snapshot of
-  the live parent memory, routed like any delta (its site's share *is*
-  the replica's contents), then
-  re-asked for its site's matches; its first reply resets the site's
-  retained set. A run survives ``kill -9`` of any worker mid-cycle (tests
-  inject exactly that).
-- **Degradation.** One policy: a lost worker is respawned at once, and
-  the site is *degraded* — its share matched in the parent, inline, for
-  the rest of the run — when its respawn budget (``respawn_limit``;
-  ``None`` = unlimited) is spent or :data:`MAX_ATTEMPTS_PER_CYCLE`
-  respawns fail within one cycle. The run stays alive — slower on that
-  site, never wrong — instead of raising
-  :class:`~repro.errors.MatchError`. Because the parent WM holds every
-  replica's contents in the same order, and the site conditions keep
-  exactly the site's share of it, degraded results are byte-identical to
-  worker results. A worker that *reports* an error still raises: a
-  deterministic error would recur on respawn. Every respawn and
-  degradation is a :class:`~repro.resilience.FaultEvent`; engines drain them
-  per cycle via :meth:`ProcessMatcher.drain_fault_events` into the
-  :class:`~repro.core.engine.CycleReport`.
-- **Fault injection.** A :class:`~repro.resilience.FaultPlan` can schedule
-  real ``SIGKILL`` (``kills``) and ``SIGSTOP`` (``wedges``) against
-  workers at a given conflict-set cycle, driving the recovery machinery
-  deterministically under test.
+- **Fail-fast.** A run matches on every site or stops: a worker that
+  reports an error, dies before replying or misses the
+  :data:`DEFAULT_TIMEOUT` reply deadline ends the cycle in a
+  :class:`~repro.errors.MatchError` naming the site and the cause. The
+  engine's crash path then writes the black box, whose worker rings —
+  owned by the parent — still hold what the lost worker was matching.
+  Waits are sliced, so a dead worker fails the cycle in well under a
+  second; only a wedged one costs the deadline.
 - **Lifecycle.** ``close()`` is idempotent, bounded (a 1 s join per worker
   before an unconditional kill — even a SIGSTOP'd worker cannot stall it),
   the pool is a context manager, and workers are daemonic so a leaked pool
@@ -91,7 +72,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
-import signal
 import time
 from multiprocessing.connection import Connection
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -100,16 +80,9 @@ from repro.collector import CollectorSchedule
 from repro.errors import MatchError
 from repro.lang.ast import Rule, Value
 from repro.match.alphaindex import AlphaCache, ColumnVectorCache
-from repro.match.compile import (
-    CompiledRule,
-    compile_rule,
-    compile_rules,
-    split_keys,
-    value_residue,
-)
+from repro.match.compile import compile_rule, split_keys, value_residue
 from repro.match.instantiation import InstKey, Instantiation
-from repro.match.interface import Matcher, PoolConfig
-from repro.match.join import enumerate_matches
+from repro.match.interface import Matcher
 from repro.match.treat import TreatMatcher
 from repro.obs.flightrec import (
     EV_MATCH_REPLY,
@@ -129,7 +102,6 @@ from repro.obs.profile import (
     VECTOR_SCAN_ROWS,
 )
 from repro.obs.trace import NULL_TRACER, TraceEvent, Tracer
-from repro.resilience import FaultEvent, FaultInjector
 from repro.wm.columnar import ColumnarReader, ColumnarWorkingMemory
 from repro.wm.memory import DeltaRecorder, WMDelta, WorkingMemory
 from repro.wm.wme import WME
@@ -144,7 +116,7 @@ MatchSummary = Tuple[str, Tuple[int, ...], Dict[str, Value]]
 #: One site's answer to a match request: ``(reset, added, removed)``. The
 #: site's retained set loses the ``removed`` keys and gains the ``added``
 #: summaries; with ``reset`` it is emptied first (a freshly started worker's
-#: first reply, and every reply of a site matched in-parent).
+#: first reply).
 SiteReply = Tuple[bool, List[MatchSummary], List[InstKey]]
 
 #: Per-reply observability payload: the worker's raw span buffer (shipped
@@ -162,15 +134,10 @@ ObsPayload = Optional[
     ]
 ]
 
-#: Per-worker, per-cycle reply deadline (seconds). Generous: it exists to
-#: unwedge a hung worker, not to police slow matches. Override per run with
-#: ``PoolConfig(timeout=...)`` or the CLI's ``--matcher-timeout``.
+#: Per-worker, per-cycle reply deadline (seconds), the pool's only one.
+#: Generous: it exists to end a run whose worker hangs, not to police slow
+#: matches.
 DEFAULT_TIMEOUT = 60.0
-
-#: A worker that cannot even come up is a deterministic failure no respawn
-#: will fix: after this many failed respawns within one cycle the site is
-#: degraded rather than spun on.
-MAX_ATTEMPTS_PER_CYCLE = 3
 
 
 def default_worker_count() -> int:
@@ -259,9 +226,8 @@ def _worker_main(
     - ``("stop",)`` — exit.
 
     Any exception is reported as ``("err", message)``; the parent raises
-    :class:`~repro.errors.MatchError` for it rather than respawning (a
-    deterministic error would recur on respawn). Liveness needs no probe:
-    the parent polls ``is_alive`` while it waits for a reply.
+    :class:`~repro.errors.MatchError` for it. Liveness needs no probe: the
+    parent polls ``is_alive`` while it waits for a reply.
 
     The conflict set is retained by a
     :class:`~repro.match.treat.TreatMatcher`, built after the first
@@ -288,8 +254,7 @@ def _worker_main(
     and journals its lifecycle (start/stop, match requests, per-rule
     begin/end, replies) into it. Because the parent owns the segment and
     keeps it mapped, those records survive this worker being SIGKILLed
-    mid-rule — that is the whole point. A respawned worker re-attaches
-    the same ring and continues the sequence.
+    mid-rule — that is the whole point.
     """
     ring: Optional[FlightRing] = None
     rule_ids: Dict[str, int] = {}
@@ -454,8 +419,7 @@ class _Router:
     the one site that key's value maps to — the only site whose memories
     can hold it. Any other class some CE reads goes to every site, and a
     class no CE reads goes to none. A pure function of the WME, so a
-    remove goes wherever its add went, and a catch-up snapshot routes
-    like the deltas it replaces.
+    remove goes wherever its add went.
     """
 
     def __init__(self, rules: Sequence[Rule], k: int) -> None:
@@ -542,7 +506,6 @@ class ProcessMatchPool:
         rules: Sequence[Rule],
         wm: WorkingMemory,
         n_workers: int,
-        config: Optional[PoolConfig] = None,
         start_method: Optional[str] = None,
         tracer=None,
         metrics=None,
@@ -550,26 +513,13 @@ class ProcessMatchPool:
     ) -> None:
         if n_workers < 1:
             raise ValueError("need at least one worker")
-        config = config if config is not None else PoolConfig()
-        fault_plan = config.fault_plan
-        if fault_plan is not None:
-            fault_plan.validate_sites(n_workers)
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else NULL_METRICS
         #: Workers only pay span-recording costs when the parent can use
-        #: them; the flag rides along on every (re)spawn.
+        #: them; the flag rides along to every worker.
         self._obs = self.tracer.enabled or self.metrics.enabled
         self.wm = wm
-        #: Parent-side alpha cache for degraded sites, created on first
-        #: degradation (no listener overhead while every worker is healthy).
-        self._parent_alpha: Optional[AlphaCache] = None
         self.n_workers = n_workers
-        # An unconfigured timeout must never mean "wait forever": a worker
-        # that dies between request and reply would hang the parent.
-        self.timeout = (
-            config.timeout if config.timeout is not None else DEFAULT_TIMEOUT
-        )
-        self.respawn_limit = config.respawn_limit
         self._rules: Tuple[Rule, ...] = tuple(rules)
         self._rules_by_name: Dict[str, Rule] = {r.name: r for r in rules}
         #: The sites given a process: all of them, each with its share of
@@ -603,7 +553,7 @@ class ProcessMatchPool:
             self._recorder = DeltaRecorder(wm)
             self._router = _Router(self._rules, n_workers)
         #: Sites whose worker has attached the shared columns (columnar
-        #: mode only; reset on respawn).
+        #: mode only).
         self._attached: Set[int] = set()
         #: Per site, the instantiations its matcher currently retains,
         #: by identity. Edited by each :data:`SiteReply`.
@@ -613,36 +563,23 @@ class ProcessMatchPool:
         self._fired: Dict[int, List[InstKey]] = {}
         self._conns: Dict[int, Connection] = {}
         self._procs: Dict[int, multiprocessing.process.BaseProcess] = {}
-        #: Workers respawned after a crash/timeout (tests assert on this).
-        self.respawns = 0
-        #: Per-site respawn counts, charged against ``respawn_limit``.
-        self.site_respawns: Dict[int, int] = {}
-        #: Sites matched in-parent for the rest of the run: the respawn
-        #: budget ran out, or respawns kept failing within one cycle.
-        self.degraded_sites: Set[int] = set()
-        self._site_compiled: Dict[int, Tuple[CompiledRule, ...]] = {}
-        self._injector: Optional[FaultInjector] = (
-            fault_plan.injector() if fault_plan is not None else None
-        )
-        self._fault_events: List[FaultEvent] = []
-        self._cycle = 0
         self._closed = False
         #: Flight recorder (parent-owned). Each active site gets a
-        #: parent-created shared-memory ring; the spec rides along on every
-        #: (re)spawn so even a replacement worker journals into the *same*
-        #: ring — the parent can decode it after any SIGKILL.
-        self._flightrec = flightrec
-        self._flight_specs: Dict[int, Optional[Tuple[str, Dict[str, int]]]] = {}
+        #: parent-created shared-memory ring, handed to its worker at spawn:
+        #: the parent can decode it after the worker is SIGKILLed.
+        flight_specs: Dict[int, Optional[Tuple[str, Dict[str, int]]]] = {}
         if flightrec is not None:
             names = [r.name for r in rules]
             for site in self.active_sites:
-                self._flight_specs[site] = flightrec.worker_spec(site, names)
+                flight_specs[site] = flightrec.worker_spec(site, names)
         for site in self.active_sites:
-            self._spawn(site)
+            self._spawn(site, flight_specs.get(site))
 
     # -- worker management -------------------------------------------------
 
-    def _spawn(self, site: int) -> None:
+    def _spawn(
+        self, site: int, flight: Optional[Tuple[str, Dict[str, int]]]
+    ) -> None:
         parent_conn, child_conn = self._ctx.Pipe()
         proc = self._ctx.Process(
             target=_worker_main,
@@ -651,7 +588,7 @@ class ProcessMatchPool:
                 self._rules,
                 (self.n_workers, site),
                 self._obs,
-                self._flight_specs.get(site),
+                flight,
             ),
             name=f"parulel-match-site{site}",
             daemon=True,
@@ -671,38 +608,6 @@ class ProcessMatchPool:
             for wme in wmes:
                 by_ts.pop(wme.timestamp, None)
 
-    def _kill(self, site: int) -> None:
-        proc = self._procs.get(site)
-        if proc is not None and proc.is_alive():
-            proc.kill()
-            proc.join()
-        conn = self._conns.get(site)
-        if conn is not None:
-            conn.close()
-        self._attached.discard(site)
-
-    def _record(self, kind: str, site: int, detail: str = "") -> None:
-        event = FaultEvent(cycle=self._cycle, kind=kind, site=site, detail=detail)
-        self._fault_events.append(event)
-        # The pool is where these events originate, so it is the one place
-        # they become trace instants and fault-metric counts (the engine
-        # only attaches the drained events to its CycleReport).
-        if self.tracer.enabled:
-            self.tracer.instant(
-                kind, lane=f"worker-{site}", cycle=self._cycle, detail=detail
-            )
-        if self.metrics.enabled:
-            self.metrics.inc("parulel_fault_events_total", kind=kind)
-            if kind == "respawn":
-                self.metrics.inc("parulel_worker_respawns_total", site=site)
-        if self._flightrec is not None:
-            self._flightrec.record_fault(kind, site, self._cycle)
-
-    def drain_fault_events(self) -> List[FaultEvent]:
-        """Fault/recovery events since the last drain (engine hook)."""
-        out, self._fault_events = self._fault_events, []
-        return out
-
     def _try_send(self, site: int, msg: tuple) -> bool:
         try:
             self._conns[site].send(msg)
@@ -710,7 +615,14 @@ class ProcessMatchPool:
         except (BrokenPipeError, OSError):
             return False
 
-    def _try_send_bytes(self, site: int, blob: bytes) -> bool:
+    def _lost(self, site: int, cause: str) -> MatchError:
+        """The error a run ends in when a site's worker stops answering."""
+        proc = self._procs.get(site)
+        if proc is not None and proc.exitcode is not None:
+            cause += f"; the worker exited with code {proc.exitcode}"
+        return MatchError(f"match worker for site {site} lost: {cause}")
+
+    def _send_bytes(self, site: int, blob: bytes) -> None:
         """Ship an already-pickled message. ``Connection.recv`` unpickles
         whatever bytes arrive, so ``send_bytes(pickle.dumps(msg))`` is
         wire-identical to ``send(msg)`` — but serialized exactly once,
@@ -718,36 +630,37 @@ class ProcessMatchPool:
         old scatter path pickled a second time just to measure)."""
         try:
             self._conns[site].send_bytes(blob)
-            return True
-        except (BrokenPipeError, OSError):
-            return False
+        except (BrokenPipeError, OSError) as exc:
+            raise self._lost(site, f"request not delivered ({exc})") from None
 
-    def _recv(self, site: int) -> Optional[SiteReply]:
+    def _recv(self, site: int) -> SiteReply:
         """One worker reply (observability payload ingested as a side
-        effect), or ``None`` when the worker is dead or wedged.
+        effect). A worker that reports an error, dies before replying or
+        misses :data:`DEFAULT_TIMEOUT` raises
+        :class:`~repro.errors.MatchError` naming the site.
 
-        Waits under a bounded deadline no matter how the pool was
-        configured, polling in short slices so a worker that died *after*
-        the request was sent fails over in well under a second instead of
-        burning the whole reply deadline (or, with no usable timeout,
-        blocking forever — the hang this replaces)."""
+        Polls in short slices, so a worker that died *after* the request
+        was sent fails in well under a second instead of burning the whole
+        deadline."""
         conn = self._conns[site]
-        deadline = time.monotonic() + self.timeout
+        deadline = time.monotonic() + DEFAULT_TIMEOUT
         try:
             while True:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
-                    return None  # wedged past the deadline
+                    raise self._lost(
+                        site, f"no reply within the {DEFAULT_TIMEOUT:g} s deadline"
+                    )
                 if conn.poll(min(0.25, remaining)):
                     break
                 proc = self._procs.get(site)
                 if proc is not None and not proc.is_alive() and not conn.poll(0):
-                    return None  # died before replying, nothing buffered
+                    raise self._lost(site, "worker died before replying")
             # recv() is recv_bytes() + unpickle; split so the reply's exact
             # size is known (only this pool's own workers write to the pipe).
             blob = conn.recv_bytes()
         except (EOFError, OSError):
-            return None
+            raise self._lost(site, "worker died before replying") from None
         tag, payload = pickle.loads(blob)
         if tag == "err":
             raise MatchError(f"match worker for site {site} failed: {payload}")
@@ -782,158 +695,6 @@ class ProcessMatchPool:
                         VECTOR_PROBE_FALLBACK, vec_stats["fallback"], site=site
                     )
 
-    def _degrade(self, site: int, reason: str) -> SiteReply:
-        """Stop respawning the site's worker and match its share in the
-        parent for the rest of the run.
-
-        The parent working memory holds exactly what the worker's replica
-        held (the replica was built from the parent's deltas), and both
-        iterate class buckets in timestamp order, so the in-parent matches
-        are byte-identical to what the worker would have returned.
-        """
-        self._kill(site)
-        self._procs.pop(site, None)
-        self._conns.pop(site, None)
-        self.degraded_sites.add(site)
-        self._record(
-            "degrade",
-            site,
-            detail=(
-                f"{reason}; its share of {len(self._rules)} rule(s) now "
-                f"matched in-parent"
-            ),
-        )
-        if self.metrics.enabled:
-            self.metrics.set_gauge("parulel_site_mode", 1, site=site)
-        return self._parent_match(site)
-
-    def _parent_match(self, site: int) -> SiteReply:
-        """Serial in-parent match of one (degraded) site's share of the
-        rules — compiled from the same ``(k, s)`` its worker compiled
-        from: a full enumeration every cycle, so always a ``reset`` reply
-        — whatever the site's worker last reported is replaced, never
-        patched.
-
-        Spans stay on the site's ``worker-<site>`` lane — the lane shows
-        where the site's match work went, which after degradation is the
-        parent's clock."""
-        compiled = self._site_compiled.get(site)
-        if compiled is None:
-            compiled = compile_rules(self._rules, site=(self.n_workers, site))
-            self._site_compiled[site] = compiled
-        if self._parent_alpha is None:
-            self._parent_alpha = AlphaCache(self.wm)
-            self._parent_alpha.attach()
-        out: List[MatchSummary] = []
-        obs = self.metrics.enabled
-        with self.tracer.span(
-            "match (degraded, in-parent)", lane=f"worker-{site}", cycle=self._cycle
-        ):
-            for cr in compiled:
-                t0 = time.perf_counter() if obs else 0.0
-                out.extend(
-                    _summary(inst)
-                    for inst in enumerate_matches(
-                        cr, self.wm, alpha_source=self._parent_alpha
-                    )
-                )
-                if obs:
-                    seconds = time.perf_counter() - t0
-                    self.metrics.observe(
-                        RULE_MATCH_SECONDS, seconds, rule=cr.name, site=site
-                    )
-                    self.metrics.inc(SITE_BUSY_SECONDS, seconds, site=site)
-        return True, out, []
-
-    def _respawn_and_match(self, site: int) -> SiteReply:
-        """Replace a dead/wedged worker, catch it up, re-match.
-
-        Respawns are immediate. The site is degraded instead once its
-        respawn budget is spent, or after :data:`MAX_ATTEMPTS_PER_CYCLE`
-        failed respawns within one cycle; the budget is checked first.
-        """
-        attempts = 0
-        while True:
-            used = self.site_respawns.get(site, 0)
-            if self.respawn_limit is not None and used >= self.respawn_limit:
-                return self._degrade(
-                    site, f"respawn budget ({self.respawn_limit}) exhausted"
-                )
-            if attempts >= MAX_ATTEMPTS_PER_CYCLE:
-                return self._degrade(
-                    site, f"{attempts} consecutive respawns failed in one cycle"
-                )
-            attempts += 1
-            self._kill(site)
-            self._spawn(site)
-            self.respawns += 1
-            self.site_respawns[site] = used + 1
-            self._record(
-                "respawn",
-                site,
-                detail=f"attempt {used + 1}"
-                + (
-                    f" of {self.respawn_limit}"
-                    if self.respawn_limit is not None
-                    else ""
-                ),
-            )
-            if self._catch_up_and_request(site):
-                reply = self._recv(site)
-                if reply is not None:
-                    return reply
-
-    def _catch_up_and_request(self, site: int) -> bool:
-        """Bring a freshly (re)spawned worker current and ask it to match.
-
-        Columnar mode: ship the attach spec (the worker scans the shared
-        liveness snapshot) plus a cursor-only match request. Delta mode:
-        ship the site's share of the live memory as one delta — this
-        cycle's increment is already drained into it, and it is what the
-        replica must hold, at a cost of the live size rather than the
-        run's history. Either way the messages are pickled exactly once
-        and their sizes feed the IPC byte metrics.
-        """
-        if self._shared:
-            wm: ColumnarWorkingMemory = self.wm  # type: ignore[assignment]
-            spec_blob = pickle.dumps(
-                ("attach", wm.attach_spec()), protocol=pickle.HIGHEST_PROTOCOL
-            )
-            match_blob = pickle.dumps(
-                ("match-shm", wm.refresh_info(), ()),
-                protocol=pickle.HIGHEST_PROTOCOL,
-            )
-            if not self._try_send_bytes(site, spec_blob):
-                return False
-            self._attached.add(site)
-            ok = self._try_send_bytes(site, match_blob)
-            sent_bytes = len(spec_blob) + (len(match_blob) if ok else 0)
-        else:
-            share = self._router.deal(self.wm.snapshot())[site]
-            blob = _match_request(share, (), ())
-            ok = self._try_send_bytes(site, blob)
-            sent_bytes = len(blob) if ok else 0
-        if self.metrics.enabled and sent_bytes:
-            self.metrics.inc("parulel_ipc_messages_total", direction="request")
-            self.metrics.inc("parulel_ipc_bytes_total", sent_bytes, site=site)
-        return ok
-
-    def _inject_faults(self) -> None:
-        """Apply this cycle's scheduled worker kills/wedges (real signals)."""
-        assert self._injector is not None
-        for kill in self._injector.kills_at(self._cycle):
-            proc = self._procs.get(kill.site)
-            if proc is not None and proc.is_alive():
-                proc.kill()
-                proc.join()
-                self._record("kill", kill.site, detail="injected SIGKILL")
-        if hasattr(signal, "SIGSTOP"):
-            for wedge in self._injector.wedges_at(self._cycle):
-                proc = self._procs.get(wedge.site)
-                if proc is not None and proc.is_alive():
-                    os.kill(proc.pid, signal.SIGSTOP)
-                    self._record("wedge", wedge.site, detail="injected SIGSTOP")
-
     # -- the conflict set ---------------------------------------------------
 
     def conflict_set(self) -> List[Instantiation]:
@@ -944,25 +705,18 @@ class ProcessMatchPool:
         the last call; columnar mode ships only journal cursors (workers
         read the shared columns directly). Each site replies with the
         change to its retained set, and the sets — disjoint by
-        construction — are laid end to end. Crashed or unresponsive
-        workers are respawned and caught up transparently; sites past
-        their respawn budget are matched in-parent.
+        construction — are laid end to end. A lost worker raises
+        :class:`~repro.errors.MatchError` naming its site.
         """
         if self._closed:
             raise MatchError("ProcessMatchPool is closed")
-        self._cycle += 1
-        if self._injector is not None:
-            self._inject_faults()
 
-        # Fan the request out to every live worker before collecting any
-        # reply, so sites match concurrently; then merge in deterministic
-        # order (degraded sites are matched serially in-parent). Both modes
-        # pickle each message exactly once and ship the bytes, so the IPC
-        # byte metrics count precisely what crossed the pipes.
+        # Fan the request out to every worker before collecting any reply,
+        # so sites match concurrently; then merge in deterministic order.
+        # Both modes pickle each message exactly once and ship the bytes,
+        # so the IPC byte metrics count precisely what crossed the pipes.
         metrics = self.metrics
-        sent: Dict[int, bool] = {}
-        # Each request carries its site's fired keys; a site that gets none
-        # (degraded, or respawned and caught up afresh) has no use for them.
+        # Each request carries its site's fired keys.
         fired, self._fired = self._fired, {}
         if self._shared:
             # Columnar mode: the data already lives in shared memory. The
@@ -973,31 +727,23 @@ class ProcessMatchPool:
             info = wm.cycle_info()
             spec_blob: Optional[bytes] = None
             for site in self.active_sites:
-                if site in self.degraded_sites:
-                    sent[site] = False
-                    continue
                 site_bytes = 0
-                ok = True
                 if site not in self._attached:
                     if spec_blob is None:
                         spec_blob = pickle.dumps(
                             ("attach", wm.attach_spec()),
                             protocol=pickle.HIGHEST_PROTOCOL,
                         )
-                    ok = self._try_send_bytes(site, spec_blob)
-                    if ok:
-                        self._attached.add(site)
-                        site_bytes += len(spec_blob)
-                if ok:
-                    match_blob = pickle.dumps(
-                        ("match-shm", info, fired.get(site, ())),
-                        protocol=pickle.HIGHEST_PROTOCOL,
-                    )
-                    ok = self._try_send_bytes(site, match_blob)
-                    if ok:
-                        site_bytes += len(match_blob)
-                sent[site] = ok
-                if ok and metrics.enabled:
+                    self._send_bytes(site, spec_blob)
+                    self._attached.add(site)
+                    site_bytes += len(spec_blob)
+                match_blob = pickle.dumps(
+                    ("match-shm", info, fired.get(site, ())),
+                    protocol=pickle.HIGHEST_PROTOCOL,
+                )
+                self._send_bytes(site, match_blob)
+                site_bytes += len(match_blob)
+                if metrics.enabled:
                     metrics.inc("parulel_ipc_messages_total", direction="request")
                     metrics.inc("parulel_ipc_bytes_total", site_bytes, site=site)
         else:
@@ -1008,26 +754,16 @@ class ProcessMatchPool:
             adds = self._router.deal(delta.adds)
             removes = self._router.deal(removed)
             for site in self.active_sites:
-                if site in self.degraded_sites:
-                    sent[site] = False
-                    continue
                 blob = _match_request(
                     adds[site], removes[site], fired.get(site, ())
                 )
-                ok = self._try_send_bytes(site, blob)
-                sent[site] = ok
-                if ok and metrics.enabled:
+                self._send_bytes(site, blob)
+                if metrics.enabled:
                     metrics.inc("parulel_ipc_messages_total", direction="request")
                     metrics.inc("parulel_ipc_bytes_total", len(blob), site=site)
         merged: List[Instantiation] = []
         for site in self.active_sites:
-            if site in self.degraded_sites:
-                reply = self._parent_match(site)
-            else:
-                reply = self._recv(site) if sent[site] else None
-                if reply is None:
-                    reply = self._respawn_and_match(site)
-            merged.extend(self._apply_reply(site, reply).values())
+            merged.extend(self._apply_reply(site, self._recv(site)).values())
         return merged
 
     def _apply_reply(
@@ -1082,8 +818,6 @@ class ProcessMatchPool:
                 self.wm.remove_listener(self._ts_listener)
             except ValueError:  # already removed (e.g. the WM was reset)
                 pass
-        if self._parent_alpha is not None:
-            self._parent_alpha.detach()
         for site in list(self._procs):
             self._try_send(site, ("stop",))
         for site, proc in list(self._procs.items()):
@@ -1128,7 +862,6 @@ class ProcessMatcher(Matcher):
         rules: Sequence[Rule],
         wm: WorkingMemory,
         n_workers: Optional[int] = None,
-        config: Optional[PoolConfig] = None,
         tracer=None,
         metrics=None,
         flightrec=None,
@@ -1142,7 +875,6 @@ class ProcessMatcher(Matcher):
             rules,
             wm,
             n_workers,
-            config,
             tracer=tracer,
             metrics=metrics,
             flightrec=flightrec,
@@ -1169,11 +901,6 @@ class ProcessMatcher(Matcher):
         by what fired, which the engine filters out, and the next WM
         change replaces it."""
         self.pool.consume(keys)
-
-    def drain_fault_events(self) -> List[FaultEvent]:
-        """Respawn/degrade/injection events since the last drain — the
-        engine attaches them to the cycle's report."""
-        return self.pool.drain_fault_events()
 
     def detach(self) -> None:
         super().detach()

@@ -6,23 +6,21 @@ holds both halves of that story (see ``docs/RESILIENCE.md``):
 
 - :mod:`repro.resilience.plan` — seeded :class:`FaultPlan` descriptions
   (site crashes with optional rejoin, message drop/duplication/delay,
-  straggler sites, real worker kills/wedges) and the per-run
-  :class:`FaultInjector`;
+  straggler sites) and the per-run :class:`FaultInjector`;
 - :mod:`repro.resilience.events` — the structured :class:`FaultEvent`
   records every injection and recovery action leaves behind, surfaced on
-  :class:`~repro.lab.distributed.DistResult` and
-  :class:`~repro.core.engine.CycleReport`;
+  :class:`~repro.lab.distributed.DistResult`;
 - :mod:`repro.resilience.checkpoint` — atomic, digest-framed checkpoint
   envelopes; a keep-last-K rotating store with cheap delta checkpoints
   between full snapshots; last-good fallback on corruption;
 - :mod:`repro.resilience.janitor` — startup sweep reclaiming orphaned
   ``/dev/shm`` segments left by SIGKILLed columnar-store owners.
 
-Live recovery lives with each substrate: the distributed machine re-hosts
-a dead site's rules on survivors and charges a rejoining site the replay
-of the cumulative delta log; the process pool respawns crashed workers
-within a budget and then degrades the site to an in-parent serial
-matcher.
+Simulated recovery lives with the distributed machine: it re-hosts a
+dead site's rules on survivors and charges a rejoining site the replay of
+the cumulative delta log. The process pool does not recover: a lost
+worker ends the run in a :class:`~repro.errors.MatchError`, and a real
+run resumes from its checkpoint store.
 
 The chaos harness lives in :mod:`repro.resilience.chaos`; it imports the
 engine, so it is deliberately *not* re-exported here.
@@ -30,9 +28,9 @@ engine, so it is deliberately *not* re-exported here.
 
 from repro._lazy import lazy_exports
 
-#: Resolved on first use (PEP 562): the process pool needs the fault
-#: types, not the checkpoint store or the janitor, and recording a fault
-#: event does not load the seeded plan machinery (and ``random``).
+#: Resolved on first use (PEP 562): recording a fault event does not load
+#: the checkpoint store, the janitor or the seeded plan machinery (and
+#: ``random``).
 __getattr__ = lazy_exports(
     __name__,
     {
@@ -52,8 +50,6 @@ __getattr__ = lazy_exports(
         "FaultPlan": "repro.resilience.plan",
         "SiteCrash": "repro.resilience.plan",
         "Straggler": "repro.resilience.plan",
-        "WorkerKill": "repro.resilience.plan",
-        "WorkerWedge": "repro.resilience.plan",
     },
 )
 
@@ -68,8 +64,6 @@ __all__ = [
     "JanitorReport",
     "SiteCrash",
     "Straggler",
-    "WorkerKill",
-    "WorkerWedge",
     "apply_delta_state",
     "load_checkpoint_file",
     "read_envelope",

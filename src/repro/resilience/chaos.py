@@ -9,18 +9,13 @@ This module turns that claim into a differential test:
    output, the cycle count, and the final working memory (as facts text —
    the byte-level artifact compared at the end).
 2. **Chaos run.** Execute the same workload on the process match backend
-   under a seeded :class:`~repro.resilience.FaultPlan` of real worker
-   ``SIGKILL``\\ s — absorbed by the pool's one recovery policy (respawn,
-   then match the site's share in the parent once its budget is spent) —
-   and a rotating :class:`~repro.resilience.checkpoint.CheckpointStore`
-   written every cycle. At a seeded cycle the run "crashes" (it simply
-   stops — a real crash executes no cleanup either). With the columnar
-   backend, a seeded mid-run fault also unlinks one live ``/dev/shm``
-   segment, so a worker respawned after it cannot re-attach: the worker
-   reports the error, the run ends in a typed
-   :class:`~repro.errors.MatchError` naming the site
-   (:attr:`ChaosResult.error`), and the engine's cycle at that moment is
-   the crash point.
+   with a rotating :class:`~repro.resilience.checkpoint.CheckpointStore`
+   written every cycle. After a seeded cycle the harness ``SIGKILL``\\ s a
+   seeded worker; the next cycle's match finds it gone and the run ends
+   in a typed :class:`~repro.errors.MatchError` naming the site
+   (:attr:`ChaosResult.error`). The engine's cycle at that moment is the
+   crash point. With the columnar backend, a seeded earlier cycle also
+   unlinks one live ``/dev/shm`` segment out from under the store.
 3. **Corruption.** The newest checkpoint file is truncated at a seeded
    offset — the torn write a ``kill -9`` during checkpointing produces.
 4. **Recovery.** A fresh engine restores from the store (which must fall
@@ -31,12 +26,12 @@ This module turns that claim into a differential test:
    the final WM bytes must all equal the clean run's, for ``dict`` and
    ``columnar`` WM backends alike.
 6. **Black box.** The chaos engine runs with the (default-on) flight
-   recorder and a pinned dump path. The injected worker ``SIGKILL``\\ s
-   must have produced a ``*.blackbox`` dump that decodes
-   (:func:`~repro.obs.blackbox.load_blackbox`), and for every killed
-   site whose ring saw any match work, the post-mortem "last in-flight
-   rule" query must name a rule of the program — the shared-memory ring
-   outlives the killed worker, which is the recorder's core claim.
+   recorder and a pinned dump path. The ``MatchError`` must have produced
+   a ``*.blackbox`` dump that decodes
+   (:func:`~repro.obs.blackbox.load_blackbox`), and if the killed site's
+   ring saw any match work, the post-mortem "last in-flight rule" query
+   must name a rule of the program — the shared-memory ring outlives the
+   killed worker, which is the recorder's core claim.
 7. **Janitor.** A child process building a columnar store is SIGKILLed
    mid-life (leaving real orphaned segments);
    :func:`~repro.resilience.janitor.sweep_orphans` must reclaim exactly
@@ -63,12 +58,10 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core import EngineConfig, ParulelEngine
 from repro.errors import MatchError
-from repro.match.interface import PoolConfig
 from repro.obs.blackbox import load_blackbox
 from repro.programs import REGISTRY
 from repro.resilience.checkpoint import CheckpointStore, EngineCheckpointer
 from repro.resilience.janitor import sweep_orphans
-from repro.resilience.plan import FaultPlan, WorkerKill
 from repro.wm.io import dumps as dump_wm_text
 
 __all__ = ["ChaosResult", "run_chaos", "kill_columnar_child", "main"]
@@ -89,10 +82,12 @@ class ChaosResult:
     crash_cycle: int
     restored_cycle: int
     skipped: List[Tuple[str, str]] = field(default_factory=list)
+    #: What the harness did to the chaos run: ``kill`` (a worker
+    #: SIGKILLed), ``unlink`` (a columnar segment's name removed).
     fault_kinds: Dict[str, int] = field(default_factory=dict)
     mismatches: List[str] = field(default_factory=list)
-    #: The typed error that ended the chaos run early, if one did (the
-    #: columnar scenario's failed re-attach); recovery is still checked.
+    #: The typed error that ended the chaos run — the lost worker's
+    #: :class:`~repro.errors.MatchError`; recovery is still checked.
     error: Optional[str] = None
 
     @property
@@ -109,7 +104,7 @@ class ChaosResult:
             f"[chaos] {self.workload}/{self.backend} seed={self.seed}: {verdict}",
             f"  clean run: {self.clean_cycles} cycles; crashed at cycle "
             f"{self.crash_cycle}, restored at cycle {self.restored_cycle}",
-            f"  faults injected/absorbed: {faults}",
+            f"  faults injected: {faults}",
         ]
         if self.error is not None:
             lines.append(f"  chaos run ended in: {self.error}")
@@ -118,10 +113,10 @@ class ChaosResult:
         return "\n".join(lines)
 
 
-def _drive(engine: ParulelEngine, on_cycle=None, stop_at: Optional[int] = None):
-    """Step an engine to quiescence (or ``stop_at`` cycles), returning the
-    ``(cycle, fired)`` sequence. ``on_cycle`` runs after every report —
-    the chaos run checkpoints there."""
+def _drive(engine: ParulelEngine, on_cycle=None):
+    """Step an engine to quiescence, returning the ``(cycle, fired)``
+    sequence. ``on_cycle`` runs after every report — the chaos run
+    checkpoints and kills a worker there."""
     seq: List[Tuple[int, int]] = []
     while not engine.halted:
         report = engine.step()
@@ -130,8 +125,6 @@ def _drive(engine: ParulelEngine, on_cycle=None, stop_at: Optional[int] = None):
         seq.append((report.cycle, report.fired))
         if on_cycle is not None:
             on_cycle(report)
-        if stop_at is not None and engine.cycle >= stop_at:
-            break
     return seq
 
 
@@ -171,10 +164,7 @@ def run_chaos(
 
     # -- 2. chaos run ---------------------------------------------------------
     crash_cycle = rng.randint(3, clean_cycles - 1)
-    kills = tuple(
-        WorkerKill(cycle=rng.randint(1, crash_cycle), site=rng.randrange(N_WORKERS))
-        for _ in range(2)
-    )
+    kill_site = rng.randrange(N_WORKERS)
     tmp = tempfile.mkdtemp(prefix="parulel-chaos-")
     store_dir = os.path.join(tmp, "ckpt")
     blackbox_path = os.path.join(tmp, "chaos.blackbox")
@@ -184,9 +174,6 @@ def run_chaos(
         EngineConfig(
             matcher=f"process:{N_WORKERS}",
             wm_backend=backend,
-            pool=PoolConfig(
-                timeout=30.0, fault_plan=FaultPlan(seed=seed, kills=kills)
-            ),
             blackbox_path=blackbox_path,
         ),
     )
@@ -197,39 +184,38 @@ def run_chaos(
 
     unlink_at = rng.randint(2, crash_cycle) if backend == "columnar" else None
     chaos_seq: List[Tuple[int, int]] = []
+    fault_kinds: Dict[str, int] = {}
 
     def on_cycle(report) -> None:
         chaos_seq.append((report.cycle, report.fired))
         if unlink_at is not None and report.cycle == unlink_at:
             # Tear one live shared segment out from under the store: the
-            # parent's mapping survives (unlink removes only the name) but
-            # any respawned worker's re-attach now fails deterministically.
+            # mappings survive (unlink removes only the name).
             names = chaos.wm.segment_names
             victim = names[rng.randrange(len(names))]
             try:
                 os.unlink(os.path.join("/dev/shm", victim))
             except FileNotFoundError:
                 pass
+            fault_kinds["unlink"] = fault_kinds.get("unlink", 0) + 1
         if report.cycle % checkpoint_every == 0:
             ckpt.save()
+        if report.cycle == crash_cycle:
+            proc = chaos.matcher.pool._procs[kill_site]
+            proc.kill()
+            proc.join()
+            fault_kinds["kill"] = fault_kinds.get("kill", 0) + 1
 
     error: Optional[str] = None
     try:
-        _drive(chaos, on_cycle=on_cycle, stop_at=crash_cycle)
+        _drive(chaos, on_cycle=on_cycle)
     except MatchError as exc:
-        # A respawned worker could not re-attach the unlinked segment: the
-        # run ends here, and this is where it "crashed".
+        # The lost worker ends the run: this is where it "crashed".
         error = str(exc)
-        crash_cycle = chaos.cycle
-    fault_kinds: Dict[str, int] = {}
-    killed_sites: List[int] = []
-    for event in chaos.fault_events:
-        fault_kinds[event.kind] = fault_kinds.get(event.kind, 0) + 1
-        if event.kind == "kill" and event.site not in killed_sites:
-            killed_sites.append(event.site)
-    # The "crash": the run just stops. close() stands in for the kernel
-    # reaping the process — it must not be load-bearing for recovery (all
-    # durable state is already in the store).
+    crash_cycle = chaos.cycle
+    # close() stands in for the kernel reaping the process — it must not
+    # be load-bearing for recovery (all durable state is already in the
+    # store).
     chaos.close()
 
     # -- 3. corruption ----------------------------------------------------
@@ -262,6 +248,11 @@ def run_chaos(
         fault_kinds=fault_kinds,
         error=error,
     )
+    if error is None:
+        result.mismatches.append(
+            f"the chaos run did not end in MatchError after the SIGKILL of "
+            f"site {kill_site}'s worker"
+        )
     merged_seq = [
         (c, f) for c, f in chaos_seq if c <= restored_cycle
     ] + recovered_seq
@@ -284,14 +275,14 @@ def run_chaos(
     recovered.close()
 
     # -- 6. black box -------------------------------------------------------
-    # Any worker death observed during the chaos run must have left a
-    # decodable post-mortem dump behind: the shared-memory rings belong to
-    # the parent, so even a SIGKILLed worker's journal survives into it.
-    if killed_sites:
+    # The MatchError must have left a decodable post-mortem dump behind:
+    # the shared-memory rings belong to the parent, so even a SIGKILLed
+    # worker's journal survives into it.
+    if error is not None:
+        killed_sites = [kill_site] if fault_kinds.get("kill") else []
         if not os.path.exists(blackbox_path):
             result.mismatches.append(
-                f"no blackbox dump at {blackbox_path} after "
-                f"{fault_kinds.get('kill', 0)} injected SIGKILL(s)"
+                f"no blackbox dump at {blackbox_path} after: {error}"
             )
         else:
             try:

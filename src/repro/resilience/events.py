@@ -3,10 +3,10 @@
 Every fault a :class:`~repro.resilience.plan.FaultPlan` injects — and
 every recovery action an execution substrate takes in response — is
 recorded as a :class:`FaultEvent`. The distributed machine surfaces them on
-:class:`~repro.lab.distributed.DistResult`, the process pool exposes
-them via ``drain_fault_events()`` so the engine can attach them to the
-cycle's :class:`~repro.core.engine.CycleReport`, and the fault benchmark
-(fig. 6) aggregates them with :func:`summarize_faults`.
+:class:`~repro.lab.distributed.DistResult`, and the fault benchmark
+(fig. 6) aggregates them with :func:`summarize_faults`. The process pool
+records none: a lost worker ends its run in a
+:class:`~repro.errors.MatchError`.
 
 Event kinds are flat strings rather than an enum so substrates can add
 their own without a central registry; the well-known ones are listed in
@@ -21,18 +21,13 @@ from typing import Iterable, Optional
 
 __all__ = ["FaultEvent", "KNOWN_KINDS", "summarize_faults"]
 
-#: Event kinds emitted by the bundled substrates. Injected faults:
-#: ``crash`` (site death), ``kill``/``wedge`` (process worker SIGKILL /
-#: SIGSTOP), ``drop``/``duplicate``/``delay`` (message faults),
+#: Event kinds the distributed machine emits. Injected faults: ``crash``
+#: (site death), ``drop``/``duplicate``/``delay`` (message faults),
 #: ``straggler`` (slow site). Recovery actions: ``detect`` (missed
 #: gather), ``redistribute`` (rules re-hosted on survivors), ``rejoin``
-#: (site back, charged as replaying the delta log), ``respawn`` (worker
-#: replaced), ``degrade`` (site's share matched in the parent for the rest
-#: of the run).
+#: (site back, charged as replaying the delta log).
 KNOWN_KINDS = (
     "crash",
-    "kill",
-    "wedge",
     "drop",
     "duplicate",
     "delay",
@@ -40,8 +35,6 @@ KNOWN_KINDS = (
     "detect",
     "redistribute",
     "rejoin",
-    "respawn",
-    "degrade",
 )
 
 

@@ -2,23 +2,17 @@
 
 A :class:`FaultPlan` is a *pure description* of what should go wrong during
 a run: sites that crash at a given cycle (and optionally rejoin later),
-per-message drop/duplication/delay rates, straggler sites, and real worker
-kills/wedges for the process backend. Plans are frozen dataclasses — the
-same plan injected twice produces the same faults, because every stochastic
-decision is drawn from a :class:`random.Random` seeded with ``plan.seed``
-inside a fresh :class:`FaultInjector` per run.
+per-message drop/duplication/delay rates and straggler sites. Plans are
+frozen dataclasses — the same plan injected twice produces the same
+faults, because every stochastic decision is drawn from a
+:class:`random.Random` seeded with ``plan.seed`` inside a fresh
+:class:`FaultInjector` per run.
 
-The two consumers:
-
-- :class:`~repro.lab.distributed.DistributedMachine` consumes
-  ``crashes`` / ``stragglers`` and the message rates (simulated faults,
-  charged through the :class:`~repro.lab.distributed.NetworkModel`);
-- :class:`~repro.parallel.process.ProcessMatchPool` consumes ``kills`` /
-  ``wedges`` (real ``SIGKILL`` / ``SIGSTOP`` against its workers).
-
-A plan may carry both kinds; each substrate applies the slice it
-understands and ignores the rest, so one plan can describe a whole
-experiment.
+The one consumer is :class:`~repro.lab.distributed.DistributedMachine`,
+which charges the simulated faults through its
+:class:`~repro.lab.distributed.NetworkModel`. The process pool takes no
+plan: a lost worker ends its run in a :class:`~repro.errors.MatchError`,
+so a test that wants one kills a worker itself.
 """
 
 from __future__ import annotations
@@ -33,8 +27,6 @@ from repro.resilience.events import FaultEvent
 __all__ = [
     "SiteCrash",
     "Straggler",
-    "WorkerKill",
-    "WorkerWedge",
     "FaultPlan",
     "FaultInjector",
 ]
@@ -63,23 +55,6 @@ class Straggler:
 
 
 @dataclass(frozen=True)
-class WorkerKill:
-    """SIGKILL the process worker of ``site`` before cycle ``cycle``."""
-
-    cycle: int
-    site: int
-
-
-@dataclass(frozen=True)
-class WorkerWedge:
-    """SIGSTOP the process worker of ``site`` before cycle ``cycle`` —
-    the worker is alive but silent until the pool's timeout unwedges it."""
-
-    cycle: int
-    site: int
-
-
-@dataclass(frozen=True)
 class FaultPlan:
     """Seeded description of every fault to inject into one run."""
 
@@ -95,8 +70,6 @@ class FaultPlan:
     max_retries: int = 8
     crashes: Tuple[SiteCrash, ...] = ()
     stragglers: Tuple[Straggler, ...] = ()
-    kills: Tuple[WorkerKill, ...] = ()
-    wedges: Tuple[WorkerWedge, ...] = ()
 
     def __post_init__(self) -> None:
         for name in ("drop_rate", "dup_rate", "delay_rate"):
@@ -128,8 +101,6 @@ class FaultPlan:
         for kind, faults in (
             ("crash", self.crashes),
             ("straggler", self.stragglers),
-            ("kill", self.kills),
-            ("wedge", self.wedges),
         ):
             for fault in faults:
                 if not (0 <= fault.site < n_sites):
@@ -143,8 +114,6 @@ class FaultPlan:
         return (
             not self.crashes
             and not self.stragglers
-            and not self.kills
-            and not self.wedges
             and self.drop_rate == 0.0
             and self.dup_rate == 0.0
             and self.delay_rate == 0.0
@@ -206,12 +175,6 @@ class FaultInjector:
             self._crashes[crash.cycle].append(crash)
             if crash.rejoin_cycle is not None:
                 self._rejoins[crash.rejoin_cycle].append(crash)
-        self._kills: Dict[int, List[WorkerKill]] = defaultdict(list)
-        for kill in plan.kills:
-            self._kills[kill.cycle].append(kill)
-        self._wedges: Dict[int, List[WorkerWedge]] = defaultdict(list)
-        for wedge in plan.wedges:
-            self._wedges[wedge.cycle].append(wedge)
         self._straggle: Dict[int, float] = {
             s.site: s.factor for s in plan.stragglers
         }
@@ -226,7 +189,7 @@ class FaultInjector:
         return event
 
     def drain_events(self) -> List[FaultEvent]:
-        """Events since the last drain (the process pool's per-cycle feed)."""
+        """Events since the last drain."""
         out, self.events = self.events, []
         return out
 
@@ -237,12 +200,6 @@ class FaultInjector:
 
     def rejoins_at(self, cycle: int) -> List[SiteCrash]:
         return self._rejoins.get(cycle, [])
-
-    def kills_at(self, cycle: int) -> List[WorkerKill]:
-        return self._kills.get(cycle, [])
-
-    def wedges_at(self, cycle: int) -> List[WorkerWedge]:
-        return self._wedges.get(cycle, [])
 
     def straggle_factor(self, site: int) -> float:
         return self._straggle.get(site, 1.0)

@@ -36,7 +36,7 @@ Design rules that keep cross-process readers trivial:
 
 - **Rows are append-only.** A retract flips liveness to 0; the row's
   content is never reused. Journal records therefore stay valid for
-  lagging readers and respawned workers forever.
+  lagging readers forever.
 - **Growth is re-generation.** When a class (or the heap, or the journal)
   outgrows its segment, the parent allocates a doubled segment under the
   next generation name, copies, and unlinks the old name. Attached readers
@@ -376,8 +376,8 @@ class ColumnarWorkingMemory(WorkingMemory):
     iteration order, ``dump_records`` bytes); additionally exposes the
     shared-attach protocol the process match pool uses:
 
-    - :meth:`attach_spec` — full structural snapshot for a (re)spawned
-      worker's :class:`ColumnarReader`;
+    - :meth:`attach_spec` — full structural snapshot for a new worker's
+      :class:`ColumnarReader`;
     - :meth:`cycle_info` — per-cycle cursors plus the structural records
       that changed since the last call (usually none).
     """
@@ -558,16 +558,6 @@ class ColumnarWorkingMemory(WorkingMemory):
             (self._journal_gen, self._journal_len),
             (self._heap_gen, self._heap_used),
             dirty,
-        )
-
-    def refresh_info(self) -> Tuple:
-        """Like :meth:`cycle_info` but without draining structural changes —
-        for catching up a worker that just attached via a full
-        :meth:`attach_spec` (the spec already carries all structure)."""
-        return (
-            (self._journal_gen, self._journal_len),
-            (self._heap_gen, self._heap_used),
-            (),
         )
 
     @property

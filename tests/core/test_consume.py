@@ -41,7 +41,7 @@ def projection(report):
         (red.candidates, red.redacted, red.meta_cycles, red.meta_firings),
         report.fired, report.delta_removes, report.delta_makes,
         report.conflicts_resolved, report.makes_deduped, tuple(report.writes),
-        report.halted, tuple(str(e) for e in report.fault_events),
+        report.halted,
     )
 
 

@@ -376,11 +376,3 @@ class TestPrebuiltMatcher:
     def test_named_matcher_refused(self, name):
         with pytest.raises(ValueError, match="prebuilt matcher"):
             self._build(matcher=name)
-
-    def test_pool_refused(self):
-        from repro.match.interface import PoolConfig
-
-        with pytest.raises(ValueError, match="prebuilt matcher"):
-            self._build(pool=PoolConfig(timeout=5))
-        with pytest.raises(ValueError, match="prebuilt matcher"):
-            self._build(matcher="process", pool=PoolConfig(timeout=5))

@@ -7,8 +7,6 @@ from repro.resilience import (
     FaultPlan,
     SiteCrash,
     Straggler,
-    WorkerKill,
-    WorkerWedge,
     summarize_faults,
 )
 
@@ -51,21 +49,10 @@ class TestPlanValidation:
         with pytest.raises(ValueError):
             plan.validate_sites(4)
 
-    @pytest.mark.parametrize("site", [-1, 4])
-    @pytest.mark.parametrize("kind", [WorkerKill, WorkerWedge])
-    def test_worker_fault_site_in_range(self, kind, site):
-        fault = kind(cycle=2, site=site)
-        field = "kills" if kind is WorkerKill else "wedges"
-        plan = FaultPlan(**{field: (fault,)})
-        with pytest.raises(ValueError, match=rf"site {site} out of range"):
-            plan.validate_sites(4)
-        # Site 0 is a worker like any other: only a crash spares it.
-        FaultPlan(**{field: (kind(cycle=2, site=0),)}).validate_sites(4)
-
     def test_empty_property(self):
         assert FaultPlan().empty
         assert not FaultPlan(drop_rate=0.1).empty
-        assert not FaultPlan(kills=(WorkerKill(cycle=1, site=1),)).empty
+        assert not FaultPlan(stragglers=(Straggler(site=1),)).empty
 
 
 class TestInjectorDeterminism:
@@ -97,16 +84,12 @@ class TestInjectorDeterminism:
     def test_schedules(self):
         plan = FaultPlan(
             crashes=(SiteCrash(cycle=3, site=2, rejoin_cycle=6),),
-            kills=(WorkerKill(cycle=2, site=1),),
-            wedges=(WorkerWedge(cycle=4, site=1),),
             stragglers=(Straggler(site=3, factor=2.5),),
         )
         inj = plan.injector()
         assert [c.site for c in inj.crashes_at(3)] == [2]
         assert inj.crashes_at(4) == []
         assert [c.site for c in inj.rejoins_at(6)] == [2]
-        assert [k.site for k in inj.kills_at(2)] == [1]
-        assert [w.site for w in inj.wedges_at(4)] == [1]
         assert inj.straggle_factor(3) == 2.5
         assert inj.straggle_factor(0) == 1.0
 
@@ -145,13 +128,13 @@ class TestEvents:
 
     def test_summarize(self):
         events = [
-            FaultEvent(cycle=1, kind="respawn", site=1),
-            FaultEvent(cycle=2, kind="respawn", site=1),
-            FaultEvent(cycle=2, kind="degrade", site=1),
+            FaultEvent(cycle=1, kind="crash", site=1),
+            FaultEvent(cycle=2, kind="redistribute", site=1),
+            FaultEvent(cycle=2, kind="crash", site=2),
         ]
         counts = summarize_faults(events)
-        assert counts["respawn"] == 2
-        assert counts["degrade"] == 1
+        assert counts["crash"] == 2
+        assert counts["redistribute"] == 1
 
     def test_str_is_readable(self):
         ev = FaultEvent(cycle=3, kind="rejoin", site=2, detail="replayed 44")

@@ -1,27 +1,36 @@
-"""Process-backend recovery: injected kills, wedges, respawn budgets,
-graceful degradation, and bounded close().
+"""Process-backend worker loss: fail-fast and bounded close().
+
+A lost match worker ends the run: a SIGKILLed worker, a SIGSTOPped one
+that misses the reply deadline and a worker that reports an error all
+raise :class:`~repro.errors.MatchError` naming the site, the engine's
+crash path leaves a decodable black box, and ``close()`` releases every
+worker whatever state it is in.
 
 These tests signal real worker processes, so they carry ``slow`` (excluded
-from the fast gate) and explicit timeouts — a recovery bug should fail one
+from the fast gate) and explicit timeouts — a bug here should fail one
 test, never hang the suite.
 """
 
+import multiprocessing
 import os
+import pickle
 import signal
 import time
 
 import pytest
 
+from repro.cli import main
 from repro.core import EngineConfig, ParulelEngine
-from repro.lab.rete import create_lab_matcher
+from repro.errors import MatchError
 from repro.lang.parser import parse_program
-from repro.match.compile import compile_rules
-from repro.match.interface import PoolConfig
-from repro.obs.flightrec import DEATH_KINDS
-from repro.parallel.process import ProcessMatchPool
-from repro.resilience import FaultPlan, WorkerKill, WorkerWedge
-from repro.resilience.events import KNOWN_KINDS
-from repro.wm.io import dumps
+from repro.obs import MetricsRegistry, Tracer, validate_chrome_trace
+from repro.obs.blackbox import load_blackbox
+from repro.parallel import process
+from repro.parallel.process import ProcessMatcher, ProcessMatchPool
+from repro.programs import REGISTRY
+from repro.resilience.janitor import sweep_orphans
+from repro.wm.columnar import ColumnarWorkingMemory
+from repro.wm.io import dumps as dump_wm_text
 from repro.wm.memory import WorkingMemory
 
 pytestmark = pytest.mark.faults
@@ -33,6 +42,15 @@ SRC = """
 (p neg (a0 ^k <k>) -(b1 ^k <k>) --> (halt))
 """
 
+TC = """
+(literalize edge src dst)
+(literalize path src dst)
+(p tc-init (edge ^src <a> ^dst <b>) -(path ^src <a> ^dst <b>)
+ --> (make path ^src <a> ^dst <b>))
+(p tc-extend (path ^src <a> ^dst <b>) (edge ^src <b> ^dst <c>)
+ -(path ^src <a> ^dst <c>) --> (make path ^src <a> ^dst <c>))
+"""
+
 
 def load(wm, n=6):
     for r in range(3):
@@ -41,145 +59,487 @@ def load(wm, n=6):
             wm.make(f"b{r}", k=i % 3)
 
 
-def keys(insts):
-    return sorted(i.key for i in insts)
+BACKENDS = ["dict", "columnar"]
 
 
-def rete_keys(prog, wm):
-    return keys(create_lab_matcher("rete", prog.rules, wm).instantiations())
+def make_wm(backend):
+    return ColumnarWorkingMemory() if backend == "columnar" else WorkingMemory()
 
 
-class TestInjectedKills:
-    @pytest.mark.slow
-    @pytest.mark.timeout(60)
-    def test_respawn_counters_exact_under_injected_kills(self):
-        prog = parse_program(SRC)
-        wm = WorkingMemory()
-        load(wm)
-        plan = FaultPlan(
-            kills=(WorkerKill(cycle=1, site=1), WorkerKill(cycle=2, site=1))
-        )
-        with ProcessMatchPool(
-            prog.rules, wm, 2, PoolConfig(fault_plan=plan)
-        ) as pool:
-            expected = rete_keys(prog, wm)
-            assert keys(pool.conflict_set()) == expected
-            assert keys(pool.conflict_set()) == expected
-            assert keys(pool.conflict_set()) == expected  # no kill scheduled
-            assert pool.respawns == 2
-            assert pool.site_respawns == {1: 2}
-            assert pool.degraded_sites == set()
-            events = pool.drain_fault_events()
-            assert [e.kind for e in events] == ["kill", "respawn", "kill", "respawn"]
-            assert all(e.site == 1 for e in events)
-
-    @pytest.mark.slow
-    @pytest.mark.timeout(60)
-    def test_degrades_past_respawn_budget_and_stays_correct(self):
-        prog = parse_program(SRC)
-        wm = WorkingMemory()
-        load(wm)
-        plan = FaultPlan(
-            kills=(WorkerKill(cycle=1, site=1), WorkerKill(cycle=2, site=1))
-        )
-        with ProcessMatchPool(
-            prog.rules, wm, 2, PoolConfig(respawn_limit=1, fault_plan=plan)
-        ) as pool:
-            expected = rete_keys(prog, wm)
-            # Kill 1 consumes the whole budget (respawn); kill 2 degrades.
-            assert keys(pool.conflict_set()) == expected
-            assert keys(pool.conflict_set()) == expected
-            assert pool.degraded_sites == {1}
-            assert pool.respawns == 1
-            kinds = [e.kind for e in pool.drain_fault_events()]
-            assert kinds == ["kill", "respawn", "kill", "degrade"]
-            # Degraded site keeps matching in-parent, byte-identically,
-            # including after further WM changes.
-            wm.make("a1", k=0)
-            assert keys(pool.conflict_set()) == rete_keys(prog, wm)
-
-    @pytest.mark.slow
-    @pytest.mark.timeout(60)
-    def test_zero_budget_degrades_on_first_death(self):
-        prog = parse_program(SRC)
-        wm = WorkingMemory()
-        load(wm)
-        plan = FaultPlan(kills=(WorkerKill(cycle=1, site=0),))
-        with ProcessMatchPool(
-            prog.rules, wm, 2, PoolConfig(respawn_limit=0, fault_plan=plan)
-        ) as pool:
-            assert keys(pool.conflict_set()) == rete_keys(prog, wm)
-            assert pool.respawns == 0
-            assert pool.degraded_sites == {0}
-
-    @pytest.mark.slow
-    @pytest.mark.timeout(60)
-    def test_a_degraded_site_takes_no_further_faults(self):
-        """Kills scheduled for a site already matched in the parent find
-        no worker to kill: no event, no respawn, still correct."""
-        prog = parse_program(SRC)
-        wm = WorkingMemory()
-        load(wm)
-        plan = FaultPlan(
-            kills=tuple(WorkerKill(cycle=c, site=0) for c in (1, 2, 3))
-        )
-        with ProcessMatchPool(
-            prog.rules, wm, 2, PoolConfig(respawn_limit=0, fault_plan=plan)
-        ) as pool:
-            for n in range(3):
-                wm.make("a0", k=n)
-                assert keys(pool.conflict_set()) == rete_keys(prog, wm)
-            kinds = [e.kind for e in pool.drain_fault_events()]
-            assert kinds == ["kill", "degrade"]
-            assert pool.respawns == 0 and set(pool._procs) == {1}
-
-    def test_the_pools_kinds_are_known_and_deaths_are_among_them(self):
-        assert {"kill", "wedge", "respawn", "degrade"} <= set(KNOWN_KINDS)
-        assert DEATH_KINDS == {"kill", "wedge", "respawn"}
+def close_wm(wm):
+    if isinstance(wm, ColumnarWorkingMemory):
+        wm.close()
 
 
-class TestInjectedWedges:
-    @pytest.mark.slow
-    @pytest.mark.timeout(90)
-    @pytest.mark.skipif(
-        not hasattr(signal, "SIGSTOP"), reason="needs SIGSTOP"
+def tc_engine(wm_backend, workers=2, **config):
+    """The registry's ``tc`` workload on ``workers`` match processes,
+    loaded and not yet run."""
+    workload = REGISTRY["tc"]()
+    engine = ParulelEngine(
+        workload.program,
+        EngineConfig(
+            matcher=f"process:{workers}", wm_backend=wm_backend, **config
+        ),
     )
-    def test_wedged_worker_times_out_and_respawns(self):
-        prog = parse_program(SRC)
-        wm = WorkingMemory()
-        load(wm)
-        plan = FaultPlan(wedges=(WorkerWedge(cycle=1, site=1),))
-        with ProcessMatchPool(
-            prog.rules, wm, 2, PoolConfig(timeout=1.0, fault_plan=plan)
-        ) as pool:
-            assert keys(pool.conflict_set()) == rete_keys(prog, wm)
-            assert pool.respawns == 1
-            kinds = [e.kind for e in pool.drain_fault_events()]
-            assert kinds == ["wedge", "respawn"]
+    workload.setup(engine)
+    return engine
+
+
+def own_segments():
+    """``/dev/shm`` names whose owner pid is this process (``pwm*`` store
+    columns and ``pfr*`` flight rings)."""
+    pid = f"{os.getpid():08x}p"
+    if not os.path.isdir("/dev/shm"):
+        return []
+    return [
+        name
+        for name in os.listdir("/dev/shm")
+        if name.startswith(("pwm", "pfr")) and name[3:12] == pid
+    ]
+
+
+class TestWorkerLoss:
+    @pytest.mark.slow
+    @pytest.mark.timeout(60)
+    @pytest.mark.parametrize(
+        "workers,site", [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)]
+    )
+    @pytest.mark.parametrize("wm_backend", BACKENDS)
+    def test_a_killed_worker_ends_the_run_naming_its_site(
+        self, tmp_path, wm_backend, workers, site
+    ):
+        workload = REGISTRY["tc"]()
+        blackbox = str(tmp_path / "run.blackbox")
+
+        def kill_after_cycle_2(report):
+            if report.cycle == 2:
+                engine.matcher.pool._procs[site].kill()
+
+        engine = ParulelEngine(
+            workload.program,
+            EngineConfig(
+                matcher=f"process:{workers}",
+                wm_backend=wm_backend,
+                blackbox_path=blackbox,
+            ),
+            trace=kill_after_cycle_2,
+        )
+        try:
+            workload.setup(engine)
+            start = time.monotonic()
+            with pytest.raises(MatchError, match=rf"match worker for site {site} lost"):
+                engine.run()
+            # Liveness polling, not the 60 s deadline, ends the wait.
+            assert time.monotonic() - start < 10.0
+            assert engine.cycle == 2
+        finally:
+            engine.close()
+        assert multiprocessing.active_children() == []
+        bb = load_blackbox(blackbox)
+        assert "MatchError" in bb.reason
+        last = bb.last_in_flight(site)
+        assert last is None or last[0] in {r.name for r in workload.program.rules}
 
     @pytest.mark.slow
-    @pytest.mark.timeout(90)
-    @pytest.mark.skipif(
-        not hasattr(signal, "SIGSTOP"), reason="needs SIGSTOP"
+    @pytest.mark.timeout(60)
+    @pytest.mark.parametrize("kill_after", [0, 1, 3, 6])
+    @pytest.mark.parametrize("wm_backend", BACKENDS)
+    def test_a_lost_worker_commits_nothing_of_its_cycle(self, wm_backend, kill_after):
+        """The failed cycle changes no working memory: what the run leaves
+        is byte for byte what a serial run holds after the cycles that
+        completed."""
+        serial = ParulelEngine(
+            REGISTRY["tc"]().program,
+            EngineConfig(wm_backend=wm_backend, flight_recorder=False),
+        )
+        REGISTRY["tc"]().setup(serial)
+        try:
+            for _ in range(kill_after):
+                serial.step()
+            expected = dump_wm_text(serial.wm)
+        finally:
+            serial.close()
+        engine = tc_engine(wm_backend, flight_recorder=False)
+        try:
+            for _ in range(kill_after):
+                engine.step()
+            engine.matcher.pool._procs[1].kill()
+            with pytest.raises(MatchError, match="site 1 lost"):
+                engine.step()
+            assert engine.cycle == kill_after
+            assert dump_wm_text(engine.wm) == expected
+        finally:
+            engine.close()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.slow
+    @pytest.mark.timeout(60)
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("wm_backend", BACKENDS)
+    def test_losing_every_worker_names_the_first_site(self, wm_backend, workers):
+        engine = tc_engine(wm_backend, workers, flight_recorder=False)
+        try:
+            engine.step()
+            for proc in engine.matcher.pool._procs.values():
+                proc.kill()
+                proc.join()
+            with pytest.raises(MatchError, match="match worker for site 0 lost"):
+                engine.run()
+            assert engine.cycle == 1
+        finally:
+            engine.close()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.slow
+    @pytest.mark.timeout(60)
+    @pytest.mark.parametrize(
+        "how,code", [("sigkill", -9), ("sigterm", -15), ("stop", 0)]
     )
-    def test_wedged_worker_past_the_budget_degrades_at_the_deadline(self):
+    @pytest.mark.parametrize("wm_backend", BACKENDS)
+    def test_the_error_gives_the_workers_exit_code(self, wm_backend, how, code):
+        """However the worker went, killed by a signal or exited cleanly
+        out of turn, the error says how it ended."""
+        prog = parse_program(SRC)
+        wm = make_wm(wm_backend)
+        try:
+            load(wm)
+            with ProcessMatchPool(prog.rules, wm, 2) as pool:
+                assert pool.conflict_set()
+                proc = pool._procs[1]
+                if how == "stop":
+                    pool._send_bytes(1, pickle.dumps(("stop",)))
+                else:
+                    os.kill(
+                        proc.pid,
+                        signal.SIGKILL if how == "sigkill" else signal.SIGTERM,
+                    )
+                proc.join(timeout=10.0)
+                assert proc.exitcode == code
+                wm.make("a0", k=0)
+                with pytest.raises(
+                    MatchError,
+                    match=rf"site 1 lost: .*; the worker exited with code {code}$",
+                ):
+                    pool.conflict_set()
+        finally:
+            close_wm(wm)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.slow
+    @pytest.mark.timeout(60)
+    @pytest.mark.parametrize("wm_backend", BACKENDS)
+    def test_a_loss_after_retractions_raises_and_releases_everything(
+        self, wm_backend
+    ):
+        prog = parse_program(SRC)
+        wm = make_wm(wm_backend)
+        try:
+            load(wm)
+            pool = ProcessMatchPool(prog.rules, wm, 2)
+            try:
+                before = len(pool.conflict_set())
+                for wme in list(wm.by_class("b0")):
+                    wm.remove(wme)
+                assert len(pool.conflict_set()) < before
+                pool._procs[0].kill()
+                pool._procs[0].join()
+                for wme in list(wm.by_class("a1")):
+                    wm.remove(wme)
+                with pytest.raises(MatchError, match="site 0 lost"):
+                    pool.conflict_set()
+            finally:
+                pool.close()
+            assert all(conn.closed for conn in pool._conns.values())
+        finally:
+            close_wm(wm)
+        assert multiprocessing.active_children() == []
+        assert own_segments() == []
+
+    @pytest.mark.slow
+    @pytest.mark.timeout(60)
+    @pytest.mark.parametrize("wm_backend", BACKENDS)
+    def test_a_pool_that_lost_a_worker_closes_promptly_and_stays_closed(
+        self, wm_backend
+    ):
+        prog = parse_program(SRC)
+        wm = make_wm(wm_backend)
+        try:
+            load(wm)
+            pool = ProcessMatchPool(prog.rules, wm, 2)
+            assert pool.conflict_set()
+            pool._procs[1].kill()
+            wm.make("a0", k=0)
+            with pytest.raises(MatchError, match="site 1 lost"):
+                pool.conflict_set()
+            start = time.monotonic()
+            pool.close()
+            assert time.monotonic() - start < 10.0
+            pool.close()  # idempotent
+            with pytest.raises(MatchError, match="closed"):
+                pool.conflict_set()
+        finally:
+            close_wm(wm)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.slow
+    @pytest.mark.timeout(60)
+    def test_the_matcher_interface_raises_and_detach_stops_the_rest(self):
         prog = parse_program(SRC)
         wm = WorkingMemory()
         load(wm)
-        plan = FaultPlan(wedges=(WorkerWedge(cycle=1, site=1),))
-        with ProcessMatchPool(
-            prog.rules,
-            wm,
-            2,
-            PoolConfig(timeout=1.0, respawn_limit=0, fault_plan=plan),
-        ) as pool:
-            victim = pool._procs[1]
-            assert keys(pool.conflict_set()) == rete_keys(prog, wm)
-            events = pool.drain_fault_events()
-            assert [e.kind for e in events] == ["wedge", "degrade"]
-            assert events[1].detail.startswith("respawn budget (0) exhausted;")
-            assert not victim.is_alive()
-            assert pool.degraded_sites == {1}
+        matcher = ProcessMatcher(prog.rules, wm, 2)
+        try:
+            assert matcher.instantiations()
+            matcher.pool._procs[0].kill()
+            wm.make("b2", k=1)
+            with pytest.raises(MatchError, match="site 0 lost"):
+                matcher.instantiations()
+        finally:
+            matcher.detach()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.slow
+    @pytest.mark.timeout(60)
+    @pytest.mark.parametrize("flight_recorder", [True, False])
+    @pytest.mark.parametrize("site", [0, 1])
+    def test_a_killed_columnar_run_strands_no_segment(
+        self, tmp_path, site, flight_recorder
+    ):
+        engine = tc_engine(
+            "columnar",
+            flight_recorder=flight_recorder,
+            blackbox_path=str(tmp_path / "run.blackbox"),
+        )
+        try:
+            engine.step()
+            assert own_segments()
+            engine.matcher.pool._procs[site].kill()
+            with pytest.raises(MatchError, match=f"site {site} lost"):
+                engine.run()
+        finally:
+            engine.close()
+        assert multiprocessing.active_children() == []
+        assert own_segments() == []
+        report = sweep_orphans(dry_run=True)
+        mine = f"{os.getpid():08x}p"
+        assert not [name for name in report.removed if mine in name]
+        assert (tmp_path / "run.blackbox").exists() == flight_recorder
+
+    @pytest.mark.slow
+    @pytest.mark.timeout(60)
+    @pytest.mark.parametrize("wm_backend", BACKENDS)
+    def test_observability_stays_whole_through_a_loss(self, wm_backend):
+        """A run cut short by a lost worker still leaves a well-formed
+        trace and counts no recovery it no longer makes."""
+        tracer = Tracer()
+        metrics = MetricsRegistry()
+        workload = REGISTRY["tc"]()
+        engine = ParulelEngine(
+            workload.program,
+            EngineConfig(
+                matcher="process:2", wm_backend=wm_backend, flight_recorder=False
+            ),
+            tracer=tracer,
+            metrics=metrics,
+        )
+        workload.setup(engine)
+        try:
+            engine.step()
+            engine.step()
+            engine.matcher.pool._procs[1].kill()
+            with pytest.raises(MatchError, match="site 1 lost"):
+                engine.run()
+        finally:
+            engine.close()
+        validate_chrome_trace(tracer.to_chrome())
+        assert {"worker-0", "worker-1"} <= set(tracer.lanes())
+        names = {name for name, _, _ in metrics.dump()["counters"]}
+        names |= {name for name, _, _ in metrics.dump()["gauges"]}
+        assert "parulel_ipc_messages_total" in names
+        assert not {
+            "parulel_worker_respawns_total",
+            "parulel_fault_events_total",
+            "parulel_site_mode",
+        } & names
+
+    @pytest.mark.slow
+    @pytest.mark.timeout(60)
+    @pytest.mark.skipif(not hasattr(signal, "SIGSTOP"), reason="needs SIGSTOP")
+    @pytest.mark.parametrize("site", [0, 1])
+    @pytest.mark.parametrize("wm_backend", BACKENDS)
+    def test_a_sigstopped_worker_raises_at_the_deadline(
+        self, monkeypatch, wm_backend, site
+    ):
+        monkeypatch.setattr(process, "DEFAULT_TIMEOUT", 1.0)
+        prog = parse_program(SRC)
+        wm = make_wm(wm_backend)
+        try:
+            load(wm)
+            with ProcessMatchPool(prog.rules, wm, 2) as pool:
+                assert pool.conflict_set()
+                os.kill(pool._procs[site].pid, signal.SIGSTOP)
+                wm.make("a0", k=0)
+                start = time.monotonic()
+                with pytest.raises(
+                    MatchError,
+                    match=rf"site {site} lost: no reply within the 1 s deadline$",
+                ):
+                    pool.conflict_set()
+                elapsed = time.monotonic() - start
+        finally:
+            close_wm(wm)
+        assert 1.0 <= elapsed < 10.0
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.slow
+    @pytest.mark.timeout(60)
+    @pytest.mark.skipif(not hasattr(signal, "SIGSTOP"), reason="needs SIGSTOP")
+    @pytest.mark.parametrize("wm_backend", BACKENDS)
+    def test_a_sigstopped_worker_ends_the_run_at_the_deadline(
+        self, tmp_path, monkeypatch, wm_backend
+    ):
+        monkeypatch.setattr(process, "DEFAULT_TIMEOUT", 1.0)
+        blackbox = str(tmp_path / "run.blackbox")
+        engine = tc_engine(wm_backend, blackbox_path=blackbox)
+        try:
+            engine.step()
+            os.kill(engine.matcher.pool._procs[1].pid, signal.SIGSTOP)
+            with pytest.raises(MatchError, match="site 1 lost: no reply within"):
+                engine.run()
+            assert engine.cycle == 1
+        finally:
+            start = time.monotonic()
+            engine.close()
+            # close() kills what a grace join cannot stop.
+            assert time.monotonic() - start < 10.0
+        assert multiprocessing.active_children() == []
+        assert load_blackbox(blackbox).reason.startswith(
+            "MatchError: match worker for site 1 lost: no reply within"
+        )
+
+    @pytest.mark.slow
+    @pytest.mark.timeout(60)
+    @pytest.mark.parametrize("site", [0, 1])
+    @pytest.mark.parametrize("wm_backend", BACKENDS)
+    def test_a_worker_reported_error_still_raises(self, wm_backend, site):
+        prog = parse_program(SRC)
+        wm = make_wm(wm_backend)
+        try:
+            load(wm)
+            with ProcessMatchPool(prog.rules, wm, 2) as pool:
+                assert pool.conflict_set()
+                # A delta that is no list of wire records fails in the
+                # worker, which reports the exception instead of dying.
+                pool._send_bytes(site, pickle.dumps(("match", 7, ())))
+                with pytest.raises(
+                    MatchError, match=rf"match worker for site {site} failed: "
+                ):
+                    pool._recv(site)
+                assert pool._procs[site].is_alive()
+        finally:
+            close_wm(wm)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.slow
+    @pytest.mark.timeout(60)
+    @pytest.mark.parametrize("site", [0, 1])
+    def test_a_worker_reported_error_ends_the_run_with_a_blackbox(
+        self, tmp_path, site
+    ):
+        blackbox = str(tmp_path / "run.blackbox")
+        engine = tc_engine("dict", blackbox_path=blackbox)
+        try:
+            engine.step()
+            # The bad request is answered first, at the next collect.
+            engine.matcher.pool._send_bytes(site, pickle.dumps(("match", 7, ())))
+            with pytest.raises(
+                MatchError, match=rf"match worker for site {site} failed: TypeError"
+            ):
+                engine.run()
+            assert engine.cycle == 1
+        finally:
+            engine.close()
+        assert multiprocessing.active_children() == []
+        bb = load_blackbox(blackbox)
+        assert bb.reason.startswith(
+            f"MatchError: match worker for site {site} failed: TypeError"
+        )
+
+    @staticmethod
+    def _tc_files(tmp_path):
+        program = tmp_path / "tc.pl"
+        program.write_text(TC)
+        facts = tmp_path / "tc.facts"
+        facts.write_text(
+            "\n".join(f"(edge ^src n{i} ^dst n{i + 1})" for i in range(8)) + "\n"
+        )
+        return program, facts
+
+    @pytest.mark.slow
+    @pytest.mark.timeout(120)
+    @pytest.mark.parametrize("site", [0, 1])
+    @pytest.mark.parametrize("wm_backend", BACKENDS)
+    def test_cli_run_exits_1_naming_the_site_and_leaves_nothing_behind(
+        self, tmp_path, monkeypatch, capsys, wm_backend, site
+    ):
+        program, facts = self._tc_files(tmp_path)
+        collect = ProcessMatchPool.conflict_set
+        calls = []
+
+        def kill_on_third_collect(pool):
+            calls.append(None)
+            if len(calls) == 3:
+                pool._procs[site].kill()
+                pool._procs[site].join()
+            return collect(pool)
+
+        monkeypatch.setattr(ProcessMatchPool, "conflict_set", kill_on_third_collect)
+        code = main(
+            [
+                "run", str(program), "--facts", str(facts),
+                "--matcher", "process", "--workers", "2",
+                "--wm-backend", wm_backend,
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: match worker for site {site} lost" in err
+        assert multiprocessing.active_children() == []
+        assert own_segments() == []
+        bb = load_blackbox(str(program) + ".blackbox")
+        assert "MatchError" in bb.reason
+
+    @pytest.mark.slow
+    @pytest.mark.timeout(120)
+    @pytest.mark.skipif(not hasattr(signal, "SIGSTOP"), reason="needs SIGSTOP")
+    def test_cli_run_with_a_sigstopped_worker_exits_1_at_the_deadline(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(process, "DEFAULT_TIMEOUT", 1.0)
+        program, facts = self._tc_files(tmp_path)
+        collect = ProcessMatchPool.conflict_set
+        calls = []
+
+        def stop_on_second_collect(pool):
+            calls.append(None)
+            if len(calls) == 2:
+                os.kill(pool._procs[0].pid, signal.SIGSTOP)
+            return collect(pool)
+
+        monkeypatch.setattr(ProcessMatchPool, "conflict_set", stop_on_second_collect)
+        code = main(
+            [
+                "run", str(program), "--facts", str(facts),
+                "--matcher", "process", "--workers", "2",
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert (
+            "error: match worker for site 0 lost: no reply within the 1 s deadline"
+            in err
+        )
+        assert multiprocessing.active_children() == []
 
 
 class TestBoundedClose:
@@ -205,110 +565,21 @@ class TestBoundedClose:
         assert not victim.is_alive()
         pool.close()  # idempotent
 
-
-class TestEngineIntegration:
     @pytest.mark.slow
-    @pytest.mark.timeout(120)
-    def test_engine_survives_kills_with_identical_results(self):
-        src = """
-        (literalize edge src dst)
-        (literalize path src dst)
-        (p tc-init (edge ^src <a> ^dst <b>) -(path ^src <a> ^dst <b>)
-         --> (make path ^src <a> ^dst <b>))
-        (p tc-extend (path ^src <a> ^dst <b>) (edge ^src <b> ^dst <c>)
-         -(path ^src <a> ^dst <c>) --> (make path ^src <a> ^dst <c>))
-        """
-        prog = parse_program(src)
-
-        ref = ParulelEngine(prog)
-        for i in range(8):
-            ref.make("edge", src=f"n{i}", dst=f"n{i + 1}")
-        ref_result = ref.run()
-        reference = sorted(repr(w) for w in ref.wm.snapshot())
-
-        plan = FaultPlan(
-            kills=(WorkerKill(cycle=2, site=1), WorkerKill(cycle=3, site=1))
-        )
-        engine = ParulelEngine(
-            prog,
-            EngineConfig(
-                matcher="process:2",
-                pool=PoolConfig(respawn_limit=1, fault_plan=plan),
-            ),
-        )
-        for i in range(8):
-            engine.make("edge", src=f"n{i}", dst=f"n{i + 1}")
-        try:
-            result = engine.run()
-        finally:
-            engine.matcher.detach()
-        assert result.cycles == ref_result.cycles
-        assert result.firings == ref_result.firings
-        assert sorted(repr(w) for w in engine.wm.snapshot()) == reference
-        # The engine surfaced the backend's fault events, per cycle.
-        kinds = [e.kind for e in engine.fault_events]
-        assert "kill" in kinds
-        assert "respawn" in kinds
-        assert "degrade" in kinds
-        per_cycle = [e.kind for r in engine.reports for e in r.fault_events]
-        assert per_cycle == kinds
-
-    @pytest.mark.slow
-    @pytest.mark.timeout(120)
-    @pytest.mark.parametrize("k", [2, 3])
-    @pytest.mark.parametrize("wm_backend", ["dict", "columnar"])
-    def test_kill_respawn_and_degrade_under_the_split_dump_identically(
-        self, wm_backend, k
-    ):
-        """``k`` sites share two rules' extensions (at three, more workers
-        than rules). The last site is killed and respawned; site 0 is
-        killed past its budget and matched in-parent, from the same
-        ``(k, s)``, for the rest of the run — and the final dump is the
-        serial run's, byte for byte."""
-        from repro.programs import REGISTRY
-
-        workload = REGISTRY["tc"]()
-        ref = ParulelEngine(workload.program)
-        workload.setup(ref)
-        ref_result = ref.run()
-        assert ref_result.cycles >= 8
-
-        plan = FaultPlan(
-            kills=(
-                WorkerKill(cycle=2, site=k - 1),
-                WorkerKill(cycle=3, site=0),
-                WorkerKill(cycle=4, site=0),
-            )
-        )
-        engine = ParulelEngine(
-            workload.program,
-            EngineConfig(
-                matcher=f"process:{k}",
-                pool=PoolConfig(respawn_limit=1, fault_plan=plan),
-                wm_backend=wm_backend,
-            ),
-        )
-        try:
-            workload.setup(engine)
-            result = engine.run()
-            pool = engine.matcher.pool
-            # The in-parent fallback matched site 0's share, compiled from
-            # the (k, s) its worker compiles from.
-            parent = pool._site_compiled[0]
-            worker = compile_rules(workload.program.rules, site=(k, 0))
-            assert [(cr, cr.plan, cr.seeded_plans) for cr in parent] == [
-                (cr, cr.plan, cr.seeded_plans) for cr in worker
-            ]
-            assert pool.degraded_sites == {0}
-            assert (result.cycles, result.firings) == (
-                ref_result.cycles, ref_result.firings,
-            )
-            assert dumps(engine.wm) == dumps(ref.wm)
-        finally:
-            engine.close()
-        kinds = [(e.kind, e.site) for e in engine.fault_events]
-        assert kinds == [
-            ("kill", k - 1), ("respawn", k - 1),
-            ("kill", 0), ("respawn", 0),
-            ("kill", 0), ("degrade", 0),
-        ]
+    @pytest.mark.timeout(60)
+    def test_close_after_sigkilled_workers_closes_every_conn(self):
+        """close() must close per-site connections even when the
+        stop-send and join go wrong (workers already dead)."""
+        prog = parse_program(SRC)
+        wm = WorkingMemory()
+        load(wm)
+        pool = ProcessMatchPool(prog.rules, wm, 2)
+        assert pool.conflict_set()
+        conns = dict(pool._conns)
+        for proc in pool._procs.values():
+            proc.kill()
+            proc.join()
+        pool.close()
+        for conn in conns.values():
+            assert conn.closed
+        pool.close()  # idempotent

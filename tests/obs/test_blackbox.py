@@ -8,9 +8,8 @@ would feed to ``parulel blackbox dump/report/diff`` after a crash.
 import pytest
 
 from repro.core import EngineConfig, ParulelEngine
-from repro.errors import CycleLimitExceeded
+from repro.errors import CycleLimitExceeded, MatchError
 from repro.lang.parser import parse_program
-from repro.match.interface import PoolConfig
 from repro.obs.blackbox import diff_blackbox, load_blackbox, skew_report
 from repro.obs.flightrec import (
     EV_CYCLE,
@@ -22,7 +21,6 @@ from repro.obs.flightrec import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import RULE_TIME_SHARE, SITE_SKEW_RATIO
-from repro.resilience import FaultPlan, WorkerKill
 
 TC = """
 (literalize edge src dst)
@@ -74,11 +72,9 @@ class TestEngineDumps:
 
     @pytest.mark.slow
     @pytest.mark.timeout(60)
-    def test_manual_dump_records_config_and_seed(self, tmp_path):
+    def test_manual_dump_records_config(self, tmp_path):
         path = tmp_path / "manual.blackbox"
-        engine = tc_engine(
-            path, matcher="process:2", pool=PoolConfig(fault_plan=FaultPlan(seed=42))
-        )
+        engine = tc_engine(path, matcher="process:2")
         try:
             engine.run()
             assert engine.dump_blackbox() == str(path)
@@ -86,29 +82,44 @@ class TestEngineDumps:
             engine.close()
         bb = load_blackbox(str(path))
         assert bb.reason == "manual"
-        assert bb.header["info"]["seed"] == 42
         assert "max_cycles" in bb.header["info"]["config"]
 
     @pytest.mark.slow
     @pytest.mark.timeout(90)
     def test_worker_kill_dumps_and_names_site(self, tmp_path):
         path = tmp_path / "kill.blackbox"
-        plan = FaultPlan(kills=(WorkerKill(cycle=1, site=1),))
-        engine = tc_engine(
-            path,
-            matcher="process:2",
-            pool=PoolConfig(respawn_limit=1, fault_plan=plan),
-        )
+        engine = tc_engine(path, matcher="process:2")
+
+        def kill_site_1(report):
+            if report.cycle == 1:
+                engine.matcher.pool._procs[1].kill()
+
+        engine.trace = kill_site_1
         try:
-            engine.run()
+            with pytest.raises(MatchError):
+                engine.run()
         finally:
             engine.close()
         bb = load_blackbox(str(path))
-        assert bb.reason.startswith("worker fault")
-        faults = [r for r in bb.main.records if r["kind"] == EV_FAULT]
-        assert {bb.string(r["code"]) for r in faults} >= {"kill", "respawn"}
+        assert bb.reason.startswith("MatchError: match worker for site 1 lost")
         # The killed site's ring survived and shows up in the timeline.
         assert any(site == 1 for _, site, _ in bb.timeline())
+
+    @pytest.mark.parametrize("kind", ["kill", "wedge", "respawn", "degrade"])
+    def test_a_fault_record_from_an_older_dump_still_decodes(self, tmp_path, kind):
+        """Pools that recovered from worker loss journalled these kinds;
+        their dumps still read."""
+        path = tmp_path / "fault.blackbox"
+        engine = tc_engine(path)
+        try:
+            rec = engine.flightrec
+            rec.record(EV_FAULT, 1, code=rec.intern(kind), a=1, site=1)
+            engine.dump_blackbox()
+        finally:
+            engine.close()
+        bb = load_blackbox(str(path))
+        (fault,) = [r for r in bb.main.records if r["kind"] == EV_FAULT]
+        assert bb.describe(fault) == f"fault {kind} site=1"
 
 
 class TestTimeline:

@@ -115,8 +115,8 @@ class TestAttach:
             pytest.skip("no shared memory on this platform")
         try:
             ring.append(EV_CYCLE, 1)
-            # A respawned worker attaches to its predecessor's ring and
-            # keeps appending where it stopped (single writer at a time).
+            # A worker attaches the ring its parent created and keeps
+            # appending where the sequence stands (single writer at a time).
             other = FlightRing.attach(ring.name)
             assert other.seq == 1
             other.append(EV_CYCLE, 2)

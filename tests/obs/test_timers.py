@@ -45,7 +45,6 @@ class TestSummarizeCycles:
         assert summary["p50_firing_set"] == 5.0
         assert summary["p95_firing_set"] == 5.0
         assert summary["writes"] == 5
-        assert summary["fault_events"] == 0
 
     def test_empty_reports(self):
         summary = summarize_cycles([])
@@ -60,7 +59,6 @@ class TestSummarizeCycles:
                 self.delta_removes = 0
                 self.delta_makes = 0
                 self.writes = []
-                self.fault_events = []
 
                 class Red:
                     redacted = 0

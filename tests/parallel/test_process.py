@@ -1,8 +1,5 @@
 """Tests for the process-parallel match pool (GIL-free backend)."""
 
-import os
-import signal
-
 import pytest
 
 from repro.core import EngineConfig, ParulelEngine
@@ -10,14 +7,13 @@ from repro.errors import MatchError
 from repro.lab.rete import create_lab_matcher
 from repro.lang.parser import parse_program
 from repro.match.compile import value_residue
-from repro.match.interface import MATCHER_NAMES, PoolConfig, create_matcher
+from repro.match.interface import MATCHER_NAMES, create_matcher
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel.process import (
     ProcessMatchPool,
     ProcessMatcher,
     default_worker_count,
 )
-from repro.resilience import FaultPlan, WorkerKill, WorkerWedge
 from repro.wm.columnar import ColumnarWorkingMemory
 from repro.wm.memory import WorkingMemory
 
@@ -152,63 +148,6 @@ class TestProcessMatchPool:
             assert all(p.daemon for p in pool._procs.values())
 
 
-class TestWorkerRobustness:
-    def test_survives_worker_crash_mid_run(self):
-        prog = parse_program(SRC)
-        wm = WorkingMemory()
-        rete = create_lab_matcher("rete", prog.rules, wm)
-        load(wm)
-        with ProcessMatchPool(prog.rules, wm, 2) as pool:
-            before = keys(pool.conflict_set())
-            assert before == keys(rete.instantiations())
-            # SIGKILL a worker between cycles; the pool must respawn it and
-            # catch it up from the live memory.
-            victim = pool.active_sites[0]
-            pool._procs[victim].kill()
-            pool._procs[victim].join()
-            wm.make("a0", k=1)
-            wm.make("b0", k=1)
-            after = keys(pool.conflict_set())
-            assert after == keys(rete.instantiations())
-            assert len(after) > len(before)
-            assert pool.respawns == 1
-            # Subsequent cycles keep working with the respawned worker.
-            wm.make("a1", k=2)
-            wm.make("b1", k=2)
-            assert keys(pool.conflict_set()) == keys(rete.instantiations())
-            assert pool.respawns == 1
-
-    def test_all_workers_crashing_still_recovers(self):
-        prog = parse_program(SRC)
-        wm = WorkingMemory()
-        rete = create_lab_matcher("rete", prog.rules, wm)
-        load(wm)
-        with ProcessMatchPool(prog.rules, wm, 4) as pool:
-            pool.conflict_set()
-            for site in pool.active_sites:
-                pool._procs[site].kill()
-                pool._procs[site].join()
-            assert keys(pool.conflict_set()) == keys(rete.instantiations())
-            assert pool.respawns == len(pool.active_sites)
-
-    @pytest.mark.skipif(
-        not hasattr(signal, "SIGSTOP"), reason="needs SIGSTOP (POSIX)"
-    )
-    def test_wedged_worker_times_out_and_respawns(self):
-        prog = parse_program(SRC)
-        wm = WorkingMemory()
-        rete = create_lab_matcher("rete", prog.rules, wm)
-        load(wm)
-        with ProcessMatchPool(prog.rules, wm, 2, PoolConfig(timeout=0.5)) as pool:
-            pool.conflict_set()
-            victim = pool.active_sites[0]
-            os.kill(pool._procs[victim].pid, signal.SIGSTOP)
-            wm.make("a0", k=2)
-            wm.make("b0", k=2)
-            assert keys(pool.conflict_set()) == keys(rete.instantiations())
-            assert pool.respawns >= 1
-
-
 #: The stores a pool can sit on and the worker alpha layer each selects:
 #: pickled deltas into a replica read through ``AlphaCache``, and the
 #: shared columns read through ``ColumnVectorCache``.
@@ -295,88 +234,6 @@ class TestIncrementalReplies:
         assert len(probes) == 1  # the parity trap is real on this shape
         assert min(shares) >= 5 and sum(shares) == 20
 
-    def test_kill_after_retractions_leaves_no_stale_entry(self, store):
-        wm = store
-        prog = parse_program(SRC)
-        rete = create_lab_matcher("rete", prog.rules, wm)
-        load(wm)
-        with ProcessMatchPool(prog.rules, wm, 2) as pool:
-            assert keys(pool.conflict_set()) == keys(rete.instantiations())
-            # Retract while the worker is alive: it reports the removals.
-            wm.remove(wm.by_class("a0")[0])
-            assert keys(pool.conflict_set()) == keys(rete.instantiations())
-            for site in pool.active_sites:
-                pool._procs[site].kill()
-                pool._procs[site].join()
-            # Retract while it is dead: the replacement never held these
-            # instantiations, so only its reset can drop them.
-            wm.remove(wm.by_class("b0")[0])
-            wm.remove(wm.by_class("b1")[0])  # unblocks 'neg' matches
-            wm.make("a1", k=1)
-            merged = pool.conflict_set()
-            assert pool.respawns == len(pool.active_sites)
-            assert keys(merged) == keys(rete.instantiations())
-            assert retained_count(pool) == len(merged)
-
-    @pytest.mark.slow
-    @pytest.mark.timeout(60)
-    @pytest.mark.parametrize("k", [2, 3])
-    def test_degraded_site_stays_byte_identical(self, store, k):
-        """Killed past its budget, a site is matched in the parent for
-        every later cycle, byte-identically to a healthy pool's site."""
-        wm = store
-        prog = parse_program(SRC)
-        oracles = [create_lab_matcher(name, prog.rules, wm) for name in ("rete", "naive")]
-        load(wm)
-        plan = FaultPlan(kills=(WorkerKill(cycle=2, site=0),))
-        with ProcessMatchPool(prog.rules, wm, k) as healthy:
-            with ProcessMatchPool(
-                prog.rules, wm, k, PoolConfig(respawn_limit=0, fault_plan=plan)
-            ) as pool:
-                degraded_cycles = 0
-                for cycle in range(1, 7):
-                    # Churn every cycle: adds, a retraction, negation flips.
-                    wm.make("a0", k=cycle % 3)
-                    wm.make("b1", k=cycle % 3)
-                    wm.remove(wm.by_class("b0")[0])
-                    want = healthy.conflict_set()
-                    assert image(pool.conflict_set()) == image(want), f"cycle {cycle}"
-                    for oracle in oracles:
-                        assert keys(want) == keys(oracle.instantiations())
-                    degraded_cycles += bool(pool.degraded_sites)
-                kinds = [e.kind for e in pool.drain_fault_events()]
-        assert kinds == ["kill", "degrade"]
-        assert degraded_cycles == 5 and pool.degraded_sites == {0}
-
-    def test_respawn_catch_up_costs_live_size_not_history(self):
-        """Delta mode: a respawned worker is sent the live memory, so churn
-        that left nothing behind adds nothing to its catch-up."""
-        prog = parse_program(SRC)
-        wm = WorkingMemory()
-        load(wm)
-
-        def catch_up_bytes(churn):
-            metrics = MetricsRegistry()
-            with ProcessMatchPool(prog.rules, wm, 1, metrics=metrics) as pool:
-                pool.conflict_set()
-                for _ in range(churn):
-                    wme = wm.make("a0", k=0)
-                    pool.conflict_set()
-                    wm.remove(wme)
-                    pool.conflict_set()
-                before = metrics.counter_value("parulel_ipc_bytes_total", site=0)
-                pool._procs[0].kill()
-                pool._procs[0].join()
-                pool.conflict_set()
-                assert pool.respawns == 1
-                return metrics.counter_value(
-                    "parulel_ipc_bytes_total", site=0
-                ) - before
-
-        # Only the unanswered (empty) request separates the two.
-        assert abs(catch_up_bytes(churn=40) - catch_up_bytes(churn=0)) < 64
-
-
 class TestProcessMatcher:
     def test_registered_backend(self):
         assert "process" in MATCHER_NAMES
@@ -398,60 +255,6 @@ class TestProcessMatcher:
         prog = parse_program(SRC)
         with pytest.raises(ValueError, match="worker"):
             create_matcher("process:0", prog.rules, WorkingMemory())
-
-    @pytest.mark.parametrize(
-        "knob", [{"timeout": 5.0}, {"respawn_limit": 1}, {"fault_plan": FaultPlan()}]
-    )
-    def test_process_only_knobs_rejected_on_a_serial_engine(self, knob):
-        prog = parse_program(SRC)
-        with pytest.raises(ValueError, match="only apply to the 'process' backend"):
-            create_matcher(
-                "treat", prog.rules, WorkingMemory(), pool=PoolConfig(**knob)
-            )
-
-    @pytest.mark.parametrize(
-        "knob",
-        [
-            {"timeout": 0}, {"timeout": -1.0}, {"timeout": float("nan")},
-            {"timeout": float("inf")}, {"respawn_limit": -1},
-        ],
-    )
-    def test_bad_pool_knobs_rejected_before_any_spawn(self, knob):
-        prog = parse_program(SRC)
-        with pytest.raises(ValueError, match="must be"):
-            ProcessMatchPool(prog.rules, WorkingMemory(), 2, PoolConfig(**knob))
-
-    @pytest.mark.parametrize(
-        "plan",
-        [
-            FaultPlan(kills=(WorkerKill(cycle=2, site=2),)),
-            FaultPlan(kills=(WorkerKill(cycle=2, site=-1),)),
-            FaultPlan(wedges=(WorkerWedge(cycle=2, site=11),)),
-            FaultPlan(wedges=(WorkerWedge(cycle=2, site=-1),)),
-        ],
-        ids=["kill-above", "kill-below", "wedge-above", "wedge-below"],
-    )
-    def test_a_fault_at_a_site_the_pool_lacks_is_refused_before_any_spawn(
-        self, plan, monkeypatch
-    ):
-        # A fault at a site the pool lacks would never fire.
-        (fault,) = plan.kills or plan.wedges
-        spawned = []
-        monkeypatch.setattr(
-            ProcessMatchPool, "_spawn", lambda pool, site: spawned.append(site)
-        )
-        prog = parse_program(SRC)
-        wm = WorkingMemory()
-        with pytest.raises(ValueError, match=rf"site {fault.site} out of range"):
-            ProcessMatchPool(prog.rules, wm, 2, PoolConfig(fault_plan=plan))
-        assert spawned == []
-        with pytest.raises(ValueError, match=rf"site {fault.site} out of range"):
-            ParulelEngine(
-                prog,
-                EngineConfig(matcher="process:2", pool=PoolConfig(fault_plan=plan)),
-                wm=wm,
-            )
-        assert spawned == []
 
     def test_default_worker_count_bounds(self):
         assert 1 <= default_worker_count() <= 4

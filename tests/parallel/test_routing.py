@@ -4,8 +4,8 @@ A delta-fed worker's replica must hold exactly the WMEs one of its alpha
 memories can hold — by class and site condition: a class every CE of which
 is keyed on one attribute (or the timestamp) at the one site its key maps
 to, another class some CE reads at every site, a class no CE reads
-nowhere. Removes and a respawned worker's catch-up snapshot route the same
-way, and a worker asked to remove a timestamp it never held still fails.
+nowhere. Removes route the same way, and a worker asked to remove a
+timestamp it never held still fails.
 The replicas are rebuilt here from the very bytes the parent ships, with
 the worker's own strict ``WMDelta.apply_wire``.
 
@@ -56,15 +56,13 @@ def keys(insts):
 
 class Shipped:
     """The replicas the parent's bytes build, one per site: every
-    ``match`` request is replayed with the worker's ``apply_wire``, and a
-    (re)spawned site starts from an empty replica, as its worker does."""
+    ``match`` request is replayed with the worker's ``apply_wire`` onto a
+    replica that starts empty, as its worker's does."""
 
     def __init__(self, pool):
-        self.replicas = {}
+        self.replicas = {site: (WorkingMemory(), {}) for site in pool.active_sites}
         self.removes = {site: 0 for site in pool.active_sites}
-        for site in pool.active_sites:
-            self._reset(site)
-        send, spawn = pool._try_send_bytes, pool._spawn
+        send = pool._send_bytes
 
         def send_and_replay(site, blob):
             msg = pickle.loads(blob)
@@ -72,17 +70,9 @@ class Shipped:
                 for wire in msg[1]:
                     WMDelta.apply_wire(*self.replicas[site], wire)
                     self.removes[site] += len(wire[1])
-            return send(site, blob)
+            send(site, blob)
 
-        def spawn_empty(site):
-            self._reset(site)
-            spawn(site)
-
-        pool._try_send_bytes = send_and_replay
-        pool._spawn = spawn_empty
-
-    def _reset(self, site):
-        self.replicas[site] = (WorkingMemory(), {})
+        pool._send_bytes = send_and_replay
 
     def held(self, site):
         return set(self.replicas[site][1])
@@ -133,11 +123,6 @@ def test_each_replica_holds_exactly_what_its_memories_can_hold(k):
     with ProcessMatchPool(prog.rules, wm, k) as pool:
         shipped = Shipped(pool)
         for cycle in range(10):
-            if cycle == 6:
-                # A respawned worker is caught up with its share of the
-                # live memory, not the whole of it.
-                pool._procs[0].kill()
-                pool._procs[0].join()
             assert keys(pool.conflict_set()) == keys(rete.instantiations())
             for site in range(k):
                 want = {w.timestamp for w in wm if can_hold(shares[site], w)}
@@ -148,7 +133,6 @@ def test_each_replica_holds_exactly_what_its_memories_can_hold(k):
                 expected = {"edge": k, "path": 1, "tick": 1, "noise": 0}
                 assert at == expected[wme.class_name], wme
             churn(wm, rng, live)
-        assert pool.respawns == 1
     # Removes were shipped, each of a WME its site held (the replay is
     # the worker's strict one).
     assert sum(shipped.removes.values()) > 0
@@ -182,7 +166,7 @@ def test_an_unknown_timestamp_on_a_worker_is_still_an_error():
     with ProcessMatchPool(prog.rules, wm, 2) as pool:
         pool.conflict_set()
         bogus = pickle.dumps(("match", [((), (10**6,))], ()))
-        assert pool._try_send_bytes(0, bogus)
+        pool._send_bytes(0, bogus)
         with pytest.raises(MatchError, match="KeyError"):
             pool._recv(0)
 

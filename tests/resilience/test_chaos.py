@@ -1,11 +1,13 @@
 """Chaos differential: crash + corruption + recovery == clean run.
 
 These run the full :mod:`repro.resilience.chaos` scenario — real worker
-processes, real SIGKILLs, a truncated checkpoint, and (columnar) a live
-segment unlinked out from under the pool — so they carry ``slow`` and
-explicit timeouts. ``scripts/check.sh --resilience`` runs the same
+processes, a real SIGKILL that ends the run in ``MatchError``, a truncated
+checkpoint, and (columnar) a live segment unlinked out from under the
+store — so they carry ``slow`` and explicit timeouts. ``scripts/check.sh --resilience`` runs the same
 scenarios across more seeds from the command line.
 """
+
+import re
 
 import pytest
 
@@ -20,9 +22,9 @@ class TestChaosDifferential:
     def test_dict_backend_recovers_byte_identically(self):
         result = run_chaos(workload="tc", backend="dict", seed=0)
         assert result.ok, result.summary()
-        assert result.error is None  # the crash was the seeded stop
-        # The scenario actually exercised recovery machinery.
-        assert result.fault_kinds.get("kill", 0) >= 1
+        # The SIGKILL was the crash: the run ended naming the killed site.
+        assert result.fault_kinds == {"kill": 1}
+        assert result.error.startswith("match worker for site 1 lost: ")
         assert result.skipped, "truncated checkpoint should have been skipped"
         assert result.restored_cycle < result.clean_cycles
 
@@ -31,13 +33,10 @@ class TestChaosDifferential:
     def test_columnar_backend_recovers_byte_identically(self):
         result = run_chaos(workload="tc", backend="columnar", seed=0)
         assert result.ok, result.summary()
-        assert result.fault_kinds.get("kill", 0) >= 1
-        # Seed 0 kills a worker after its segment was unlinked: the
-        # respawned worker cannot re-attach, and the run ends in a typed
-        # error naming the site — which recovery still undoes exactly.
-        assert result.error is not None
-        assert result.error.startswith("match worker for site 1 failed: ")
-        assert "FileNotFoundError" in result.error
+        assert result.fault_kinds == {"kill": 1, "unlink": 1}
+        # The run ends in a typed error naming the killed site — which
+        # recovery still undoes exactly.
+        assert result.error.startswith("match worker for site 1 lost: ")
         assert result.restored_cycle < result.crash_cycle
 
     @pytest.mark.slow
@@ -45,6 +44,23 @@ class TestChaosDifferential:
     def test_different_seed_still_recovers(self):
         result = run_chaos(workload="tc", backend="dict", seed=2)
         assert result.ok, result.summary()
+
+    @pytest.mark.slow
+    @pytest.mark.timeout(120)
+    @pytest.mark.parametrize("seed", [1, 3, 4, 5])
+    @pytest.mark.parametrize("backend", ["dict", "columnar"])
+    def test_every_seed_ends_in_the_killed_sites_error_and_recovers(
+        self, backend, seed
+    ):
+        """Whichever site and cycle the seed picks, the kill is the crash
+        point and recovery still reproduces the clean run byte for byte."""
+        result = run_chaos(workload="tc", backend=backend, seed=seed)
+        assert result.ok, result.summary()
+        assert result.fault_kinds["kill"] == 1
+        assert re.match(
+            r"match worker for site [01] lost: .*exited with code -9$", result.error
+        ), result.error
+        assert result.restored_cycle < result.crash_cycle < result.clean_cycles
 
 
 class TestJanitorAfterKill:

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -73,8 +74,6 @@ class TestRunCommand:
             ("ops5", ["--trace"]),
             ("ops5", ["--interference", "merge"]),
             ("ops5", ["--interference", "error"]),
-            ("ops5", ["--matcher", "process", "--matcher-timeout", "5"]),
-            ("ops5", ["--matcher", "process", "--respawn-limit", "1"]),
             ("ops5", ["--wm-backend", "columnar"]),
             ("ops5", ["--checkpoint-every", "2"]),
             ("ops5", ["--resume", "run.ckpt"]),
@@ -487,49 +486,65 @@ class TestRobustnessOptions:
         path.write_text("(count ^value 0)\n")
         return str(path)
 
-    def test_matcher_timeout_rejects_nonpositive(self, counter_file, capsys):
+    @pytest.mark.parametrize("flag", ["--matcher-timeout", "--respawn-limit"])
+    def test_the_pool_has_no_recovery_flags(self, counter_file, flag, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["run", counter_file, "--matcher", "process",
-                  "--matcher-timeout", "0"])
+            main(["run", counter_file, "--matcher", "process", flag, "1"])
         assert exc.value.code == 2
-        assert (
-            "argument --matcher-timeout: timeout must be a finite number > 0"
-            in capsys.readouterr().err
-        )
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("timeout", ["nan", "inf"])
-    def test_matcher_timeout_rejects_non_finite(self, counter_file, capsys, timeout):
-        with pytest.raises(SystemExit) as exc:
-            main(["run", counter_file, "--matcher", "process",
-                  "--matcher-timeout", timeout])
-        assert exc.value.code == 2
-        assert (
-            "argument --matcher-timeout: timeout must be a finite number > 0"
-            in capsys.readouterr().err
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("wm_backend", ["dict", "columnar"])
+    def test_an_error_mid_run_closes_the_pool(
+        self, tmp_path, capsys, wm_backend, workers
+    ):
+        """A run that ends in a typed error (here interference) still
+        stops its workers: an in-process caller keeps none."""
+        program = tmp_path / "clash.pl"
+        program.write_text(
+            "(literalize count value)\n"
+            "(p a (count ^value <v>) --> (modify 1 ^value 1))\n"
+            "(p b (count ^value <v>) --> (modify 1 ^value 2))\n"
         )
+        facts = tmp_path / "clash.facts"
+        facts.write_text("(count ^value 0)\n")
+        rc = main(["run", str(program), "--facts", str(facts),
+                   "--matcher", "process", "--workers", workers,
+                   "--wm-backend", wm_backend])
+        assert rc == 1
+        assert "error: interference on" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
 
-    def test_respawn_limit_rejects_negative(self, counter_file, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["run", counter_file, "--matcher", "process",
-                  "--respawn-limit", "-1"])
-        assert exc.value.code == 2
-        assert (
-            "argument --respawn-limit: respawn_limit must be >= 0"
-            in capsys.readouterr().err
-        )
+    @pytest.mark.parametrize("wm_backend", ["dict", "columnar"])
+    def test_a_rejected_fact_closes_the_pool(
+        self, counter_file, tmp_path, capsys, wm_backend
+    ):
+        facts = tmp_path / "bad.facts"
+        facts.write_text("(count ^value 0)\n(count ^colour red)\n")
+        rc = main(["run", counter_file, "--facts", str(facts),
+                   "--matcher", "process", "--workers", "2",
+                   "--wm-backend", wm_backend])
+        assert rc == 1
+        assert "fact 2 (line 2)" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
 
-    def test_pool_flags_keep_argparse_type_errors(self, counter_file, capsys):
-        with pytest.raises(SystemExit):
-            main(["run", counter_file, "--matcher-timeout", "soon"])
-        assert (
-            "argument --matcher-timeout: invalid float value: 'soon'"
-            in capsys.readouterr().err
-        )
+    @pytest.mark.parametrize("wm_backend", ["dict", "columnar"])
+    def test_a_cycle_limit_closes_the_pool(
+        self, counter_file, counter_facts, capsys, wm_backend
+    ):
+        rc = main(["run", counter_file, "--facts", counter_facts,
+                   "--matcher", "process", "--workers", "2",
+                   "--wm-backend", wm_backend, "--max-cycles", "3",
+                   "--no-flight-recorder"])
+        assert rc == 1
+        assert "cycle limit hit after 3 cycles" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
 
-    def test_process_options_require_process_matcher(self, counter_file, capsys):
-        rc = main(["run", counter_file, "--respawn-limit", "2"])
-        assert rc == 2
-        assert "require --matcher process" in capsys.readouterr().err
+    def test_an_ops5_run_closes_its_pool(self, counter_file, counter_facts):
+        rc = main(["run", counter_file, "--facts", counter_facts,
+                   "--engine", "ops5", "--matcher", "process", "--workers", "2"])
+        assert rc == 0
+        assert multiprocessing.active_children() == []
 
     def test_stats_on_the_process_backend_invents_no_counters(
         self, counter_file, counter_facts, capsys
@@ -544,8 +559,7 @@ class TestRobustnessOptions:
 
     def test_process_options_accepted(self, counter_file, counter_facts):
         rc = main(["run", counter_file, "--facts", counter_facts,
-                   "--matcher", "process", "--workers", "1",
-                   "--matcher-timeout", "30", "--respawn-limit", "2"])
+                   "--matcher", "process", "--workers", "1"])
         assert rc == 0
 
     def test_checkpoint_every_rejects_nonpositive(self, counter_file, capsys):

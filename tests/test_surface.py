@@ -28,8 +28,8 @@ from repro.repl import ReplSession, run_repl
 CLI = {
     "run": [
         "program", "--facts", "--engine", "--matcher", "--workers",
-        "--matcher-timeout", "--respawn-limit", "--wm-backend",
-        "--checkpoint-every", "--checkpoint", "--resume", "--strategy",
+        "--wm-backend", "--checkpoint-every", "--checkpoint", "--resume",
+        "--strategy",
         "--interference", "--max-cycles", "--trace", "--stats",
         "--dump-wm", "--trace-out", "--metrics-out", "--no-flight-recorder",
         "--blackbox",
@@ -54,11 +54,11 @@ CLI = {
 
 ENGINE_CONFIG = [
     "matcher", "interference", "dedupe_makes", "max_cycles",
-    "max_meta_cycles", "track_provenance", "pool", "wm_backend",
+    "max_meta_cycles", "track_provenance", "wm_backend",
     "flight_recorder", "blackbox_path",
 ]
 
-CREATE_MATCHER = ["pool", "tracer", "metrics", "flightrec"]
+CREATE_MATCHER = ["tracer", "metrics", "flightrec"]
 
 #: ``repro.analysis.analyze`` runs every check; none can be switched off.
 ANALYZE = ["program", "seed_classes", "name"]
@@ -89,13 +89,12 @@ CLI_STDLIB_IMPORTS = ["__future__", "argparse", "gc", "gettext"]
 
 #: What ``import repro.parallel.process`` adds on top of ``CLI_IMPORTS`` —
 #: the pool a ``--matcher process`` run builds: its workers' matcher, the
-#: fault types, the flight ring and the columnar store — and not
+#: flight ring and the columnar store — and not
 #: ``concurrent.futures`` or ``logging``, which only the lab's thread pool
 #: and simulators load.
 POOL_IMPORTS = [
     "repro.match.treat", "repro.obs.flightrec", "repro.parallel",
-    "repro.parallel.process", "repro.resilience", "repro.resilience.events",
-    "repro.resilience.plan", "repro.wm.columnar",
+    "repro.parallel.process", "repro.wm.columnar",
 ]
 
 
@@ -126,7 +125,7 @@ def _walk(parser, prefix=""):
 
 def test_cli_arguments_are_exactly_the_listed_ones():
     assert _walk(build_parser()) == CLI
-    assert sum(len(args) for args in CLI.values()) == 56
+    assert sum(len(args) for args in CLI.values()) == 54
 
 
 def test_the_default_matcher_is_treat_wherever_one_is_defaulted():
@@ -150,7 +149,7 @@ def test_engine_config_fields_are_exactly_the_listed_ones():
     parameters = inspect.signature(EngineConfig).parameters
     assert list(parameters) == ENGINE_CONFIG
     assert list(EngineConfig._fields) == ENGINE_CONFIG  # the blackbox header's keys
-    assert len(ENGINE_CONFIG) == 10
+    assert len(ENGINE_CONFIG) == 9
 
 
 def test_create_matcher_keywords_are_exactly_the_listed_ones():
@@ -160,7 +159,7 @@ def test_create_matcher_keywords_are_exactly_the_listed_ones():
         if p.kind is p.KEYWORD_ONLY
     ]
     assert keywords == CREATE_MATCHER
-    assert len(CREATE_MATCHER) == 4
+    assert len(CREATE_MATCHER) == 3
 
 
 def test_analyze_parameters_are_exactly_the_listed_ones():
